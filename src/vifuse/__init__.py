@@ -74,7 +74,6 @@ from .optimizer import (
     SequenceObservations,
     SolverSettings,
     StreamingRefiner,
-    build_schedule,
     merge_fragments,
     minimize_array,
     minimize_fragment,

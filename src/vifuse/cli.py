@@ -1,12 +1,12 @@
 """Command-line front end.
 
   vifuse synth --out DIR [--config synth.json] [--seed N]
-  vifuse run --config run.json --out DIR [--mode M] [--seed N]
+  vifuse run --config run.json --out DIR [--mode M]
              [--fps-report] [--per-frame-metrics]
 
 Exit codes: 0 success, 2 configuration or missing-input error, 3 stream
-format error, 4 filesystem error. Diagnostics go to stderr with a category
-prefix; results and reports go to files under --out.
+format or data-content error, 4 filesystem error. Diagnostics go to stderr
+with a category prefix; results and reports go to files under --out.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pipeline import (
     write_dataset,
     write_results,
 )
+from .skeleton import DegenerateBoneError, UnboundJointError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="run config JSON")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--mode", choices=MODES, help="override the config mode")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument("--fps-report", action="store_true",
                        help="print fragment and frame throughput to stdout")
     p_run.add_argument("--per-frame-metrics", action="store_true",
@@ -73,8 +73,6 @@ def _cmd_run(args) -> int:
     overrides = {}
     if args.mode:
         overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.per_frame_metrics:
         overrides["per_second_metrics"] = False
     if overrides:
@@ -108,6 +106,10 @@ def main(argv=None) -> int:
         return 2
     except FormatError as e:
         print(f"vifuse: format error: {e}", file=sys.stderr)
+        return 3
+    except (UnboundJointError, DegenerateBoneError) as e:
+        # args[0] is the message; str() of a KeyError subclass would quote it.
+        print(f"vifuse: data error: {e.args[0]}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"vifuse: io error: {e}", file=sys.stderr)

@@ -198,12 +198,6 @@ def _require_imu(frag: Fragment, obs: Observations, what: str) -> np.ndarray:
     return obs.accel
 
 
-def _scatter(grad: np.ndarray, joints: np.ndarray, contrib: np.ndarray) -> None:
-    # joints may repeat across sensors in odd calibrations; accumulate per sensor.
-    for k, j in enumerate(joints):
-        grad[:, j, :] += contrib[:, k, :]
-
-
 def accel_energy(frag: Fragment, obs: Observations) -> TermValue:
     """Squared mismatch between fragment and IMU accelerations at sensor joints.
 
@@ -222,7 +216,7 @@ def accel_energy(frag: Fragment, obs: Observations) -> TermValue:
     gs[1:-1] -= 2.0 * c
     gs[:-2] += c
     grad = np.zeros_like(frag.positions)
-    _scatter(grad, obs.sensor_joints, gs)
+    np.add.at(grad, (slice(None), obs.sensor_joints), gs)
     return TermValue(value, grad)
 
 
@@ -237,8 +231,9 @@ def bone_energy(frag: Fragment, obs: Observations) -> TermValue:
     r = bf - obs.bones
     value = float(np.sum(r * r))
     grad = np.zeros_like(frag.positions)
-    _scatter(grad, obs.sensor_joints, 2.0 * r)
-    _scatter(grad, obs.sensor_parents, -2.0 * r)
+    # Sensors may share a parent joint, so accumulate rather than assign.
+    np.add.at(grad, (slice(None), obs.sensor_joints), 2.0 * r)
+    np.add.at(grad, (slice(None), obs.sensor_parents), -2.0 * r)
     return TermValue(value, grad)
 
 
@@ -266,7 +261,7 @@ def smooth_energy(frag: Fragment, obs: Observations) -> TermValue:
     gs[1:-2] += 3.0 * c
     gs[:-3] -= c
     grad = np.zeros_like(frag.positions)
-    _scatter(grad, obs.sensor_joints, gs)
+    np.add.at(grad, (slice(None), obs.sensor_joints), gs)
     return TermValue(value, grad)
 
 

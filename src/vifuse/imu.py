@@ -68,13 +68,24 @@ class CalibrationSet:
                 return s
         raise KeyError(f"no calibration for sensor {sensor_id!r}")
 
-    def joint_indices(self, skel: SkeletonDefinition) -> np.ndarray:
-        """Bound joint index per sensor; raises UnboundJointError on the root or unknown names."""
-        idx = np.array([skel.index_of(s.joint) for s in self.sensors], dtype=int)
-        if np.any(idx == 0):
-            root = self.sensors[int(np.argmax(idx == 0))]
-            raise UnboundJointError(f"sensor {root.sensor_id!r} is bound to the root joint, which has no bone")
-        return idx
+    def joint_indices(
+        self, skel: SkeletonDefinition, sensor_ids: tuple[str, ...] | None = None
+    ) -> np.ndarray:
+        """Bound joint index per sensor id, in calibration order by default.
+
+        Raises UnboundJointError naming the sensor when it has no calibration
+        entry, names a joint the skeleton lacks, or is bound to the root.
+        """
+        out = []
+        for sid in self.sensor_ids if sensor_ids is None else sensor_ids:
+            try:
+                j = skel.index_of(self.sensor(sid).joint)
+            except KeyError as e:
+                raise UnboundJointError(f"cannot bind sensor {sid!r}: {e.args[0]}") from None
+            if j == 0:
+                raise UnboundJointError(f"sensor {sid!r} is bound to the root joint, which has no bone")
+            out.append(j)
+        return np.array(out, dtype=int)
 
 
 def calibrate_orientation(cal: SensorCalibration, sample: ImuSample) -> Rotation:
@@ -145,12 +156,10 @@ def calibrate_stream(
     Returns (rotations, accels, bones): per-frame lists of calibrated joint
     rotations (T x K), gravity-free global accelerations (T, K, 3), and
     sensor-predicted bone vectors (T, K, 3). Sensor order follows the stream;
-    every stream sensor id must have a calibration entry.
+    every stream sensor must bind as CalibrationSet.joint_indices requires.
     """
+    joints = calib.joint_indices(skel, stream.sensor_ids)
     cals = [calib.sensor(sid) for sid in stream.sensor_ids]
-    joints = [skel.index_of(c.joint) for c in cals]
-    if any(j == 0 for j in joints):
-        raise UnboundJointError("a sensor is bound to the root joint, which has no bone")
     t_n, k_n = stream.frame_count, len(cals)
     rotations: list[list[Rotation]] = []
     accels = np.empty((t_n, k_n, 3))

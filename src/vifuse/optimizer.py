@@ -10,8 +10,7 @@ produce bitwise-identical output to the batch path.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ class SolverSettings:
     grad_tol: float = 1e-6
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -50,12 +48,11 @@ class SolverSettings:
             raise ValueError("grad_tol must be positive")
         if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
             raise ValueError("need 0 < wolfe_c1 < wolfe_c2 < 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 class MinimizeResult(NamedTuple):
     x: np.ndarray
+    initial_value: float
     value: float
     grad_norm: float
     iterations: int
@@ -154,6 +151,7 @@ def minimize_array(
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = fun(x)
+    f0 = f
     g = np.asarray(g, dtype=float).ravel()
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
@@ -191,7 +189,7 @@ def minimize_array(
         x, f, g = x_new, ls.value, g_new
         iterations += 1
         gnorm = float(np.max(np.abs(g)))
-    return MinimizeResult(x, f, gnorm, iterations, gnorm <= settings.grad_tol, ls_failed)
+    return MinimizeResult(x, f0, f, gnorm, iterations, gnorm <= settings.grad_tol, ls_failed)
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,6 @@ class FragmentSchedule:
             raise IndexError(f"frame {frame} out of range [0, {self.frame_count})")
         k = frame // self.stride
         return k, k + 1
-
-
-def build_schedule(frame_count: int, fragment_len: int) -> FragmentSchedule:
-    return FragmentSchedule(frame_count, fragment_len)
 
 
 @dataclass(frozen=True)
@@ -296,18 +290,36 @@ def minimize_fragment(
         behind[0] = max(behind[0], tv.behind_camera)
         return tv.value, tv.grad.ravel()
 
-    f0, _ = fun(frag.positions.ravel())
     res = minimize_array(fun, frag.positions.ravel(), settings)
     out = Fragment(res.x.reshape(shape), frag.fps, frag.start)
     return FragmentResult(
         fragment=out,
-        initial_value=f0,
+        initial_value=res.initial_value,
         final_value=res.value,
         iterations=res.iterations,
         converged=res.converged,
         line_search_failed=res.line_search_failed,
         behind_camera=behind[0],
     )
+
+
+def _solve_window(
+    schedule: FragmentSchedule,
+    k: int,
+    poses: np.ndarray,
+    seq_obs: SequenceObservations,
+    cfg: EnergyConfig,
+    settings: SolverSettings,
+) -> FragmentResult:
+    """Gather window k's rows and minimize its fragment.
+
+    `poses` and `seq_obs` hold either the whole sequence or a ring of its
+    last len(poses) frames, frame t at row t % len(poses); the ring must be
+    at least one window long.
+    """
+    rows = schedule.window_frames(k) % len(poses)
+    frag = Fragment(poses[rows], seq_obs.fps, schedule.window_start(k))
+    return minimize_fragment(frag, seq_obs.window(rows), cfg, settings)
 
 
 def merge_fragments(schedule: FragmentSchedule, fragments: list[Fragment]) -> np.ndarray:
@@ -358,40 +370,27 @@ def refine_batch(
     cfg: EnergyConfig,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, RefineStats]:
-    """Optimize every window of a (T, J, 3) sequence and merge.
-
-    With settings.workers > 1 the independent windows run on a thread pool;
-    results are merged in window order either way, so the output does not
-    depend on the worker count.
-    """
+    """Optimize every window of a (T, J, 3) sequence and merge."""
     poses = np.asarray(poses, dtype=float)
-    schedule = build_schedule(poses.shape[0], cfg.fragment_len)
-
-    def run_window(k: int) -> FragmentResult:
-        frames = schedule.window_frames(k)
-        frag = Fragment(poses[frames], seq_obs.fps, schedule.window_start(k))
-        return minimize_fragment(frag, seq_obs.window(frames), cfg, settings)
-
+    schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
-    if settings.workers > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            results = list(pool.map(run_window, range(schedule.window_count)))
-    else:
-        results = [run_window(k) for k in range(schedule.window_count)]
+    results = [_solve_window(schedule, k, poses, seq_obs, cfg, settings)
+               for k in range(schedule.window_count)]
     elapsed = time.perf_counter() - t0
     merged = merge_fragments(schedule, [r.fragment for r in results])
     return merged, RefineStats.collect(results, poses.shape[0], elapsed)
 
 
 class StreamingRefiner:
-    """Frame-at-a-time variant of refine_batch with bounded latency.
+    """Frame-at-a-time variant of refine_batch with bounded latency and memory.
 
-    Poses and their observation rows are pushed together, one frame per call.
-    A window is optimized as soon as its last real frame arrives, and a frame
-    is emitted once both of its covering windows are done (at most N frames
-    plus one solve behind the input). finish() flushes the trailing
-    replica-padded windows. Output is bitwise-identical to refine_batch on
-    the same data.
+    Poses and their observation rows are pushed together, one frame per call,
+    into ring buffers of N rows (frame t at row t % N). A window is optimized
+    as soon as its last real frame arrives, when all N of its frames are still
+    in the ring, and a frame is emitted once both of its covering windows are
+    done (at most N frames plus one solve behind the input). finish() flushes
+    the trailing replica-padded windows. Output is bitwise-identical to
+    refine_batch on the same data.
     """
 
     def __init__(
@@ -403,60 +402,36 @@ class StreamingRefiner:
         sensor_joints: np.ndarray | None = None,
         sensor_parents: np.ndarray | None = None,
     ):
-        self._fps = fps
         self._cfg = cfg
         self._settings = settings
-        self._camera = camera
-        self._sj = sensor_joints if sensor_joints is not None else np.empty(0, dtype=int)
-        self._sp = sensor_parents if sensor_parents is not None else np.empty(0, dtype=int)
-        self._half = cfg.fragment_len // 2
         self._len = cfg.fragment_len
-        self._pos: list[np.ndarray] = []
-        self._px: list[np.ndarray] | None = None
-        self._acc: list[np.ndarray] | None = None
-        self._bone: list[np.ndarray] | None = None
+        # Observation rings; their arrays are allocated on the first push.
+        self._obs = SequenceObservations(
+            fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
+        self._pos: np.ndarray | None = None
+        self._frames = 0
         self._done: dict[int, Fragment] = {}
-        self._results: list[FragmentResult] = []
         self._next_window = 0
         self._next_emit = 0
         self._finished = False
 
-    def _window_obs(self, frames: np.ndarray) -> Observations:
-        def gather(rows):
-            return None if rows is None else np.stack([rows[t] for t in frames])
-
-        return Observations(
-            pixels=gather(self._px),
-            camera=self._camera,
-            accel=gather(self._acc),
-            bones=gather(self._bone),
-            sensor_joints=self._sj,
-            sensor_parents=self._sp,
-        )
-
-    def _run_window(self, k: int, t_max: int) -> None:
-        start = k * self._half - self._half
-        frames = np.clip(np.arange(start, start + self._len), 0, t_max)
-        positions = np.stack([self._pos[t] for t in frames])
-        frag = Fragment(positions, self._fps, start)
-        res = minimize_fragment(frag, self._window_obs(frames), self._cfg, self._settings)
+    def _run_window(self, schedule: FragmentSchedule, k: int) -> None:
+        res = _solve_window(schedule, k, self._pos, self._obs, self._cfg, self._settings)
         self._done[k] = res.fragment
-        self._results.append(res)
         self._next_window = k + 1
 
-    def _emit_ready(self, total_frames: int) -> list[tuple[int, np.ndarray]]:
+    def _emit_ready(self, schedule: FragmentSchedule) -> list[tuple[int, np.ndarray]]:
         out = []
-        h = self._half
-        last_done = self._next_window - 1
-        while self._next_emit < total_frames and self._next_emit // h + 1 <= last_done:
+        while self._next_emit < schedule.frame_count:
             t = self._next_emit
-            k1 = t // h
-            k2 = k1 + 1
-            row1 = self._done[k1].positions[t + h - k1 * h]
-            row2 = self._done[k2].positions[t + h - k2 * h]
+            k1, k2 = schedule.covering_windows(t)
+            if k2 >= self._next_window:
+                break
+            row1 = self._done[k1].positions[t - schedule.window_start(k1)]
+            row2 = self._done[k2].positions[t - schedule.window_start(k2)]
             out.append((t, (row1 + row2) * 0.5))
             self._next_emit += 1
-        for k in [k for k in self._done if (k + 1) * h <= self._next_emit]:
+        for k in [k for k in self._done if schedule.window_start(k) + self._len <= self._next_emit]:
             del self._done[k]
         return out
 
@@ -467,45 +442,48 @@ class StreamingRefiner:
         accel: np.ndarray | None = None,
         bones: np.ndarray | None = None,
     ) -> list[tuple[int, np.ndarray]]:
-        """Feed one frame and its observation rows; returns any frames now final."""
+        """Feed one frame and its observation rows; returns any frames now final.
+
+        Every row must be given for every frame or for none, with the shape it
+        had in frame 0.
+        """
         if self._finished:
             raise RuntimeError("push after finish")
-        first = not self._pos
-        if first:
-            self._px = [] if pixels is not None else None
-            self._acc = [] if accel is not None else None
-            self._bone = [] if bones is not None else None
-        for rows, value, name in (
-            (self._px, pixels, "pixels"),
-            (self._acc, accel, "accel"),
-            (self._bone, bones, "bones"),
-        ):
-            if (rows is None) != (value is None):
+        rows = {"positions": positions, "pixels": pixels, "accel": accel, "bones": bones}
+        rows = {name: None if r is None else np.asarray(r, dtype=float) for name, r in rows.items()}
+        if self._frames == 0:
+            rings = {name: None if r is None else np.empty((self._len, *r.shape))
+                     for name, r in rows.items()}
+            self._pos = rings.pop("positions")
+            self._obs = replace(self._obs, **rings)
+        rings = {"positions": self._pos, "pixels": self._obs.pixels,
+                 "accel": self._obs.accel, "bones": self._obs.bones}
+        for name, row in rows.items():
+            if (rings[name] is None) != (row is None):
                 raise ValueError(f"{name} must be given for every frame or none")
-            if rows is not None:
-                rows.append(np.asarray(value, dtype=float))
-        self._pos.append(np.asarray(positions, dtype=float))
-        arrived = len(self._pos) - 1
-        while self._next_window * self._half + self._half - 1 <= arrived:
-            self._run_window(self._next_window, arrived)
-        return self._emit_ready(len(self._pos))
+            if row is not None and row.shape != rings[name].shape[1:]:
+                raise ValueError(f"{name} row of frame {self._frames} has shape {row.shape}, "
+                                 f"frame 0 had {rings[name].shape[1:]}")
+        for name, row in rows.items():
+            if row is not None:
+                rings[name][self._frames % self._len] = row
+        self._frames += 1
+        schedule = FragmentSchedule(self._frames, self._len)
+        while schedule.window_start(self._next_window) + self._len <= self._frames:
+            self._run_window(schedule, self._next_window)
+        return self._emit_ready(schedule)
 
     def finish(self) -> list[tuple[int, np.ndarray]]:
         """Flush trailing windows; returns the remaining frames in order."""
         if self._finished:
             return []
         self._finished = True
-        t_n = len(self._pos)
-        if t_n == 0:
+        if self._frames == 0:
             return []
-        schedule = build_schedule(t_n, self._len)
+        schedule = FragmentSchedule(self._frames, self._len)
         for k in range(self._next_window, schedule.window_count):
-            self._run_window(k, t_n - 1)
-        return self._emit_ready(t_n)
-
-    @property
-    def results(self) -> list[FragmentResult]:
-        return list(self._results)
+            self._run_window(schedule, k)
+        return self._emit_ready(schedule)
 
 
 def run_stream(

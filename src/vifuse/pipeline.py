@@ -72,14 +72,6 @@ def _mode_requirements(mode: str, have_visual: bool, have_inertial: bool) -> Non
         raise MissingInputError(f"mode {mode} requires an IMU stream and calibration")
 
 
-def _sensor_bindings(
-    skel: SkeletonDefinition, calib: CalibrationSet, stream: ImuStream
-) -> tuple[np.ndarray, np.ndarray]:
-    joints = np.array([skel.index_of(calib.sensor(sid).joint) for sid in stream.sensor_ids])
-    parents = np.array([skel.parents[j] for j in joints])
-    return joints, parents
-
-
 def apply_mode(
     mode: str,
     skel: SkeletonDefinition,
@@ -116,7 +108,8 @@ def apply_mode(
             raise ConfigError(
                 f"IMU stream has {imu.frame_count} frames, pose stream {poses.shape[0]}")
         rotations, accel, bones = calibrate_stream(calib, imu, skel)
-        sensor_joints, sensor_parents = _sensor_bindings(skel, calib, imu)
+        sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
+        sensor_parents = np.array(skel.parents)[sensor_joints]
         imu_maps = [dict(zip(sensor_joints.tolist(), row)) for row in rotations]
 
     if mode == "sf2":
@@ -151,8 +144,22 @@ def _build_from_dict(cls, data: dict, what: str):
         raise ConfigError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
     try:
         return cls(**data)
+    except ConfigError:  # RunConfig's own checks; keep their category
+        raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {what} options: {e}") from None
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,7 @@ class RunConfig:
     JSON layout mirrors the fields: {"mode": "rtof", "fps": 25,
     "skeleton": "...", "pose3d": "...", "pose2d": "...", "camera": "...",
     "calibration": "...", "imu": "...", "truth": "...",
-    "energy": {...}, "solver": {...}, "per_second_metrics": true, "seed": 0}.
+    "energy": {...}, "solver": {...}, "per_second_metrics": true}.
     Relative paths resolve against the config file's directory.
     """
 
@@ -178,7 +185,6 @@ class RunConfig:
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     solver: SolverSettings = field(default_factory=SolverSettings)
     per_second_metrics: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.fps <= 0.0:
@@ -200,27 +206,12 @@ class RunConfig:
             data["energy"] = _build_from_dict(EnergyConfig, data["energy"], "energy")
         if "solver" in data:
             data["solver"] = _build_from_dict(SolverSettings, data["solver"], "solver")
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config option(s): {', '.join(sorted(unknown))}")
-        try:
-            return cls(**data)
-        except TypeError as e:
-            raise ConfigError(f"bad config: {e}") from None
+        return _build_from_dict(cls, data, "config")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as e:
-            raise ConfigError(str(e)) from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data, path.parent)
+        return cls.from_dict(_read_json_object(path), path.parent)
 
 
 @dataclass(frozen=True)
@@ -303,16 +294,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as e:
-            raise ConfigError(str(e)) from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json_object(Path(path)))
 
 
 def generate_dataset(config: SynthConfig) -> SyntheticDataset:

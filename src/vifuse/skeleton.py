@@ -25,9 +25,13 @@ class TopologyError(ValueError):
 class DegenerateBoneError(ValueError):
     """An observed bone has near-zero length, so its direction is undefined."""
 
-    def __init__(self, joint: int, name: str, norm: float):
-        super().__init__(f"bone of joint {joint} ({name}) has near-zero length {norm:.3e} mm")
+    def __init__(self, joint: int, name: str, norm: float, frame: int | None = None):
+        where = "" if frame is None else f"frame {frame}: "
+        super().__init__(f"{where}bone of joint {joint} ({name}) has near-zero length {norm:.3e} mm")
         self.joint = joint
+        self.name = name
+        self.norm = norm
+        self.frame = frame
 
 
 class UnboundJointError(KeyError):
@@ -191,10 +195,17 @@ def refine_sequence(
     imu_rotations: Sequence[Mapping[int, Rotation]] | None,
     theta_t: float,
 ) -> np.ndarray:
-    """igik + forward_kinematics applied frame by frame over a (T, J, 3) array."""
+    """igik + forward_kinematics applied frame by frame over a (T, J, 3) array.
+
+    A degenerate observed bone raises DegenerateBoneError carrying its frame index.
+    """
     poses = np.asarray(poses, dtype=float)
     out = np.empty_like(poses)
     for i in range(poses.shape[0]):
         rots = imu_rotations[i] if imu_rotations is not None else {}
-        out[i] = forward_kinematics(skel, igik(skel, poses[i], rots, theta_t))
+        try:
+            params = igik(skel, poses[i], rots, theta_t)
+        except DegenerateBoneError as e:
+            raise DegenerateBoneError(e.joint, e.name, e.norm, frame=i) from None
+        out[i] = forward_kinematics(skel, params)
     return out

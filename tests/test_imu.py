@@ -104,6 +104,9 @@ def test_joint_indices_and_lookup(rng):
         (make_cal(rng, joint="j2", sensor_id="s0"), make_cal(rng, joint="j1", sensor_id="s1"))
     )
     np.testing.assert_array_equal(cs.joint_indices(skel), [2, 1])
+    np.testing.assert_array_equal(cs.joint_indices(skel, ("s1", "s0")), [1, 2])
+    with pytest.raises(UnboundJointError, match="'s2'"):
+        cs.joint_indices(skel, ("s0", "s2"))
     assert cs.sensor("s1").joint == "j1"
     with pytest.raises(KeyError):
         cs.sensor("missing")

@@ -12,7 +12,6 @@ from vifuse import (
     SequenceObservations,
     SolverSettings,
     StreamingRefiner,
-    build_schedule,
     merge_fragments,
     minimize_array,
     minimize_fragment,
@@ -69,7 +68,6 @@ def test_settings_validation():
         dict(wolfe_c1=0.0),
         dict(wolfe_c1=0.5, wolfe_c2=0.4),
         dict(wolfe_c2=1.0),
-        dict(workers=0),
     ):
         with pytest.raises(ValueError):
             SolverSettings(**bad)
@@ -141,7 +139,7 @@ def test_line_search_failure_returns_start():
 
 
 def test_schedule_frozen_layout():
-    s = build_schedule(500, 50)
+    s = FragmentSchedule(500, 50)
     assert s.stride == 25
     assert s.window_count == 21
     assert s.window_start(0) == -25
@@ -149,7 +147,7 @@ def test_schedule_frozen_layout():
     assert s.covering_windows(0) == (0, 1)
     assert s.covering_windows(499) == (19, 20)
 
-    tiny = build_schedule(4, 4)
+    tiny = FragmentSchedule(4, 4)
     assert tiny.window_count == 3
     np.testing.assert_array_equal(tiny.window_frames(0), [0, 0, 0, 1])
     np.testing.assert_array_equal(tiny.window_frames(1), [0, 1, 2, 3])
@@ -158,12 +156,12 @@ def test_schedule_frozen_layout():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        build_schedule(0, 4)
+        FragmentSchedule(0, 4)
     with pytest.raises(ValueError):
-        build_schedule(10, 5)
+        FragmentSchedule(10, 5)
     with pytest.raises(ValueError):
-        build_schedule(10, 2)
-    s = build_schedule(10, 4)
+        FragmentSchedule(10, 2)
+    s = FragmentSchedule(10, 4)
     with pytest.raises(IndexError):
         s.window_frames(s.window_count)
     with pytest.raises(IndexError):
@@ -173,7 +171,7 @@ def test_schedule_validation():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 200), st.sampled_from([4, 6, 8, 16, 50, 64]))
 def test_every_frame_covered_exactly_twice(t_n, n):
-    s = build_schedule(t_n, n)
+    s = FragmentSchedule(t_n, n)
     count = np.zeros(t_n, dtype=int)
     holders: list[set] = [set() for _ in range(t_n)]
     for k in range(s.window_count):
@@ -210,7 +208,7 @@ def test_minimize_fragment_normalized_start(rng):
 
 
 def test_merge_average_of_covering_windows():
-    s = build_schedule(11, 4)
+    s = FragmentSchedule(11, 4)
     frags = [
         Fragment(np.full((4, 2, 3), float(k)), 25.0, s.window_start(k))
         for k in range(s.window_count)
@@ -221,7 +219,7 @@ def test_merge_average_of_covering_windows():
 
 
 def test_merge_rejects_wrong_fragment_count():
-    s = build_schedule(11, 4)
+    s = FragmentSchedule(11, 4)
     frags = [Fragment(np.zeros((4, 1, 3)), 25.0)] * (s.window_count - 1)
     with pytest.raises(ValueError):
         merge_fragments(s, frags)
@@ -232,7 +230,7 @@ def test_refine_batch_reduces_energy(rng):
     cfg = EnergyConfig(fragment_len=8)
     merged, stats = refine_batch(poses, obs, cfg, SolverSettings())
     assert merged.shape == poses.shape
-    assert stats.fragment_count == build_schedule(poses.shape[0], 8).window_count
+    assert stats.fragment_count == FragmentSchedule(poses.shape[0], 8).window_count
     assert stats.line_search_failures == 0
     assert stats.optimize_seconds > 0
     assert stats.fragments_per_second > 0
@@ -244,14 +242,6 @@ def test_refine_batch_reduces_energy(rng):
     assert after.value < before.value
 
 
-def test_refine_batch_worker_count_is_invisible(rng):
-    poses, obs = seq_problem(rng, t_n=20)
-    cfg = EnergyConfig(fragment_len=8)
-    one, _ = refine_batch(poses, obs, cfg, SolverSettings(workers=1))
-    four, _ = refine_batch(poses, obs, cfg, SolverSettings(workers=4))
-    np.testing.assert_array_equal(one, four)
-
-
 def test_stream_matches_batch(rng):
     poses, obs = seq_problem(rng, t_n=37)
     cfg = EnergyConfig(fragment_len=8)
@@ -261,6 +251,29 @@ def test_stream_matches_batch(rng):
     assert [t for t, _ in got] == list(range(37))
     streamed = np.stack([row for _, row in got])
     np.testing.assert_array_equal(streamed, batch)
+
+
+def test_stream_buffers_stay_bounded(rng):
+    t_n, n = 2001, 4
+    poses, obs = seq_problem(rng, t_n=t_n)
+    cfg = EnergyConfig(fragment_len=n)
+    st_ = SolverSettings(max_iterations=3)
+    batch, _ = refine_batch(poses, obs, cfg, st_)
+    r = StreamingRefiner(obs.fps, cfg, st_, camera=obs.camera,
+                         sensor_joints=obs.sensor_joints, sensor_parents=obs.sensor_parents)
+    streamed = np.full_like(batch, np.nan)
+    for t in range(t_n):
+        for i, row in r.push(poses[t], pixels=obs.pixels[t], accel=obs.accel[t], bones=obs.bones[t]):
+            streamed[i] = row
+        if t == 0:
+            rings = (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)
+        assert len(r._done) <= 2
+    for i, row in r.finish():
+        streamed[i] = row
+    # the rings allocated by the first push are the only ones, at N rows each
+    assert all(a is b for a, b in zip(rings, (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)))
+    assert [a.shape[0] for a in rings] == [n] * 4
+    assert streamed.tobytes() == batch.tobytes()
 
 
 def test_stream_emission_latency(rng):
@@ -298,6 +311,16 @@ def test_stream_requires_consistent_rows(rng):
     r2.push(poses[0], pixels=obs.pixels[0])
     with pytest.raises(ValueError):
         r2.push(poses[1], pixels=obs.pixels[1], accel=obs.accel[1])  # accel appeared
+
+
+def test_stream_rejects_row_shape_change(rng):
+    poses, obs = seq_problem(rng, t_n=6)
+    r = StreamingRefiner(obs.fps, EnergyConfig(fragment_len=4), SolverSettings(), camera=obs.camera)
+    r.push(poses[0], pixels=obs.pixels[0])
+    with pytest.raises(ValueError, match="positions row of frame 1"):
+        r.push(poses[1][0], pixels=obs.pixels[1])  # a (3,) row would broadcast into (J, 3)
+    with pytest.raises(ValueError, match="pixels row of frame 1"):
+        r.push(poses[1], pixels=obs.pixels[1][:2])
 
 
 def test_stream_finish_then_push_rejected(rng):

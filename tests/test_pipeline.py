@@ -21,6 +21,7 @@ from vifuse import (
     refine_sequence,
     run_pipeline,
     write_dataset,
+    write_pose3d,
     write_results,
 )
 from vifuse.cli import main
@@ -133,7 +134,7 @@ def test_run_config_validation(tmp_path):
         )
     with pytest.raises(ConfigError):
         RunConfig.from_dict(
-            {"mode": "baseline", "skeleton": "s", "pose3d": "p", "solver": {"workers": 0}}
+            {"mode": "baseline", "skeleton": "s", "pose3d": "p", "solver": {"max_iterations": 0}}
         )
     cfg = RunConfig.from_dict(
         {
@@ -374,3 +375,45 @@ def test_cli_synth_bad_config_exit_code(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def synth_small(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({"duration": 1.0, "fps": 10.0}))
+    assert main(["synth", "--out", str(data_dir), "--config", str(synth_cfg)]) == 0
+    capsys.readouterr()
+    return data_dir
+
+
+def run_sf2(data_dir, out_dir):
+    return main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(out_dir),
+                 "--mode", "sf2"])
+
+
+def test_cli_unknown_sensor_id_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    cal = data_dir / "calibration.txt"
+    cal.write_text(cal.read_text().replace("sensor l_upper_arm ", "sensor spare "))
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'l_upper_arm'" in err
+
+
+def test_cli_sensor_on_root_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    cal = data_dir / "calibration.txt"
+    cal.write_text(cal.read_text().replace("sensor l_upper_arm l_elbow ", "sensor l_upper_arm pelvis "))
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'l_upper_arm'" in err and "root" in err
+
+
+def test_cli_degenerate_bone_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    poses = read_pose3d(data_dir / "input_pose3d.txt")
+    poses[3, 1] = poses[3, 0]  # zero-length bone from the root to joint 1 in frame 3
+    write_pose3d(data_dir / "input_pose3d.txt", poses)
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "frame 3" in err and "joint 1" in err
