@@ -84,6 +84,7 @@ from .pipeline import (
     DEFAULT_NOISE,
     MODES,
     ConfigError,
+    DataError,
     MissingInputError,
     RunConfig,
     RunResult,

@@ -18,6 +18,7 @@ import sys
 from .fileio import FormatError
 from .pipeline import (
     ConfigError,
+    DataError,
     MissingInputError,
     MODES,
     RunConfig,
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
     except FormatError as e:
         print(f"vifuse: format error: {e}", file=sys.stderr)
         return 3
-    except (UnboundJointError, DegenerateBoneError) as e:
+    except (UnboundJointError, DegenerateBoneError, DataError) as e:
         # args[0] is the message; str() of a KeyError subclass would quote it.
         print(f"vifuse: data error: {e.args[0]}", file=sys.stderr)
         return 3

@@ -88,9 +88,17 @@ class CalibrationSet:
         return np.array(out, dtype=int)
 
 
+def _orientation(r_global: Rotation, r_joint: Rotation, raw: Rotation) -> Rotation:
+    return r_joint.inverse() @ r_global @ raw
+
+
+def _acceleration(r_global: Rotation, raw: Rotation, reading, gravity) -> np.ndarray:
+    return r_global.apply(raw.apply(np.asarray(reading, dtype=float))) + np.asarray(gravity, dtype=float)
+
+
 def calibrate_orientation(cal: SensorCalibration, sample: ImuSample) -> Rotation:
     """Global rotation of the bound joint's bone: (R_kj)^-1 * R_kg * R_k."""
-    return cal.r_joint.inverse() @ cal.r_global @ sample.orientation
+    return _orientation(cal.r_global, cal.r_joint, sample.orientation)
 
 
 def calibrate_acceleration(cal: SensorCalibration, sample: ImuSample, gravity) -> np.ndarray:
@@ -101,8 +109,7 @@ def calibrate_acceleration(cal: SensorCalibration, sample: ImuSample, gravity) -
     A stationary sample calibrates to (0, 0, 0) and a free-fall reading of
     zero calibrates to the gravity field itself.
     """
-    a = np.asarray(sample.acceleration, dtype=float)
-    return cal.r_global.apply(sample.orientation.apply(a)) + np.asarray(gravity, dtype=float)
+    return _acceleration(cal.r_global, sample.orientation, sample.acceleration, gravity)
 
 
 def imu_bone_vector(cal: SensorCalibration, sample: ImuSample, skel: SkeletonDefinition) -> np.ndarray:
@@ -150,27 +157,20 @@ class ImuStream:
 
 def calibrate_stream(
     calib: CalibrationSet, stream: ImuStream, skel: SkeletonDefinition
-) -> tuple[list[list[Rotation]], np.ndarray, np.ndarray]:
-    """Calibrate a whole stream against a skeleton.
+) -> tuple[Rotation, np.ndarray, np.ndarray]:
+    """Calibrate a whole stream against a skeleton in one array pass.
 
-    Returns (rotations, accels, bones): per-frame lists of calibrated joint
-    rotations (T x K), gravity-free global accelerations (T, K, 3), and
-    sensor-predicted bone vectors (T, K, 3). Sensor order follows the stream;
-    every stream sensor must bind as CalibrationSet.joint_indices requires.
+    Returns (rotations, accels, bones): calibrated joint rotations as a
+    Rotation of batch shape (T, K), so rotations[t][k] is one sample's;
+    gravity-free global accelerations (T, K, 3); and sensor-predicted bone
+    vectors (T, K, 3). Sensor order follows the stream; every stream sensor
+    must bind as CalibrationSet.joint_indices requires.
     """
     joints = calib.joint_indices(skel, stream.sensor_ids)
     cals = [calib.sensor(sid) for sid in stream.sensor_ids]
-    t_n, k_n = stream.frame_count, len(cals)
-    rotations: list[list[Rotation]] = []
-    accels = np.empty((t_n, k_n, 3))
-    bones = np.empty((t_n, k_n, 3))
-    for t in range(t_n):
-        row: list[Rotation] = []
-        for k in range(k_n):
-            s = stream.sample(t, k)
-            r = calibrate_orientation(cals[k], s)
-            row.append(r)
-            accels[t, k] = calibrate_acceleration(cals[k], s, calib.gravity)
-            bones[t, k] = r.apply(skel.bones[joints[k]])
-        rotations.append(row)
-    return rotations, accels, bones
+    r_global = Rotation.stack([c.r_global for c in cals])
+    r_joint = Rotation.stack([c.r_joint for c in cals])
+    raw = Rotation.from_quat(stream.orientations)
+    rotations = _orientation(r_global, r_joint, raw)
+    accels = _acceleration(r_global, raw, stream.accels, calib.gravity)
+    return rotations, accels, rotations.apply(skel.bones[joints])

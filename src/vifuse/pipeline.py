@@ -63,6 +63,11 @@ class MissingInputError(ConfigError):
     pass
 
 
+class DataError(ValueError):
+    """Input streams that parse but cannot be used together, such as a 2D
+    stream whose joint count differs from the skeleton's."""
+
+
 def _mode_requirements(mode: str, have_visual: bool, have_inertial: bool) -> None:
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
@@ -99,8 +104,15 @@ def apply_mode(
 
     if mode == "baseline":
         return poses.copy(), None
+    if mode in ("rto", "rtof"):
+        if pixels.shape[0] != poses.shape[0]:
+            raise ConfigError(
+                f"2D stream has {pixels.shape[0]} frames, pose stream {poses.shape[0]}")
+        if pixels.shape[1] != skel.joint_count:
+            raise DataError(
+                f"2D stream has {pixels.shape[1]} joints, skeleton {skel.joint_count}")
 
-    imu_maps = None
+    imu_rotations = None
     accel = bones = None
     sensor_joints = sensor_parents = None
     if mode in ("sf2", "rtof"):
@@ -110,21 +122,17 @@ def apply_mode(
         rotations, accel, bones = calibrate_stream(calib, imu, skel)
         sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
         sensor_parents = np.array(skel.parents)[sensor_joints]
-        imu_maps = [dict(zip(sensor_joints.tolist(), row)) for row in rotations]
+        imu_rotations = {j: rotations[:, k] for k, j in enumerate(sensor_joints.tolist())}
 
     if mode == "sf2":
-        return refine_sequence(skel, poses, imu_maps, energy.theta_t), None
-
-    if pixels.shape[0] != poses.shape[0]:
-        raise ConfigError(
-            f"2D stream has {pixels.shape[0]} frames, pose stream {poses.shape[0]}")
+        return refine_sequence(skel, poses, imu_rotations, energy.theta_t), None
 
     if mode == "rto":
         cfg = dataclasses.replace(energy, k_inertial=0.0)
         seq_obs = SequenceObservations(fps=fps, pixels=pixels, camera=camera)
         return refine_batch(poses, seq_obs, cfg, solver)
 
-    start = refine_sequence(skel, poses, imu_maps, energy.theta_t)
+    start = refine_sequence(skel, poses, imu_rotations, energy.theta_t)
     seq_obs = SequenceObservations(
         fps=fps,
         pixels=pixels,

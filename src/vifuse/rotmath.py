@@ -1,7 +1,10 @@
 """Quaternion rotation primitives used throughout the kinematic pipeline.
 
-Rotations are stored as unit quaternions in (w, x, y, z) order with the sign
-canonicalized to w >= 0 so every rotation has exactly one representation.
+Rotations are unit quaternions in (w, x, y, z) order, held as (..., 4) arrays
+so that one call handles a single rotation or a whole (frames, joints) batch.
+Every function broadcasts over the leading axes and returns quaternions with
+the sign canonicalized to w >= 0, so every rotation has exactly one
+representation. `Rotation` is a thin immutable view over such an array.
 """
 
 from __future__ import annotations
@@ -14,50 +17,212 @@ _ZERO_EPS = 1e-12
 _ANTIPARALLEL_EPS = 1e-12
 _REFERENCE_EPS = 1e-6
 
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
 
 class ZeroVectorError(ValueError):
     """A direction was requested from a vector with near-zero norm."""
 
 
+# Norms and dots are written out per component rather than reduced, so each
+# batch element gets the same arithmetic whatever the batch shape.
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.cross's arithmetic, without the input copies it makes
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def _as_unit(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n <= _ZERO_EPS:
-        raise ZeroVectorError(f"{what} has near-zero norm ({n:.3e})")
-    return v / n
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{what} must be a 3-vector or (..., 3) array, got shape {v.shape}")
+    n = _norm3(v)
+    if (n <= _ZERO_EPS).any():
+        raise ZeroVectorError(f"{what} has near-zero norm ({float(np.min(n)):.3e})")
+    return v / n[..., None]
+
+
+def _canonicalize(q: np.ndarray) -> np.ndarray:
+    # In place: flip each quaternion whose first nonzero component is negative.
+    lead = q[..., :1]
+    if (lead == 0.0).any():
+        lead = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    return np.negative(q, out=q, where=lead < 0.0)
+
+
+def _normalize(q: np.ndarray) -> np.ndarray:
+    # In place: unit length, then canonical sign.
+    n = np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
+                + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3])
+    if (n <= _ZERO_EPS).any():
+        raise ZeroVectorError(f"quaternion has near-zero norm ({float(np.min(n)):.3e})")
+    q /= n[..., None]
+    return _canonicalize(q)
+
+
+def quat_canonical(q) -> np.ndarray:
+    """Flip each quaternion so its first nonzero component is positive.
+
+    That is w >= 0, with w == 0 exactly broken by the first nonzero vector
+    component, so serialization of 180-degree rotations is stable.
+    """
+    return _canonicalize(np.array(q, dtype=float))
+
+
+def quat_normalize(q) -> np.ndarray:
+    """Unit-length, sign-canonical copy of (..., 4) quaternions."""
+    q = np.array(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"quaternions must have shape (..., 4), got {q.shape}")
+    return _normalize(q)
+
+
+def quat_mul(a, b) -> np.ndarray:
+    """Hamilton product a * b (apply b first, then a), normalized."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return _normalize(out)
+
+
+def quat_inverse(q) -> np.ndarray:
+    """Inverse (conjugate) of unit quaternions."""
+    return _normalize(np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0]))
+
+
+def quat_apply(q, v) -> np.ndarray:
+    """Rotate (..., 3) vectors by (..., 4) unit quaternions."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    qv = q[..., 1:]
+    t = _cross(qv, v)
+    t *= 2.0
+    out = q[..., :1] * t
+    out += v
+    out += _cross(qv, t)
+    return out
+
+
+def quat_matrix(q) -> np.ndarray:
+    """(..., 3, 3) rotation matrices of (..., 4) unit quaternions."""
+    # Unpacking the transpose gives plain scalars for a single quaternion,
+    # which keeps the per-evaluation camera matrix cheap.
+    w, x, y, z = np.asarray(q, dtype=float).T
+    m = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+    return m.T.swapaxes(-1, -2)
+
+
+def quat_from_axis_angle(axis, angle) -> np.ndarray:
+    """Rotations of `angle` radians about `axis` (axes need not be unit length)."""
+    u = _as_unit(axis, "rotation axis")
+    half = 0.5 * np.asarray(angle, dtype=float)
+    q = np.empty(np.broadcast(half, u[..., 0]).shape + (4,))
+    q[..., 0] = np.cos(half)
+    np.multiply(np.sin(half)[..., None], u, out=q[..., 1:])
+    return _normalize(q)
+
+
+def angle_between(a, b):
+    """Angle in [0, pi] between nonzero vectors (clamped arccos of the dot)."""
+    d = _dot3(_as_unit(a, "first vector"), _as_unit(b, "second vector"))
+    return np.arccos(np.clip(d, -1.0, 1.0))
+
+
+def solve_rotation(src, dst) -> "Rotation":
+    """Minimal rotations taking the directions of `src` to those of `dst`.
+
+    The rotation axis is the normalized cross product, so there is no twist
+    about the source direction. Antiparallel inputs rotate 180 degrees about a
+    deterministic axis orthogonal to `src`: the component of global +x
+    orthogonal to `src`, falling back to +y where `src` is parallel to +x.
+    """
+    u = _as_unit(src, "source vector")
+    v = _as_unit(dst, "target vector")
+    u, v = np.broadcast_arrays(u, v)
+    axis = _cross(u, v)
+    s = _norm3(axis)
+    d = _dot3(u, v)
+    del v  # frame batches are large: drop each temporary once it is used
+    angle = np.asarray(np.arctan2(s, d))
+    aligned = s <= _ANTIPARALLEL_EPS  # parallel or antiparallel
+    parallel = aligned & (d > 0.0)
+    del d
+    axis /= np.where(aligned, 1.0, s)[..., None]
+    del s
+    if aligned.any():
+        ua = u[aligned]
+        ref = np.array([1.0, 0.0, 0.0]) - ua[:, 0:1] * ua
+        along_x = _norm3(ref) <= _REFERENCE_EPS
+        ref[along_x] = np.array([0.0, 1.0, 0.0]) - ua[along_x, 1:2] * ua[along_x]
+        axis[aligned] = ref
+        angle[aligned] = math.pi
+    q = quat_from_axis_angle(axis, angle)
+    q[parallel] = _IDENTITY
+    return Rotation.wrap(q)
 
 
 class Rotation:
-    """Immutable 3D rotation backed by a unit quaternion (w, x, y, z)."""
+    """Immutable 3D rotation, or a batch of them, viewing unit quaternions q (..., 4).
+
+    Indexing and len() run over the batch axes; every method broadcasts the
+    batch axes of its operands.
+    """
 
     __slots__ = ("q",)
 
     def __init__(self, w: float, x: float, y: float, z: float):
-        q = np.array([w, x, y, z], dtype=float)
-        n = float(np.linalg.norm(q))
-        if n <= _ZERO_EPS:
-            raise ZeroVectorError(f"quaternion has near-zero norm ({n:.3e})")
-        q /= n
-        self.q = _canonical(q)
+        self.q = quat_normalize(np.array([w, x, y, z], dtype=float))
         self.q.setflags(write=False)
 
     @classmethod
-    def _from_array(cls, q: np.ndarray) -> "Rotation":
-        return cls(q[0], q[1], q[2], q[3])
+    def wrap(cls, q: np.ndarray) -> "Rotation":
+        """Wrap quaternions that are already unit length and canonical."""
+        r = object.__new__(cls)
+        q = q.view()
+        q.setflags(write=False)
+        r.q = q
+        return r
+
+    @classmethod
+    def from_quat(cls, q) -> "Rotation":
+        """Normalize and canonicalize (..., 4) quaternions (w, x, y, z)."""
+        return cls.wrap(quat_normalize(q))
+
+    @classmethod
+    def stack(cls, rotations) -> "Rotation":
+        """One batch from a sequence of rotations of equal batch shape."""
+        return cls.wrap(np.stack([r.q for r in rotations]))
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls(1.0, 0.0, 0.0, 0.0)
+        return cls.wrap(_IDENTITY.copy())
 
     @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Rotation":
+    def from_axis_angle(cls, axis, angle) -> "Rotation":
         """Rotation of `angle` radians about `axis` (need not be unit length)."""
-        u = _as_unit(axis, "rotation axis")
-        half = 0.5 * float(angle)
-        s = math.sin(half)
-        return cls(math.cos(half), s * u[0], s * u[1], s * u[2])
+        return cls.wrap(quat_from_axis_angle(axis, angle))
 
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
@@ -97,102 +262,51 @@ class Rotation:
             z = 0.25 * s
         return cls(w, x, y, z)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Batch shape; () for a single rotation."""
+        return self.q.shape[:-1]
+
+    def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("a single rotation has no length")
+        return self.shape[0]
+
+    def __getitem__(self, index) -> "Rotation":
+        if not self.shape:
+            raise TypeError("a single rotation cannot be indexed")
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Rotation.wrap(self.q[index + (Ellipsis, slice(None))])
+
     def compose(self, other: "Rotation") -> "Rotation":
         """Hamilton product self * other: apply `other` first, then self."""
-        return Rotation._from_array(_quat_mul(self.q, other.q))
+        return Rotation.wrap(quat_mul(self.q, other.q))
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self.q
-        return Rotation(w, -x, -y, -z)
+        return Rotation.wrap(quat_inverse(self.q))
 
     def apply(self, v) -> np.ndarray:
-        """Rotate one 3-vector (or an (..., 3) array of them)."""
-        v = np.asarray(v, dtype=float)
-        w = self.q[0]
-        qv = self.q[1:]
-        t = 2.0 * np.cross(qv, v)
-        return v + w * t + np.cross(qv, t)
+        """Rotate 3-vectors; v is (..., 3) and broadcasts against the batch."""
+        return quat_apply(self.q, v)
 
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return quat_matrix(self.q)
 
-    def angle(self) -> float:
+    def angle(self):
         """Rotation angle in [0, pi]."""
-        return 2.0 * math.acos(min(1.0, float(self.q[0])))
+        return 2.0 * np.arccos(np.minimum(1.0, self.q[..., 0]))
 
-    def angle_to(self, other: "Rotation") -> float:
+    def angle_to(self, other: "Rotation"):
         """Angular distance to another rotation, in [0, pi]."""
-        d = abs(float(np.dot(self.q, other.q)))
-        return 2.0 * math.acos(min(1.0, d))
+        d = np.abs(np.sum(self.q * other.q, axis=-1))
+        return 2.0 * np.arccos(np.minimum(1.0, d))
 
     def __repr__(self) -> str:
+        if self.shape:
+            return f"Rotation(batch shape {self.shape})"
         w, x, y, z = self.q
         return f"Rotation(w={w:.9g}, x={x:.9g}, y={y:.9g}, z={z:.9g})"
-
-
-def _canonical(q: np.ndarray) -> np.ndarray:
-    # w >= 0; at w == 0 exactly, first nonzero vector component made positive so
-    # serialization of 180-degree rotations is stable.
-    if q[0] < 0.0:
-        return -q
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
-    return q
-
-
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
-def angle_between(a, b) -> float:
-    """Angle in [0, pi] between two nonzero vectors (clamped arccos of the dot)."""
-    ua = _as_unit(a, "first vector")
-    ub = _as_unit(b, "second vector")
-    d = float(np.dot(ua, ub))
-    return math.acos(max(-1.0, min(1.0, d)))
-
-
-def solve_rotation(src, dst) -> Rotation:
-    """Minimal rotation taking the direction of `src` to the direction of `dst`.
-
-    The rotation axis is the normalized cross product, so there is no twist
-    about the source direction. Antiparallel inputs rotate 180 degrees about a
-    deterministic axis orthogonal to `src`: the component of global +x
-    orthogonal to `src`, falling back to +y when `src` is parallel to +x.
-    """
-    u = _as_unit(src, "source vector")
-    v = _as_unit(dst, "target vector")
-    c = np.cross(u, v)
-    s = float(np.linalg.norm(c))
-    d = float(np.dot(u, v))
-    if s > _ANTIPARALLEL_EPS:
-        return Rotation.from_axis_angle(c / s, math.atan2(s, d))
-    if d > 0.0:
-        return Rotation.identity()
-    ref = np.array([1.0, 0.0, 0.0])
-    axis = ref - np.dot(ref, u) * u
-    if np.linalg.norm(axis) <= _REFERENCE_EPS:
-        ref = np.array([0.0, 1.0, 0.0])
-        axis = ref - np.dot(ref, u) * u
-    return Rotation.from_axis_angle(axis, math.pi)

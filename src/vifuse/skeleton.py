@@ -9,11 +9,11 @@ the single root), so one forward pass resolves every global rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .rotmath import Rotation, angle_between, solve_rotation
+from .rotmath import Rotation, angle_between, quat_inverse, quat_mul, solve_rotation
 
 _BONE_EPS = 1e-9
 
@@ -96,47 +96,67 @@ class SkeletonDefinition:
 
 @dataclass(frozen=True)
 class MotionParams:
-    """Root position (mm) plus one local rotation per joint (root entry unused)."""
+    """Root position (mm) plus one local rotation per joint, for one frame or,
+    on leading batch axes, for many.
+
+    root_translation is (..., 3) and rotations a Rotation of batch shape
+    (..., J); a sequence of single rotations is stacked into one. Indexing and
+    len() run over the frame axis.
+    """
 
     root_translation: np.ndarray
-    rotations: tuple[Rotation, ...]
+    rotations: Rotation
 
     def __post_init__(self):
         t = np.asarray(self.root_translation, dtype=float)
-        if t.shape != (3,):
+        if t.shape[-1:] != (3,):
             raise ValueError(f"root translation must be a 3-vector, got {t.shape}")
+        rots = self.rotations
+        if not isinstance(rots, Rotation):
+            rots = Rotation.stack(rots)
+        if not rots.shape or rots.shape[:-1] != t.shape[:-1]:
+            raise ValueError(
+                f"rotations of batch shape {rots.shape} do not match root translations {t.shape}")
         object.__setattr__(self, "root_translation", t)
+        object.__setattr__(self, "rotations", rots)
+
+    def __len__(self) -> int:
+        if self.root_translation.ndim == 1:
+            raise TypeError("single-frame params have no length")
+        return self.root_translation.shape[0]
+
+    def __getitem__(self, frame) -> "MotionParams":
+        if self.root_translation.ndim == 1:
+            raise TypeError("single-frame params cannot be indexed")
+        return MotionParams(self.root_translation[frame], self.rotations[frame])
 
 
 def _check_params(skel: SkeletonDefinition, params: MotionParams) -> None:
-    if len(params.rotations) != skel.joint_count:
+    if params.rotations.shape[-1] != skel.joint_count:
         raise TopologyError(
-            f"params carry {len(params.rotations)} rotations for a {skel.joint_count}-joint skeleton"
+            f"params carry {params.rotations.shape[-1]} rotations for a {skel.joint_count}-joint skeleton"
         )
 
 
-def global_rotations(skel: SkeletonDefinition, params: MotionParams) -> tuple[Rotation, ...]:
-    """Accumulated global rotation per joint (root = its own local rotation)."""
+def global_rotations(skel: SkeletonDefinition, params: MotionParams) -> Rotation:
+    """Accumulated global rotation per joint (root = its own local rotation),
+    as a Rotation of the params' batch shape (..., J)."""
     _check_params(skel, params)
-    out: list[Rotation] = [params.rotations[0]]
+    local = params.rotations.q
+    out = np.empty_like(local)
+    out[..., 0, :] = local[..., 0, :]
     for j in range(1, skel.joint_count):
-        out.append(out[skel.parents[j]] @ params.rotations[j])
-    return tuple(out)
+        out[..., j, :] = quat_mul(out[..., skel.parents[j], :], local[..., j, :])
+    return Rotation.wrap(out)
 
 
 def forward_kinematics(skel: SkeletonDefinition, params: MotionParams) -> np.ndarray:
-    """Joint positions (J, 3) mm: X_j = X_parent + R_j_global (T-pose bone of j)."""
-    _check_params(skel, params)
-    j_n = skel.joint_count
-    pos = np.empty((j_n, 3))
-    pos[0] = params.root_translation
-    globals_: list[Rotation] = [params.rotations[0]]
-    bones = skel.bones
-    for j in range(1, j_n):
-        p = skel.parents[j]
-        g = globals_[p] @ params.rotations[j]
-        globals_.append(g)
-        pos[j] = pos[p] + g.apply(bones[j])
+    """Joint positions (..., J, 3) mm: X_j = X_parent + R_j_global (T-pose bone of j)."""
+    offsets = global_rotations(skel, params).apply(skel.bones)
+    pos = np.empty_like(offsets)
+    pos[..., 0, :] = params.root_translation
+    for j in range(1, skel.joint_count):
+        pos[..., j, :] = pos[..., skel.parents[j], :] + offsets[..., j, :]
     return pos
 
 
@@ -146,42 +166,49 @@ def igik(
     imu_rotations: Mapping[int, Rotation],
     theta_t: float,
 ) -> MotionParams:
-    """Per-frame inverse kinematics with an IMU override gate.
+    """Inverse kinematics with an IMU override gate, over one (J, 3) pose or a
+    (T, J, 3) batch of frames.
 
     Each joint's global rotation is first solved as the minimal (zero-twist)
     rotation taking its T-pose bone to the observed bone. If the joint carries
     a calibrated sensor rotation and the angle between the sensor-predicted
     bone and the observed bone exceeds theta_t, the sensor rotation replaces
-    the visual one. Local rotations are extracted against the accumulated
-    parent global, so replacements shift every descendant's position.
+    the visual one. Sensor rotations broadcast against the frame axes (one
+    rotation, or one per frame). Local rotations are extracted against the
+    parent's global, so replacements shift every descendant's position.
 
     Observed bone lengths are not trusted: running forward_kinematics on the
     result restores T-pose lengths while reproducing observed directions.
+    A near-zero observed bone raises DegenerateBoneError for the first bad
+    (frame, joint) in frame-major order; its frame is None for a single pose.
     """
     pose = np.asarray(pose, dtype=float)
-    if pose.shape != (skel.joint_count, 3):
-        raise TopologyError(f"pose shape {pose.shape} does not match {skel.joint_count}-joint skeleton")
+    j_n = skel.joint_count
+    if pose.ndim not in (2, 3) or pose.shape[-2:] != (j_n, 3):
+        raise TopologyError(f"pose shape {pose.shape} does not match {j_n}-joint skeleton")
     for j in imu_rotations:
-        if not 1 <= j < skel.joint_count:
+        if not 1 <= j < j_n:
             raise UnboundJointError(f"sensor bound to invalid joint index {j}")
-    bones_t = skel.bones
-    parents = skel.parents
-    globals_: list[Rotation] = [Rotation.identity()]
-    locals_: list[Rotation] = [Rotation.identity()]
-    for j in range(1, skel.joint_count):
-        b_obs = pose[j] - pose[parents[j]]
-        norm = float(np.linalg.norm(b_obs))
-        if norm <= _BONE_EPS:
-            raise DegenerateBoneError(j, skel.names[j], norm)
-        g = solve_rotation(bones_t[j], b_obs)
-        imu_rot = imu_rotations.get(j)
-        if imu_rot is not None:
-            b_imu = imu_rot.apply(bones_t[j])
-            if angle_between(b_imu, b_obs) > theta_t:
-                g = imu_rot
-        locals_.append(globals_[parents[j]].inverse() @ g)
-        globals_.append(g)
-    return MotionParams(pose[0].copy(), tuple(locals_))
+    parents = np.array(skel.parents[1:])
+    b_obs = pose[..., 1:, :] - pose[..., parents, :]
+    bad = np.linalg.norm(b_obs, axis=-1) <= _BONE_EPS
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        j = int(at[-1]) + 1
+        frame = int(at[0]) if pose.ndim == 3 else None
+        raise DegenerateBoneError(j, skel.names[j], float(np.linalg.norm(b_obs[at])), frame)
+    glob = np.empty(pose.shape[:-1] + (4,))
+    glob[..., 0, :] = Rotation.identity().q
+    glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs).q
+    for j, imu_rot in imu_rotations.items():
+        fire = angle_between(imu_rot.apply(skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
+        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot.q, glob[..., j, :])
+    del b_obs  # frame batches are large: drop each temporary once it is used
+    relative = quat_mul(quat_inverse(glob[..., parents, :]), glob[..., 1:, :])
+    local = np.empty_like(glob)
+    local[..., 0, :] = Rotation.identity().q
+    local[..., 1:, :] = relative
+    return MotionParams(pose[..., 0, :].copy(), Rotation.wrap(local))
 
 
 def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionParams:
@@ -192,20 +219,16 @@ def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionPara
 def refine_sequence(
     skel: SkeletonDefinition,
     poses: np.ndarray,
-    imu_rotations: Sequence[Mapping[int, Rotation]] | None,
+    imu_rotations: Mapping[int, Rotation] | None,
     theta_t: float,
 ) -> np.ndarray:
-    """igik + forward_kinematics applied frame by frame over a (T, J, 3) array.
+    """sf2: igik + forward_kinematics over all frames of a (T, J, 3) array.
 
-    A degenerate observed bone raises DegenerateBoneError carrying its frame index.
+    imu_rotations maps a joint index to its calibrated sensor rotations, a
+    Rotation of batch shape (T,). A degenerate observed bone raises
+    DegenerateBoneError carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)
-    out = np.empty_like(poses)
-    for i in range(poses.shape[0]):
-        rots = imu_rotations[i] if imu_rotations is not None else {}
-        try:
-            params = igik(skel, poses[i], rots, theta_t)
-        except DegenerateBoneError as e:
-            raise DegenerateBoneError(e.joint, e.name, e.norm, frame=i) from None
-        out[i] = forward_kinematics(skel, params)
-    return out
+    if poses.ndim != 3:
+        raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
+    return forward_kinematics(skel, igik(skel, poses, imu_rotations or {}, theta_t))

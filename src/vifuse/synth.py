@@ -23,7 +23,7 @@ import numpy as np
 
 from .camera import Camera, look_at
 from .imu import CalibrationSet, ImuStream, SensorCalibration
-from .rotmath import Rotation
+from .rotmath import Rotation, quat_from_axis_angle, quat_mul, quat_normalize
 from .skeleton import MotionParams, SkeletonDefinition, forward_kinematics, global_rotations
 
 TWO_PI = 2.0 * math.pi
@@ -39,22 +39,22 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sinusoid:
-    """amplitude * sin(2*pi*frequency*t + phase)"""
+    """amplitude * sin(2*pi*frequency*t + phase); t may be a scalar or an array of times."""
 
     amplitude: float
     frequency: float
     phase: float = 0.0
 
-    def value(self, t: float) -> float:
-        return self.amplitude * math.sin(TWO_PI * self.frequency * t + self.phase)
+    def value(self, t):
+        return self.amplitude * np.sin(TWO_PI * self.frequency * t + self.phase)
 
-    def rate(self, t: float) -> float:
+    def rate(self, t):
         w = TWO_PI * self.frequency
-        return self.amplitude * w * math.cos(w * t + self.phase)
+        return self.amplitude * w * np.cos(w * t + self.phase)
 
-    def accel(self, t: float) -> float:
+    def accel(self, t):
         w = TWO_PI * self.frequency
-        return -self.amplitude * w * w * math.sin(w * t + self.phase)
+        return -self.amplitude * w * w * np.sin(w * t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,17 @@ class JointTrack:
     axis: tuple[float, float, float]
     waves: tuple[Sinusoid, ...]
 
-    def angle(self, t: float) -> float:
+    def angle(self, t):
         return sum(w.value(t) for w in self.waves)
 
-    def angle_rate(self, t: float) -> float:
+    def angle_rate(self, t):
         return sum(w.rate(t) for w in self.waves)
 
-    def angle_accel(self, t: float) -> float:
+    def angle_accel(self, t):
         return sum(w.accel(t) for w in self.waves)
 
-    def rotation(self, t: float) -> Rotation:
+    def rotation(self, t) -> Rotation:
+        """The local rotation at time t, or a batch of them for an array of times."""
         return Rotation.from_axis_angle(np.asarray(self.axis), self.angle(t))
 
 
@@ -87,16 +88,20 @@ class TranslationWave:
     def _wave(self) -> Sinusoid:
         return Sinusoid(self.amplitude, self.frequency, self.phase)
 
-    def offset(self, t: float) -> np.ndarray:
-        return np.asarray(self.direction) * self._wave().value(t)
+    def offset(self, t) -> np.ndarray:
+        return np.asarray(self.direction) * np.asarray(self._wave().value(t))[..., None]
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return np.asarray(self.direction) * self._wave().accel(t)
+    def acceleration(self, t) -> np.ndarray:
+        return np.asarray(self.direction) * np.asarray(self._wave().accel(t))[..., None]
 
 
 @dataclass(frozen=True)
 class MotionScript:
-    """Analytic motion: per-joint angle tracks plus root translation waves."""
+    """Analytic motion: per-joint angle tracks plus root translation waves.
+
+    Methods taking a time t accept a scalar or an array of times and return
+    results batched over its shape.
+    """
 
     duration: float
     fps: float
@@ -114,36 +119,37 @@ class MotionScript:
     def times(self) -> np.ndarray:
         return np.arange(self.frame_count) / self.fps
 
-    def root_offset(self, t: float) -> np.ndarray:
-        out = np.zeros(3)
+    def root_offset(self, t) -> np.ndarray:
+        out = np.zeros(np.shape(t) + (3,))
         for w in self.root_waves:
             out += w.offset(t)
         return out
 
-    def root_acceleration(self, t: float) -> np.ndarray:
-        out = np.zeros(3)
+    def root_acceleration(self, t) -> np.ndarray:
+        out = np.zeros(np.shape(t) + (3,))
         for w in self.root_waves:
             out += w.acceleration(t)
         return out
 
-    def params_at(self, skel: SkeletonDefinition, t: float) -> MotionParams:
-        rotations = tuple(
-            self.tracks[j].rotation(t) if j in self.tracks else Rotation.identity()
-            for j in range(skel.joint_count)
-        )
-        return MotionParams(skel.tpose[0] + self.root_offset(t), rotations)
+    def params_at(self, skel: SkeletonDefinition, t) -> MotionParams:
+        """Motion params at time t, batched over the axes of an array of times."""
+        quats = np.empty(np.shape(t) + (skel.joint_count, 4))
+        quats[...] = Rotation.identity().q
+        for j, track in self.tracks.items():
+            quats[..., j, :] = track.rotation(t).q
+        return MotionParams(skel.tpose[0] + self.root_offset(t), Rotation.wrap(quats))
 
 
 def generate_truth(
     script: MotionScript, skel: SkeletonDefinition
-) -> tuple[np.ndarray, list[MotionParams]]:
-    """Forward-kinematics rollout: (T, J, 3) positions and the per-frame params."""
+) -> tuple[np.ndarray, MotionParams]:
+    """Forward-kinematics rollout: (T, J, 3) positions and the params, batched
+    over frames (params[i] is frame i's)."""
     for j in script.tracks:
         if not 0 < j < skel.joint_count:
             raise ValueError(f"track for invalid joint {j}")
-    params = [script.params_at(skel, t) for t in script.times()]
-    poses = np.stack([forward_kinematics(skel, p) for p in params])
-    return poses, params
+    params = script.params_at(skel, script.times())
+    return forward_kinematics(skel, params), params
 
 
 def project_sequence(poses: np.ndarray, camera: Camera) -> np.ndarray:
@@ -164,7 +170,7 @@ def finite_acceleration(positions: np.ndarray, fps: float) -> np.ndarray:
 
 
 def derive_imu(
-    params: list[MotionParams],
+    params: MotionParams,
     skel: SkeletonDefinition,
     calib: CalibrationSet,
     fps: float,
@@ -174,24 +180,17 @@ def derive_imu(
     Sensor orientation is chosen so calibrating it returns the truth global
     joint rotation; the recorded acceleration is the sensor-frame reaction
     reading whose calibration returns the gravity-free joint acceleration
-    (second finite difference of the truth trajectory).
+    (second finite difference of the truth trajectory). `params` are batched
+    over frames, as generate_truth returns them.
     """
     joints = calib.joint_indices(skel)
-    positions = np.stack([forward_kinematics(skel, p) for p in params])
-    acc = finite_acceleration(positions, fps)
-    gravity = np.asarray(calib.gravity, dtype=float)
-    t_n, k_n = len(params), len(calib.sensors)
-    quats = np.empty((t_n, k_n, 4))
-    accels = np.empty((t_n, k_n, 3))
-    for i, p in enumerate(params):
-        globals_ = global_rotations(skel, p)
-        for k, cal in enumerate(calib.sensors):
-            j = joints[k]
-            sample_rot = cal.r_global.inverse() @ cal.r_joint @ globals_[j]
-            quats[i, k] = sample_rot.q
-            world_to_sensor = (cal.r_global @ sample_rot).inverse()
-            accels[i, k] = world_to_sensor.apply(acc[i, j] - gravity)
-    return ImuStream(tuple(c.sensor_id for c in calib.sensors), quats, accels)
+    acc = finite_acceleration(forward_kinematics(skel, params), fps)
+    r_global = Rotation.stack([c.r_global for c in calib.sensors])
+    r_joint = Rotation.stack([c.r_joint for c in calib.sensors])
+    sample_rot = r_global.inverse() @ r_joint @ global_rotations(skel, params)[:, joints]
+    world_to_sensor = (r_global @ sample_rot).inverse()
+    accels = world_to_sensor.apply(acc[:, joints] - np.asarray(calib.gravity, dtype=float))
+    return ImuStream(calib.sensor_ids, sample_rot.q, accels)
 
 
 @dataclass(frozen=True)
@@ -278,15 +277,11 @@ def corrupt_imu(stream: ImuStream, noise: NoiseSpec, rng: np.random.Generator) -
     """Left-multiplied small random rotations, then accelerometer noise."""
     quats = stream.orientations.copy()
     if noise.sigma_rot > 0.0:
-        t_n, k_n = quats.shape[0], quats.shape[1]
-        w = rng.standard_normal((t_n, k_n, 3)) * noise.sigma_rot
-        for i in range(t_n):
-            for k in range(k_n):
-                angle = float(np.linalg.norm(w[i, k]))
-                if angle == 0.0:
-                    continue
-                wobble = Rotation.from_axis_angle(w[i, k] / angle, angle)
-                quats[i, k] = (wobble @ Rotation(*quats[i, k])).q
+        w = rng.standard_normal(quats.shape[:-1] + (3,)) * noise.sigma_rot
+        angle = np.linalg.norm(w, axis=-1)
+        moved = angle != 0.0
+        wobble = quat_from_axis_angle(w[moved] / angle[moved, None], angle[moved])
+        quats[moved] = quat_mul(wobble, quat_normalize(quats[moved]))
     accels = stream.accels.copy()
     if noise.sigma_acc > 0.0:
         accels += rng.standard_normal(accels.shape) * noise.sigma_acc

@@ -17,10 +17,12 @@ from vifuse import (
     generate_dataset,
     make_dataset,
     mpjje,
+    read_pose2d,
     read_pose3d,
     refine_sequence,
     run_pipeline,
     write_dataset,
+    write_pose2d,
     write_pose3d,
     write_results,
 )
@@ -79,8 +81,8 @@ def test_sf2_matches_direct_ik(ds):
     assert stats is None
     rotations, _, _ = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton)
-    maps = [dict(zip(joints.tolist(), row)) for row in rotations]
-    want = refine_sequence(ds.skeleton, ds.inputs, maps, EnergyConfig().theta_t)
+    imu_rotations = {j: rotations[:, k] for k, j in enumerate(joints.tolist())}
+    want = refine_sequence(ds.skeleton, ds.inputs, imu_rotations, EnergyConfig().theta_t)
     np.testing.assert_array_equal(out, want)
 
 
@@ -417,3 +419,14 @@ def test_cli_degenerate_bone_exits_3(tmp_path, capsys):
     assert run_sf2(data_dir, tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert "data error" in err and "frame 3" in err and "joint 1" in err
+
+
+def test_cli_pose2d_joint_count_mismatch_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    pixels = read_pose2d(data_dir / "pose2d.txt")
+    write_pose2d(data_dir / "pose2d.txt", pixels[:, :5])
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "rto"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "5 joints" in err and "21" in err

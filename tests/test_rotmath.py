@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vifuse import Rotation, ZeroVectorError, angle_between, solve_rotation
+from vifuse.rotmath import quat_apply, quat_canonical, quat_mul, quat_normalize
 
 from conftest import random_rotation, rot_distance
 
@@ -181,3 +183,101 @@ def test_solve_rotation_has_zero_twist(u, v):
     un = np.asarray(u, dtype=float)
     un /= np.linalg.norm(un)
     assert abs(float(np.dot(axis, un))) < 1e-8
+
+
+# -- batched (..., 4) functions against independent references ---------------
+
+def _ref_matrix(q):
+    """Rodrigues matrices of (n, 4) quaternions via their axis and angle,
+    normalizing here rather than through the code under test."""
+    out = []
+    for w, x, y, z in q / np.linalg.norm(q, axis=1, keepdims=True):
+        v = np.array([x, y, z])
+        s = np.linalg.norm(v)
+        if s == 0.0:
+            out.append(np.eye(3))
+            continue
+        theta = 2.0 * math.atan2(s, w)
+        k = v / s
+        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        out.append(np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * kx @ kx)
+    return np.array(out)
+
+
+def _quat_rows(n):
+    return hnp.arrays(np.float64, (n, 4), elements=st.floats(-10, 10)).filter(
+        lambda q: bool(np.all(np.sum(q * q, axis=1) > 1e-4)))
+
+
+def _unit_rows(a):
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    _quat_rows(n), hnp.arrays(np.float64, (n, 3), elements=st.floats(-5, 5)))))
+def test_quat_apply_matches_matrix(qv):
+    q, v = qv
+    want = np.einsum("nij,nj->ni", _ref_matrix(q), v)
+    np.testing.assert_allclose(quat_apply(_unit_rows(q), v), want, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_quat_rows(n), _quat_rows(n))))
+def test_quat_mul_matches_matrix_product(ab):
+    a, b = ab
+    got = quat_mul(_unit_rows(a), _unit_rows(b))
+    np.testing.assert_allclose(_ref_matrix(got), _ref_matrix(a) @ _ref_matrix(b), atol=1e-12)
+    assert np.all(got[:, 0] >= 0.0)
+
+
+nonzero_vec = st.tuples(*[st.floats(-5, 5)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-4)
+positive = st.floats(0.01, 5)
+
+
+@st.composite
+def direction_pair(draw):
+    """(src, dst): free, antiparallel, or with src along +x or -x."""
+    along_x = draw(st.booleans())
+    if along_x:
+        src = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(positive), 0.0, 0.0])
+    else:
+        src = np.array(draw(nonzero_vec))
+    if draw(st.booleans()):
+        dst = -draw(positive) * src
+    else:
+        dst = np.array(draw(nonzero_vec))
+    return src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(direction_pair(), min_size=1, max_size=6))
+def test_solve_rotation_batch_maps_src_onto_dst(pairs):
+    src = np.array([p[0] for p in pairs])
+    dst = np.array([p[1] for p in pairs])
+    u = _unit_rows(src)
+    v = _unit_rows(dst)
+    # skip the near-antiparallel sliver, where the cross-product axis is ill-defined
+    s = np.linalg.norm(np.cross(u, v), axis=1)
+    keep = (s <= 1e-12) | (s > 1e-6)
+    assume(keep.any())
+    q = solve_rotation(src[keep], dst[keep]).q
+    np.testing.assert_allclose(np.einsum("nij,nj->ni", _ref_matrix(q), u[keep]), v[keep], atol=1e-9)
+    # zero twist: the rotation axis is orthogonal to src
+    np.testing.assert_allclose(np.sum(q[:, 1:] * u[keep], axis=1), 0.0, atol=1e-9)
+    assert np.all(q[:, 0] >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_vec)
+def test_canonical_sign_at_exactly_zero_w(vec):
+    q = np.array([[0.0, *vec], [0.0, *(-np.array(vec))], [-1.0, *vec]])
+    got = quat_canonical(q)
+    for row, orig in zip(got, q):
+        assert np.array_equal(row, orig) or np.array_equal(row, -orig)
+        assert row[np.flatnonzero(row)[0]] > 0.0
+    # a normalized w == 0 quaternion keeps w exactly zero and the same tie-break
+    assert np.array_equal(got[:2], quat_canonical(got[:2]))
+    normed = quat_normalize(q[:2])
+    assert np.all(normed[:, 0] == 0.0)
+    np.testing.assert_array_equal(normed[0], normed[1])

@@ -11,11 +11,13 @@ from vifuse import (
     TopologyError,
     UnboundJointError,
     angle_between,
+    default_skeleton,
     forward_kinematics,
     global_rotations,
     igik,
     inverse_kinematics,
     refine_sequence,
+    solve_rotation,
 )
 
 from conftest import random_rotation
@@ -199,7 +201,74 @@ def test_refine_sequence_per_frame_maps(rng):
     skel = chain_skeleton(3)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])
     poses = np.stack([pose, pose])
-    imu = Rotation.from_axis_angle([0, 0, 1], -math.pi / 2)
-    out = refine_sequence(skel, poses, [{}, {1: imu}], math.radians(15))
+    # one sensor rotation per frame: frame 0 agrees with the visual bone, frame
+    # 1 points it along +x and so passes the gate
+    imu = Rotation.stack([Rotation.identity(), Rotation.from_axis_angle([0, 0, 1], -math.pi / 2)])
+    out = refine_sequence(skel, poses, {1: imu}, math.radians(15))
     np.testing.assert_allclose(out[0], pose, atol=1e-9)
     np.testing.assert_allclose(out[1][1], [100, 0, 0], atol=1e-12)
+
+
+def _sf2_frame_loop(skel, pose, imu_rotations, theta_t):
+    """One frame of sf2 as a per-joint loop over single rotations: the
+    reference the batched igik must reproduce."""
+    globals_ = [Rotation.identity()]
+    for j in range(1, skel.joint_count):
+        b_obs = pose[j] - pose[skel.parents[j]]
+        g = solve_rotation(skel.bones[j], b_obs)
+        imu_rot = imu_rotations.get(j)
+        if imu_rot is not None and angle_between(imu_rot.apply(skel.bones[j]), b_obs) > theta_t:
+            g = imu_rot
+        globals_.append(g)
+    locals_ = [Rotation.identity()] + [
+        globals_[skel.parents[j]].inverse() @ globals_[j] for j in range(1, skel.joint_count)
+    ]
+    return forward_kinematics(skel, MotionParams(pose[0], tuple(locals_)))
+
+
+def test_refine_sequence_batch_equals_frame_loop(rng):
+    skel = default_skeleton()
+    t_n, theta_t = 12, math.radians(15)
+    truth = [random_params(skel, rng) for _ in range(t_n)]
+    poses = np.stack([forward_kinematics(skel, p) for p in truth])
+    poses += rng.normal(0.0, 5.0, poses.shape)
+    # frame 5: root at the origin and joint 1's bone exactly antiparallel to its T-pose bone
+    poses[5] -= poses[5, 0]
+    poses[5, 1] = -2.0 * skel.bones[1]
+    sensors = (6, 7, 14, 15)
+    # even frames: the sensor reads the true global rotation (gate stays shut);
+    # odd frames: a random rotation (gate fires)
+    imu = {
+        j: Rotation.stack([
+            global_rotations(skel, truth[i])[j] if i % 2 == 0 else random_rotation(rng)
+            for i in range(t_n)
+        ])
+        for j in sensors
+    }
+    fired = np.array([
+        [angle_between(imu[j][i].apply(skel.bones[j]), poses[i, j] - poses[i, skel.parents[j]]) > theta_t
+         for j in sensors]
+        for i in range(t_n)
+    ])
+    assert fired.any() and not fired.all()
+    assert np.linalg.norm(np.cross(poses[5, 1], skel.bones[1])) == 0.0
+
+    batch = refine_sequence(skel, poses, imu, theta_t)
+    loop = np.stack([
+        _sf2_frame_loop(skel, poses[i], {j: r[i] for j, r in imu.items()}, theta_t)
+        for i in range(t_n)
+    ])
+    assert float(np.abs(batch - loop).max()) <= 1e-12
+    np.testing.assert_allclose(
+        batch[5, 1], skel.bones[1] * -1.0, atol=1e-9
+    )
+
+
+def test_refine_sequence_names_earliest_degenerate_frame():
+    skel = chain_skeleton(4)
+    poses = np.repeat(skel.tpose[None], 6, axis=0)
+    poses[4, 1] = poses[4, 0]  # later frame, lower joint index
+    poses[2, 3] = poses[2, 2]  # earlier frame, higher joint index
+    with pytest.raises(DegenerateBoneError, match="frame 2: bone of joint 3") as info:
+        refine_sequence(skel, poses, None, 0.1)
+    assert (info.value.frame, info.value.joint) == (2, 3)
