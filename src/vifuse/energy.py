@@ -1,19 +1,31 @@
 """Fragment energy terms and the weighted total objective.
 
-A fragment is a short window of consecutive frames optimized jointly. Four
-quadratic terms are defined over its (N, J, 3) positions:
+A fragment is a short window of N consecutive frames optimized jointly. Each
+of the four terms is the sum of squares of one residual array over its
+(N, J, 3) positions x. With K sensors bound to joints s_k whose parents are
+p_k, pixels q, IMU accelerations a and sensor-predicted bones b:
 
-  visual  - squared pixel reprojection error against 2D observations
-  accel   - second central difference of sensor-joint trajectories (x fps^2)
-            against the calibrated gravity-free IMU accelerations
-  bone    - sensor-joint bone vectors against the sensor-predicted bones
-  smooth  - first difference of those accelerations (x fps) against the same
-            difference of the IMU accelerations
+  visual  - pi(x[n, j]) - q[n, j] for every observed joint (finite q) whose
+            camera depth w is above W_MIN, where (u, v, w) = M x + o is the
+            camera's 3x4 projection and pi(x) = (u / w, v / w)
+  accel   - fps^2 (x[n+1, s_k] - 2 x[n, s_k] + x[n-1, s_k]) - a[n, k] for
+            interior frames n = 1 .. N-2: fragment against IMU acceleration
+  bone    - (x[n, s_k] - x[n, p_k]) - b[n, k] for every frame
+  smooth  - fps (A[n+1, k] - A[n, k]) - fps (a[n+1, k] - a[n, k]) for
+            n = 1 .. N-3, where A is the fragment acceleration of accel
 
-All terms return the scalar value and the analytic gradient with respect to
-every fragment coordinate. The total normalizes each active term by its value
-at the fragment's initial point (clamped below at SCALE_FLOOR) so the weights
-act on comparable magnitudes.
+Observed joints at or behind the camera plane are skipped and counted in
+behind_camera instead of producing an unbounded residual. Every term returns
+its value and the analytic gradient with respect to every fragment
+coordinate. The total normalizes each active term by its value at the
+fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
+comparable magnitudes.
+
+One kernel evaluates every term. Whatever does not depend on the positions
+(the projection, the observed mask, the sensor gather and scatter, the
+difference operators and the targets) is built once per window and kept with
+its Observations; an evaluation computes the residuals of the active terms,
+their values, then one weighted gradient.
 """
 
 from __future__ import annotations
@@ -76,6 +88,9 @@ class Observations:
     pixels: (N, J, 2) px with NaN rows for missing joints, or None.
     accel/bones: (N, K, 3) calibrated IMU accelerations / bone vectors, or None.
     sensor_joints/sensor_parents: (K,) bound joint index and its parent index.
+
+    The arrays are read-only copies, so the window constants built from them
+    on the first evaluation stay valid for the object's lifetime.
     """
 
     pixels: np.ndarray | None = None
@@ -84,10 +99,11 @@ class Observations:
     bones: np.ndarray | None = None
     sensor_joints: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     sensor_parents: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    _constants: _Window | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sj = np.asarray(self.sensor_joints, dtype=int)
-        pj = np.asarray(self.sensor_parents, dtype=int)
+        sj = _frozen(self.sensor_joints, int)
+        pj = _frozen(self.sensor_parents, int)
         if sj.shape != pj.shape:
             raise ValueError("sensor_joints and sensor_parents must have the same length")
         object.__setattr__(self, "sensor_joints", sj)
@@ -95,16 +111,27 @@ class Observations:
         for name in ("pixels", "accel", "bones"):
             a = getattr(self, name)
             if a is not None:
-                object.__setattr__(self, name, np.asarray(a, dtype=float))
+                object.__setattr__(self, name, _frozen(a, float))
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 class TermValue(NamedTuple):
     """Scalar energy, gradient w.r.t. every fragment coordinate, and the number
-    of observed joints skipped because they projected behind the camera."""
+    of observed joints skipped because they projected behind the camera.
+
+    `scales` is set by total_energy to the denominators it normalized by:
+    cfg.scales, or the ones it computed at the evaluation point.
+    """
 
     value: float
     grad: np.ndarray
     behind_camera: int = 0
+    scales: TermScales | None = None
 
 
 class TermScales(NamedTuple):
@@ -152,9 +179,170 @@ class EnergyConfig:
         return replace(self, scales=term_scales(frag, obs, self))
 
 
-def _check_frames(frag: Fragment, arr: np.ndarray, name: str) -> None:
-    if arr.shape[0] != frag.frame_count:
-        raise ValueError(f"{name} covers {arr.shape[0]} frames, fragment has {frag.frame_count}")
+def _check_frames(n: int, arr: np.ndarray, name: str) -> None:
+    if arr.shape[0] != n:
+        raise ValueError(f"{name} covers {arr.shape[0]} frames, fragment has {n}")
+
+
+class _Residuals(NamedTuple):
+    """One evaluation's residual arrays, None for terms not evaluated.
+
+    visual is (2, N*J) px, one row per pixel axis; accel, bone and smooth are
+    (rows, 3K) with the sensors' xyz side by side. pixel (2, N*J) and
+    inv_depth (N*J,), 1 / camera depth with 1 where skipped, serve the visual
+    gradient.
+    """
+
+    visual: np.ndarray | None
+    accel: np.ndarray | None
+    bone: np.ndarray | None
+    smooth: np.ndarray | None
+    behind_camera: int = 0
+    pixel: np.ndarray | None = None
+    inv_depth: np.ndarray | None = None
+
+    def values(self) -> tuple[float, float, float, float]:
+        return tuple(0.0 if r is None else float(np.vdot(r, r)) for r in self[:4])
+
+
+class _Window:
+    """Everything the terms need that does not depend on the positions, for one
+    window of n frames, j joints at `fps`.
+
+    Building it validates the observations against that layout; `require`
+    then names a term whose observations are missing. Positions enter as
+    (N, J, 3) and the gradient leaves in that shape; inside, the visual term
+    works on (3, N*J) rows u, v, w so that each operation runs over one long
+    axis.
+    """
+
+    def __init__(self, obs: Observations, n: int, j: int, fps: float):
+        self.key = (n, j, fps)
+        self.has_pixels = obs.pixels is not None and obs.camera is not None
+        self.has_accel = obs.accel is not None
+        self.has_bones = obs.bones is not None
+        k = len(obs.sensor_joints)
+        self.cols = 3 * k
+        if self.has_pixels:
+            _check_frames(n, obs.pixels, "pixels")
+            if obs.pixels.shape[1] != j:
+                raise ValueError("2D observations disagree with fragment joint count")
+            p = obs.camera.matrix
+            self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
+            self.offset = p[:, 3:].copy()
+            px = obs.pixels.reshape(n * j, 2).T
+            self.observed = np.isfinite(px).all(axis=0)
+            self.target = np.where(self.observed, px, 0.0)
+        if self.has_accel or self.has_bones:
+            # Coordinates of the sensor joints, then of their parents; the
+            # scatter adds each gathered column back onto its coordinate, so
+            # sensors sharing a joint or a parent accumulate.
+            joints = np.concatenate([obs.sensor_joints, obs.sensor_parents])
+            self.gather = (3 * joints[:, None] + np.arange(3)).ravel()
+            self.scatter = np.zeros((2 * self.cols, 3 * j))
+            self.scatter[np.arange(2 * self.cols), self.gather] = 1.0
+        if self.has_accel:
+            _check_frames(n, obs.accel, "accel")
+            if obs.accel.shape[1] != k:
+                raise ValueError("accel rows disagree with sensor count")
+            self.d2 = (np.eye(n - 2, n) - 2.0 * np.eye(n - 2, n, 1) + np.eye(n - 2, n, 2)) * (fps * fps)
+            self.d1 = (np.eye(n - 3, n - 2, 1) - np.eye(n - 3, n - 2)) * fps
+            a = obs.accel.reshape(n, self.cols)
+            self.accel_target = a[1:-1]
+            self.smooth_target = (a[2:-1] - a[1:-2]) * fps
+        if self.has_bones:
+            _check_frames(n, obs.bones, "bones")
+            if obs.bones.shape[1] != k:
+                raise ValueError("bone rows disagree with sensor count")
+            self.bone_target = obs.bones.reshape(n, self.cols)
+
+    def require(self, active: tuple[bool, bool, bool, bool]) -> None:
+        visual, accel, bone, smooth = active
+        if visual and not self.has_pixels:
+            raise MissingObservationError("visual term requires 2D observations and a camera")
+        if accel and not self.has_accel:
+            raise MissingObservationError("acceleration term requires calibrated IMU accelerations")
+        if bone and not self.has_bones:
+            raise MissingObservationError("bone term requires sensor-predicted bone vectors")
+        if smooth:
+            if not self.has_accel:
+                raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
+            if self.key[0] < 4:
+                raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
+
+    def residuals(self, x: np.ndarray, active: tuple[bool, bool, bool, bool]) -> _Residuals:
+        self.require(active)
+        visual, accel, bone, smooth = active
+        rv = pixel = inv_depth = None
+        behind = 0
+        if visual:
+            h = self.proj @ x.reshape(-1, 3).T + self.offset
+            w = h[2]
+            valid = self.observed
+            if not (w > W_MIN).all():
+                valid = valid & (w > W_MIN)
+                behind = int(np.count_nonzero(self.observed & ~valid))
+                w = np.where(valid, w, 1.0)
+            inv_depth = 1.0 / w
+            pixel = h[:2] * inv_depth
+            rv = np.where(valid, pixel - self.target, 0.0)
+        ra = rb = rs = None
+        if accel or bone or smooth:
+            xs = x.reshape(len(x), -1)[:, self.gather]
+            xj = xs[:, :self.cols]
+            if bone:
+                rb = xj - xs[:, self.cols:] - self.bone_target
+            if accel or smooth:
+                af = self.d2 @ xj
+                if accel:
+                    ra = af - self.accel_target
+                if smooth:
+                    rs = self.d1 @ af - self.smooth_target
+        return _Residuals(rv, ra, rb, rs, behind, pixel, inv_depth)
+
+    def gradient(self, res: _Residuals, weights: tuple[float, float, float, float]) -> np.ndarray:
+        """Gradient of sum(weight * |residual|^2) over the evaluated terms."""
+        wv, wa, wb, ws = weights
+        n, j, _ = self.key
+        grad = np.zeros((n, 3 * j))
+        if res.visual is not None:
+            # d pixel / d(u, v, w) = [[1, 0, -pixel_u], [0, 1, -pixel_v]] / w
+            a = res.visual * ((2.0 * wv) * res.inv_depth)
+            dh = np.empty((3, a.shape[1]))
+            dh[:2] = a
+            np.negative(np.einsum("ij,ij->j", a, res.pixel), out=dh[2])
+            grad = (dh.T @ self.proj).reshape(n, 3 * j)
+        if res.accel is None and res.bone is None and res.smooth is None:
+            return grad.reshape(n, j, 3)
+        gx = np.zeros((n, 2 * self.cols))
+        if res.accel is not None or res.smooth is not None:
+            q = (2.0 * wa) * res.accel if res.accel is not None else 0.0
+            if res.smooth is not None:
+                q = q + self.d1.T @ ((2.0 * ws) * res.smooth)
+            gx[:, :self.cols] = self.d2.T @ q
+        if res.bone is not None:
+            gb = (2.0 * wb) * res.bone
+            gx[:, :self.cols] += gb
+            gx[:, self.cols:] = -gb
+        grad += gx @ self.scatter
+        return grad.reshape(n, j, 3)
+
+
+def _window(frag: Fragment, obs: Observations) -> _Window:
+    key = (frag.frame_count, frag.joint_count, frag.fps)
+    win = obs._constants
+    if win is None or win.key != key:
+        win = _Window(obs, *key)
+        object.__setattr__(obs, "_constants", win)
+    return win
+
+
+def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
+    active = tuple(i == index for i in range(4))
+    win = _window(frag, obs)
+    res = win.residuals(frag.positions, active)
+    grad = win.gradient(res, tuple(float(on) for on in active))
+    return TermValue(res.values()[index], grad, res.behind_camera)
 
 
 def visual_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -164,38 +352,7 @@ def visual_energy(frag: Fragment, obs: Observations) -> TermValue:
     falls at or behind the camera plane are skipped and counted in
     behind_camera instead of producing an unbounded residual.
     """
-    if obs.pixels is None or obs.camera is None:
-        raise MissingObservationError("visual term requires 2D observations and a camera")
-    _check_frames(frag, obs.pixels, "pixels")
-    if obs.pixels.shape[1] != frag.joint_count:
-        raise ValueError("2D observations disagree with fragment joint count")
-    p = obs.camera.matrix
-    x = frag.positions
-    u = x @ p[0, :3] + p[0, 3]
-    v = x @ p[1, :3] + p[1, 3]
-    w = x @ p[2, :3] + p[2, 3]
-    observed = np.isfinite(obs.pixels).all(axis=-1)
-    valid = observed & (w > W_MIN)
-    behind = int(np.sum(observed & ~valid))
-    safe_w = np.where(valid, w, 1.0)
-    un = u / safe_w
-    vn = v / safe_w
-    du = np.where(valid, un - obs.pixels[..., 0], 0.0)
-    dv = np.where(valid, vn - obs.pixels[..., 1], 0.0)
-    value = float(np.sum(du * du + dv * dv))
-    gu = (p[0, :3] - un[..., None] * p[2, :3]) / safe_w[..., None]
-    gv = (p[1, :3] - vn[..., None] * p[2, :3]) / safe_w[..., None]
-    grad = 2.0 * (du[..., None] * gu + dv[..., None] * gv)
-    return TermValue(value, grad, behind)
-
-
-def _require_imu(frag: Fragment, obs: Observations, what: str) -> np.ndarray:
-    if obs.accel is None:
-        raise MissingObservationError(f"{what} term requires calibrated IMU accelerations")
-    _check_frames(frag, obs.accel, "accel")
-    if obs.accel.shape[1] != len(obs.sensor_joints):
-        raise ValueError("accel rows disagree with sensor count")
-    return obs.accel
+    return _term(frag, obs, 0)
 
 
 def accel_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -204,37 +361,12 @@ def accel_energy(frag: Fragment, obs: Observations) -> TermValue:
     Fragment acceleration is the central second difference scaled by fps^2;
     only interior frames (1 .. N-2) carry a residual.
     """
-    accel = _require_imu(frag, obs, "acceleration")
-    fps2 = frag.fps * frag.fps
-    xs = frag.positions[:, obs.sensor_joints, :]
-    af = (xs[2:] - 2.0 * xs[1:-1] + xs[:-2]) * fps2
-    r = af - accel[1:-1]
-    value = float(np.sum(r * r))
-    c = 2.0 * fps2 * r
-    gs = np.zeros_like(xs)
-    gs[2:] += c
-    gs[1:-1] -= 2.0 * c
-    gs[:-2] += c
-    grad = np.zeros_like(frag.positions)
-    np.add.at(grad, (slice(None), obs.sensor_joints), gs)
-    return TermValue(value, grad)
+    return _term(frag, obs, 1)
 
 
 def bone_energy(frag: Fragment, obs: Observations) -> TermValue:
     """Squared mismatch between fragment bone vectors and sensor-predicted bones."""
-    if obs.bones is None:
-        raise MissingObservationError("bone term requires sensor-predicted bone vectors")
-    _check_frames(frag, obs.bones, "bones")
-    if obs.bones.shape[1] != len(obs.sensor_joints):
-        raise ValueError("bone rows disagree with sensor count")
-    bf = frag.positions[:, obs.sensor_joints, :] - frag.positions[:, obs.sensor_parents, :]
-    r = bf - obs.bones
-    value = float(np.sum(r * r))
-    grad = np.zeros_like(frag.positions)
-    # Sensors may share a parent joint, so accumulate rather than assign.
-    np.add.at(grad, (slice(None), obs.sensor_joints), 2.0 * r)
-    np.add.at(grad, (slice(None), obs.sensor_parents), -2.0 * r)
-    return TermValue(value, grad)
+    return _term(frag, obs, 2)
 
 
 def smooth_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -242,77 +374,48 @@ def smooth_energy(frag: Fragment, obs: Observations) -> TermValue:
 
     Needs at least 4 frames; residuals exist for frames 1 .. N-3.
     """
-    accel = _require_imu(frag, obs, "smoothness")
-    n = frag.frame_count
-    if n < 4:
-        raise ValueError(f"smoothness term needs at least 4 frames, got {n}")
-    fps = frag.fps
-    fps2 = fps * fps
-    xs = frag.positions[:, obs.sensor_joints, :]
-    af = (xs[2:] - 2.0 * xs[1:-1] + xs[:-2]) * fps2
-    sf = (af[1:] - af[:-1]) * fps
-    si = (accel[2:-1] - accel[1:-2]) * fps
-    r = sf - si
-    value = float(np.sum(r * r))
-    c = 2.0 * (fps2 * fps) * r
-    gs = np.zeros_like(xs)
-    gs[3:] += c
-    gs[2:-1] -= 3.0 * c
-    gs[1:-2] += 3.0 * c
-    gs[:-3] -= c
-    grad = np.zeros_like(frag.positions)
-    np.add.at(grad, (slice(None), obs.sensor_joints), gs)
-    return TermValue(value, grad)
+    return _term(frag, obs, 3)
 
 
-def _active_terms(cfg: EnergyConfig) -> dict[str, bool]:
+def _term_weights(cfg: EnergyConfig) -> tuple[float, float, float, float]:
+    ki = cfg.k_inertial
+    return (cfg.k_visual, ki * cfg.k_accel, ki * cfg.k_bone, ki * cfg.k_smooth)
+
+
+def _active_terms(cfg: EnergyConfig) -> tuple[bool, bool, bool, bool]:
     inertial = cfg.k_inertial > 0.0
-    return {
-        "visual": cfg.k_visual > 0.0,
-        "accel": inertial and cfg.k_accel > 0.0,
-        "bone": inertial and cfg.k_bone > 0.0,
-        "smooth": inertial and cfg.k_smooth > 0.0,
-    }
+    return (cfg.k_visual > 0.0, inertial and cfg.k_accel > 0.0,
+            inertial and cfg.k_bone > 0.0, inertial and cfg.k_smooth > 0.0)
+
+
+def _scales(values, active) -> TermScales:
+    return TermScales(*(max(v, SCALE_FLOOR) if on else 1.0 for v, on in zip(values, active)))
 
 
 def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermScales:
     """Normalization denominators: each active term's value at `frag`, clamped
     below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
     active = _active_terms(cfg)
-    out = {}
-    for name, fn in (("visual", visual_energy), ("accel", accel_energy), ("bone", bone_energy), ("smooth", smooth_energy)):
-        out[name] = max(fn(frag, obs).value, SCALE_FLOOR) if active[name] else 1.0
-    return TermScales(**out)
+    return _scales(_window(frag, obs).residuals(frag.positions, active).values(), active)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:
-    """Weighted, normalized sum of the active terms.
+    """Weighted, normalized sum of the active terms, from one residual pass.
 
     With cfg.scales unset, scales are computed at `frag` itself, so the value
     at a fragment's initial point with the default weights is exactly
     k_visual + k_inertial * (k_accel + k_bone + k_smooth) = 1.0 whenever every
-    active term is nonzero there.
+    active term is nonzero there. The returned `scales` are the ones used.
     """
-    scales = cfg.scales if cfg.scales is not None else term_scales(frag, obs, cfg)
     active = _active_terms(cfg)
+    win = _window(frag, obs)
+    res = win.residuals(frag.positions, active)
+    values = res.values()
+    scales = cfg.scales if cfg.scales is not None else _scales(values, active)
     value = 0.0
-    grad = np.zeros_like(frag.positions)
-    behind = 0
-    if active["visual"]:
-        tv = visual_energy(frag, obs)
-        value += cfg.k_visual * tv.value / scales.visual
-        grad += (cfg.k_visual / scales.visual) * tv.grad
-        behind = tv.behind_camera
-    if active["accel"]:
-        ta = accel_energy(frag, obs)
-        value += cfg.k_inertial * cfg.k_accel * ta.value / scales.accel
-        grad += (cfg.k_inertial * cfg.k_accel / scales.accel) * ta.grad
-    if active["bone"]:
-        tb = bone_energy(frag, obs)
-        value += cfg.k_inertial * cfg.k_bone * tb.value / scales.bone
-        grad += (cfg.k_inertial * cfg.k_bone / scales.bone) * tb.grad
-    if active["smooth"]:
-        ts = smooth_energy(frag, obs)
-        value += cfg.k_inertial * cfg.k_smooth * ts.value / scales.smooth
-        grad += (cfg.k_inertial * cfg.k_smooth / scales.smooth) * ts.grad
-    return TermValue(value, grad, behind)
+    weights = []
+    for on, k, v, s in zip(active, _term_weights(cfg), values, scales):
+        if on:
+            value += k * v / s
+        weights.append(k / s if on else 0.0)
+    return TermValue(value, win.gradient(res, tuple(weights)), res.behind_camera, scales)

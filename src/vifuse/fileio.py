@@ -24,8 +24,8 @@ import numpy as np
 
 from .camera import Camera
 from .imu import CalibrationSet, ImuStream, SensorCalibration
-from .rotmath import Rotation
-from .skeleton import SkeletonDefinition
+from .rotmath import ZERO_EPS, Rotation
+from .skeleton import SkeletonDefinition, TopologyError
 
 
 class FormatError(ValueError):
@@ -216,6 +216,9 @@ def read_imu(path) -> ImuStream:
         values = [r.parse_float(line_no, tok, "value") for tok in tokens[2:]]
         if not all(math.isfinite(v) for v in values):
             r.fail(line_no, "non-finite value")
+        qw, qx, qy, qz = values[:4]
+        if math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) <= ZERO_EPS:
+            r.fail(line_no, "zero-norm quaternion")
         if idx == len(quats):
             quats.append([])
             accels.append([])
@@ -272,7 +275,10 @@ def read_skeleton(path) -> SkeletonDefinition:
         parents.append(r.parse_int(line_no, tokens[3], "parent index"))
         tpose.append([r.parse_float(line_no, tok, "coordinate") for tok in tokens[4:]])
     r.expect_end()
-    return SkeletonDefinition(tuple(names), tuple(parents), tuple(tuple(p) for p in tpose))
+    try:
+        return SkeletonDefinition(tuple(names), tuple(parents), tuple(tuple(p) for p in tpose))
+    except TopologyError as e:
+        r.fail(None, str(e))
 
 
 # -- calibration -------------------------------------------------------------

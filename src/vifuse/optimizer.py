@@ -144,13 +144,15 @@ def minimize_array(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
     settings: SolverSettings,
+    start: tuple[float, np.ndarray] | None = None,
 ) -> MinimizeResult:
     """L-BFGS over a flat array; `fun` returns (value, gradient).
 
-    Guaranteed monotone: the result value never exceeds fun(x0).
+    `start` is fun(x0) when the caller already has it. Guaranteed monotone:
+    the result value never exceeds fun(x0).
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
-    f, g = fun(x)
+    f, g = fun(x) if start is None else start
     f0 = f
     g = np.asarray(g, dtype=float).ravel()
     s_list: list[np.ndarray] = []
@@ -279,18 +281,21 @@ def minimize_fragment(
 
     Normalization scales are frozen at the initial point, so the initial total
     is k_visual + k_inertial*(k_accel + k_bone + k_smooth) when every active
-    term is nonzero, and the minimizer works on an O(1)-scaled objective.
+    term is nonzero, and the minimizer works on an O(1)-scaled objective. One
+    evaluation at the initial point gives the scales and the first value and
+    gradient.
     """
-    frozen = cfg.with_scales(frag, obs)
+    first = total_energy(frag, obs, replace(cfg, scales=None))
+    frozen = replace(cfg, scales=first.scales)
     shape = frag.positions.shape
-    behind = [0]
+    behind = [first.behind_camera]
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         tv = total_energy(Fragment(x.reshape(shape), frag.fps, frag.start), obs, frozen)
         behind[0] = max(behind[0], tv.behind_camera)
         return tv.value, tv.grad.ravel()
 
-    res = minimize_array(fun, frag.positions.ravel(), settings)
+    res = minimize_array(fun, frag.positions.ravel(), settings, (first.value, first.grad.ravel()))
     out = Fragment(res.x.reshape(shape), frag.fps, frag.start)
     return FragmentResult(
         fragment=out,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-_ZERO_EPS = 1e-12
+ZERO_EPS = 1e-12  # a vector or quaternion with norm at or below this has no direction
 _ANTIPARALLEL_EPS = 1e-12
 _REFERENCE_EPS = 1e-6
 
@@ -49,7 +49,7 @@ def _as_unit(v, what: str) -> np.ndarray:
     if v.shape[-1:] != (3,):
         raise ValueError(f"{what} must be a 3-vector or (..., 3) array, got shape {v.shape}")
     n = _norm3(v)
-    if (n <= _ZERO_EPS).any():
+    if (n <= ZERO_EPS).any():
         raise ZeroVectorError(f"{what} has near-zero norm ({float(np.min(n)):.3e})")
     return v / n[..., None]
 
@@ -66,7 +66,7 @@ def _normalize(q: np.ndarray) -> np.ndarray:
     # In place: unit length, then canonical sign.
     n = np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
                 + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3])
-    if (n <= _ZERO_EPS).any():
+    if (n <= ZERO_EPS).any():
         raise ZeroVectorError(f"quaternion has near-zero norm ({float(np.min(n)):.3e})")
     q /= n[..., None]
     return _canonicalize(q)
@@ -124,7 +124,7 @@ def quat_apply(q, v) -> np.ndarray:
 def quat_matrix(q) -> np.ndarray:
     """(..., 3, 3) rotation matrices of (..., 4) unit quaternions."""
     # Unpacking the transpose gives plain scalars for a single quaternion,
-    # which keeps the per-evaluation camera matrix cheap.
+    # which keeps the camera matrix cheap.
     w, x, y, z = np.asarray(q, dtype=float).T
     m = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from vifuse import (
     Observations,
     Rotation,
     SCALE_FLOOR,
+    TermScales,
+    W_MIN,
     accel_energy,
     bone_energy,
     smooth_energy,
@@ -236,17 +240,80 @@ def test_total_matches_weighted_sum(rng):
     assert tv.value == pytest.approx(want, rel=1e-12)
 
 
-def test_total_gradient_with_frozen_scales(rng):
-    frag, obs = random_setup(rng)
-    frozen = EnergyConfig().with_scales(frag, obs)
+def reference_values(frag, obs):
+    """Each term's value by plain loops over the residual definitions of the
+    energy module's docstring; a term without its observations reads 0."""
+    x, fps = frag.positions, frag.fps
+    n, j, _ = x.shape
+    res = {"visual": [], "accel": [], "bone": [], "smooth": []}
+    if obs.pixels is not None:
+        p = obs.camera.matrix
+        for t in range(n):
+            for i in range(j):
+                q = obs.pixels[t, i]
+                u, v, w = p @ np.append(x[t, i], 1.0)
+                if np.all(np.isfinite(q)) and w > W_MIN:
+                    res["visual"].append([u / w - q[0], v / w - q[1]])
+    sensors = list(zip(obs.sensor_joints, obs.sensor_parents))
+    if obs.accel is not None:
+        def acc(t, s):
+            return fps * fps * (x[t + 1, s] - 2.0 * x[t, s] + x[t - 1, s])
+
+        for k, (s, _) in enumerate(sensors):
+            for t in range(1, n - 1):
+                res["accel"].append(acc(t, s) - obs.accel[t, k])
+            for t in range(1, n - 2):
+                res["smooth"].append(fps * (acc(t + 1, s) - acc(t, s))
+                                     - fps * (obs.accel[t + 1, k] - obs.accel[t, k]))
+    if obs.bones is not None:
+        for k, (s, par) in enumerate(sensors):
+            for t in range(n):
+                res["bone"].append(x[t, s] - x[t, par] - obs.bones[t, k])
+    return TermScales(*(float(np.sum(np.square(res[name]))) for name in TermScales._fields))
+
+
+def reference_case(rng, case):
+    kw = {"duplicate_sensor_joints": {"sensor_joints": (2, 2), "sensor_parents": (1, 1)},
+          "shared_parent": {"sensor_joints": (2, 3), "sensor_parents": (1, 1)}}.get(case, {})
+    frag, obs = random_setup(rng, **kw)
+    cfg = EnergyConfig(k_visual=0.7, k_inertial=0.3, k_accel=0.4, k_bone=0.25, k_smooth=0.35)
+    if case == "nan_pixel_rows":
+        px = obs.pixels.copy()
+        px[1] = np.nan
+        px[4, 2] = np.nan
+        obs = replace(obs, pixels=px)
+    elif case == "behind_camera":
+        pos = frag.positions.copy()
+        pos[2, 1, 2] = -1000.0  # behind the test camera at z=-400
+        frag = Fragment(pos, frag.fps)
+    elif case == "visual_only":
+        obs = Observations(pixels=obs.pixels, camera=obs.camera)
+        cfg = replace(cfg, k_inertial=0.0)
+    elif case == "inertial_only":
+        obs = replace(obs, pixels=None, camera=None)
+        cfg = replace(cfg, k_visual=0.0)
+    return frag, obs, cfg
+
+
+@pytest.mark.parametrize("case", ["full", "nan_pixel_rows", "behind_camera", "duplicate_sensor_joints",
+                                  "shared_parent", "visual_only", "inertial_only"])
+def test_total_matches_reference(rng, case):
+    frag, obs, cfg = reference_case(rng, case)
+    weights = (cfg.k_visual, cfg.k_inertial * cfg.k_accel, cfg.k_inertial * cfg.k_bone,
+               cfg.k_inertial * cfg.k_smooth)
+    scales = TermScales(*(max(v, SCALE_FLOOR) for v in reference_values(frag, obs)))
+    frozen = replace(cfg, scales=scales)
     moved = Fragment(frag.positions + rng.uniform(-3, 3, frag.positions.shape), frag.fps)
-    analytic = total_energy(moved, obs, frozen).grad
+    want = sum(k * v / s for k, v, s in zip(weights, reference_values(moved, obs), scales) if k > 0.0)
+    tv = total_energy(moved, obs, frozen)
+    assert tv.value == pytest.approx(want, rel=1e-12)
+    assert tv.behind_camera == (1 if case == "behind_camera" else 0)
 
     def fun(x):
         return total_energy(Fragment(x.reshape(moved.positions.shape), frag.fps), obs, frozen).value
 
     numeric = fd_gradient(fun, moved.positions.ravel())
-    assert max_rel_err(analytic, numeric.reshape(analytic.shape)) < 1e-6
+    assert max_rel_err(tv.grad, numeric.reshape(tv.grad.shape)) < 1e-6
 
 
 def test_total_without_frozen_scales_renormalizes(rng):

@@ -8,6 +8,7 @@ from vifuse import (
     EnergyConfig,
     Fragment,
     FragmentSchedule,
+    Observations,
     Rotation,
     SequenceObservations,
     SolverSettings,
@@ -19,6 +20,7 @@ from vifuse import (
     run_stream,
     total_energy,
 )
+from vifuse import energy
 
 
 def quadratic(a):
@@ -205,6 +207,25 @@ def test_minimize_fragment_normalized_start(rng):
     assert res.fragment.positions.shape == frag.positions.shape
     assert res.fragment.start == frag.start
     assert res.iterations > 0
+
+
+def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
+    # Every residual is exactly zero: the projections, bones and (constant)
+    # trajectories below are exact in binary floating point.
+    pos = np.zeros((4, 2, 3))
+    pos[:, 0] = [1.0, 2.0, 4.0]
+    pos[:, 1] = [3.0, -1.0, 2.0]
+    cam = Camera(1.0, 1.0, 0.0, 0.0, Rotation.identity(), np.zeros(3))
+    obs = Observations(pixels=cam.project(pos), camera=cam, accel=np.zeros((4, 1, 3)),
+                       bones=pos[:, 1:] - pos[:, :1], sensor_joints=[1], sensor_parents=[0])
+    passes = []
+    residuals = energy._Window.residuals
+    monkeypatch.setattr(energy._Window, "residuals",
+                        lambda self, *a: passes.append(1) or residuals(self, *a))
+    res = minimize_fragment(Fragment(pos, 1.0), obs, EnergyConfig(fragment_len=4), SolverSettings())
+    assert res.converged and res.iterations == 0
+    assert res.final_value == res.initial_value == 0.0
+    assert len(passes) == 1
 
 
 def test_merge_average_of_covering_windows():

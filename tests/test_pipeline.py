@@ -430,3 +430,32 @@ def test_cli_pose2d_joint_count_mismatch_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and "5 joints" in err and "21" in err
+
+
+def test_cli_zero_quaternion_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    imu_path = data_dir / "imu.txt"
+    lines = imu_path.read_text().splitlines()
+    fields = lines[5].split(" ")
+    fields[2:6] = ["0", "0", "0", "0"]
+    lines[5] = " ".join(fields)
+    imu_path.write_text("\n".join(lines) + "\n")
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and f"{imu_path}:6" in err and "quaternion" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.replace("joint 2 chest 1 ", "joint 2 chest -1 "), "root"),
+    (lambda line: " ".join(line.split(" ")[:4] + ["0", "1120", "0"]), "zero length"),
+], ids=["second_root", "zero_tpose_bone"])
+def test_cli_bad_skeleton_topology_exits_3(tmp_path, capsys, edit, message):
+    data_dir = synth_small(tmp_path, capsys)
+    skel_path = data_dir / "skeleton.txt"
+    lines = skel_path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("joint 2 chest 1 "))
+    lines[row] = edit(lines[row])
+    skel_path.write_text("\n".join(lines) + "\n")
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and str(skel_path) in err and message in err
