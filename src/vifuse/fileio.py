@@ -6,6 +6,10 @@ significant digits, which round-trips exactly through the parser, so writing
 is idempotent and reruns are byte-identical. Parse errors carry the file path
 and 1-based line number; a schema or version mismatch is fatal.
 
+Fields: an integer is plain decimal (`str(int(token)) == token`); a number is
+any spelling float() accepts that uses only ASCII digits, `+ - . e E` and the
+letters of nan/inf/infinity (no underscores, no whitespace).
+
 Schemas:
   pose3d 1      frame_idx then J x/y/z triples (mm)
   pose2d 1      frame_idx then J u/v pairs (px); occluded joints are `nan nan`
@@ -17,8 +21,10 @@ Schemas:
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -36,6 +42,13 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+# A number field uses only these characters. On them float() and np.loadtxt
+# read the same numbers; loadtxt also strips whitespace (\x1f too), and float()
+# also takes underscores and non-ASCII digits.
+_NUMBER_CHARS = "0123456789+-.eEnNaAiIfFtTyY"
+_NUMBER_BYTES = (_NUMBER_CHARS + " \n").encode()
+
+
 def _fmt(x: float) -> str:
     return "%.9g" % x
 
@@ -49,12 +62,12 @@ class _Reader:
         self.path = Path(path)
         try:
             text = self.path.read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise FormatError(path, None, str(e)) from None
         self.lines = text.splitlines()
         self.pos = 0
 
-    def fail(self, line_no, message) -> None:
+    def fail(self, line_no, message) -> NoReturn:
         raise FormatError(self.path, line_no, message)
 
     @property
@@ -86,22 +99,140 @@ class _Reader:
 
     def parse_int(self, line_no, token, what) -> int:
         try:
-            return int(token)
+            value = int(token)
         except ValueError:
+            value = None
+        if value is None or str(value) != token:
             self.fail(line_no, f"bad {what} '{token}'")
+        return value
 
     def parse_float(self, line_no, token, what) -> float:
-        try:
-            return float(token)
-        except ValueError:
-            self.fail(line_no, f"bad {what} '{token}'")
+        if not token.strip(_NUMBER_CHARS):  # every character is a number character
+            try:
+                return float(token)
+            except ValueError:
+                pass
+        self.fail(line_no, f"bad {what} '{token}'")
 
 
 def _write_text(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Line by line, so that no copy of the whole file is held in memory.
+    with open(path, "w") as f:
+        for line in lines:
+            f.write(line)
+            f.write("\n")
 
 
-# -- pose3d ------------------------------------------------------------------
+def _zero_norm(q: np.ndarray) -> np.ndarray:
+    """Whether each quaternion (..., 4) has norm at or below ZERO_EPS."""
+    with np.errstate(over="ignore"):  # a huge component has a huge norm
+        return np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
+                       + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3]) <= ZERO_EPS
+
+
+def _check_quaternions(r: _Reader, line_no: int, q: np.ndarray) -> None:
+    if not np.isfinite(q).all():
+        r.fail(line_no, "non-finite quaternion component")
+    if _zero_norm(q).any():
+        r.fail(line_no, "zero-norm quaternion")
+
+
+# -- stream records ----------------------------------------------------------
+#
+# A stream file is a header and one record per line: a fixed prefix (the frame
+# index, and for imu the sensor id) and then numbers. A valid file is parsed by
+# a few whole-file operations in `_records`. Any fault sends the reader to
+# `_first_bad_record`, which walks the lines in order to name the first bad one.
+#
+# `faults(rows)` gives, for value rows (n, F), a mask (n, C) of the C value
+# checks in the order a line applies them, and a function naming check c.
+
+
+def _records(r: _Reader, prefixes: list[str], width: int, faults) -> np.ndarray | None:
+    """The (n, width) numbers that follow each record's prefix, or None.
+
+    Record i must be `prefixes[i]` followed by `width` numbers separated by
+    single spaces, with no fault. None means some record breaks that.
+    """
+    lines = r.lines[r.pos:]
+    if len(lines) != len(prefixes) or not all(map(str.startswith, lines, prefixes)):
+        return None
+    fields = [line[len(p):] for line, p in zip(lines, prefixes)]
+    if not all(fields) or "\n".join(fields).encode().translate(None, _NUMBER_BYTES):
+        return None
+    try:
+        values = np.loadtxt(fields, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width) or faults(values)[0].any():
+        return None
+    return values
+
+
+def _first_bad_record(r: _Reader, what: str, check) -> NoReturn:
+    """Raise the error of the first record `check(i, line_no, tokens)` rejects.
+
+    Only runs once `_records` has refused the file, so it may go line by line.
+    """
+    for i in range(r.remaining):
+        check(i, *r.next_tokens(what))
+    r.fail(None, f"malformed {what}s")  # not reached: a refused file has a bad record
+
+
+def _check_values(r: _Reader, line_no: int, tokens: list[str], what: str, faults) -> None:
+    row = np.array([[r.parse_float(line_no, tok, what) for tok in tokens]])
+    mask, name = faults(row)
+    if mask.any():
+        r.fail(line_no, name(int(np.argmax(mask[0]))))
+
+
+# -- pose3d / pose2d ---------------------------------------------------------
+
+def _coordinate_faults(rows):
+    return ~np.isfinite(rows).all(axis=1, keepdims=True), lambda c: "non-finite coordinate"
+
+
+def _pixel_faults(rows):
+    u, v = rows[:, 0::2], rows[:, 1::2]
+    nan_u = np.isnan(u)
+    half = nan_u != np.isnan(v)
+    bad = ~(nan_u | np.isfinite(u) & np.isfinite(v))
+    mask = np.stack([half, bad], axis=2).reshape(len(rows), -1)
+    kinds = ("half-missing observation", "non-finite pixel")
+    return mask, lambda c: f"joint {c // 2}: {kinds[c % 2]}"
+
+
+def _write_pose(path, schema: str, values: np.ndarray) -> None:
+    flat = values.reshape(len(values), -1)
+    fmt = "%d" + " %.9g" * flat.shape[1]
+    rows = (fmt % (t, *row.tolist()) for t, row in enumerate(flat))
+    _write_text(path, itertools.chain([f"{schema} 1"], rows))
+
+
+def _read_pose(path, schema: str, dim: int, what: str, faults) -> np.ndarray:
+    r = _Reader(path)
+    r.expect_header(schema)
+    n = r.remaining
+    if n == 0:
+        r.fail(None, "no frames")
+    width = r.lines[r.pos].count(" ")
+    values = None
+    if width >= dim and width % dim == 0:
+        values = _records(r, [f"{t} " for t in range(n)], width, faults)
+    if values is None:
+        def check(t, line_no, tokens):
+            idx = r.parse_int(line_no, tokens[0], "frame index")
+            if idx != t:
+                r.fail(line_no, f"frame index {idx} out of order, expected {t}")
+            if t == 0 and ((len(tokens) - 1) % dim != 0 or len(tokens) < 1 + dim):
+                r.fail(line_no, f"expected 1 + {dim}*J fields, got {len(tokens)}")
+            if t > 0 and len(tokens) != 1 + width:
+                r.fail(line_no, f"expected {1 + width} fields, got {len(tokens)}")
+            _check_values(r, line_no, tokens[1:], what, faults)
+
+        _first_bad_record(r, "pose record", check)
+    return values.reshape(n, width // dim, dim)
+
 
 def write_pose3d(path, poses: np.ndarray) -> None:
     poses = np.asarray(poses, dtype=float)
@@ -109,137 +240,94 @@ def write_pose3d(path, poses: np.ndarray) -> None:
         raise ValueError(f"expected (T, J, 3), got {poses.shape}")
     if not np.all(np.isfinite(poses)):
         raise ValueError("pose3d values must be finite")
-    lines = ["pose3d 1"]
-    for t in range(poses.shape[0]):
-        lines.append(f"{t} " + _fmt_row(poses[t].ravel()))
-    _write_text(path, lines)
+    _write_pose(path, "pose3d", poses)
 
 
 def read_pose3d(path) -> np.ndarray:
-    r = _Reader(path)
-    r.expect_header("pose3d")
-    frames = []
-    joints = None
-    while r.remaining:
-        line_no, tokens = r.next_tokens("pose record")
-        idx = r.parse_int(line_no, tokens[0], "frame index")
-        if idx != len(frames):
-            r.fail(line_no, f"frame index {idx} out of order, expected {len(frames)}")
-        if joints is None:
-            if (len(tokens) - 1) % 3 != 0 or len(tokens) < 4:
-                r.fail(line_no, f"expected 1 + 3*J fields, got {len(tokens)}")
-            joints = (len(tokens) - 1) // 3
-        elif len(tokens) != 1 + 3 * joints:
-            r.fail(line_no, f"expected {1 + 3 * joints} fields, got {len(tokens)}")
-        row = [r.parse_float(line_no, tok, "coordinate") for tok in tokens[1:]]
-        if not all(math.isfinite(v) for v in row):
-            r.fail(line_no, "non-finite coordinate")
-        frames.append(row)
-    if not frames:
-        r.fail(None, "no frames")
-    return np.asarray(frames, dtype=float).reshape(len(frames), joints, 3)
+    return _read_pose(path, "pose3d", 3, "coordinate", _coordinate_faults)
 
-
-# -- pose2d ------------------------------------------------------------------
 
 def write_pose2d(path, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels, dtype=float)
     if pixels.ndim != 3 or pixels.shape[2] != 2:
         raise ValueError(f"expected (T, J, 2), got {pixels.shape}")
-    lines = ["pose2d 1"]
-    for t in range(pixels.shape[0]):
-        parts = [str(t)]
-        for u, v in pixels[t]:
-            if math.isnan(u) != math.isnan(v):
-                raise ValueError("occlusion must blank both pixel components")
-            parts.append(f"{_fmt(u)} {_fmt(v)}")
-        lines.append(" ".join(parts))
-    _write_text(path, lines)
+    if (np.isnan(pixels[..., 0]) != np.isnan(pixels[..., 1])).any():
+        raise ValueError("occlusion must blank both pixel components")
+    _write_pose(path, "pose2d", pixels)
 
 
 def read_pose2d(path) -> np.ndarray:
-    r = _Reader(path)
-    r.expect_header("pose2d")
-    frames = []
-    joints = None
-    while r.remaining:
-        line_no, tokens = r.next_tokens("pose record")
-        idx = r.parse_int(line_no, tokens[0], "frame index")
-        if idx != len(frames):
-            r.fail(line_no, f"frame index {idx} out of order, expected {len(frames)}")
-        if joints is None:
-            if (len(tokens) - 1) % 2 != 0 or len(tokens) < 3:
-                r.fail(line_no, f"expected 1 + 2*J fields, got {len(tokens)}")
-            joints = (len(tokens) - 1) // 2
-        elif len(tokens) != 1 + 2 * joints:
-            r.fail(line_no, f"expected {1 + 2 * joints} fields, got {len(tokens)}")
-        row = [r.parse_float(line_no, tok, "pixel") for tok in tokens[1:]]
-        for j in range(joints):
-            u, v = row[2 * j], row[2 * j + 1]
-            if math.isnan(u) != math.isnan(v):
-                r.fail(line_no, f"joint {j}: half-missing observation")
-            if not (math.isnan(u) or (math.isfinite(u) and math.isfinite(v))):
-                r.fail(line_no, f"joint {j}: non-finite pixel")
-        frames.append(row)
-    if not frames:
-        r.fail(None, "no frames")
-    return np.asarray(frames, dtype=float).reshape(len(frames), joints, 2)
+    return _read_pose(path, "pose2d", 2, "pixel", _pixel_faults)
 
 
 # -- imu ---------------------------------------------------------------------
+
+def _imu_faults(rows):
+    mask = np.stack([~np.isfinite(rows).all(axis=1), _zero_norm(rows[:, :4])], axis=1)
+    return mask, lambda c: ("non-finite value", "zero-norm quaternion")[c]
+
 
 def write_imu(path, stream: ImuStream) -> None:
     for sid in stream.sensor_ids:
         if " " in sid or sid == "":
             raise ValueError(f"sensor id {sid!r} not serializable")
-    lines = ["imu 1"]
-    for t in range(stream.frame_count):
-        for k, sid in enumerate(stream.sensor_ids):
-            q = stream.orientations[t, k]
-            a = stream.accels[t, k]
-            lines.append(f"{t} {sid} {_fmt_row(q)} {_fmt_row(a)}")
-    _write_text(path, lines)
+    fmt = "%d %s" + " %.9g" * 7
+
+    def lines():
+        yield "imu 1"
+        for t in range(stream.frame_count):
+            quats, accels = stream.orientations[t].tolist(), stream.accels[t].tolist()
+            for sid, q, a in zip(stream.sensor_ids, quats, accels):
+                yield fmt % (t, sid, *q, *a)
+
+    _write_text(path, lines())
 
 
 def read_imu(path) -> ImuStream:
     r = _Reader(path)
     r.expect_header("imu")
-    sensor_ids: list[str] = []
-    quats: list[list[np.ndarray]] = []
-    accels: list[list[np.ndarray]] = []
-    while r.remaining:
-        line_no, tokens = r.next_tokens("imu record")
-        if len(tokens) != 9:
-            r.fail(line_no, f"expected 9 fields, got {len(tokens)}")
-        idx = r.parse_int(line_no, tokens[0], "frame index")
-        sid = tokens[1]
-        values = [r.parse_float(line_no, tok, "value") for tok in tokens[2:]]
-        if not all(math.isfinite(v) for v in values):
-            r.fail(line_no, "non-finite value")
-        qw, qx, qy, qz = values[:4]
-        if math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) <= ZERO_EPS:
-            r.fail(line_no, "zero-norm quaternion")
-        if idx == len(quats):
-            quats.append([])
-            accels.append([])
-        elif idx != len(quats) - 1:
-            r.fail(line_no, f"frame index {idx} out of order")
-        frame_slot = len(quats[idx])
-        if idx == 0:
-            if sid in sensor_ids:
-                r.fail(line_no, f"duplicate sensor {sid} in frame 0")
-            sensor_ids.append(sid)
-        else:
-            if frame_slot >= len(sensor_ids) or sensor_ids[frame_slot] != sid:
-                r.fail(line_no, f"sensor {sid} out of order (expected layout of frame 0)")
-        quats[idx].append(np.asarray(values[:4]))
-        accels[idx].append(np.asarray(values[4:]))
-    if not quats:
+    lines = r.lines[r.pos:]
+    if not lines:
         r.fail(None, "no frames")
-    for t, frame in enumerate(quats):
-        if len(frame) != len(sensor_ids):
-            r.fail(None, f"frame {t} has {len(frame)} sensors, expected {len(sensor_ids)}")
-    return ImuStream(tuple(sensor_ids), np.asarray(quats), np.asarray(accels))
+    k = 0
+    while k < len(lines) and lines[k].startswith("0 "):
+        k += 1
+    sensor_ids = [line.split(" ", 2)[1] for line in lines[:k]]
+    values = None
+    if k and len(set(sensor_ids)) == k and len(lines) % k == 0:
+        prefixes = [f"{t} {sid} " for t in range(len(lines) // k) for sid in sensor_ids]
+        values = _records(r, prefixes, 7, _imu_faults)
+    if values is None:
+        layout: list[str] = []
+        counts: list[int] = []  # sensors seen per frame
+
+        def check(i, line_no, tokens):
+            if len(tokens) != 9:
+                r.fail(line_no, f"expected 9 fields, got {len(tokens)}")
+            idx = r.parse_int(line_no, tokens[0], "frame index")
+            sid = tokens[1]
+            _check_values(r, line_no, tokens[2:], "value", _imu_faults)
+            if idx == len(counts):
+                counts.append(0)
+            elif idx != len(counts) - 1 or idx < 0:
+                r.fail(line_no, f"frame index {idx} out of order")
+            if idx == 0:
+                if sid in layout:
+                    r.fail(line_no, f"duplicate sensor {sid} in frame 0")
+                layout.append(sid)
+            elif counts[idx] >= len(layout) or layout[counts[idx]] != sid:
+                r.fail(line_no, f"sensor {sid} out of order (expected layout of frame 0)")
+            counts[idx] += 1
+            if i == len(lines) - 1:
+                for t, count in enumerate(counts):
+                    if count != len(layout):
+                        r.fail(None, f"frame {t} has {count} sensors, expected {len(layout)}")
+
+        _first_bad_record(r, "imu record", check)
+    values = values.reshape(-1, k, 7)
+    return ImuStream(
+        tuple(sensor_ids), np.ascontiguousarray(values[..., :4]), np.ascontiguousarray(values[..., 4:])
+    )
 
 
 # -- skeleton ----------------------------------------------------------------
@@ -274,6 +362,8 @@ def read_skeleton(path) -> SkeletonDefinition:
         names.append(tokens[2])
         parents.append(r.parse_int(line_no, tokens[3], "parent index"))
         tpose.append([r.parse_float(line_no, tok, "coordinate") for tok in tokens[4:]])
+        if not all(map(math.isfinite, tpose[-1])):
+            r.fail(line_no, "non-finite coordinate")
     r.expect_end()
     try:
         return SkeletonDefinition(tuple(names), tuple(parents), tuple(tuple(p) for p in tpose))
@@ -303,12 +393,15 @@ def read_calibration(path) -> CalibrationSet:
     if len(tokens) != 4 or tokens[0] != "gravity":
         r.fail(line_no, "expected 'gravity <gx> <gy> <gz>'")
     gravity = tuple(r.parse_float(line_no, tok, "gravity component") for tok in tokens[1:])
+    if not all(map(math.isfinite, gravity)):
+        r.fail(line_no, "non-finite gravity component")
     sensors = []
     while r.remaining:
         line_no, tokens = r.next_tokens("sensor record")
         if len(tokens) != 11 or tokens[0] != "sensor":
             r.fail(line_no, "expected 'sensor <id> <joint> <r_global quat> <r_joint quat>'")
-        vals = [r.parse_float(line_no, tok, "quaternion component") for tok in tokens[3:]]
+        vals = np.array([r.parse_float(line_no, tok, "quaternion component") for tok in tokens[3:]])
+        _check_quaternions(r, line_no, vals.reshape(2, 4))
         sensors.append(
             SensorCalibration(
                 sensor_id=tokens[1],
@@ -347,7 +440,13 @@ def read_camera(path) -> Camera:
         line_no, tokens = r.next_tokens(f"'{key}'")
         if tokens[0] != key or len(tokens) != 1 + widths[key]:
             r.fail(line_no, f"expected '{key}' with {widths[key]} value(s)")
-        fields[key] = [r.parse_float(line_no, tok, key) for tok in tokens[1:]]
+        fields[key] = vals = [r.parse_float(line_no, tok, key) for tok in tokens[1:]]
+        if key == "rotation":
+            _check_quaternions(r, line_no, np.array([vals]))
+        elif not all(map(math.isfinite, vals)):
+            r.fail(line_no, f"non-finite {key}")
+        elif key in ("fx", "fy") and vals[0] <= 0:
+            r.fail(line_no, f"{key} must be positive")
     r.expect_end()
     return Camera(
         fx=fields["fx"][0],

@@ -297,3 +297,11 @@ def test_camera_errors(tmp_path):
     with pytest.raises(FormatError) as e:
         read_camera(p)
     assert "trailing" in str(e.value)
+
+
+def test_undecodable_file_is_a_format_error(tmp_path):
+    p = tmp_path / "a.txt"
+    p.write_bytes(b"pose3d 1\n0 \xff\xfe 1 2\n")
+    with pytest.raises(FormatError) as e:
+        read_pose3d(p)
+    assert str(p) in str(e.value) and "decode" in str(e.value)

@@ -459,3 +459,26 @@ def test_cli_bad_skeleton_topology_exits_3(tmp_path, capsys, edit, message):
     assert run_sf2(data_dir, tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert "format error" in err and str(skel_path) in err and message in err
+
+
+@pytest.mark.parametrize("name, row, edit, message", [
+    ("calibration.txt", 2, lambda f: f[:3] + ["0", "0", "0", "0"] + f[7:], "zero-norm quaternion"),
+    ("calibration.txt", 2, lambda f: f[:8] + ["nan"] + f[9:], "non-finite quaternion component"),
+    ("camera.txt", 5, lambda f: ["rotation", "0", "0", "0", "0"], "zero-norm quaternion"),
+    ("camera.txt", 1, lambda f: ["fx", "nan"], "non-finite fx"),
+    ("camera.txt", 1, lambda f: ["fx", "0"], "fx must be positive"),
+    ("skeleton.txt", 4, lambda f: f[:4] + ["nan"] + f[5:], "non-finite coordinate"),
+    ("calibration.txt", 1, lambda f: ["gravity", "0", "inf", "0"], "non-finite gravity component"),
+], ids=["calibration_zero_quat", "calibration_nan", "camera_zero_quat", "camera_fx_nan", "camera_fx_zero",
+        "skeleton_nan", "gravity_inf"])
+def test_cli_bad_rig_value_exits_3(tmp_path, capsys, name, row, edit, message):
+    data_dir = synth_small(tmp_path, capsys)
+    path = data_dir / name
+    lines = path.read_text().splitlines()
+    lines[row] = " ".join(edit(lines[row].split(" ")))
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "rtof"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and f"{path}:{row + 1}:" in err and message in err
