@@ -46,13 +46,9 @@ from .fileio import (
 from .imu import (
     DEFAULT_GRAVITY,
     CalibrationSet,
-    ImuSample,
     ImuStream,
     SensorCalibration,
-    calibrate_acceleration,
-    calibrate_orientation,
     calibrate_stream,
-    imu_bone_vector,
 )
 from .metrics import (
     LengthMismatchError,
@@ -95,7 +91,7 @@ from .pipeline import (
     write_dataset,
     write_results,
 )
-from .rotmath import Rotation, ZeroVectorError, angle_between, solve_rotation
+from .rotmath import ZeroVectorError, angle_between, solve_rotation
 from .skeleton import (
     DegenerateBoneError,
     MotionParams,

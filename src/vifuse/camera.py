@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotmath import Rotation, ZeroVectorError
+from .rotmath import ZeroVectorError, check_unit_quat, quat_from_matrix, quat_matrix
 
 W_MIN = 1e-6  # perspective divide guard (mm in camera z)
 
@@ -28,10 +28,11 @@ class Camera:
     fy: float
     cx: float
     cy: float
-    rotation: Rotation
+    rotation: np.ndarray  # (4,) unit quaternion (w, x, y, z), world -> camera frame
     center: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "rotation", check_unit_quat(self.rotation, "camera rotation"))
         c = np.asarray(self.center, dtype=float)
         if c.shape != (3,):
             raise ValueError(f"camera center must be a 3-vector, got {c.shape}")
@@ -42,7 +43,7 @@ class Camera:
     def matrix(self) -> np.ndarray:
         """3x4 projection, homogeneous world mm -> homogeneous pixels."""
         k = np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
-        r = self.rotation.matrix()
+        r = quat_matrix(self.rotation)
         return k @ np.hstack([r, (-r @ self.center)[:, None]])
 
     def project(self, points: np.ndarray) -> np.ndarray:
@@ -79,4 +80,4 @@ def look_at(center, target, fx: float, fy: float, cx: float, cy: float, up=(0.0,
     x_c /= nx
     y_c = np.cross(z_c, x_c)
     r = np.stack([x_c, y_c, z_c])
-    return Camera(fx, fy, cx, cy, Rotation.from_matrix(r), center)
+    return Camera(fx, fy, cx, cy, quat_from_matrix(r), center)

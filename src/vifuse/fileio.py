@@ -4,7 +4,10 @@ Every file starts with a header line `<schema> <version>`; records are
 single-space-separated fields, one record per line. Floats are written with 9
 significant digits, which round-trips exactly through the parser, so writing
 is idempotent and reruns are byte-identical. Parse errors carry the file path
-and 1-based line number; a schema or version mismatch is fatal.
+and 1-based line number; a schema or version mismatch is fatal. A writer
+raises ValueError, before it opens the file, on a value its reader refuses: a
+non-finite number (other than a `nan nan` pixel pair), a zero-norm quaternion
+or a focal length at or below zero.
 
 Fields: an integer is plain decimal (`str(int(token)) == token`); a number is
 any spelling float() accepts that uses only ASCII digits, `+ - . e E` and the
@@ -30,7 +33,7 @@ import numpy as np
 
 from .camera import Camera
 from .imu import CalibrationSet, ImuStream, SensorCalibration
-from .rotmath import ZERO_EPS, Rotation
+from .rotmath import ZERO_EPS, quat_normalize
 from .skeleton import SkeletonDefinition, TopologyError
 
 
@@ -253,6 +256,8 @@ def write_pose2d(path, pixels: np.ndarray) -> None:
         raise ValueError(f"expected (T, J, 2), got {pixels.shape}")
     if (np.isnan(pixels[..., 0]) != np.isnan(pixels[..., 1])).any():
         raise ValueError("occlusion must blank both pixel components")
+    if np.isinf(pixels).any():
+        raise ValueError("pose2d pixels must be finite or `nan nan`")
     _write_pose(path, "pose2d", pixels)
 
 
@@ -271,6 +276,10 @@ def write_imu(path, stream: ImuStream) -> None:
     for sid in stream.sensor_ids:
         if " " in sid or sid == "":
             raise ValueError(f"sensor id {sid!r} not serializable")
+    if not (np.isfinite(stream.orientations).all() and np.isfinite(stream.accels).all()):
+        raise ValueError("imu values must be finite")
+    if _zero_norm(stream.orientations).any():
+        raise ValueError("imu quaternions must have nonzero norm")
     fmt = "%d %s" + " %.9g" * 7
 
     def lines():
@@ -333,6 +342,8 @@ def read_imu(path) -> ImuStream:
 # -- skeleton ----------------------------------------------------------------
 
 def write_skeleton(path, skel: SkeletonDefinition) -> None:
+    if not np.isfinite(skel.tpose).all():
+        raise ValueError("T-pose coordinates must be finite")
     lines = ["skeleton 1", f"joints {skel.joint_count}"]
     for j, name in enumerate(skel.names):
         if " " in name or name == "":
@@ -374,6 +385,8 @@ def read_skeleton(path) -> SkeletonDefinition:
 # -- calibration -------------------------------------------------------------
 
 def write_calibration(path, calib: CalibrationSet) -> None:
+    if not np.isfinite(calib.gravity).all():
+        raise ValueError("gravity must be finite")
     lines = ["calibration 1", "gravity " + _fmt_row(calib.gravity)]
     for cal in calib.sensors:
         for token in (cal.sensor_id, cal.joint):
@@ -381,7 +394,7 @@ def write_calibration(path, calib: CalibrationSet) -> None:
                 raise ValueError(f"token {token!r} not serializable")
         lines.append(
             f"sensor {cal.sensor_id} {cal.joint} "
-            + _fmt_row(cal.r_global.q) + " " + _fmt_row(cal.r_joint.q)
+            + _fmt_row(cal.r_global) + " " + _fmt_row(cal.r_joint)
         )
     _write_text(path, lines)
 
@@ -406,8 +419,8 @@ def read_calibration(path) -> CalibrationSet:
             SensorCalibration(
                 sensor_id=tokens[1],
                 joint=tokens[2],
-                r_global=Rotation(*vals[:4]),
-                r_joint=Rotation(*vals[4:]),
+                r_global=quat_normalize(vals[:4]),
+                r_joint=quat_normalize(vals[4:]),
             )
         )
     if not sensors:
@@ -418,13 +431,17 @@ def read_calibration(path) -> CalibrationSet:
 # -- camera ------------------------------------------------------------------
 
 def write_camera(path, cam: Camera) -> None:
+    if not np.isfinite([cam.fx, cam.fy, cam.cx, cam.cy, *cam.center]).all():
+        raise ValueError("camera values must be finite")
+    if not (cam.fx > 0 and cam.fy > 0):
+        raise ValueError("fx and fy must be positive")
     lines = [
         "camera 1",
         f"fx {_fmt(cam.fx)}",
         f"fy {_fmt(cam.fy)}",
         f"cx {_fmt(cam.cx)}",
         f"cy {_fmt(cam.cy)}",
-        "rotation " + _fmt_row(cam.rotation.q),
+        "rotation " + _fmt_row(cam.rotation),
         "center " + _fmt_row(cam.center),
     ]
     _write_text(path, lines)
@@ -453,6 +470,6 @@ def read_camera(path) -> Camera:
         fy=fields["fy"][0],
         cx=fields["cx"][0],
         cy=fields["cy"][0],
-        rotation=Rotation(*fields["rotation"]),
+        rotation=quat_normalize(fields["rotation"]),
         center=tuple(fields["center"]),
     )

@@ -11,21 +11,13 @@ reads +|g| pointing up once rotated into the global frame).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .rotmath import Rotation
+from .rotmath import check_unit_quat, quat_apply, quat_inverse, quat_mul, quat_normalize
 from .skeleton import SkeletonDefinition, UnboundJointError
 
 DEFAULT_GRAVITY = (0.0, -9810.0, 0.0)  # mm/s^2, global frame, pointing down
-
-
-class ImuSample(NamedTuple):
-    """One raw reading: sensor orientation plus sensor-frame acceleration (mm/s^2)."""
-
-    orientation: Rotation
-    acceleration: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -34,8 +26,13 @@ class SensorCalibration:
 
     sensor_id: str
     joint: str
-    r_global: Rotation  # R_kg: sensor reference frame -> global frame
-    r_joint: Rotation  # R_kj: mounting offset, sensor -> joint bone frame
+    r_global: np.ndarray  # R_kg (4,): sensor reference frame -> global frame
+    r_joint: np.ndarray  # R_kj (4,): mounting offset, sensor -> joint bone frame
+
+    def __post_init__(self):
+        for name in ("r_global", "r_joint"):
+            q = check_unit_quat(getattr(self, name), f"sensor {self.sensor_id!r} {name}")
+            object.__setattr__(self, name, q)
 
 
 @dataclass(frozen=True)
@@ -88,41 +85,6 @@ class CalibrationSet:
         return np.array(out, dtype=int)
 
 
-def _orientation(r_global: Rotation, r_joint: Rotation, raw: Rotation) -> Rotation:
-    return r_joint.inverse() @ r_global @ raw
-
-
-def _acceleration(r_global: Rotation, raw: Rotation, reading, gravity) -> np.ndarray:
-    return r_global.apply(raw.apply(np.asarray(reading, dtype=float))) + np.asarray(gravity, dtype=float)
-
-
-def calibrate_orientation(cal: SensorCalibration, sample: ImuSample) -> Rotation:
-    """Global rotation of the bound joint's bone: (R_kj)^-1 * R_kg * R_k."""
-    return _orientation(cal.r_global, cal.r_joint, sample.orientation)
-
-
-def calibrate_acceleration(cal: SensorCalibration, sample: ImuSample, gravity) -> np.ndarray:
-    """Gravity-free global acceleration of the sensor (mm/s^2).
-
-    The raw reading follows the reaction convention, so rotating it into the
-    global frame leaves -gravity in it at rest; adding the field removes that.
-    A stationary sample calibrates to (0, 0, 0) and a free-fall reading of
-    zero calibrates to the gravity field itself.
-    """
-    return _acceleration(cal.r_global, sample.orientation, sample.acceleration, gravity)
-
-
-def imu_bone_vector(cal: SensorCalibration, sample: ImuSample, skel: SkeletonDefinition) -> np.ndarray:
-    """Sensor-predicted bone vector: calibrated joint rotation applied to the T-pose bone.
-
-    The result keeps the T-pose bone length by construction.
-    """
-    j = skel.index_of(cal.joint)
-    if j == 0:
-        raise UnboundJointError(f"sensor {cal.sensor_id!r} is bound to the root joint, which has no bone")
-    return calibrate_orientation(cal, sample).apply(skel.bones[j])
-
-
 @dataclass(frozen=True)
 class ImuStream:
     """Per-frame, per-sensor raw samples stored as arrays.
@@ -150,27 +112,27 @@ class ImuStream:
     def frame_count(self) -> int:
         return int(self.orientations.shape[0])
 
-    def sample(self, frame: int, sensor: int) -> ImuSample:
-        w, x, y, z = self.orientations[frame, sensor]
-        return ImuSample(Rotation(w, x, y, z), self.accels[frame, sensor])
-
 
 def calibrate_stream(
     calib: CalibrationSet, stream: ImuStream, skel: SkeletonDefinition
-) -> tuple[Rotation, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Calibrate a whole stream against a skeleton in one array pass.
 
-    Returns (rotations, accels, bones): calibrated joint rotations as a
-    Rotation of batch shape (T, K), so rotations[t][k] is one sample's;
-    gravity-free global accelerations (T, K, 3); and sensor-predicted bone
-    vectors (T, K, 3). Sensor order follows the stream; every stream sensor
-    must bind as CalibrationSet.joint_indices requires.
+    Returns (rotations, accels, bones), each batched (T, K) over frames and
+    stream sensors: the joint rotations (R_kj)^-1 * R_kg * R_k as (T, K, 4)
+    quaternions; the gravity-free global accelerations (T, K, 3) mm/s^2; and
+    the sensor-predicted bone vectors (T, K, 3), which keep the T-pose bone
+    lengths. The raw reading follows the reaction convention, so rotating it
+    into the global frame leaves -gravity in it at rest and adding the field
+    removes that: a stationary sample calibrates to zero and a free-fall
+    reading of zero to the field itself. Sensor order follows the stream;
+    every stream sensor must bind as CalibrationSet.joint_indices requires.
     """
     joints = calib.joint_indices(skel, stream.sensor_ids)
     cals = [calib.sensor(sid) for sid in stream.sensor_ids]
-    r_global = Rotation.stack([c.r_global for c in cals])
-    r_joint = Rotation.stack([c.r_joint for c in cals])
-    raw = Rotation.from_quat(stream.orientations)
-    rotations = _orientation(r_global, r_joint, raw)
-    accels = _acceleration(r_global, raw, stream.accels, calib.gravity)
-    return rotations, accels, rotations.apply(skel.bones[joints])
+    r_global = np.stack([c.r_global for c in cals])
+    r_joint = np.stack([c.r_joint for c in cals])
+    raw = quat_normalize(stream.orientations)
+    rotations = quat_mul(quat_mul(quat_inverse(r_joint), r_global), raw)
+    accels = quat_apply(r_global, quat_apply(raw, stream.accels)) + np.asarray(calib.gravity, dtype=float)
+    return rotations, accels, quat_apply(rotations, skel.bones[joints])

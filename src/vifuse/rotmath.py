@@ -4,7 +4,8 @@ Rotations are unit quaternions in (w, x, y, z) order, held as (..., 4) arrays
 so that one call handles a single rotation or a whole (frames, joints) batch.
 Every function broadcasts over the leading axes and returns quaternions with
 the sign canonicalized to w >= 0, so every rotation has exactly one
-representation. `Rotation` is a thin immutable view over such an array.
+representation. A rotation is just such an array; `check_unit_quat` guards
+the single rotations that the camera and sensor calibrations store.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ ZERO_EPS = 1e-12  # a vector or quaternion with norm at or below this has no dir
 _ANTIPARALLEL_EPS = 1e-12
 _REFERENCE_EPS = 1e-6
 
-_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY.setflags(write=False)
 
 
 class ZeroVectorError(ValueError):
@@ -89,6 +91,24 @@ def quat_normalize(q) -> np.ndarray:
     return _normalize(q)
 
 
+def check_unit_quat(q, what: str) -> np.ndarray:
+    """Read-only view of one quaternion (4,) that is unit length and has w >= 0.
+
+    Raises ValueError naming `what` otherwise. The caller's array stays
+    writable and nothing is copied.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise ValueError(f"{what} must be a quaternion of shape (4,), got {q.shape}")
+    if not abs(math.sqrt(float(q @ q)) - 1.0) <= 1e-9:
+        raise ValueError(f"{what} is not a unit quaternion")
+    if not q[0] >= 0.0:
+        raise ValueError(f"{what} is not canonical (w < 0)")
+    q = q.view()
+    q.setflags(write=False)
+    return q
+
+
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b (apply b first, then a), normalized."""
     a = np.asarray(a, dtype=float)
@@ -134,6 +154,44 @@ def quat_matrix(q) -> np.ndarray:
     return m.T.swapaxes(-1, -2)
 
 
+def quat_from_matrix(m) -> np.ndarray:
+    """Unit quaternion (4,) of one rotation matrix (orthonormal within 1e-6, det +1)."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
+    err = float(np.max(np.abs(m.T @ m - np.eye(3))))
+    if err > 1e-6:
+        raise ValueError(f"matrix is not orthonormal (max |M^T M - I| = {err:.3e})")
+    if np.linalg.det(m) < 0.0:
+        raise ValueError("matrix has negative determinant (reflection)")
+    t = float(np.trace(m))
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        w = 0.25 * s
+        x = (m[2, 1] - m[1, 2]) / s
+        y = (m[0, 2] - m[2, 0]) / s
+        z = (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        w = (m[2, 1] - m[1, 2]) / s
+        x = 0.25 * s
+        y = (m[0, 1] + m[1, 0]) / s
+        z = (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        w = (m[0, 2] - m[2, 0]) / s
+        x = (m[0, 1] + m[1, 0]) / s
+        y = 0.25 * s
+        z = (m[1, 2] + m[2, 1]) / s
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        w = (m[1, 0] - m[0, 1]) / s
+        x = (m[0, 2] + m[2, 0]) / s
+        y = (m[1, 2] + m[2, 1]) / s
+        z = 0.25 * s
+    return quat_normalize([w, x, y, z])
+
+
 def quat_from_axis_angle(axis, angle) -> np.ndarray:
     """Rotations of `angle` radians about `axis` (axes need not be unit length)."""
     u = _as_unit(axis, "rotation axis")
@@ -150,8 +208,8 @@ def angle_between(a, b):
     return np.arccos(np.clip(d, -1.0, 1.0))
 
 
-def solve_rotation(src, dst) -> "Rotation":
-    """Minimal rotations taking the directions of `src` to those of `dst`.
+def solve_rotation(src, dst) -> np.ndarray:
+    """Minimal rotations (..., 4) taking the directions of `src` to those of `dst`.
 
     The rotation axis is the normalized cross product, so there is no twist
     about the source direction. Antiparallel inputs rotate 180 degrees about a
@@ -179,134 +237,5 @@ def solve_rotation(src, dst) -> "Rotation":
         axis[aligned] = ref
         angle[aligned] = math.pi
     q = quat_from_axis_angle(axis, angle)
-    q[parallel] = _IDENTITY
-    return Rotation.wrap(q)
-
-
-class Rotation:
-    """Immutable 3D rotation, or a batch of them, viewing unit quaternions q (..., 4).
-
-    Indexing and len() run over the batch axes; every method broadcasts the
-    batch axes of its operands.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, w: float, x: float, y: float, z: float):
-        self.q = quat_normalize(np.array([w, x, y, z], dtype=float))
-        self.q.setflags(write=False)
-
-    @classmethod
-    def wrap(cls, q: np.ndarray) -> "Rotation":
-        """Wrap quaternions that are already unit length and canonical."""
-        r = object.__new__(cls)
-        q = q.view()
-        q.setflags(write=False)
-        r.q = q
-        return r
-
-    @classmethod
-    def from_quat(cls, q) -> "Rotation":
-        """Normalize and canonicalize (..., 4) quaternions (w, x, y, z)."""
-        return cls.wrap(quat_normalize(q))
-
-    @classmethod
-    def stack(cls, rotations) -> "Rotation":
-        """One batch from a sequence of rotations of equal batch shape."""
-        return cls.wrap(np.stack([r.q for r in rotations]))
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls.wrap(_IDENTITY.copy())
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle) -> "Rotation":
-        """Rotation of `angle` radians about `axis` (need not be unit length)."""
-        return cls.wrap(quat_from_axis_angle(axis, angle))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Rotation":
-        """Build from a rotation matrix (orthonormal within 1e-6, det +1)."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        err = float(np.max(np.abs(m.T @ m - np.eye(3))))
-        if err > 1e-6:
-            raise ValueError(f"matrix is not orthonormal (max |M^T M - I| = {err:.3e})")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("matrix has negative determinant (reflection)")
-        t = float(np.trace(m))
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] > m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        return cls(w, x, y, z)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Batch shape; () for a single rotation."""
-        return self.q.shape[:-1]
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("a single rotation has no length")
-        return self.shape[0]
-
-    def __getitem__(self, index) -> "Rotation":
-        if not self.shape:
-            raise TypeError("a single rotation cannot be indexed")
-        if not isinstance(index, tuple):
-            index = (index,)
-        return Rotation.wrap(self.q[index + (Ellipsis, slice(None))])
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """Hamilton product self * other: apply `other` first, then self."""
-        return Rotation.wrap(quat_mul(self.q, other.q))
-
-    def __matmul__(self, other: "Rotation") -> "Rotation":
-        return self.compose(other)
-
-    def inverse(self) -> "Rotation":
-        return Rotation.wrap(quat_inverse(self.q))
-
-    def apply(self, v) -> np.ndarray:
-        """Rotate 3-vectors; v is (..., 3) and broadcasts against the batch."""
-        return quat_apply(self.q, v)
-
-    def matrix(self) -> np.ndarray:
-        return quat_matrix(self.q)
-
-    def angle(self):
-        """Rotation angle in [0, pi]."""
-        return 2.0 * np.arccos(np.minimum(1.0, self.q[..., 0]))
-
-    def angle_to(self, other: "Rotation"):
-        """Angular distance to another rotation, in [0, pi]."""
-        d = np.abs(np.sum(self.q * other.q, axis=-1))
-        return 2.0 * np.arccos(np.minimum(1.0, d))
-
-    def __repr__(self) -> str:
-        if self.shape:
-            return f"Rotation(batch shape {self.shape})"
-        w, x, y, z = self.q
-        return f"Rotation(w={w:.9g}, x={x:.9g}, y={y:.9g}, z={z:.9g})"
+    q[parallel] = IDENTITY
+    return q

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .rotmath import Rotation, angle_between, quat_inverse, quat_mul, solve_rotation
+from .rotmath import IDENTITY, angle_between, quat_apply, quat_inverse, quat_mul, solve_rotation
 
 _BONE_EPS = 1e-9
 
@@ -99,26 +99,25 @@ class MotionParams:
     """Root position (mm) plus one local rotation per joint, for one frame or,
     on leading batch axes, for many.
 
-    root_translation is (..., 3) and rotations a Rotation of batch shape
-    (..., J); a sequence of single rotations is stacked into one. Indexing and
-    len() run over the frame axis.
+    root_translation is (..., 3) and rotations (..., J, 4) unit quaternions,
+    stored as a read-only view. Indexing and len() run over the frame axis.
     """
 
     root_translation: np.ndarray
-    rotations: Rotation
+    rotations: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.root_translation, dtype=float)
         if t.shape[-1:] != (3,):
             raise ValueError(f"root translation must be a 3-vector, got {t.shape}")
-        rots = self.rotations
-        if not isinstance(rots, Rotation):
-            rots = Rotation.stack(rots)
-        if not rots.shape or rots.shape[:-1] != t.shape[:-1]:
+        q = np.asarray(self.rotations, dtype=float)
+        if q.ndim < 2 or q.shape[-1] != 4 or q.shape[:-2] != t.shape[:-1]:
             raise ValueError(
-                f"rotations of batch shape {rots.shape} do not match root translations {t.shape}")
+                f"rotations of shape {q.shape} do not match root translations {t.shape}")
+        q = q.view()
+        q.setflags(write=False)
         object.__setattr__(self, "root_translation", t)
-        object.__setattr__(self, "rotations", rots)
+        object.__setattr__(self, "rotations", q)
 
     def __len__(self) -> int:
         if self.root_translation.ndim == 1:
@@ -132,27 +131,27 @@ class MotionParams:
 
 
 def _check_params(skel: SkeletonDefinition, params: MotionParams) -> None:
-    if params.rotations.shape[-1] != skel.joint_count:
+    if params.rotations.shape[-2] != skel.joint_count:
         raise TopologyError(
-            f"params carry {params.rotations.shape[-1]} rotations for a {skel.joint_count}-joint skeleton"
+            f"params carry {params.rotations.shape[-2]} rotations for a {skel.joint_count}-joint skeleton"
         )
 
 
-def global_rotations(skel: SkeletonDefinition, params: MotionParams) -> Rotation:
+def global_rotations(skel: SkeletonDefinition, params: MotionParams) -> np.ndarray:
     """Accumulated global rotation per joint (root = its own local rotation),
-    as a Rotation of the params' batch shape (..., J)."""
+    as (..., J, 4) quaternions of the params' batch shape."""
     _check_params(skel, params)
-    local = params.rotations.q
+    local = params.rotations
     out = np.empty_like(local)
     out[..., 0, :] = local[..., 0, :]
     for j in range(1, skel.joint_count):
         out[..., j, :] = quat_mul(out[..., skel.parents[j], :], local[..., j, :])
-    return Rotation.wrap(out)
+    return out
 
 
 def forward_kinematics(skel: SkeletonDefinition, params: MotionParams) -> np.ndarray:
     """Joint positions (..., J, 3) mm: X_j = X_parent + R_j_global (T-pose bone of j)."""
-    offsets = global_rotations(skel, params).apply(skel.bones)
+    offsets = quat_apply(global_rotations(skel, params), skel.bones)
     pos = np.empty_like(offsets)
     pos[..., 0, :] = params.root_translation
     for j in range(1, skel.joint_count):
@@ -163,7 +162,7 @@ def forward_kinematics(skel: SkeletonDefinition, params: MotionParams) -> np.nda
 def igik(
     skel: SkeletonDefinition,
     pose: np.ndarray,
-    imu_rotations: Mapping[int, Rotation],
+    imu_rotations: Mapping[int, np.ndarray],
     theta_t: float,
 ) -> MotionParams:
     """Inverse kinematics with an IMU override gate, over one (J, 3) pose or a
@@ -173,9 +172,10 @@ def igik(
     rotation taking its T-pose bone to the observed bone. If the joint carries
     a calibrated sensor rotation and the angle between the sensor-predicted
     bone and the observed bone exceeds theta_t, the sensor rotation replaces
-    the visual one. Sensor rotations broadcast against the frame axes (one
-    rotation, or one per frame). Local rotations are extracted against the
-    parent's global, so replacements shift every descendant's position.
+    the visual one. Sensor rotations are (..., 4) quaternions that broadcast
+    against the frame axes: one (4,) rotation, or (T, 4) with one per frame.
+    Local rotations are extracted against the parent's global, so
+    replacements shift every descendant's position.
 
     Observed bone lengths are not trusted: running forward_kinematics on the
     result restores T-pose lengths while reproducing observed directions.
@@ -198,17 +198,17 @@ def igik(
         frame = int(at[0]) if pose.ndim == 3 else None
         raise DegenerateBoneError(j, skel.names[j], float(np.linalg.norm(b_obs[at])), frame)
     glob = np.empty(pose.shape[:-1] + (4,))
-    glob[..., 0, :] = Rotation.identity().q
-    glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs).q
+    glob[..., 0, :] = IDENTITY
+    glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs)
     for j, imu_rot in imu_rotations.items():
-        fire = angle_between(imu_rot.apply(skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
-        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot.q, glob[..., j, :])
+        fire = angle_between(quat_apply(imu_rot, skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
+        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot, glob[..., j, :])
     del b_obs  # frame batches are large: drop each temporary once it is used
     relative = quat_mul(quat_inverse(glob[..., parents, :]), glob[..., 1:, :])
     local = np.empty_like(glob)
-    local[..., 0, :] = Rotation.identity().q
+    local[..., 0, :] = IDENTITY
     local[..., 1:, :] = relative
-    return MotionParams(pose[..., 0, :].copy(), Rotation.wrap(local))
+    return MotionParams(pose[..., 0, :].copy(), local)
 
 
 def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionParams:
@@ -219,13 +219,13 @@ def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionPara
 def refine_sequence(
     skel: SkeletonDefinition,
     poses: np.ndarray,
-    imu_rotations: Mapping[int, Rotation] | None,
+    imu_rotations: Mapping[int, np.ndarray] | None,
     theta_t: float,
 ) -> np.ndarray:
     """sf2: igik + forward_kinematics over all frames of a (T, J, 3) array.
 
-    imu_rotations maps a joint index to its calibrated sensor rotations, a
-    Rotation of batch shape (T,). A degenerate observed bone raises
+    imu_rotations maps a joint index to its calibrated sensor rotations,
+    (T, 4) quaternions. A degenerate observed bone raises
     DegenerateBoneError carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .camera import Camera, look_at
 from .imu import CalibrationSet, ImuStream, SensorCalibration
-from .rotmath import Rotation, quat_from_axis_angle, quat_mul, quat_normalize
+from .rotmath import IDENTITY, quat_apply, quat_from_axis_angle, quat_inverse, quat_mul, quat_normalize
 from .skeleton import MotionParams, SkeletonDefinition, forward_kinematics, global_rotations
 
 TWO_PI = 2.0 * math.pi
@@ -73,9 +73,9 @@ class JointTrack:
     def angle_accel(self, t):
         return sum(w.accel(t) for w in self.waves)
 
-    def rotation(self, t) -> Rotation:
-        """The local rotation at time t, or a batch of them for an array of times."""
-        return Rotation.from_axis_angle(np.asarray(self.axis), self.angle(t))
+    def rotation(self, t) -> np.ndarray:
+        """The local rotation (4,) at time t, or (..., 4) for an array of times."""
+        return quat_from_axis_angle(np.asarray(self.axis), self.angle(t))
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ class MotionScript:
     def params_at(self, skel: SkeletonDefinition, t) -> MotionParams:
         """Motion params at time t, batched over the axes of an array of times."""
         quats = np.empty(np.shape(t) + (skel.joint_count, 4))
-        quats[...] = Rotation.identity().q
+        quats[...] = IDENTITY
         for j, track in self.tracks.items():
-            quats[..., j, :] = track.rotation(t).q
-        return MotionParams(skel.tpose[0] + self.root_offset(t), Rotation.wrap(quats))
+            quats[..., j, :] = track.rotation(t)
+        return MotionParams(skel.tpose[0] + self.root_offset(t), quats)
 
 
 def generate_truth(
@@ -185,12 +185,12 @@ def derive_imu(
     """
     joints = calib.joint_indices(skel)
     acc = finite_acceleration(forward_kinematics(skel, params), fps)
-    r_global = Rotation.stack([c.r_global for c in calib.sensors])
-    r_joint = Rotation.stack([c.r_joint for c in calib.sensors])
-    sample_rot = r_global.inverse() @ r_joint @ global_rotations(skel, params)[:, joints]
-    world_to_sensor = (r_global @ sample_rot).inverse()
-    accels = world_to_sensor.apply(acc[:, joints] - np.asarray(calib.gravity, dtype=float))
-    return ImuStream(calib.sensor_ids, sample_rot.q, accels)
+    r_global = np.stack([c.r_global for c in calib.sensors])
+    r_joint = np.stack([c.r_joint for c in calib.sensors])
+    sample_rot = quat_mul(quat_mul(quat_inverse(r_global), r_joint), global_rotations(skel, params)[:, joints])
+    world_to_sensor = quat_inverse(quat_mul(r_global, sample_rot))
+    accels = quat_apply(world_to_sensor, acc[:, joints] - np.asarray(calib.gravity, dtype=float))
+    return ImuStream(calib.sensor_ids, sample_rot, accels)
 
 
 @dataclass(frozen=True)
@@ -347,9 +347,8 @@ def default_skeleton() -> SkeletonDefinition:
     return SkeletonDefinition(DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, DEFAULT_TPOSE)
 
 
-def _random_rotation(rng: np.random.Generator) -> Rotation:
-    q = rng.standard_normal(4)
-    return Rotation(*q)
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    return quat_normalize(rng.standard_normal(4))
 
 
 def default_calibration(skel: SkeletonDefinition | None = None, seed: int = 11) -> CalibrationSet:

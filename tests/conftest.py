@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vifuse import Rotation
+from vifuse.rotmath import quat_normalize
 
 
 @pytest.fixture
@@ -9,14 +9,27 @@ def rng():
     return np.random.default_rng(0)
 
 
-def random_rotation(rng) -> Rotation:
-    return Rotation(*rng.standard_normal(4))
+def random_rotation(rng) -> np.ndarray:
+    return quat_normalize(rng.standard_normal(4))
 
 
-def rot_distance(a: Rotation, b: Rotation) -> float:
+def rot_distance(a, b) -> float:
     """Small-angle-accurate rotation distance: angle ~ 2 * quaternion distance."""
-    d = min(float(np.linalg.norm(a.q - b.q)), float(np.linalg.norm(a.q + b.q)))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
     return 2.0 * d
+
+
+def rot_angle(q):
+    """Angle in [0, pi] of the rotations of (..., 4) unit quaternions with w >= 0."""
+    return 2.0 * np.arccos(np.minimum(1.0, np.asarray(q)[..., 0]))
+
+
+def rot_angle_between(a, b):
+    """Angular distance in [0, pi] between (..., 4) unit quaternions."""
+    d = np.abs(np.sum(np.asarray(a) * np.asarray(b), axis=-1))
+    return 2.0 * np.arccos(np.minimum(1.0, d))
 
 
 def fd_gradient(fun, x: np.ndarray, h_rel: float = 1e-6) -> np.ndarray:

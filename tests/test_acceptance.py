@@ -48,7 +48,7 @@ from vifuse import (
 )
 from vifuse.cli import main
 from vifuse.camera import Camera
-from vifuse.rotmath import Rotation
+from vifuse.rotmath import IDENTITY
 
 from conftest import fd_gradient, max_rel_err, random_rotation, rot_distance
 
@@ -101,7 +101,7 @@ def smooth_random_fragment(rng, n=8, j=5, fps=5.0):
     phase = rng.uniform(0.0, 6.0, (1, j, 3))
     center = rng.uniform(-120.0, 120.0, (1, j, 3))
     base = center + amp * np.sin(2.0 * np.pi * freq * t + phase)
-    cam = Camera(900.0, 900.0, 12.0, -7.0, Rotation.identity(), [0.0, 0.0, -2500.0])
+    cam = Camera(900.0, 900.0, 12.0, -7.0, IDENTITY, [0.0, 0.0, -2500.0])
     sj, sp = np.array([2, 4]), np.array([1, 3])
     acc = finite_acceleration(base, fps)
     obs = Observations(
@@ -308,7 +308,7 @@ def test_c07_schedule_and_streaming():
     t_n, j_n = 500, 3
     truth = rng.uniform(-200.0, 200.0, (t_n, j_n, 3))
     truth[..., 2] += 2000.0
-    cam = Camera(500.0, 500.0, 0.0, 0.0, Rotation.identity(), np.zeros(3))
+    cam = Camera(500.0, 500.0, 0.0, 0.0, IDENTITY, np.zeros(3))
     obs = SequenceObservations(
         fps=25.0,
         pixels=cam.project(truth) + rng.normal(0.0, 0.5, (t_n, j_n, 2)),

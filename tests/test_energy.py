@@ -9,7 +9,6 @@ from vifuse import (
     Fragment,
     MissingObservationError,
     Observations,
-    Rotation,
     SCALE_FLOOR,
     TermScales,
     W_MIN,
@@ -20,6 +19,7 @@ from vifuse import (
     total_energy,
     visual_energy,
 )
+from vifuse.rotmath import IDENTITY
 
 from conftest import fd_gradient, max_rel_err
 from test_camera import identity_camera
@@ -40,7 +40,7 @@ def single_sensor_obs(**kw):
 
 def random_setup(rng, n=6, j=4, fps=5.0, sensor_joints=(2, 3), sensor_parents=(1, 0)):
     frag = Fragment(rng.uniform(-50.0, 50.0, (n, j, 3)), fps)
-    cam = Camera(30.0, 32.0, 5.0, -3.0, Rotation.identity(), [0.0, 0.0, -400.0])
+    cam = Camera(30.0, 32.0, 5.0, -3.0, IDENTITY, [0.0, 0.0, -400.0])
     k = len(sensor_joints)
     obs = Observations(
         pixels=rng.uniform(-10.0, 10.0, (n, j, 2)),

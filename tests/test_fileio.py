@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from vifuse import (
     CalibrationSet,
     FormatError,
     ImuStream,
-    Rotation,
     SensorCalibration,
+    SkeletonDefinition,
     default_calibration,
     default_camera,
     default_skeleton,
@@ -23,6 +25,8 @@ from vifuse import (
     write_pose3d,
     write_skeleton,
 )
+
+from vifuse.rotmath import IDENTITY
 
 from conftest import rot_distance
 
@@ -53,6 +57,42 @@ def test_pose3d_write_validation(tmp_path):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         write_pose3d(tmp_path / "x.txt", bad)
+
+
+def _imu_stream(q1, a1=(0.0, 0.0, 0.0)):
+    """One sensor over two frames: identity at rest, then quaternion q1 and reading a1."""
+    return ImuStream(("s0",), np.array([[[1.0, 0.0, 0.0, 0.0]], [q1]]), np.array([[[0.0, 0.0, 0.0]], [a1]]))
+
+
+def _skeleton_with_nan():
+    skel = default_skeleton()
+    tpose = skel.tpose.copy()
+    tpose[4, 1] = np.nan
+    return SkeletonDefinition(skel.names, skel.parents, tpose)
+
+
+WRITES_A_READER_REFUSES = {
+    "pose2d inf pixel": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, 2.0]]])),
+    "pose2d inf pair": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, -np.inf]]])),
+    "imu zero quaternion": lambda p: write_imu(p, _imu_stream([0.0, 0.0, 0.0, 0.0])),
+    "imu nan quaternion": lambda p: write_imu(p, _imu_stream([np.nan, 0.0, 0.0, 0.0])),
+    "imu inf acceleration": lambda p: write_imu(p, _imu_stream([1.0, 0.0, 0.0, 0.0], (0.0, np.inf, 0.0))),
+    "calibration nan gravity": lambda p: write_calibration(
+        p, CalibrationSet(default_calibration().sensors, (0.0, np.nan, 0.0))),
+    "camera zero fx": lambda p: write_camera(p, replace(default_camera(), fx=0.0)),
+    "camera negative fy": lambda p: write_camera(p, replace(default_camera(), fy=-1150.0)),
+    "camera nan cx": lambda p: write_camera(p, replace(default_camera(), cx=np.nan)),
+    "camera inf center": lambda p: write_camera(p, replace(default_camera(), center=(0.0, np.inf, 0.0))),
+    "skeleton nan coordinate": lambda p: write_skeleton(p, _skeleton_with_nan()),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITES_A_READER_REFUSES))
+def test_writer_refuses_what_its_reader_refuses(tmp_path, case):
+    p = tmp_path / "out.txt"
+    with pytest.raises(ValueError):
+        WRITES_A_READER_REFUSES[case](p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize(
@@ -262,7 +302,7 @@ def test_calibration_errors(tmp_path):
     bad = CalibrationSet(
         (
             SensorCalibration(
-                "s 0", "l_knee", Rotation.identity(), Rotation.identity()
+                "s 0", "l_knee", IDENTITY, IDENTITY
             ),
         )
     )

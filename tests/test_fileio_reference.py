@@ -465,7 +465,9 @@ def test_writers_match_per_value_reference(tmp_path, rng, frames):
     ref_write_pose2d(tmp_path / "b.txt", pixels)
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
-    stream = ImuStream(("l_knee", "s_2"), edge_array(rng, (frames, 2, 4)), edge_array(rng, (frames, 2, 3)))
+    q = edge_array(rng, (frames, 2, 4))
+    q[0, 0, 0] = 1.0  # the leading edge values make a zero-norm quaternion, which write_imu refuses
+    stream = ImuStream(("l_knee", "s_2"), q, edge_array(rng, (frames, 2, 3)))
     write_imu(tmp_path / "a.txt", stream)
     ref_write_imu(tmp_path / "b.txt", stream)
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

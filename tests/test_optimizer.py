@@ -9,7 +9,6 @@ from vifuse import (
     Fragment,
     FragmentSchedule,
     Observations,
-    Rotation,
     SequenceObservations,
     SolverSettings,
     StreamingRefiner,
@@ -21,6 +20,7 @@ from vifuse import (
     total_energy,
 )
 from vifuse import energy
+from vifuse.rotmath import IDENTITY
 
 
 def quadratic(a):
@@ -47,7 +47,7 @@ def rosenbrock(x):
 def seq_problem(rng, t_n=30, j_n=3, fps=10.0, sensors=(1, 2), parents=(0, 1)):
     truth = rng.uniform(-200.0, 200.0, (t_n, j_n, 3))
     truth[..., 2] += 2000.0
-    cam = Camera(500.0, 500.0, 0.0, 0.0, Rotation.identity(), np.zeros(3))
+    cam = Camera(500.0, 500.0, 0.0, 0.0, IDENTITY, np.zeros(3))
     noisy = truth + rng.normal(0.0, 8.0, truth.shape)
     k = len(sensors)
     obs = SequenceObservations(
@@ -215,7 +215,7 @@ def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
     pos = np.zeros((4, 2, 3))
     pos[:, 0] = [1.0, 2.0, 4.0]
     pos[:, 1] = [3.0, -1.0, 2.0]
-    cam = Camera(1.0, 1.0, 0.0, 0.0, Rotation.identity(), np.zeros(3))
+    cam = Camera(1.0, 1.0, 0.0, 0.0, IDENTITY, np.zeros(3))
     obs = Observations(pixels=cam.project(pos), camera=cam, accel=np.zeros((4, 1, 3)),
                        bones=pos[:, 1:] - pos[:, :1], sensor_joints=[1], sensor_parents=[0])
     passes = []

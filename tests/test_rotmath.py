@@ -6,10 +6,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vifuse import Rotation, ZeroVectorError, angle_between, solve_rotation
-from vifuse.rotmath import quat_apply, quat_canonical, quat_mul, quat_normalize
+from vifuse import ZeroVectorError, angle_between, solve_rotation
+from vifuse.rotmath import (
+    IDENTITY,
+    quat_apply,
+    quat_canonical,
+    quat_from_axis_angle,
+    quat_from_matrix,
+    quat_inverse,
+    quat_matrix,
+    quat_mul,
+    quat_normalize,
+)
 
-from conftest import random_rotation, rot_distance
+from conftest import random_rotation, rot_angle, rot_angle_between, rot_distance
 
 finite_quat = st.lists(
     st.floats(min_value=-10, max_value=10), min_size=4, max_size=4
@@ -22,69 +32,78 @@ unit_vec = st.lists(
 
 def test_identity_fixes_vectors(rng):
     v = rng.standard_normal((7, 3))
-    assert np.array_equal(Rotation.identity().apply(v), v)
+    assert np.array_equal(quat_apply(IDENTITY, v), v)
 
 
 def test_constructor_normalizes_and_canonicalizes():
-    r = Rotation(-2.0, 0.0, 0.0, 2.0)
-    np.testing.assert_allclose(r.q, [math.sqrt(0.5), 0, 0, -math.sqrt(0.5)], atol=1e-15)
-    assert r.q[0] >= 0.0
+    r = quat_normalize([-2.0, 0.0, 0.0, 2.0])
+    np.testing.assert_allclose(r, [math.sqrt(0.5), 0, 0, -math.sqrt(0.5)], atol=1e-15)
+    assert r[0] >= 0.0
 
 
 def test_canonical_tie_break_at_zero_w():
-    r = Rotation(0.0, -1.0, 0.0, 0.0)
-    np.testing.assert_array_equal(r.q, [0.0, 1.0, 0.0, 0.0])
+    r = quat_normalize([0.0, -1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(r, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_zero_quaternion_rejected():
     with pytest.raises(ZeroVectorError):
-        Rotation(0.0, 0.0, 0.0, 0.0)
+        quat_normalize([0.0, 0.0, 0.0, 0.0])
 
 
 def test_axis_angle_quarter_turn_z():
-    r = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
-    np.testing.assert_allclose(r.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-    assert r.angle() == pytest.approx(math.pi / 2, abs=1e-12)
+    r = quat_from_axis_angle([0, 0, 1], math.pi / 2)
+    np.testing.assert_allclose(quat_apply(r, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
+    assert rot_angle(r) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_apply_matches_matrix(rng):
     for _ in range(20):
         r = random_rotation(rng)
         v = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(r.apply(v), v @ r.matrix().T, atol=1e-12)
+        np.testing.assert_allclose(quat_apply(r, v), v @ quat_matrix(r).T, atol=1e-12)
 
 
 def test_compose_matches_matrix_product(rng):
     a = random_rotation(rng)
     b = random_rotation(rng)
-    np.testing.assert_allclose((a @ b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
+    np.testing.assert_allclose(quat_matrix(quat_mul(a, b)), quat_matrix(a) @ quat_matrix(b), atol=1e-12)
 
 
 def test_inverse_round_trip(rng):
     for _ in range(20):
         r = random_rotation(rng)
-        assert rot_distance(r @ r.inverse(), Rotation.identity()) < 1e-14
+        assert rot_distance(quat_mul(r, quat_inverse(r)), IDENTITY) < 1e-14
         v = rng.standard_normal(3)
-        np.testing.assert_allclose(r.inverse().apply(r.apply(v)), v, atol=1e-12)
+        np.testing.assert_allclose(quat_apply(quat_inverse(r), quat_apply(r, v)), v, atol=1e-12)
 
 
 def test_from_matrix_round_trip(rng):
     for _ in range(50):
         r = random_rotation(rng)
-        assert rot_distance(Rotation.from_matrix(r.matrix()), r) < 1e-13
+        assert rot_distance(quat_from_matrix(quat_matrix(r)), r) < 1e-13
 
 
 def test_from_matrix_near_pi_branches():
-    for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, -0.48, 0.64]):
-        r = Rotation.from_axis_angle(axis, math.pi - 1e-9)
-        assert rot_distance(Rotation.from_matrix(r.matrix()), r) < 1e-7
+    axes = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, -0.48, 0.64])
+    singles = []
+    for axis in axes:
+        r = quat_from_axis_angle(axis, math.pi - 1e-9)
+        singles.append(quat_from_matrix(quat_matrix(r)))
+        assert rot_distance(singles[-1], r) < 1e-7
+    # the same rotations as one batch: each batched matrix converts back alike
+    q = quat_from_axis_angle(axes, math.pi - 1e-9)
+    back = np.array([quat_from_matrix(m) for m in quat_matrix(q)])
+    np.testing.assert_array_equal(back, singles)
+    for got, want in zip(back, q):
+        assert rot_distance(got, want) < 1e-7
 
 
 def test_angle_to_symmetric(rng):
     a = random_rotation(rng)
     b = random_rotation(rng)
-    assert a.angle_to(b) == pytest.approx(b.angle_to(a), abs=1e-15)
-    assert a.angle_to(a) == pytest.approx(0.0, abs=1e-7)
+    assert rot_angle_between(a, b) == pytest.approx(rot_angle_between(b, a), abs=1e-15)
+    assert rot_angle_between(a, a) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_angle_between_basic():
@@ -98,26 +117,26 @@ def test_angle_between_basic():
 def test_solve_rotation_quarter_turn():
     r = solve_rotation([1, 0, 0], [0, 1, 0])
     np.testing.assert_allclose(
-        r.q, [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)], atol=1e-15
+        r, [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)], atol=1e-15
     )
 
 
 def test_solve_rotation_identity_on_parallel():
     r = solve_rotation([2, 1, 0], [4, 2, 0])
-    assert rot_distance(r, Rotation.identity()) == 0.0
+    assert rot_distance(r, IDENTITY) == 0.0
 
 
 def test_solve_rotation_antiparallel_x():
     r = solve_rotation([1, 0, 0], [-1, 0, 0])
-    np.testing.assert_allclose(r.q, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(r.apply([1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(r, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(quat_apply(r, [1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_solve_rotation_antiparallel_general():
     u = np.array([0.6, 0.8, 0.0])
     r = solve_rotation(u, -u)
-    np.testing.assert_allclose(r.apply(u), -u, atol=1e-12)
-    assert r.angle() == pytest.approx(math.pi, abs=1e-12)
+    np.testing.assert_allclose(quat_apply(r, u), -u, atol=1e-12)
+    assert rot_angle(r) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_rotation_rejects_zero():
@@ -130,18 +149,18 @@ def test_solve_rotation_rejects_zero():
 @settings(max_examples=200, deadline=None)
 @given(finite_quat, finite_quat)
 def test_compose_apply_consistent(qa, qb):
-    a = Rotation(*qa)
-    b = Rotation(*qb)
+    a = quat_normalize(qa)
+    b = quat_normalize(qb)
     v = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose((a @ b).apply(v), a.apply(b.apply(v)), atol=1e-10)
+    np.testing.assert_allclose(quat_apply(quat_mul(a, b), v), quat_apply(a, quat_apply(b, v)), atol=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
 @given(finite_quat)
 def test_quaternion_stays_unit_and_canonical(q):
-    r = Rotation(*q)
-    assert np.linalg.norm(r.q) == pytest.approx(1.0, abs=1e-12)
-    assert r.q[0] >= 0.0
+    r = quat_normalize(q)
+    assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+    assert r[0] >= 0.0
 
 
 def _well_conditioned(u, v):
@@ -159,7 +178,7 @@ def _well_conditioned(u, v):
 def test_solve_rotation_maps_direction(u, v):
     assume(_well_conditioned(u, v))
     r = solve_rotation(u, v)
-    got = r.apply(u)
+    got = quat_apply(r, u)
     got /= np.linalg.norm(got)
     want = np.asarray(v, dtype=float)
     want /= np.linalg.norm(want)
@@ -170,7 +189,7 @@ def test_solve_rotation_maps_direction(u, v):
 @given(unit_vec, unit_vec)
 def test_solve_rotation_angle_is_minimal(u, v):
     r = solve_rotation(u, v)
-    assert r.angle() == pytest.approx(angle_between(u, v), abs=1e-7)
+    assert rot_angle(r) == pytest.approx(angle_between(u, v), abs=1e-7)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,7 +198,7 @@ def test_solve_rotation_has_zero_twist(u, v):
     """The axis never has a component along the source vector."""
     assume(_well_conditioned(u, v))
     r = solve_rotation(u, v)
-    axis = r.q[1:]
+    axis = r[1:]
     un = np.asarray(u, dtype=float)
     un /= np.linalg.norm(un)
     assert abs(float(np.dot(axis, un))) < 1e-8
@@ -261,7 +280,7 @@ def test_solve_rotation_batch_maps_src_onto_dst(pairs):
     s = np.linalg.norm(np.cross(u, v), axis=1)
     keep = (s <= 1e-12) | (s > 1e-6)
     assume(keep.any())
-    q = solve_rotation(src[keep], dst[keep]).q
+    q = solve_rotation(src[keep], dst[keep])
     np.testing.assert_allclose(np.einsum("nij,nj->ni", _ref_matrix(q), u[keep]), v[keep], atol=1e-9)
     # zero twist: the rotation axis is orthogonal to src
     np.testing.assert_allclose(np.sum(q[:, 1:] * u[keep], axis=1), 0.0, atol=1e-9)

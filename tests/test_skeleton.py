@@ -6,7 +6,6 @@ import pytest
 from vifuse import (
     DegenerateBoneError,
     MotionParams,
-    Rotation,
     SkeletonDefinition,
     TopologyError,
     UnboundJointError,
@@ -19,6 +18,8 @@ from vifuse import (
     refine_sequence,
     solve_rotation,
 )
+
+from vifuse.rotmath import IDENTITY, quat_apply, quat_from_axis_angle, quat_inverse, quat_matrix, quat_mul
 
 from conftest import random_rotation
 
@@ -62,8 +63,8 @@ def test_topology_validation():
 
 def test_fk_two_bone_quarter_turns():
     skel = chain_skeleton(3)
-    rx90 = Rotation.from_axis_angle([1, 0, 0], math.pi / 2)
-    params = MotionParams(np.zeros(3), (Rotation.identity(), rx90, rx90))
+    rx90 = quat_from_axis_angle([1, 0, 0], math.pi / 2)
+    params = MotionParams(np.zeros(3), (IDENTITY, rx90, rx90))
     pos = forward_kinematics(skel, params)
     np.testing.assert_allclose(pos[0], [0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(pos[1], [0, 0, 100], atol=1e-12)
@@ -72,8 +73,8 @@ def test_fk_two_bone_quarter_turns():
 
 def test_fk_root_rotation_moves_whole_chain():
     skel = chain_skeleton(3)
-    rz90 = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
-    ident = Rotation.identity()
+    rz90 = quat_from_axis_angle([0, 0, 1], math.pi / 2)
+    ident = IDENTITY
     params = MotionParams(np.array([10.0, 0.0, 0.0]), (rz90, ident, ident))
     pos = forward_kinematics(skel, params)
     np.testing.assert_allclose(pos[1], [10 - 100, 0, 0], atol=1e-12)
@@ -85,10 +86,10 @@ def test_global_rotations_accumulate(rng):
     params = random_params(skel, rng)
     globals_ = global_rotations(skel, params)
     expect = params.rotations[0]
-    np.testing.assert_allclose(globals_[0].q, expect.q, atol=1e-14)
+    np.testing.assert_allclose(globals_[0], expect, atol=1e-14)
     for j in range(1, 4):
-        expect = expect @ params.rotations[j]
-        np.testing.assert_allclose(globals_[j].matrix(), expect.matrix(), atol=1e-12)
+        expect = quat_mul(expect, params.rotations[j])
+        np.testing.assert_allclose(quat_matrix(globals_[j]), quat_matrix(expect), atol=1e-12)
 
 
 def test_ik_reproduces_positions(rng):
@@ -130,17 +131,17 @@ def test_ik_shape_check():
 
 def test_igik_rejects_bad_sensor_index():
     skel = chain_skeleton(3)
-    pose = forward_kinematics(skel, MotionParams(np.zeros(3), (Rotation.identity(),) * 3))
+    pose = forward_kinematics(skel, MotionParams(np.zeros(3), (IDENTITY,) * 3))
     for bad in (0, 3, -1):
         with pytest.raises(UnboundJointError):
-            igik(skel, pose, {bad: Rotation.identity()}, 0.1)
+            igik(skel, pose, {bad: IDENTITY}, 0.1)
 
 
 def test_igik_gate_triggers_above_threshold():
     skel = chain_skeleton(3)
     # visual pose: straight up; sensor says joint 1's bone points along +x
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])
-    imu = Rotation.from_axis_angle([0, 0, 1], -math.pi / 2)  # +y bone -> +x
+    imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)  # +y bone -> +x
     out = forward_kinematics(skel, igik(skel, pose, {1: imu}, math.radians(15)))
     np.testing.assert_allclose(out[1], [100, 0, 0], atol=1e-12)
     # joint 2 had no sensor: its observed direction (+y) is kept
@@ -151,7 +152,7 @@ def test_igik_gate_keeps_visual_below_threshold():
     skel = chain_skeleton(3)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])
     # sensor disagrees by ~5 degrees; gate at 15 degrees leaves the pose alone
-    imu = Rotation.from_axis_angle([0, 0, 1], math.radians(5))
+    imu = quat_from_axis_angle([0, 0, 1], math.radians(5))
     out = forward_kinematics(skel, igik(skel, pose, {1: imu}, math.radians(15)))
     np.testing.assert_allclose(out, pose, atol=1e-9)
 
@@ -159,10 +160,10 @@ def test_igik_gate_keeps_visual_below_threshold():
 def test_igik_gate_boundary_is_strict():
     skel = chain_skeleton(2)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
-    imu = Rotation.from_axis_angle([0, 0, 1], math.radians(10))
+    imu = quat_from_axis_angle([0, 0, 1], math.radians(10))
     # gate fires only on strict excess: set theta_t to the exact float the
     # implementation will compare against, so equality keeps the visual pose
-    theta = angle_between(imu.apply(skel.bones[1]), pose[1] - pose[0])
+    theta = angle_between(quat_apply(imu, skel.bones[1]), pose[1] - pose[0])
     out = forward_kinematics(skel, igik(skel, pose, {1: imu}, theta))
     np.testing.assert_allclose(out, pose, atol=1e-9)
     # an infinitesimally smaller gate lets the sensor through
@@ -177,7 +178,7 @@ def test_igik_replacement_shifts_descendants():
     tpose = np.array([[0, 0, 0], [0, 100, 0], [0, 200, 0], [100, 100, 0]], dtype=float)
     skel = SkeletonDefinition(names, parents, tpose)
     pose = tpose.copy()
-    imu = Rotation.from_axis_angle([0, 0, 1], -math.pi / 2)
+    imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)
     out = forward_kinematics(skel, igik(skel, pose, {1: imu}, 0.1))
     np.testing.assert_allclose(out[1], [100, 0, 0], atol=1e-12)
     # locals are extracted against the replaced parent global, so siblings
@@ -203,7 +204,7 @@ def test_refine_sequence_per_frame_maps(rng):
     poses = np.stack([pose, pose])
     # one sensor rotation per frame: frame 0 agrees with the visual bone, frame
     # 1 points it along +x and so passes the gate
-    imu = Rotation.stack([Rotation.identity(), Rotation.from_axis_angle([0, 0, 1], -math.pi / 2)])
+    imu = np.stack([IDENTITY, quat_from_axis_angle([0, 0, 1], -math.pi / 2)])
     out = refine_sequence(skel, poses, {1: imu}, math.radians(15))
     np.testing.assert_allclose(out[0], pose, atol=1e-9)
     np.testing.assert_allclose(out[1][1], [100, 0, 0], atol=1e-12)
@@ -212,16 +213,16 @@ def test_refine_sequence_per_frame_maps(rng):
 def _sf2_frame_loop(skel, pose, imu_rotations, theta_t):
     """One frame of sf2 as a per-joint loop over single rotations: the
     reference the batched igik must reproduce."""
-    globals_ = [Rotation.identity()]
+    globals_ = [IDENTITY]
     for j in range(1, skel.joint_count):
         b_obs = pose[j] - pose[skel.parents[j]]
         g = solve_rotation(skel.bones[j], b_obs)
         imu_rot = imu_rotations.get(j)
-        if imu_rot is not None and angle_between(imu_rot.apply(skel.bones[j]), b_obs) > theta_t:
+        if imu_rot is not None and angle_between(quat_apply(imu_rot, skel.bones[j]), b_obs) > theta_t:
             g = imu_rot
         globals_.append(g)
-    locals_ = [Rotation.identity()] + [
-        globals_[skel.parents[j]].inverse() @ globals_[j] for j in range(1, skel.joint_count)
+    locals_ = [IDENTITY] + [
+        quat_mul(quat_inverse(globals_[skel.parents[j]]), globals_[j]) for j in range(1, skel.joint_count)
     ]
     return forward_kinematics(skel, MotionParams(pose[0], tuple(locals_)))
 
@@ -239,14 +240,14 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
     # even frames: the sensor reads the true global rotation (gate stays shut);
     # odd frames: a random rotation (gate fires)
     imu = {
-        j: Rotation.stack([
+        j: np.stack([
             global_rotations(skel, truth[i])[j] if i % 2 == 0 else random_rotation(rng)
             for i in range(t_n)
         ])
         for j in sensors
     }
     fired = np.array([
-        [angle_between(imu[j][i].apply(skel.bones[j]), poses[i, j] - poses[i, skel.parents[j]]) > theta_t
+        [angle_between(quat_apply(imu[j][i], skel.bones[j]), poses[i, j] - poses[i, skel.parents[j]]) > theta_t
          for j in sensors]
         for i in range(t_n)
     ])
