@@ -27,6 +27,7 @@ from .energy import (
     term_scales,
     total_energy,
     visual_energy,
+    visual_minimum,
 )
 from .fileio import (
     FormatError,

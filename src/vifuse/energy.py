@@ -25,7 +25,8 @@ One kernel evaluates every term. Whatever does not depend on the positions
 (the projection, the observed mask, the sensor gather and scatter, the
 difference operators and the targets) is built once per window and kept with
 its Observations; an evaluation computes the residuals of the active terms,
-their values, then one weighted gradient.
+their values, then one weighted gradient. The visual term alone needs no
+solver: visual_minimum gives its minimum in closed form.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .camera import W_MIN, Camera
+from .rotmath import quat_matrix
 
 SCALE_FLOOR = 1e-9
 
@@ -174,6 +176,11 @@ class EnergyConfig:
         n = self.fragment_len
         if n < 4 or n % 2 != 0:
             raise ValueError(f"fragment_len must be even and >= 4, got {n}")
+
+    @property
+    def inertial_active(self) -> bool:
+        """Whether any inertial term carries weight."""
+        return any(_active_terms(self)[1:])
 
     def with_scales(self, frag: Fragment, obs: Observations) -> "EnergyConfig":
         return replace(self, scales=term_scales(frag, obs, self))
@@ -353,6 +360,34 @@ def visual_energy(frag: Fragment, obs: Observations) -> TermValue:
     behind_camera instead of producing an unbounded residual.
     """
     return _term(frag, obs, 0)
+
+
+def visual_minimum(positions: np.ndarray, pixels: np.ndarray, camera: Camera) -> np.ndarray:
+    """The minimum of the visual term alone nearest to `positions` (..., J, 3).
+
+    Each (frame, joint) enters the visual term only through its own residual,
+    whose zero set is the camera ray through its pixel: origin camera.center,
+    direction R^T K^-1 [u, v, 1]. Every joint moves to the orthogonal
+    projection of its start onto that ray. A joint keeps its start bit for
+    bit when its pixel is missing, when its start depth is at or below W_MIN
+    (the visual term skips it, so its gradient is zero), or when the
+    projected point's depth is at or below W_MIN.
+    """
+    x = np.asarray(positions, dtype=float)
+    px = np.asarray(pixels, dtype=float)
+    observed = np.isfinite(px).all(axis=-1)
+    px = np.where(observed[..., None], px, 0.0)
+    r = quat_matrix(camera.rotation)
+    rel = x - camera.center
+    # Camera-frame ray direction K^-1 [u, v, 1], then into the world frame;
+    # its camera depth is 1, so a point C + t d on the ray has depth t.
+    k_inv = np.stack([(px[..., 0] - camera.cx) / camera.fx,
+                      (px[..., 1] - camera.cy) / camera.fy,
+                      np.ones(px.shape[:-1])], axis=-1)
+    ray = k_inv @ r
+    t = np.einsum("...i,...i->...", rel, ray) / np.einsum("...i,...i->...", ray, ray)
+    move = observed & (rel @ r[2] > W_MIN) & (t > W_MIN)
+    return np.where(move[..., None], camera.center + t[..., None] * ray, x)
 
 
 def accel_energy(frag: Fragment, obs: Observations) -> TermValue:

@@ -273,9 +273,13 @@ def _imu_faults(rows):
 
 
 def write_imu(path, stream: ImuStream) -> None:
+    if stream.frame_count == 0 or not stream.sensor_ids:
+        raise ValueError("imu stream has no samples")
     for sid in stream.sensor_ids:
-        if " " in sid or sid == "":
+        if " " in sid or sid.splitlines() != [sid]:  # empty, or holding a line break
             raise ValueError(f"sensor id {sid!r} not serializable")
+    if len(set(stream.sensor_ids)) != len(stream.sensor_ids):
+        raise ValueError(f"duplicate sensor ids in {stream.sensor_ids}")
     if not (np.isfinite(stream.orientations).all() and np.isfinite(stream.accels).all()):
         raise ValueError("imu values must be finite")
     if _zero_norm(stream.orientations).any():

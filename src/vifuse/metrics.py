@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The jitter error is a third difference, so a full report needs 4 frames.
+REPORT_MIN_FRAMES = 4
+
+
 class LengthMismatchError(ValueError):
     pass
 
@@ -137,8 +141,8 @@ class MetricReport:
 def evaluate(pred, gt, fps: float, per_second: bool = True) -> MetricReport:
     """Compute all three metrics and their per-joint breakdowns at once."""
     pred, gt = _as_pair(pred, gt)
-    if pred.shape[0] < 4:
-        raise TooShortError("full metric report needs at least 4 frames")
+    if pred.shape[0] < REPORT_MIN_FRAMES:
+        raise TooShortError(f"full metric report needs at least {REPORT_MIN_FRAMES} frames")
     jp = per_joint_mpjpe(pred, gt)
     ja = per_joint_mpjae(pred, gt, fps, per_second)
     jj = per_joint_mpjje(pred, gt, fps, per_second)

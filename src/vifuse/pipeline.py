@@ -3,8 +3,10 @@
 Modes:
   baseline  pass the input 3D pose stream through untouched
   sf2       per-frame IMU-gated inverse kinematics only
-  rto       fragment optimization of the visual term only (k_inertial = 0)
-  rtof      sf2 followed by fragment optimization of the full energy
+  rto       the visual term's exact minimum (k_inertial = 0): each joint
+            projected onto its pixel's camera ray, with no fragments
+  rtof      sf2 followed by fragment optimization of the full energy, or by
+            rto's projection when no inertial term is active
 
 Runs are deterministic: identical inputs and config produce byte-identical
 output files (no timing or environment data is written to results).
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import Camera
-from .energy import EnergyConfig
+from .energy import EnergyConfig, visual_minimum
 from .fileio import (
     read_calibration,
     read_camera,
@@ -36,7 +38,7 @@ from .fileio import (
     write_skeleton,
 )
 from .imu import CalibrationSet, ImuStream, calibrate_stream
-from .metrics import MetricReport, evaluate
+from .metrics import REPORT_MIN_FRAMES, MetricReport, evaluate
 from .optimizer import RefineStats, SequenceObservations, SolverSettings, refine_batch
 from .skeleton import SkeletonDefinition, refine_sequence
 from .synth import NoiseSpec, SyntheticDataset, default_script, make_dataset
@@ -91,7 +93,10 @@ def apply_mode(
 ) -> tuple[np.ndarray, RefineStats | None]:
     """In-memory form of the run command; returns (refined poses, solver stats).
 
-    Stats are None for the modes that never touch the optimizer.
+    With no active inertial term (always in rto), each joint is independent
+    and the start (the input poses in rto, sf2's in rtof) goes through
+    visual_minimum, or comes back unchanged if k_visual is 0 too. Stats are
+    None whenever the optimizer does not run.
     """
     energy = energy if energy is not None else EnergyConfig()
     solver = solver if solver is not None else SolverSettings()
@@ -128,11 +133,15 @@ def apply_mode(
         return refine_sequence(skel, poses, imu_rotations, energy.theta_t), None
 
     if mode == "rto":
-        cfg = dataclasses.replace(energy, k_inertial=0.0)
-        seq_obs = SequenceObservations(fps=fps, pixels=pixels, camera=camera)
-        return refine_batch(poses, seq_obs, cfg, solver)
+        start, inertial = poses, False  # the visual-only ablation: k_inertial = 0
+    else:
+        start = refine_sequence(skel, poses, imu_rotations, energy.theta_t)
+        inertial = energy.inertial_active
+    if not inertial:
+        if energy.k_visual == 0.0:
+            return start.copy(), None
+        return visual_minimum(start, pixels, camera), None
 
-    start = refine_sequence(skel, poses, imu_rotations, energy.theta_t)
     seq_obs = SequenceObservations(
         fps=fps,
         pixels=pixels,
@@ -154,7 +163,7 @@ def _build_from_dict(cls, data: dict, what: str):
         return cls(**data)
     except ConfigError:  # RunConfig's own checks; keep their category
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an infinite duration
         raise ConfigError(f"bad {what} options: {e}") from None
 
 
@@ -253,6 +262,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
         if truth.shape != output.shape:
             raise ConfigError(
                 f"truth shape {truth.shape} does not match output {output.shape}")
+        if truth.shape[0] < REPORT_MIN_FRAMES:
+            raise DataError(
+                f"truth stream has {truth.shape[0]} frame(s); the metric report needs "
+                f"at least {REPORT_MIN_FRAMES}")
         report = evaluate(output, truth, config.fps, config.per_second_metrics)
 
     warnings = []
@@ -288,6 +301,15 @@ class SynthConfig:
     fps: float = 25.0
     script_seed: int = 7
     noise: NoiseSpec = field(default_factory=lambda: DEFAULT_NOISE)
+
+    def __post_init__(self):
+        # The written run_config.json names the truth, so its run needs enough
+        # frames for the metric report.
+        frames = int(round(self.duration * self.fps))
+        if frames < REPORT_MIN_FRAMES:
+            raise ConfigError(
+                f"{self.duration} s at {self.fps} fps gives {frames} frame(s); "
+                f"need at least {REPORT_MIN_FRAMES}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":

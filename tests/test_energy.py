@@ -17,7 +17,9 @@ from vifuse import (
     smooth_energy,
     term_scales,
     total_energy,
+    look_at,
     visual_energy,
+    visual_minimum,
 )
 from vifuse.rotmath import IDENTITY
 
@@ -102,6 +104,62 @@ def test_visual_behind_camera_skipped_and_counted():
     assert tv.value == pytest.approx(2.0, abs=1e-12)
     assert tv.behind_camera == 1
     np.testing.assert_array_equal(tv.grad[2], 0.0)
+
+
+def ray_setup(rng, n=5, j=6):
+    """A rotated camera, noisy detections of random points and starts off them."""
+    cam = look_at([300.0, -200.0, -2500.0], [0.0, 0.0, 0.0], 1100.0, 1050.0, 640.0, 360.0)
+    truth = rng.uniform(-400.0, 400.0, (n, j, 3))
+    pixels = cam.project(truth) + rng.normal(0.0, 3.0, (n, j, 2))
+    start = truth + rng.normal(0.0, 40.0, (n, j, 3))
+    return cam, start, pixels
+
+
+def test_visual_minimum_reprojects_onto_detections(rng):
+    cam, start, pixels = ray_setup(rng)
+    out = visual_minimum(start, pixels, cam)
+    np.testing.assert_allclose(cam.project(out), pixels, rtol=0.0, atol=1e-6)
+
+
+def test_visual_minimum_is_orthogonal_projection(rng):
+    cam, start, pixels = ray_setup(rng)
+    out = visual_minimum(start, pixels, cam)
+    # Ray directions from the 3x4 projection, independent of the camera's quaternion.
+    m = cam.matrix[:, :3]
+    homogeneous = np.concatenate([pixels, np.ones(pixels.shape[:-1] + (1,))], axis=-1)
+    ray = np.linalg.solve(m, homogeneous.reshape(-1, 3).T).T.reshape(start.shape)
+    step = out - start
+    cos = np.einsum("...i,...i->...", step, ray) / (
+        np.linalg.norm(step, axis=-1) * np.linalg.norm(ray, axis=-1))
+    assert np.abs(cos).max() <= 1e-9
+    on_ray = np.cross(out - cam.center, ray)
+    assert (np.linalg.norm(on_ray, axis=-1)
+            <= 1e-9 * np.linalg.norm(out - cam.center, axis=-1) * np.linalg.norm(ray, axis=-1)).all()
+
+
+def test_visual_minimum_zeroes_the_visual_term(rng):
+    cam, start, pixels = ray_setup(rng)
+    obs = Observations(pixels=pixels, camera=cam)
+    assert visual_energy(Fragment(start, 5.0), obs).value > 1.0
+    tv = visual_energy(Fragment(visual_minimum(start, pixels, cam), 5.0), obs)
+    assert tv.value <= 1e-18
+    assert np.abs(tv.grad).max() <= 1e-9
+
+
+def test_visual_minimum_keeps_unprojectable_joints():
+    cam = identity_camera()
+    start = np.array([[
+        [0.3, 0.2, 5.0],     # missing pixel
+        [0.3, 0.2, -5.0],    # start behind the camera
+        [0.3, 0.2, W_MIN],   # start on the guard plane
+        [1000.0, 0.0, 10.0],  # in front, but its ray points the other way
+        [0.3, 0.2, 5.0],     # projects normally
+    ]])
+    pixels = np.array([[[np.nan, np.nan], [0.1, 0.1], [0.1, 0.1], [-1.0, 0.0], [0.1, 0.1]]])
+    out = visual_minimum(start, pixels, cam)
+    assert out[0, :4].tobytes() == start[0, :4].tobytes()
+    np.testing.assert_allclose(out[0, 4, :2] / out[0, 4, 2], [0.1, 0.1], rtol=1e-12)
+    assert not np.array_equal(out[0, 4], start[0, 4])
 
 
 def test_visual_requires_obs():

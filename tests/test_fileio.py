@@ -77,6 +77,11 @@ WRITES_A_READER_REFUSES = {
     "imu zero quaternion": lambda p: write_imu(p, _imu_stream([0.0, 0.0, 0.0, 0.0])),
     "imu nan quaternion": lambda p: write_imu(p, _imu_stream([np.nan, 0.0, 0.0, 0.0])),
     "imu inf acceleration": lambda p: write_imu(p, _imu_stream([1.0, 0.0, 0.0, 0.0], (0.0, np.inf, 0.0))),
+    "imu duplicate sensor ids": lambda p: write_imu(p, ImuStream(
+        ("a", "a"), np.tile([1.0, 0.0, 0.0, 0.0], (2, 2, 1)), np.zeros((2, 2, 3)))),
+    "imu sensor id with line break": lambda p: write_imu(p, ImuStream(
+        ("a\nb",), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1, 1)), np.zeros((2, 1, 3)))),
+    "imu zero frames": lambda p: write_imu(p, ImuStream(("s0",), np.zeros((0, 1, 4)), np.zeros((0, 1, 3)))),
     "calibration nan gravity": lambda p: write_calibration(
         p, CalibrationSet(default_calibration().sensors, (0.0, np.nan, 0.0))),
     "camera zero fx": lambda p: write_camera(p, replace(default_camera(), fx=0.0)),

@@ -6,9 +6,11 @@ import pytest
 from vifuse import (
     ConfigError,
     EnergyConfig,
+    ImuStream,
     MissingInputError,
     NoiseSpec,
     RunConfig,
+    SequenceObservations,
     SolverSettings,
     SynthConfig,
     apply_mode,
@@ -17,11 +19,16 @@ from vifuse import (
     generate_dataset,
     make_dataset,
     mpjje,
+    mpjpe,
+    read_imu,
     read_pose2d,
     read_pose3d,
+    refine_batch,
     refine_sequence,
     run_pipeline,
+    visual_minimum,
     write_dataset,
+    write_imu,
     write_pose2d,
     write_pose3d,
     write_results,
@@ -101,6 +108,35 @@ def test_rto_forces_visual_only(ds):
         **kw,
     )
     np.testing.assert_array_equal(base, heavy)
+
+
+def test_rto_is_the_visual_minimum_and_beats_the_fragment_solve(ds):
+    out, stats = apply_mode("rto", ds.skeleton, ds.inputs, ds.fps, pixels=ds.pixels, camera=ds.camera)
+    assert stats is None
+    assert out.tobytes() == visual_minimum(ds.inputs, ds.pixels, ds.camera).tobytes()
+    # Reference: the fragment solve of the same visual-only energy.
+    obs = SequenceObservations(fps=ds.fps, pixels=ds.pixels, camera=ds.camera)
+    solved, _ = refine_batch(ds.inputs, obs, EnergyConfig(k_inertial=0.0), SolverSettings())
+    assert mpjpe(out, ds.truth) <= mpjpe(solved, ds.truth)
+    assert mpjje(out, ds.truth, ds.fps) <= mpjje(solved, ds.truth, ds.fps)
+
+
+def test_rtof_without_inertial_terms_projects_the_sf2_start(ds):
+    kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu)
+    sf2_out, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, **kw)
+    visual_only = EnergyConfig(k_visual=1.0, k_inertial=0.0)
+    no_subterms = EnergyConfig(k_accel=0.0, k_bone=0.0, k_smooth=0.0)
+    for energy in (visual_only, no_subterms):
+        out, stats = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=energy, **kw)
+        assert stats is None
+        assert out.tobytes() == visual_minimum(sf2_out, ds.pixels, ds.camera).tobytes()
+    # Nothing active at all: the start comes back unchanged.
+    nothing = EnergyConfig(k_visual=0.0, k_inertial=1.0, k_accel=0.0, k_bone=0.0, k_smooth=0.0)
+    out, stats = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=nothing, **kw)
+    assert stats is None
+    assert out.tobytes() == sf2_out.tobytes()
+    out, _ = apply_mode("rto", ds.skeleton, ds.inputs, ds.fps, energy=nothing, **kw)
+    assert out.tobytes() == ds.inputs.tobytes() and out is not ds.inputs
 
 
 def test_rtof_runs_and_improves_jitter(ds):
@@ -379,6 +415,24 @@ def test_cli_synth_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", [0.04, 0.08, 0.1])
+def test_cli_synth_too_few_frames_exits_2(tmp_path, capsys, duration):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"duration": duration}))
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    frames = round(duration * 25)
+    assert "config error" in err and f"gives {frames} frame(s)" in err and "at least 4" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_cli_synth_infinite_duration_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"duration": float("inf")}))
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def synth_small(tmp_path, capsys):
     data_dir = tmp_path / "data"
     synth_cfg = tmp_path / "synth.json"
@@ -430,6 +484,23 @@ def test_cli_pose2d_joint_count_mismatch_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and "5 joints" in err and "21" in err
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["baseline", "sf2", "rto", "rtof"])
+def test_cli_short_truth_stream_exits_3(tmp_path, capsys, frames, mode):
+    data_dir = synth_small(tmp_path, capsys)
+    for name in ("truth_pose3d.txt", "input_pose3d.txt"):
+        write_pose3d(data_dir / name, read_pose3d(data_dir / name)[:frames])
+    write_pose2d(data_dir / "pose2d.txt", read_pose2d(data_dir / "pose2d.txt")[:frames])
+    imu = read_imu(data_dir / "imu.txt")
+    write_imu(data_dir / "imu.txt", ImuStream(
+        imu.sensor_ids, imu.orientations[:frames], imu.accels[:frames]))
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", mode])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{frames} frame(s)" in err and "at least 4" in err
 
 
 def test_cli_zero_quaternion_exits_3(tmp_path, capsys):
