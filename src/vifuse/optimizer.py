@@ -18,7 +18,6 @@ import numpy as np
 from .camera import Camera
 from .energy import EnergyConfig, Fragment, Observations, total_energy
 
-_FIRST_STEP = 1.0  # trial step length (coordinate units) for the first iteration
 _CURVATURE_EPS = 1e-12
 
 
@@ -27,10 +26,11 @@ class SolverSettings:
     """Limited-memory minimizer knobs.
 
     Stops on the gradient infinity-norm tolerance or the iteration cap,
-    whichever comes first. The strong Wolfe line search only ever accepts
-    decreasing steps, so the returned energy never exceeds the initial one;
-    a failed line search returns the best iterate so far with a warning flag
-    rather than raising.
+    whichever comes first; `converged` means only that the tolerance was met,
+    not that the minimum was reached (default fragments stop 15-20% above
+    theirs). The strong Wolfe line search only ever accepts decreasing steps,
+    so the returned energy never exceeds the initial one; a failed line search
+    returns the best iterate so far with a warning flag rather than raising.
     """
 
     max_iterations: int = 30
@@ -149,7 +149,11 @@ def minimize_array(
     """L-BFGS over a flat array; `fun` returns (value, gradient).
 
     `start` is fun(x0) when the caller already has it. Guaranteed monotone:
-    the result value never exceeds fun(x0).
+    the result value never exceeds fun(x0). With no curvature history (the
+    first iteration, or after a non-descent reset) the line search starts
+    along -g at Polyak's step f / (g.g), which zeroes the linear model of a
+    function bounded below by 0, or at unit length when f <= 0. `converged`
+    means the gradient infinity-norm reached settings.grad_tol.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = fun(x) if start is None else start
@@ -168,9 +172,10 @@ def minimize_array(
             d = -g
         if s_list:
             alpha_init = 1.0
+        elif f > 0.0:
+            alpha_init = f / float(np.dot(g, g))  # Polyak: zeroes the linear model
         else:
-            dnorm = float(np.linalg.norm(d))
-            alpha_init = _FIRST_STEP / dnorm if dnorm > 0.0 else 1.0
+            alpha_init = 1.0 / float(np.linalg.norm(d))
         ls = _strong_wolfe(fun, x, f, g, d, alpha_init, settings.wolfe_c1, settings.wolfe_c2)
         if not ls.ok:
             ls_failed = True

@@ -66,8 +66,9 @@ class MissingInputError(ConfigError):
 
 
 class DataError(ValueError):
-    """Input streams that parse but cannot be used together, such as a 2D
-    stream whose joint count differs from the skeleton's."""
+    """Input streams that parse but cannot be used together, such as streams
+    whose frame counts differ or a stream whose joint count differs from the
+    skeleton's."""
 
 
 def _mode_requirements(mode: str, have_visual: bool, have_inertial: bool) -> None:
@@ -104,14 +105,14 @@ def apply_mode(
     _mode_requirements(mode, pixels is not None and camera is not None,
                        calib is not None and imu is not None)
     if poses.ndim != 3 or poses.shape[1] != skel.joint_count:
-        raise ConfigError(
+        raise DataError(
             f"pose stream shape {poses.shape} does not match {skel.joint_count}-joint skeleton")
 
     if mode == "baseline":
         return poses.copy(), None
     if mode in ("rto", "rtof"):
         if pixels.shape[0] != poses.shape[0]:
-            raise ConfigError(
+            raise DataError(
                 f"2D stream has {pixels.shape[0]} frames, pose stream {poses.shape[0]}")
         if pixels.shape[1] != skel.joint_count:
             raise DataError(
@@ -122,7 +123,7 @@ def apply_mode(
     sensor_joints = sensor_parents = None
     if mode in ("sf2", "rtof"):
         if imu.frame_count != poses.shape[0]:
-            raise ConfigError(
+            raise DataError(
                 f"IMU stream has {imu.frame_count} frames, pose stream {poses.shape[0]}")
         rotations, accel, bones = calibrate_stream(calib, imu, skel)
         sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
@@ -260,7 +261,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     if config.truth:
         truth = read_pose3d(config.truth)
         if truth.shape != output.shape:
-            raise ConfigError(
+            raise DataError(
                 f"truth shape {truth.shape} does not match output {output.shape}")
         if truth.shape[0] < REPORT_MIN_FRAMES:
             raise DataError(

@@ -19,7 +19,7 @@ from vifuse import (
     run_stream,
     total_energy,
 )
-from vifuse import energy
+from vifuse import energy, optimizer
 from vifuse.rotmath import IDENTITY
 
 
@@ -106,6 +106,54 @@ def test_iteration_cap_respected():
     )
     assert res.iterations == 2
     assert not res.converged
+
+
+def test_first_step_is_polyak_for_positive_values():
+    # f = |x - a|^2 with |a| = 2000 from x = 0: the Polyak step f/|g|^2 lands
+    # at a/2, which meets both Wolfe conditions, so the first line search
+    # probes once; a unit-length first step doubles 8 times before it stops.
+    a = np.full(4, 1000.0)
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return quadratic(a)(x)
+
+    x0 = np.zeros(4)
+    res = minimize_array(fun, x0, SolverSettings(max_iterations=1), quadratic(a)(x0))
+    assert res.iterations == 1
+    assert len(calls) == 1
+    np.testing.assert_allclose(res.x, a / 2)
+
+
+def test_first_step_has_unit_length_for_nonpositive_values():
+    # f is not bounded below by 0 here, so the Polyak step does not apply.
+    a = np.array([30.0, -40.0])
+    probes = []
+
+    def fun(x):
+        probes.append(x.copy())
+        f, g = quadratic(a)(x)
+        return f - 1e4, g
+
+    minimize_array(fun, np.zeros(2), SolverSettings(max_iterations=1))
+    assert np.linalg.norm(probes[1]) == pytest.approx(1.0)
+
+
+def test_fragment_solve_spends_few_evaluations_beyond_its_iterations(rng, monkeypatch):
+    poses, obs = seq_problem(rng, t_n=50)
+    frag = Fragment(poses, obs.fps, 0)
+    window = obs.window(np.arange(50))
+    calls = []
+    monkeypatch.setattr(optimizer, "total_energy",
+                        lambda *a: calls.append(1) or total_energy(*a))
+    one = minimize_fragment(frag, window, EnergyConfig(fragment_len=50),
+                            SolverSettings(max_iterations=1))
+    assert one.iterations == 1 and len(calls) == 2  # the start, then one probe
+    calls.clear()
+    res = minimize_fragment(frag, window, EnergyConfig(fragment_len=50), SolverSettings())
+    assert res.iterations > 0
+    assert len(calls) <= res.iterations + 3
 
 
 def test_result_is_monotone(rng):

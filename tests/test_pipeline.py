@@ -5,10 +5,13 @@ import pytest
 
 from vifuse import (
     ConfigError,
+    DataError,
     EnergyConfig,
+    Fragment,
     ImuStream,
     MissingInputError,
     NoiseSpec,
+    Observations,
     RunConfig,
     SequenceObservations,
     SolverSettings,
@@ -26,6 +29,7 @@ from vifuse import (
     refine_batch,
     refine_sequence,
     run_pipeline,
+    visual_energy,
     visual_minimum,
     write_dataset,
     write_imu,
@@ -69,13 +73,13 @@ def test_mode_requirements(ds):
 
 
 def test_shape_mismatches(ds):
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         apply_mode("baseline", ds.skeleton, ds.inputs[:, :5], ds.fps)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         apply_mode(
             "sf2", ds.skeleton, ds.inputs[:-1], ds.fps, calib=ds.calibration, imu=ds.imu
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         apply_mode(
             "rto", ds.skeleton, ds.inputs, ds.fps, pixels=ds.pixels[:-1], camera=ds.camera
         )
@@ -110,15 +114,22 @@ def test_rto_forces_visual_only(ds):
     np.testing.assert_array_equal(base, heavy)
 
 
-def test_rto_is_the_visual_minimum_and_beats_the_fragment_solve(ds):
+def test_rto_is_the_visual_minimum_nearest_the_start(ds):
     out, stats = apply_mode("rto", ds.skeleton, ds.inputs, ds.fps, pixels=ds.pixels, camera=ds.camera)
     assert stats is None
     assert out.tobytes() == visual_minimum(ds.inputs, ds.pixels, ds.camera).tobytes()
-    # Reference: the fragment solve of the same visual-only energy.
+    # Reference: the fragment solve of the same visual-only energy. Which of
+    # the two lies nearer the truth depends on the solver's path, so compare
+    # what the projection has by construction: no more visual energy, and no
+    # farther from the start than the solver's output carried onto its rays.
     obs = SequenceObservations(fps=ds.fps, pixels=ds.pixels, camera=ds.camera)
     solved, _ = refine_batch(ds.inputs, obs, EnergyConfig(k_inertial=0.0), SolverSettings())
-    assert mpjpe(out, ds.truth) <= mpjpe(solved, ds.truth)
-    assert mpjje(out, ds.truth, ds.fps) <= mpjje(solved, ds.truth, ds.fps)
+    visual = Observations(pixels=ds.pixels, camera=ds.camera)
+    assert (visual_energy(Fragment(out, ds.fps), visual).value
+            <= visual_energy(Fragment(solved, ds.fps), visual).value)
+    on_rays = visual_minimum(solved, ds.pixels, ds.camera)
+    moved = np.linalg.norm(out - ds.inputs, axis=-1)
+    assert np.all(moved <= np.linalg.norm(on_rays - ds.inputs, axis=-1) + 1e-9)
 
 
 def test_rtof_without_inertial_terms_projects_the_sf2_start(ds):
@@ -484,6 +495,42 @@ def test_cli_pose2d_joint_count_mismatch_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and "5 joints" in err and "21" in err
+
+
+def drop_last_frame(path):
+    if path.name == "imu.txt":
+        imu = read_imu(path)
+        write_imu(path, ImuStream(imu.sensor_ids, imu.orientations[:-1], imu.accels[:-1]))
+    elif path.name == "pose2d.txt":
+        write_pose2d(path, read_pose2d(path)[:-1])
+    else:
+        write_pose3d(path, read_pose3d(path)[:-1])
+
+
+@pytest.mark.parametrize("name, message", [
+    ("pose2d.txt", "2D stream has 9 frames, pose stream 10"),
+    ("imu.txt", "IMU stream has 9 frames, pose stream 10"),
+    ("truth_pose3d.txt", "truth shape (9, 21, 3) does not match output (10, 21, 3)"),
+], ids=["pose2d", "imu", "truth"])
+def test_cli_frame_count_mismatch_exits_3(tmp_path, capsys, name, message):
+    data_dir = synth_small(tmp_path, capsys)
+    drop_last_frame(data_dir / name)
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "rtof"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
+
+
+def test_cli_pose3d_joint_count_mismatch_exits_3(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    poses = read_pose3d(data_dir / "input_pose3d.txt")
+    write_pose3d(data_dir / "input_pose3d.txt", poses[:, :20])
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "baseline"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "(10, 20, 3)" in err and "21-joint skeleton" in err
 
 
 @pytest.mark.parametrize("frames", [1, 2, 3])
