@@ -19,6 +19,14 @@ from .camera import Camera
 from .energy import EnergyConfig, Fragment, Observations, total_energy
 
 _CURVATURE_EPS = 1e-12
+# Backtracking line search (Nocedal & Wright, Numerical Optimization, Alg. 3.1):
+# a trial step is accepted when it decreases f by at least _C1 of the linear
+# model's decrease and its slope along the line is at most _C2 of the initial
+# slope's magnitude (no overshoot past the line minimum); otherwise it is
+# halved, at most _MAX_HALVINGS times.
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -28,16 +36,14 @@ class SolverSettings:
     Stops on the gradient infinity-norm tolerance or the iteration cap,
     whichever comes first; `converged` means only that the tolerance was met,
     not that the minimum was reached (default fragments stop 15-20% above
-    theirs). The strong Wolfe line search only ever accepts decreasing steps,
-    so the returned energy never exceeds the initial one; a failed line search
+    theirs). The halving line search only ever accepts decreasing steps, so
+    the returned energy never exceeds the initial one; a failed line search
     returns the best iterate so far with a warning flag rather than raising.
     """
 
     max_iterations: int = 30
     history: int = 10
     grad_tol: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -46,8 +52,6 @@ class SolverSettings:
             raise ValueError("history must be >= 1")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("need 0 < wolfe_c1 < wolfe_c2 < 1")
 
 
 class MinimizeResult(NamedTuple):
@@ -58,71 +62,6 @@ class MinimizeResult(NamedTuple):
     iterations: int
     converged: bool
     line_search_failed: bool
-
-
-class _LineSearchResult(NamedTuple):
-    ok: bool
-    alpha: float
-    value: float
-    grad: np.ndarray | None
-
-
-def _strong_wolfe(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    f0: float,
-    g0: np.ndarray,
-    direction: np.ndarray,
-    alpha_init: float,
-    c1: float,
-    c2: float,
-    max_expand: int = 20,
-    max_zoom: int = 30,
-) -> _LineSearchResult:
-    dphi0 = float(np.dot(g0, direction))
-    if not np.isfinite(dphi0) or dphi0 >= 0.0:
-        return _LineSearchResult(False, 0.0, f0, None)
-
-    def probe(a: float) -> tuple[float, np.ndarray, float]:
-        fa, ga = fun(x0 + a * direction)
-        return fa, ga, float(np.dot(ga, direction))
-
-    def zoom(a_lo, f_lo, dphi_lo, g_lo, a_hi, f_hi) -> _LineSearchResult:
-        for _ in range(max_zoom):
-            if abs(a_hi - a_lo) <= 1e-12 * max(1.0, abs(a_lo)):
-                break
-            a = 0.5 * (a_lo + a_hi)
-            fa, ga, dphia = probe(a)
-            if fa > f0 + c1 * a * dphi0 or fa >= f_lo:
-                a_hi, f_hi = a, fa
-            else:
-                if abs(dphia) <= -c2 * dphi0:
-                    return _LineSearchResult(True, a, fa, ga)
-                if dphia * (a_hi - a_lo) >= 0.0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo, dphi_lo, g_lo = a, fa, dphia, ga
-        # Interval collapsed before the curvature condition held; the low end
-        # still carries a sufficient decrease, so use it rather than fail.
-        if f_lo < f0 and g_lo is not None:
-            return _LineSearchResult(True, a_lo, f_lo, g_lo)
-        return _LineSearchResult(False, 0.0, f0, None)
-
-    a_prev, f_prev, dphi_prev, g_prev = 0.0, f0, dphi0, g0
-    a = alpha_init
-    for i in range(max_expand):
-        fa, ga, dphia = probe(a)
-        if fa > f0 + c1 * a * dphi0 or (i > 0 and fa >= f_prev):
-            return zoom(a_prev, f_prev, dphi_prev, g_prev, a, fa)
-        if abs(dphia) <= -c2 * dphi0:
-            return _LineSearchResult(True, a, fa, ga)
-        if dphia >= 0.0:
-            return zoom(a, fa, dphia, ga, a_prev, f_prev)
-        a_prev, f_prev, dphi_prev, g_prev = a, fa, dphia, ga
-        a *= 2.0
-    if a_prev > 0.0 and f_prev < f0:
-        # Expansion never met the curvature condition; keep the decrease.
-        return _LineSearchResult(True, a_prev, f_prev, g_prev)
-    return _LineSearchResult(False, 0.0, f0, None)
 
 
 def _two_loop(g, s_list, y_list, rho_list) -> np.ndarray:
@@ -152,8 +91,10 @@ def minimize_array(
     the result value never exceeds fun(x0). With no curvature history (the
     first iteration, or after a non-descent reset) the line search starts
     along -g at Polyak's step f / (g.g), which zeroes the linear model of a
-    function bounded below by 0, or at unit length when f <= 0. `converged`
-    means the gradient infinity-norm reached settings.grad_tol.
+    function bounded below by 0, or at unit length when f <= 0; otherwise at
+    the full quasi-Newton step. It halves the step until it decreases f
+    enough without overshooting the line minimum, and never lengthens it.
+    `converged` means the gradient infinity-norm reached settings.grad_tol.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = fun(x) if start is None else start
@@ -171,17 +112,22 @@ def minimize_array(
             s_list, y_list, rho_list = [], [], []
             d = -g
         if s_list:
-            alpha_init = 1.0
+            alpha = 1.0
         elif f > 0.0:
-            alpha_init = f / float(np.dot(g, g))  # Polyak: zeroes the linear model
+            alpha = f / float(np.dot(g, g))  # Polyak: zeroes the linear model
         else:
-            alpha_init = 1.0 / float(np.linalg.norm(d))
-        ls = _strong_wolfe(fun, x, f, g, d, alpha_init, settings.wolfe_c1, settings.wolfe_c2)
-        if not ls.ok:
+            alpha = 1.0 / float(np.linalg.norm(d))
+        gd = float(np.dot(g, d))
+        for _ in range(_MAX_HALVINGS + 1):
+            x_new = x + alpha * d
+            f_new, g_new = fun(x_new)
+            g_new = np.asarray(g_new, dtype=float).ravel()
+            if f_new <= f + _C1 * alpha * gd and float(np.dot(g_new, d)) <= _C2 * abs(gd):
+                break
+            alpha *= 0.5
+        else:
             ls_failed = True
             break
-        x_new = x + ls.alpha * d
-        g_new = np.asarray(ls.grad, dtype=float).ravel()
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -193,7 +139,7 @@ def minimize_array(
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
-        x, f, g = x_new, ls.value, g_new
+        x, f, g = x_new, f_new, g_new
         iterations += 1
         gnorm = float(np.max(np.abs(g)))
     return MinimizeResult(x, f0, f, gnorm, iterations, gnorm <= settings.grad_tol, ls_failed)
@@ -332,24 +278,22 @@ def _solve_window(
     return minimize_fragment(frag, seq_obs.window(rows), cfg, settings)
 
 
+def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
+    """Average window k-1's second half with window k's first half: the
+    `stride` frames from window k's start. Windows lie on axis -3 of (..., N, J, 3)."""
+    return (first[..., stride:, :, :] + second[..., :stride, :, :]) * 0.5
+
+
 def merge_fragments(schedule: FragmentSchedule, fragments: list[Fragment]) -> np.ndarray:
     """Average the two overlapping copies of every original frame; padding slots
     (clamped replicas) are discarded."""
     if len(fragments) != schedule.window_count:
         raise ValueError(f"expected {schedule.window_count} fragments, got {len(fragments)}")
-    t_n = schedule.frame_count
-    j_n = fragments[0].joint_count
-    out = np.zeros((t_n, j_n, 3))
-    count = np.zeros(t_n, dtype=int)
-    for k, frag in enumerate(fragments):
-        start = schedule.window_start(k)
-        t = np.arange(start, start + schedule.fragment_len)
-        m = (t >= 0) & (t < t_n)
-        out[t[m]] += frag.positions[m]
-        count[t[m]] += 1
-    if not np.all(count == 2):
-        raise RuntimeError("schedule did not cover every frame exactly twice")
-    return out * 0.5
+    if (schedule.window_count - 1) * schedule.stride < schedule.frame_count:
+        raise RuntimeError("schedule does not cover every frame")
+    pos = np.stack([frag.positions for frag in fragments])
+    merged = _average_halves(pos[:-1], pos[1:], schedule.stride)
+    return merged.reshape(-1, *merged.shape[2:])[:schedule.frame_count]
 
 
 @dataclass(frozen=True)
@@ -397,9 +341,10 @@ class StreamingRefiner:
     Poses and their observation rows are pushed together, one frame per call,
     into ring buffers of N rows (frame t at row t % N). A window is optimized
     as soon as its last real frame arrives, when all N of its frames are still
-    in the ring, and a frame is emitted once both of its covering windows are
-    done (at most N frames plus one solve behind the input). finish() flushes
-    the trailing replica-padded windows. Output is bitwise-identical to
+    in the ring. Only the previous window's solution is kept: solving window k
+    emits the N/2 frames it shares with window k-1, averaged as merge_fragments
+    averages them (at most N frames plus one solve behind the input). finish()
+    flushes the trailing replica-padded windows. Output is bitwise-identical to
     refine_batch on the same data.
     """
 
@@ -420,29 +365,23 @@ class StreamingRefiner:
             fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
         self._frames = 0
-        self._done: dict[int, Fragment] = {}
+        self._prev: np.ndarray | None = None  # positions of the last solved window
         self._next_window = 0
-        self._next_emit = 0
         self._finished = False
 
-    def _run_window(self, schedule: FragmentSchedule, k: int) -> None:
-        res = _solve_window(schedule, k, self._pos, self._obs, self._cfg, self._settings)
-        self._done[k] = res.fragment
-        self._next_window = k + 1
-
-    def _emit_ready(self, schedule: FragmentSchedule) -> list[tuple[int, np.ndarray]]:
+    def _run_windows(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Solve windows up to `stop`; each emits the frames it shares with the one before."""
         out = []
-        while self._next_emit < schedule.frame_count:
-            t = self._next_emit
-            k1, k2 = schedule.covering_windows(t)
-            if k2 >= self._next_window:
-                break
-            row1 = self._done[k1].positions[t - schedule.window_start(k1)]
-            row2 = self._done[k2].positions[t - schedule.window_start(k2)]
-            out.append((t, (row1 + row2) * 0.5))
-            self._next_emit += 1
-        for k in [k for k in self._done if schedule.window_start(k) + self._len <= self._next_emit]:
-            del self._done[k]
+        for k in range(self._next_window, stop):
+            res = _solve_window(schedule, k, self._pos, self._obs, self._cfg, self._settings)
+            cur = res.fragment.positions
+            if k > 0:
+                start = schedule.window_start(k)
+                rows = _average_halves(self._prev, cur, schedule.stride)
+                end = min(start + schedule.stride, schedule.frame_count)
+                out += [(t, rows[t - start]) for t in range(start, end)]
+            self._prev = cur
+        self._next_window = stop
         return out
 
     def push(
@@ -479,9 +418,8 @@ class StreamingRefiner:
                 rings[name][self._frames % self._len] = row
         self._frames += 1
         schedule = FragmentSchedule(self._frames, self._len)
-        while schedule.window_start(self._next_window) + self._len <= self._frames:
-            self._run_window(schedule, self._next_window)
-        return self._emit_ready(schedule)
+        # window k ends at frame (k + 1) * stride - 1, so it is whole once that arrives
+        return self._run_windows(schedule, self._frames // schedule.stride)
 
     def finish(self) -> list[tuple[int, np.ndarray]]:
         """Flush trailing windows; returns the remaining frames in order."""
@@ -491,9 +429,7 @@ class StreamingRefiner:
         if self._frames == 0:
             return []
         schedule = FragmentSchedule(self._frames, self._len)
-        for k in range(self._next_window, schedule.window_count):
-            self._run_window(schedule, k)
-        return self._emit_ready(schedule)
+        return self._run_windows(schedule, schedule.window_count)
 
 
 def run_stream(

@@ -155,8 +155,9 @@ def apply_mode(
     return refine_batch(start, seq_obs, energy, solver)
 
 
-def _build_from_dict(cls, data: dict, what: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
+def _build_from_dict(cls, data: dict, what: str, internal: tuple[str, ...] = ()):
+    """Build `cls` from a JSON object; fields named in `internal` are not options."""
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(internal)
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
@@ -221,7 +222,8 @@ class RunConfig:
             if data.get(key) is not None:
                 data[key] = str(base / data[key])
         if "energy" in data:
-            data["energy"] = _build_from_dict(EnergyConfig, data["energy"], "energy")
+            # the solver sets scales itself at each fragment's start point
+            data["energy"] = _build_from_dict(EnergyConfig, data["energy"], "energy", ("scales",))
         if "solver" in data:
             data["solver"] = _build_from_dict(SolverSettings, data["solver"], "solver")
         return _build_from_dict(cls, data, "config")
@@ -250,6 +252,15 @@ def run_pipeline(config: RunConfig) -> RunResult:
     camera = read_camera(config.camera) if config.camera else None
     calib = read_calibration(config.calibration) if config.calibration else None
     imu = read_imu(config.imu) if config.imu else None
+    truth = read_pose3d(config.truth) if config.truth else None
+    if truth is not None:  # check before solving: every mode outputs this shape
+        out_shape = (poses.shape[0], skel.joint_count, 3)
+        if truth.shape != out_shape:
+            raise DataError(f"truth shape {truth.shape} does not match output {out_shape}")
+        if truth.shape[0] < REPORT_MIN_FRAMES:
+            raise DataError(
+                f"truth stream has {truth.shape[0]} frame(s); the metric report needs "
+                f"at least {REPORT_MIN_FRAMES}")
 
     output, stats = apply_mode(
         config.mode, skel, poses, config.fps,
@@ -258,15 +269,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     )
 
     report = None
-    if config.truth:
-        truth = read_pose3d(config.truth)
-        if truth.shape != output.shape:
-            raise DataError(
-                f"truth shape {truth.shape} does not match output {output.shape}")
-        if truth.shape[0] < REPORT_MIN_FRAMES:
-            raise DataError(
-                f"truth stream has {truth.shape[0]} frame(s); the metric report needs "
-                f"at least {REPORT_MIN_FRAMES}")
+    if truth is not None:
         report = evaluate(output, truth, config.fps, config.per_second_metrics)
 
     warnings = []

@@ -67,12 +67,6 @@ class JointTrack:
     def angle(self, t):
         return sum(w.value(t) for w in self.waves)
 
-    def angle_rate(self, t):
-        return sum(w.rate(t) for w in self.waves)
-
-    def angle_accel(self, t):
-        return sum(w.accel(t) for w in self.waves)
-
     def rotation(self, t) -> np.ndarray:
         """The local rotation (4,) at time t, or (..., 4) for an array of times."""
         return quat_from_axis_angle(np.asarray(self.axis), self.angle(t))

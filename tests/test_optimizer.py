@@ -67,9 +67,6 @@ def test_settings_validation():
         dict(max_iterations=0),
         dict(history=0),
         dict(grad_tol=0.0),
-        dict(wolfe_c1=0.0),
-        dict(wolfe_c1=0.5, wolfe_c2=0.4),
-        dict(wolfe_c2=1.0),
     ):
         with pytest.raises(ValueError):
             SolverSettings(**bad)
@@ -110,7 +107,7 @@ def test_iteration_cap_respected():
 
 def test_first_step_is_polyak_for_positive_values():
     # f = |x - a|^2 with |a| = 2000 from x = 0: the Polyak step f/|g|^2 lands
-    # at a/2, which meets both Wolfe conditions, so the first line search
+    # at a/2, which meets both line-search conditions, so the first line search
     # probes once; a unit-length first step doubles 8 times before it stops.
     a = np.full(4, 1000.0)
     calls = []
@@ -128,6 +125,8 @@ def test_first_step_is_polyak_for_positive_values():
 
 def test_first_step_has_unit_length_for_nonpositive_values():
     # f is not bounded below by 0 here, so the Polyak step does not apply.
+    # The unit step still descends steeply along the line; the line search
+    # accepts it rather than lengthening it, so one probe follows the start.
     a = np.array([30.0, -40.0])
     probes = []
 
@@ -138,6 +137,7 @@ def test_first_step_has_unit_length_for_nonpositive_values():
 
     minimize_array(fun, np.zeros(2), SolverSettings(max_iterations=1))
     assert np.linalg.norm(probes[1]) == pytest.approx(1.0)
+    assert len(probes) == 2
 
 
 def test_fragment_solve_spends_few_evaluations_beyond_its_iterations(rng, monkeypatch):
@@ -336,7 +336,8 @@ def test_stream_buffers_stay_bounded(rng):
             streamed[i] = row
         if t == 0:
             rings = (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)
-        assert len(r._done) <= 2
+        # the only solved window held is the last one, to average with the next
+        assert r._prev is None or r._prev.shape == (n, *poses.shape[1:])
     for i, row in r.finish():
         streamed[i] = row
     # the rings allocated by the first push are the only ones, at N rows each

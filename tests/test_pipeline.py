@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from vifuse import (
     write_pose3d,
     write_results,
 )
+from vifuse import pipeline
 from vifuse.cli import main
 
 
@@ -520,6 +522,35 @@ def test_cli_frame_count_mismatch_exits_3(tmp_path, capsys, name, message):
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and message in err
+
+
+def test_truth_stream_is_checked_before_the_solve(tmp_path, capsys, monkeypatch):
+    data_dir = synth_small(tmp_path, capsys)
+    drop_last_frame(data_dir / "truth_pose3d.txt")
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("apply_mode ran before the truth stream was checked")
+
+    monkeypatch.setattr(pipeline, "apply_mode", no_solve)
+    with pytest.raises(DataError, match=re.escape(
+            "truth shape (9, 21, 3) does not match output (10, 21, 3)")):
+        run_pipeline(RunConfig.from_file(data_dir / "run_config.json"))
+
+
+@pytest.mark.parametrize("section, option, value", [
+    ("energy", "scales", [1e9, 1e9, 1e9, 1e9]),  # set by the solver at each fragment's start
+    ("solver", "wolfe_c1", 1e-4),  # the line search's constants are not options
+    ("solver", "wolfe_c2", 0.9),
+])
+def test_cli_non_option_exits_2(tmp_path, capsys, section, option, value):
+    data_dir = synth_small(tmp_path, capsys)
+    config = json.loads((data_dir / "run_config.json").read_text())
+    config.setdefault(section, {})[option] = value
+    (data_dir / "run_config.json").write_text(json.dumps(config))
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown {section} option(s): {option}" in err
 
 
 def test_cli_pose3d_joint_count_mismatch_exits_3(tmp_path, capsys):
