@@ -417,6 +417,10 @@ def read_calibration(path) -> CalibrationSet:
         line_no, tokens = r.next_tokens("sensor record")
         if len(tokens) != 11 or tokens[0] != "sensor":
             r.fail(line_no, "expected 'sensor <id> <joint> <r_global quat> <r_joint quat>'")
+        if any(cal.sensor_id == tokens[1] for cal in sensors):
+            r.fail(line_no, f"duplicate sensor {tokens[1]}")
+        if any(cal.joint == tokens[2] for cal in sensors):
+            r.fail(line_no, f"joint {tokens[2]} is bound to more than one sensor")
         vals = np.array([r.parse_float(line_no, tok, "quaternion component") for tok in tokens[3:]])
         _check_quaternions(r, line_no, vals.reshape(2, 4))
         sensors.append(

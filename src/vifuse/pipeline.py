@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,17 @@ from .optimizer import RefineStats, SequenceObservations, SolverSettings, refine
 from .skeleton import SkeletonDefinition, refine_sequence
 from .synth import NoiseSpec, SyntheticDataset, default_script, make_dataset
 
-MODES = ("baseline", "rto", "sf2", "rtof")
+# The optional streams each mode reads; skeleton, pose3d and truth (when
+# given) are read in every mode. A run opens no other configured stream.
+_VISUAL = ("pose2d", "camera")
+_INERTIAL = ("calibration", "imu")
+MODE_STREAMS = {
+    "baseline": (),
+    "rto": _VISUAL,
+    "sf2": _INERTIAL,
+    "rtof": _VISUAL + _INERTIAL,
+}
+MODES = tuple(MODE_STREAMS)
 
 # CLI-default corruption: mixed per-frame noise on every stream.
 DEFAULT_NOISE = NoiseSpec(
@@ -71,13 +82,15 @@ class DataError(ValueError):
     skeleton's."""
 
 
-def _mode_requirements(mode: str, have_visual: bool, have_inertial: bool) -> None:
+def _mode_requirements(mode: str, given: set[str]) -> None:
+    """Check that every optional stream `mode` reads is among `given`."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
-    if mode in ("rto", "rtof") and not have_visual:
-        raise MissingInputError(f"mode {mode} requires 2D observations and a camera")
-    if mode in ("sf2", "rtof") and not have_inertial:
-        raise MissingInputError(f"mode {mode} requires an IMU stream and calibration")
+    for name in MODE_STREAMS[mode]:
+        if name not in given:
+            needs = ("2D observations and a camera" if name in _VISUAL
+                     else "an IMU stream and calibration")
+            raise MissingInputError(f"mode {mode} requires {needs}")
 
 
 def apply_mode(
@@ -102,8 +115,8 @@ def apply_mode(
     energy = energy if energy is not None else EnergyConfig()
     solver = solver if solver is not None else SolverSettings()
     poses = np.asarray(poses, dtype=float)
-    _mode_requirements(mode, pixels is not None and camera is not None,
-                       calib is not None and imu is not None)
+    streams = {"pose2d": pixels, "camera": camera, "calibration": calib, "imu": imu}
+    _mode_requirements(mode, {name for name, value in streams.items() if value is not None})
     if poses.ndim != 3 or poses.shape[1] != skel.joint_count:
         raise DataError(
             f"pose stream shape {poses.shape} does not match {skel.joint_count}-joint skeleton")
@@ -155,12 +168,46 @@ def apply_mode(
     return refine_batch(start, seq_obs, energy, solver)
 
 
-def _build_from_dict(cls, data: dict, what: str, internal: tuple[str, ...] = ()):
-    """Build `cls` from a JSON object; fields named in `internal` are not options."""
+# The JSON values each option annotation takes, and how a message names them.
+_OPTION_KINDS = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "float | np.ndarray": ((int, float, np.ndarray), "a finite number or a list of them"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def _is_kind(value, types: tuple[type, ...]) -> bool:
+    if isinstance(value, bool):  # an int to Python, but not a JSON number
+        return bool in types
+    if float in types and isinstance(value, (int, float)):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return isinstance(value, types)
+
+
+def _build_from_dict(cls, data, what: str, internal: tuple[str, ...] = ()):
+    """Build `cls` from a JSON object; fields named in `internal` are not options.
+
+    An option whose annotation is in _OPTION_KINDS must hold a value of that
+    kind; the others are sections, built by the caller.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"{what} options must be a JSON object, got {json.dumps(data, default=str)}")
     allowed = {f.name for f in dataclasses.fields(cls)} - set(internal)
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
+    for f in dataclasses.fields(cls):
+        types, kind = _OPTION_KINDS.get(f.type, ((object,), ""))
+        if f.name in data and not _is_kind(data[f.name], types):
+            value = json.dumps(data[f.name], default=str)
+            raise ConfigError(f"{what} option {f.name} must be {kind}, got {value}")
     try:
         return cls(**data)
     except ConfigError:  # RunConfig's own checks; keep their category
@@ -209,17 +256,14 @@ class RunConfig:
         if self.fps <= 0.0:
             raise ConfigError(f"fps must be positive, got {self.fps}")
         _mode_requirements(
-            self.mode,
-            self.pose2d is not None and self.camera is not None,
-            self.imu is not None and self.calibration is not None,
-        )
+            self.mode, {name for name in _VISUAL + _INERTIAL if getattr(self, name) is not None})
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | str = ".") -> "RunConfig":
         base = Path(base_dir)
         data = dict(data)
-        for key in ("skeleton", "pose3d", "pose2d", "camera", "calibration", "imu", "truth"):
-            if data.get(key) is not None:
+        for key in ("skeleton", "pose3d") + _VISUAL + _INERTIAL + ("truth",):
+            if isinstance(data.get(key), str):  # other values are refused below
                 data[key] = str(base / data[key])
         if "energy" in data:
             # the solver sets scales itself at each fragment's start point
@@ -245,13 +289,21 @@ class RunResult:
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
-    """Load streams, apply the configured mode, evaluate against truth if given."""
+    """Load the streams the mode reads, apply it, evaluate against truth if given.
+
+    A configured stream the mode does not read (MODE_STREAMS) is not opened.
+    """
+    used = MODE_STREAMS[config.mode]
+
+    def load(name, reader):
+        return reader(getattr(config, name)) if name in used else None
+
     skel = read_skeleton(config.skeleton)
     poses = read_pose3d(config.pose3d)
-    pixels = read_pose2d(config.pose2d) if config.pose2d else None
-    camera = read_camera(config.camera) if config.camera else None
-    calib = read_calibration(config.calibration) if config.calibration else None
-    imu = read_imu(config.imu) if config.imu else None
+    pixels = load("pose2d", read_pose2d)
+    camera = load("camera", read_camera)
+    calib = load("calibration", read_calibration)
+    imu = load("imu", read_imu)
     truth = read_pose3d(config.truth) if config.truth else None
     if truth is not None:  # check before solving: every mode outputs this shape
         out_shape = (poses.shape[0], skel.joint_count, 3)
@@ -319,10 +371,13 @@ class SynthConfig:
     def from_dict(cls, data: dict) -> "SynthConfig":
         data = dict(data)
         if "noise" in data:
-            noise = dict(data["noise"])
-            for key in ("sigma_depth", "occlusion"):
-                if isinstance(noise.get(key), list):
-                    noise[key] = np.asarray(noise[key], dtype=float)
+            noise = data["noise"]
+            if isinstance(noise, dict):
+                noise = dict(noise)
+                for key in ("sigma_depth", "occlusion"):
+                    value = noise.get(key)
+                    if isinstance(value, list) and all(_is_kind(v, (int, float)) for v in value):
+                        noise[key] = np.asarray(value, dtype=float)
             data["noise"] = _build_from_dict(NoiseSpec, noise, "noise")
         return _build_from_dict(cls, data, "synth")
 

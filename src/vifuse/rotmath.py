@@ -84,10 +84,16 @@ def quat_canonical(q) -> np.ndarray:
 
 
 def quat_normalize(q) -> np.ndarray:
-    """Unit-length, sign-canonical copy of (..., 4) quaternions."""
+    """Unit-length, sign-canonical copy of (..., 4) quaternions.
+
+    A finite quaternion too large for its squared norm (a component above
+    1e150) is first scaled by a power of two, which leaves its direction exact.
+    """
     q = np.array(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternions must have shape (..., 4), got {q.shape}")
+    if q.max(initial=0.0) > 1e150 or q.min(initial=0.0) < -1e150:
+        q *= np.where(np.abs(q).max(axis=-1, keepdims=True) > 1e150, 2.0 ** -600, 1.0)
     return _normalize(q)
 
 

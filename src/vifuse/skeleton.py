@@ -63,12 +63,17 @@ class SkeletonDefinition:
             if i > 0 and not 0 <= p < i:
                 raise TopologyError(f"joint {i} has parent {p}; topological order requires 0 <= parent < joint")
         bones = tpose.copy()
-        bones[1:] -= tpose[list(self.parents[1:])]
-        bones[0] = 0.0
-        lengths = np.linalg.norm(bones, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing bone is refused below
+            bones[1:] -= tpose[list(self.parents[1:])]
+            bones[0] = 0.0
+            lengths = np.linalg.norm(bones, axis=1)
         if np.any(lengths[1:] <= _BONE_EPS):
             bad = int(np.argmin(lengths[1:])) + 1
             raise TopologyError(f"T-pose bone of joint {bad} ({self.names[bad]}) has zero length")
+        if not np.isfinite(lengths).all():
+            bad = int(np.argmax(~np.isfinite(lengths)))
+            raise TopologyError(
+                f"T-pose bone of joint {bad} ({self.names[bad]}) has a non-finite length")
         bones.setflags(write=False)
         tpose.setflags(write=False)
         object.__setattr__(self, "_bones", bones)

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from vifuse import (
+    DEFAULT_NOISE,
     Camera,
     EnergyConfig,
     Fragment,
     MissingObservationError,
     Observations,
     SCALE_FLOOR,
+    SequenceObservations,
     TermScales,
     W_MIN,
     accel_energy,
     bone_energy,
+    calibrate_stream,
+    default_script,
+    make_dataset,
     smooth_energy,
     term_scales,
     total_energy,
@@ -398,3 +403,32 @@ def test_total_propagates_behind_camera(rng):
     pos[0, 0, 2] = -1000.0  # behind the test camera at z=-400
     tv = total_energy(Fragment(pos, frag.fps), obs, EnergyConfig())
     assert tv.behind_camera >= 1
+
+
+@pytest.mark.parametrize("t", [0.8, 1.25])
+def test_total_is_flat_along_the_ray_of_a_visual_only_joint(t):
+    # head has no sensor and no sensor child, so it enters only the visual
+    # term, whose residual is unchanged along the line through the camera
+    # center. A solver free to move it can slide it along that line.
+    ds = make_dataset(DEFAULT_NOISE, seed=0, script=default_script(duration=2.0, fps=25.0))
+    _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
+    sensors = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
+    parents = np.array(ds.skeleton.parents)[sensors]
+    head = ds.skeleton.index_of("head")
+    assert head not in sensors and head not in parents
+    seq = SequenceObservations(ds.fps, ds.pixels, ds.camera, accel, bones, sensors, parents)
+    frames = np.arange(EnergyConfig().fragment_len)
+    obs = seq.window(frames)
+    frag = Fragment(ds.inputs[frames], ds.fps)
+    cfg = EnergyConfig().with_scales(frag, obs)  # scales frozen at the start
+    before = total_energy(frag, obs, cfg)
+
+    c = ds.camera.center
+    moved = frag.positions.copy()
+    moved[:, head] = c + t * (moved[:, head] - c)
+    after = total_energy(Fragment(moved, ds.fps), obs, cfg)
+    assert after.value == pytest.approx(before.value, rel=1e-12)
+    for tv, x in ((before, frag.positions), (after, moved)):
+        g, ray = tv.grad[:, head], x[:, head] - c
+        assert np.abs(np.sum(g * ray, axis=1)).max() <= 1e-9 * np.abs(g).max() * np.abs(ray).max()
+        assert np.abs(g).max() > 0.0  # the joint is seen: the check is not vacuous

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ from vifuse import (
     ConfigError,
     DataError,
     EnergyConfig,
+    FormatError,
     Fragment,
     ImuStream,
     MissingInputError,
@@ -286,7 +288,8 @@ def test_run_pipeline_truth_shape_check(tmp_path, ds):
         },
         base_dir=data_dir,
     )
-    with pytest.raises((ConfigError, Exception)):
+    with pytest.raises(FormatError, match=re.escape(
+            "pose2d.txt:1: expected header 'pose3d <version>'")):
         run_pipeline(cfg)
 
 
@@ -581,14 +584,18 @@ def test_cli_short_truth_stream_exits_3(tmp_path, capsys, frames, mode):
     assert "data error" in err and f"{frames} frame(s)" in err and "at least 4" in err
 
 
+def zero_quaternion(imu_path, row):
+    lines = imu_path.read_text().splitlines()
+    fields = lines[row].split(" ")
+    fields[2:6] = ["0", "0", "0", "0"]
+    lines[row] = " ".join(fields)
+    imu_path.write_text("\n".join(lines) + "\n")
+
+
 def test_cli_zero_quaternion_exits_3(tmp_path, capsys):
     data_dir = synth_small(tmp_path, capsys)
     imu_path = data_dir / "imu.txt"
-    lines = imu_path.read_text().splitlines()
-    fields = lines[5].split(" ")
-    fields[2:6] = ["0", "0", "0", "0"]
-    lines[5] = " ".join(fields)
-    imu_path.write_text("\n".join(lines) + "\n")
+    zero_quaternion(imu_path, 5)
     assert run_sf2(data_dir, tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert "format error" in err and f"{imu_path}:6" in err and "quaternion" in err
@@ -631,3 +638,87 @@ def test_cli_bad_rig_value_exits_3(tmp_path, capsys, name, row, edit, message):
     assert code == 3
     err = capsys.readouterr().err
     assert "format error" in err and f"{path}:{row + 1}:" in err and message in err
+
+
+@pytest.mark.parametrize("mode, opened", [
+    ("baseline", set()),
+    ("rto", {"pose2d", "camera"}),
+    ("sf2", {"calibration", "imu"}),
+    ("rtof", {"pose2d", "camera", "calibration", "imu"}),
+])
+def test_run_opens_only_the_streams_its_mode_reads(tmp_path, capsys, monkeypatch, mode, opened):
+    data_dir = synth_small(tmp_path, capsys)
+    seen = set()
+    for name in ("pose2d", "camera", "calibration", "imu"):
+        def reader(path, name=name, read=getattr(pipeline, f"read_{name}")):
+            if name not in opened:
+                pytest.fail(f"mode {mode} opened its {name} stream {path}")
+            seen.add(name)
+            return read(path)
+
+        monkeypatch.setattr(pipeline, f"read_{name}", reader)
+    config = dataclasses.replace(RunConfig.from_file(data_dir / "run_config.json"), mode=mode)
+    assert run_pipeline(config).report is not None
+    assert seen == opened
+
+
+def test_cli_rto_does_not_read_the_imu_stream(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    config = str(data_dir / "run_config.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "valid"), "--mode", "rto"]) == 0
+    zero_quaternion(data_dir / "imu.txt", 5)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "zero"), "--mode", "rto"]) == 0
+    for name in ("refined_pose3d.txt", "metrics.txt", "metrics.json"):
+        assert (tmp_path / "zero" / name).read_bytes() == (tmp_path / "valid" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit, row, message", [
+    (lambda lines: lines + [lines[4]], 11, "duplicate sensor r_upper_arm"),
+    (lambda lines: lines[:5] + [lines[5].replace(" r_wrist ", " l_elbow ")] + lines[6:], 6,
+     "joint l_elbow is bound to more than one sensor"),
+], ids=["repeated_sensor", "repeated_joint"])
+def test_cli_repeated_calibration_record_exits_3(tmp_path, capsys, edit, row, message):
+    data_dir = synth_small(tmp_path, capsys)
+    path = data_dir / "calibration.txt"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert run_sf2(data_dir, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and f"{path}:{row}: {message}" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("pose3d", 5, "config option pose3d must be a string, got 5"),
+    ("truth", ["a"], 'config option truth must be a string or null, got ["a"]'),
+    ("energy", 5, "energy options must be a JSON object, got 5"),
+    ("energy", {"fragment_len": 50.0}, "energy option fragment_len must be an integer, got 50.0"),
+    ("fps", True, "config option fps must be a finite number, got true"),
+    ("fps", float("nan"), "config option fps must be a finite number, got NaN"),
+    ("per_second_metrics", "no", 'config option per_second_metrics must be true or false, got "no"'),
+    ("solver", {"max_iterations": True}, "solver option max_iterations must be an integer, got true"),
+    ("solver", {"history": 2.5}, "solver option history must be an integer, got 2.5"),
+])
+def test_cli_mistyped_run_config_exits_2(tmp_path, capsys, option, value, message):
+    data_dir = synth_small(tmp_path, capsys)
+    config = json.loads((data_dir / "run_config.json").read_text())
+    config[option] = value
+    (data_dir / "run_config.json").write_text(json.dumps(config))
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seed": 1.5}, "synth option seed must be an integer, got 1.5"),
+    ({"duration": "1"}, 'synth option duration must be a finite number, got "1"'),
+    ({"noise": 5}, "noise options must be a JSON object, got 5"),
+    ({"noise": {"sigma_px": False}}, "noise option sigma_px must be a finite number, got false"),
+    ({"noise": {"occlusion": ["a"]}}, "noise option occlusion must be a finite number or a list of them"),
+])
+def test_cli_mistyped_synth_config_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config))
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err

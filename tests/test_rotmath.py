@@ -51,6 +51,16 @@ def test_zero_quaternion_rejected():
         quat_normalize([0.0, 0.0, 0.0, 0.0])
 
 
+def test_huge_quaternion_normalizes_without_overflow():
+    # 1e300 squared overflows; each row keeps its direction, and a row of
+    # ordinary size in the same batch keeps its bits.
+    q = [[1e300, 0.0, -1e300, 0.0], [1.7e308, 1.7e308, 1.7e308, 1.7e308], [0.3, 0.4, 0.0, 1.2]]
+    r = quat_normalize(q)
+    np.testing.assert_allclose(r[0], [math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0], atol=1e-15)
+    np.testing.assert_allclose(r[1], [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    np.testing.assert_array_equal(r[2], quat_normalize(q[2]))
+
+
 def test_axis_angle_quarter_turn_z():
     r = quat_from_axis_angle([0, 0, 1], math.pi / 2)
     np.testing.assert_allclose(quat_apply(r, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)

@@ -59,6 +59,9 @@ def test_topology_validation():
     with pytest.raises(TopologyError):
         # zero-length T-pose bone
         SkeletonDefinition(("a", "b"), (-1, 0), np.zeros((2, 3)))
+    with pytest.raises(TopologyError, match="joint 1 .* non-finite length"):
+        # finite coordinates whose bone length overflows, refused without a warning
+        SkeletonDefinition(("a", "b"), (-1, 0), [[-1e308, 0, 0], [1e308, 0, 0]])
 
 
 def test_fk_two_bone_quarter_turns():
