@@ -66,13 +66,11 @@ from .metrics import (
 from .optimizer import (
     FragmentResult,
     FragmentSchedule,
-    MinimizeResult,
     RefineStats,
     SequenceObservations,
     SolverSettings,
     StreamingRefiner,
     merge_fragments,
-    minimize_array,
     minimize_fragment,
     refine_batch,
     run_stream,

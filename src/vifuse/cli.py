@@ -80,8 +80,6 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, **overrides)
     result = run_pipeline(config)
     written = write_results(result, args.out)
-    for w in result.warnings:
-        print(f"vifuse: warning: {w}", file=sys.stderr)
     print(f"mode {result.mode}: {result.output.shape[0]} frames -> {args.out}")
     print("wrote: " + " ".join(written))
     if result.report is not None:

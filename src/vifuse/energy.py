@@ -22,15 +22,17 @@ fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
 comparable magnitudes.
 
 One kernel evaluates every term. Whatever does not depend on the positions
-(the projection, the observed mask, the sensor gather and scatter, the
-difference operators and the targets) is built once per window and kept with
-its Observations; an evaluation computes the residuals of the active terms,
-their values, then one weighted gradient. The visual term alone needs no
-solver: visual_minimum gives its minimum in closed form.
+(the projection, the observed mask, the sensor gather and scatter and the
+targets) is built once per window and kept with its Observations, the
+difference operators once per window length; an evaluation computes the
+residuals of the active terms, their values, then one weighted gradient. The
+visual term alone needs no solver: visual_minimum gives its minimum in closed
+form. normal_parts gives the pieces of the total's Gauss-Newton normal matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -212,6 +214,19 @@ class _Residuals(NamedTuple):
         return tuple(0.0 if r is None else float(np.vdot(r, r)) for r in self[:4])
 
 
+@functools.lru_cache(maxsize=16)
+def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
+    """The second difference D2 (x fps^2) of n frames, the first difference D1
+    (x fps) of its n - 2 rows, and the Gram matrices of D2 and of D1 D2.
+    Read-only, since the cache hands them to every window of that length."""
+    d2 = (np.eye(n - 2, n) - 2.0 * np.eye(n - 2, n, 1) + np.eye(n - 2, n, 2)) * (fps * fps)
+    d1 = (np.eye(n - 3, n - 2, 1) - np.eye(n - 3, n - 2)) * fps
+    out = (d2, d1, d2.T @ d2, (d1 @ d2).T @ (d1 @ d2))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 class _Window:
     """Everything the terms need that does not depend on the positions, for one
     window of n frames, j joints at `fps`.
@@ -252,8 +267,7 @@ class _Window:
             _check_frames(n, obs.accel, "accel")
             if obs.accel.shape[1] != k:
                 raise ValueError("accel rows disagree with sensor count")
-            self.d2 = (np.eye(n - 2, n) - 2.0 * np.eye(n - 2, n, 1) + np.eye(n - 2, n, 2)) * (fps * fps)
-            self.d1 = (np.eye(n - 3, n - 2, 1) - np.eye(n - 3, n - 2)) * fps
+            self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
             a = obs.accel.reshape(n, self.cols)
             self.accel_target = a[1:-1]
             self.smooth_target = (a[2:-1] - a[1:-2]) * fps
@@ -454,3 +468,39 @@ def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermVa
             value += k * v / s
         weights.append(k / s if on else 0.0)
     return TermValue(value, win.gradient(res, tuple(weights)), res.behind_camera, scales)
+
+
+def normal_parts(frag: Fragment, obs: Observations, cfg: EnergyConfig
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pieces of total_energy's Gauss-Newton normal matrix at `frag`.
+
+    Returns the visual block 2 w J^T J of every (frame, joint) as
+    (N, J, 3, 3), zero where the term skips the joint; the (N, N) matrix
+    that the accel and smooth terms put on each coordinate of each sensor's
+    joint; and the weight 2 w that the bone term puts on each sensor's
+    joint-minus-parent difference. Each w is the term's weight over its
+    scale in cfg.scales, or over its value at `frag` when that is None.
+    """
+    active = _active_terms(cfg)
+    win = _window(frag, obs)
+    win.require(active)
+    scales = cfg.scales if cfg.scales is not None else term_scales(frag, obs, cfg)
+    wv, wa, wb, ws = (2.0 * k / s if on else 0.0
+                      for on, k, s in zip(active, _term_weights(cfg), scales))
+    n, j, _ = win.key
+    visual = np.zeros((n * j, 3, 3))
+    if wv:
+        h = win.proj @ frag.positions.reshape(-1, 3).T + win.offset
+        valid = win.observed & (h[2] > W_MIN)
+        inv_depth = np.where(valid, 1.0 / np.where(valid, h[2], 1.0), 0.0)
+        # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
+        pixel = h[:2] * inv_depth
+        jac = (win.proj[:2, None, :] - pixel[:, :, None] * win.proj[2]) * (
+            math.sqrt(wv) * inv_depth)[:, None]
+        visual = np.einsum("api,apj->pij", jac, jac)
+    temporal = np.zeros((n, n))
+    if wa:
+        temporal += wa * win.accel_gram
+    if ws:
+        temporal += ws * win.smooth_gram
+    return visual.reshape(n, j, 3, 3), temporal, wb

@@ -1,148 +1,57 @@
-"""Fragment scheduling, limited-memory quasi-Newton minimization, and merging.
+"""Fragment scheduling, the per-window direct solve, and merging.
 
 The sequence is padded with N/2 boundary replicas on each side and cut into
 half-overlapping windows of length N (stride N/2), so every original frame is
 covered by exactly two windows; overlapping results are averaged. Windows are
 independent given their observations, which is what makes the streaming path
 produce bitwise-identical output to the batch path.
+
+Each window is solved directly. A joint that is neither a sensor's joint nor
+a sensor's parent enters only the visual term, so visual_minimum solves it.
+The other joints form chains, the connected components of the sensor-to-parent
+bones, which take Gauss-Newton steps on one damped normal matrix per window.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .camera import Camera
-from .energy import EnergyConfig, Fragment, Observations, total_energy
+from .energy import EnergyConfig, Fragment, Observations, normal_parts, total_energy, visual_minimum
 
-_CURVATURE_EPS = 1e-12
-# Backtracking line search (Nocedal & Wright, Numerical Optimization, Alg. 3.1):
-# a trial step is accepted when it decreases f by at least _C1 of the linear
-# model's decrease and its slope along the line is at most _C2 of the initial
-# slope's magnitude (no overshoot past the line minimum); otherwise it is
-# halved, at most _MAX_HALVINGS times.
-_C1 = 1e-4
-_C2 = 0.9
-_MAX_HALVINGS = 30
+# Levenberg-Marquardt damping, relative to the scale of a chain's normal
+# matrix (a bound on its largest diagonal entry): it keeps a chain solvable
+# where no term pins a direction (a joint without pixels or bone rows, a
+# linear trajectory without the visual term) and is far below the curvature
+# elsewhere.
+_DAMPING = 1e-9
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Limited-memory minimizer knobs.
+    """Stopping rule of the per-window solve.
 
-    Stops on the gradient infinity-norm tolerance or the iteration cap,
-    whichever comes first; `converged` means only that the tolerance was met,
-    not that the minimum was reached (default fragments stop 15-20% above
-    theirs). The halving line search only ever accepts decreasing steps, so
-    the returned energy never exceeds the initial one; a failed line search
-    returns the best iterate so far with a warning flag rather than raising.
+    The solve is converged once the next Gauss-Newton step's predicted
+    decrease g^T H^-1 g / 2 is at most grad_tol times the energy, which puts
+    the window within about that fraction of its minimum. It stops
+    unconverged after max_iterations steps or at a step that fails to lower
+    the energy.
     """
 
     max_iterations: int = 30
-    history: int = 10
     grad_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.history < 1:
-            raise ValueError("history must be >= 1")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
-
-
-class MinimizeResult(NamedTuple):
-    x: np.ndarray
-    initial_value: float
-    value: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    line_search_failed: bool
-
-
-def _two_loop(g, s_list, y_list, rho_list) -> np.ndarray:
-    q = g.copy()
-    alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-        a = rho * float(np.dot(s, q))
-        alphas.append(a)
-        q -= a * y
-    if s_list:
-        q *= float(np.dot(s_list[-1], y_list[-1]) / np.dot(y_list[-1], y_list[-1]))
-    for s, y, rho, a in zip(s_list, y_list, rho_list, reversed(alphas)):
-        b = rho * float(np.dot(y, q))
-        q += (a - b) * s
-    return -q
-
-
-def minimize_array(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    settings: SolverSettings,
-    start: tuple[float, np.ndarray] | None = None,
-) -> MinimizeResult:
-    """L-BFGS over a flat array; `fun` returns (value, gradient).
-
-    `start` is fun(x0) when the caller already has it. Guaranteed monotone:
-    the result value never exceeds fun(x0). With no curvature history (the
-    first iteration, or after a non-descent reset) the line search starts
-    along -g at Polyak's step f / (g.g), which zeroes the linear model of a
-    function bounded below by 0, or at unit length when f <= 0; otherwise at
-    the full quasi-Newton step. It halves the step until it decreases f
-    enough without overshooting the line minimum, and never lengthens it.
-    `converged` means the gradient infinity-norm reached settings.grad_tol.
-    """
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    f, g = fun(x) if start is None else start
-    f0 = f
-    g = np.asarray(g, dtype=float).ravel()
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
-    ls_failed = False
-    iterations = 0
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    while gnorm > settings.grad_tol and iterations < settings.max_iterations:
-        d = _two_loop(g, s_list, y_list, rho_list)
-        if not np.all(np.isfinite(d)) or float(np.dot(d, g)) >= 0.0:
-            s_list, y_list, rho_list = [], [], []
-            d = -g
-        if s_list:
-            alpha = 1.0
-        elif f > 0.0:
-            alpha = f / float(np.dot(g, g))  # Polyak: zeroes the linear model
-        else:
-            alpha = 1.0 / float(np.linalg.norm(d))
-        gd = float(np.dot(g, d))
-        for _ in range(_MAX_HALVINGS + 1):
-            x_new = x + alpha * d
-            f_new, g_new = fun(x_new)
-            g_new = np.asarray(g_new, dtype=float).ravel()
-            if f_new <= f + _C1 * alpha * gd and float(np.dot(g_new, d)) <= _C2 * abs(gd):
-                break
-            alpha *= 0.5
-        else:
-            ls_failed = True
-            break
-        s = x_new - x
-        y = g_new - g
-        sy = float(np.dot(s, y))
-        if sy > _CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > settings.history:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
-        x, f, g = x_new, f_new, g_new
-        iterations += 1
-        gnorm = float(np.max(np.abs(g)))
-    return MinimizeResult(x, f0, f, gnorm, iterations, gnorm <= settings.grad_tol, ls_failed)
 
 
 @dataclass(frozen=True)
@@ -218,8 +127,139 @@ class FragmentResult:
     final_value: float
     iterations: int
     converged: bool
-    line_search_failed: bool
     behind_camera: int
+
+
+class _Chains(NamedTuple):
+    """C chains of one shape, stacked: m sensor joints and p parent-only joints
+    each, in increasing joint order. L is a chain's bone Laplacian, the sum of
+    e e^T over its sensors with e = joint - parent; the bone term's normal
+    matrix is 2 w (L kron I3)."""
+
+    joints: np.ndarray  # (C, m)
+    parents: np.ndarray  # (C, p)
+    joint_bones: np.ndarray  # (C, 3m, 3m): L kron I3 among the sensor joints
+    cross_bones: np.ndarray  # (C, m, p): L between sensor and parent-only joints
+    parent_bones: np.ndarray  # (C, p): L's diagonal on the parent-only joints, which share no bone
+    sensors: np.ndarray  # (C, 3m): sensors bound to the joint of each coordinate
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_groups(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...]
+                  ) -> tuple[_Chains, ...]:
+    """The connected components of the sensor-to-parent bones, stacked by shape."""
+    components: list[set[int]] = []
+    for bone in map(set, zip(sensor_joints, sensor_parents)):
+        touching = [c for c in components if c & bone]
+        components = [c for c in components if not c & bone] + [bone.union(*touching)]
+    groups: dict[tuple[int, int], list[_Chains]] = {}
+    for comp in sorted(components, key=min):
+        joints = sorted(comp & set(sensor_joints))
+        order = joints + sorted(comp - set(joints))
+        lap = np.zeros((len(order), len(order)))
+        for j, p in zip(sensor_joints, sensor_parents):
+            if j in comp:
+                e = np.zeros(len(order))
+                e[order.index(j)], e[order.index(p)] = 1.0, -1.0
+                lap += np.outer(e, e)
+        m = len(joints)
+        groups.setdefault((m, len(order) - m), []).append(_Chains(
+            np.array(joints), np.array(order[m:], dtype=int), np.kron(lap[:m, :m], _EYE3),
+            lap[:m, m:], np.diagonal(lap[m:, m:]),
+            np.repeat([sensor_joints.count(j) for j in joints], 3).astype(float)))
+    stacked = [_Chains(*map(np.stack, zip(*group))) for group in groups.values()]
+    for array in (a for chains in stacked for a in chains):
+        array.setflags(write=False)  # the cache hands the same arrays to every caller
+    return tuple(stacked)
+
+
+def _inv3(a: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric (..., 3, 3) matrices, by their adjugate."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.moveaxis(a, (-2, -1), (0, 1))
+    c00, c01, c02 = a11 * a22 - a12 * a12, a02 * a12 - a01 * a22, a01 * a12 - a02 * a11
+    c11, c12, c22 = a00 * a22 - a02 * a02, a01 * a02 - a00 * a12, a00 * a11 - a01 * a01
+    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1).reshape(a.shape)
+    return adj / (a00 * c00 + a01 * c01 + a02 * c02)[..., None, None]
+
+
+class _ChainSolver:
+    """Gauss-Newton steps for every chain of one window from one factorization
+    of the damped normal matrix at the window's positions."""
+
+    def __init__(self, frag: Fragment, obs: Observations, cfg: EnergyConfig):
+        visual, temporal, self._bone = normal_parts(frag, obs, cfg)
+        groups = _chain_groups(tuple(obs.sensor_joints.tolist()), tuple(obs.sensor_parents.tolist()))
+        self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in groups]
+
+    def _factor(self, ch: _Chains, visual: np.ndarray, temporal: np.ndarray):
+        """Eliminate the parent-only joints, then factor what is left.
+
+        Arrays run over frames first, then over the stacked chains.
+        """
+        n, bone = len(temporal), self._bone
+        c, m = ch.joints.shape
+        size, nb = 3 * m, -(-n // 3)
+        # Each frame's block of the sensor joints from the visual and bone terms.
+        a = np.zeros((n, c, m, 3, m, 3))
+        for i, joints in enumerate(ch.joints.T):
+            a[:, :, i, :, i, :] = visual[:, joints]
+        a = a.reshape(n, c, size, size) + bone * ch.joint_bones
+        largest = np.diagonal(a, axis1=2, axis2=3).max(axis=(0, 2)) + temporal.max() * ch.sensors.max(axis=1)
+        mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
+        a += mu[:, None, None] * np.eye(size)
+        # Eliminate each parent-only joint through its own 3x3 block.
+        d_inv = _inv3(visual[:, ch.parents] + (bone * ch.parent_bones + mu[:, None])[:, :, None, None] * _EYE3)
+        pairs = (ch.cross_bones[:, :, None] * ch.cross_bones[:, None]).reshape(c, m * m, -1)
+        schur = (pairs @ d_inv.reshape(n, c, -1, 9)).reshape(n, c, m, m, 3, 3)
+        a -= bone * bone * schur.transpose(0, 1, 2, 4, 3, 5).reshape(a.shape)
+        # Blocks of three frames, padded with decoupled identity frames. The
+        # accel and smooth terms couple frames at most three apart, so they
+        # couple neighbouring blocks only.
+        frames = np.broadcast_to(np.eye(size), (3 * nb, c, size, size)).copy()
+        frames[:n] = a
+        t = np.zeros((3 * nb, 3 * nb))
+        t[:n, :n] = temporal
+        t = t.reshape(nb, 3, nb, 3).transpose(0, 2, 1, 3)[:, :, None, :, :, None, None]
+        blocks = np.arange(nb)
+        e = ch.sensors[:, :, None] * np.eye(size)  # (c, size, size)
+        # (block, chain, frame, frame, coordinate, coordinate)
+        diag = t[blocks, blocks] * e[:, None, None]
+        diag[:, :, np.arange(3), np.arange(3)] += frames.reshape(nb, 3, c, size, size).swapaxes(1, 2)
+        sub = t[blocks[1:], blocks[:-1]] * e[:, None, None]
+        diag = diag.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c, 3 * size, 3 * size)
+        sub = sub.transpose(0, 1, 2, 4, 3, 5).reshape(nb - 1, c, 3 * size, 3 * size)
+        # Block LDL^T: the inverse pivots and the multipliers sub @ pivot^-1.
+        inv = np.empty_like(diag)
+        mult = np.empty_like(sub)
+        inv[0] = np.linalg.inv(diag[0])
+        for b in range(1, nb):
+            mult[b - 1] = sub[b - 1] @ inv[b - 1]
+            inv[b] = np.linalg.inv(diag[b] - mult[b - 1] @ sub[b - 1].swapaxes(1, 2))
+        return d_inv, inv, mult
+
+    def step(self, grad: np.ndarray) -> np.ndarray:
+        """The step -H^-1 grad on the chain joints; zero on the free joints."""
+        n, bone = len(grad), self._bone
+        step = np.zeros_like(grad)
+        for ch, d_inv, inv, mult in self._factors:
+            c, m = ch.joints.shape
+            nb, size = len(inv), 3 * m
+            lap_sp = ch.cross_bones
+            g_p = grad[:, ch.parents]
+            y = np.zeros((3 * nb, c, m, 3))
+            y[:n] = bone * (lap_sp @ (d_inv @ g_p[..., None])[..., 0])
+            y[:n] -= grad[:, ch.joints]
+            y = y.reshape(nb, 3, c, size).swapaxes(1, 2).reshape(nb, c, 3 * size, 1)
+            for b in range(1, nb):
+                y[b] -= mult[b - 1] @ y[b - 1]
+            x = inv @ y
+            for b in range(nb - 2, -1, -1):
+                x[b] -= mult[b].swapaxes(1, 2) @ x[b + 1]
+            d_s = x.reshape(nb, c, 3, m, 3).swapaxes(1, 2).reshape(3 * nb, c, m, 3)[:n]
+            back = -g_p - bone * (lap_sp.swapaxes(1, 2) @ d_s)
+            step[:, ch.joints] = d_s
+            step[:, ch.parents] = (d_inv @ back[..., None])[..., 0]
+        return step
 
 
 def minimize_fragment(
@@ -232,31 +272,41 @@ def minimize_fragment(
 
     Normalization scales are frozen at the initial point, so the initial total
     is k_visual + k_inertial*(k_accel + k_bone + k_smooth) when every active
-    term is nonzero, and the minimizer works on an O(1)-scaled objective. One
-    evaluation at the initial point gives the scales and the first value and
-    gradient.
+    term is nonzero. With the visual term active, every joint first moves to
+    its ray projection, the free joints' minimum; the chains then take
+    Gauss-Newton steps from there, one total_energy evaluation each. The
+    result is the best point evaluated, so never above the initial one.
     """
     first = total_energy(frag, obs, replace(cfg, scales=None))
     frozen = replace(cfg, scales=first.scales)
-    shape = frag.positions.shape
-    behind = [first.behind_camera]
-
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        tv = total_energy(Fragment(x.reshape(shape), frag.fps, frag.start), obs, frozen)
-        behind[0] = max(behind[0], tv.behind_camera)
-        return tv.value, tv.grad.ravel()
-
-    res = minimize_array(fun, frag.positions.ravel(), settings, (first.value, first.grad.ravel()))
-    out = Fragment(res.x.reshape(shape), frag.fps, frag.start)
-    return FragmentResult(
-        fragment=out,
-        initial_value=res.initial_value,
-        final_value=res.value,
-        iterations=res.iterations,
-        converged=res.converged,
-        line_search_failed=res.line_search_failed,
-        behind_camera=behind[0],
-    )
+    behind = first.behind_camera
+    x, tv = frag.positions, first
+    if frozen.k_visual > 0.0:
+        projected = visual_minimum(x, obs.pixels, obs.camera)
+        if not np.array_equal(projected, x):
+            x = projected
+            tv = total_energy(Fragment(x, frag.fps, frag.start), obs, frozen)
+            behind = max(behind, tv.behind_camera)
+    solver = _ChainSolver(Fragment(x, frag.fps, frag.start), obs, frozen)
+    iterations, converged = 0, False
+    while True:
+        step = solver.step(tv.grad)
+        if -0.5 * float(np.vdot(tv.grad, step)) <= settings.grad_tol * tv.value:
+            converged = True
+            break
+        if iterations == settings.max_iterations:
+            break
+        moved = x + step
+        trial = total_energy(Fragment(moved, frag.fps, frag.start), obs, frozen)
+        behind = max(behind, trial.behind_camera)
+        if not trial.value < tv.value:
+            break
+        x, tv = moved, trial
+        iterations += 1
+    if tv.value > first.value:
+        x, tv, converged = frag.positions, first, False
+    return FragmentResult(Fragment(x, frag.fps, frag.start), first.value, tv.value,
+                          iterations, converged, behind)
 
 
 def _solve_window(
@@ -302,7 +352,6 @@ class RefineStats:
     optimize_seconds: float
     fragments_per_second: float
     output_frames_per_second: float
-    line_search_failures: int
     behind_camera_skips: int
 
     @classmethod
@@ -313,7 +362,6 @@ class RefineStats:
             optimize_seconds=seconds,
             fragments_per_second=len(results) / seconds,
             output_frames_per_second=frames / seconds,
-            line_search_failures=sum(1 for r in results if r.line_search_failed),
             behind_camera_skips=sum(r.behind_camera for r in results),
         )
 

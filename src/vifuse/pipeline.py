@@ -42,7 +42,7 @@ from .imu import CalibrationSet, ImuStream, calibrate_stream
 from .metrics import REPORT_MIN_FRAMES, MetricReport, evaluate
 from .optimizer import RefineStats, SequenceObservations, SolverSettings, refine_batch
 from .skeleton import SkeletonDefinition, refine_sequence
-from .synth import NoiseSpec, SyntheticDataset, default_script, make_dataset
+from .synth import DEFAULT_JOINT_NAMES, NoiseSpec, SyntheticDataset, default_script, make_dataset
 
 # The optional streams each mode reads; skeleton, pose3d and truth (when
 # given) are read in every mode. A run opens no other configured stream.
@@ -285,7 +285,6 @@ class RunResult:
     report: MetricReport | None
     stats: RefineStats | None
     joint_names: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -324,12 +323,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     if truth is not None:
         report = evaluate(output, truth, config.fps, config.per_second_metrics)
 
-    warnings = []
-    if stats is not None and stats.line_search_failures:
-        warnings.append(
-            f"line search gave up early on {stats.line_search_failures} fragment(s); "
-            "kept their best iterates")
-    return RunResult(config.mode, output, report, stats, skel.names, tuple(warnings))
+    return RunResult(config.mode, output, report, stats, skel.names)
 
 
 def write_results(result: RunResult, out_dir) -> list[str]:
@@ -359,6 +353,15 @@ class SynthConfig:
     noise: NoiseSpec = field(default_factory=lambda: DEFAULT_NOISE)
 
     def __post_init__(self):
+        for name in ("seed", "script_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"synth option {name} must be non-negative, got {getattr(self, name)}")
+        joints = len(DEFAULT_JOINT_NAMES)
+        for name in ("sigma_depth", "occlusion"):
+            shape = np.shape(getattr(self.noise, name))
+            if shape not in ((), (joints,)):
+                raise ConfigError(f"noise option {name} must be a number or a list of {joints} "
+                                  f"numbers, one per joint, got a list of {shape[0]}")
         # The written run_config.json names the truth, so its run needs enough
         # frames for the metric report.
         frames = int(round(self.duration * self.fps))

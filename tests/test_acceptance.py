@@ -344,7 +344,7 @@ def test_c08_fragment_length_tradeoff():
     # sweep shares one deep solver configuration across every N.
     t0 = time.monotonic()
     ds = default_dataset()
-    solver = SolverSettings(max_iterations=500, history=40, grad_tol=1e-9)
+    solver = SolverSettings(max_iterations=100, grad_tol=1e-12)
     rows = []
     for n in (20, 50, 100, 200):
         out, stats = rtof_output(

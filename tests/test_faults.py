@@ -96,7 +96,7 @@ VALID_CONFIG = {
     "pose2d": "pose2d.txt", "camera": "camera.txt", "calibration": "calibration.txt",
     "imu": "imu.txt", "truth": "truth_pose3d.txt", "per_second_metrics": True,
     "energy": {"k_visual": 1.0, "fragment_len": 50},
-    "solver": {"max_iterations": 30, "history": 10, "grad_tol": 1e-6},
+    "solver": {"max_iterations": 30, "grad_tol": 1e-6},
 }
 
 json_scalars = st.one_of(
@@ -105,7 +105,7 @@ json_scalars = st.one_of(
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
-        ["k_visual", "fragment_len", "history", "grad_tol", "zap"]), inner, max_size=3),
+        ["k_visual", "fragment_len", "max_iterations", "grad_tol", "zap"]), inner, max_size=3),
     max_leaves=6)
 
 

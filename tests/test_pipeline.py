@@ -542,8 +542,9 @@ def test_truth_stream_is_checked_before_the_solve(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("section, option, value", [
     ("energy", "scales", [1e9, 1e9, 1e9, 1e9]),  # set by the solver at each fragment's start
-    ("solver", "wolfe_c1", 1e-4),  # the line search's constants are not options
+    ("solver", "wolfe_c1", 1e-4),  # nor are the constants of the deleted line search
     ("solver", "wolfe_c2", 0.9),
+    ("solver", "history", 10),  # or the deleted quasi-Newton memory
 ])
 def test_cli_non_option_exits_2(tmp_path, capsys, section, option, value):
     data_dir = synth_small(tmp_path, capsys)
@@ -695,7 +696,7 @@ def test_cli_repeated_calibration_record_exits_3(tmp_path, capsys, edit, row, me
     ("fps", float("nan"), "config option fps must be a finite number, got NaN"),
     ("per_second_metrics", "no", 'config option per_second_metrics must be true or false, got "no"'),
     ("solver", {"max_iterations": True}, "solver option max_iterations must be an integer, got true"),
-    ("solver", {"history": 2.5}, "solver option history must be an integer, got 2.5"),
+    ("solver", {"grad_tol": "1e-6"}, 'solver option grad_tol must be a finite number, got "1e-6"'),
 ])
 def test_cli_mistyped_run_config_exits_2(tmp_path, capsys, option, value, message):
     data_dir = synth_small(tmp_path, capsys)
@@ -715,6 +716,10 @@ def test_cli_mistyped_run_config_exits_2(tmp_path, capsys, option, value, messag
     ({"noise": 5}, "noise options must be a JSON object, got 5"),
     ({"noise": {"sigma_px": False}}, "noise option sigma_px must be a finite number, got false"),
     ({"noise": {"occlusion": ["a"]}}, "noise option occlusion must be a finite number or a list of them"),
+    ({"duration": 1.0, "seed": -1}, "synth option seed must be non-negative, got -1"),
+    ({"duration": 1.0, "script_seed": -3}, "synth option script_seed must be non-negative, got -3"),
+    ({"noise": {"sigma_depth": [1.0]}}, "noise option sigma_depth must be a number or a list of 21"),
+    ({"noise": {"occlusion": []}}, "noise option occlusion must be a number or a list of 21"),
 ])
 def test_cli_mistyped_synth_config_exits_2(tmp_path, capsys, config, message):
     path = tmp_path / "synth.json"
