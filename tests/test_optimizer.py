@@ -298,7 +298,7 @@ def test_minimize_fragment_normalized_start(rng):
     assert res.iterations > 0
 
 
-def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
+def problem_at_minimum():
     # Every residual is exactly zero: the projections, bones and (constant)
     # trajectories below are exact in binary floating point.
     pos = np.zeros((4, 2, 3))
@@ -307,11 +307,23 @@ def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
     cam = Camera(1.0, 1.0, 0.0, 0.0, IDENTITY, np.zeros(3))
     obs = Observations(pixels=cam.project(pos), camera=cam, accel=np.zeros((4, 1, 3)),
                        bones=pos[:, 1:] - pos[:, :1], sensor_joints=[1], sensor_parents=[0])
+    return Fragment(pos, 1.0), obs, EnergyConfig(fragment_len=4)
+
+
+def test_start_at_minimum_is_zero_iterations():
+    frag, obs, cfg = problem_at_minimum()
+    res = minimize_fragment(frag, obs, cfg, SolverSettings())
+    assert res.converged and res.iterations == 0
+    assert res.final_value == res.initial_value == 0.0
+    np.testing.assert_array_equal(res.fragment.positions, frag.positions)
+
+
+def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
     passes = []
     residuals = energy._Window.residuals
     monkeypatch.setattr(energy._Window, "residuals",
                         lambda self, *a: passes.append(1) or residuals(self, *a))
-    res = minimize_fragment(Fragment(pos, 1.0), obs, EnergyConfig(fragment_len=4), SolverSettings())
+    res = minimize_fragment(*problem_at_minimum(), SolverSettings())
     assert res.converged and res.iterations == 0
     assert res.final_value == res.initial_value == 0.0
     assert len(passes) == 1
