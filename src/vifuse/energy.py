@@ -21,13 +21,18 @@ coordinate. The total normalizes each active term by its value at the
 fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
 comparable magnitudes.
 
-One kernel evaluates every term. Whatever does not depend on the positions
+One kernel evaluates every term, over a stack of windows that share a
+camera and a rig (a WindowStack). Whatever does not depend on the positions
 (the projection, the observed mask, the sensor gather and scatter and the
-targets) is built once per window and kept with its Observations, the
-difference operators once per window length; an evaluation computes the
-residuals of the active terms, their values, then one weighted gradient. The
-visual term alone needs no solver: visual_minimum gives its minimum in closed
-form. normal_parts gives the pieces of the total's Gauss-Newton normal matrix.
+targets) is built once per stack, and for a window alone kept with its
+Observations; the difference operators are built once per window length. An
+evaluation computes the residuals of the active terms, each window's values,
+then one weighted gradient; stack_energy gives every window's total, and
+total_energy and the term functions are the stack of one. Every matrix
+product runs once per window, so a window's results do not depend on the
+stack it is in. The visual term alone needs no solver: visual_minimum gives
+its minimum in closed form. normal_parts gives the pieces of the total's
+Gauss-Newton normal matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,7 +108,7 @@ class Observations:
     bones: np.ndarray | None = None
     sensor_joints: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     sensor_parents: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    _constants: _Window | None = field(default=None, init=False, repr=False, compare=False)
+    _constants: WindowStack | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sj = _frozen(self.sensor_joints, int)
@@ -194,24 +199,27 @@ def _check_frames(n: int, arr: np.ndarray, name: str) -> None:
 
 
 class _Residuals(NamedTuple):
-    """One evaluation's residual arrays, None for terms not evaluated.
+    """One evaluation's residual arrays over a stack of W windows, None for
+    terms not evaluated.
 
-    visual is (2, N*J) px, one row per pixel axis; accel, bone and smooth are
-    (rows, 3K) with the sensors' xyz side by side. pixel (2, N*J) and
-    inv_depth (N*J,), 1 / camera depth with 1 where skipped, serve the visual
-    gradient.
+    visual is (W, 2, N*J) px, one row per pixel axis; accel, bone and smooth
+    are (W, rows, 3K) with the sensors' xyz side by side. pixel (W, 2, N*J)
+    and inv_depth (W, N*J), 1 / camera depth with 1 where skipped, serve the
+    visual gradient. behind_camera counts each window's skipped joints.
     """
 
     visual: np.ndarray | None
     accel: np.ndarray | None
     bone: np.ndarray | None
     smooth: np.ndarray | None
-    behind_camera: int = 0
+    behind_camera: list[int]
     pixel: np.ndarray | None = None
     inv_depth: np.ndarray | None = None
 
-    def values(self) -> tuple[float, float, float, float]:
-        return tuple(0.0 if r is None else float(np.vdot(r, r)) for r in self[:4])
+    def values(self) -> list[tuple[float, float, float, float]]:
+        """Each window's four term values, 0 for terms not evaluated."""
+        return [tuple(0.0 if r is None else float(np.vdot(r[i], r[i])) for r in self[:4])
+                for i in range(len(self.behind_camera))]
 
 
 @functools.lru_cache(maxsize=16)
@@ -227,55 +235,65 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-class _Window:
-    """Everything the terms need that does not depend on the positions, for one
-    window of n frames, j joints at `fps`.
+def _stacked(observations: Sequence[Observations], name: str, n: int) -> np.ndarray:
+    arrays = [getattr(obs, name) for obs in observations]
+    for a in arrays:
+        _check_frames(n, a, name)
+    return np.array(arrays)
+
+
+class WindowStack:
+    """Everything the terms need that does not depend on the positions, for a
+    stack of W windows of n frames, j joints at `fps` that share a camera,
+    a rig and the streams they observe.
 
     Building it validates the observations against that layout; `require`
     then names a term whose observations are missing. Positions enter as
-    (N, J, 3) and the gradient leaves in that shape; inside, the visual term
-    works on (3, N*J) rows u, v, w so that each operation runs over one long
-    axis.
+    (W, N, J, 3) and the gradient leaves in that shape; inside, the visual
+    term works on (W, 3, N*J) rows u, v, w so that each operation runs over
+    one long axis. Every matrix product runs once per window, so a window's
+    values and gradient are bitwise the same in any stack.
     """
 
-    def __init__(self, obs: Observations, n: int, j: int, fps: float):
+    def __init__(self, observations: Sequence[Observations], n: int, j: int, fps: float):
         self.key = (n, j, fps)
-        self.has_pixels = obs.pixels is not None and obs.camera is not None
-        self.has_accel = obs.accel is not None
-        self.has_bones = obs.bones is not None
-        k = len(obs.sensor_joints)
+        first = observations[0]  # the camera and the rig of every window
+        self.has_pixels = first.pixels is not None and first.camera is not None
+        self.has_accel = first.accel is not None
+        self.has_bones = first.bones is not None
+        w, k = len(observations), len(first.sensor_joints)
         self.cols = 3 * k
         if self.has_pixels:
-            _check_frames(n, obs.pixels, "pixels")
-            if obs.pixels.shape[1] != j:
+            pixels = _stacked(observations, "pixels", n)
+            if pixels.shape[2] != j:
                 raise ValueError("2D observations disagree with fragment joint count")
-            p = obs.camera.matrix
+            p = first.camera.matrix
             self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
             self.offset = p[:, 3:].copy()
-            px = obs.pixels.reshape(n * j, 2).T
-            self.observed = np.isfinite(px).all(axis=0)
-            self.target = np.where(self.observed, px, 0.0)
+            px = pixels.reshape(w, n * j, 2).swapaxes(1, 2)
+            self.observed = np.isfinite(px).all(axis=1)
+            self.target = np.where(self.observed[:, None], px, 0.0)
         if self.has_accel or self.has_bones:
             # Coordinates of the sensor joints, then of their parents; the
             # scatter adds each gathered column back onto its coordinate, so
             # sensors sharing a joint or a parent accumulate.
-            joints = np.concatenate([obs.sensor_joints, obs.sensor_parents])
+            joints = np.concatenate([first.sensor_joints, first.sensor_parents])
             self.gather = (3 * joints[:, None] + np.arange(3)).ravel()
             self.scatter = np.zeros((2 * self.cols, 3 * j))
             self.scatter[np.arange(2 * self.cols), self.gather] = 1.0
         if self.has_accel:
-            _check_frames(n, obs.accel, "accel")
-            if obs.accel.shape[1] != k:
+            accel = _stacked(observations, "accel", n)
+            if accel.shape[2] != k:
                 raise ValueError("accel rows disagree with sensor count")
             self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
-            a = obs.accel.reshape(n, self.cols)
-            self.accel_target = a[1:-1]
-            self.smooth_target = (a[2:-1] - a[1:-2]) * fps
+            a = accel.reshape(w, n, self.cols)
+            self.accel_target = a[:, 1:-1]
+            self.smooth_target = (a[:, 2:-1] - a[:, 1:-2]) * fps
         if self.has_bones:
-            _check_frames(n, obs.bones, "bones")
-            if obs.bones.shape[1] != k:
+            bones = _stacked(observations, "bones", n)
+            if bones.shape[2] != k:
                 raise ValueError("bone rows disagree with sensor count")
-            self.bone_target = obs.bones.reshape(n, self.cols)
+            self.bone_target = bones.reshape(w, n, self.cols)
 
     def require(self, active: tuple[bool, bool, bool, bool]) -> None:
         visual, accel, bone, smooth = active
@@ -291,28 +309,32 @@ class _Window:
             if self.key[0] < 4:
                 raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
 
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """Rows u, v, w of every (frame, joint) of each window: (W, 3, N*J)."""
+        return self.proj @ x.reshape(len(x), -1, 3).swapaxes(1, 2) + self.offset
+
     def residuals(self, x: np.ndarray, active: tuple[bool, bool, bool, bool]) -> _Residuals:
         self.require(active)
         visual, accel, bone, smooth = active
         rv = pixel = inv_depth = None
-        behind = 0
+        behind = [0] * len(x)
         if visual:
-            h = self.proj @ x.reshape(-1, 3).T + self.offset
-            w = h[2]
+            h = self._project(x)
+            w = h[:, 2]
             valid = self.observed
             if not (w > W_MIN).all():
                 valid = valid & (w > W_MIN)
-                behind = int(np.count_nonzero(self.observed & ~valid))
+                behind = np.count_nonzero(self.observed & ~valid, axis=1).tolist()
                 w = np.where(valid, w, 1.0)
             inv_depth = 1.0 / w
-            pixel = h[:2] * inv_depth
-            rv = np.where(valid, pixel - self.target, 0.0)
+            pixel = h[:, :2] * inv_depth[:, None]
+            rv = np.where(valid[:, None], pixel - self.target, 0.0)
         ra = rb = rs = None
         if accel or bone or smooth:
-            xs = x.reshape(len(x), -1)[:, self.gather]
-            xj = xs[:, :self.cols]
+            xs = x.reshape(*x.shape[:2], -1)[..., self.gather]
+            xj = xs[..., :self.cols]
             if bone:
-                rb = xj - xs[:, self.cols:] - self.bone_target
+                rb = xj - xs[..., self.cols:] - self.bone_target
             if accel or smooth:
                 af = self.d2 @ xj
                 if accel:
@@ -321,39 +343,70 @@ class _Window:
                     rs = self.d1 @ af - self.smooth_target
         return _Residuals(rv, ra, rb, rs, behind, pixel, inv_depth)
 
-    def gradient(self, res: _Residuals, weights: tuple[float, float, float, float]) -> np.ndarray:
-        """Gradient of sum(weight * |residual|^2) over the evaluated terms."""
-        wv, wa, wb, ws = weights
+    def gradient(self, res: _Residuals, weights: np.ndarray) -> np.ndarray:
+        """Gradient of sum(weight * |residual|^2) over the evaluated terms, with
+        one row of four term weights per window in `weights` (W, 4)."""
+        wv, wa, wb, ws = (2.0 * weights.T)[:, :, None, None]
+        w = len(weights)
         n, j, _ = self.key
-        grad = np.zeros((n, 3 * j))
+        grad = np.zeros((w, n, 3 * j))
         if res.visual is not None:
             # d pixel / d(u, v, w) = [[1, 0, -pixel_u], [0, 1, -pixel_v]] / w
-            a = res.visual * ((2.0 * wv) * res.inv_depth)
-            dh = np.empty((3, a.shape[1]))
-            dh[:2] = a
-            np.negative(np.einsum("ij,ij->j", a, res.pixel), out=dh[2])
-            grad = (dh.T @ self.proj).reshape(n, 3 * j)
+            a = res.visual * (wv * res.inv_depth[:, None])
+            dh = np.empty((w, 3, a.shape[2]))
+            dh[:, :2] = a
+            np.negative(np.einsum("wij,wij->wj", a, res.pixel), out=dh[:, 2])
+            grad = (dh.swapaxes(1, 2) @ self.proj).reshape(w, n, 3 * j)
         if res.accel is None and res.bone is None and res.smooth is None:
-            return grad.reshape(n, j, 3)
-        gx = np.zeros((n, 2 * self.cols))
+            return grad.reshape(w, n, j, 3)
+        gx = np.zeros((w, n, 2 * self.cols))
         if res.accel is not None or res.smooth is not None:
-            q = (2.0 * wa) * res.accel if res.accel is not None else 0.0
+            q = wa * res.accel if res.accel is not None else 0.0
             if res.smooth is not None:
-                q = q + self.d1.T @ ((2.0 * ws) * res.smooth)
-            gx[:, :self.cols] = self.d2.T @ q
+                q = q + self.d1.T @ (ws * res.smooth)
+            gx[..., :self.cols] = self.d2.T @ q
         if res.bone is not None:
-            gb = (2.0 * wb) * res.bone
-            gx[:, :self.cols] += gb
-            gx[:, self.cols:] = -gb
+            gb = wb * res.bone
+            gx[..., :self.cols] += gb
+            gx[..., self.cols:] = -gb
         grad += gx @ self.scatter
-        return grad.reshape(n, j, 3)
+        return grad.reshape(w, n, j, 3)
+
+    def normal_parts(self, x: np.ndarray, cfg: EnergyConfig, scales: Sequence[TermScales]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """normal_parts of every window at x (W, N, J, 3) under its scales:
+        visual (W, N, J, 3, 3), temporal (W, N, N) and bone weights (W,)."""
+        active = _active_terms(cfg)
+        self.require(active)
+        wv, wa, wb, ws = np.array([[2.0 * k / s if on else 0.0
+                                    for on, k, s in zip(active, _term_weights(cfg), sc)]
+                                   for sc in scales]).T
+        w = len(x)
+        n, j, _ = self.key
+        visual = np.zeros((w, n * j, 3, 3))
+        if active[0]:
+            h = self._project(x)
+            valid = self.observed & (h[:, 2] > W_MIN)
+            inv_depth = np.where(valid, 1.0 / np.where(valid, h[:, 2], 1.0), 0.0)
+            # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
+            pixel = h[:, :2] * inv_depth[:, None]
+            jac = (self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
+                np.sqrt(wv)[:, None] * inv_depth)[:, None, :, None]
+            visual = np.einsum("wapi,wapj->wpij", jac, jac)
+        temporal = np.zeros((w, n, n))
+        if active[1]:
+            temporal += wa[:, None, None] * self.accel_gram
+        if active[3]:
+            temporal += ws[:, None, None] * self.smooth_gram
+        return visual.reshape(w, n, j, 3, 3), temporal, wb
 
 
-def _window(frag: Fragment, obs: Observations) -> _Window:
+def _window(frag: Fragment, obs: Observations) -> WindowStack:
+    """The stack of one window, built once and kept with its Observations."""
     key = (frag.frame_count, frag.joint_count, frag.fps)
     win = obs._constants
     if win is None or win.key != key:
-        win = _Window(obs, *key)
+        win = WindowStack((obs,), *key)
         object.__setattr__(obs, "_constants", win)
     return win
 
@@ -361,9 +414,9 @@ def _window(frag: Fragment, obs: Observations) -> _Window:
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     active = tuple(i == index for i in range(4))
     win = _window(frag, obs)
-    res = win.residuals(frag.positions, active)
-    grad = win.gradient(res, tuple(float(on) for on in active))
-    return TermValue(res.values()[index], grad, res.behind_camera)
+    res = win.residuals(frag.positions[None], active)
+    grad = win.gradient(res, np.array([active], dtype=float))
+    return TermValue(res.values()[0][index], grad[0], res.behind_camera[0])
 
 
 def visual_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -445,7 +498,41 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
     """Normalization denominators: each active term's value at `frag`, clamped
     below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
     active = _active_terms(cfg)
-    return _scales(_window(frag, obs).residuals(frag.positions, active).values(), active)
+    return _scales(_window(frag, obs).residuals(frag.positions[None], active).values()[0], active)
+
+
+class StackValue(NamedTuple):
+    """total_energy of each window of a stack: W values, gradients
+    (W, N, J, 3), W behind-camera counts and the W scales used."""
+
+    value: list[float]
+    grad: np.ndarray | None
+    behind_camera: list[int]
+    scales: Sequence[TermScales]
+
+
+def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
+                 scales: Sequence[TermScales] | None = None, gradient: bool = True) -> StackValue:
+    """total_energy of every window of `stack` at positions x (W, N, J, 3),
+    from one residual pass. Each window is normalized by its own scales, or
+    by its term values at x when `scales` is None; cfg.scales is not read.
+    Without `gradient`, grad is None."""
+    active = _active_terms(cfg)
+    res = stack.residuals(x, active)
+    values = res.values()
+    if scales is None:
+        scales = [_scales(v, active) for v in values]
+    term_weights = _term_weights(cfg)
+    totals, weights = [], []
+    for v, s in zip(values, scales):
+        total = 0.0
+        for on, k, vt, st in zip(active, term_weights, v, s):
+            if on:
+                total += k * vt / st
+        totals.append(total)
+        weights.append([k / st if on else 0.0 for on, k, st in zip(active, term_weights, s)])
+    grad = stack.gradient(res, np.array(weights)) if gradient else None
+    return StackValue(totals, grad, res.behind_camera, scales)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:
@@ -456,18 +543,9 @@ def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermVa
     k_visual + k_inertial * (k_accel + k_bone + k_smooth) = 1.0 whenever every
     active term is nonzero there. The returned `scales` are the ones used.
     """
-    active = _active_terms(cfg)
-    win = _window(frag, obs)
-    res = win.residuals(frag.positions, active)
-    values = res.values()
-    scales = cfg.scales if cfg.scales is not None else _scales(values, active)
-    value = 0.0
-    weights = []
-    for on, k, v, s in zip(active, _term_weights(cfg), values, scales):
-        if on:
-            value += k * v / s
-        weights.append(k / s if on else 0.0)
-    return TermValue(value, win.gradient(res, tuple(weights)), res.behind_camera, scales)
+    tv = stack_energy(frag.positions[None], _window(frag, obs), cfg,
+                      None if cfg.scales is None else [cfg.scales])
+    return TermValue(tv.value[0], tv.grad[0], tv.behind_camera[0], tv.scales[0])
 
 
 def normal_parts(frag: Fragment, obs: Observations, cfg: EnergyConfig
@@ -481,26 +559,8 @@ def normal_parts(frag: Fragment, obs: Observations, cfg: EnergyConfig
     joint-minus-parent difference. Each w is the term's weight over its
     scale in cfg.scales, or over its value at `frag` when that is None.
     """
-    active = _active_terms(cfg)
     win = _window(frag, obs)
-    win.require(active)
+    win.require(_active_terms(cfg))
     scales = cfg.scales if cfg.scales is not None else term_scales(frag, obs, cfg)
-    wv, wa, wb, ws = (2.0 * k / s if on else 0.0
-                      for on, k, s in zip(active, _term_weights(cfg), scales))
-    n, j, _ = win.key
-    visual = np.zeros((n * j, 3, 3))
-    if wv:
-        h = win.proj @ frag.positions.reshape(-1, 3).T + win.offset
-        valid = win.observed & (h[2] > W_MIN)
-        inv_depth = np.where(valid, 1.0 / np.where(valid, h[2], 1.0), 0.0)
-        # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-        pixel = h[:2] * inv_depth
-        jac = (win.proj[:2, None, :] - pixel[:, :, None] * win.proj[2]) * (
-            math.sqrt(wv) * inv_depth)[:, None]
-        visual = np.einsum("api,apj->pij", jac, jac)
-    temporal = np.zeros((n, n))
-    if wa:
-        temporal += wa * win.accel_gram
-    if ws:
-        temporal += ws * win.smooth_gram
-    return visual.reshape(n, j, 3, 3), temporal, wb
+    visual, temporal, bone = win.normal_parts(frag.positions[None], cfg, [scales])
+    return visual[0], temporal[0], float(bone[0])

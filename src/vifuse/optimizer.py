@@ -10,6 +10,13 @@ Each window is solved directly. A joint that is neither a sensor's joint nor
 a sensor's parent enters only the visual term, so visual_minimum solves it.
 The other joints form chains, the connected components of the sensor-to-parent
 bones, which take Gauss-Newton steps on one damped normal matrix per window.
+
+The solve runs over a stack of windows: one energy pass, one factorization
+and one step call serve them all, while each window keeps its own scales,
+damping and stopping rule. refine_batch stacks consecutive windows to share
+numpy's per-call cost among them; minimize_fragment and StreamingRefiner
+solve a stack of one. Every matrix product and inverse runs once per window
+or chain, so a window's result is bitwise the same in any stack.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .camera import Camera
-from .energy import EnergyConfig, Fragment, Observations, normal_parts, total_energy, visual_minimum
+from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, stack_energy,
+                     visual_minimum)
+from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
 # matrix (a bound on its largest diagonal entry): it keeps a chain solvable
@@ -31,6 +40,13 @@ from .energy import EnergyConfig, Fragment, Observations, normal_parts, total_en
 # elsewhere.
 _DAMPING = 1e-9
 _EYE3 = np.eye(3)
+
+# refine_batch solves consecutive windows as one stack of about this many
+# frames (3 windows at the default N = 50), which shares the per-call cost of
+# the small array operations among them. Larger stacks gain little more
+# speed, and their memory grows with their size: at 150 frames the solve
+# peaks no higher than the rest of an rtof run on the default dataset.
+_STACK_FRAMES = 150
 
 
 @dataclass(frozen=True)
@@ -183,83 +199,172 @@ def _inv3(a: np.ndarray) -> np.ndarray:
 
 
 class _ChainSolver:
-    """Gauss-Newton steps for every chain of one window from one factorization
-    of the damped normal matrix at the window's positions."""
+    """Gauss-Newton steps for every chain of a stack of windows from one
+    factorization of each window's damped normal matrix at positions x.
 
-    def __init__(self, frag: Fragment, obs: Observations, cfg: EnergyConfig):
-        visual, temporal, self._bone = normal_parts(frag, obs, cfg)
+    The chains of all windows are factored as one stack: the chain axis runs
+    over window x chain, and every matrix product and inverse runs once per
+    chain, so a window's steps are bitwise the same in any stack.
+    """
+
+    def __init__(self, x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
+                 scales: Sequence[TermScales], obs: Observations):
+        visual, temporal, bone = stack.normal_parts(x, cfg, scales)
+        self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
         groups = _chain_groups(tuple(obs.sensor_joints.tolist()), tuple(obs.sensor_parents.tolist()))
+        visual = visual.swapaxes(0, 1)
         self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in groups]
 
     def _factor(self, ch: _Chains, visual: np.ndarray, temporal: np.ndarray):
         """Eliminate the parent-only joints, then factor what is left.
 
-        Arrays run over frames first, then over the stacked chains.
+        Arrays run over frames first, then over the windows and the stacked
+        chains; `visual` is (N, W, J, 3, 3) and `temporal` (W, N, N).
         """
-        n, bone = len(temporal), self._bone
+        n, w = visual.shape[:2]
+        bone = self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
         # Each frame's block of the sensor joints from the visual and bone terms.
-        a = np.zeros((n, c, m, 3, m, 3))
+        a = np.zeros((n, w, c, m, 3, m, 3))
         for i, joints in enumerate(ch.joints.T):
-            a[:, :, i, :, i, :] = visual[:, joints]
-        a = a.reshape(n, c, size, size) + bone * ch.joint_bones
-        largest = np.diagonal(a, axis1=2, axis2=3).max(axis=(0, 2)) + temporal.max() * ch.sensors.max(axis=1)
+            a[:, :, :, i, :, i, :] = visual[:, :, joints]
+        a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
+        largest = (np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3))
+                   + temporal.max(axis=(1, 2))[:, None] * ch.sensors.max(axis=1))
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
-        a += mu[:, None, None] * np.eye(size)
+        a += mu[..., None, None] * np.eye(size)
         # Eliminate each parent-only joint through its own 3x3 block.
-        d_inv = _inv3(visual[:, ch.parents] + (bone * ch.parent_bones + mu[:, None])[:, :, None, None] * _EYE3)
+        d_inv = _inv3(visual[:, :, ch.parents]
+                      + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
         pairs = (ch.cross_bones[:, :, None] * ch.cross_bones[:, None]).reshape(c, m * m, -1)
-        schur = (pairs @ d_inv.reshape(n, c, -1, 9)).reshape(n, c, m, m, 3, 3)
-        a -= bone * bone * schur.transpose(0, 1, 2, 4, 3, 5).reshape(a.shape)
+        schur = (pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
+        a -= bone * bone * schur.transpose(0, 1, 2, 3, 5, 4, 6).reshape(a.shape)
+        # From here one axis runs over every chain of every window.
+        c *= w
         # Blocks of three frames, padded with decoupled identity frames. The
         # accel and smooth terms couple frames at most three apart, so they
         # couple neighbouring blocks only.
-        frames = np.broadcast_to(np.eye(size), (3 * nb, c, size, size)).copy()
-        frames[:n] = a
-        t = np.zeros((3 * nb, 3 * nb))
-        t[:n, :n] = temporal
-        t = t.reshape(nb, 3, nb, 3).transpose(0, 2, 1, 3)[:, :, None, :, :, None, None]
+        frames = np.empty((3 * nb, c, size, size))
+        frames[:n] = a.reshape(n, c, size, size)
+        frames[n:] = np.eye(size)
+        t = np.zeros((w, 3 * nb, 3 * nb))
+        t[:, :n, :n] = temporal
+        t = t.reshape(w, nb, 3, nb, 3).transpose(1, 3, 0, 2, 4)[:, :, :, None, :, None, :, None]
         blocks = np.arange(nb)
-        e = ch.sensors[:, :, None] * np.eye(size)  # (c, size, size)
-        # (block, chain, frame, frame, coordinate, coordinate)
-        diag = t[blocks, blocks] * e[:, None, None]
-        diag[:, :, np.arange(3), np.arange(3)] += frames.reshape(nb, 3, c, size, size).swapaxes(1, 2)
-        sub = t[blocks[1:], blocks[:-1]] * e[:, None, None]
-        diag = diag.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c, 3 * size, 3 * size)
-        sub = sub.transpose(0, 1, 2, 4, 3, 5).reshape(nb - 1, c, 3 * size, 3 * size)
-        # Block LDL^T: the inverse pivots and the multipliers sub @ pivot^-1.
-        inv = np.empty_like(diag)
-        mult = np.empty_like(sub)
-        inv[0] = np.linalg.inv(diag[0])
+        e = (ch.sensors[:, :, None] * np.eye(size))[:, None, :, None, :]
+        # (block, chain, frame, coordinate, frame, coordinate)
+        diag = (t[blocks, blocks] * e).reshape(nb, c, 3, size, 3, size)
+        diag[:, :, np.arange(3), :, np.arange(3)] += frames.reshape(nb, 3, c, size, size).swapaxes(0, 1)
+        diag = diag.reshape(nb, c, 3 * size, 3 * size)
+        sub = (t[blocks[1:], blocks[:-1]] * e).reshape(nb - 1, c, 3 * size, 3 * size)
+        # Block LDL^T in place: diag becomes the inverse pivots and sub the
+        # multipliers sub @ pivot^-1.
+        diag[0] = np.linalg.inv(diag[0])
         for b in range(1, nb):
-            mult[b - 1] = sub[b - 1] @ inv[b - 1]
-            inv[b] = np.linalg.inv(diag[b] - mult[b - 1] @ sub[b - 1].swapaxes(1, 2))
-        return d_inv, inv, mult
+            mult = sub[b - 1] @ diag[b - 1]
+            diag[b] = np.linalg.inv(diag[b] - mult @ sub[b - 1].swapaxes(1, 2))
+            sub[b - 1] = mult
+        return d_inv, diag, sub
 
     def step(self, grad: np.ndarray) -> np.ndarray:
-        """The step -H^-1 grad on the chain joints; zero on the free joints."""
-        n, bone = len(grad), self._bone
+        """The step -H^-1 grad of every window (W, N, J, 3) on its chain
+        joints; zero on the free joints."""
+        w, n = grad.shape[:2]
+        bone = self._bone
         step = np.zeros_like(grad)
+        g, out = grad.swapaxes(0, 1), step.swapaxes(0, 1)  # frames first
         for ch, d_inv, inv, mult in self._factors:
             c, m = ch.joints.shape
             nb, size = len(inv), 3 * m
             lap_sp = ch.cross_bones
-            g_p = grad[:, ch.parents]
-            y = np.zeros((3 * nb, c, m, 3))
+            g_p = g[:, :, ch.parents]
+            y = np.zeros((3 * nb, w, c, m, 3))
             y[:n] = bone * (lap_sp @ (d_inv @ g_p[..., None])[..., 0])
-            y[:n] -= grad[:, ch.joints]
-            y = y.reshape(nb, 3, c, size).swapaxes(1, 2).reshape(nb, c, 3 * size, 1)
+            y[:n] -= g[:, :, ch.joints]
+            y = y.reshape(nb, 3, w * c, size).swapaxes(1, 2).reshape(nb, w * c, 3 * size, 1)
             for b in range(1, nb):
                 y[b] -= mult[b - 1] @ y[b - 1]
             x = inv @ y
             for b in range(nb - 2, -1, -1):
                 x[b] -= mult[b].swapaxes(1, 2) @ x[b + 1]
-            d_s = x.reshape(nb, c, 3, m, 3).swapaxes(1, 2).reshape(3 * nb, c, m, 3)[:n]
+            d_s = x.reshape(nb, w * c, 3, m, 3).swapaxes(1, 2).reshape(3 * nb, w, c, m, 3)[:n]
             back = -g_p - bone * (lap_sp.swapaxes(1, 2) @ d_s)
-            step[:, ch.joints] = d_s
-            step[:, ch.parents] = (d_inv @ back[..., None])[..., 0]
+            out[:, :, ch.joints] = d_s
+            out[:, :, ch.parents] = (d_inv @ back[..., None])[..., 0]
         return step
+
+
+def _solve_stack(
+    frags: Sequence[Fragment],
+    observations: Sequence[Observations],
+    cfg: EnergyConfig,
+    settings: SolverSettings,
+) -> list[FragmentResult]:
+    """minimize_fragment for a stack of windows of one layout that share a
+    camera and a rig.
+
+    Each window follows its own stopping rule: once it stops, it keeps its
+    point, step count and best value while the others step on, and the
+    stack ends when every window has stopped.
+    """
+    n, j, fps = frags[0].frame_count, frags[0].joint_count, frags[0].fps
+    stack = WindowStack(observations, n, j, fps)
+    start = projected = np.array([frag.positions for frag in frags])
+    if cfg.k_visual > 0.0 and stack.has_pixels:
+        projected = visual_minimum(start, np.array([obs.pixels for obs in observations]),
+                                   observations[0].camera)
+    # The start sets each window's scales; its gradient is needed only when
+    # no window moves to its projection. A window whose projection is its
+    # start evaluates there to its first values.
+    project = not np.array_equal(projected, start)
+    first = stack_energy(start, stack, cfg, gradient=not project)
+    scales = first.scales
+    behind = list(first.behind_camera)
+    x, tv = start, first
+    if project:
+        x = projected
+        tv = stack_energy(x, stack, cfg, scales)
+        behind = list(map(max, behind, tv.behind_camera))
+    solver = _ChainSolver(x, stack, cfg, scales, observations[0])
+    values, grad = tv.value, tv.grad
+    iterations = [0] * len(x)
+    converged = [False] * len(x)
+    going = list(range(len(x)))
+    while True:
+        step = solver.step(grad)
+        stepping = []
+        for i in going:
+            if -0.5 * float(np.vdot(grad[i], step[i])) <= settings.grad_tol * values[i]:
+                converged[i] = True
+            elif iterations[i] < settings.max_iterations:
+                stepping.append(i)
+        if not stepping:
+            break
+        held = [i for i in range(len(x)) if i not in stepping]
+        for i in held:
+            step[i] = 0.0
+        moved = x + step
+        trial = stack_energy(moved, stack, cfg, scales)
+        going = []
+        for i in stepping:
+            behind[i] = max(behind[i], trial.behind_camera[i])
+            if trial.value[i] < values[i]:
+                iterations[i] += 1
+                going.append(i)
+            else:
+                held.append(i)
+        for i in held:  # a window that has stopped keeps its point
+            moved[i], trial.value[i], trial.grad[i] = x[i], values[i], grad[i]
+        x, values, grad = moved, trial.value, trial.grad
+    results = []
+    for i, frag in enumerate(frags):
+        point, value = x[i], values[i]
+        if value > first.value[i]:
+            point, value, converged[i] = start[i], first.value[i], False
+        results.append(FragmentResult(Fragment(point, fps, frag.start), first.value[i], value,
+                                      iterations[i], converged[i], behind[i]))
+    return results
 
 
 def minimize_fragment(
@@ -274,39 +379,11 @@ def minimize_fragment(
     is k_visual + k_inertial*(k_accel + k_bone + k_smooth) when every active
     term is nonzero. With the visual term active, every joint first moves to
     its ray projection, the free joints' minimum; the chains then take
-    Gauss-Newton steps from there, one total_energy evaluation each. The
-    result is the best point evaluated, so never above the initial one.
+    Gauss-Newton steps from there, one energy evaluation each. The result is
+    the best point evaluated, so never above the initial one. This is the
+    solve of a stack of one window.
     """
-    first = total_energy(frag, obs, replace(cfg, scales=None))
-    frozen = replace(cfg, scales=first.scales)
-    behind = first.behind_camera
-    x, tv = frag.positions, first
-    if frozen.k_visual > 0.0:
-        projected = visual_minimum(x, obs.pixels, obs.camera)
-        if not np.array_equal(projected, x):
-            x = projected
-            tv = total_energy(Fragment(x, frag.fps, frag.start), obs, frozen)
-            behind = max(behind, tv.behind_camera)
-    solver = _ChainSolver(Fragment(x, frag.fps, frag.start), obs, frozen)
-    iterations, converged = 0, False
-    while True:
-        step = solver.step(tv.grad)
-        if -0.5 * float(np.vdot(tv.grad, step)) <= settings.grad_tol * tv.value:
-            converged = True
-            break
-        if iterations == settings.max_iterations:
-            break
-        moved = x + step
-        trial = total_energy(Fragment(moved, frag.fps, frag.start), obs, frozen)
-        behind = max(behind, trial.behind_camera)
-        if not trial.value < tv.value:
-            break
-        x, tv = moved, trial
-        iterations += 1
-    if tv.value > first.value:
-        x, tv, converged = frag.positions, first, False
-    return FragmentResult(Fragment(x, frag.fps, frag.start), first.value, tv.value,
-                          iterations, converged, behind)
+    return _solve_stack([frag], [obs], cfg, settings)[0]
 
 
 def _solve_window(
@@ -372,12 +449,21 @@ def refine_batch(
     cfg: EnergyConfig,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, RefineStats]:
-    """Optimize every window of a (T, J, 3) sequence and merge."""
+    """Optimize every window of a (T, J, 3) sequence and merge.
+
+    Consecutive windows are solved as one stack of about _STACK_FRAMES
+    frames; each window's result is bitwise the one it gets alone.
+    """
     poses = np.asarray(poses, dtype=float)
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
-    results = [_solve_window(schedule, k, poses, seq_obs, cfg, settings)
-               for k in range(schedule.window_count)]
+    per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
+    results = []
+    for first in range(0, schedule.window_count, per_stack):
+        ks = range(first, min(first + per_stack, schedule.window_count))
+        rows = np.stack([schedule.window_frames(k) for k in ks])
+        frags = [Fragment(poses[r], seq_obs.fps, schedule.window_start(k)) for k, r in zip(ks, rows)]
+        results += _solve_stack(frags, [seq_obs.window(r) for r in rows], cfg, settings)
     elapsed = time.perf_counter() - t0
     merged = merge_fragments(schedule, [r.fragment for r in results])
     return merged, RefineStats.collect(results, poses.shape[0], elapsed)

@@ -26,6 +26,7 @@ from vifuse import (
     visual_energy,
     visual_minimum,
 )
+from vifuse import energy
 from vifuse.rotmath import IDENTITY
 
 from conftest import fd_gradient, max_rel_err
@@ -432,3 +433,35 @@ def test_total_is_flat_along_the_ray_of_a_visual_only_joint(t):
         g, ray = tv.grad[:, head], x[:, head] - c
         assert np.abs(np.sum(g * ray, axis=1)).max() <= 1e-9 * np.abs(g).max() * np.abs(ray).max()
         assert np.abs(g).max() > 0.0  # the joint is seen: the check is not vacuous
+
+
+def test_stack_energy_matches_each_window_alone(rng):
+    # Three windows sharing a camera and a rig, one with a joint behind the camera.
+    frags, observations = [], []
+    for i in range(3):
+        frag, obs = random_setup(rng)
+        if observations:
+            obs = replace(obs, camera=observations[0].camera)
+        if i == 1:
+            pos = frag.positions.copy()
+            pos[2, 1, 2] = -500.0
+            frag = Fragment(pos, frag.fps)
+        frags.append(frag)
+        observations.append(obs)
+    cfg = EnergyConfig()
+    stack = energy.WindowStack(observations, 6, 4, 5.0)
+    x = np.stack([f.positions for f in frags])
+    got = energy.stack_energy(x, stack, cfg)
+    scales = [total_energy(f, o, cfg).scales for f, o in zip(frags, observations)]
+    visual, temporal, bone = stack.normal_parts(x, cfg, scales)
+    assert list(got.behind_camera) == [0, 1, 0]
+    for i, (frag, obs) in enumerate(zip(frags, observations)):
+        alone = total_energy(frag, obs, cfg)
+        assert (got.value[i], got.behind_camera[i], got.scales[i]) == (
+            alone.value, alone.behind_camera, alone.scales)
+        assert got.grad[i].tobytes() == alone.grad.tobytes()
+        parts = energy.normal_parts(frag, obs, replace(cfg, scales=scales[i]))
+        assert visual[i].tobytes() == parts[0].tobytes()
+        assert temporal[i].tobytes() == parts[1].tobytes()
+        assert bone[i] == parts[2]
+

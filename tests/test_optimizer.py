@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from vifuse import (
     visual_minimum,
 )
 from vifuse import energy, optimizer
-from vifuse.rotmath import IDENTITY
+from vifuse.rotmath import IDENTITY, quat_matrix
 
 
 def seq_problem(rng, t_n=30, j_n=3, fps=10.0, sensors=(1, 2), parents=(0, 1)):
@@ -110,8 +111,8 @@ def test_iteration_cap_respected(rng):
 def test_fragment_solve_spends_few_evaluations_beyond_its_iterations(rng, monkeypatch):
     frag, window = window_problem(rng, n=50)
     calls = []
-    monkeypatch.setattr(optimizer, "total_energy",
-                        lambda *a: calls.append(1) or total_energy(*a))
+    monkeypatch.setattr(optimizer, "stack_energy",
+                        lambda *a, **kw: calls.append(1) or energy.stack_energy(*a, **kw))
     res = minimize_fragment(frag, window, EnergyConfig(fragment_len=50), SolverSettings())
     assert res.converged and res.iterations > 0
     assert len(calls) == res.iterations + 2  # the start, the projected start, then one per step
@@ -122,12 +123,12 @@ def test_result_is_monotone(rng, monkeypatch):
     for max_iterations in (1, 2, 1, 2, 30, 30):
         frag, obs = window_problem(rng, j_n=4)
         values = []
-        monkeypatch.setattr(optimizer, "total_energy",
-                            lambda *a: values.append(total_energy(*a)) or values[-1])
+        monkeypatch.setattr(optimizer, "stack_energy",
+                            lambda *a, **kw: values.append(energy.stack_energy(*a, **kw)) or values[-1])
         res = minimize_fragment(frag, obs, EnergyConfig(fragment_len=8),
                                 SolverSettings(max_iterations=max_iterations))
-        assert res.final_value <= res.initial_value == values[0].value
-        assert res.final_value == min(v.value for v in values)
+        assert res.final_value <= res.initial_value == values[0].value[0]
+        assert res.final_value == min(v.value[0] for v in values)
 
 
 def test_failed_step_keeps_the_best_iterate(rng, monkeypatch):
@@ -135,11 +136,11 @@ def test_failed_step_keeps_the_best_iterate(rng, monkeypatch):
     frag, obs = window_problem(rng)
     cfg = EnergyConfig(fragment_len=8)
 
-    def liar(*a):
-        tv = total_energy(*a)
-        return tv._replace(grad=-tv.grad)
+    def liar(*a, **kw):
+        tv = energy.stack_energy(*a, **kw)
+        return tv if tv.grad is None else tv._replace(grad=-tv.grad)
 
-    monkeypatch.setattr(optimizer, "total_energy", liar)
+    monkeypatch.setattr(optimizer, "stack_energy", liar)
     res = minimize_fragment(frag, obs, cfg, SolverSettings())
     assert not res.converged and res.iterations == 0
     projected = visual_minimum(frag.positions, obs.pixels, obs.camera)
@@ -147,23 +148,129 @@ def test_failed_step_keeps_the_best_iterate(rng, monkeypatch):
     assert res.final_value == frozen_energy(frag, obs, cfg)(projected).value < res.initial_value
 
 
-def test_default_solve_is_within_tolerance_of_deep_solve():
-    # Every window of a short default-noise capture, started from sf2 as in rtof.
-    ds = make_dataset(DEFAULT_NOISE, seed=3, script=default_script(4.0))
+def capture_problem(seed, duration):
+    """The sf2 start poses and the observations of a default-noise capture, as rtof solves them."""
+    ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(duration))
     start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
     seq = SequenceObservations(ds.fps, ds.pixels, ds.camera, accel, bones, joints,
                                np.array(ds.skeleton.parents)[joints])
+    return start, seq
+
+
+DEEP = SolverSettings(max_iterations=100, grad_tol=1e-12)
+
+
+def test_default_solve_is_within_tolerance_of_deep_solve():
+    # Every window of a short default-noise capture, started from sf2 as in rtof.
+    start, seq = capture_problem(3, 4.0)
     cfg = EnergyConfig()
     schedule = FragmentSchedule(len(start), cfg.fragment_len)
-    deep = SolverSettings(max_iterations=100, grad_tol=1e-12)
     for k in range(schedule.window_count):
         default = optimizer._solve_window(schedule, k, start, seq, cfg, SolverSettings())
-        best = optimizer._solve_window(schedule, k, start, seq, cfg, deep)
+        best = optimizer._solve_window(schedule, k, start, seq, cfg, DEEP)
         assert default.converged and best.converged
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
+
+
+def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch):
+    # Deep settings make windows stop after different step counts; one chain
+    # joint starts behind the camera in frame 30, which windows 1 and 2 hold.
+    start, seq = capture_problem(3, 4.0)
+    start[30, seq.sensor_joints[1]] = seq.camera.center - 500.0 * quat_matrix(seq.camera.rotation)[2]
+    cfg = EnergyConfig()
+    schedule = FragmentSchedule(len(start), cfg.fragment_len)
+    assert schedule.window_count == 5
+    runs = []
+    for windows in (1, 3, schedule.window_count):
+        monkeypatch.setattr(optimizer, "_STACK_FRAMES", windows * cfg.fragment_len)
+        runs.append(refine_batch(start, seq, cfg, DEEP))
+    iterations = {optimizer._solve_window(schedule, k, start, seq, cfg, DEEP).iterations
+                  for k in range(schedule.window_count)}
+    assert len(iterations) > 1
+    assert runs[0][1].behind_camera_skips > 0
+    for merged, stats in runs[1:]:
+        assert merged.tobytes() == runs[0][0].tobytes()
+        assert stats.behind_camera_skips == runs[0][1].behind_camera_skips
+
+
+def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
+    # One window at its minimum, one that converges in two steps and one
+    # stopped by the two-step cap, in the layout of problem_at_minimum.
+    at_min, obs, cfg = problem_at_minimum()
+    pos = at_min.positions
+    frags, observations = [], []
+    for sigma in (0.2, None, 0.01):
+        if sigma is None:
+            frags.append(at_min)
+            observations.append(obs)
+            continue
+        frags.append(Fragment(pos + rng.normal(0.0, sigma, pos.shape), at_min.fps))
+        observations.append(replace(
+            obs, pixels=obs.pixels + rng.normal(0.0, 0.1 * sigma, obs.pixels.shape),
+            accel=rng.normal(0.0, sigma, obs.accel.shape),
+            bones=obs.bones + rng.normal(0.0, sigma, obs.bones.shape)))
+    settings = SolverSettings(max_iterations=2)
+    stacked = optimizer._solve_stack(frags, observations, cfg, settings)
+    capped, minimum, converging = stacked
+    assert not capped.converged and capped.iterations == 2
+    assert minimum.converged and minimum.iterations == 0 and minimum.final_value == 0.0
+    assert converging.converged and converging.iterations == 2
+    for res, frag, o in zip(stacked, frags, observations):
+        alone = minimize_fragment(frag, o, cfg, settings)
+        assert res.fragment.positions.tobytes() == alone.fragment.positions.tobytes()
+        assert res.fragment.start == alone.fragment.start
+        assert (res.initial_value, res.final_value, res.iterations, res.converged,
+                res.behind_camera) == (alone.initial_value, alone.final_value, alone.iterations,
+                                       alone.converged, alone.behind_camera)
+
+
+def test_revert_to_the_start_is_per_window(rng, monkeypatch):
+    # Every step goes uphill, as in test_failed_step_keeps_the_best_iterate,
+    # so each window ends at the better of its start and its ray projection.
+    # The projection lowers the energy of the first window. The second starts
+    # where its inertial terms vanish, so their scales sit at the floor and
+    # the projection raises its energy: it falls back to its start.
+    frag, obs = window_problem(rng)
+    x = frag.positions
+    accel = np.zeros_like(obs.accel)
+    accel[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2])[:, obs.sensor_joints] * frag.fps ** 2
+    inertial_start = replace(obs, accel=accel, bones=x[:, obs.sensor_joints] - x[:, obs.sensor_parents])
+    cfg = EnergyConfig(fragment_len=8)
+
+    def liar(*a, **kw):
+        tv = energy.stack_energy(*a, **kw)
+        return tv if tv.grad is None else tv._replace(grad=-tv.grad)
+
+    monkeypatch.setattr(optimizer, "stack_energy", liar)
+    observations = [obs, inertial_start]
+    stacked = optimizer._solve_stack([frag, frag], observations, cfg, SolverSettings())
+    for res, o in zip(stacked, observations):
+        alone = minimize_fragment(frag, o, cfg, SolverSettings())
+        assert res.fragment.positions.tobytes() == alone.fragment.positions.tobytes()
+        assert (res.final_value, res.iterations, res.converged) == (
+            alone.final_value, alone.iterations, alone.converged)
+        assert not res.converged and res.iterations == 0
+    assert stacked[0].final_value < stacked[0].initial_value
+    np.testing.assert_array_equal(stacked[0].fragment.positions,
+                                  visual_minimum(x, obs.pixels, obs.camera))
+    assert stacked[1].final_value == stacked[1].initial_value
+    np.testing.assert_array_equal(stacked[1].fragment.positions, x)
+
+
+def test_batch_memory_stays_bounded():
+    # Stacking every window of the default 60 s capture at once peaks near
+    # 53 MB; stacks of about 150 frames stay near 4 MB.
+    start, seq = capture_problem(0, 60.0)
+    tracemalloc.start()
+    try:
+        refine_batch(start, seq, EnergyConfig(), SolverSettings())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def pin_pixels(obs, joints):
@@ -320,8 +427,8 @@ def test_start_at_minimum_is_zero_iterations():
 
 def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
     passes = []
-    residuals = energy._Window.residuals
-    monkeypatch.setattr(energy._Window, "residuals",
+    residuals = energy.WindowStack.residuals
+    monkeypatch.setattr(energy.WindowStack, "residuals",
                         lambda self, *a: passes.append(1) or residuals(self, *a))
     res = minimize_fragment(*problem_at_minimum(), SolverSettings())
     assert res.converged and res.iterations == 0
