@@ -22,17 +22,18 @@ fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
 comparable magnitudes.
 
 One kernel evaluates every term, over a stack of windows that share a
-camera and a rig (a WindowStack). Whatever does not depend on the positions
-(the projection, the observed mask, the sensor gather and scatter and the
-targets) is built once per stack, and for a window alone kept with its
-Observations; the difference operators are built once per window length. An
+camera and a rig (a WindowStack). The stack gathers its windows' rows
+straight from the stream arrays, and builds whatever does not depend on the
+positions (the projection, the observed mask, the sensor gather and scatter
+and the targets) once; a window alone is the stack of one, kept with its
+Observations. The difference operators are built once per window length. An
 evaluation computes the residuals of the active terms, each window's values,
 then one weighted gradient; stack_energy gives every window's total, and
 total_energy and the term functions are the stack of one. Every matrix
 product runs once per window, so a window's results do not depend on the
 stack it is in. The visual term alone needs no solver: visual_minimum gives
-its minimum in closed form. normal_parts gives the pieces of the total's
-Gauss-Newton normal matrix.
+its minimum in closed form. WindowStack.normal_parts gives the pieces of
+the total's Gauss-Newton normal matrix.
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ class EnergyConfig:
     k_visual/k_inertial balance the two families; k_accel/k_bone/k_smooth
     weight the inertial terms internally. theta_t (rad) gates the IMU override
     in the per-frame IK stage; fragment_len is the window size N (even, >= 4).
-    `scales` is normally filled by the optimizer at each fragment's initial
-    point; when None, total_energy computes scales at the point it is given.
+    `scales` fixes total_energy's denominators, as with_scales freezes them at
+    a fragment's point; when None, total_energy computes scales at the point
+    it is given. The solver leaves it unset and hands each window's scales to
+    stack_energy, which does not read it.
     """
 
     k_visual: float = DEFAULT_VISUAL_WEIGHT
@@ -191,11 +194,6 @@ class EnergyConfig:
 
     def with_scales(self, frag: Fragment, obs: Observations) -> "EnergyConfig":
         return replace(self, scales=term_scales(frag, obs, self))
-
-
-def _check_frames(n: int, arr: np.ndarray, name: str) -> None:
-    if arr.shape[0] != n:
-        raise ValueError(f"{name} covers {arr.shape[0]} frames, fragment has {n}")
 
 
 class _Residuals(NamedTuple):
@@ -235,65 +233,76 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _stacked(observations: Sequence[Observations], name: str, n: int) -> np.ndarray:
-    arrays = [getattr(obs, name) for obs in observations]
-    for a in arrays:
-        _check_frames(n, a, name)
-    return np.array(arrays)
-
-
 class WindowStack:
     """Everything the terms need that does not depend on the positions, for a
-    stack of W windows of n frames, j joints at `fps` that share a camera,
-    a rig and the streams they observe.
+    stack of W windows of N frames that share a camera, a rig and the
+    streams they observe.
 
-    Building it validates the observations against that layout; `require`
-    then names a term whose observations are missing. Positions enter as
-    (W, N, J, 3) and the gradient leaves in that shape; inside, the visual
-    term works on (W, 3, N*J) rows u, v, w so that each operation runs over
-    one long axis. Every matrix product runs once per window, so a window's
-    values and gradient are bitwise the same in any stack.
+    It gathers the (W, N) frame `rows` of every stream of `source`, an
+    Observations or a SequenceObservations, for positions of `shape`
+    (T, J, 3) that the same rows index; each stream must cover those T
+    frames. Building it validates the streams against that layout;
+    `require` then names a term whose observations are missing. Positions
+    enter as (W, N, J, 3) and the gradient leaves in that shape; inside, the
+    visual term works on (W, 3, N*J) rows u, v, w so that each operation
+    runs over one long axis. Every matrix product runs once per window, so
+    a window's values and gradient are bitwise the same in any stack.
     """
 
-    def __init__(self, observations: Sequence[Observations], n: int, j: int, fps: float):
+    def __init__(self, source, rows: np.ndarray, shape: tuple[int, ...], fps: float):
+        (w, n), (t, j) = rows.shape, shape[:2]
+        for name in ("pixels", "accel", "bones"):
+            a = getattr(source, name)
+            if a is not None and len(a) != t:
+                raise ValueError(f"{name} has {len(a)} frames, the positions have {t}")
         self.key = (n, j, fps)
-        first = observations[0]  # the camera and the rig of every window
-        self.has_pixels = first.pixels is not None and first.camera is not None
-        self.has_accel = first.accel is not None
-        self.has_bones = first.bones is not None
-        w, k = len(observations), len(first.sensor_joints)
+        self.camera = source.camera
+        self.sensor_joints, self.sensor_parents = source.sensor_joints, source.sensor_parents
+        self.has_pixels = source.pixels is not None and source.camera is not None
+        self.has_accel = source.accel is not None
+        self.has_bones = source.bones is not None
+        k = len(self.sensor_joints)
         self.cols = 3 * k
+        self.pixels = None
         if self.has_pixels:
-            pixels = _stacked(observations, "pixels", n)
-            if pixels.shape[2] != j:
+            if source.pixels.shape[1] != j:
                 raise ValueError("2D observations disagree with fragment joint count")
-            p = first.camera.matrix
+            self.pixels = source.pixels[rows]
+            p = self.camera.matrix
             self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
             self.offset = p[:, 3:].copy()
-            px = pixels.reshape(w, n * j, 2).swapaxes(1, 2)
+            px = self.pixels.reshape(w, n * j, 2).swapaxes(1, 2)
             self.observed = np.isfinite(px).all(axis=1)
             self.target = np.where(self.observed[:, None], px, 0.0)
         if self.has_accel or self.has_bones:
             # Coordinates of the sensor joints, then of their parents; the
             # scatter adds each gathered column back onto its coordinate, so
             # sensors sharing a joint or a parent accumulate.
-            joints = np.concatenate([first.sensor_joints, first.sensor_parents])
+            joints = np.concatenate([self.sensor_joints, self.sensor_parents])
             self.gather = (3 * joints[:, None] + np.arange(3)).ravel()
             self.scatter = np.zeros((2 * self.cols, 3 * j))
             self.scatter[np.arange(2 * self.cols), self.gather] = 1.0
         if self.has_accel:
-            accel = _stacked(observations, "accel", n)
-            if accel.shape[2] != k:
+            if source.accel.shape[1] != k:
                 raise ValueError("accel rows disagree with sensor count")
             self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
-            a = accel.reshape(w, n, self.cols)
+            a = source.accel[rows].reshape(w, n, self.cols)
             self.accel_target = a[:, 1:-1]
             self.smooth_target = (a[:, 2:-1] - a[:, 1:-2]) * fps
         if self.has_bones:
-            bones = _stacked(observations, "bones", n)
-            if bones.shape[2] != k:
+            if source.bones.shape[1] != k:
                 raise ValueError("bone rows disagree with sensor count")
-            self.bone_target = bones.reshape(w, n, self.cols)
+            self.bone_target = source.bones[rows].reshape(w, n, self.cols)
+
+    @classmethod
+    def of_window(cls, frag: Fragment, obs: Observations) -> "WindowStack":
+        """The stack of one window, built once and kept with its Observations."""
+        key = (frag.frame_count, frag.joint_count, frag.fps)
+        win = obs._constants
+        if win is None or win.key != key:
+            win = cls(obs, np.arange(frag.frame_count)[None], frag.positions.shape, frag.fps)
+            object.__setattr__(obs, "_constants", win)
+        return win
 
     def require(self, active: tuple[bool, bool, bool, bool]) -> None:
         visual, accel, bone, smooth = active
@@ -374,8 +383,13 @@ class WindowStack:
 
     def normal_parts(self, x: np.ndarray, cfg: EnergyConfig, scales: Sequence[TermScales]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """normal_parts of every window at x (W, N, J, 3) under its scales:
-        visual (W, N, J, 3, 3), temporal (W, N, N) and bone weights (W,)."""
+        """The pieces of each window's Gauss-Newton normal matrix of
+        total_energy at x (W, N, J, 3), each w below being a term's weight
+        over the window's scale: the visual block 2 w J^T J of every (frame,
+        joint) (W, N, J, 3, 3), zero where the term skips the joint; the
+        (W, N, N) matrix that the accel and smooth terms put on each
+        coordinate of each sensor's joint; and the (W,) weight 2 w that the
+        bone term puts on each sensor's joint-minus-parent difference."""
         active = _active_terms(cfg)
         self.require(active)
         wv, wa, wb, ws = np.array([[2.0 * k / s if on else 0.0
@@ -401,19 +415,9 @@ class WindowStack:
         return visual.reshape(w, n, j, 3, 3), temporal, wb
 
 
-def _window(frag: Fragment, obs: Observations) -> WindowStack:
-    """The stack of one window, built once and kept with its Observations."""
-    key = (frag.frame_count, frag.joint_count, frag.fps)
-    win = obs._constants
-    if win is None or win.key != key:
-        win = WindowStack((obs,), *key)
-        object.__setattr__(obs, "_constants", win)
-    return win
-
-
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     active = tuple(i == index for i in range(4))
-    win = _window(frag, obs)
+    win = WindowStack.of_window(frag, obs)
     res = win.residuals(frag.positions[None], active)
     grad = win.gradient(res, np.array([active], dtype=float))
     return TermValue(res.values()[0][index], grad[0], res.behind_camera[0])
@@ -498,7 +502,8 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
     """Normalization denominators: each active term's value at `frag`, clamped
     below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
     active = _active_terms(cfg)
-    return _scales(_window(frag, obs).residuals(frag.positions[None], active).values()[0], active)
+    res = WindowStack.of_window(frag, obs).residuals(frag.positions[None], active)
+    return _scales(res.values()[0], active)
 
 
 class StackValue(NamedTuple):
@@ -543,24 +548,6 @@ def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermVa
     k_visual + k_inertial * (k_accel + k_bone + k_smooth) = 1.0 whenever every
     active term is nonzero there. The returned `scales` are the ones used.
     """
-    tv = stack_energy(frag.positions[None], _window(frag, obs), cfg,
+    tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs), cfg,
                       None if cfg.scales is None else [cfg.scales])
     return TermValue(tv.value[0], tv.grad[0], tv.behind_camera[0], tv.scales[0])
-
-
-def normal_parts(frag: Fragment, obs: Observations, cfg: EnergyConfig
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The pieces of total_energy's Gauss-Newton normal matrix at `frag`.
-
-    Returns the visual block 2 w J^T J of every (frame, joint) as
-    (N, J, 3, 3), zero where the term skips the joint; the (N, N) matrix
-    that the accel and smooth terms put on each coordinate of each sensor's
-    joint; and the weight 2 w that the bone term puts on each sensor's
-    joint-minus-parent difference. Each w is the term's weight over its
-    scale in cfg.scales, or over its value at `frag` when that is None.
-    """
-    win = _window(frag, obs)
-    win.require(_active_terms(cfg))
-    scales = cfg.scales if cfg.scales is not None else term_scales(frag, obs, cfg)
-    visual, temporal, bone = win.normal_parts(frag.positions[None], cfg, [scales])
-    return visual[0], temporal[0], float(bone[0])

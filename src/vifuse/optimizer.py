@@ -13,10 +13,15 @@ bones, which take Gauss-Newton steps on one damped normal matrix per window.
 
 The solve runs over a stack of windows: one energy pass, one factorization
 and one step call serve them all, while each window keeps its own scales,
-damping and stopping rule. refine_batch stacks consecutive windows to share
-numpy's per-call cost among them; minimize_fragment and StreamingRefiner
-solve a stack of one. Every matrix product and inverse runs once per window
-or chain, so a window's result is bitwise the same in any stack.
+damping and stopping rule. Batch and streaming share one gather path: it
+takes a range of windows' rows from the sequence arrays, or from the
+streaming rings, straight into one WindowStack and solves it. refine_batch
+calls it once per group of about _STACK_FRAMES frames, which shares numpy's
+per-call cost among the windows; StreamingRefiner calls it for the windows
+that are ready, one per push and the trailing ones together in finish().
+minimize_fragment solves a stack of one. Every matrix product and inverse
+runs once per window or chain, so a window's result is bitwise the same in
+any stack.
 """
 
 from __future__ import annotations
@@ -113,7 +118,8 @@ class FragmentSchedule:
 
 @dataclass(frozen=True)
 class SequenceObservations:
-    """Whole-sequence observation arrays; fragments slice rows out of these."""
+    """Whole-sequence observation arrays, frame t at row t, out of which each
+    WindowStack gathers its windows' rows; absent sensors are empty arrays."""
 
     fps: float
     pixels: np.ndarray | None = None
@@ -123,17 +129,14 @@ class SequenceObservations:
     sensor_joints: np.ndarray | None = None
     sensor_parents: np.ndarray | None = None
 
-    def window(self, frames: np.ndarray) -> Observations:
-        sj = self.sensor_joints if self.sensor_joints is not None else np.empty(0, dtype=int)
-        pj = self.sensor_parents if self.sensor_parents is not None else np.empty(0, dtype=int)
-        return Observations(
-            pixels=None if self.pixels is None else self.pixels[frames],
-            camera=self.camera,
-            accel=None if self.accel is None else self.accel[frames],
-            bones=None if self.bones is None else self.bones[frames],
-            sensor_joints=sj,
-            sensor_parents=pj,
-        )
+    def __post_init__(self):
+        for name in ("pixels", "accel", "bones"):
+            a = getattr(self, name)
+            if a is not None:
+                object.__setattr__(self, name, np.asarray(a, dtype=float))
+        for name in ("sensor_joints", "sensor_parents"):
+            a = getattr(self, name)
+            object.__setattr__(self, name, np.asarray([] if a is None else a, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,11 @@ class _ChainSolver:
     """
 
     def __init__(self, x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
-                 scales: Sequence[TermScales], obs: Observations):
+                 scales: Sequence[TermScales]):
         visual, temporal, bone = stack.normal_parts(x, cfg, scales)
         self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
-        groups = _chain_groups(tuple(obs.sensor_joints.tolist()), tuple(obs.sensor_parents.tolist()))
+        groups = _chain_groups(tuple(stack.sensor_joints.tolist()),
+                               tuple(stack.sensor_parents.tolist()))
         visual = visual.swapaxes(0, 1)
         self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in groups]
 
@@ -295,25 +299,19 @@ class _ChainSolver:
         return step
 
 
-def _solve_stack(
-    frags: Sequence[Fragment],
-    observations: Sequence[Observations],
-    cfg: EnergyConfig,
-    settings: SolverSettings,
-) -> list[FragmentResult]:
-    """minimize_fragment for a stack of windows of one layout that share a
-    camera and a rig.
+def _solve_stack(start: np.ndarray, stack: WindowStack, starts: Sequence[int], cfg: EnergyConfig,
+                 settings: SolverSettings) -> list[FragmentResult]:
+    """minimize_fragment for every window of `stack` from its positions in
+    `start` (W, N, J, 3); `starts` are the windows' first frame indices.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
     stack ends when every window has stopped.
     """
-    n, j, fps = frags[0].frame_count, frags[0].joint_count, frags[0].fps
-    stack = WindowStack(observations, n, j, fps)
-    start = projected = np.array([frag.positions for frag in frags])
+    fps = stack.key[2]
+    projected = start
     if cfg.k_visual > 0.0 and stack.has_pixels:
-        projected = visual_minimum(start, np.array([obs.pixels for obs in observations]),
-                                   observations[0].camera)
+        projected = visual_minimum(start, stack.pixels, stack.camera)
     # The start sets each window's scales; its gradient is needed only when
     # no window moves to its projection. A window whose projection is its
     # start evaluates there to its first values.
@@ -326,7 +324,7 @@ def _solve_stack(
         x = projected
         tv = stack_energy(x, stack, cfg, scales)
         behind = list(map(max, behind, tv.behind_camera))
-    solver = _ChainSolver(x, stack, cfg, scales, observations[0])
+    solver = _ChainSolver(x, stack, cfg, scales)
     values, grad = tv.value, tv.grad
     iterations = [0] * len(x)
     converged = [False] * len(x)
@@ -358,11 +356,11 @@ def _solve_stack(
             moved[i], trial.value[i], trial.grad[i] = x[i], values[i], grad[i]
         x, values, grad = moved, trial.value, trial.grad
     results = []
-    for i, frag in enumerate(frags):
+    for i, window_start in enumerate(starts):
         point, value = x[i], values[i]
         if value > first.value[i]:
             point, value, converged[i] = start[i], first.value[i], False
-        results.append(FragmentResult(Fragment(point, fps, frag.start), first.value[i], value,
+        results.append(FragmentResult(Fragment(point, fps, window_start), first.value[i], value,
                                       iterations[i], converged[i], behind[i]))
     return results
 
@@ -383,26 +381,23 @@ def minimize_fragment(
     the best point evaluated, so never above the initial one. This is the
     solve of a stack of one window.
     """
-    return _solve_stack([frag], [obs], cfg, settings)[0]
+    stack = WindowStack.of_window(frag, obs)
+    return _solve_stack(np.array([frag.positions]), stack, [frag.start], cfg, settings)[0]
 
 
-def _solve_window(
-    schedule: FragmentSchedule,
-    k: int,
-    poses: np.ndarray,
-    seq_obs: SequenceObservations,
-    cfg: EnergyConfig,
-    settings: SolverSettings,
-) -> FragmentResult:
-    """Gather window k's rows and minimize its fragment.
+def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray,
+                   seq_obs: SequenceObservations, cfg: EnergyConfig,
+                   settings: SolverSettings) -> list[FragmentResult]:
+    """Gather the rows of `windows` into one WindowStack and solve them.
 
     `poses` and `seq_obs` hold either the whole sequence or a ring of its
     last len(poses) frames, frame t at row t % len(poses); the ring must be
     at least one window long.
     """
-    rows = schedule.window_frames(k) % len(poses)
-    frag = Fragment(poses[rows], seq_obs.fps, schedule.window_start(k))
-    return minimize_fragment(frag, seq_obs.window(rows), cfg, settings)
+    rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
+    stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
+    return _solve_stack(poses[rows], stack, [schedule.window_start(k) for k in windows],
+                        cfg, settings)
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -455,15 +450,15 @@ def refine_batch(
     frames; each window's result is bitwise the one it gets alone.
     """
     poses = np.asarray(poses, dtype=float)
+    if poses.ndim != 3 or poses.shape[2] != 3:
+        raise ValueError(f"poses must have shape (T, J, 3), got {poses.shape}")
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
     results = []
     for first in range(0, schedule.window_count, per_stack):
-        ks = range(first, min(first + per_stack, schedule.window_count))
-        rows = np.stack([schedule.window_frames(k) for k in ks])
-        frags = [Fragment(poses[r], seq_obs.fps, schedule.window_start(k)) for k, r in zip(ks, rows)]
-        results += _solve_stack(frags, [seq_obs.window(r) for r in rows], cfg, settings)
+        windows = range(first, min(first + per_stack, schedule.window_count))
+        results += _solve_windows(schedule, windows, poses, seq_obs, cfg, settings)
     elapsed = time.perf_counter() - t0
     merged = merge_fragments(schedule, [r.fragment for r in results])
     return merged, RefineStats.collect(results, poses.shape[0], elapsed)
@@ -504,10 +499,15 @@ class StreamingRefiner:
         self._finished = False
 
     def _run_windows(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Solve windows up to `stop`; each emits the frames it shares with the one before."""
+        """Solve the windows up to `stop` as one stack; each emits the frames
+        it shares with the one before."""
+        windows = range(self._next_window, stop)
+        self._next_window = stop
+        if not windows:
+            return []
         out = []
-        for k in range(self._next_window, stop):
-            res = _solve_window(schedule, k, self._pos, self._obs, self._cfg, self._settings)
+        for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._obs,
+                                                  self._cfg, self._settings)):
             cur = res.fragment.positions
             if k > 0:
                 start = schedule.window_start(k)
@@ -515,7 +515,6 @@ class StreamingRefiner:
                 end = min(start + schedule.stride, schedule.frame_count)
                 out += [(t, rows[t - start]) for t in range(start, end)]
             self._prev = cur
-        self._next_window = stop
         return out
 
     def push(
@@ -535,6 +534,9 @@ class StreamingRefiner:
         rows = {"positions": positions, "pixels": pixels, "accel": accel, "bones": bones}
         rows = {name: None if r is None else np.asarray(r, dtype=float) for name, r in rows.items()}
         if self._frames == 0:
+            shape = rows["positions"].shape
+            if len(shape) != 2 or shape[1] != 3:
+                raise ValueError(f"positions row of frame 0 has shape {shape}, not (J, 3)")
             rings = {name: None if r is None else np.empty((self._len, *r.shape))
                      for name, r in rows.items()}
             self._pos = rings.pop("positions")

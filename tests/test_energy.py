@@ -11,7 +11,6 @@ from vifuse import (
     MissingObservationError,
     Observations,
     SCALE_FLOOR,
-    SequenceObservations,
     TermScales,
     W_MIN,
     accel_energy,
@@ -417,10 +416,9 @@ def test_total_is_flat_along_the_ray_of_a_visual_only_joint(t):
     parents = np.array(ds.skeleton.parents)[sensors]
     head = ds.skeleton.index_of("head")
     assert head not in sensors and head not in parents
-    seq = SequenceObservations(ds.fps, ds.pixels, ds.camera, accel, bones, sensors, parents)
-    frames = np.arange(EnergyConfig().fragment_len)
-    obs = seq.window(frames)
-    frag = Fragment(ds.inputs[frames], ds.fps)
+    assert ds.inputs.shape[0] == EnergyConfig().fragment_len  # the capture is one window
+    obs = Observations(ds.pixels, ds.camera, accel, bones, sensors, parents)
+    frag = Fragment(ds.inputs, ds.fps)
     cfg = EnergyConfig().with_scales(frag, obs)  # scales frozen at the start
     before = total_energy(frag, obs, cfg)
 
@@ -449,7 +447,12 @@ def test_stack_energy_matches_each_window_alone(rng):
         frags.append(frag)
         observations.append(obs)
     cfg = EnergyConfig()
-    stack = energy.WindowStack(observations, 6, 4, 5.0)
+    # The windows' rows laid end to end in one source, gathered back as a stack.
+    source = replace(observations[0], **{
+        name: np.concatenate([getattr(o, name) for o in observations])
+        for name in ("pixels", "accel", "bones")})
+    rows = np.arange(18).reshape(3, 6)
+    stack = energy.WindowStack(source, rows, (18, 4, 3), 5.0)
     x = np.stack([f.positions for f in frags])
     got = energy.stack_energy(x, stack, cfg)
     scales = [total_energy(f, o, cfg).scales for f, o in zip(frags, observations)]
@@ -460,8 +463,9 @@ def test_stack_energy_matches_each_window_alone(rng):
         assert (got.value[i], got.behind_camera[i], got.scales[i]) == (
             alone.value, alone.behind_camera, alone.scales)
         assert got.grad[i].tobytes() == alone.grad.tobytes()
-        parts = energy.normal_parts(frag, obs, replace(cfg, scales=scales[i]))
-        assert visual[i].tobytes() == parts[0].tobytes()
-        assert temporal[i].tobytes() == parts[1].tobytes()
-        assert bone[i] == parts[2]
+        parts = energy.WindowStack.of_window(frag, obs).normal_parts(
+            frag.positions[None], cfg, [scales[i]])
+        assert visual[i].tobytes() == parts[0][0].tobytes()
+        assert temporal[i].tobytes() == parts[1][0].tobytes()
+        assert bone[i] == parts[2][0]
 

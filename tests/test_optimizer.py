@@ -167,9 +167,10 @@ def test_default_solve_is_within_tolerance_of_deep_solve():
     start, seq = capture_problem(3, 4.0)
     cfg = EnergyConfig()
     schedule = FragmentSchedule(len(start), cfg.fragment_len)
-    for k in range(schedule.window_count):
-        default = optimizer._solve_window(schedule, k, start, seq, cfg, SolverSettings())
-        best = optimizer._solve_window(schedule, k, start, seq, cfg, DEEP)
+    windows = range(schedule.window_count)
+    for default, best in zip(
+            optimizer._solve_windows(schedule, windows, start, seq, cfg, SolverSettings()),
+            optimizer._solve_windows(schedule, windows, start, seq, cfg, DEEP)):
         assert default.converged and best.converged
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
@@ -187,13 +188,26 @@ def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch):
     for windows in (1, 3, schedule.window_count):
         monkeypatch.setattr(optimizer, "_STACK_FRAMES", windows * cfg.fragment_len)
         runs.append(refine_batch(start, seq, cfg, DEEP))
-    iterations = {optimizer._solve_window(schedule, k, start, seq, cfg, DEEP).iterations
-                  for k in range(schedule.window_count)}
+    iterations = {res.iterations for res in optimizer._solve_windows(
+        schedule, range(schedule.window_count), start, seq, cfg, DEEP)}
     assert len(iterations) > 1
     assert runs[0][1].behind_camera_skips > 0
     for merged, stats in runs[1:]:
         assert merged.tobytes() == runs[0][0].tobytes()
         assert stats.behind_camera_skips == runs[0][1].behind_camera_skips
+
+
+def solve_as_one_stack(frags, observations, cfg, settings):
+    """Solve windows of one layout, each with its own observations, as one
+    stack: their rows are laid end to end in one source."""
+    n = frags[0].frame_count
+    source = replace(observations[0], **{
+        name: np.concatenate([getattr(o, name) for o in observations])
+        for name in ("pixels", "accel", "bones")})
+    positions = np.concatenate([f.positions for f in frags])
+    rows = np.arange(len(positions)).reshape(len(frags), n)
+    stack = energy.WindowStack(source, rows, positions.shape, frags[0].fps)
+    return optimizer._solve_stack(positions[rows], stack, [f.start for f in frags], cfg, settings)
 
 
 def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
@@ -213,7 +227,7 @@ def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
             accel=rng.normal(0.0, sigma, obs.accel.shape),
             bones=obs.bones + rng.normal(0.0, sigma, obs.bones.shape)))
     settings = SolverSettings(max_iterations=2)
-    stacked = optimizer._solve_stack(frags, observations, cfg, settings)
+    stacked = solve_as_one_stack(frags, observations, cfg, settings)
     capped, minimum, converging = stacked
     assert not capped.converged and capped.iterations == 2
     assert minimum.converged and minimum.iterations == 0 and minimum.final_value == 0.0
@@ -246,7 +260,7 @@ def test_revert_to_the_start_is_per_window(rng, monkeypatch):
 
     monkeypatch.setattr(optimizer, "stack_energy", liar)
     observations = [obs, inertial_start]
-    stacked = optimizer._solve_stack([frag, frag], observations, cfg, SolverSettings())
+    stacked = solve_as_one_stack([frag, frag], observations, cfg, SolverSettings())
     for res, o in zip(stacked, observations):
         alone = minimize_fragment(frag, o, cfg, SolverSettings())
         assert res.fragment.positions.tobytes() == alone.fragment.positions.tobytes()
@@ -383,21 +397,16 @@ def test_every_frame_covered_exactly_twice(t_n, n):
         assert holders[t] == set(s.covering_windows(t))
 
 
-def test_sequence_observations_window_slices(rng):
-    _, obs = seq_problem(rng, t_n=12)
-    frames = np.array([0, 0, 1, 2])
-    w = obs.window(frames)
-    np.testing.assert_array_equal(w.pixels, obs.pixels[frames])
-    np.testing.assert_array_equal(w.accel, obs.accel[frames])
-    np.testing.assert_array_equal(w.bones, obs.bones[frames])
-    assert w.camera is obs.camera
+def whole_window(seq):
+    """The Observations of a whole SequenceObservations, as one window."""
+    return Observations(seq.pixels, seq.camera, seq.accel, seq.bones, seq.sensor_joints,
+                        seq.sensor_parents)
 
 
 def test_minimize_fragment_normalized_start(rng):
     poses, obs = seq_problem(rng, t_n=8)
-    frames = np.arange(8)
-    frag = Fragment(poses[frames], obs.fps, 0)
-    res = minimize_fragment(frag, obs.window(frames), EnergyConfig(fragment_len=8), SolverSettings())
+    frag = Fragment(poses, obs.fps, 0)
+    res = minimize_fragment(frag, whole_window(obs), EnergyConfig(fragment_len=8), SolverSettings())
     assert res.initial_value == pytest.approx(1.0, rel=1e-9)
     assert res.final_value <= res.initial_value
     assert res.fragment.positions.shape == frag.positions.shape
@@ -463,22 +472,43 @@ def test_refine_batch_reduces_energy(rng):
     assert stats.optimize_seconds > 0
     assert stats.fragments_per_second > 0
     # the merged output scores below the input on full-sequence energy
-    frames = np.arange(poses.shape[0])
-    before = total_energy(Fragment(poses, obs.fps), obs.window(frames), cfg.with_scales(Fragment(poses, obs.fps), obs.window(frames)))
-    frozen = cfg.with_scales(Fragment(poses, obs.fps), obs.window(frames))
-    after = total_energy(Fragment(merged, obs.fps), obs.window(frames), frozen)
+    whole = whole_window(obs)
+    frozen = cfg.with_scales(Fragment(poses, obs.fps), whole)
+    before = total_energy(Fragment(poses, obs.fps), whole, frozen)
+    after = total_energy(Fragment(merged, obs.fps), whole, frozen)
     assert after.value < before.value
 
 
-def test_stream_matches_batch(rng):
-    poses, obs = seq_problem(rng, t_n=37)
+@pytest.mark.parametrize("name", ["pixels", "accel", "bones"])
+@pytest.mark.parametrize("extra", [-10, 3])
+def test_refine_batch_rejects_a_stream_of_another_length(rng, name, extra):
+    poses, obs = seq_problem(rng, t_n=30)
+    a = getattr(obs, name)
+    a = a[:extra] if extra < 0 else np.concatenate([a, a[:extra]])
+    with pytest.raises(ValueError, match=f"{name} has {30 + extra} frames, the positions have 30"):
+        refine_batch(poses, replace(obs, **{name: a}), EnergyConfig(fragment_len=8),
+                     SolverSettings())
+
+
+def test_refine_batch_rejects_poses_of_another_shape(rng):
+    poses, obs = seq_problem(rng, t_n=10)
+    for bad in (poses[..., :2], poses[0], poses[..., None]):
+        with pytest.raises(ValueError, match=r"\(T, J, 3\)"):
+            refine_batch(bad, obs, EnergyConfig(fragment_len=8), SolverSettings())
+
+
+@pytest.mark.parametrize("t_n", [3, 8, 37])
+def test_stream_matches_batch(rng, t_n):
+    # At N = 8, finish() solves every window from a partial ring (3), one
+    # window (8) or two windows as one stack (37).
+    poses, obs = seq_problem(rng, t_n=t_n)
     cfg = EnergyConfig(fragment_len=8)
     st_ = SolverSettings()
     batch, _ = refine_batch(poses, obs, cfg, st_)
     got = list(run_stream(poses, obs, cfg, st_))
-    assert [t for t, _ in got] == list(range(37))
+    assert [t for t, _ in got] == list(range(t_n))
     streamed = np.stack([row for _, row in got])
-    np.testing.assert_array_equal(streamed, batch)
+    assert streamed.tobytes() == batch.tobytes()
 
 
 def test_stream_buffers_stay_bounded(rng):
@@ -550,6 +580,15 @@ def test_stream_rejects_row_shape_change(rng):
         r.push(poses[1][0], pixels=obs.pixels[1])  # a (3,) row would broadcast into (J, 3)
     with pytest.raises(ValueError, match="pixels row of frame 1"):
         r.push(poses[1], pixels=obs.pixels[1][:2])
+
+
+def test_stream_rejects_a_bad_positions_row_at_frame_0(rng):
+    poses, obs = seq_problem(rng, t_n=6)
+    for bad in (poses[0][:, :2], poses[0][0], poses[:2]):
+        r = StreamingRefiner(obs.fps, EnergyConfig(fragment_len=4), SolverSettings(),
+                             camera=obs.camera)
+        with pytest.raises(ValueError, match="positions row of frame 0"):
+            r.push(bad, pixels=obs.pixels[0])
 
 
 def test_stream_finish_then_push_rejected(rng):
