@@ -8,6 +8,7 @@ Camera frame follows the usual vision convention: x right, y down, z forward
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +40,25 @@ class Camera:
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
-    @property
+    # Each matrix is built on first use and kept, read-only since every
+    # caller shares it; dataclasses.replace builds a camera that computes its
+    # own. `rotation` is a view of the caller's quaternion, which must not
+    # change once the camera is built.
+    @cached_property
+    def rotation_matrix(self) -> np.ndarray:
+        """3x3 world-to-camera rotation."""
+        r = quat_matrix(self.rotation)
+        r.setflags(write=False)
+        return r
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """3x4 projection, homogeneous world mm -> homogeneous pixels."""
         k = np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
-        r = quat_matrix(self.rotation)
-        return k @ np.hstack([r, (-r @ self.center)[:, None]])
+        r = self.rotation_matrix
+        p = k @ np.hstack([r, (-r @ self.center)[:, None]])
+        p.setflags(write=False)
+        return p
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Project (..., 3) world points to (..., 2) pixels.

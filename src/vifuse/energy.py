@@ -24,16 +24,17 @@ comparable magnitudes.
 One kernel evaluates every term, over a stack of windows that share a
 camera and a rig (a WindowStack). The stack gathers its windows' rows
 straight from the stream arrays, and builds whatever does not depend on the
-positions (the projection, the observed mask, the sensor gather and scatter
-and the targets) once; a window alone is the stack of one, kept with its
-Observations. The difference operators are built once per window length. An
-evaluation computes the residuals of the active terms, each window's values,
-then one weighted gradient; stack_energy gives every window's total, and
-total_energy and the term functions are the stack of one. Every matrix
-product runs once per window, so a window's results do not depend on the
-stack it is in. The visual term alone needs no solver: visual_minimum gives
-its minimum in closed form. WindowStack.normal_parts gives the pieces of
-the total's Gauss-Newton normal matrix.
+positions (the observed mask and the targets) once; a window alone is the
+stack of one, kept with its Observations. The camera keeps its matrices,
+the sensor gather and scatter are built once per rig and the difference
+operators once per window length. An evaluation computes the residuals of
+the active terms, each window's values, then one weighted gradient;
+stack_energy gives every window's total, and total_energy and the term
+functions are the stack of one. Every matrix product runs once per window,
+so a window's results do not depend on the stack it is in. The visual term
+alone needs no solver: visual_minimum gives its minimum in closed form.
+WindowStack.normal_parts gives the pieces of the total's Gauss-Newton
+normal matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .camera import W_MIN, Camera
-from .rotmath import quat_matrix
 
 SCALE_FLOOR = 1e-9
 
@@ -233,6 +233,36 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
+def check_streams(source, shape: tuple[int, ...]) -> None:
+    """Check that every stream of `source`, an Observations or a
+    SequenceObservations, covers the T frames of positions of `shape`
+    (T, J, 3), and that its pixels have J joints."""
+    t, j = shape[:2]
+    for name in ("pixels", "accel", "bones"):
+        a = getattr(source, name)
+        if a is not None and len(a) != t:
+            raise ValueError(f"{name} has {len(a)} frames, the positions have {t}")
+    if source.pixels is not None and source.camera is not None and source.pixels.shape[1] != j:
+        raise ValueError("2D observations disagree with fragment joint count")
+
+
+@functools.lru_cache(maxsize=16)
+def _rig_maps(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...], joints: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The gather of the rig's coordinates out of a frame's 3J, those of the
+    sensor joints, then of their parents, and the (6K, 3J) scatter that adds
+    each gathered column back onto its coordinate, so that sensors sharing a
+    joint or a parent accumulate. Read-only, since the cache hands them to
+    every stack of that rig."""
+    bound = np.array(sensor_joints + sensor_parents, dtype=int)
+    gather = (3 * bound[:, None] + np.arange(3)).ravel()
+    scatter = np.zeros((len(gather), 3 * joints))
+    scatter[np.arange(len(gather)), gather] = 1.0
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return gather, scatter
+
+
 class WindowStack:
     """Everything the terms need that does not depend on the positions, for a
     stack of W windows of N frames that share a camera, a rig and the
@@ -250,11 +280,8 @@ class WindowStack:
     """
 
     def __init__(self, source, rows: np.ndarray, shape: tuple[int, ...], fps: float):
-        (w, n), (t, j) = rows.shape, shape[:2]
-        for name in ("pixels", "accel", "bones"):
-            a = getattr(source, name)
-            if a is not None and len(a) != t:
-                raise ValueError(f"{name} has {len(a)} frames, the positions have {t}")
+        (w, n), j = rows.shape, shape[1]
+        check_streams(source, shape)
         self.key = (n, j, fps)
         self.camera = source.camera
         self.sensor_joints, self.sensor_parents = source.sensor_joints, source.sensor_parents
@@ -265,8 +292,6 @@ class WindowStack:
         self.cols = 3 * k
         self.pixels = None
         if self.has_pixels:
-            if source.pixels.shape[1] != j:
-                raise ValueError("2D observations disagree with fragment joint count")
             self.pixels = source.pixels[rows]
             p = self.camera.matrix
             self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
@@ -275,13 +300,8 @@ class WindowStack:
             self.observed = np.isfinite(px).all(axis=1)
             self.target = np.where(self.observed[:, None], px, 0.0)
         if self.has_accel or self.has_bones:
-            # Coordinates of the sensor joints, then of their parents; the
-            # scatter adds each gathered column back onto its coordinate, so
-            # sensors sharing a joint or a parent accumulate.
-            joints = np.concatenate([self.sensor_joints, self.sensor_parents])
-            self.gather = (3 * joints[:, None] + np.arange(3)).ravel()
-            self.scatter = np.zeros((2 * self.cols, 3 * j))
-            self.scatter[np.arange(2 * self.cols), self.gather] = 1.0
+            self.gather, self.scatter = _rig_maps(tuple(self.sensor_joints.tolist()),
+                                                  tuple(self.sensor_parents.tolist()), j)
         if self.has_accel:
             if source.accel.shape[1] != k:
                 raise ValueError("accel rows disagree with sensor count")
@@ -448,7 +468,7 @@ def visual_minimum(positions: np.ndarray, pixels: np.ndarray, camera: Camera) ->
     px = np.asarray(pixels, dtype=float)
     observed = np.isfinite(px).all(axis=-1)
     px = np.where(observed[..., None], px, 0.0)
-    r = quat_matrix(camera.rotation)
+    r = camera.rotation_matrix
     rel = x - camera.center
     # Camera-frame ray direction K^-1 [u, v, 1], then into the world frame;
     # its camera depth is 1, so a point C + t d on the ray has depth t.

@@ -18,10 +18,12 @@ takes a range of windows' rows from the sequence arrays, or from the
 streaming rings, straight into one WindowStack and solves it. refine_batch
 calls it once per group of about _STACK_FRAMES frames, which shares numpy's
 per-call cost among the windows; StreamingRefiner calls it for the windows
-that are ready, one per push and the trailing ones together in finish().
-minimize_fragment solves a stack of one. Every matrix product and inverse
-runs once per window or chain, so a window's result is bitwise the same in
-any stack.
+that are ready, one per push that completes a window and the trailing ones
+together in finish(). minimize_fragment solves a stack of one. Every matrix
+product and inverse runs once per window or chain, so a window's result is
+bitwise the same in any stack. Nothing is built twice that the solve does
+not change: each frame is projected onto its ray once, for both windows it
+lies in, and the rig's chain constants are built once per rig.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .camera import Camera
-from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, stack_energy,
-                     visual_minimum)
+from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, check_streams,
+                     stack_energy, visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
@@ -161,6 +163,8 @@ class _Chains(NamedTuple):
     cross_bones: np.ndarray  # (C, m, p): L between sensor and parent-only joints
     parent_bones: np.ndarray  # (C, p): L's diagonal on the parent-only joints, which share no bone
     sensors: np.ndarray  # (C, 3m): sensors bound to the joint of each coordinate
+    pairs: np.ndarray  # (C, m*m, p): products of cross_bones rows, for the Schur complement
+    most_sensors: np.ndarray  # (C,): the largest entry of sensors
 
 
 @functools.lru_cache(maxsize=16)
@@ -182,10 +186,12 @@ def _chain_groups(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...
                 e[order.index(j)], e[order.index(p)] = 1.0, -1.0
                 lap += np.outer(e, e)
         m = len(joints)
+        cross = lap[:m, m:]
+        sensors = np.repeat([sensor_joints.count(j) for j in joints], 3).astype(float)
         groups.setdefault((m, len(order) - m), []).append(_Chains(
             np.array(joints), np.array(order[m:], dtype=int), np.kron(lap[:m, :m], _EYE3),
-            lap[:m, m:], np.diagonal(lap[m:, m:]),
-            np.repeat([sensor_joints.count(j) for j in joints], 3).astype(float)))
+            cross, np.diagonal(lap[m:, m:]), sensors, (cross[:, None] * cross).reshape(m * m, -1),
+            sensors.max()))
     stacked = [_Chains(*map(np.stack, zip(*group))) for group in groups.values()]
     for array in (a for chains in stacked for a in chains):
         array.setflags(write=False)  # the cache hands the same arrays to every caller
@@ -235,33 +241,40 @@ class _ChainSolver:
             a[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
         largest = (np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3))
-                   + temporal.max(axis=(1, 2))[:, None] * ch.sensors.max(axis=1))
+                   + temporal.max(axis=(1, 2))[:, None] * ch.most_sensors)
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * np.eye(size)
         # Eliminate each parent-only joint through its own 3x3 block.
         d_inv = _inv3(visual[:, :, ch.parents]
                       + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
-        pairs = (ch.cross_bones[:, :, None] * ch.cross_bones[:, None]).reshape(c, m * m, -1)
-        schur = (pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
+        schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
         a -= bone * bone * schur.transpose(0, 1, 2, 3, 5, 4, 6).reshape(a.shape)
-        # From here one axis runs over every chain of every window.
-        c *= w
         # Blocks of three frames, padded with decoupled identity frames. The
         # accel and smooth terms couple frames at most three apart, so they
-        # couple neighbouring blocks only.
+        # couple neighbouring blocks only, and each coordinate of a sensor
+        # joint only with itself: they fill the diagonals of the size x size
+        # (frame, frame) parts of a block.
+        t = np.zeros((w, 3 * nb, 3 * nb))
+        t[:, :n, :n] = temporal
+        t = t.reshape(w, nb, 3, nb, 3)
+
+        def coupling(lag: int) -> np.ndarray:
+            """Block b + lag against block b: (nb - lag, W*C, 3 size, 3 size)."""
+            out = np.zeros((nb - lag, w * c, 3 * size, 3 * size))
+            # (block, window, chain, frame, frame, coordinate): writes go through to `out`
+            diagonals = np.einsum("bwcfigi->bwcfgi", out.reshape(nb - lag, w, c, 3, size, 3, size))
+            diagonals[...] = (np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
+                              * ch.sensors[:, None, None])
+            return out
+
+        diag, sub = coupling(0), coupling(1)
+        # From here one axis runs over every chain of every window.
+        c *= w
         frames = np.empty((3 * nb, c, size, size))
         frames[:n] = a.reshape(n, c, size, size)
         frames[n:] = np.eye(size)
-        t = np.zeros((w, 3 * nb, 3 * nb))
-        t[:, :n, :n] = temporal
-        t = t.reshape(w, nb, 3, nb, 3).transpose(1, 3, 0, 2, 4)[:, :, :, None, :, None, :, None]
-        blocks = np.arange(nb)
-        e = (ch.sensors[:, :, None] * np.eye(size))[:, None, :, None, :]
-        # (block, chain, frame, coordinate, frame, coordinate)
-        diag = (t[blocks, blocks] * e).reshape(nb, c, 3, size, 3, size)
-        diag[:, :, np.arange(3), :, np.arange(3)] += frames.reshape(nb, 3, c, size, size).swapaxes(0, 1)
-        diag = diag.reshape(nb, c, 3 * size, 3 * size)
-        sub = (t[blocks[1:], blocks[:-1]] * e).reshape(nb - 1, c, 3 * size, 3 * size)
+        for f in range(3):
+            diag[:, :, f * size:(f + 1) * size, f * size:(f + 1) * size] += frames[f::3]
         # Block LDL^T in place: diag becomes the inverse pivots and sub the
         # multipliers sub @ pivot^-1.
         diag[0] = np.linalg.inv(diag[0])
@@ -299,19 +312,26 @@ class _ChainSolver:
         return step
 
 
-def _solve_stack(start: np.ndarray, stack: WindowStack, starts: Sequence[int], cfg: EnergyConfig,
+def _projects(cfg: EnergyConfig, source) -> bool:
+    """Whether the solve moves every joint to its ray projection first: the
+    visual term is active and `source` has pixels and a camera."""
+    return cfg.k_visual > 0.0 and source.pixels is not None and source.camera is not None
+
+
+def _solve_stack(start: np.ndarray, projected: np.ndarray | None, stack: WindowStack,
+                 starts: Sequence[int], cfg: EnergyConfig,
                  settings: SolverSettings) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
-    `start` (W, N, J, 3); `starts` are the windows' first frame indices.
+    `start` (W, N, J, 3); `projected` holds their visual_minimum, or is None
+    when _projects is false. `starts` are the windows' first frame indices.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
     stack ends when every window has stopped.
     """
     fps = stack.key[2]
-    projected = start
-    if cfg.k_visual > 0.0 and stack.has_pixels:
-        projected = visual_minimum(start, stack.pixels, stack.camera)
+    if projected is None:
+        projected = start
     # The start sets each window's scales; its gradient is needed only when
     # no window moves to its projection. A window whose projection is its
     # start evaluates there to its first values.
@@ -382,22 +402,25 @@ def minimize_fragment(
     solve of a stack of one window.
     """
     stack = WindowStack.of_window(frag, obs)
-    return _solve_stack(np.array([frag.positions]), stack, [frag.start], cfg, settings)[0]
+    start = np.array([frag.positions])
+    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, stack) else None
+    return _solve_stack(start, projected, stack, [frag.start], cfg, settings)[0]
 
 
 def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray,
-                   seq_obs: SequenceObservations, cfg: EnergyConfig,
-                   settings: SolverSettings) -> list[FragmentResult]:
+                   projected: np.ndarray | None, seq_obs: SequenceObservations,
+                   cfg: EnergyConfig, settings: SolverSettings) -> list[FragmentResult]:
     """Gather the rows of `windows` into one WindowStack and solve them.
 
-    `poses` and `seq_obs` hold either the whole sequence or a ring of its
+    `poses`, their visual_minimum `projected` (None when _projects is
+    false) and `seq_obs` hold either the whole sequence or a ring of its
     last len(poses) frames, frame t at row t % len(poses); the ring must be
     at least one window long.
     """
     rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
     stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
-    return _solve_stack(poses[rows], stack, [schedule.window_start(k) for k in windows],
-                        cfg, settings)
+    return _solve_stack(poses[rows], None if projected is None else projected[rows], stack,
+                        [schedule.window_start(k) for k in windows], cfg, settings)
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -411,8 +434,6 @@ def merge_fragments(schedule: FragmentSchedule, fragments: list[Fragment]) -> np
     (clamped replicas) are discarded."""
     if len(fragments) != schedule.window_count:
         raise ValueError(f"expected {schedule.window_count} fragments, got {len(fragments)}")
-    if (schedule.window_count - 1) * schedule.stride < schedule.frame_count:
-        raise RuntimeError("schedule does not cover every frame")
     pos = np.stack([frag.positions for frag in fragments])
     merged = _average_halves(pos[:-1], pos[1:], schedule.stride)
     return merged.reshape(-1, *merged.shape[2:])[:schedule.frame_count]
@@ -446,22 +467,30 @@ def refine_batch(
 ) -> tuple[np.ndarray, RefineStats]:
     """Optimize every window of a (T, J, 3) sequence and merge.
 
-    Consecutive windows are solved as one stack of about _STACK_FRAMES
+    Every frame is projected onto its ray once, for both windows it lies
+    in. Consecutive windows are solved as one stack of about _STACK_FRAMES
     frames; each window's result is bitwise the one it gets alone.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
         raise ValueError(f"poses must have shape (T, J, 3), got {poses.shape}")
+    check_streams(seq_obs, poses.shape)
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
+    projected = None
+    if _projects(cfg, seq_obs):
+        projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
     results = []
     for first in range(0, schedule.window_count, per_stack):
         windows = range(first, min(first + per_stack, schedule.window_count))
-        results += _solve_windows(schedule, windows, poses, seq_obs, cfg, settings)
+        results += _solve_windows(schedule, windows, poses, projected, seq_obs, cfg, settings)
     elapsed = time.perf_counter() - t0
     merged = merge_fragments(schedule, [r.fragment for r in results])
     return merged, RefineStats.collect(results, poses.shape[0], elapsed)
+
+
+_ROWS = ("positions", "pixels", "accel", "bones")  # the rows of a push, in argument order
 
 
 class StreamingRefiner:
@@ -470,7 +499,9 @@ class StreamingRefiner:
     Poses and their observation rows are pushed together, one frame per call,
     into ring buffers of N rows (frame t at row t % N). A window is optimized
     as soon as its last real frame arrives, when all N of its frames are still
-    in the ring. Only the previous window's solution is kept: solving window k
+    in the ring; the frames that arrived since the last solve are projected
+    onto their rays into a ring of their own first, so each frame is
+    projected once. Only the previous window's solution is kept: solving window k
     emits the N/2 frames it shares with window k-1, averaged as merge_fragments
     averages them (at most N frames plus one solve behind the input). finish()
     flushes the trailing replica-padded windows. Output is bitwise-identical to
@@ -493,21 +524,27 @@ class StreamingRefiner:
         self._obs = SequenceObservations(
             fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
+        self._projected: np.ndarray | None = None  # ring of visual_minimum rows, if _projects
+        self._projected_frames = 0
         self._frames = 0
         self._prev: np.ndarray | None = None  # positions of the last solved window
         self._next_window = 0
         self._finished = False
 
     def _run_windows(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Solve the windows up to `stop` as one stack; each emits the frames
-        it shares with the one before."""
+        """Project the frames that arrived since the last solve, then solve
+        the windows up to `stop` as one stack; each emits the frames it
+        shares with the one before."""
         windows = range(self._next_window, stop)
         self._next_window = stop
-        if not windows:
-            return []
+        if self._projected is not None:
+            fresh = np.arange(self._projected_frames, self._frames) % self._len
+            self._projected[fresh] = visual_minimum(self._pos[fresh], self._obs.pixels[fresh],
+                                                    self._obs.camera)
+            self._projected_frames = self._frames
         out = []
-        for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._obs,
-                                                  self._cfg, self._settings)):
+        for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._projected,
+                                                  self._obs, self._cfg, self._settings)):
             cur = res.fragment.positions
             if k > 0:
                 start = schedule.window_start(k)
@@ -531,31 +568,34 @@ class StreamingRefiner:
         """
         if self._finished:
             raise RuntimeError("push after finish")
-        rows = {"positions": positions, "pixels": pixels, "accel": accel, "bones": bones}
-        rows = {name: None if r is None else np.asarray(r, dtype=float) for name, r in rows.items()}
+        rows = [None if r is None else np.asarray(r, dtype=float)
+                for r in (positions, pixels, accel, bones)]
         if self._frames == 0:
-            shape = rows["positions"].shape
+            shape = rows[0].shape
             if len(shape) != 2 or shape[1] != 3:
                 raise ValueError(f"positions row of frame 0 has shape {shape}, not (J, 3)")
-            rings = {name: None if r is None else np.empty((self._len, *r.shape))
-                     for name, r in rows.items()}
-            self._pos = rings.pop("positions")
-            self._obs = replace(self._obs, **rings)
-        rings = {"positions": self._pos, "pixels": self._obs.pixels,
-                 "accel": self._obs.accel, "bones": self._obs.bones}
-        for name, row in rows.items():
-            if (rings[name] is None) != (row is None):
+            self._pos, *rings = [None if r is None else np.empty((self._len, *r.shape))
+                                 for r in rows]
+            self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
+            if _projects(self._cfg, self._obs):
+                self._projected = np.empty_like(self._pos)
+        rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)
+        for name, ring, row in zip(_ROWS, rings, rows):
+            if (ring is None) != (row is None):
                 raise ValueError(f"{name} must be given for every frame or none")
-            if row is not None and row.shape != rings[name].shape[1:]:
+            if row is not None and row.shape != ring.shape[1:]:
                 raise ValueError(f"{name} row of frame {self._frames} has shape {row.shape}, "
-                                 f"frame 0 had {rings[name].shape[1:]}")
-        for name, row in rows.items():
+                                 f"frame 0 had {ring.shape[1:]}")
+        slot = self._frames % self._len
+        for ring, row in zip(rings, rows):
             if row is not None:
-                rings[name][self._frames % self._len] = row
+                ring[slot] = row
         self._frames += 1
-        schedule = FragmentSchedule(self._frames, self._len)
         # window k ends at frame (k + 1) * stride - 1, so it is whole once that arrives
-        return self._run_windows(schedule, self._frames // schedule.stride)
+        stride = self._len // 2
+        if self._frames % stride:
+            return []
+        return self._run_windows(FragmentSchedule(self._frames, self._len), self._frames // stride)
 
     def finish(self) -> list[tuple[int, np.ndarray]]:
         """Flush trailing windows; returns the remaining frames in order."""

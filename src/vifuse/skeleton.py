@@ -156,9 +156,16 @@ def global_rotations(skel: SkeletonDefinition, params: MotionParams) -> np.ndarr
 
 def forward_kinematics(skel: SkeletonDefinition, params: MotionParams) -> np.ndarray:
     """Joint positions (..., J, 3) mm: X_j = X_parent + R_j_global (T-pose bone of j)."""
-    offsets = quat_apply(global_rotations(skel, params), skel.bones)
+    return positions_from_globals(skel, global_rotations(skel, params), params.root_translation)
+
+
+def positions_from_globals(skel: SkeletonDefinition, rotations: np.ndarray,
+                           root_translation: np.ndarray) -> np.ndarray:
+    """forward_kinematics from the global rotations (..., J, 4) that
+    global_rotations returns and the root translation (..., 3)."""
+    offsets = quat_apply(rotations, skel.bones)
     pos = np.empty_like(offsets)
-    pos[..., 0, :] = params.root_translation
+    pos[..., 0, :] = root_translation
     for j in range(1, skel.joint_count):
         pos[..., j, :] = pos[..., skel.parents[j], :] + offsets[..., j, :]
     return pos

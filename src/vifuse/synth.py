@@ -24,7 +24,8 @@ import numpy as np
 from .camera import Camera, look_at
 from .imu import CalibrationSet, ImuStream, SensorCalibration
 from .rotmath import IDENTITY, quat_apply, quat_from_axis_angle, quat_inverse, quat_mul, quat_normalize
-from .skeleton import MotionParams, SkeletonDefinition, forward_kinematics, global_rotations
+from .skeleton import (MotionParams, SkeletonDefinition, forward_kinematics, global_rotations,
+                       positions_from_globals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,10 +179,11 @@ def derive_imu(
     over frames, as generate_truth returns them.
     """
     joints = calib.joint_indices(skel)
-    acc = finite_acceleration(forward_kinematics(skel, params), fps)
+    rotations = global_rotations(skel, params)
+    acc = finite_acceleration(positions_from_globals(skel, rotations, params.root_translation), fps)
     r_global = np.stack([c.r_global for c in calib.sensors])
     r_joint = np.stack([c.r_joint for c in calib.sensors])
-    sample_rot = quat_mul(quat_mul(quat_inverse(r_global), r_joint), global_rotations(skel, params)[:, joints])
+    sample_rot = quat_mul(quat_mul(quat_inverse(r_global), r_joint), rotations[:, joints])
     world_to_sensor = quat_inverse(quat_mul(r_global, sample_rot))
     accels = quat_apply(world_to_sensor, acc[:, joints] - np.asarray(calib.gravity, dtype=float))
     return ImuStream(calib.sensor_ids, sample_rot, accels)

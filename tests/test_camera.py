@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vifuse import BehindCameraError, Camera, SensorCalibration, W_MIN, ZeroVectorError, look_at
-from vifuse.rotmath import IDENTITY, quat_apply, quat_inverse, quat_normalize
+from vifuse.rotmath import IDENTITY, quat_apply, quat_inverse, quat_matrix, quat_normalize
 
 from conftest import random_rotation
 
@@ -24,6 +26,22 @@ def test_matrix_layout():
     )
     np.testing.assert_allclose(cam.matrix, want, atol=1e-12)
     np.testing.assert_allclose(cam.project([0.0, 0.0, 0.0]), [10.0, 20.0])
+
+
+def test_matrices_are_kept_read_only_and_replace_builds_its_own(rng):
+    cam = Camera(800.0, 820.0, 320.0, 240.0, random_rotation(rng), rng.uniform(-100, 100, 3))
+    for name in ("matrix", "rotation_matrix"):
+        kept = getattr(cam, name)
+        assert getattr(cam, name) is kept  # built once
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.0
+    np.testing.assert_array_equal(cam.rotation_matrix, quat_matrix(cam.rotation))
+    moved = replace(cam, fx=400.0, rotation=random_rotation(rng), center=np.zeros(3))
+    fresh = Camera(400.0, 820.0, 320.0, 240.0, moved.rotation, np.zeros(3))
+    assert moved.matrix is not cam.matrix
+    assert moved.matrix.tobytes() == fresh.matrix.tobytes()
+    assert moved.rotation_matrix.tobytes() == fresh.rotation_matrix.tobytes()
 
 
 def test_project_matches_matrix(rng):

@@ -32,6 +32,20 @@ from conftest import fd_gradient, max_rel_err
 from test_camera import identity_camera
 
 
+def test_rig_maps_are_shared_and_read_only(rng):
+    _, obs = random_setup(rng)  # sensors on joints 2 and 3, parents 1 and 0
+    a = energy.WindowStack(obs, np.arange(6)[None], (6, 4, 3), 5.0)
+    b = energy.WindowStack(obs, np.arange(6).reshape(2, 3), (6, 4, 3), 5.0)
+    assert a.gather is b.gather and a.scatter is b.scatter
+    assert not a.gather.flags.writeable and not a.scatter.flags.writeable
+    np.testing.assert_array_equal(a.gather, [6, 7, 8, 9, 10, 11, 3, 4, 5, 0, 1, 2])
+    np.testing.assert_array_equal(a.scatter, np.eye(12)[a.gather])
+    _, other = random_setup(rng, sensor_joints=(1,), sensor_parents=(0,))
+    c = energy.WindowStack(other, np.arange(6)[None], (6, 4, 3), 5.0)
+    np.testing.assert_array_equal(c.gather, [3, 4, 5, 0, 1, 2])
+    assert c.scatter.shape == (6, 12)
+
+
 def x_fragment(coords, fps=1.0):
     """Single-joint fragment whose x coordinates are `coords`."""
     pos = np.zeros((len(coords), 1, 3))

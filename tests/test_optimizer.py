@@ -162,6 +162,12 @@ def capture_problem(seed, duration):
 DEEP = SolverSettings(max_iterations=100, grad_tol=1e-12)
 
 
+def solve_windows(schedule, windows, start, seq, cfg, settings):
+    """optimizer._solve_windows on the whole sequence, projected as refine_batch projects it."""
+    projected = visual_minimum(start, seq.pixels, seq.camera)
+    return optimizer._solve_windows(schedule, windows, start, projected, seq, cfg, settings)
+
+
 def test_default_solve_is_within_tolerance_of_deep_solve():
     # Every window of a short default-noise capture, started from sf2 as in rtof.
     start, seq = capture_problem(3, 4.0)
@@ -169,8 +175,8 @@ def test_default_solve_is_within_tolerance_of_deep_solve():
     schedule = FragmentSchedule(len(start), cfg.fragment_len)
     windows = range(schedule.window_count)
     for default, best in zip(
-            optimizer._solve_windows(schedule, windows, start, seq, cfg, SolverSettings()),
-            optimizer._solve_windows(schedule, windows, start, seq, cfg, DEEP)):
+            solve_windows(schedule, windows, start, seq, cfg, SolverSettings()),
+            solve_windows(schedule, windows, start, seq, cfg, DEEP)):
         assert default.converged and best.converged
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
@@ -188,7 +194,7 @@ def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch):
     for windows in (1, 3, schedule.window_count):
         monkeypatch.setattr(optimizer, "_STACK_FRAMES", windows * cfg.fragment_len)
         runs.append(refine_batch(start, seq, cfg, DEEP))
-    iterations = {res.iterations for res in optimizer._solve_windows(
+    iterations = {res.iterations for res in solve_windows(
         schedule, range(schedule.window_count), start, seq, cfg, DEEP)}
     assert len(iterations) > 1
     assert runs[0][1].behind_camera_skips > 0
@@ -207,7 +213,9 @@ def solve_as_one_stack(frags, observations, cfg, settings):
     positions = np.concatenate([f.positions for f in frags])
     rows = np.arange(len(positions)).reshape(len(frags), n)
     stack = energy.WindowStack(source, rows, positions.shape, frags[0].fps)
-    return optimizer._solve_stack(positions[rows], stack, [f.start for f in frags], cfg, settings)
+    projected = visual_minimum(positions[rows], stack.pixels, stack.camera)
+    return optimizer._solve_stack(positions[rows], projected, stack, [f.start for f in frags],
+                                  cfg, settings)
 
 
 def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
@@ -509,6 +517,46 @@ def test_stream_matches_batch(rng, t_n):
     assert [t for t, _ in got] == list(range(t_n))
     streamed = np.stack([row for _, row in got])
     assert streamed.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("drop", [(), ("camera",), ("pixels", "camera")])
+def test_stream_matches_batch_without_projection(rng, drop):
+    # The visual term is off, so no frame is projected: the streaming
+    # refiner keeps no ring of projected rows.
+    poses, obs = seq_problem(rng, t_n=37)
+    obs = replace(obs, **dict.fromkeys(drop))
+    cfg = EnergyConfig(k_visual=0.0, fragment_len=8)
+    batch, _ = refine_batch(poses, obs, cfg, SolverSettings())
+    r = StreamingRefiner(obs.fps, cfg, SolverSettings(), camera=obs.camera,
+                         sensor_joints=obs.sensor_joints, sensor_parents=obs.sensor_parents)
+    got = []
+    for t in range(len(poses)):
+        pixels = None if obs.pixels is None else obs.pixels[t]
+        got += r.push(poses[t], pixels=pixels, accel=obs.accel[t], bones=obs.bones[t])
+    got += r.finish()
+    assert r._projected is None
+    assert [t for t, _ in got] == list(range(len(poses)))
+    assert np.stack([row for _, row in got]).tobytes() == batch.tobytes()
+    assert not np.array_equal(batch, poses)
+
+
+@pytest.mark.parametrize("t_n", [3, 8, 37, 100])
+def test_each_frame_is_projected_once(rng, monkeypatch, t_n):
+    poses, obs = seq_problem(rng, t_n=t_n)
+    cfg = EnergyConfig(fragment_len=8)
+    frames = []
+
+    def counting(positions, pixels, camera):
+        frames.append(int(np.prod(np.shape(positions)[:-2])))
+        return visual_minimum(positions, pixels, camera)
+
+    monkeypatch.setattr(optimizer, "visual_minimum", counting)
+    batch, _ = refine_batch(poses, obs, cfg, SolverSettings())
+    assert sum(frames) == t_n
+    frames.clear()
+    streamed = [row for _, row in run_stream(poses, obs, cfg, SolverSettings())]
+    assert sum(frames) == t_n
+    assert np.stack(streamed).tobytes() == batch.tobytes()
 
 
 def test_stream_buffers_stay_bounded(rng):

@@ -1,0 +1,140 @@
+"""Alternating parent/change pairs of perfbench runs, summarized into a BENCH_*.json.
+
+    python3 tools/abpairs.py --parent ../parent --change . --workload stream_rtof \
+        --seeds 9500-9509 --seconds 10 --out BENCH_example.json
+
+Each pair runs `python3 perfbench/run.py --trace 0` once in the parent
+checkout and once in the change checkout on the same seed, alternating
+which side runs first. Every run's JSON result line is kept, and for each
+end-to-end metric the file gets both sides' medians and quartiles, the
+parent's quartile spread and the number of pairs the change won (ties win
+for neither side). A later call with another workload adds it to the same
+file. The checkouts are only read and run; nothing under perfbench/ is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'9500-9509' or '9500,9502,9507'."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def directions(benchmark: Path) -> dict[str, str]:
+    """Each end-to-end metric's better direction ("higher" or "lower")."""
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"abpairs: {checkout}: {workload} seed {seed} gave no result "
+                         f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}") from None
+    run = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+           "failed": result["failed"]}
+    run.update({name: m["value"] for name, m in result["metrics"].items()})
+    return run
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        if not all(name in r for r in parent + change):
+            continue
+        p = [r[name] for r in parent]
+        c = [r[name] for r in change]
+        p_med, c_med = statistics.median(p), statistics.median(c)
+        p_q, c_q = quartiles(p), quartiles(c)
+        sign = 1.0 if direction == "higher" else -1.0
+        out[name] = {
+            "parent_median": p_med, "change_median": c_med,
+            "relative_change": (c_med - p_med) / p_med if p_med else None,
+            "parent_quartiles": list(p_q), "change_quartiles": list(c_q),
+            "parent_quartile_spread": p_q[1] - p_q[0],
+            "pairs_change_better": sum(sign * (b - a) > 0.0 for a, b in zip(p, c)),
+            "pairs": len(p),
+        }
+    return out
+
+
+def machine() -> dict:
+    model = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu_model": model, "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 9500-9509 or 1,4,7")
+    p.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds (default 10)")
+    p.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write or extend")
+    p.add_argument("--topic", help="what the change does, kept at the top of the file")
+    args = p.parse_args(argv)
+    better = directions(ROOT / "BENCHMARK.json")
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.topic:
+        record["topic"] = args.topic
+    record.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
+                                 f"--seconds {args.seconds:g} --trace 0")
+    record["machine"] = machine()
+    entry = {"seeds": args.seeds, "pairs": 0, "parent": {"runs": []}, "change": {"runs": []}}
+    record.setdefault("end_to_end", {})[args.workload] = entry
+    for i, seed in enumerate(args.seeds):
+        sides = [("parent", args.parent), ("change", args.change)]
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            run = run_once(checkout, args.workload, seed, args.seconds)
+            run["first"] = side == ("parent" if i % 2 == 0 else "change")
+            entry[side]["runs"].append(run)
+        entry["pairs"] = i + 1
+        entry["summary"] = summarize(entry["parent"]["runs"], entry["change"]["runs"], better)
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        fps = entry["summary"].get("frames_per_s")
+        if fps:
+            print(f"{args.workload} pair {i + 1}/{len(args.seeds)} seed {seed}: frames_per_s "
+                  f"{fps['parent_median']:.0f} -> {fps['change_median']:.0f}, change won "
+                  f"{fps['pairs_change_better']}/{fps['pairs']}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
