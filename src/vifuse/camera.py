@@ -34,7 +34,7 @@ class Camera:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", check_unit_quat(self.rotation, "camera rotation"))
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(self.center, dtype=float)
         if c.shape != (3,):
             raise ValueError(f"camera center must be a 3-vector, got {c.shape}")
         c.setflags(write=False)
@@ -42,8 +42,8 @@ class Camera:
 
     # Each matrix is built on first use and kept, read-only since every
     # caller shares it; dataclasses.replace builds a camera that computes its
-    # own. `rotation` is a view of the caller's quaternion, which must not
-    # change once the camera is built.
+    # own. `rotation` and `center` are read-only copies of the caller's
+    # arrays, so the kept matrices stay those of the camera's own values.
     @cached_property
     def rotation_matrix(self) -> np.ndarray:
         """3x3 world-to-camera rotation."""

@@ -21,27 +21,30 @@ coordinate. The total normalizes each active term by its value at the
 fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
 comparable magnitudes.
 
-One kernel evaluates every term, over a stack of windows that share a
-camera and a rig (a WindowStack). The stack gathers its windows' rows
-straight from the stream arrays, and builds whatever does not depend on the
-positions (the observed mask and the targets) once; a window alone is the
-stack of one, kept with its Observations. The camera keeps its matrices,
-the sensor gather and scatter are built once per rig and the difference
-operators once per window length. An evaluation computes the residuals of
-the active terms, each window's values, then one weighted gradient;
-stack_energy gives every window's total, and total_energy and the term
-functions are the stack of one. Every matrix product runs once per window,
-so a window's results do not depend on the stack it is in. The visual term
-alone needs no solver: visual_minimum gives its minimum in closed form.
-WindowStack.normal_parts gives the pieces of the total's Gauss-Newton
-normal matrix.
+One Observations type holds the streams, frame t at row t, and the rig.
+Building it checks the rig and the stream shapes; check() checks them
+against the positions where those enter. One kernel evaluates every term,
+over a stack of windows that share a camera and a rig (a WindowStack). The
+stack gathers its windows' rows straight from the stream arrays, and builds
+whatever does not depend on the positions (the observed mask and the
+targets) once; a window alone is the stack of one, built from its
+Observations at each evaluation, so the next evaluation sees a write into a
+stream. The camera keeps its matrices, the sensor gather and scatter are
+built once per rig and the difference operators once per window length. An
+evaluation computes the residuals of the active terms, each window's values,
+then one weighted gradient; stack_energy gives every window's total, and
+total_energy and the term functions are the stack of one. Every matrix
+product runs once per window, so a window's results do not depend on the
+stack it is in. The visual term alone needs no solver: visual_minimum gives
+its minimum in closed form. WindowStack.normal_parts gives the pieces of the
+total's Gauss-Newton normal matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -93,41 +96,72 @@ class Fragment:
 
 @dataclass(frozen=True)
 class Observations:
-    """Per-frame observations for one fragment.
+    """Observation streams, frame t at row t, and the rig they were taken with.
 
-    pixels: (N, J, 2) px with NaN rows for missing joints, or None.
-    accel/bones: (N, K, 3) calibrated IMU accelerations / bone vectors, or None.
-    sensor_joints/sensor_parents: (K,) bound joint index and its parent index.
+    pixels: (T, J, 2) px with NaN rows for missing joints, or None.
+    accel/bones: (T, K, 3) calibrated IMU accelerations / bone vectors, or None.
+    sensor_joints/sensor_parents: (K,) bound joint index and its parent
+    index, or None for no sensors.
 
-    The arrays are read-only copies, so the window constants built from them
-    on the first evaluation stay valid for the object's lifetime.
+    The streams are kept as float arrays without a copy: every evaluation
+    reads the caller's arrays. check() checks them against the positions.
     """
 
     pixels: np.ndarray | None = None
     camera: Camera | None = None
     accel: np.ndarray | None = None
     bones: np.ndarray | None = None
-    sensor_joints: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    sensor_parents: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    _constants: WindowStack | None = field(default=None, init=False, repr=False, compare=False)
+    sensor_joints: np.ndarray | None = None
+    sensor_parents: np.ndarray | None = None
 
     def __post_init__(self):
-        sj = _frozen(self.sensor_joints, int)
-        pj = _frozen(self.sensor_parents, int)
-        if sj.shape != pj.shape:
-            raise ValueError("sensor_joints and sensor_parents must have the same length")
+        sj, sp = (np.asarray([] if a is None else a, dtype=int)
+                  for a in (self.sensor_joints, self.sensor_parents))
+        if sj.ndim != 1 or sp.ndim != 1:
+            raise ValueError("sensor_joints and sensor_parents must hold one index per sensor, "
+                             f"got shapes {sj.shape} and {sp.shape}")
+        if len(sj) != len(sp):
+            raise ValueError(f"sensor {min(len(sj), len(sp))} has no "
+                             f"{'parent' if len(sj) > len(sp) else 'joint'}: "
+                             f"{len(sj)} sensor_joints, {len(sp)} sensor_parents")
+        negative = np.flatnonzero((sj < 0) | (sp < 0))
+        if negative.size:
+            k = negative[0]
+            raise ValueError(f"sensor {k} is bound to joint {sj[k]} with parent {sp[k]}; "
+                             "joint indices must be non-negative")
         object.__setattr__(self, "sensor_joints", sj)
-        object.__setattr__(self, "sensor_parents", pj)
-        for name in ("pixels", "accel", "bones"):
+        object.__setattr__(self, "sensor_parents", sp)
+        k = len(sj)
+        for name, tail, form in (("pixels", (2,), "(T, J, 2)"), ("accel", (k, 3), f"(T, {k}, 3)"),
+                                 ("bones", (k, 3), f"(T, {k}, 3)")):
             a = getattr(self, name)
             if a is not None:
-                object.__setattr__(self, name, _frozen(a, float))
+                a = np.asarray(a, dtype=float)
+                if a.ndim != 3 or a.shape[3 - len(tail):] != tail:
+                    raise ValueError(f"{name} must have shape {form}, got {a.shape}")
+                object.__setattr__(self, name, a)
 
+    @property
+    def visual(self) -> bool:
+        """Whether there are pixels and a camera to evaluate the visual term on."""
+        return self.pixels is not None and self.camera is not None
 
-def _frozen(a, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    def check(self, shape: tuple[int, ...]) -> None:
+        """Check that every stream covers the T frames of positions of `shape`
+        (T, J, 3), that the pixels have J joints, and that every sensor's
+        joint and parent are among them."""
+        t, j = shape[:2]
+        for name in ("pixels", "accel", "bones"):
+            a = getattr(self, name)
+            if a is not None and len(a) != t:
+                raise ValueError(f"{name} has {len(a)} frames, the positions have {t}")
+        if self.visual and self.pixels.shape[1] != j:
+            raise ValueError("2D observations disagree with fragment joint count")
+        outside = np.flatnonzero(np.maximum(self.sensor_joints, self.sensor_parents) >= j)
+        if outside.size:
+            k = outside[0]
+            raise ValueError(f"sensor {k} is bound to joint {self.sensor_joints[k]} with parent "
+                             f"{self.sensor_parents[k]}, the positions have {j} joints")
 
 
 class TermValue(NamedTuple):
@@ -233,19 +267,6 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-def check_streams(source, shape: tuple[int, ...]) -> None:
-    """Check that every stream of `source`, an Observations or a
-    SequenceObservations, covers the T frames of positions of `shape`
-    (T, J, 3), and that its pixels have J joints."""
-    t, j = shape[:2]
-    for name in ("pixels", "accel", "bones"):
-        a = getattr(source, name)
-        if a is not None and len(a) != t:
-            raise ValueError(f"{name} has {len(a)} frames, the positions have {t}")
-    if source.pixels is not None and source.camera is not None and source.pixels.shape[1] != j:
-        raise ValueError("2D observations disagree with fragment joint count")
-
-
 @functools.lru_cache(maxsize=16)
 def _rig_maps(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...], joints: int
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -268,30 +289,25 @@ class WindowStack:
     stack of W windows of N frames that share a camera, a rig and the
     streams they observe.
 
-    It gathers the (W, N) frame `rows` of every stream of `source`, an
-    Observations or a SequenceObservations, for positions of `shape`
-    (T, J, 3) that the same rows index; each stream must cover those T
-    frames. Building it validates the streams against that layout;
-    `require` then names a term whose observations are missing. Positions
-    enter as (W, N, J, 3) and the gradient leaves in that shape; inside, the
-    visual term works on (W, 3, N*J) rows u, v, w so that each operation
-    runs over one long axis. Every matrix product runs once per window, so
+    It gathers the (W, N) frame `rows` of every stream of the Observations
+    `source`, for positions of `shape` (T, J, 3) that the same rows index;
+    source.check(shape) must hold. `require` names a term whose observations
+    are missing. Positions enter as (W, N, J, 3) and the gradient leaves in
+    that shape; inside, the visual term works on (W, 3, N*J) rows u, v, w so
+    that each operation runs over one long axis. Every matrix product runs once per window, so
     a window's values and gradient are bitwise the same in any stack.
     """
 
-    def __init__(self, source, rows: np.ndarray, shape: tuple[int, ...], fps: float):
+    def __init__(self, source: Observations, rows: np.ndarray, shape: tuple[int, ...], fps: float):
         (w, n), j = rows.shape, shape[1]
-        check_streams(source, shape)
         self.key = (n, j, fps)
         self.camera = source.camera
         self.sensor_joints, self.sensor_parents = source.sensor_joints, source.sensor_parents
-        self.has_pixels = source.pixels is not None and source.camera is not None
         self.has_accel = source.accel is not None
         self.has_bones = source.bones is not None
-        k = len(self.sensor_joints)
-        self.cols = 3 * k
+        self.cols = 3 * len(self.sensor_joints)
         self.pixels = None
-        if self.has_pixels:
+        if source.visual:
             self.pixels = source.pixels[rows]
             p = self.camera.matrix
             self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
@@ -303,30 +319,22 @@ class WindowStack:
             self.gather, self.scatter = _rig_maps(tuple(self.sensor_joints.tolist()),
                                                   tuple(self.sensor_parents.tolist()), j)
         if self.has_accel:
-            if source.accel.shape[1] != k:
-                raise ValueError("accel rows disagree with sensor count")
             self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
             a = source.accel[rows].reshape(w, n, self.cols)
             self.accel_target = a[:, 1:-1]
             self.smooth_target = (a[:, 2:-1] - a[:, 1:-2]) * fps
         if self.has_bones:
-            if source.bones.shape[1] != k:
-                raise ValueError("bone rows disagree with sensor count")
             self.bone_target = source.bones[rows].reshape(w, n, self.cols)
 
     @classmethod
     def of_window(cls, frag: Fragment, obs: Observations) -> "WindowStack":
-        """The stack of one window, built once and kept with its Observations."""
-        key = (frag.frame_count, frag.joint_count, frag.fps)
-        win = obs._constants
-        if win is None or win.key != key:
-            win = cls(obs, np.arange(frag.frame_count)[None], frag.positions.shape, frag.fps)
-            object.__setattr__(obs, "_constants", win)
-        return win
+        """The stack of one window, after checking `obs` against it."""
+        obs.check(frag.positions.shape)
+        return cls(obs, np.arange(frag.frame_count)[None], frag.positions.shape, frag.fps)
 
     def require(self, active: tuple[bool, bool, bool, bool]) -> None:
         visual, accel, bone, smooth = active
-        if visual and not self.has_pixels:
+        if visual and self.pixels is None:
             raise MissingObservationError("visual term requires 2D observations and a camera")
         if accel and not self.has_accel:
             raise MissingObservationError("acceleration term requires calibrated IMU accelerations")

@@ -11,6 +11,10 @@ a sensor's parent enters only the visual term, so visual_minimum solves it.
 The other joints form chains, the connected components of the sensor-to-parent
 bones, which take Gauss-Newton steps on one damped normal matrix per window.
 
+The streams are an energy.Observations (SequenceObservations adds the frame
+rate), checked against the poses once where those enter: in refine_batch,
+StreamingRefiner's first push and minimize_fragment.
+
 The solve runs over a stack of windows: one energy pass, one factorization
 and one step call serve them all, while each window keeps its own scales,
 damping and stopping rule. Batch and streaming share one gather path: it
@@ -30,14 +34,14 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .camera import Camera
-from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, check_streams,
-                     stack_energy, visual_minimum)
+from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, stack_energy,
+                     visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
@@ -119,26 +123,10 @@ class FragmentSchedule:
 
 
 @dataclass(frozen=True)
-class SequenceObservations:
-    """Whole-sequence observation arrays, frame t at row t, out of which each
-    WindowStack gathers its windows' rows; absent sensors are empty arrays."""
+class SequenceObservations(Observations):
+    """Observations of a whole sequence, taken at `fps` frames per second."""
 
-    fps: float
-    pixels: np.ndarray | None = None
-    camera: Camera | None = None
-    accel: np.ndarray | None = None
-    bones: np.ndarray | None = None
-    sensor_joints: np.ndarray | None = None
-    sensor_parents: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("pixels", "accel", "bones"):
-            a = getattr(self, name)
-            if a is not None:
-                object.__setattr__(self, name, np.asarray(a, dtype=float))
-        for name in ("sensor_joints", "sensor_parents"):
-            a = getattr(self, name)
-            object.__setattr__(self, name, np.asarray([] if a is None else a, dtype=int))
+    fps: float = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -312,10 +300,10 @@ class _ChainSolver:
         return step
 
 
-def _projects(cfg: EnergyConfig, source) -> bool:
+def _projects(cfg: EnergyConfig, obs: Observations) -> bool:
     """Whether the solve moves every joint to its ray projection first: the
-    visual term is active and `source` has pixels and a camera."""
-    return cfg.k_visual > 0.0 and source.pixels is not None and source.camera is not None
+    visual term is active and `obs` has pixels and a camera."""
+    return cfg.k_visual > 0.0 and obs.visual
 
 
 def _solve_stack(start: np.ndarray, projected: np.ndarray | None, stack: WindowStack,
@@ -403,7 +391,7 @@ def minimize_fragment(
     """
     stack = WindowStack.of_window(frag, obs)
     start = np.array([frag.positions])
-    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, stack) else None
+    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, obs) else None
     return _solve_stack(start, projected, stack, [frag.start], cfg, settings)[0]
 
 
@@ -474,7 +462,7 @@ def refine_batch(
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
         raise ValueError(f"poses must have shape (T, J, 3), got {poses.shape}")
-    check_streams(seq_obs, poses.shape)
+    seq_obs.check(poses.shape)
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
     projected = None
@@ -522,7 +510,7 @@ class StreamingRefiner:
         self._len = cfg.fragment_len
         # Observation rings; their arrays are allocated on the first push.
         self._obs = SequenceObservations(
-            fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
+            fps=fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
         self._projected: np.ndarray | None = None  # ring of visual_minimum rows, if _projects
         self._projected_frames = 0
@@ -577,6 +565,7 @@ class StreamingRefiner:
             self._pos, *rings = [None if r is None else np.empty((self._len, *r.shape))
                                  for r in rows]
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
+            self._obs.check(self._pos.shape)
             if _projects(self._cfg, self._obs):
                 self._projected = np.empty_like(self._pos)
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)

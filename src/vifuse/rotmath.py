@@ -98,19 +98,18 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def check_unit_quat(q, what: str) -> np.ndarray:
-    """Read-only view of one quaternion (4,) that is unit length and has w >= 0.
+    """Read-only copy of one quaternion (4,) that is unit length and has w >= 0.
 
     Raises ValueError naming `what` otherwise. The caller's array stays
-    writable and nothing is copied.
+    writable, and later writes to it do not reach the copy.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"{what} must be a quaternion of shape (4,), got {q.shape}")
     if not abs(math.sqrt(float(q @ q)) - 1.0) <= 1e-9:
         raise ValueError(f"{what} is not a unit quaternion")
     if not q[0] >= 0.0:
         raise ValueError(f"{what} is not canonical (w < 0)")
-    q = q.view()
     q.setflags(write=False)
     return q
 

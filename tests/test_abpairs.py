@@ -1,0 +1,75 @@
+"""tools/abpairs.py: the seed list it runs and the summary it writes."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ABPAIRS = Path(__file__).resolve().parents[1] / "tools" / "abpairs.py"
+
+
+@pytest.fixture(scope="module")
+def abpairs():
+    spec = importlib.util.spec_from_file_location("abpairs", ABPAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_seeds(abpairs):
+    assert abpairs.parse_seeds("9500-9503") == [9500, 9501, 9502, 9503]
+    assert abpairs.parse_seeds("7,3,5-6") == [7, 3, 5, 6]
+    assert abpairs.parse_seeds("4") == [4]
+    with pytest.raises(argparse.ArgumentTypeError, match="'9509-9500' names no seed"):
+        abpairs.parse_seeds("9509-9500")
+    with pytest.raises(argparse.ArgumentTypeError, match="'3-2' names no seed"):
+        abpairs.parse_seeds("1,3-2")
+
+
+def test_a_seed_list_that_names_no_seed_is_a_usage_error(abpairs, tmp_path, capsys):
+    out = tmp_path / "BENCH_none.json"
+    with pytest.raises(SystemExit) as exit_info:
+        abpairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                      "--workload", "batch_rto", "--seeds", "9509-9500", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "names no seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quartiles_of_one_value(abpairs):
+    assert abpairs.quartiles([3.5]) == (3.5, 3.5)
+    assert abpairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
+
+
+def runs(metric, values):
+    return [{metric: v} for v in values]
+
+
+def test_summarize_a_lower_metric(abpairs):
+    got = abpairs.summarize(runs("setup_s", [2.0, 4.0, 3.0]), runs("setup_s", [1.0, 5.0, 1.5]),
+                            {"setup_s": "lower"})["setup_s"]
+    assert (got["parent_median"], got["change_median"]) == (3.0, 1.5)
+    assert got["relative_change"] == -0.5
+    assert got["parent_quartiles"] == [2.5, 3.5] and got["parent_quartile_spread"] == 1.0
+    assert got["pairs_change_better"] == 2 and got["pairs"] == 3
+
+
+def test_ties_count_for_neither_side(abpairs):
+    for better in ("lower", "higher"):
+        got = abpairs.summarize(runs("m", [1.0, 2.0]), runs("m", [1.0, 2.0]), {"m": better})["m"]
+        assert got["pairs_change_better"] == 0 and got["relative_change"] == 0.0
+
+
+def test_a_metric_missing_from_one_run_is_skipped(abpairs):
+    parent = [{"a": 1.0, "b": 1.0}, {"a": 2.0}]
+    change = [{"a": 3.0, "b": 1.0}, {"a": 4.0, "b": 1.0}]
+    got = abpairs.summarize(parent, change, {"a": "higher", "b": "higher"})
+    assert list(got) == ["a"] and got["a"]["pairs_change_better"] == 2
+
+
+def test_a_zero_parent_median_has_no_relative_change(abpairs):
+    got = abpairs.summarize(runs("m", [0.0, 0.0, 1.0]), runs("m", [1.0, 1.0, 1.0]),
+                            {"m": "higher"})["m"]
+    assert got["parent_median"] == 0.0 and got["relative_change"] is None
+    assert got["pairs_change_better"] == 2

@@ -93,9 +93,20 @@ def test_rig_quaternion_checked_and_read_only(field):
             store(bad)
     store(q * (1.0 + 1e-12))  # within the 1e-9 unit tolerance
     kept = store(q)
-    assert np.shares_memory(kept, q) and np.array_equal(kept, q)
+    assert not np.shares_memory(kept, q) and np.array_equal(kept, q)
     assert not kept.flags.writeable
     assert q.flags.writeable  # the caller's array is not frozen
+
+
+def test_camera_keeps_its_own_rotation_and_center(rng):
+    q, c = random_rotation(rng), rng.uniform(-100.0, 100.0, 3)
+    cam = Camera(800.0, 820.0, 320.0, 240.0, q, c)
+    kept = [cam.rotation.copy(), cam.center.copy(), cam.matrix.copy()]
+    q[:] = random_rotation(rng)  # the caller's arrays stay writable
+    c += 50.0
+    for got, want in zip((cam.rotation, cam.center, cam.matrix), kept):  # and reach no kept value
+        assert got.tobytes() == want.tobytes()
+    assert cam.matrix.tobytes() == Camera(800.0, 820.0, 320.0, 240.0, *kept[:2]).matrix.tobytes()
 
 
 def test_look_at_centers_target():

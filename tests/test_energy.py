@@ -404,6 +404,34 @@ def test_total_without_frozen_scales_renormalizes(rng):
     assert total_energy(moved, obs, frozen).value != pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["pixels", "accel", "bones"])
+def test_each_evaluation_reads_the_callers_streams(rng, name):
+    # The observations keep the caller's arrays: no copy, and no window
+    # constants kept from an earlier evaluation.
+    frag, given = random_setup(rng)
+    streams = {n: getattr(given, n).copy() for n in ("pixels", "accel", "bones")}
+    rig = dict(camera=given.camera, sensor_joints=given.sensor_joints,
+               sensor_parents=given.sensor_parents)
+    obs = Observations(**streams, **rig)
+    first = total_energy(frag, obs, EnergyConfig())
+    streams[name][2] += 7.0
+    second = total_energy(frag, obs, EnergyConfig())
+    fresh = total_energy(frag, Observations(**{n: a.copy() for n, a in streams.items()}, **rig),
+                         EnergyConfig())
+    assert second.scales != first.scales
+    assert second.scales == fresh.scales and second.grad.tobytes() == fresh.grad.tobytes()
+
+
+def test_stream_shapes_are_checked_where_the_observations_are_built():
+    rig = dict(sensor_joints=[1, 2], sensor_parents=[0, 1])
+    for name, bad in (("accel", np.zeros((4, 1, 3))), ("bones", np.zeros((4, 2, 2))),
+                      ("accel", np.zeros((4, 6))), ("pixels", np.zeros((4, 3)))):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            Observations(**{name: bad}, **rig)
+    with pytest.raises(ValueError, match=r"accel must have shape \(T, 0, 3\)"):
+        Observations(accel=np.zeros((4, 1, 3)))
+
+
 def test_visual_only_config_ignores_missing_imu(rng):
     frag, obs = random_setup(rng)
     bare = Observations(pixels=obs.pixels, camera=obs.camera)

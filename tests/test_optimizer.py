@@ -154,8 +154,9 @@ def capture_problem(seed, duration):
     start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
-    seq = SequenceObservations(ds.fps, ds.pixels, ds.camera, accel, bones, joints,
-                               np.array(ds.skeleton.parents)[joints])
+    seq = SequenceObservations(fps=ds.fps, pixels=ds.pixels, camera=ds.camera, accel=accel,
+                               bones=bones, sensor_joints=joints,
+                               sensor_parents=np.array(ds.skeleton.parents)[joints])
     return start, seq
 
 
@@ -496,6 +497,36 @@ def test_refine_batch_rejects_a_stream_of_another_length(rng, name, extra):
     with pytest.raises(ValueError, match=f"{name} has {30 + extra} frames, the positions have 30"):
         refine_batch(poses, replace(obs, **{name: a}), EnergyConfig(fragment_len=8),
                      SolverSettings())
+
+
+# rig -> (sensor_joints, sensor_parents, refused when the observations are
+# built rather than against the positions' joint count, message)
+BAD_RIGS = {
+    "parent missing": ([1, 2], [0], True, "sensor 1 has no parent"),
+    "joint missing": ([1], [0, 1], True, "sensor 1 has no joint"),
+    "negative parent": ([1, 2], [0, -1], True, "sensor 1 .* parent -1; .* non-negative"),
+    "negative joint": ([-1, 2], [0, 1], True, "sensor 0 .* joint -1 .* non-negative"),
+    "not 1-D": ([[1], [2]], [[0], [1]], True, r"one index per sensor, got shapes \(2, 1\)"),
+    "joint outside": ([1, 3], [0, 1], False, "sensor 1 .* joint 3 .* 3 joints"),
+    "parent outside": ([1, 2], [0, 5], False, "sensor 1 .* parent 5, .* 3 joints"),
+}
+
+
+@pytest.mark.parametrize("joints, parents, at_build, message", BAD_RIGS.values(), ids=BAD_RIGS)
+def test_a_bad_rig_is_refused(rng, joints, parents, at_build, message):
+    poses, obs = seq_problem(rng, t_n=8)  # 3 joints, 2 sensors
+    rig = dict(sensor_joints=joints, sensor_parents=parents)
+    cfg, settings = EnergyConfig(fragment_len=4), SolverSettings()
+    with pytest.raises(ValueError, match=message):
+        refine_batch(poses, replace(obs, **rig), cfg, settings)
+    with pytest.raises(ValueError, match=message):
+        window = Observations(pixels=obs.pixels, camera=obs.camera, accel=obs.accel,
+                              bones=obs.bones, **rig)
+        total_energy(Fragment(poses, obs.fps), window, cfg)
+    with pytest.raises(ValueError, match=message):
+        refiner = StreamingRefiner(obs.fps, cfg, settings, camera=obs.camera, **rig)
+        assert not at_build, "the constructor accepted the rig"
+        refiner.push(poses[0], pixels=obs.pixels[0], accel=obs.accel[0], bones=obs.bones[0])
 
 
 def test_refine_batch_rejects_poses_of_another_shape(rng):

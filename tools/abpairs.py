@@ -29,11 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'9500-9509' or '9500,9502,9507'."""
+    """'9500-9509' or '9500,9502,9507'. A part that names no seed, such as the
+    descending range '9509-9500', is refused."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        named = range(int(lo), int(hi or lo) + 1)
+        if not named:
+            raise argparse.ArgumentTypeError(f"{part!r} names no seed")
+        seeds += named
     return seeds
 
 
