@@ -115,7 +115,7 @@ class Observations:
     sensor_parents: np.ndarray | None = None
 
     def __post_init__(self):
-        sj, sp = (np.asarray([] if a is None else a, dtype=int)
+        sj, sp = (np.asarray([] if a is None else a)
                   for a in (self.sensor_joints, self.sensor_parents))
         if sj.ndim != 1 or sp.ndim != 1:
             raise ValueError("sensor_joints and sensor_parents must hold one index per sensor, "
@@ -124,6 +124,17 @@ class Observations:
             raise ValueError(f"sensor {min(len(sj), len(sp))} has no "
                              f"{'parent' if len(sj) > len(sp) else 'joint'}: "
                              f"{len(sj)} sensor_joints, {len(sp)} sensor_parents")
+        # An index must be a whole number; casting would truncate 1.7 to 1.
+        fractional = np.zeros(len(sj), bool)
+        for a in (sj, sp):
+            if a.dtype.kind not in "iu":
+                f = a.astype(float)
+                fractional |= ~(np.abs(f) < 2.0 ** 53) | (f != np.trunc(f))
+        if fractional.any():
+            k = np.flatnonzero(fractional)[0]
+            raise ValueError(f"sensor {k} is bound to joint {sj[k]} with parent {sp[k]}; "
+                             "joint indices must be whole numbers")
+        sj, sp = sj.astype(int), sp.astype(int)
         negative = np.flatnonzero((sj < 0) | (sp < 0))
         if negative.size:
             k = negative[0]
@@ -474,19 +485,27 @@ def visual_minimum(positions: np.ndarray, pixels: np.ndarray, camera: Camera) ->
     """
     x = np.asarray(positions, dtype=float)
     px = np.asarray(pixels, dtype=float)
-    observed = np.isfinite(px).all(axis=-1)
-    px = np.where(observed[..., None], px, 0.0)
+    observed = np.isfinite(px[..., 0]) & np.isfinite(px[..., 1])
     r = camera.rotation_matrix
     rel = x - camera.center
     # Camera-frame ray direction K^-1 [u, v, 1], then into the world frame;
-    # its camera depth is 1, so a point C + t d on the ray has depth t.
-    k_inv = np.stack([(px[..., 0] - camera.cx) / camera.fx,
-                      (px[..., 1] - camera.cy) / camera.fy,
-                      np.ones(px.shape[:-1])], axis=-1)
+    # its camera depth is 1, so a point C + t d on the ray has depth t. A
+    # missing pixel's joint stays put; its direction holds zeros, not NaN.
+    missing = ~observed
+    k_inv = np.empty(px.shape[:-1] + (3,))
+    for c, (centre, focal) in enumerate(((camera.cx, camera.fx), (camera.cy, camera.fy))):
+        np.subtract(px[..., c], centre, out=k_inv[..., c])
+        k_inv[..., c] /= focal
+        k_inv[..., c][missing] = 0.0
+    k_inv[..., 2] = 1.0
     ray = k_inv @ r
     t = np.einsum("...i,...i->...", rel, ray) / np.einsum("...i,...i->...", ray, ray)
     move = observed & (rel @ r[2] > W_MIN) & (t > W_MIN)
-    return np.where(move[..., None], camera.center + t[..., None] * ray, x)
+    ray *= t[..., None]
+    ray += camera.center
+    stay = ~move
+    ray[stay] = x[stay]
+    return ray
 
 
 def accel_energy(frag: Fragment, obs: Observations) -> TermValue:

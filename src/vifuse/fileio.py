@@ -52,14 +52,6 @@ _NUMBER_CHARS = "0123456789+-.eEnNaAiIfFtTyY"
 _NUMBER_BYTES = (_NUMBER_CHARS + " \n").encode()
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
-
-
-def _fmt_row(values) -> str:
-    return " ".join(_fmt(v) for v in values)
-
-
 class _Reader:
     def __init__(self, path):
         self.path = Path(path)
@@ -118,12 +110,141 @@ class _Reader:
         self.fail(line_no, f"bad {what} '{token}'")
 
 
-def _write_text(path, lines) -> None:
-    # Line by line, so that no copy of the whole file is held in memory.
+def _write_text(path, *parts) -> None:
+    """Write each part's text chunks in order. The number lines of a part come
+    from `_number_lines` a fixed number of rows at a time, so no copy of the
+    whole file is held in memory."""
     with open(path, "w") as f:
-        for line in lines:
-            f.write(line)
-            f.write("\n")
+        for part in parts:
+            f.writelines(part)
+
+
+# -- number lines ------------------------------------------------------------
+#
+# Every number the writers put in a file is spelled by `_number_lines`, byte
+# for byte as Python's "%.9g". A value that "%.9g" spells in fixed point
+# (finite, 1e-4 <= |x| < 1e9 once rounded to 9 digits) is laid out with array
+# arithmetic in a 24-byte slot: " ", the sign, 9 integer digits, the point and
+# 12 fraction digits, looked up 4 bytes at a time in tables where the bytes
+# "%.9g" leaves out (a plus sign, leading and trailing zeros, a bare point)
+# are 0xFF, a byte UTF-8 text never holds. Deleting the 0xFF bytes gives the
+# lines. Every other value is spelled by "%.9g" itself and copied into its
+# slot: NaN, +-inf, +-0, other magnitudes, and values within _TIE_MARGIN of a
+# rounding tie once scaled to 9 digits. The scaled product is correctly
+# rounded (10**k is exact for k <= 15), so only a product on the tie itself
+# could round the wrong way; the margin leaves room to spare.
+
+_HIDDEN = b"\xff"
+_SLOT = 24
+_CHUNK_VALUES = 8192  # values formatted per chunk
+_TIE_MARGIN = 1e-6  # the scaled product errs by at most 2**-24
+_POW10 = 10.0 ** np.arange(16)
+
+
+def _digit_words(width: int, head: bytes = b"", tail: bytes = b"", strip: str = "",
+                 units: bool = False) -> np.ndarray:
+    """head + the `width` decimal digits of n + tail, as one uint32 word for
+    each n below 10**width. strip="leading" or "trailing" hides the zero
+    digits before the first or after the last nonzero digit; `units` always
+    shows the last digit (the integer part's units digit: 0 is spelled "0")."""
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T
+    nonzero = digits != 0
+    shown = np.ones(digits.shape, bool)
+    if strip == "leading":
+        shown = np.logical_or.accumulate(nonzero, axis=1)
+    elif strip == "trailing":
+        shown = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    shown[:, -1] |= units
+    out = np.empty((len(digits), 4), np.uint8)
+    out[:, :len(head)] = np.frombuffer(head, np.uint8)
+    out[:, len(head):4 - len(tail)] = np.where(shown, digits + ord("0"), _HIDDEN[0])
+    out[:, 4 - len(tail):] = np.frombuffer(tail, np.uint8)
+    return out.view(np.uint32).ravel()
+
+
+# Slot words 0-2 hold the integer part ip = h0 * 10**7 + h1 * 1000 + h2: " ",
+# the sign and h0's digits at (x < 0) * 100 + h0; h1's digits at (h0 > 0) *
+# 10**4 + h1; h2's digits and the point at (ip >= 1000) * 1000 + (fraction >
+# 0) * 2000 + h2. Words 3-5 hold the fraction's 12 digits, g3 g4 g5, each at
+# (no nonzero digit follows) * 10**4 + g.
+_HEAD = np.concatenate([_digit_words(2, b" " + _HIDDEN, strip="leading"),
+                        _digit_words(2, b" -", strip="leading")])
+_INT4 = np.concatenate([_digit_words(4, strip="leading"), _digit_words(4)])
+_INT3 = np.concatenate([_digit_words(3, tail=tail, strip=strip, units=True)
+                        for tail in (_HIDDEN, b".") for strip in ("leading", "")])
+_FRAC4 = np.concatenate([_digit_words(4), _digit_words(4, strip="trailing")])
+
+
+def _number_lines(prefixes, *columns: np.ndarray):
+    """Yield text chunks holding, for each row i of the columns (n, F_i) side
+    by side, the line `prefixes[i]` followed by " %.9g" of each value and "\n".
+
+    `prefixes` is an iterable of n strings, read a chunk at a time.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n, f = len(columns[0]), sum(c.shape[1] for c in columns)
+    rows = max(1, _CHUNK_VALUES // max(f, 1))
+    prefixes = iter(prefixes)
+    for lo in range(0, n, rows):
+        values = np.concatenate([c[lo:lo + rows] for c in columns], axis=1)
+        heads = list(map(str.encode, itertools.islice(prefixes, rows)))
+        yield _format_chunk(heads, values).translate(None, _HIDDEN).decode()
+
+
+def _format_chunk(heads: list[bytes], x: np.ndarray) -> bytes:
+    """The lines of `_number_lines` for values x (r, F), with hidden bytes."""
+    r, f = x.shape
+    # 9 significant digits m * 10**(e - 8), 1e8 <= m < 1e9. log10 can put e
+    # one off only within an ulp of a power of ten, where m rounds to 1e8 or
+    # 1e9 as "%.9g" rounds.
+    a = np.abs(x)
+    fast = (a >= 1e-5) & (a < 1e9)
+    a[~fast] = 1.0
+    e = np.minimum(np.floor(np.log10(a)), 8.0)
+    scaled = a * _POW10[(8.0 - e).astype(np.intp)]
+    m = np.rint(scaled)
+    fast &= np.abs(scaled - m) < 0.5 - _TIE_MARGIN
+    carry = m == 1e9
+    m[carry] = 1e8
+    e += carry
+    fast &= np.abs(e - 2.0) <= 6.0  # -4 <= e <= 8: "%.9g" spells it in fixed point
+    np.clip(e, -4.0, 8.0, out=e)
+    # The integer part ip and the fraction's first 12 digits: exact in floats,
+    # as both stay below 1e12.
+    div = _POW10[(8.0 - e).astype(np.intp)]
+    ip = np.floor(m / div)
+    frac = ((m - ip * div) * _POW10[(4.0 + e).astype(np.intp)]).astype(np.int64)
+    ip = ip.astype(np.int64)
+    g3 = frac // 10 ** 8
+    low = frac - g3 * 10 ** 8
+    g4 = low // 10 ** 4
+    g5 = low - g4 * 10 ** 4
+    h0 = ip // 10 ** 7
+    rest = ip - h0 * 10 ** 7
+    h1 = rest // 1000
+    h2 = rest - h1 * 1000
+
+    # Each row: its prefix padded to whole words, the slots, and "\n" padded.
+    lens = np.fromiter(map(len, heads), np.intp, r)
+    width = -(-max(int(lens.max()), 1) // 4) * 4
+    prefix = np.array(heads, dtype=f"S{width}").view(np.uint8).reshape(r, width)
+    prefix[np.arange(width) >= lens[:, None]] = _HIDDEN[0]
+    buf = np.empty((r, width // 4 + f * _SLOT // 4 + 1), np.uint32)
+    buf[:, :width // 4] = prefix.view(np.uint32)
+    buf[:, -1] = np.frombuffer(b"\n" + _HIDDEN * 3, np.uint32)[0]
+    words = buf[:, width // 4:-1].reshape(r, f, _SLOT // 4)
+    words[..., 0] = _HEAD[(x < 0) * 100 + h0]
+    words[..., 1] = _INT4[(h0 > 0) * 10 ** 4 + h1]
+    words[..., 2] = _INT3[(ip >= 1000) * 1000 + (frac > 0) * 2000 + h2]
+    words[..., 3] = _FRAC4[(low == 0) * 10 ** 4 + g3]
+    words[..., 4] = _FRAC4[(g5 == 0) * 10 ** 4 + g4]
+    words[..., 5] = _FRAC4[10 ** 4:][g5]
+    slow = ~fast
+    if slow.any():
+        spelled = [("%.9g" % v).encode().ljust(_SLOT - 1, _HIDDEN) for v in x[slow].tolist()]
+        slots = words.view(np.uint8)
+        slots[slow, 1:] = np.frombuffer(b"".join(spelled), np.uint8).reshape(-1, _SLOT - 1)
+    return buf.tobytes()
 
 
 def _zero_norm(q: np.ndarray) -> np.ndarray:
@@ -207,9 +328,7 @@ def _pixel_faults(rows):
 
 def _write_pose(path, schema: str, values: np.ndarray) -> None:
     flat = values.reshape(len(values), -1)
-    fmt = "%d" + " %.9g" * flat.shape[1]
-    rows = (fmt % (t, *row.tolist()) for t, row in enumerate(flat))
-    _write_text(path, itertools.chain([f"{schema} 1"], rows))
+    _write_text(path, [f"{schema} 1\n"], _number_lines(map(str, range(len(flat))), flat))
 
 
 def _read_pose(path, schema: str, dim: int, what: str, faults) -> np.ndarray:
@@ -241,7 +360,8 @@ def write_pose3d(path, poses: np.ndarray) -> None:
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
         raise ValueError(f"expected (T, J, 3), got {poses.shape}")
-    if not np.all(np.isfinite(poses)):
+    # Two reductions, with no mask as large as the poses: NaN propagates.
+    if not np.isfinite([poses.min(initial=0.0), poses.max(initial=0.0)]).all():
         raise ValueError("pose3d values must be finite")
     _write_pose(path, "pose3d", poses)
 
@@ -284,16 +404,11 @@ def write_imu(path, stream: ImuStream) -> None:
         raise ValueError("imu values must be finite")
     if _zero_norm(stream.orientations).any():
         raise ValueError("imu quaternions must have nonzero norm")
-    fmt = "%d %s" + " %.9g" * 7
-
-    def lines():
-        yield "imu 1"
-        for t in range(stream.frame_count):
-            quats, accels = stream.orientations[t].tolist(), stream.accels[t].tolist()
-            for sid, q, a in zip(stream.sensor_ids, quats, accels):
-                yield fmt % (t, sid, *q, *a)
-
-    _write_text(path, lines())
+    k = len(stream.sensor_ids)
+    frames = itertools.chain.from_iterable(itertools.repeat(str(t), k) for t in range(stream.frame_count))
+    prefixes = map(" ".join, zip(frames, itertools.cycle(stream.sensor_ids)))
+    _write_text(path, ["imu 1\n"], _number_lines(prefixes, stream.orientations.reshape(-1, 4),
+                                                 stream.accels.reshape(-1, 3)))
 
 
 def read_imu(path) -> ImuStream:
@@ -348,13 +463,13 @@ def read_imu(path) -> ImuStream:
 def write_skeleton(path, skel: SkeletonDefinition) -> None:
     if not np.isfinite(skel.tpose).all():
         raise ValueError("T-pose coordinates must be finite")
-    lines = ["skeleton 1", f"joints {skel.joint_count}"]
-    for j, name in enumerate(skel.names):
+    for name in skel.names:
         if " " in name or name == "":
             raise ValueError(f"joint name {name!r} not serializable")
-        tp = skel.tpose[j]
-        lines.append(f"joint {j} {name} {skel.parents[j]} {_fmt_row(tp)}")
-    _write_text(path, lines)
+    prefixes = [f"joint {j} {name} {parent}"
+                for j, (name, parent) in enumerate(zip(skel.names, skel.parents))]
+    _write_text(path, [f"skeleton 1\njoints {skel.joint_count}\n"],
+                _number_lines(prefixes, skel.tpose))
 
 
 def read_skeleton(path) -> SkeletonDefinition:
@@ -391,16 +506,15 @@ def read_skeleton(path) -> SkeletonDefinition:
 def write_calibration(path, calib: CalibrationSet) -> None:
     if not np.isfinite(calib.gravity).all():
         raise ValueError("gravity must be finite")
-    lines = ["calibration 1", "gravity " + _fmt_row(calib.gravity)]
     for cal in calib.sensors:
         for token in (cal.sensor_id, cal.joint):
             if " " in token or token == "":
                 raise ValueError(f"token {token!r} not serializable")
-        lines.append(
-            f"sensor {cal.sensor_id} {cal.joint} "
-            + _fmt_row(cal.r_global) + " " + _fmt_row(cal.r_joint)
-        )
-    _write_text(path, lines)
+    sensors = calib.sensors
+    _write_text(path, ["calibration 1\n"], _number_lines(["gravity"], [calib.gravity]),
+                _number_lines([f"sensor {cal.sensor_id} {cal.joint}" for cal in sensors],
+                              np.reshape([cal.r_global for cal in sensors], (-1, 4)),
+                              np.reshape([cal.r_joint for cal in sensors], (-1, 4))))
 
 
 def read_calibration(path) -> CalibrationSet:
@@ -443,16 +557,9 @@ def write_camera(path, cam: Camera) -> None:
         raise ValueError("camera values must be finite")
     if not (cam.fx > 0 and cam.fy > 0):
         raise ValueError("fx and fy must be positive")
-    lines = [
-        "camera 1",
-        f"fx {_fmt(cam.fx)}",
-        f"fy {_fmt(cam.fy)}",
-        f"cx {_fmt(cam.cx)}",
-        f"cy {_fmt(cam.cy)}",
-        "rotation " + _fmt_row(cam.rotation),
-        "center " + _fmt_row(cam.center),
-    ]
-    _write_text(path, lines)
+    _write_text(path, ["camera 1\n"],
+                _number_lines(["fx", "fy", "cx", "cy"], [[cam.fx], [cam.fy], [cam.cx], [cam.cy]]),
+                _number_lines(["rotation"], [cam.rotation]), _number_lines(["center"], [cam.center]))
 
 
 def read_camera(path) -> Camera:

@@ -2,6 +2,8 @@
 
 import argparse
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,33 @@ def test_a_zero_parent_median_has_no_relative_change(abpairs):
                             {"m": "higher"})["m"]
     assert got["parent_median"] == 0.0 and got["relative_change"] is None
     assert got["pairs_change_better"] == 2
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (False, 1)])
+def test_an_incorrect_or_failing_run_stops_the_tool(abpairs, tmp_path, monkeypatch, correct, failed):
+    result = {"correct": correct, "attempted": 5, "failed": failed,
+              "metrics": {"frames_per_s": {"value": 100.0, "unit": "frames/s"}}}
+    stdout = "FAILED repeat 3: vifuse run exited 3\n" * bool(failed) + json.dumps(result) + "\n"
+
+    def fake_run(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(abpairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH_bad.json"
+    with pytest.raises(SystemExit) as exit_info:
+        abpairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                      "--workload", "batch_rto", "--seeds", "41", "--out", str(out)])
+    message = str(exit_info.value.code)
+    assert message.startswith(f"abpairs: {tmp_path / 'p'}: batch_rto seed 41 reported correct: "
+                              f"{json.dumps(correct)}, failed: {failed} of 5")
+    assert ("FAILED repeat 3" in message) == bool(failed)
+    assert not out.exists()
+
+
+def test_a_correct_run_is_kept(abpairs, tmp_path, monkeypatch):
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {"frames_per_s": {"value": 100.0, "unit": "frames/s"}}}
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda cmd, cwd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=json.dumps(result) + "\n", stderr=""))
+    run = abpairs.run_once(tmp_path, "batch_rto", 41, 1.0)
+    assert run == {"seed": 41, "correct": True, "attempted": 5, "failed": 0, "frames_per_s": 100.0}

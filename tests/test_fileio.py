@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -350,3 +351,19 @@ def test_undecodable_file_is_a_format_error(tmp_path):
     with pytest.raises(FormatError) as e:
         read_pose3d(p)
     assert str(p) in str(e.value) and "decode" in str(e.value)
+
+
+def test_write_pose3d_memory_does_not_grow_with_the_frames(tmp_path, rng):
+    # The numbers are formatted a fixed number of rows at a time and the
+    # finiteness check allocates nothing per value, so the traced peak stays
+    # within 64 KiB whether the file holds 1500 or 20000 frames.
+    peaks = {}
+    for frames in (1500, 20000):
+        poses = rng.uniform(-3000, 3000, (frames, 21, 3))
+        tracemalloc.start()
+        try:
+            write_pose3d(tmp_path / "p.txt", poses)
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20000] <= peaks[1500] + 64 * 1024, peaks

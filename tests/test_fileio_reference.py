@@ -33,6 +33,7 @@ from vifuse import (
     write_pose2d,
     write_pose3d,
 )
+from vifuse import fileio
 from vifuse.rotmath import ZERO_EPS
 
 
@@ -416,29 +417,53 @@ def test_imu_negative_first_frame_index(tmp_path):
 
 
 # -- writers -----------------------------------------------------------------
+#
+# `ref_write_pose3d`, `ref_write_pose2d` and `ref_write_imu` are the writers as
+# they were before the array-at-once number kernel: one Python "%.9g" per value,
+# one line at a time. The writers must match them byte for byte.
 
-def fmt_row(values) -> str:
-    return " ".join("%.9g" % v for v in values)
+def _ref_write_lines(path, lines):
+    with open(path, "w") as f:
+        for line in lines:
+            f.write(line)
+            f.write("\n")
+
+
+def _ref_write_pose(path, schema, values):
+    flat = values.reshape(len(values), -1)
+    fmt = "%d" + " %.9g" * flat.shape[1]
+    _ref_write_lines(path, [f"{schema} 1"] + [fmt % (t, *row.tolist()) for t, row in enumerate(flat)])
 
 
 def ref_write_pose3d(path, poses):
-    lines = ["pose3d 1"] + [f"{t} " + fmt_row(poses[t].ravel()) for t in range(len(poses))]
-    path.write_text("\n".join(lines) + "\n")
+    _ref_write_pose(path, "pose3d", poses)
 
 
 def ref_write_pose2d(path, pixels):
-    lines = ["pose2d 1"]
-    for t in range(len(pixels)):
-        lines.append(" ".join([str(t)] + [f"{'%.9g' % u} {'%.9g' % v}" for u, v in pixels[t]]))
-    path.write_text("\n".join(lines) + "\n")
+    _ref_write_pose(path, "pose2d", pixels)
 
 
 def ref_write_imu(path, stream):
+    fmt = "%d %s" + " %.9g" * 7
     lines = ["imu 1"]
     for t in range(stream.frame_count):
-        for k, sid in enumerate(stream.sensor_ids):
-            lines.append(f"{t} {sid} {fmt_row(stream.orientations[t, k])} {fmt_row(stream.accels[t, k])}")
-    path.write_text("\n".join(lines) + "\n")
+        quats, accels = stream.orientations[t].tolist(), stream.accels[t].tolist()
+        lines += [fmt % (t, sid, *q, *a) for sid, q, a in zip(stream.sensor_ids, quats, accels)]
+    _ref_write_lines(path, lines)
+
+
+def written(write, tmp_path, value, name):
+    path = tmp_path / name
+    write(path, value)
+    return path.read_bytes()
+
+
+def assert_writers_match(tmp_path, poses=None, pixels=None, stream=None):
+    for write, ref, value in ((write_pose3d, ref_write_pose3d, poses),
+                              (write_pose2d, ref_write_pose2d, pixels),
+                              (write_imu, ref_write_imu, stream)):
+        if value is not None:
+            assert written(write, tmp_path, value, "a.txt") == written(ref, tmp_path, value, "b.txt")
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.123]
@@ -453,24 +478,13 @@ def edge_array(rng, shape):
 
 @pytest.mark.parametrize("frames", [1, 3, 12001])
 def test_writers_match_per_value_reference(tmp_path, rng, frames):
-    poses = edge_array(rng, (frames, 2, 3))
-    write_pose3d(tmp_path / "a.txt", poses)
-    ref_write_pose3d(tmp_path / "b.txt", poses)
-    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
     pixels = edge_array(rng, (frames, 3, 2))
     pixels[0, 1] = np.nan
     pixels[-1, 2] = np.nan
-    write_pose2d(tmp_path / "a.txt", pixels)
-    ref_write_pose2d(tmp_path / "b.txt", pixels)
-    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
     q = edge_array(rng, (frames, 2, 4))
     q[0, 0, 0] = 1.0  # the leading edge values make a zero-norm quaternion, which write_imu refuses
     stream = ImuStream(("l_knee", "s_2"), q, edge_array(rng, (frames, 2, 3)))
-    write_imu(tmp_path / "a.txt", stream)
-    ref_write_imu(tmp_path / "b.txt", stream)
-    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    assert_writers_match(tmp_path, edge_array(rng, (frames, 2, 3)), pixels, stream)
 
 
 @pytest.mark.parametrize("fmt", ["pose3d", "pose2d", "imu"])
@@ -493,3 +507,88 @@ def test_write_read_write_is_byte_stable(tmp_path, rng, fmt):
         assert (np.isnan(back) == np.isnan(pixels)).all()
         write_pose2d(b, back)
     assert a.read_bytes() == b.read_bytes()
+
+
+# Values the kernel must hand to "%.9g", or whose rounding or exponent sits on
+# an edge of its fixed-point layout, with their "%.9g" spelling.
+SPELLED = [
+    (-0.0, "-0"), (0.0, "0"), (5e-324, "4.94065646e-324"), (-5e-324, "-4.94065646e-324"),
+    (9.9999999995e-05, "0.0001"), (9.99999999e-05, "9.99999999e-05"), (1e-4, "0.0001"),
+    (-0.000123456789, "-0.000123456789"), (999999999.5, "1e+09"), (999999999.4, "999999999"),
+    (1e9, "1e+09"), (1234567.125, "1234567.12"), (1234567.375, "1234567.38"),
+    (-1234567.125, "-1234567.12"), (12345678.75, "12345678.8"), (123456789.5, "123456790"),
+    (1e300, "1e+300"), (-1.7976931348623157e308, "-1.79769313e+308"), (0.5, "0.5"),
+    (100.0, "100"), (1000.0, "1000"), (10000000.0, "10000000"), (0.1, "0.1"), (1 / 3, "0.333333333"),
+    (2.5, "2.5"), (123456789.0, "123456789"), (99999999.99999999, "100000000"),
+    (999.9999999999999, "1000"), (1000.0000000000001, "1000"), (0.00099999999999999, "0.001"),
+    # Decimal ties that binary cannot hold: the scaled product rounds to the
+    # tie, while the stored value lies on one side of it.
+    (8.655618035, "8.65561803"), (8.342681985, "8.34268199"), (10481737.65, "10481737.7"),
+    (682470.5605, "682470.561"), (0.0008244902565, "0.000824490257"),
+]
+
+
+def test_edge_values_are_spelled_as_percent_g(tmp_path):
+    values = np.array([v for v, _ in SPELLED] + [0.0] * (-len(SPELLED) % 3))
+    poses = values.reshape(1, -1, 3)
+    line = written(write_pose3d, tmp_path, poses, "a.txt").decode().splitlines()[1]
+    assert line.split(" ")[1:len(SPELLED) + 1] == [text for _, text in SPELLED]
+    assert_writers_match(tmp_path, poses=poses)
+
+
+def test_nan_is_spelled_nan_whatever_its_sign(tmp_path):
+    negative_nan = np.copysign(np.nan, -1.0)
+    assert math.copysign(1.0, negative_nan) == -1.0
+    pixels = np.array([[[negative_nan, np.nan], [np.nan, negative_nan], [1.5, -0.0]]])
+    assert written(write_pose2d, tmp_path, pixels, "a.txt") == b"pose2d 1\n0 nan nan nan nan 1.5 -0\n"
+    assert_writers_match(tmp_path, pixels=pixels)
+
+
+def test_rows_on_either_side_of_a_chunk_boundary(tmp_path, rng):
+    rows = fileio._CHUNK_VALUES // 63  # rows of a 21-joint pose3d per chunk
+    for frames in (1, rows - 1, rows, rows + 1, 2 * rows + 7):
+        poses = rng.uniform(-3000, 3000, (frames, 21, 3))
+        pixels = rng.uniform(0, 2000, (frames, 21, 2))
+        pixels[rng.uniform(size=(frames, 21)) < 0.05] = np.nan
+        stream = ImuStream(tuple(f"s{k}" for k in range(8)),
+                           rng.uniform(-1, 1, (frames, 8, 4)), rng.uniform(-2e4, 2e4, (frames, 8, 3)))
+        assert_writers_match(tmp_path, poses, pixels, stream)
+
+
+def finite_values():
+    """Floats of every magnitude, and those whose 9-digit rounding is hard:
+    decimals of exactly 9 or 10 digits (10 digits ending in 5 are decimal
+    ties, which binary holds only approximately), exact binary ties at the
+    9th digit (10 digits ending in 5 over 10**k, exact when 5**k divides
+    them), and their neighbours one ulp away."""
+    nine = st.builds(lambda m, k: m / 10.0 ** k, st.integers(10 ** 8, 10 ** 10 - 1), st.integers(0, 17))
+    decimal_ties = st.builds(lambda m, k: (10 * m + 5) / 10.0 ** k, st.integers(10 ** 8, 10 ** 9 - 1),
+                             st.integers(1, 17))
+    ties = st.integers(1, 3).flatmap(lambda k: st.builds(
+        lambda j: 5 ** k * (2 * j + 1) / 10 ** k,
+        st.integers(-(-10 ** 9 // (2 * 5 ** k)), (10 ** 10 // 5 ** k - 1) // 2)))
+    near = st.builds(lambda x, up: float(np.nextafter(x, np.inf if up else -np.inf)), ties, st.booleans())
+    signed = st.builds(lambda x, neg: -x if neg else x, st.one_of(nine, decimal_ties, ties, near),
+                       st.booleans())
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False), signed)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool=st.lists(finite_values(), min_size=1, max_size=40), frames=st.integers(1, 300),
+       joints=st.integers(1, 30), sensors=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_writers_match_reference_on_any_values(tmp_path, pool, frames, joints, sensors, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        """Values from the pool at random places, the rest uniform in +-3000."""
+        values = rng.uniform(-3000, 3000, shape)
+        picked = rng.uniform(size=shape) < 0.5
+        values[picked] = rng.choice(pool, int(picked.sum()))
+        return values
+
+    pixels = draw((frames, joints, 2))
+    pixels[rng.uniform(size=(frames, joints)) < 0.1] = np.copysign(np.nan, rng.choice([-1.0, 1.0]))
+    q = draw((frames, sensors, 4))
+    q[..., 0] = np.where(fileio._zero_norm(q), 1.0, q[..., 0])
+    stream = ImuStream(tuple(f"k{i}" for i in range(sensors)), q, draw((frames, sensors, 3)))
+    assert_writers_match(tmp_path, draw((frames, joints, 3)), pixels, stream)

@@ -5,7 +5,9 @@
 
 Each pair runs `python3 perfbench/run.py --trace 0` once in the parent
 checkout and once in the change checkout on the same seed, alternating
-which side runs first. Every run's JSON result line is kept, and for each
+which side runs first. A run that reports `correct: false` or failed
+repeats stops the tool with an error naming the checkout, the workload
+and the seed. Every run's JSON result line is kept, and for each
 end-to-end metric the file gets both sides' medians and quartiles, the
 parent's quartile spread and the number of pairs the change won (ties win
 for neither side). A later call with another workload adds it to the same
@@ -57,6 +59,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"abpairs: {checkout}: {workload} seed {seed} gave no result "
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}") from None
+    if not result["correct"] or result["failed"] > 0:
+        failures = "".join(f"\n{line}" for line in lines if line.startswith("FAILED"))
+        raise SystemExit(f"abpairs: {checkout}: {workload} seed {seed} reported correct: "
+                         f"{json.dumps(result['correct'])}, failed: {result['failed']} of "
+                         f"{result['attempted']}{failures}")
     run = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
            "failed": result["failed"]}
     run.update({name: m["value"] for name, m in result["metrics"].items()})
