@@ -25,6 +25,7 @@ Schemas:
 from __future__ import annotations
 
 import itertools
+import locale
 import math
 from pathlib import Path
 from typing import NoReturn
@@ -45,11 +46,14 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-# A number field uses only these characters. On them float() and np.loadtxt
-# read the same numbers; loadtxt also strips whitespace (\x1f too), and float()
-# also takes underscores and non-ASCII digits.
+# A number field uses only these characters. float() also takes underscores,
+# non-ASCII digits and whitespace around a number.
 _NUMBER_CHARS = "0123456789+-.eEnNaAiIfFtTyY"
-_NUMBER_BYTES = (_NUMBER_CHARS + " \n").encode()
+# The ASCII whitespace np.loadtxt strips from a field, other than " ", "\n"
+# and "\r". In a field of the other ASCII bytes loadtxt reads a value only if
+# the field is a number of _NUMBER_CHARS, and reads it as float() does.
+# str.splitlines breaks lines at all of these but \t and \x1f.
+_STRIPPED = b"\t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 class _Reader:
@@ -264,50 +268,95 @@ def _check_quaternions(r: _Reader, line_no: int, q: np.ndarray) -> None:
 # -- stream records ----------------------------------------------------------
 #
 # A stream file is a header and one record per line: a fixed prefix (the frame
-# index, and for imu the sensor id) and then numbers. A valid file is parsed by
-# a few whole-file operations in `_records`. Any fault sends the reader to
-# `_first_bad_record`, which walks the lines in order to name the first bad one.
+# index, and for imu the sensor id) and then numbers. A valid file is read as
+# bytes and parsed by a few whole-file operations in `_records`, with no copy
+# of its lines' fields. A file `_records` refuses is read as text by `_Reader`
+# and walked line by line by `_first_bad_record`, which names the first bad
+# record.
 #
 # `faults(rows)` gives, for value rows (n, F), a mask (n, C) of the C value
 # checks in the order a line applies them, and a function naming check c.
 
 
-def _records(r: _Reader, prefixes: list[str], width: int, faults) -> np.ndarray | None:
+def _stream_lines(path, schema: str) -> tuple[np.ndarray, list[bytes]] | None:
+    """The bytes after a stream file's `<schema> 1` header, as uint8, and its
+    record lines, split at \\n, \\r\\n and \\r. None if the file cannot be
+    read, holds a byte of _STRIPPED, starts with another line or has no
+    record. Where the lines' bytes are ASCII, the text reader splits the same
+    lines.
+    """
+    header = f"{schema} 1".encode()
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if any(byte in data for byte in _STRIPPED):
+        return None
+    if b"\r" in data:  # a line ends at \n, \r\n or \r
+        lines = data.splitlines()
+    else:
+        lines = data.split(b"\n")
+        if not lines[-1]:  # the last line's \n
+            lines.pop()
+    if len(lines) < 2 or lines[0] != header:
+        return None
+    return np.frombuffer(data, np.uint8, offset=len(header)), lines[1:]
+
+
+def _records(body: np.ndarray, lines: list[bytes], prefixes: list[bytes], width: int,
+             faults) -> np.ndarray | None:
     """The (n, width) numbers that follow each record's prefix, or None.
 
     Record i must be `prefixes[i]` followed by `width` numbers separated by
-    single spaces, with no fault. None means some record breaks that.
+    single spaces, with no fault; `body` holds the records' bytes. None means
+    some record breaks that.
     """
-    lines = r.lines[r.pos:]
-    if len(lines) != len(prefixes) or not all(map(str.startswith, lines, prefixes)):
+    n, skip = len(lines), prefixes[0].count(b" ")  # a prefix is `skip` fields
+    if n != len(prefixes) or not all(map(bytes.startswith, lines, prefixes)):
         return None
-    fields = [line[len(p):] for line, p in zip(lines, prefixes)]
-    if not all(fields) or "\n".join(fields).encode().translate(None, _NUMBER_BYTES):
+    # Bytes outside ASCII may stand only in the prefixes, whose text the
+    # caller has checked.
+    if body.max() >= 0x80 and (np.count_nonzero(body >= 0x80) != np.count_nonzero(
+            np.frombuffer(b"".join(prefixes), np.uint8) >= 0x80)):
         return None
     try:
-        values = np.loadtxt(fields, delimiter=" ", comments=None, ndmin=2)
+        if skip == 1:
+            # A frame index is a number, so loadtxt reads every field and
+            # refuses lines that differ in their count.
+            values = np.loadtxt(lines, delimiter=" ", comments=None, ndmin=2)
+            values = np.ascontiguousarray(values[:, 1:])
+        else:
+            # loadtxt refuses a line with fewer fields than it reads but
+            # ignores any after them, which the count of spaces finds.
+            values = np.loadtxt(lines, delimiter=" ", comments=None, ndmin=2,
+                                usecols=range(skip, skip + width))
+            if np.count_nonzero(body == ord(" ")) != n * (skip + width - 1):
+                return None
     except ValueError:
         return None
-    if values.shape != (len(lines), width) or faults(values)[0].any():
+    if values.shape != (n, width) or faults(values)[0].any():
         return None
     return values
 
 
-def _first_bad_record(r: _Reader, what: str, check) -> NoReturn:
-    """Raise the error of the first record `check(i, line_no, tokens)` rejects.
+def _first_bad_record(r: _Reader, what: str, check) -> np.ndarray:
+    """Raise the error of the first record `check(i, line_no, tokens)` rejects,
+    or, if it rejects none, return the rows of numbers it gave, stacked.
 
     Only runs once `_records` has refused the file, so it may go line by line.
+    A valid file gets here only if it holds a line break str.splitlines takes
+    besides \\n, \\r\\n and \\r (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028,
+    \\u2029), or an imu sensor id with a tab or \\x1f.
     """
-    for i in range(r.remaining):
-        check(i, *r.next_tokens(what))
-    r.fail(None, f"malformed {what}s")  # not reached: a refused file has a bad record
+    return np.concatenate([check(i, *r.next_tokens(what)) for i in range(r.remaining)])
 
 
-def _check_values(r: _Reader, line_no: int, tokens: list[str], what: str, faults) -> None:
+def _check_values(r: _Reader, line_no: int, tokens: list[str], what: str, faults) -> np.ndarray:
     row = np.array([[r.parse_float(line_no, tok, what) for tok in tokens]])
     mask, name = faults(row)
     if mask.any():
         r.fail(line_no, name(int(np.argmax(mask[0]))))
+    return row
 
 
 # -- pose3d / pose2d ---------------------------------------------------------
@@ -332,16 +381,21 @@ def _write_pose(path, schema: str, values: np.ndarray) -> None:
 
 
 def _read_pose(path, schema: str, dim: int, what: str, faults) -> np.ndarray:
-    r = _Reader(path)
-    r.expect_header(schema)
-    n = r.remaining
-    if n == 0:
-        r.fail(None, "no frames")
-    width = r.lines[r.pos].count(" ")
     values = None
-    if width >= dim and width % dim == 0:
-        values = _records(r, [f"{t} " for t in range(n)], width, faults)
+    stream = _stream_lines(path, schema)
+    if stream:
+        body, lines = stream
+        width = lines[0].count(b" ")
+        if width >= dim and width % dim == 0:
+            prefixes = [b"%d " % t for t in range(len(lines))]
+            values = _records(body, lines, prefixes, width, faults)
     if values is None:
+        r = _Reader(path)
+        r.expect_header(schema)
+        if r.remaining == 0:
+            r.fail(None, "no frames")
+        width = r.lines[r.pos].count(" ")
+
         def check(t, line_no, tokens):
             idx = r.parse_int(line_no, tokens[0], "frame index")
             if idx != t:
@@ -350,10 +404,10 @@ def _read_pose(path, schema: str, dim: int, what: str, faults) -> np.ndarray:
                 r.fail(line_no, f"expected 1 + {dim}*J fields, got {len(tokens)}")
             if t > 0 and len(tokens) != 1 + width:
                 r.fail(line_no, f"expected {1 + width} fields, got {len(tokens)}")
-            _check_values(r, line_no, tokens[1:], what, faults)
+            return _check_values(r, line_no, tokens[1:], what, faults)
 
-        _first_bad_record(r, "pose record", check)
-    return values.reshape(n, width // dim, dim)
+        values = _first_bad_record(r, "pose record", check)
+    return values.reshape(len(values), width // dim, dim)
 
 
 def write_pose3d(path, poses: np.ndarray) -> None:
@@ -400,33 +454,44 @@ def write_imu(path, stream: ImuStream) -> None:
             raise ValueError(f"sensor id {sid!r} not serializable")
     if len(set(stream.sensor_ids)) != len(stream.sensor_ids):
         raise ValueError(f"duplicate sensor ids in {stream.sensor_ids}")
-    if not (np.isfinite(stream.orientations).all() and np.isfinite(stream.accels).all()):
+    q = stream.orientations.reshape(-1, 4)
+    # Reductions and bounded row chunks, with no mask as large as the stream.
+    ends = [q.min(), q.max(), stream.accels.min(), stream.accels.max()]
+    if not np.isfinite(ends).all():  # NaN propagates
         raise ValueError("imu values must be finite")
-    if _zero_norm(stream.orientations).any():
+    rows = _CHUNK_VALUES // 4
+    if any(_zero_norm(q[lo:lo + rows]).any() for lo in range(0, len(q), rows)):
         raise ValueError("imu quaternions must have nonzero norm")
     k = len(stream.sensor_ids)
     frames = itertools.chain.from_iterable(itertools.repeat(str(t), k) for t in range(stream.frame_count))
     prefixes = map(" ".join, zip(frames, itertools.cycle(stream.sensor_ids)))
-    _write_text(path, ["imu 1\n"], _number_lines(prefixes, stream.orientations.reshape(-1, 4),
-                                                 stream.accels.reshape(-1, 3)))
+    _write_text(path, ["imu 1\n"], _number_lines(prefixes, q, stream.accels.reshape(-1, 3)))
 
 
 def read_imu(path) -> ImuStream:
-    r = _Reader(path)
-    r.expect_header("imu")
-    lines = r.lines[r.pos:]
-    if not lines:
-        r.fail(None, "no frames")
-    k = 0
-    while k < len(lines) and lines[k].startswith("0 "):
-        k += 1
-    sensor_ids = [line.split(" ", 2)[1] for line in lines[:k]]
     values = None
-    if k and len(set(sensor_ids)) == k and len(lines) % k == 0:
-        prefixes = [f"{t} {sid} " for t in range(len(lines) // k) for sid in sensor_ids]
-        values = _records(r, prefixes, 7, _imu_faults)
+    stream = _stream_lines(path, "imu")
+    if stream:
+        body, lines = stream
+        k = 0
+        while k < len(lines) and lines[k].startswith(b"0 "):
+            k += 1
+        ids = [line.split(b" ", 2)[1] for line in lines[:k]]
+        try:  # as the text reader decodes them
+            sensor_ids = [sid.decode(locale.getpreferredencoding(False)) for sid in ids]
+        except UnicodeDecodeError:
+            sensor_ids = None
+        if (sensor_ids and len(set(sensor_ids)) == k and len(lines) % k == 0
+                and all(sid.splitlines() == [sid] for sid in sensor_ids)):
+            prefixes = [b"%d %s " % (t, sid) for t in range(len(lines) // k) for sid in ids]
+            values = _records(body, lines, prefixes, 7, _imu_faults)
     if values is None:
-        layout: list[str] = []
+        r = _Reader(path)
+        r.expect_header("imu")
+        n = r.remaining
+        if n == 0:
+            r.fail(None, "no frames")
+        sensor_ids = []  # the layout of frame 0
         counts: list[int] = []  # sensors seen per frame
 
         def check(i, line_no, tokens):
@@ -434,25 +499,26 @@ def read_imu(path) -> ImuStream:
                 r.fail(line_no, f"expected 9 fields, got {len(tokens)}")
             idx = r.parse_int(line_no, tokens[0], "frame index")
             sid = tokens[1]
-            _check_values(r, line_no, tokens[2:], "value", _imu_faults)
+            row = _check_values(r, line_no, tokens[2:], "value", _imu_faults)
             if idx == len(counts):
                 counts.append(0)
             elif idx != len(counts) - 1 or idx < 0:
                 r.fail(line_no, f"frame index {idx} out of order")
             if idx == 0:
-                if sid in layout:
+                if sid in sensor_ids:
                     r.fail(line_no, f"duplicate sensor {sid} in frame 0")
-                layout.append(sid)
-            elif counts[idx] >= len(layout) or layout[counts[idx]] != sid:
+                sensor_ids.append(sid)
+            elif counts[idx] >= len(sensor_ids) or sensor_ids[counts[idx]] != sid:
                 r.fail(line_no, f"sensor {sid} out of order (expected layout of frame 0)")
             counts[idx] += 1
-            if i == len(lines) - 1:
+            if i == n - 1:
                 for t, count in enumerate(counts):
-                    if count != len(layout):
-                        r.fail(None, f"frame {t} has {count} sensors, expected {len(layout)}")
+                    if count != len(sensor_ids):
+                        r.fail(None, f"frame {t} has {count} sensors, expected {len(sensor_ids)}")
+            return row
 
-        _first_bad_record(r, "imu record", check)
-    values = values.reshape(-1, k, 7)
+        values = _first_bad_record(r, "imu record", check)
+    values = values.reshape(-1, len(sensor_ids), 7)
     return ImuStream(
         tuple(sensor_ids), np.ascontiguousarray(values[..., :4]), np.ascontiguousarray(values[..., 4:])
     )
@@ -464,7 +530,7 @@ def write_skeleton(path, skel: SkeletonDefinition) -> None:
     if not np.isfinite(skel.tpose).all():
         raise ValueError("T-pose coordinates must be finite")
     for name in skel.names:
-        if " " in name or name == "":
+        if " " in name or name.splitlines() != [name]:  # empty, or holding a line break
             raise ValueError(f"joint name {name!r} not serializable")
     prefixes = [f"joint {j} {name} {parent}"
                 for j, (name, parent) in enumerate(zip(skel.names, skel.parents))]
@@ -508,7 +574,7 @@ def write_calibration(path, calib: CalibrationSet) -> None:
         raise ValueError("gravity must be finite")
     for cal in calib.sensors:
         for token in (cal.sensor_id, cal.joint):
-            if " " in token or token == "":
+            if " " in token or token.splitlines() != [token]:  # empty, or holding a line break
                 raise ValueError(f"token {token!r} not serializable")
     sensors = calib.sensors
     _write_text(path, ["calibration 1\n"], _number_lines(["gravity"], [calib.gravity]),

@@ -47,9 +47,26 @@ def _third_diff(x: np.ndarray) -> np.ndarray:
     return x[3:] - 3.0 * x[2:-1] + 3.0 * x[1:-2] - x[:-3]
 
 
+def _mean_norm(diff: np.ndarray) -> np.ndarray:
+    """Per-joint mean over frames of the norms of (T, J, 3) differences."""
+    return np.linalg.norm(diff, axis=2).mean(axis=0)
+
+
+# The per-joint errors of sequences `_as_pair` has checked.
+
+def _joint_mpjae(pred, gt, fps, per_second) -> np.ndarray:
+    scale = fps * fps if per_second else 1.0
+    return _mean_norm((_second_diff(pred) - _second_diff(gt)) * scale)
+
+
+def _joint_mpjje(pred, gt, fps, per_second) -> np.ndarray:
+    scale = fps ** 3 if per_second else 1.0
+    return _mean_norm((_third_diff(pred) - _third_diff(gt)) * scale)
+
+
 def per_joint_mpjpe(pred, gt) -> np.ndarray:
     pred, gt = _as_pair(pred, gt)
-    return np.linalg.norm(pred - gt, axis=2).mean(axis=0)
+    return _mean_norm(pred - gt)
 
 
 def mpjpe(pred, gt) -> float:
@@ -62,9 +79,7 @@ def per_joint_mpjae(pred, gt, fps: float, per_second: bool = True) -> np.ndarray
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < 3:
         raise TooShortError("acceleration error needs at least 3 frames")
-    scale = fps * fps if per_second else 1.0
-    diff = (_second_diff(pred) - _second_diff(gt)) * scale
-    return np.linalg.norm(diff, axis=2).mean(axis=0)
+    return _joint_mpjae(pred, gt, fps, per_second)
 
 
 def mpjae(pred, gt, fps: float, per_second: bool = True) -> float:
@@ -76,9 +91,7 @@ def per_joint_mpjje(pred, gt, fps: float, per_second: bool = True) -> np.ndarray
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < 4:
         raise TooShortError("jitter error needs at least 4 frames")
-    scale = fps ** 3 if per_second else 1.0
-    diff = (_third_diff(pred) - _third_diff(gt)) * scale
-    return np.linalg.norm(diff, axis=2).mean(axis=0)
+    return _joint_mpjje(pred, gt, fps, per_second)
 
 
 def mpjje(pred, gt, fps: float, per_second: bool = True) -> float:
@@ -143,9 +156,9 @@ def evaluate(pred, gt, fps: float, per_second: bool = True) -> MetricReport:
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < REPORT_MIN_FRAMES:
         raise TooShortError(f"full metric report needs at least {REPORT_MIN_FRAMES} frames")
-    jp = per_joint_mpjpe(pred, gt)
-    ja = per_joint_mpjae(pred, gt, fps, per_second)
-    jj = per_joint_mpjje(pred, gt, fps, per_second)
+    jp = _mean_norm(pred - gt)
+    ja = _joint_mpjae(pred, gt, fps, per_second)
+    jj = _joint_mpjje(pred, gt, fps, per_second)
     return MetricReport(
         mpjpe=float(jp.mean()),
         mpjae=float(ja.mean()),

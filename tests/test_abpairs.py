@@ -105,3 +105,45 @@ def test_a_correct_run_is_kept(abpairs, tmp_path, monkeypatch):
         cmd, 0, stdout=json.dumps(result) + "\n", stderr=""))
     run = abpairs.run_once(tmp_path, "batch_rto", 41, 1.0)
     assert run == {"seed": 41, "correct": True, "attempted": 5, "failed": 0, "frames_per_s": 100.0}
+
+
+def checkout(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+BENCH = {"BENCHMARK.json": "{}", "perfbench/run.py": "run", "perfbench/sub/probe.py": "probe"}
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"BENCHMARK.json": "{ }"}, "BENCHMARK.json"),
+    ({"perfbench/sub/probe.py": "probe2", "perfbench/run.py": "run2"}, "perfbench/run.py"),
+    ({"perfbench/extra.py": ""}, "perfbench/extra.py"),
+])
+def test_checkouts_with_different_benchmarks_are_refused(abpairs, tmp_path, monkeypatch, edit, named):
+    parent = checkout(tmp_path / "p", BENCH)
+    change = checkout(tmp_path / "c", {**BENCH, **edit})
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda *a, **kw: pytest.fail("ran a benchmark"))
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exit_info:
+        abpairs.main(["--parent", str(parent), "--change", str(change), "--workload", "batch_rto",
+                      "--seeds", "1", "--out", str(out)])
+    assert str(exit_info.value.code) == (f"abpairs: {named} differs between {parent} and {change}; "
+                                         "both must run the same benchmark")
+    assert not out.exists()
+
+
+def test_checkouts_with_the_same_benchmark_run(abpairs, tmp_path, monkeypatch):
+    parent = checkout(tmp_path / "p", {**BENCH, "perfbench/__pycache__/run.pyc": "a", "src/x.py": "old"})
+    change = checkout(tmp_path / "c", {**BENCH, "perfbench/__pycache__/run.pyc": "b", "src/x.py": "new"})
+    assert abpairs.first_benchmark_difference(parent, change) is None
+    result = {"correct": True, "attempted": 2, "failed": 0,
+              "metrics": {"frames_per_s": {"value": 100.0, "unit": "frames/s"}}}
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda cmd, cwd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=json.dumps(result) + "\n", stderr=""))
+    out = tmp_path / "BENCH_x.json"
+    assert abpairs.main(["--parent", str(parent), "--change", str(change), "--workload", "batch_rto",
+                         "--seeds", "1-2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["end_to_end"]["batch_rto"]["pairs"] == 2

@@ -72,6 +72,18 @@ def _skeleton_with_nan():
     return SkeletonDefinition(skel.names, skel.parents, tpose)
 
 
+def _skeleton_with_name(name):
+    skel = default_skeleton()
+    names = list(skel.names)
+    names[3] = name
+    return SkeletonDefinition(tuple(names), skel.parents, skel.tpose)
+
+
+def _calibration_with(**fields):
+    sensors = default_calibration().sensors
+    return CalibrationSet((replace(sensors[0], **fields),) + sensors[1:])
+
+
 WRITES_A_READER_REFUSES = {
     "pose2d inf pixel": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, 2.0]]])),
     "pose2d inf pair": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, -np.inf]]])),
@@ -90,6 +102,11 @@ WRITES_A_READER_REFUSES = {
     "camera nan cx": lambda p: write_camera(p, replace(default_camera(), cx=np.nan)),
     "camera inf center": lambda p: write_camera(p, replace(default_camera(), center=(0.0, np.inf, 0.0))),
     "skeleton nan coordinate": lambda p: write_skeleton(p, _skeleton_with_nan()),
+    "skeleton joint name with line break": lambda p: write_skeleton(p, _skeleton_with_name("left\nknee")),
+    "calibration sensor id with line break": lambda p: write_calibration(
+        p, _calibration_with(sensor_id="s\r0")),
+    "calibration joint with line break": lambda p: write_calibration(
+        p, _calibration_with(joint="l_knee\n")),
 }
 
 
@@ -353,17 +370,35 @@ def test_undecodable_file_is_a_format_error(tmp_path):
     assert str(p) in str(e.value) and "decode" in str(e.value)
 
 
+def traced_peaks(path, write, make):
+    """The traced memory peak of write(path, make(frames)) at 1500 and 20000 frames."""
+    peaks = {}
+    for frames in (1500, 20000):
+        value = make(frames)
+        tracemalloc.start()
+        try:
+            write(path, value)
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_write_pose3d_memory_does_not_grow_with_the_frames(tmp_path, rng):
     # The numbers are formatted a fixed number of rows at a time and the
     # finiteness check allocates nothing per value, so the traced peak stays
     # within 64 KiB whether the file holds 1500 or 20000 frames.
-    peaks = {}
-    for frames in (1500, 20000):
-        poses = rng.uniform(-3000, 3000, (frames, 21, 3))
-        tracemalloc.start()
-        try:
-            write_pose3d(tmp_path / "p.txt", poses)
-            peaks[frames] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = traced_peaks(tmp_path / "p.txt", write_pose3d,
+                         lambda frames: rng.uniform(-3000, 3000, (frames, 21, 3)))
+    assert peaks[20000] <= peaks[1500] + 64 * 1024, peaks
+
+
+def test_write_imu_memory_does_not_grow_with_the_frames(tmp_path, rng):
+    # As for pose3d; the zero-norm check also goes a bounded number of rows at
+    # a time, so 8 sensors over 20000 frames peak within 64 KiB of 1500 frames.
+    def stream(frames):
+        return ImuStream(tuple(f"s{k}" for k in range(8)), rng.uniform(-1, 1, (frames, 8, 4)),
+                         rng.uniform(-2e4, 2e4, (frames, 8, 3)))
+
+    peaks = traced_peaks(tmp_path / "i.txt", write_imu, stream)
     assert peaks[20000] <= peaks[1500] + 64 * 1024, peaks

@@ -416,6 +416,143 @@ def test_imu_negative_first_frame_index(tmp_path):
     assert e.value.line_no == 2 and "frame index -1 out of order" in str(e.value)
 
 
+# -- the fast path against the line walker -------------------------------------
+#
+# A valid file is read by `fileio._records` from its bytes; any other goes to
+# the line walker, `fileio._first_bad_record`. Each single edit below must
+# give the same outcome as the walker alone (the fast path switched off) and
+# as the reference.
+
+def valid_lines(path, fmt: str, frames: int = 8) -> list[str]:
+    """Write a valid stream of `frames` frames to path and return its lines."""
+    rng = np.random.default_rng(3)
+    if fmt == "imu":
+        write_imu(path, ImuStream(("a", "l_knee"), rng.standard_normal((frames, 2, 4)),
+                                  rng.uniform(-9e3, 9e3, (frames, 2, 3))))
+    elif fmt == "pose3d":
+        write_pose3d(path, rng.uniform(-2000, 2000, (frames, 2, 3)))
+    else:
+        pixels = rng.uniform(0, 2000, (frames, 2, 2))
+        pixels[1, 0] = np.nan
+        write_pose2d(path, pixels)
+    return path.read_text().splitlines()
+
+
+def edit_field(field: int, token: str):
+    """Replace field `field` of frame 7's first line."""
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("7 "))
+        fields = lines[i].split(" ")
+        fields[field] = token
+        lines[i] = " ".join(fields)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def edit_line(change):
+    def edit(lines):
+        lines[3] = change(lines[3])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+SINGLE_EDITS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "no final newline": lambda lines: "\n".join(lines),
+    "trailing blank line": lambda lines: "\n".join(lines) + "\n\n",
+    "frame index 07": edit_field(0, "07"),
+    "frame index +7": edit_field(0, "+7"),
+    "frame index 7.0": edit_field(0, "7.0"),
+    "tab": edit_field(-1, "\t1"),
+    "unit separator": edit_field(-1, "1\x1f"),
+    "underscore": edit_field(-1, "1_0"),
+    "non-ASCII digit": edit_field(-1, "\u0661"),
+    "double space": edit_line(lambda l: l.replace(" ", "  ", 2).replace("  ", " ", 1)),
+    "missing field": edit_line(lambda l: l.rsplit(" ", 1)[0]),
+    "inf": edit_field(-2, "inf"),
+    "half-missing pixel pair": edit_field(-2, "nan"),
+}
+
+
+ascii_field = st.text(alphabet=st.sampled_from(
+    [chr(c) for c in range(128) if chr(c) not in " \n\r"] + list("0123456789.eEinfa+-") * 4),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(field=ascii_field)
+def test_loadtxt_reads_only_numbers_float_reads_alike(field):
+    # What the fast path relies on: on an ASCII field with no byte of
+    # _STRIPPED, loadtxt reads a value only where the walker does, and the same.
+    try:
+        got = np.loadtxt([f"0 {field}".encode()], delimiter=" ", comments=None, ndmin=2)[0, 1]
+    except ValueError:
+        return
+    if not set(field) & set(fileio._STRIPPED.decode()):
+        want = strict_number(field)
+        assert want is not None, field
+        assert got == want or (math.isnan(got) and math.isnan(want)), field
+
+
+@pytest.mark.parametrize("fmt", ["pose3d", "pose2d", "imu"])
+@pytest.mark.parametrize("edit", list(SINGLE_EDITS))
+def test_fast_path_agrees_with_the_line_walker(tmp_path, monkeypatch, fmt, edit):
+    p = tmp_path / "s.txt"
+    p.write_bytes(SINGLE_EDITS[edit](valid_lines(p, fmt)).encode("utf-8"))
+    got = check_against_reference(fmt, p)
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_stream_lines", lambda path, schema: None)
+        walked = outcome(READERS[fmt][0], p)
+    assert same_outcome(got, walked), (got, walked)
+
+
+def no_walk(*args):
+    raise AssertionError("a valid file reached the line walker")
+
+
+@pytest.mark.parametrize("fmt", ["pose3d", "pose2d", "imu"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final", [True, False])
+def test_valid_files_take_the_fast_path(tmp_path, monkeypatch, fmt, newline, final):
+    p = tmp_path / "s.txt"
+    p.write_bytes((newline.join(valid_lines(p, fmt, 40)) + newline * final).encode())
+    monkeypatch.setattr(fileio, "_first_bad_record", no_walk)
+    check_against_reference(fmt, p)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_imu_sensor_ids_outside_ascii_take_the_fast_path(tmp_path, monkeypatch, newline):
+    p = tmp_path / "s.txt"
+    rng = np.random.default_rng(4)
+    write_imu(p, ImuStream(("h\u00e4nd", "\u624b\u9996"), rng.standard_normal((5, 2, 4)),
+                           rng.standard_normal((5, 2, 3))))
+    p.write_bytes(newline.encode().join(p.read_bytes().splitlines()))
+    monkeypatch.setattr(fileio, "_first_bad_record", no_walk)
+    assert check_against_reference("imu", p).sensor_ids == ("h\u00e4nd", "\u624b\u9996")
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("pose3d", lambda lines: "\x0c".join(lines)),
+    ("pose2d", lambda lines: "\x1c".join(lines) + "\u2028"),
+    ("imu", lambda lines: "\n".join(lines).replace(" a ", " a\x1fb ")),
+    ("imu", lambda lines: "\n".join(lines).replace(" a ", " a\tb ")),
+])
+def test_valid_files_the_fast_path_leaves_are_walked_to_their_numbers(tmp_path, fmt, text):
+    # Line breaks str.splitlines takes besides \n, \r\n and \r, and bytes
+    # loadtxt strips in an imu sensor id, send a valid file to the walker,
+    # which reads the same numbers.
+    p, plain = tmp_path / "s.txt", tmp_path / "plain.txt"
+    lines = valid_lines(p, fmt)
+    p.write_bytes(text(lines).encode("utf-8"))
+    plain.write_text("\n".join(lines) + "\n")
+    got = check_against_reference(fmt, p)
+    want = READERS[fmt][0](plain)
+    if fmt == "imu":
+        assert bitwise_equal(got.orientations, want.orientations) and bitwise_equal(got.accels, want.accels)
+    else:
+        assert bitwise_equal(got, want)
+
+
 # -- writers -----------------------------------------------------------------
 #
 # `ref_write_pose3d`, `ref_write_pose2d` and `ref_write_imu` are the writers as

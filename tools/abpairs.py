@@ -12,7 +12,9 @@ end-to-end metric the file gets both sides' medians and quartiles, the
 parent's quartile spread and the number of pairs the change won (ties win
 for neither side). A later call with another workload adds it to the same
 file. The checkouts are only read and run; nothing under perfbench/ is
-changed.
+changed. Each side runs its own perfbench/, so the tool refuses to start,
+naming the first file that differs, unless both checkouts hold the same
+BENCHMARK.json and the same files under perfbench/ (bytecode caches aside).
 """
 
 from __future__ import annotations
@@ -47,6 +49,26 @@ def directions(benchmark: Path) -> dict[str, str]:
     """Each end-to-end metric's better direction ("higher" or "lower")."""
     spec = json.loads(benchmark.read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def benchmark_files(checkout: Path) -> dict[str, Path]:
+    """BENCHMARK.json and the files under perfbench/, by path in the checkout."""
+    files = {}
+    for path in [checkout / "BENCHMARK.json", *sorted((checkout / "perfbench").rglob("*"))]:
+        name = path.relative_to(checkout)
+        if path.is_file() and "__pycache__" not in name.parts:
+            files[name.as_posix()] = path
+    return files
+
+
+def first_benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, by name, that one checkout lacks or holds
+    with other bytes than the other, or None if they run the same benchmark."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes():
+            return name
+    return None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -120,6 +142,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write or extend")
     p.add_argument("--topic", help="what the change does, kept at the top of the file")
     args = p.parse_args(argv)
+    differs = first_benchmark_difference(args.parent, args.change)
+    if differs:
+        raise SystemExit(f"abpairs: {differs} differs between {args.parent} and {args.change}; "
+                         "both must run the same benchmark")
     better = directions(ROOT / "BENCHMARK.json")
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
