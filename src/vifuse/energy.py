@@ -314,6 +314,8 @@ class WindowStack:
         self.key = (n, j, fps)
         self.camera = source.camera
         self.sensor_joints, self.sensor_parents = source.sensor_joints, source.sensor_parents
+        # The joints the chain solve moves: the sensors' joints and their parents.
+        self.chain_joints = np.union1d(self.sensor_joints, self.sensor_parents)
         self.has_accel = source.accel is not None
         self.has_bones = source.bones is not None
         self.cols = 3 * len(self.sensor_joints)
@@ -423,12 +425,13 @@ class WindowStack:
     def normal_parts(self, x: np.ndarray, cfg: EnergyConfig, scales: Sequence[TermScales]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces of each window's Gauss-Newton normal matrix of
-        total_energy at x (W, N, J, 3), each w below being a term's weight
-        over the window's scale: the visual block 2 w J^T J of every (frame,
-        joint) (W, N, J, 3, 3), zero where the term skips the joint; the
-        (W, N, N) matrix that the accel and smooth terms put on each
-        coordinate of each sensor's joint; and the (W,) weight 2 w that the
-        bone term puts on each sensor's joint-minus-parent difference."""
+        total_energy at x (W, N, J, 3) that the chain solve reads, each w
+        below being a term's weight over the window's scale: the visual block
+        2 w J^T J (W, N, C, 3, 3) of every frame and chain joint, zero where
+        the term skips the joint; the (W, N, N) matrix that the accel and
+        smooth terms put on each coordinate of each sensor's joint; and the
+        (W,) weight 2 w that the bone term puts on each sensor's
+        joint-minus-parent difference. The C chain joints are chain_joints."""
         active = _active_terms(cfg)
         self.require(active)
         wv, wa, wb, ws = np.array([[2.0 * k / s if on else 0.0
@@ -436,22 +439,29 @@ class WindowStack:
                                    for sc in scales]).T
         w = len(x)
         n, j, _ = self.key
-        visual = np.zeros((w, n * j, 3, 3))
+        joints = self.chain_joints
+        visual = np.zeros((w, n * len(joints), 3, 3))
         if active[0]:
-            h = self._project(x)
-            valid = self.observed & (h[:, 2] > W_MIN)
+            cols = (np.arange(n)[:, None] * j + joints).ravel()
+            h = self._project(x)[..., cols]
+            valid = self.observed[:, cols] & (h[:, 2] > W_MIN)
             inv_depth = np.where(valid, 1.0 / np.where(valid, h[:, 2], 1.0), 0.0)
             # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
             pixel = h[:, :2] * inv_depth[:, None]
-            jac = (self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
-                np.sqrt(wv)[:, None] * inv_depth)[:, None, :, None]
-            visual = np.einsum("wapi,wapj->wpij", jac, jac)
+            u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
+                np.sqrt(wv)[:, None] * inv_depth)[:, None, :, None]).swapaxes(0, 1)
+            # J^T J written out per entry, faster than einsum here and equal
+            # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
+            for a in range(3):
+                for b in range(a, 3):
+                    visual[..., a, b] = visual[..., b, a] = (
+                        0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
         temporal = np.zeros((w, n, n))
         if active[1]:
             temporal += wa[:, None, None] * self.accel_gram
         if active[3]:
             temporal += ws[:, None, None] * self.smooth_gram
-        return visual.reshape(w, n, j, 3, 3), temporal, wb
+        return visual.reshape(w, n, len(joints), 3, 3), temporal, wb
 
 
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rotmath import _norm3
+
 
 # The jitter error is a third difference, so a full report needs 4 frames.
 REPORT_MIN_FRAMES = 4
@@ -49,7 +51,7 @@ def _third_diff(x: np.ndarray) -> np.ndarray:
 
 def _mean_norm(diff: np.ndarray) -> np.ndarray:
     """Per-joint mean over frames of the norms of (T, J, 3) differences."""
-    return np.linalg.norm(diff, axis=2).mean(axis=0)
+    return _norm3(diff).mean(axis=0)
 
 
 # The per-joint errors of sequences `_as_pair` has checked.
@@ -72,7 +74,7 @@ def per_joint_mpjpe(pred, gt) -> np.ndarray:
 def mpjpe(pred, gt) -> float:
     """Mean Euclidean joint distance in mm."""
     pred, gt = _as_pair(pred, gt)
-    return float(np.linalg.norm(pred - gt, axis=2).mean())
+    return float(_norm3(pred - gt).mean())
 
 
 def per_joint_mpjae(pred, gt, fps: float, per_second: bool = True) -> np.ndarray:

@@ -211,21 +211,25 @@ class _ChainSolver:
         groups = _chain_groups(tuple(stack.sensor_joints.tolist()),
                                tuple(stack.sensor_parents.tolist()))
         visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in groups]
+        self._factors = [(ch, *self._factor(ch, visual, temporal, stack.chain_joints))
+                         for ch in groups]
 
-    def _factor(self, ch: _Chains, visual: np.ndarray, temporal: np.ndarray):
+    def _factor(self, ch: _Chains, visual: np.ndarray, temporal: np.ndarray,
+                chain_joints: np.ndarray):
         """Eliminate the parent-only joints, then factor what is left.
 
         Arrays run over frames first, then over the windows and the stacked
-        chains; `visual` is (N, W, J, 3, 3) and `temporal` (W, N, N).
+        chains; `visual` is (N, W, C, 3, 3) over the C `chain_joints` and
+        `temporal` (W, N, N).
         """
         n, w = visual.shape[:2]
+        joints_at, parents_at = (np.searchsorted(chain_joints, a) for a in (ch.joints, ch.parents))
         bone = self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
         # Each frame's block of the sensor joints from the visual and bone terms.
         a = np.zeros((n, w, c, m, 3, m, 3))
-        for i, joints in enumerate(ch.joints.T):
+        for i, joints in enumerate(joints_at.T):
             a[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
         largest = (np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3))
@@ -233,7 +237,7 @@ class _ChainSolver:
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * np.eye(size)
         # Eliminate each parent-only joint through its own 3x3 block.
-        d_inv = _inv3(visual[:, :, ch.parents]
+        d_inv = _inv3(visual[:, :, parents_at]
                       + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
         schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
         a -= bone * bone * schur.transpose(0, 1, 2, 3, 5, 4, 6).reshape(a.shape)
@@ -272,32 +276,64 @@ class _ChainSolver:
             sub[b - 1] = mult
         return d_inv, diag, sub
 
-    def step(self, grad: np.ndarray) -> np.ndarray:
-        """The step -H^-1 grad of every window (W, N, J, 3) on its chain
-        joints; zero on the free joints."""
+    def sweep(self, grad: np.ndarray) -> np.ndarray:
+        """Start the solve H d = -grad of every window (W, N, J, 3) with the
+        forward sweep, and return each window's g^T H^-1 g over its chain
+        joints (W,), from which the stopping test reads the next step's
+        predicted decrease. step() finishes the solve.
+
+        g^T H^-1 g is the parent-only joints' g_p^T D^-1 g_p plus y^T P^-1 y
+        over the blocks, with y the forward-swept right-hand side and P the
+        pivots. Each part is summed over one contiguous row per window, so a
+        window's value is bitwise the same in any stack.
+        """
         w, n = grad.shape[:2]
         bone = self._bone
-        step = np.zeros_like(grad)
-        g, out = grad.swapaxes(0, 1), step.swapaxes(0, 1)  # frames first
+        g = grad.swapaxes(0, 1)  # frames first
+        quad = np.zeros(w)
+        self._swept = []
         for ch, d_inv, inv, mult in self._factors:
             c, m = ch.joints.shape
             nb, size = len(inv), 3 * m
-            lap_sp = ch.cross_bones
             g_p = g[:, :, ch.parents]
+            dg_p = (d_inv @ g_p[..., None])[..., 0]
             y = np.zeros((3 * nb, w, c, m, 3))
-            y[:n] = bone * (lap_sp @ (d_inv @ g_p[..., None])[..., 0])
+            y[:n] = bone * (ch.cross_bones @ dg_p)
             y[:n] -= g[:, :, ch.joints]
             y = y.reshape(nb, 3, w * c, size).swapaxes(1, 2).reshape(nb, w * c, 3 * size, 1)
             for b in range(1, nb):
                 y[b] -= mult[b - 1] @ y[b - 1]
             x = inv @ y
+            quad += _window_sums(g_p * dg_p) + _window_sums((y * x).reshape(nb, w, -1))
+            self._swept.append((g_p, x))
+        self._shape = grad.shape
+        return quad
+
+    def step(self) -> np.ndarray:
+        """The step -H^-1 grad of every window (W, N, J, 3) on its chain
+        joints, zero on the free joints, by back-substitution from the last
+        sweep."""
+        w, n = self._shape[:2]
+        bone = self._bone
+        step = np.zeros(self._shape)
+        out = step.swapaxes(0, 1)  # frames first
+        for (ch, d_inv, inv, mult), (g_p, x) in zip(self._factors, self._swept):
+            c, m = ch.joints.shape
+            nb = len(inv)
             for b in range(nb - 2, -1, -1):
                 x[b] -= mult[b].swapaxes(1, 2) @ x[b + 1]
             d_s = x.reshape(nb, w * c, 3, m, 3).swapaxes(1, 2).reshape(3 * nb, w, c, m, 3)[:n]
-            back = -g_p - bone * (lap_sp.swapaxes(1, 2) @ d_s)
+            back = -g_p - bone * (ch.cross_bones.swapaxes(1, 2) @ d_s)
             out[:, :, ch.joints] = d_s
             out[:, :, ch.parents] = (d_inv @ back[..., None])[..., 0]
         return step
+
+
+def _window_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of `a` per index of its axis 1, the windows, each over one
+    contiguous row, so that it does not depend on the other windows."""
+    rows = np.ascontiguousarray(a.swapaxes(0, 1))
+    return rows.reshape(len(rows), -1).sum(axis=1)
 
 
 def _projects(cfg: EnergyConfig, obs: Observations) -> bool:
@@ -338,15 +374,16 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray | None, stack: WindowS
     converged = [False] * len(x)
     going = list(range(len(x)))
     while True:
-        step = solver.step(grad)
+        quad = solver.sweep(grad)
         stepping = []
         for i in going:
-            if -0.5 * float(np.vdot(grad[i], step[i])) <= settings.grad_tol * values[i]:
+            if 0.5 * quad[i] <= settings.grad_tol * values[i]:
                 converged[i] = True
             elif iterations[i] < settings.max_iterations:
                 stepping.append(i)
         if not stepping:
             break
+        step = solver.step()
         held = [i for i in range(len(x)) if i not in stepping]
         for i in held:
             step[i] = 0.0

@@ -82,8 +82,9 @@ class DataError(ValueError):
     skeleton's."""
 
 
-def _mode_requirements(mode: str, given: set[str]) -> None:
-    """Check that every optional stream `mode` reads is among `given`."""
+def _mode_requirements(mode: str, given: set[str], energy: EnergyConfig) -> None:
+    """Check that every optional stream `mode` reads is among `given`, and
+    that `energy` is a setting the mode refines sanely with."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
     for name in MODE_STREAMS[mode]:
@@ -91,6 +92,13 @@ def _mode_requirements(mode: str, given: set[str]) -> None:
             needs = ("2D observations and a camera" if name in _VISUAL
                      else "an IMU stream and calibration")
             raise MissingInputError(f"mode {mode} requires {needs}")
+    # Without bone rows nothing but the damping pins a chain joint's depth
+    # along its camera ray, and the solve moves the chains by metres.
+    if mode == "rtof" and energy.inertial_active and energy.k_bone == 0.0:
+        raise ConfigError(
+            f"mode rtof needs k_bone > 0 while an inertial term is active (k_inertial "
+            f"{energy.k_inertial:g}, k_accel {energy.k_accel:g}, k_smooth {energy.k_smooth:g}); "
+            "set k_bone, or k_inertial to 0")
 
 
 def apply_mode(
@@ -116,7 +124,8 @@ def apply_mode(
     solver = solver if solver is not None else SolverSettings()
     poses = np.asarray(poses, dtype=float)
     streams = {"pose2d": pixels, "camera": camera, "calibration": calib, "imu": imu}
-    _mode_requirements(mode, {name for name, value in streams.items() if value is not None})
+    _mode_requirements(mode, {name for name, value in streams.items() if value is not None},
+                       energy)
     if poses.ndim != 3 or poses.shape[1] != skel.joint_count:
         raise DataError(
             f"pose stream shape {poses.shape} does not match {skel.joint_count}-joint skeleton")
@@ -256,7 +265,8 @@ class RunConfig:
         if self.fps <= 0.0:
             raise ConfigError(f"fps must be positive, got {self.fps}")
         _mode_requirements(
-            self.mode, {name for name in _VISUAL + _INERTIAL if getattr(self, name) is not None})
+            self.mode, {name for name in _VISUAL + _INERTIAL if getattr(self, name) is not None},
+            self.energy)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | str = ".") -> "RunConfig":

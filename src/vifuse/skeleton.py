@@ -13,7 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .rotmath import IDENTITY, angle_between, quat_apply, quat_inverse, quat_mul, solve_rotation
+from .rotmath import (IDENTITY, _norm3, angle_between, quat_apply, quat_inverse, quat_mul,
+                      solve_rotation)
 
 _BONE_EPS = 1e-9
 
@@ -171,6 +172,31 @@ def positions_from_globals(skel: SkeletonDefinition, rotations: np.ndarray,
     return pos
 
 
+def _gated_globals(skel: SkeletonDefinition, pose: np.ndarray,
+                   imu_rotations: Mapping[int, np.ndarray], theta_t: float) -> np.ndarray:
+    """igik's global rotations (..., J, 4) of a float (J, 3) or (T, J, 3) pose."""
+    j_n = skel.joint_count
+    if pose.ndim not in (2, 3) or pose.shape[-2:] != (j_n, 3):
+        raise TopologyError(f"pose shape {pose.shape} does not match {j_n}-joint skeleton")
+    for j in imu_rotations:
+        if not 1 <= j < j_n:
+            raise UnboundJointError(f"sensor bound to invalid joint index {j}")
+    b_obs = pose[..., 1:, :] - pose[..., list(skel.parents[1:]), :]
+    bad = _norm3(b_obs) <= _BONE_EPS
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        j = int(at[-1]) + 1
+        frame = int(at[0]) if pose.ndim == 3 else None
+        raise DegenerateBoneError(j, skel.names[j], float(_norm3(b_obs[at])), frame)
+    glob = np.empty(pose.shape[:-1] + (4,))
+    glob[..., 0, :] = IDENTITY
+    glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs)
+    for j, imu_rot in imu_rotations.items():
+        fire = angle_between(quat_apply(imu_rot, skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
+        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot, glob[..., j, :])
+    return glob
+
+
 def igik(
     skel: SkeletonDefinition,
     pose: np.ndarray,
@@ -195,28 +221,8 @@ def igik(
     (frame, joint) in frame-major order; its frame is None for a single pose.
     """
     pose = np.asarray(pose, dtype=float)
-    j_n = skel.joint_count
-    if pose.ndim not in (2, 3) or pose.shape[-2:] != (j_n, 3):
-        raise TopologyError(f"pose shape {pose.shape} does not match {j_n}-joint skeleton")
-    for j in imu_rotations:
-        if not 1 <= j < j_n:
-            raise UnboundJointError(f"sensor bound to invalid joint index {j}")
-    parents = np.array(skel.parents[1:])
-    b_obs = pose[..., 1:, :] - pose[..., parents, :]
-    bad = np.linalg.norm(b_obs, axis=-1) <= _BONE_EPS
-    if bad.any():
-        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        j = int(at[-1]) + 1
-        frame = int(at[0]) if pose.ndim == 3 else None
-        raise DegenerateBoneError(j, skel.names[j], float(np.linalg.norm(b_obs[at])), frame)
-    glob = np.empty(pose.shape[:-1] + (4,))
-    glob[..., 0, :] = IDENTITY
-    glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs)
-    for j, imu_rot in imu_rotations.items():
-        fire = angle_between(quat_apply(imu_rot, skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
-        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot, glob[..., j, :])
-    del b_obs  # frame batches are large: drop each temporary once it is used
-    relative = quat_mul(quat_inverse(glob[..., parents, :]), glob[..., 1:, :])
+    glob = _gated_globals(skel, pose, imu_rotations, theta_t)
+    relative = quat_mul(quat_inverse(glob[..., list(skel.parents[1:]), :]), glob[..., 1:, :])
     local = np.empty_like(glob)
     local[..., 0, :] = IDENTITY
     local[..., 1:, :] = relative
@@ -236,11 +242,13 @@ def refine_sequence(
 ) -> np.ndarray:
     """sf2: igik + forward_kinematics over all frames of a (T, J, 3) array.
 
-    imu_rotations maps a joint index to its calibrated sensor rotations,
-    (T, 4) quaternions. A degenerate observed bone raises
-    DegenerateBoneError carrying its frame index.
+    The positions are taken straight from igik's global rotations, without
+    the local rotations between. imu_rotations maps a joint index to its
+    calibrated sensor rotations, (T, 4) quaternions. A degenerate observed
+    bone raises DegenerateBoneError carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
-    return forward_kinematics(skel, igik(skel, poses, imu_rotations or {}, theta_t))
+    glob = _gated_globals(skel, poses, imu_rotations or {}, theta_t)
+    return positions_from_globals(skel, glob, poses[:, 0])

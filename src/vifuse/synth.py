@@ -24,8 +24,7 @@ import numpy as np
 from .camera import Camera, look_at
 from .imu import CalibrationSet, ImuStream, SensorCalibration
 from .rotmath import IDENTITY, quat_apply, quat_from_axis_angle, quat_inverse, quat_mul, quat_normalize
-from .skeleton import (MotionParams, SkeletonDefinition, forward_kinematics, global_rotations,
-                       positions_from_globals)
+from .skeleton import MotionParams, SkeletonDefinition, global_rotations, positions_from_globals
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,16 +134,24 @@ class MotionScript:
         return MotionParams(skel.tpose[0] + self.root_offset(t), quats)
 
 
+def _rollout(script: MotionScript, skel: SkeletonDefinition
+             ) -> tuple[np.ndarray, MotionParams, np.ndarray]:
+    """generate_truth's positions and params, and the global rotations
+    (T, J, 4) that the positions are built from."""
+    for j in script.tracks:
+        if not 0 < j < skel.joint_count:
+            raise ValueError(f"track for invalid joint {j}")
+    params = script.params_at(skel, script.times())
+    rotations = global_rotations(skel, params)
+    return positions_from_globals(skel, rotations, params.root_translation), params, rotations
+
+
 def generate_truth(
     script: MotionScript, skel: SkeletonDefinition
 ) -> tuple[np.ndarray, MotionParams]:
     """Forward-kinematics rollout: (T, J, 3) positions and the params, batched
     over frames (params[i] is frame i's)."""
-    for j in script.tracks:
-        if not 0 < j < skel.joint_count:
-            raise ValueError(f"track for invalid joint {j}")
-    params = script.params_at(skel, script.times())
-    return forward_kinematics(skel, params), params
+    return _rollout(script, skel)[:2]
 
 
 def project_sequence(poses: np.ndarray, camera: Camera) -> np.ndarray:
@@ -178,9 +185,16 @@ def derive_imu(
     (second finite difference of the truth trajectory). `params` are batched
     over frames, as generate_truth returns them.
     """
-    joints = calib.joint_indices(skel)
     rotations = global_rotations(skel, params)
-    acc = finite_acceleration(positions_from_globals(skel, rotations, params.root_translation), fps)
+    positions = positions_from_globals(skel, rotations, params.root_translation)
+    return _imu_readings(rotations, positions, skel, calib, fps)
+
+
+def _imu_readings(rotations: np.ndarray, positions: np.ndarray, skel: SkeletonDefinition,
+                  calib: CalibrationSet, fps: float) -> ImuStream:
+    """derive_imu from the truth's global rotations (T, J, 4) and positions (T, J, 3)."""
+    joints = calib.joint_indices(skel)
+    acc = finite_acceleration(positions, fps)
     r_global = np.stack([c.r_global for c in calib.sensors])
     r_joint = np.stack([c.r_joint for c in calib.sensors])
     sample_rot = quat_mul(quat_mul(quat_inverse(r_global), r_joint), rotations[:, joints])
@@ -437,9 +451,10 @@ def make_dataset(
     calib = calib or default_calibration(skel)
     camera = camera or default_camera()
     script = script or default_script()
-    truth, params = generate_truth(script, skel)
+    truth, params, rotations = _rollout(script, skel)
     pixels_clean = project_sequence(truth, camera)
-    imu_clean = derive_imu(params, skel, calib, script.fps)
+    imu_clean = _imu_readings(rotations, truth, skel, calib, script.fps)
+    del params, rotations  # the corruption stages below set the peak memory
     rng = np.random.default_rng(seed)
     inputs = corrupt_poses(truth, camera, noise, rng)
     pixels = corrupt_pixels(pixels_clean, noise, rng)

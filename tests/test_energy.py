@@ -525,3 +525,39 @@ def test_stack_energy_matches_each_window_alone(rng):
         assert temporal[i].tobytes() == parts[1][0].tobytes()
         assert bone[i] == parts[2][0]
 
+
+
+def visual_blocks_of_every_joint(stack, x, weights):
+    """Reference: the visual block 2 w J^T J (W, N, J, 3, 3) of every frame
+    and joint, with 2 w per window in `weights`."""
+    w, (n, j, _) = len(x), stack.key
+    h = stack.proj @ x.reshape(w, -1, 3).swapaxes(1, 2) + stack.offset
+    valid = stack.observed & (h[:, 2] > W_MIN)
+    inv_depth = np.where(valid, 1.0 / np.where(valid, h[:, 2], 1.0), 0.0)
+    pixel = h[:, :2] * inv_depth[:, None]
+    jac = (stack.proj[:2, None, :] - pixel[..., None] * stack.proj[2]) * (
+        np.sqrt(weights)[:, None] * inv_depth)[:, None, :, None]
+    return np.einsum("wapi,wapj->wpij", jac, jac).reshape(w, n, j, 3, 3)
+
+
+def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
+    ds = make_dataset(DEFAULT_NOISE, seed=4, script=default_script(6.0))
+    _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
+    joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
+    parents = np.array(ds.skeleton.parents)[joints]
+    obs = Observations(pixels=ds.pixels, camera=ds.camera, accel=accel, bones=bones,
+                       sensor_joints=joints, sensor_parents=parents)
+    rows = np.arange(150).reshape(3, 50)
+    stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
+    x = ds.inputs[rows].copy()
+    x[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
+    assert not np.isfinite(ds.pixels[:150][:, stack.chain_joints]).all()  # and some are unseen
+    cfg = EnergyConfig()
+    scales = energy.stack_energy(x, stack, cfg).scales
+    visual, _, _ = stack.normal_parts(x, cfg, scales)
+    np.testing.assert_array_equal(stack.chain_joints, np.union1d(joints, parents))
+    assert visual.shape == (3, 50, 12, 3, 3)
+    weights = np.array([2.0 * cfg.k_visual / s.visual for s in scales])
+    every = visual_blocks_of_every_joint(stack, x, weights)
+    assert visual.tobytes() == every[:, :, stack.chain_joints].tobytes()
+    assert not visual[1, 7, np.searchsorted(stack.chain_joints, joints[2])].any()

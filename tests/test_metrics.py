@@ -16,6 +16,7 @@ from vifuse import (
     per_joint_mpjje,
     per_joint_mpjpe,
 )
+from vifuse.rotmath import _norm3
 
 
 def impulse(t_n=10, j_n=1, frame=5, value=1.0):
@@ -30,6 +31,15 @@ def test_mpjpe_frozen():
     pred[0, 0] = [3.0, 4.0, 0.0]
     assert mpjpe(pred, gt) == pytest.approx(2.5)
     np.testing.assert_allclose(per_joint_mpjpe(pred, gt), [2.5])
+
+
+def test_norms_per_component_equal_numpy_norms_bitwise(rng):
+    for shape in ((1500, 21, 3), (7, 1, 3), (5, 3)):
+        d = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape[:-1] + (1,))
+        assert _norm3(d).tobytes() == np.linalg.norm(d, axis=-1).tobytes()
+    pred, gt = rng.normal(0.0, 50.0, (2, 40, 21, 3))
+    assert mpjpe(pred, gt) == float(np.linalg.norm(pred - gt, axis=2).mean())
+    assert per_joint_mpjpe(pred, gt).tobytes() == np.linalg.norm(pred - gt, axis=2).mean(axis=0).tobytes()
 
 
 def test_mpjae_impulse_frozen():

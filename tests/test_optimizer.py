@@ -85,6 +85,31 @@ def frozen_energy(frag, obs, cfg):
     return lambda x: total_energy(Fragment(x, frag.fps, frag.start), obs, replace(cfg, scales=scales))
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every stopping value g^T H^-1 g the solve reads off a forward sweep,
+    next to -grad . step of the step that sweep starts, per window."""
+    pairs = []
+
+    class Checked(optimizer._ChainSolver):
+        def sweep(self, grad):
+            quad = super().sweep(grad)
+            step = self.step()
+            again = super().sweep(grad)  # the solve goes on from a fresh sweep
+            assert again.tobytes() == quad.tobytes()
+            pairs.append((quad, [-float(np.vdot(g, d)) for g, d in zip(grad, step)]))
+            return again
+
+    monkeypatch.setattr(optimizer, "_ChainSolver", Checked)
+    return pairs
+
+
+def assert_sweeps_give_the_steps_decrease(pairs):
+    assert pairs
+    for quad, want in pairs:
+        np.testing.assert_allclose(quad, want, rtol=1e-12, atol=0.0)
+
+
 def test_quadratic_converges_fast(rng):
     # Without the visual term the energy is quadratic in the chain joints, and
     # the damped normal matrix is its Hessian: one step lands on the minimum.
@@ -110,12 +135,15 @@ def test_iteration_cap_respected(rng):
 
 def test_fragment_solve_spends_few_evaluations_beyond_its_iterations(rng, monkeypatch):
     frag, window = window_problem(rng, n=50)
-    calls = []
+    calls, steps = [], []
     monkeypatch.setattr(optimizer, "stack_energy",
                         lambda *a, **kw: calls.append(1) or energy.stack_energy(*a, **kw))
+    step = optimizer._ChainSolver.step
+    monkeypatch.setattr(optimizer._ChainSolver, "step", lambda self: steps.append(1) or step(self))
     res = minimize_fragment(frag, window, EnergyConfig(fragment_len=50), SolverSettings())
     assert res.converged and res.iterations > 0
     assert len(calls) == res.iterations + 2  # the start, the projected start, then one per step
+    assert len(steps) == res.iterations  # no step is built past the last stopping test
 
 
 def test_result_is_monotone(rng, monkeypatch):
@@ -169,7 +197,7 @@ def solve_windows(schedule, windows, start, seq, cfg, settings):
     return optimizer._solve_windows(schedule, windows, start, projected, seq, cfg, settings)
 
 
-def test_default_solve_is_within_tolerance_of_deep_solve():
+def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
     # Every window of a short default-noise capture, started from sf2 as in rtof.
     start, seq = capture_problem(3, 4.0)
     cfg = EnergyConfig()
@@ -181,9 +209,10 @@ def test_default_solve_is_within_tolerance_of_deep_solve():
         assert default.converged and best.converged
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
+    assert_sweeps_give_the_steps_decrease(sweeps)
 
 
-def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch):
+def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch, sweeps):
     # Deep settings make windows stop after different step counts; one chain
     # joint starts behind the camera in frame 30, which windows 1 and 2 hold.
     start, seq = capture_problem(3, 4.0)
@@ -202,6 +231,7 @@ def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch):
     for merged, stats in runs[1:]:
         assert merged.tobytes() == runs[0][0].tobytes()
         assert stats.behind_camera_skips == runs[0][1].behind_camera_skips
+    assert_sweeps_give_the_steps_decrease(sweeps)
 
 
 def solve_as_one_stack(frags, observations, cfg, settings):
@@ -219,7 +249,7 @@ def solve_as_one_stack(frags, observations, cfg, settings):
                                   cfg, settings)
 
 
-def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
+def test_each_window_of_a_stack_is_solved_as_if_alone(rng, sweeps):
     # One window at its minimum, one that converges in two steps and one
     # stopped by the two-step cap, in the layout of problem_at_minimum.
     at_min, obs, cfg = problem_at_minimum()
@@ -248,6 +278,7 @@ def test_each_window_of_a_stack_is_solved_as_if_alone(rng):
         assert (res.initial_value, res.final_value, res.iterations, res.converged,
                 res.behind_camera) == (alone.initial_value, alone.final_value, alone.iterations,
                                        alone.converged, alone.behind_camera)
+    assert_sweeps_give_the_steps_decrease(sweeps)
 
 
 def test_revert_to_the_start_is_per_window(rng, monkeypatch):
@@ -305,7 +336,7 @@ def pin_pixels(obs, joints):
 
 @pytest.mark.parametrize("case", ["k_visual=0", "k_bone=0", "sensor joint unseen",
                                   "parent joint unseen, k_bone=0"])
-def test_degenerate_chains_stay_solvable_and_monotone(rng, case):
+def test_degenerate_chains_stay_solvable_and_monotone(rng, sweeps, case):
     frag, obs = window_problem(rng, j_n=4)
     cfg = EnergyConfig(fragment_len=8)
     if case == "k_visual=0":
@@ -322,6 +353,7 @@ def test_degenerate_chains_stay_solvable_and_monotone(rng, case):
     assert res.final_value < res.initial_value
     if case.startswith("parent"):  # nothing acts on joint 0
         np.testing.assert_array_equal(res.fragment.positions[:, 0], frag.positions[:, 0])
+    assert_sweeps_give_the_steps_decrease(sweeps)
 
 
 def dense_minimum(frag, obs, cfg, chain):

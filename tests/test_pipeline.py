@@ -76,6 +76,37 @@ def test_mode_requirements(ds):
         )
 
 
+@pytest.fixture(scope="module")
+def default_noise_ds():
+    return make_dataset(pipeline.DEFAULT_NOISE, seed=0, script=default_script(duration=8.0))
+
+
+@pytest.mark.parametrize("weight", ["k_visual", "k_inertial", "k_accel", "k_bone", "k_smooth"])
+def test_rtof_with_one_weight_zeroed_beats_the_input_or_is_refused(default_noise_ds, weight):
+    ds = default_noise_ds
+    energy = dataclasses.replace(EnergyConfig(), **{weight: 0.0})
+    kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu, energy=energy)
+    if weight == "k_bone":  # the chains' depth along their rays is then free
+        with pytest.raises(ConfigError, match=r"k_bone > 0 .*k_inertial 0\.1, k_accel 0\.5, "
+                                              r"k_smooth 0\.3"):
+            apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, **kw)
+        return
+    out, _ = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, **kw)
+    assert mpjpe(out, ds.truth) < mpjpe(ds.inputs, ds.truth)
+
+
+def test_rtof_refuses_k_bone_0_only_with_an_active_inertial_term(ds):
+    kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu)
+    for energy in (EnergyConfig(k_bone=0.0, k_accel=0.0), EnergyConfig(k_bone=0.0, k_smooth=0.0)):
+        with pytest.raises(ConfigError, match="k_bone"):
+            apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=energy, **kw)
+    for energy in (EnergyConfig(k_bone=0.0, k_inertial=0.0),
+                   EnergyConfig(k_bone=0.0, k_accel=0.0, k_smooth=0.0)):
+        assert apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=energy, **kw)[1] is None
+    out, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, energy=EnergyConfig(k_bone=0.0), **kw)
+    assert out.shape == ds.inputs.shape
+
+
 def test_shape_mismatches(ds):
     with pytest.raises(DataError):
         apply_mode("baseline", ds.skeleton, ds.inputs[:, :5], ds.fps)
@@ -555,6 +586,25 @@ def test_cli_non_option_exits_2(tmp_path, capsys, section, option, value):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"unknown {section} option(s): {option}" in err
+
+
+def test_cli_rtof_with_k_bone_0_exits_2(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    config = json.loads((data_dir / "run_config.json").read_text())
+    config["energy"] = {"k_bone": 0.0}
+    for mode, code in (("sf2", 0), ("rto", 0), ("rtof", 2)):
+        config["mode"] = mode
+        (data_dir / "run_config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", str(data_dir / "run_config.json"),
+                     "--out", str(tmp_path / mode)]) == code
+    err = capsys.readouterr().err
+    assert "config error: mode rtof needs k_bone > 0" in err and "k_inertial 0.1" in err
+    assert not (tmp_path / "rtof").exists()
+    config["mode"] = "sf2"
+    (data_dir / "run_config.json").write_text(json.dumps(config))
+    code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "rtof"])
+    assert code == 2 and "k_bone" in capsys.readouterr().err
 
 
 def test_cli_pose3d_joint_count_mismatch_exits_3(tmp_path, capsys):

@@ -263,6 +263,9 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
         for i in range(t_n)
     ])
     assert float(np.abs(batch - loop).max()) <= 1e-12
+    # the positions come straight from the gated globals, not through the locals
+    via_locals = forward_kinematics(skel, igik(skel, poses, imu, theta_t))
+    assert float(np.abs(batch - via_locals).max()) <= 1e-9
     np.testing.assert_allclose(
         batch[5, 1], skel.bones[1] * -1.0, atol=1e-9
     )
@@ -272,7 +275,8 @@ def test_refine_sequence_names_earliest_degenerate_frame():
     skel = chain_skeleton(4)
     poses = np.repeat(skel.tpose[None], 6, axis=0)
     poses[4, 1] = poses[4, 0]  # later frame, lower joint index
-    poses[2, 3] = poses[2, 2]  # earlier frame, higher joint index
+    poses[2, 3] = poses[2, 2] + [3e-10, -4e-10, 1e-10]  # earlier frame, higher joint index
     with pytest.raises(DegenerateBoneError, match="frame 2: bone of joint 3") as info:
         refine_sequence(skel, poses, None, 0.1)
     assert (info.value.frame, info.value.joint) == (2, 3)
+    assert info.value.norm == np.linalg.norm(poses[2, 3] - poses[2, 2])
