@@ -70,14 +70,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig.from_file(args.config)
     overrides = {}
     if args.mode:
         overrides["mode"] = args.mode
     if args.per_frame_metrics:
         overrides["per_second_metrics"] = False
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = RunConfig.from_file(args.config, **overrides)
     result = run_pipeline(config)
     written = write_results(result, args.out)
     print(f"mode {result.mode}: {result.output.shape[0]} frames -> {args.out}")

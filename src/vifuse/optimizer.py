@@ -53,11 +53,13 @@ _DAMPING = 1e-9
 _EYE3 = np.eye(3)
 
 # refine_batch solves consecutive windows as one stack of about this many
-# frames (3 windows at the default N = 50), which shares the per-call cost of
-# the small array operations among them. Larger stacks gain little more
-# speed, and their memory grows with their size: at 150 frames the solve
-# peaks no higher than the rest of an rtof run on the default dataset.
-_STACK_FRAMES = 150
+# frames (6 windows at the default N = 50), which shares a cost of about 2 ms
+# per stack, numpy's per-call cost on the small arrays, among them. Of stacks
+# of 3, 4, 5, 6 and 8 windows, 6 ran the rtof benchmark fastest; 8 ran slower
+# than 5. The solve's memory grows with the stack and sets an rtof run's
+# peak: about 7 MB traced on the default 60 s dataset, against 4.7 MB at 3
+# windows, and 17 MB on a 13-sensor rig.
+_STACK_FRAMES = 300
 
 
 @dataclass(frozen=True)

@@ -283,9 +283,10 @@ class RunConfig:
         return _build_from_dict(cls, data, "config")
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, **overrides) -> "RunConfig":
+        """The file's config with `overrides` in place of its fields, checked as one."""
         path = Path(path)
-        return cls.from_dict(_read_json_object(path), path.parent)
+        return cls.from_dict({**_read_json_object(path), **overrides}, path.parent)
 
 
 @dataclass(frozen=True)

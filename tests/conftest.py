@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vifuse import CalibrationSet, SensorCalibration
 from vifuse.rotmath import quat_normalize
 
 
@@ -11,6 +12,19 @@ def rng():
 
 def random_rotation(rng) -> np.ndarray:
     return quat_normalize(rng.standard_normal(4))
+
+
+def dense_calibration(seed: int = 11) -> CalibrationSet:
+    """A 13-sensor rig with seeded mounting rotations, built as
+    synth.default_calibration builds its eight: the default limb sensors plus
+    spine, chest, head and both shoulders. The torso becomes one chain of eight
+    sensor joints beside a chain of one (head) and two of two (the legs)."""
+    rng = np.random.default_rng(seed)
+    joints = ("spine", "chest", "head", "l_shoulder", "l_elbow", "l_wrist", "r_shoulder",
+              "r_elbow", "r_wrist", "l_knee", "l_ankle", "r_knee", "r_ankle")
+    return CalibrationSet(tuple(
+        SensorCalibration(f"imu_{joint}", joint, random_rotation(rng), random_rotation(rng))
+        for joint in joints))
 
 
 def rot_distance(a, b) -> float:

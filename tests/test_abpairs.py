@@ -48,9 +48,13 @@ def runs(metric, values):
     return [{metric: v} for v in values]
 
 
+def spec(better, bound=0.25):
+    return {"better": better, "bound": bound}
+
+
 def test_summarize_a_lower_metric(abpairs):
     got = abpairs.summarize(runs("setup_s", [2.0, 4.0, 3.0]), runs("setup_s", [1.0, 5.0, 1.5]),
-                            {"setup_s": "lower"})["setup_s"]
+                            {"setup_s": spec("lower")})["setup_s"]
     assert (got["parent_median"], got["change_median"]) == (3.0, 1.5)
     assert got["relative_change"] == -0.5
     assert got["parent_quartiles"] == [2.5, 3.5] and got["parent_quartile_spread"] == 1.0
@@ -59,22 +63,57 @@ def test_summarize_a_lower_metric(abpairs):
 
 def test_ties_count_for_neither_side(abpairs):
     for better in ("lower", "higher"):
-        got = abpairs.summarize(runs("m", [1.0, 2.0]), runs("m", [1.0, 2.0]), {"m": better})["m"]
+        got = abpairs.summarize(runs("m", [1.0, 2.0]), runs("m", [1.0, 2.0]), {"m": spec(better)})["m"]
         assert got["pairs_change_better"] == 0 and got["relative_change"] == 0.0
 
 
 def test_a_metric_missing_from_one_run_is_skipped(abpairs):
     parent = [{"a": 1.0, "b": 1.0}, {"a": 2.0}]
     change = [{"a": 3.0, "b": 1.0}, {"a": 4.0, "b": 1.0}]
-    got = abpairs.summarize(parent, change, {"a": "higher", "b": "higher"})
+    got = abpairs.summarize(parent, change, {"a": spec("higher"), "b": spec("higher")})
     assert list(got) == ["a"] and got["a"]["pairs_change_better"] == 2
 
 
 def test_a_zero_parent_median_has_no_relative_change(abpairs):
     got = abpairs.summarize(runs("m", [0.0, 0.0, 1.0]), runs("m", [1.0, 1.0, 1.0]),
-                            {"m": "higher"})["m"]
+                            {"m": spec("higher")})["m"]
     assert got["parent_median"] == 0.0 and got["relative_change"] is None
     assert got["pairs_change_better"] == 2
+
+
+PARENT = [100.0 + i for i in range(10)]  # median 104.5, quartile spread 4.5
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+@pytest.mark.parametrize("change, met", [
+    ([99.0] + [v + 10.0 for v in PARENT[1:]], True),  # 9 of 10 pairs, median +10
+    ([99.0, 100.0] + [v + 10.0 for v in PARENT[2:]], False),  # 8 of 10 pairs
+    ([v + 4.0 for v in PARENT], False),  # 10 of 10 pairs, median +4 within the spread
+])
+def test_the_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gain_beyond_the_spread(
+        abpairs, better, change, met):
+    sign = 1.0 if better == "higher" else -1.0
+    got = abpairs.summarize(runs("m", [sign * v for v in PARENT]),
+                            runs("m", [sign * v for v in change]), {"m": spec(better)})["m"]
+    assert got["gain_rule_met"] is met
+
+
+# A lower metric whose parent runs spread by 1.25 around a median of 4.56, 27 %
+# of it, wider than a bound of 25 %.
+WIDE = [3.5, 4.0, 4.56, 5.25, 6.0]
+
+
+@pytest.mark.parametrize("parent, change, bound, expected", [
+    ([10.0, 10.1, 10.2, 10.3, 10.4], [11.0, 11.2, 11.4, 11.6, 11.8], 0.25, "within bound"),
+    ([10.0, 10.1, 10.2, 10.3, 10.4], [13.0, 13.2, 13.4, 13.6, 13.8], 0.25, "worse"),
+    (WIDE, [4.5, 5.0, 5.8, 6.2, 7.0], 0.25, "unresolved"),  # 27 % worse, but the parent spreads
+    (WIDE, [4.5, 5.0, 5.8, 6.2, 7.0], 0.30, "within bound"),
+    (WIDE, [1.0, 1.5, 2.0, 2.5, 3.4], 0.25, "within bound"),  # every change run beats every parent run
+    (WIDE, [1.0, 1.5, 2.0, 2.5, 3.5], 0.25, "unresolved"),  # a tie with the parent's best
+])
+def test_the_verdict_against_the_bound(abpairs, parent, change, bound, expected):
+    got = abpairs.summarize(runs("m", parent), runs("m", change), {"m": spec("lower", bound)})["m"]
+    assert got["verdict"] == expected
 
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (False, 1)])

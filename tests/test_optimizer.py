@@ -30,6 +30,8 @@ from vifuse import (
 from vifuse import energy, optimizer
 from vifuse.rotmath import IDENTITY, quat_matrix
 
+from conftest import dense_calibration
+
 
 def seq_problem(rng, t_n=30, j_n=3, fps=10.0, sensors=(1, 2), parents=(0, 1)):
     truth = rng.uniform(-200.0, 200.0, (t_n, j_n, 3))
@@ -176,9 +178,9 @@ def test_failed_step_keeps_the_best_iterate(rng, monkeypatch):
     assert res.final_value == frozen_energy(frag, obs, cfg)(projected).value < res.initial_value
 
 
-def capture_problem(seed, duration):
+def capture_problem(seed, duration, calib=None):
     """The sf2 start poses and the observations of a default-noise capture, as rtof solves them."""
-    ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(duration))
+    ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(duration), calib=calib)
     start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
@@ -215,22 +217,27 @@ def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
 def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch, sweeps):
     # Deep settings make windows stop after different step counts; one chain
     # joint starts behind the camera in frame 30, which windows 1 and 2 hold.
-    start, seq = capture_problem(3, 4.0)
-    start[30, seq.sensor_joints[1]] = seq.camera.center - 500.0 * quat_matrix(seq.camera.rotation)[2]
+    # The dense rig stacks chains of three shapes: a torso chain of eight
+    # sensor joints, one of one and two of two.
     cfg = EnergyConfig()
-    schedule = FragmentSchedule(len(start), cfg.fragment_len)
-    assert schedule.window_count == 5
-    runs = []
-    for windows in (1, 3, schedule.window_count):
-        monkeypatch.setattr(optimizer, "_STACK_FRAMES", windows * cfg.fragment_len)
-        runs.append(refine_batch(start, seq, cfg, DEEP))
-    iterations = {res.iterations for res in solve_windows(
-        schedule, range(schedule.window_count), start, seq, cfg, DEEP)}
-    assert len(iterations) > 1
-    assert runs[0][1].behind_camera_skips > 0
-    for merged, stats in runs[1:]:
-        assert merged.tobytes() == runs[0][0].tobytes()
-        assert stats.behind_camera_skips == runs[0][1].behind_camera_skips
+    for calib, duration, windows, stack_sizes in ((None, 4.0, 5, (1, 3)),
+                                                  (dense_calibration(), 8.0, 9, (1, 6))):
+        start, seq = capture_problem(3, duration, calib)
+        start[30, seq.sensor_joints[1]] = (seq.camera.center
+                                           - 500.0 * quat_matrix(seq.camera.rotation)[2])
+        schedule = FragmentSchedule(len(start), cfg.fragment_len)
+        assert schedule.window_count == windows
+        runs = []
+        for per_stack in (*stack_sizes, windows):
+            monkeypatch.setattr(optimizer, "_STACK_FRAMES", per_stack * cfg.fragment_len)
+            runs.append(refine_batch(start, seq, cfg, DEEP))
+        iterations = {res.iterations for res in solve_windows(
+            schedule, range(windows), start, seq, cfg, DEEP)}
+        assert len(iterations) > 1
+        assert runs[0][1].behind_camera_skips > 0
+        for merged, stats in runs[1:]:
+            assert merged.tobytes() == runs[0][0].tobytes()
+            assert stats.behind_camera_skips == runs[0][1].behind_camera_skips
     assert_sweeps_give_the_steps_decrease(sweeps)
 
 
@@ -316,7 +323,7 @@ def test_revert_to_the_start_is_per_window(rng, monkeypatch):
 
 def test_batch_memory_stays_bounded():
     # Stacking every window of the default 60 s capture at once peaks near
-    # 53 MB; stacks of about 150 frames stay near 4 MB.
+    # 53 MB; stacks of 300 frames peak near 7 MB.
     start, seq = capture_problem(0, 60.0)
     tracemalloc.start()
     try:

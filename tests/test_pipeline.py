@@ -43,6 +43,8 @@ from vifuse import (
 from vifuse import pipeline
 from vifuse.cli import main
 
+from conftest import dense_calibration
+
 
 @pytest.fixture(scope="module")
 def ds():
@@ -77,13 +79,20 @@ def test_mode_requirements(ds):
 
 
 @pytest.fixture(scope="module")
-def default_noise_ds():
-    return make_dataset(pipeline.DEFAULT_NOISE, seed=0, script=default_script(duration=8.0))
+def default_noise_captures():
+    """8 s default-noise captures on the default and the dense rig."""
+    return {rig: make_dataset(pipeline.DEFAULT_NOISE, seed=0, script=default_script(duration=8.0),
+                              calib=calib)
+            for rig, calib in (("default", None), ("dense", dense_calibration()))}
 
 
-@pytest.mark.parametrize("weight", ["k_visual", "k_inertial", "k_accel", "k_bone", "k_smooth"])
-def test_rtof_with_one_weight_zeroed_beats_the_input_or_is_refused(default_noise_ds, weight):
-    ds = default_noise_ds
+@pytest.mark.parametrize("rig, weight", [
+    pytest.param(rig, weight, id=weight if rig == "default" else f"{rig}-{weight}")
+    for rig in ("default", "dense")
+    for weight in ("k_visual", "k_inertial", "k_accel", "k_bone", "k_smooth")])
+def test_rtof_with_one_weight_zeroed_beats_the_input_or_is_refused(default_noise_captures, rig,
+                                                                   weight):
+    ds = default_noise_captures[rig]
     energy = dataclasses.replace(EnergyConfig(), **{weight: 0.0})
     kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu, energy=energy)
     if weight == "k_bone":  # the chains' depth along their rays is then free
@@ -605,6 +614,31 @@ def test_cli_rtof_with_k_bone_0_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "o"),
                  "--mode", "rtof"])
     assert code == 2 and "k_bone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [{"pose2d": None}, {"energy": {"k_bone": 0.0}}],
+                         ids=["no_pose2d", "k_bone_0"])
+def test_cli_mode_override_is_checked_in_place_of_the_files_mode(tmp_path, capsys, edit):
+    # The file's rtof could not run on this config; the sf2 asked for can.
+    data_dir = synth_small(tmp_path, capsys)
+    config = json.loads((data_dir / "run_config.json").read_text())
+    assert config["mode"] == "rtof"
+    (data_dir / "edited.json").write_text(json.dumps({**config, **edit}))
+    assert main(["run", "--config", str(data_dir / "edited.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "sf2", "--per-frame-metrics"]) == 0
+    assert capsys.readouterr().out.startswith("mode sf2:")
+    assert json.loads((tmp_path / "o" / "metrics.json").read_text())["per_second"] is False
+
+
+def test_cli_mode_override_still_needs_its_streams(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    config = json.loads((data_dir / "run_config.json").read_text())
+    config.update(mode="sf2", pose2d=None)
+    (data_dir / "edited.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(data_dir / "edited.json"), "--out", str(tmp_path / "o"),
+                 "--mode", "rtof"]) == 2
+    assert "missing-input error: mode rtof requires 2D observations" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_pose3d_joint_count_mismatch_exits_3(tmp_path, capsys):

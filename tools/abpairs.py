@@ -9,12 +9,21 @@ which side runs first. A run that reports `correct: false` or failed
 repeats stops the tool with an error naming the checkout, the workload
 and the seed. Every run's JSON result line is kept, and for each
 end-to-end metric the file gets both sides' medians and quartiles, the
-parent's quartile spread and the number of pairs the change won (ties win
-for neither side). A later call with another workload adds it to the same
-file. The checkouts are only read and run; nothing under perfbench/ is
-changed. Each side runs its own perfbench/, so the tool refuses to start,
-naming the first file that differs, unless both checkouts hold the same
-BENCHMARK.json and the same files under perfbench/ (bytecode caches aside).
+parent's quartile spread, the number of pairs the change won (ties win
+for neither side) and two verdicts:
+
+- `gain_rule_met`: the change won at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's spread;
+- `verdict`, against the metric's BENCHMARK.json bound (a fraction of the
+  parent's median): "unresolved" when the parent's spread is wider than the
+  bound, unless every change run beats every parent run; else "worse" when
+  the change's median is worse by more than the bound; else "within bound".
+
+A later call with another workload adds it to the same file. The checkouts
+are only read and run; nothing under perfbench/ is changed. Each side runs
+its own perfbench/, so the tool refuses to start, naming the first file that
+differs, unless both checkouts hold the same BENCHMARK.json and the same
+files under perfbench/ (bytecode caches aside).
 """
 
 from __future__ import annotations
@@ -45,10 +54,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def directions(benchmark: Path) -> dict[str, str]:
-    """Each end-to-end metric's better direction ("higher" or "lower")."""
+def end_to_end_metrics(benchmark: Path) -> dict[str, dict]:
+    """Each end-to-end metric's BENCHMARK.json entry: its better direction
+    ("higher" or "lower") and its bound, by name."""
     spec = json.loads(benchmark.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def benchmark_files(checkout: Path) -> dict[str, Path]:
@@ -99,23 +109,37 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def verdict(p: list[float], c: list[float], sign: float, spread: float, bound: float) -> str:
+    """The module docstring's bound verdict; `sign` is +1 where higher is better."""
+    scale = bound * abs(statistics.median(p))
+    if spread > scale and not min(sign * v for v in c) > max(sign * v for v in p):
+        return "unresolved"
+    if sign * (statistics.median(c) - statistics.median(p)) < -scale:
+        return "worse"
+    return "within bound"
+
+
+def summarize(parent: list[dict], change: list[dict], metrics: dict[str, dict]) -> dict:
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         if not all(name in r for r in parent + change):
             continue
         p = [r[name] for r in parent]
         c = [r[name] for r in change]
         p_med, c_med = statistics.median(p), statistics.median(c)
         p_q, c_q = quartiles(p), quartiles(c)
-        sign = 1.0 if direction == "higher" else -1.0
+        spread = p_q[1] - p_q[0]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        won = sum(sign * (b - a) > 0.0 for a, b in zip(p, c))
         out[name] = {
             "parent_median": p_med, "change_median": c_med,
             "relative_change": (c_med - p_med) / p_med if p_med else None,
             "parent_quartiles": list(p_q), "change_quartiles": list(c_q),
-            "parent_quartile_spread": p_q[1] - p_q[0],
-            "pairs_change_better": sum(sign * (b - a) > 0.0 for a, b in zip(p, c)),
+            "parent_quartile_spread": spread,
+            "pairs_change_better": won,
             "pairs": len(p),
+            "gain_rule_met": 10 * won >= 9 * len(p) and sign * (c_med - p_med) > spread,
+            "verdict": verdict(p, c, sign, spread, metric["bound"]),
         }
     return out
 
@@ -146,7 +170,7 @@ def main(argv=None) -> int:
     if differs:
         raise SystemExit(f"abpairs: {differs} differs between {args.parent} and {args.change}; "
                          "both must run the same benchmark")
-    better = directions(ROOT / "BENCHMARK.json")
+    metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.topic:
@@ -163,13 +187,13 @@ def main(argv=None) -> int:
             run["first"] = side == ("parent" if i % 2 == 0 else "change")
             entry[side]["runs"].append(run)
         entry["pairs"] = i + 1
-        entry["summary"] = summarize(entry["parent"]["runs"], entry["change"]["runs"], better)
+        entry["summary"] = summarize(entry["parent"]["runs"], entry["change"]["runs"], metrics)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         fps = entry["summary"].get("frames_per_s")
         if fps:
             print(f"{args.workload} pair {i + 1}/{len(args.seeds)} seed {seed}: frames_per_s "
                   f"{fps['parent_median']:.0f} -> {fps['change_median']:.0f}, change won "
-                  f"{fps['pairs_change_better']}/{fps['pairs']}", flush=True)
+                  f"{fps['pairs_change_better']}/{fps['pairs']}, {fps['verdict']}", flush=True)
     return 0
 
 
