@@ -37,7 +37,7 @@ total_energy and the term functions are the stack of one. Every matrix
 product runs once per window, so a window's results do not depend on the
 stack it is in. The visual term alone needs no solver: visual_minimum gives
 its minimum in closed form. WindowStack.normal_parts gives the pieces of the
-total's Gauss-Newton normal matrix.
+Gauss-Newton normal matrix for the term weights of stack_energy's gradient.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ DEFAULT_BONE_WEIGHT = 0.2
 DEFAULT_SMOOTH_WEIGHT = 0.3
 DEFAULT_THETA_T = math.radians(15.0)
 DEFAULT_FRAGMENT_LEN = 50
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class MissingObservationError(ValueError):
@@ -222,15 +227,16 @@ class EnergyConfig:
 
     def __post_init__(self):
         for name in ("k_visual", "k_inertial", "k_accel", "k_bone", "k_smooth"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # refuses NaN too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.k_visual == 0.0 and self.k_inertial == 0.0:
             raise ValueError("at least one of k_visual, k_inertial must be positive")
         if not 0.0 <= self.theta_t <= math.pi:
             raise ValueError(f"theta_t must lie in [0, pi], got {self.theta_t}")
         n = self.fragment_len
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"fragment_len must be even and >= 4, got {n}")
+        if not is_integer(n) or n < 4 or n % 2 != 0:
+            raise ValueError(f"fragment_len must be an even integer >= 4, got {n!r}")
 
     @property
     def inertial_active(self) -> bool:
@@ -422,26 +428,23 @@ class WindowStack:
         grad += gx @ self.scatter
         return grad.reshape(w, n, j, 3)
 
-    def normal_parts(self, x: np.ndarray, cfg: EnergyConfig, scales: Sequence[TermScales]
+    def normal_parts(self, x: np.ndarray, weights: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pieces of each window's Gauss-Newton normal matrix of
-        total_energy at x (W, N, J, 3) that the chain solve reads, each w
-        below being a term's weight over the window's scale: the visual block
-        2 w J^T J (W, N, C, 3, 3) of every frame and chain joint, zero where
-        the term skips the joint; the (W, N, N) matrix that the accel and
-        smooth terms put on each coordinate of each sensor's joint; and the
-        (W,) weight 2 w that the bone term puts on each sensor's
-        joint-minus-parent difference. The C chain joints are chain_joints."""
-        active = _active_terms(cfg)
-        self.require(active)
-        wv, wa, wb, ws = np.array([[2.0 * k / s if on else 0.0
-                                    for on, k, s in zip(active, _term_weights(cfg), sc)]
-                                   for sc in scales]).T
+        """The pieces of each window's Gauss-Newton normal matrix at x
+        (W, N, J, 3) that the chain solve reads, for the (W, 4) term weights
+        of stack_energy's gradient, each w below being a term's weight: the
+        visual block 2 w J^T J (W, N, C, 3, 3) of every frame and chain
+        joint, zero where the term skips the joint; the (W, N, N) matrix that
+        the accel and smooth terms put on each coordinate of each sensor's
+        joint; and the (W,) weight 2 w that the bone term puts on each
+        sensor's joint-minus-parent difference. The C chain joints are
+        chain_joints."""
+        wv, wa, wb, ws = 2.0 * weights.T
         w = len(x)
         n, j, _ = self.key
         joints = self.chain_joints
         visual = np.zeros((w, n * len(joints), 3, 3))
-        if active[0]:
+        if wv.any():
             cols = (np.arange(n)[:, None] * j + joints).ravel()
             h = self._project(x)[..., cols]
             valid = self.observed[:, cols] & (h[:, 2] > W_MIN)
@@ -457,9 +460,9 @@ class WindowStack:
                     visual[..., a, b] = visual[..., b, a] = (
                         0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
         temporal = np.zeros((w, n, n))
-        if active[1]:
+        if wa.any():
             temporal += wa[:, None, None] * self.accel_gram
-        if active[3]:
+        if ws.any():
             temporal += ws[:, None, None] * self.smooth_gram
         return visual.reshape(w, n, len(joints), 3, 3), temporal, wb
 
@@ -565,12 +568,14 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
 
 class StackValue(NamedTuple):
     """total_energy of each window of a stack: W values, gradients
-    (W, N, J, 3), W behind-camera counts and the W scales used."""
+    (W, N, J, 3), W behind-camera counts, the W scales used and the (W, 4)
+    term weights k / scale of the gradient, 0 for an inactive term."""
 
     value: list[float]
     grad: np.ndarray | None
     behind_camera: list[int]
     scales: Sequence[TermScales]
+    weights: np.ndarray
 
 
 def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
@@ -593,8 +598,9 @@ def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
                 total += k * vt / st
         totals.append(total)
         weights.append([k / st if on else 0.0 for on, k, st in zip(active, term_weights, s)])
-    grad = stack.gradient(res, np.array(weights)) if gradient else None
-    return StackValue(totals, grad, res.behind_camera, scales)
+    weights = np.array(weights)
+    grad = stack.gradient(res, weights) if gradient else None
+    return StackValue(totals, grad, res.behind_camera, scales, weights)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:

@@ -25,7 +25,6 @@ Schemas:
 from __future__ import annotations
 
 import itertools
-import locale
 import math
 from pathlib import Path
 from typing import NoReturn
@@ -60,7 +59,7 @@ class _Reader:
     def __init__(self, path):
         self.path = Path(path)
         try:
-            text = self.path.read_text()
+            text = self.path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
             raise FormatError(path, None, str(e)) from None
         self.lines = text.splitlines()
@@ -118,7 +117,7 @@ def _write_text(path, *parts) -> None:
     """Write each part's text chunks in order. The number lines of a part come
     from `_number_lines` a fixed number of rows at a time, so no copy of the
     whole file is held in memory."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for part in parts:
             f.writelines(part)
 
@@ -478,7 +477,7 @@ def read_imu(path) -> ImuStream:
             k += 1
         ids = [line.split(b" ", 2)[1] for line in lines[:k]]
         try:  # as the text reader decodes them
-            sensor_ids = [sid.decode(locale.getpreferredencoding(False)) for sid in ids]
+            sensor_ids = [sid.decode("utf-8") for sid in ids]
         except UnicodeDecodeError:
             sensor_ids = None
         if (sensor_ids and len(set(sensor_ids)) == k and len(lines) % k == 0

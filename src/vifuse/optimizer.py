@@ -9,7 +9,8 @@ produce bitwise-identical output to the batch path.
 Each window is solved directly. A joint that is neither a sensor's joint nor
 a sensor's parent enters only the visual term, so visual_minimum solves it.
 The other joints form chains, the connected components of the sensor-to-parent
-bones, which take Gauss-Newton steps on one damped normal matrix per window.
+bones, which take Gauss-Newton steps on one damped normal matrix per window,
+built with the term weights that stack_energy returns with the gradient.
 
 The streams are an energy.Observations (SequenceObservations adds the frame
 rate), checked against the poses once where those enter: in refine_batch,
@@ -27,12 +28,14 @@ together in finish(). minimize_fragment solves a stack of one. Every matrix
 product and inverse runs once per window or chain, so a window's result is
 bitwise the same in any stack. Nothing is built twice that the solve does
 not change: each frame is projected onto its ray once, for both windows it
-lies in, and the rig's chain constants are built once per rig.
+lies in, and the rig's chain constants are built once per rig. The
+projection is always an array: without the visual term it is the start.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Sequence
@@ -40,8 +43,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .camera import Camera
-from .energy import (EnergyConfig, Fragment, Observations, TermScales, WindowStack, stack_energy,
-                     visual_minimum)
+from .energy import (EnergyConfig, Fragment, Observations, WindowStack, is_integer,
+                     stack_energy, visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
@@ -77,10 +80,11 @@ class SolverSettings:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        n = self.max_iterations
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
+        if not 0.0 < self.grad_tol < math.inf:  # refuses NaN too
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -199,16 +203,16 @@ def _inv3(a: np.ndarray) -> np.ndarray:
 
 class _ChainSolver:
     """Gauss-Newton steps for every chain of a stack of windows from one
-    factorization of each window's damped normal matrix at positions x.
+    factorization of each window's damped normal matrix at positions x,
+    built with the (W, 4) term weights of stack_energy's gradient.
 
     The chains of all windows are factored as one stack: the chain axis runs
     over window x chain, and every matrix product and inverse runs once per
     chain, so a window's steps are bitwise the same in any stack.
     """
 
-    def __init__(self, x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
-                 scales: Sequence[TermScales]):
-        visual, temporal, bone = stack.normal_parts(x, cfg, scales)
+    def __init__(self, x: np.ndarray, stack: WindowStack, weights: np.ndarray):
+        visual, temporal, bone = stack.normal_parts(x, weights)
         self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
         groups = _chain_groups(tuple(stack.sensor_joints.tolist()),
                                tuple(stack.sensor_parents.tolist()))
@@ -344,20 +348,19 @@ def _projects(cfg: EnergyConfig, obs: Observations) -> bool:
     return cfg.k_visual > 0.0 and obs.visual
 
 
-def _solve_stack(start: np.ndarray, projected: np.ndarray | None, stack: WindowStack,
+def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  starts: Sequence[int], cfg: EnergyConfig,
                  settings: SolverSettings) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
-    `start` (W, N, J, 3); `projected` holds their visual_minimum, or is None
-    when _projects is false. `starts` are the windows' first frame indices.
+    `start` (W, N, J, 3); `projected` holds their visual_minimum, or their
+    positions again when _projects is false. `starts` are the windows' first
+    frame indices.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
     stack ends when every window has stopped.
     """
     fps = stack.key[2]
-    if projected is None:
-        projected = start
     # The start sets each window's scales; its gradient is needed only when
     # no window moves to its projection. A window whose projection is its
     # start evaluates there to its first values.
@@ -370,7 +373,7 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray | None, stack: WindowS
         x = projected
         tv = stack_energy(x, stack, cfg, scales)
         behind = list(map(max, behind, tv.behind_camera))
-    solver = _ChainSolver(x, stack, cfg, scales)
+    solver = _ChainSolver(x, stack, tv.weights)
     values, grad = tv.value, tv.grad
     iterations = [0] * len(x)
     converged = [False] * len(x)
@@ -430,23 +433,23 @@ def minimize_fragment(
     """
     stack = WindowStack.of_window(frag, obs)
     start = np.array([frag.positions])
-    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, obs) else None
+    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, obs) else start
     return _solve_stack(start, projected, stack, [frag.start], cfg, settings)[0]
 
 
 def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray,
-                   projected: np.ndarray | None, seq_obs: SequenceObservations,
+                   projected: np.ndarray, seq_obs: SequenceObservations,
                    cfg: EnergyConfig, settings: SolverSettings) -> list[FragmentResult]:
     """Gather the rows of `windows` into one WindowStack and solve them.
 
-    `poses`, their visual_minimum `projected` (None when _projects is
-    false) and `seq_obs` hold either the whole sequence or a ring of its
+    `poses`, their visual_minimum `projected` (`poses` itself when _projects
+    is false) and `seq_obs` hold either the whole sequence or a ring of its
     last len(poses) frames, frame t at row t % len(poses); the ring must be
     at least one window long.
     """
     rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
     stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
-    return _solve_stack(poses[rows], None if projected is None else projected[rows], stack,
+    return _solve_stack(poses[rows], projected[rows], stack,
                         [schedule.window_start(k) for k in windows], cfg, settings)
 
 
@@ -504,7 +507,7 @@ def refine_batch(
     seq_obs.check(poses.shape)
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     t0 = time.perf_counter()
-    projected = None
+    projected = poses
     if _projects(cfg, seq_obs):
         projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
@@ -551,8 +554,7 @@ class StreamingRefiner:
         self._obs = SequenceObservations(
             fps=fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
-        self._projected: np.ndarray | None = None  # ring of visual_minimum rows, if _projects
-        self._projected_frames = 0
+        self._projected: np.ndarray | None = None  # visual_minimum rows, or _pos if not _projects
         self._frames = 0
         self._prev: np.ndarray | None = None  # positions of the last solved window
         self._next_window = 0
@@ -563,12 +565,12 @@ class StreamingRefiner:
         the windows up to `stop` as one stack; each emits the frames it
         shares with the one before."""
         windows = range(self._next_window, stop)
-        self._next_window = stop
-        if self._projected is not None:
-            fresh = np.arange(self._projected_frames, self._frames) % self._len
+        if self._projected is not self._pos:
+            # The last solve came once _next_window * stride frames had arrived.
+            fresh = np.arange(self._next_window * schedule.stride, self._frames) % self._len
             self._projected[fresh] = visual_minimum(self._pos[fresh], self._obs.pixels[fresh],
                                                     self._obs.camera)
-            self._projected_frames = self._frames
+        self._next_window = stop
         out = []
         for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._projected,
                                                   self._obs, self._cfg, self._settings)):
@@ -605,8 +607,8 @@ class StreamingRefiner:
                                  for r in rows]
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
             self._obs.check(self._pos.shape)
-            if _projects(self._cfg, self._obs):
-                self._projected = np.empty_like(self._pos)
+            projects = _projects(self._cfg, self._obs)
+            self._projected = np.empty_like(self._pos) if projects else self._pos
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)
         for name, ring, row in zip(_ROWS, rings, rows):
             if (ring is None) != (row is None):

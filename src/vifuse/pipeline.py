@@ -140,9 +140,6 @@ def apply_mode(
             raise DataError(
                 f"2D stream has {pixels.shape[1]} joints, skeleton {skel.joint_count}")
 
-    imu_rotations = None
-    accel = bones = None
-    sensor_joints = sensor_parents = None
     if mode in ("sf2", "rtof"):
         if imu.frame_count != poses.shape[0]:
             raise DataError(
@@ -227,9 +224,11 @@ def _build_from_dict(cls, data, what: str, internal: tuple[str, ...] = ()):
 
 def _read_json_object(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(data, dict):
@@ -276,7 +275,7 @@ class RunConfig:
             if isinstance(data.get(key), str):  # other values are refused below
                 data[key] = str(base / data[key])
         if "energy" in data:
-            # the solver sets scales itself at each fragment's start point
+            # scales fixes total_energy's denominators; the solver never reads it
             data["energy"] = _build_from_dict(EnergyConfig, data["energy"], "energy", ("scales",))
         if "solver" in data:
             data["solver"] = _build_from_dict(SolverSettings, data["solver"], "solver")
@@ -345,8 +344,8 @@ def write_results(result: RunResult, out_dir) -> list[str]:
     write_pose3d(out / "refined_pose3d.txt", result.output)
     if result.report is not None:
         (out / "metrics.txt").write_text(
-            result.report.format_text(list(result.joint_names)) + "\n")
-        (out / "metrics.json").write_text(result.report.to_json() + "\n")
+            result.report.format_text(list(result.joint_names)) + "\n", encoding="utf-8")
+        (out / "metrics.json").write_text(result.report.to_json() + "\n", encoding="utf-8")
         written += ["metrics.txt", "metrics.json"]
     return written
 
@@ -444,7 +443,8 @@ def write_dataset(ds: SyntheticDataset, out_dir) -> dict:
         "noise": _noise_record(ds.noise),
         "files": dict(DATASET_FILES),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
     run_config = {
         "mode": "rtof",
         "fps": ds.fps,
@@ -456,5 +456,6 @@ def write_dataset(ds: SyntheticDataset, out_dir) -> dict:
         "imu": DATASET_FILES["imu"],
         "truth": DATASET_FILES["truth"],
     }
-    (out / "run_config.json").write_text(json.dumps(run_config, indent=2, sort_keys=True) + "\n")
+    (out / "run_config.json").write_text(json.dumps(run_config, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")
     return manifest

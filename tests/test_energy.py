@@ -511,8 +511,7 @@ def test_stack_energy_matches_each_window_alone(rng):
     stack = energy.WindowStack(source, rows, (18, 4, 3), 5.0)
     x = np.stack([f.positions for f in frags])
     got = energy.stack_energy(x, stack, cfg)
-    scales = [total_energy(f, o, cfg).scales for f, o in zip(frags, observations)]
-    visual, temporal, bone = stack.normal_parts(x, cfg, scales)
+    visual, temporal, bone = stack.normal_parts(x, got.weights)
     assert list(got.behind_camera) == [0, 1, 0]
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
@@ -520,7 +519,7 @@ def test_stack_energy_matches_each_window_alone(rng):
             alone.value, alone.behind_camera, alone.scales)
         assert got.grad[i].tobytes() == alone.grad.tobytes()
         parts = energy.WindowStack.of_window(frag, obs).normal_parts(
-            frag.positions[None], cfg, [scales[i]])
+            frag.positions[None], got.weights[i:i + 1])
         assert visual[i].tobytes() == parts[0][0].tobytes()
         assert temporal[i].tobytes() == parts[1][0].tobytes()
         assert bone[i] == parts[2][0]
@@ -553,11 +552,11 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
     x[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
     assert not np.isfinite(ds.pixels[:150][:, stack.chain_joints]).all()  # and some are unseen
     cfg = EnergyConfig()
-    scales = energy.stack_energy(x, stack, cfg).scales
-    visual, _, _ = stack.normal_parts(x, cfg, scales)
+    got = energy.stack_energy(x, stack, cfg)
+    visual, _, _ = stack.normal_parts(x, got.weights)
     np.testing.assert_array_equal(stack.chain_joints, np.union1d(joints, parents))
     assert visual.shape == (3, 50, 12, 3, 3)
-    weights = np.array([2.0 * cfg.k_visual / s.visual for s in scales])
+    weights = np.array([2.0 * cfg.k_visual / s.visual for s in got.scales])
     every = visual_blocks_of_every_joint(stack, x, weights)
     assert visual.tobytes() == every[:, :, stack.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.chain_joints, joints[2])].any()

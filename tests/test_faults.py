@@ -127,7 +127,7 @@ KIND_CHECKS = {
 
 def _check_kinds(obj):
     for f in dataclasses.fields(obj):
-        if f.name == "scales":  # set by the solver, not an option
+        if f.name == "scales":  # total_energy's fixed denominators, not an option
             continue
         value = getattr(obj, f.name)
         assert KIND_CHECKS[f.type](value), f"{type(obj).__name__}.{f.name} = {value!r}"

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,39 @@ def test_imu_round_trip(tmp_path, rng):
     p2 = tmp_path / "b.txt"
     write_imu(p2, back)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path, rng):
+    # An imu.txt written here, with a non-ASCII sensor id, is read, written
+    # again and read with a bad value by a process whose locale encoding is
+    # ASCII: every file is UTF-8, whatever the locale.
+    p, again, broken = (tmp_path / name for name in ("imu.txt", "again.txt", "broken.txt"))
+    write_imu(p, imu_stream(rng, t_n=3, ids=("h\u00e4nd", "beta")))
+    assert "h\u00e4nd".encode("utf-8") in p.read_bytes()
+    lines = p.read_bytes().split(b"\n")
+    assert lines[3].startswith("1 h\u00e4nd ".encode("utf-8"))
+    lines[3] = b" ".join(lines[3].split(b" ")[:2] + [b"x"] + lines[3].split(b" ")[3:])
+    broken.write_bytes(b"\n".join(lines))
+    script = "\n".join([
+        "import sys",
+        "from vifuse import FormatError, read_imu, write_imu",
+        "stream = read_imu(sys.argv[1])",
+        "assert stream.sensor_ids == ('h\\u00e4nd', 'beta'), ascii(stream.sensor_ids)",
+        "write_imu(sys.argv[2], stream)",
+        "try:",
+        "    read_imu(sys.argv[3])",
+        "except FormatError as e:",
+        "    print(ascii(str(e)))",
+        "else:",
+        "    sys.exit('read a bad value')",
+    ])
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, p, again, broken], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert again.read_bytes() == p.read_bytes()
+    assert f"{broken}:4: bad value 'x'" in proc.stdout
 
 
 def test_imu_id_with_space_rejected(tmp_path, rng):

@@ -592,7 +592,7 @@ def test_stream_matches_batch(rng, t_n):
 @pytest.mark.parametrize("drop", [(), ("camera",), ("pixels", "camera")])
 def test_stream_matches_batch_without_projection(rng, drop):
     # The visual term is off, so no frame is projected: the streaming
-    # refiner keeps no ring of projected rows.
+    # refiner's projection ring is its ring of positions.
     poses, obs = seq_problem(rng, t_n=37)
     obs = replace(obs, **dict.fromkeys(drop))
     cfg = EnergyConfig(k_visual=0.0, fragment_len=8)
@@ -604,10 +604,26 @@ def test_stream_matches_batch_without_projection(rng, drop):
         pixels = None if obs.pixels is None else obs.pixels[t]
         got += r.push(poses[t], pixels=pixels, accel=obs.accel[t], bones=obs.bones[t])
     got += r.finish()
-    assert r._projected is None
+    assert r._projected is r._pos
     assert [t for t, _ in got] == list(range(len(poses)))
     assert np.stack([row for _, row in got]).tobytes() == batch.tobytes()
     assert not np.array_equal(batch, poses)
+
+
+@pytest.mark.parametrize("weights", [{}, {"k_visual": 0.0}], ids=["default", "no_visual"])
+def test_stream_matches_batch_on_the_dense_rig(weights):
+    # The 13-sensor rig stacks chains of three shapes: one of eight sensor
+    # joints, one of one and two of two. Without the visual term no frame is
+    # projected.
+    start, seq = capture_problem(3, 8.0, dense_calibration())
+    groups = optimizer._chain_groups(tuple(seq.sensor_joints.tolist()),
+                                     tuple(seq.sensor_parents.tolist()))
+    assert sorted(ch.joints.shape for ch in groups) == [(1, 1), (1, 8), (2, 2)]
+    cfg = EnergyConfig(**weights)
+    batch, _ = refine_batch(start, seq, cfg, SolverSettings())
+    streamed = list(run_stream(start, seq, cfg, SolverSettings()))
+    assert [t for t, _ in streamed] == list(range(len(start)))
+    assert np.stack([row for _, row in streamed]).tobytes() == batch.tobytes()
 
 
 @pytest.mark.parametrize("t_n", [3, 8, 37, 100])

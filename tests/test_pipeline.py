@@ -794,6 +794,33 @@ def test_cli_mistyped_run_config_exits_2(tmp_path, capsys, option, value, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cls, name, bad, good", [
+    (EnergyConfig, "k_accel", float("nan"), 0.5),
+    (EnergyConfig, "k_visual", float("inf"), np.float64(0.5)),
+    (EnergyConfig, "k_inertial", float("nan"), 0.1),
+    (EnergyConfig, "fragment_len", 50.0, np.int64(50)),
+    (EnergyConfig, "fragment_len", True, 4),
+    (SolverSettings, "grad_tol", float("nan"), 1e-6),
+    (SolverSettings, "grad_tol", float("inf"), 1e-6),
+    (SolverSettings, "max_iterations", 30.0, 30),
+])
+def test_api_config_refuses_what_json_configs_refuse(cls, name, bad, good):
+    # NaN, infinite and non-integer values, which JSON configs already refuse.
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{name: bad})
+    assert getattr(cls(**{name: good}), name) == good
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"mode": "rtof\xe9"}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path}: not UTF-8 text" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("config, message", [
     ({"seed": 1.5}, "synth option seed must be an integer, got 1.5"),
     ({"duration": "1"}, 'synth option duration must be a finite number, got "1"'),
