@@ -29,7 +29,8 @@ stack gathers its windows' rows straight from the stream arrays, and builds
 whatever does not depend on the positions (the observed mask and the
 targets) once; a window alone is the stack of one, built from its
 Observations at each evaluation, so the next evaluation sees a write into a
-stream. The camera keeps its matrices, the sensor gather and scatter are
+stream. The camera keeps its matrices, one RigLayout (the sensor gather
+and scatter, the chain joints and the chains that the solve factors) is
 built once per rig and the difference operators once per window length. An
 evaluation computes the residuals of the active terms, each window's values,
 then one weighted gradient; stack_energy gives every window's total, and
@@ -284,21 +285,70 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
+class Chains(NamedTuple):
+    """C chains of one shape, stacked: m sensor joints and p parent-only joints
+    each, in increasing joint order, and their slots among the rig's chain
+    joints. L is a chain's bone Laplacian, the sum of e e^T over its sensors
+    with e = joint - parent; the bone term's normal matrix is 2 w (L kron I3)."""
+
+    joints: np.ndarray  # (C, m)
+    parents: np.ndarray  # (C, p)
+    joint_slots: np.ndarray  # (C, m): where each of `joints` lies in RigLayout.chain_joints
+    parent_slots: np.ndarray  # (C, p): where each of `parents` lies in RigLayout.chain_joints
+    joint_bones: np.ndarray  # (C, 3m, 3m): L kron I3 among the sensor joints
+    cross_bones: np.ndarray  # (C, m, p): L between sensor and parent-only joints
+    parent_bones: np.ndarray  # (C, p): L's diagonal on the parent-only joints, which share no bone
+    sensors: np.ndarray  # (C, 3m): sensors bound to the joint of each coordinate
+    pairs: np.ndarray  # (C, m*m, p): products of cross_bones rows, for the Schur complement
+    most_sensors: np.ndarray  # (C,): the largest entry of sensors
+
+
+class RigLayout(NamedTuple):
+    """What the inertial terms and the chain solve read of a rig of K sensors,
+    for positions of J joints."""
+
+    gather: np.ndarray  # (6K,): the sensor joints' coordinates in a frame's 3J, then the parents'
+    scatter: np.ndarray  # (6K, 3J): adds each gathered column back, so shared joints accumulate
+    chain_joints: np.ndarray  # the sorted sensor joints and parents, which the chain solve moves
+    chains: tuple[Chains, ...]  # the connected components of the sensor-to-parent bones, by shape
+
+
 @functools.lru_cache(maxsize=16)
-def _rig_maps(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...], joints: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The gather of the rig's coordinates out of a frame's 3J, those of the
-    sensor joints, then of their parents, and the (6K, 3J) scatter that adds
-    each gathered column back onto its coordinate, so that sensors sharing a
-    joint or a parent accumulate. Read-only, since the cache hands them to
-    every stack of that rig."""
+def _rig_layout(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...], joints: int
+                ) -> RigLayout:
+    """The layout of a rig for positions of `joints` joints. Read-only, since
+    the cache hands it to every stack of that rig."""
     bound = np.array(sensor_joints + sensor_parents, dtype=int)
     gather = (3 * bound[:, None] + np.arange(3)).ravel()
     scatter = np.zeros((len(gather), 3 * joints))
     scatter[np.arange(len(gather)), gather] = 1.0
-    gather.setflags(write=False)
-    scatter.setflags(write=False)
-    return gather, scatter
+    chain_joints = np.unique(bound)
+    components: list[set[int]] = []
+    for bone in map(set, zip(sensor_joints, sensor_parents)):
+        touching = [c for c in components if c & bone]
+        components = [c for c in components if not c & bone] + [bone.union(*touching)]
+    groups: dict[tuple[int, int], list[Chains]] = {}
+    for comp in sorted(components, key=min):
+        sensor = sorted(comp & set(sensor_joints))
+        order = sensor + sorted(comp - set(sensor))
+        lap = np.zeros((len(order), len(order)))
+        for j, p in zip(sensor_joints, sensor_parents):
+            if j in comp:
+                e = np.zeros(len(order))
+                e[order.index(j)], e[order.index(p)] = 1.0, -1.0
+                lap += np.outer(e, e)
+        m = len(sensor)
+        slots = np.searchsorted(chain_joints, order)
+        cross = lap[:m, m:]
+        sensors = np.repeat([sensor_joints.count(j) for j in sensor], 3).astype(float)
+        groups.setdefault((m, len(order) - m), []).append(Chains(
+            np.array(sensor), np.array(order[m:], dtype=int), slots[:m], slots[m:],
+            np.kron(lap[:m, :m], np.eye(3)), cross, np.diagonal(lap[m:, m:]), sensors,
+            (cross[:, None] * cross).reshape(m * m, -1), sensors.max()))
+    chains = tuple(Chains(*map(np.stack, zip(*group))) for group in groups.values())
+    for array in (gather, scatter, chain_joints, *(a for ch in chains for a in ch)):
+        array.setflags(write=False)
+    return RigLayout(gather, scatter, chain_joints, chains)
 
 
 class WindowStack:
@@ -319,12 +369,11 @@ class WindowStack:
         (w, n), j = rows.shape, shape[1]
         self.key = (n, j, fps)
         self.camera = source.camera
-        self.sensor_joints, self.sensor_parents = source.sensor_joints, source.sensor_parents
-        # The joints the chain solve moves: the sensors' joints and their parents.
-        self.chain_joints = np.union1d(self.sensor_joints, self.sensor_parents)
+        self.rig = _rig_layout(tuple(source.sensor_joints.tolist()),
+                               tuple(source.sensor_parents.tolist()), j)
         self.has_accel = source.accel is not None
         self.has_bones = source.bones is not None
-        self.cols = 3 * len(self.sensor_joints)
+        self.cols = 3 * len(source.sensor_joints)
         self.pixels = None
         if source.visual:
             self.pixels = source.pixels[rows]
@@ -334,9 +383,6 @@ class WindowStack:
             px = self.pixels.reshape(w, n * j, 2).swapaxes(1, 2)
             self.observed = np.isfinite(px).all(axis=1)
             self.target = np.where(self.observed[:, None], px, 0.0)
-        if self.has_accel or self.has_bones:
-            self.gather, self.scatter = _rig_maps(tuple(self.sensor_joints.tolist()),
-                                                  tuple(self.sensor_parents.tolist()), j)
         if self.has_accel:
             self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
             a = source.accel[rows].reshape(w, n, self.cols)
@@ -387,7 +433,7 @@ class WindowStack:
             rv = np.where(valid[:, None], pixel - self.target, 0.0)
         ra = rb = rs = None
         if accel or bone or smooth:
-            xs = x.reshape(*x.shape[:2], -1)[..., self.gather]
+            xs = x.reshape(*x.shape[:2], -1)[..., self.rig.gather]
             xj = xs[..., :self.cols]
             if bone:
                 rb = xj - xs[..., self.cols:] - self.bone_target
@@ -425,7 +471,7 @@ class WindowStack:
             gb = wb * res.bone
             gx[..., :self.cols] += gb
             gx[..., self.cols:] = -gb
-        grad += gx @ self.scatter
+        grad += gx @ self.rig.scatter
         return grad.reshape(w, n, j, 3)
 
     def normal_parts(self, x: np.ndarray, weights: np.ndarray
@@ -438,11 +484,11 @@ class WindowStack:
         the accel and smooth terms put on each coordinate of each sensor's
         joint; and the (W,) weight 2 w that the bone term puts on each
         sensor's joint-minus-parent difference. The C chain joints are
-        chain_joints."""
+        rig.chain_joints."""
         wv, wa, wb, ws = 2.0 * weights.T
         w = len(x)
         n, j, _ = self.key
-        joints = self.chain_joints
+        joints = self.rig.chain_joints
         visual = np.zeros((w, n * len(joints), 3, 3))
         if wv.any():
             cols = (np.arange(n)[:, None] * j + joints).ravel()

@@ -28,22 +28,22 @@ together in finish(). minimize_fragment solves a stack of one. Every matrix
 product and inverse runs once per window or chain, so a window's result is
 bitwise the same in any stack. Nothing is built twice that the solve does
 not change: each frame is projected onto its ray once, for both windows it
-lies in, and the rig's chain constants are built once per rig. The
+lies in, and the chains, with their slots among the chain joints, come
+from the stack's one rig layout (energy.RigLayout), built once per rig. The
 projection is always an array: without the visual term it is the start.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .camera import Camera
-from .energy import (EnergyConfig, Fragment, Observations, WindowStack, is_integer,
+from .energy import (Chains, EnergyConfig, Fragment, Observations, WindowStack, is_integer,
                      stack_energy, visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
@@ -145,53 +145,6 @@ class FragmentResult:
     behind_camera: int
 
 
-class _Chains(NamedTuple):
-    """C chains of one shape, stacked: m sensor joints and p parent-only joints
-    each, in increasing joint order. L is a chain's bone Laplacian, the sum of
-    e e^T over its sensors with e = joint - parent; the bone term's normal
-    matrix is 2 w (L kron I3)."""
-
-    joints: np.ndarray  # (C, m)
-    parents: np.ndarray  # (C, p)
-    joint_bones: np.ndarray  # (C, 3m, 3m): L kron I3 among the sensor joints
-    cross_bones: np.ndarray  # (C, m, p): L between sensor and parent-only joints
-    parent_bones: np.ndarray  # (C, p): L's diagonal on the parent-only joints, which share no bone
-    sensors: np.ndarray  # (C, 3m): sensors bound to the joint of each coordinate
-    pairs: np.ndarray  # (C, m*m, p): products of cross_bones rows, for the Schur complement
-    most_sensors: np.ndarray  # (C,): the largest entry of sensors
-
-
-@functools.lru_cache(maxsize=16)
-def _chain_groups(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...]
-                  ) -> tuple[_Chains, ...]:
-    """The connected components of the sensor-to-parent bones, stacked by shape."""
-    components: list[set[int]] = []
-    for bone in map(set, zip(sensor_joints, sensor_parents)):
-        touching = [c for c in components if c & bone]
-        components = [c for c in components if not c & bone] + [bone.union(*touching)]
-    groups: dict[tuple[int, int], list[_Chains]] = {}
-    for comp in sorted(components, key=min):
-        joints = sorted(comp & set(sensor_joints))
-        order = joints + sorted(comp - set(joints))
-        lap = np.zeros((len(order), len(order)))
-        for j, p in zip(sensor_joints, sensor_parents):
-            if j in comp:
-                e = np.zeros(len(order))
-                e[order.index(j)], e[order.index(p)] = 1.0, -1.0
-                lap += np.outer(e, e)
-        m = len(joints)
-        cross = lap[:m, m:]
-        sensors = np.repeat([sensor_joints.count(j) for j in joints], 3).astype(float)
-        groups.setdefault((m, len(order) - m), []).append(_Chains(
-            np.array(joints), np.array(order[m:], dtype=int), np.kron(lap[:m, :m], _EYE3),
-            cross, np.diagonal(lap[m:, m:]), sensors, (cross[:, None] * cross).reshape(m * m, -1),
-            sensors.max()))
-    stacked = [_Chains(*map(np.stack, zip(*group))) for group in groups.values()]
-    for array in (a for chains in stacked for a in chains):
-        array.setflags(write=False)  # the cache hands the same arrays to every caller
-    return tuple(stacked)
-
-
 def _inv3(a: np.ndarray) -> np.ndarray:
     """Inverses of symmetric (..., 3, 3) matrices, by their adjugate."""
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.moveaxis(a, (-2, -1), (0, 1))
@@ -214,28 +167,23 @@ class _ChainSolver:
     def __init__(self, x: np.ndarray, stack: WindowStack, weights: np.ndarray):
         visual, temporal, bone = stack.normal_parts(x, weights)
         self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
-        groups = _chain_groups(tuple(stack.sensor_joints.tolist()),
-                               tuple(stack.sensor_parents.tolist()))
         visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(ch, visual, temporal, stack.chain_joints))
-                         for ch in groups]
+        self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in stack.rig.chains]
 
-    def _factor(self, ch: _Chains, visual: np.ndarray, temporal: np.ndarray,
-                chain_joints: np.ndarray):
+    def _factor(self, ch: Chains, visual: np.ndarray, temporal: np.ndarray):
         """Eliminate the parent-only joints, then factor what is left.
 
         Arrays run over frames first, then over the windows and the stacked
-        chains; `visual` is (N, W, C, 3, 3) over the C `chain_joints` and
+        chains; `visual` is (N, W, C, 3, 3) over the rig's C chain joints and
         `temporal` (W, N, N).
         """
         n, w = visual.shape[:2]
-        joints_at, parents_at = (np.searchsorted(chain_joints, a) for a in (ch.joints, ch.parents))
         bone = self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
         # Each frame's block of the sensor joints from the visual and bone terms.
         a = np.zeros((n, w, c, m, 3, m, 3))
-        for i, joints in enumerate(joints_at.T):
+        for i, joints in enumerate(ch.joint_slots.T):
             a[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
         largest = (np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3))
@@ -243,7 +191,7 @@ class _ChainSolver:
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * np.eye(size)
         # Eliminate each parent-only joint through its own 3x3 block.
-        d_inv = _inv3(visual[:, :, parents_at]
+        d_inv = _inv3(visual[:, :, ch.parent_slots]
                       + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
         schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
         a -= bone * bone * schur.transpose(0, 1, 2, 3, 5, 4, 6).reshape(a.shape)

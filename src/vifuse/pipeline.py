@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import Camera
-from .energy import EnergyConfig, visual_minimum
+from .energy import EnergyConfig, is_integer, visual_minimum
 from .fileio import (
     read_calibration,
     read_camera,
@@ -218,7 +218,7 @@ def _build_from_dict(cls, data, what: str, internal: tuple[str, ...] = ()):
         return cls(**data)
     except ConfigError:  # RunConfig's own checks; keep their category
         raise
-    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an infinite duration
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: duration * fps overflows
         raise ConfigError(f"bad {what} options: {e}") from None
 
 
@@ -364,8 +364,15 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("seed", "script_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"synth option {name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"synth option {name} must be non-negative, got {value}")
+        for name in ("duration", "fps"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # refuses NaN too
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         joints = len(DEFAULT_JOINT_NAMES)
         for name in ("sigma_depth", "occlusion"):
             shape = np.shape(getattr(self.noise, name))

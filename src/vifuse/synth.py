@@ -223,8 +223,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_depth", "sigma_xyz", "sigma_transverse", "sigma_px", "sigma_rot", "sigma_acc", "occlusion"):
-            if np.any(np.asarray(getattr(self, name), dtype=float) < 0.0):
-                raise ValueError(f"{name} must be >= 0")
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all((0.0 <= value) & (value < math.inf)):  # refuses NaN too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if np.any(np.asarray(self.occlusion, dtype=float) > 1.0):
             raise ValueError("occlusion is a probability")
 

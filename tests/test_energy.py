@@ -36,14 +36,14 @@ def test_rig_maps_are_shared_and_read_only(rng):
     _, obs = random_setup(rng)  # sensors on joints 2 and 3, parents 1 and 0
     a = energy.WindowStack(obs, np.arange(6)[None], (6, 4, 3), 5.0)
     b = energy.WindowStack(obs, np.arange(6).reshape(2, 3), (6, 4, 3), 5.0)
-    assert a.gather is b.gather and a.scatter is b.scatter
-    assert not a.gather.flags.writeable and not a.scatter.flags.writeable
-    np.testing.assert_array_equal(a.gather, [6, 7, 8, 9, 10, 11, 3, 4, 5, 0, 1, 2])
-    np.testing.assert_array_equal(a.scatter, np.eye(12)[a.gather])
+    assert a.rig.gather is b.rig.gather and a.rig.scatter is b.rig.scatter
+    assert not a.rig.gather.flags.writeable and not a.rig.scatter.flags.writeable
+    np.testing.assert_array_equal(a.rig.gather, [6, 7, 8, 9, 10, 11, 3, 4, 5, 0, 1, 2])
+    np.testing.assert_array_equal(a.rig.scatter, np.eye(12)[a.rig.gather])
     _, other = random_setup(rng, sensor_joints=(1,), sensor_parents=(0,))
     c = energy.WindowStack(other, np.arange(6)[None], (6, 4, 3), 5.0)
-    np.testing.assert_array_equal(c.gather, [3, 4, 5, 0, 1, 2])
-    assert c.scatter.shape == (6, 12)
+    np.testing.assert_array_equal(c.rig.gather, [3, 4, 5, 0, 1, 2])
+    assert c.rig.scatter.shape == (6, 12)
 
 
 def x_fragment(coords, fps=1.0):
@@ -550,13 +550,13 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
     stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
     x = ds.inputs[rows].copy()
     x[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
-    assert not np.isfinite(ds.pixels[:150][:, stack.chain_joints]).all()  # and some are unseen
+    assert not np.isfinite(ds.pixels[:150][:, stack.rig.chain_joints]).all()  # and some are unseen
     cfg = EnergyConfig()
     got = energy.stack_energy(x, stack, cfg)
     visual, _, _ = stack.normal_parts(x, got.weights)
-    np.testing.assert_array_equal(stack.chain_joints, np.union1d(joints, parents))
+    np.testing.assert_array_equal(stack.rig.chain_joints, np.union1d(joints, parents))
     assert visual.shape == (3, 50, 12, 3, 3)
     weights = np.array([2.0 * cfg.k_visual / s.visual for s in got.scales])
     every = visual_blocks_of_every_joint(stack, x, weights)
-    assert visual.tobytes() == every[:, :, stack.chain_joints].tobytes()
-    assert not visual[1, 7, np.searchsorted(stack.chain_joints, joints[2])].any()
+    assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
+    assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()

@@ -616,14 +616,44 @@ def test_stream_matches_batch_on_the_dense_rig(weights):
     # joints, one of one and two of two. Without the visual term no frame is
     # projected.
     start, seq = capture_problem(3, 8.0, dense_calibration())
-    groups = optimizer._chain_groups(tuple(seq.sensor_joints.tolist()),
-                                     tuple(seq.sensor_parents.tolist()))
+    groups = energy._rig_layout(tuple(seq.sensor_joints.tolist()),
+                                tuple(seq.sensor_parents.tolist()), start.shape[1]).chains
     assert sorted(ch.joints.shape for ch in groups) == [(1, 1), (1, 8), (2, 2)]
     cfg = EnergyConfig(**weights)
     batch, _ = refine_batch(start, seq, cfg, SolverSettings())
     streamed = list(run_stream(start, seq, cfg, SolverSettings()))
     assert [t for t, _ in streamed] == list(range(len(start)))
     assert np.stack([row for _, row in streamed]).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
+def test_batch_and_stream_stacks_share_one_read_only_rig_layout(monkeypatch, calib):
+    # The 13-sensor rig's shoulders share the chest as parent, so its chain
+    # joints interleave sensor joints and parent-only joints.
+    start, seq = capture_problem(3, 8.0, calib)
+    layouts = []
+    solve_stack = optimizer._solve_stack
+
+    def recording(positions, projected, stack, *args):
+        layouts.append(stack.rig)
+        return solve_stack(positions, projected, stack, *args)
+
+    monkeypatch.setattr(optimizer, "_solve_stack", recording)
+    cfg, settings = EnergyConfig(), SolverSettings(max_iterations=1)
+    refine_batch(start, seq, cfg, settings)
+    batch_stacks = len(layouts)
+    list(run_stream(start, seq, cfg, settings))
+    assert batch_stacks > 1 and len(layouts) > batch_stacks + 1
+    rig = layouts[0]
+    assert all(layout is rig for layout in layouts)
+    assert not any(a.flags.writeable for a in (rig.gather, rig.scatter, rig.chain_joints,
+                                               *(a for ch in rig.chains for a in ch)))
+    np.testing.assert_array_equal(rig.chain_joints,
+                                  np.union1d(seq.sensor_joints, seq.sensor_parents))
+    for ch in rig.chains:
+        np.testing.assert_array_equal(ch.joint_slots, np.searchsorted(rig.chain_joints, ch.joints))
+        np.testing.assert_array_equal(ch.parent_slots,
+                                      np.searchsorted(rig.chain_joints, ch.parents))
 
 
 @pytest.mark.parametrize("t_n", [3, 8, 37, 100])

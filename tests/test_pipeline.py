@@ -803,6 +803,13 @@ def test_cli_mistyped_run_config_exits_2(tmp_path, capsys, option, value, messag
     (SolverSettings, "grad_tol", float("nan"), 1e-6),
     (SolverSettings, "grad_tol", float("inf"), 1e-6),
     (SolverSettings, "max_iterations", 30.0, 30),
+    (NoiseSpec, "sigma_px", float("nan"), 1.0),
+    (NoiseSpec, "sigma_acc", float("inf"), 0.05),
+    (NoiseSpec, "occlusion", float("nan"), 0.1),
+    (SynthConfig, "seed", 1.5, 2),
+    (SynthConfig, "script_seed", 7.0, np.int64(7)),
+    (SynthConfig, "duration", float("nan"), 2.0),
+    (SynthConfig, "fps", float("inf"), 30.0),
 ])
 def test_api_config_refuses_what_json_configs_refuse(cls, name, bad, good):
     # NaN, infinite and non-integer values, which JSON configs already refuse.

@@ -6,10 +6,14 @@ For each seed, `vifuse synth` runs once with each checkout's src/ and every
 file of the two datasets is compared. Then `vifuse run` runs in every mode
 with each checkout on the parent's dataset, and refined_pose3d.txt,
 metrics.txt and metrics.json are compared. Without --duration the datasets
-have synth's default length. The tool prints one line per comparison and
-exits 1, naming every file that differs or is missing on one side, or every
-command that failed; else it exits 0. Outputs go to a temporary directory
-that is removed at the end.
+have synth's default length. The CLI runs use the default eight-sensor rig,
+so each checkout also refines an 8 s capture of the 13-sensor rig of the
+tests (tests/conftest.py), from sf2 as rtof starts, with and without the
+visual term, through refine_batch and run_stream, and the bytes of the four
+outputs are compared. The tool prints one line per comparison and exits 1,
+naming every file that differs or is missing on one side, or every command
+that failed; else it exits 0. Outputs go to a temporary directory that is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from pathlib import Path
 
 MODES = ("baseline", "sf2", "rto", "rtof")
 RUN_FILES = ("refined_pose3d.txt", "metrics.txt", "metrics.json")
+DENSE_DURATION = 8.0  # seconds: nine windows, two batch stacks
+DENSE_WEIGHTS = {"default": {}, "no_visual": {"k_visual": 0.0}}
 
 _spec = importlib.util.spec_from_file_location("abpairs", Path(__file__).with_name("abpairs.py"))
 abpairs = importlib.util.module_from_spec(_spec)
@@ -41,11 +47,52 @@ def differing_files(a: Path, b: Path, names=None) -> list[str]:
                     and (a / name).read_bytes() == (b / name).read_bytes())]
 
 
+def python(checkout: Path, *args) -> subprocess.CompletedProcess:
+    """Run Python with `checkout`'s src/ alone."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def vifuse(checkout: Path, *args) -> subprocess.CompletedProcess:
     """Run the vifuse CLI from `checkout`'s src/ alone."""
-    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    return subprocess.run([sys.executable, "-m", "vifuse.cli", *map(str, args)],
-                          env=env, capture_output=True, text=True)
+    return python(checkout, "-m", "vifuse.cli", *map(str, args))
+
+
+def dense_rig_outputs(out: Path, seed: int) -> None:
+    """Write into `out` the bytes of refine_batch's and run_stream's output
+    on a default-noise capture of the 13-sensor rig, for each DENSE_WEIGHTS,
+    as the tests' capture_problem builds it. Runs with whichever vifuse is
+    importable."""
+    import numpy as np
+    from conftest import dense_calibration
+    from vifuse import (DEFAULT_NOISE, EnergyConfig, SequenceObservations, SolverSettings,
+                        apply_mode, calibrate_stream, default_script, make_dataset, refine_batch,
+                        run_stream)
+
+    ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(DENSE_DURATION),
+                      calib=dense_calibration())
+    start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
+    _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
+    joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
+    seq = SequenceObservations(fps=ds.fps, pixels=ds.pixels, camera=ds.camera, accel=accel,
+                               bones=bones, sensor_joints=joints,
+                               sensor_parents=np.array(ds.skeleton.parents)[joints])
+    out = Path(out)
+    out.mkdir(parents=True)
+    for name, weights in DENSE_WEIGHTS.items():
+        cfg = EnergyConfig(**weights)
+        batch, _ = refine_batch(start, seq, cfg, SolverSettings())
+        streamed = np.stack([row for _, row in run_stream(start, seq, cfg, SolverSettings())])
+        (out / f"refine_batch_{name}.bin").write_bytes(batch.tobytes())
+        (out / f"run_stream_{name}.bin").write_bytes(streamed.tobytes())
+
+
+def dense_rig(checkout: Path, out: Path, seed: int) -> subprocess.CompletedProcess:
+    """Run dense_rig_outputs with `checkout`'s src/ alone."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here), str(here.parent / "tests")]
+    return python(checkout, "-c", f"import sys; sys.path[:0] = {paths!r}; import sameoutputs; "
+                  f"sameoutputs.dense_rig_outputs({str(out)!r}, {int(seed)})")
 
 
 def compare(parent: Path, change: Path, seeds: list[int], duration: float | None,
@@ -71,6 +118,10 @@ def compare(parent: Path, change: Path, seeds: list[int], duration: float | None
         return proc.returncode == 0
 
     for seed in seeds:
+        dense = {side: work / side / f"seed{seed}" / "dense_rig" for side in sides}
+        if all([ran(f"seed {seed} dense rig {side}", dense_rig(checkout, dense[side], seed))
+                for side, checkout in sides.items()]):
+            report(f"seed {seed} dense rig", differing_files(dense["parent"], dense["change"]))
         data = {side: work / side / f"seed{seed}" / "data" for side in sides}
         if not all([ran(f"seed {seed} {side} synth",
                         vifuse(checkout, "synth", "--out", data[side], "--seed", seed, *synth_args))
