@@ -68,6 +68,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_finite_positive(value) -> bool:
+    """Whether `value` is a finite number above 0, and not a bool."""
+    return not isinstance(value, (bool, np.bool_)) and 0.0 < value < math.inf
+
+
 class MissingObservationError(ValueError):
     """An energy term was evaluated without the observations it needs."""
 
@@ -87,8 +92,8 @@ class Fragment:
             raise ValueError(f"fragment positions must have shape (N, J, 3), got {p.shape}")
         if p.shape[0] < 3:
             raise ValueError(f"fragment needs at least 3 frames, got {p.shape[0]}")
-        if self.fps <= 0.0:
-            raise ValueError(f"frame rate must be positive, got {self.fps}")
+        if not is_finite_positive(self.fps):
+            raise ValueError(f"fps must be a finite positive number, got {self.fps!r}")
         object.__setattr__(self, "positions", p)
 
     @property

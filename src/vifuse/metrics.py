@@ -1,10 +1,11 @@
 """Position, acceleration, and jitter error metrics for pose sequences.
 
 All three compare a predicted (T, J, 3) sequence against ground truth in the
-global frame, without any alignment step. Acceleration and jitter errors are
-norms of differences of second and third temporal finite differences, with
-boundary frames dropped; by default they are scaled by fps^2 / fps^3 so the
-units are mm/s^2 and mm/s^3 instead of per-frame powers.
+global frame, without any alignment step, through the error pred - gt.
+Acceleration and jitter errors are norms of its second and third finite
+differences over frames (the differences of the two sequences' own finite
+differences), with boundary frames dropped; by default they are scaled by
+fps^2 / fps^3 so the units are mm/s^2 and mm/s^3 instead of per-frame powers.
 """
 
 from __future__ import annotations
@@ -41,29 +42,14 @@ def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return pred, gt
 
 
-def _second_diff(x: np.ndarray) -> np.ndarray:
-    return x[2:] - 2.0 * x[1:-1] + x[:-2]
-
-
-def _third_diff(x: np.ndarray) -> np.ndarray:
-    return x[3:] - 3.0 * x[2:-1] + 3.0 * x[1:-2] - x[:-3]
-
-
 def _mean_norm(diff: np.ndarray) -> np.ndarray:
     """Per-joint mean over frames of the norms of (T, J, 3) differences."""
     return _norm3(diff).mean(axis=0)
 
 
-# The per-joint errors of sequences `_as_pair` has checked.
-
-def _joint_mpjae(pred, gt, fps, per_second) -> np.ndarray:
-    scale = fps * fps if per_second else 1.0
-    return _mean_norm((_second_diff(pred) - _second_diff(gt)) * scale)
-
-
-def _joint_mpjje(pred, gt, fps, per_second) -> np.ndarray:
-    scale = fps ** 3 if per_second else 1.0
-    return _mean_norm((_third_diff(pred) - _third_diff(gt)) * scale)
+def _rate_error(err: np.ndarray, order: int, fps: float, per_second: bool) -> np.ndarray:
+    """Per-joint mean norm of err's order-th difference over frames, x fps^order if per_second."""
+    return _mean_norm(np.diff(err, order, axis=0) * (fps ** order if per_second else 1.0))
 
 
 def per_joint_mpjpe(pred, gt) -> np.ndarray:
@@ -81,7 +67,7 @@ def per_joint_mpjae(pred, gt, fps: float, per_second: bool = True) -> np.ndarray
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < 3:
         raise TooShortError("acceleration error needs at least 3 frames")
-    return _joint_mpjae(pred, gt, fps, per_second)
+    return _rate_error(pred - gt, 2, fps, per_second)
 
 
 def mpjae(pred, gt, fps: float, per_second: bool = True) -> float:
@@ -93,7 +79,7 @@ def per_joint_mpjje(pred, gt, fps: float, per_second: bool = True) -> np.ndarray
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < 4:
         raise TooShortError("jitter error needs at least 4 frames")
-    return _joint_mpjje(pred, gt, fps, per_second)
+    return _rate_error(pred - gt, 3, fps, per_second)
 
 
 def mpjje(pred, gt, fps: float, per_second: bool = True) -> float:
@@ -158,9 +144,10 @@ def evaluate(pred, gt, fps: float, per_second: bool = True) -> MetricReport:
     pred, gt = _as_pair(pred, gt)
     if pred.shape[0] < REPORT_MIN_FRAMES:
         raise TooShortError(f"full metric report needs at least {REPORT_MIN_FRAMES} frames")
-    jp = _mean_norm(pred - gt)
-    ja = _joint_mpjae(pred, gt, fps, per_second)
-    jj = _joint_mpjje(pred, gt, fps, per_second)
+    err = pred - gt
+    jp = _mean_norm(err)
+    ja = _rate_error(err, 2, fps, per_second)
+    jj = _rate_error(err, 3, fps, per_second)
     return MetricReport(
         mpjpe=float(jp.mean()),
         mpjae=float(ja.mean()),

@@ -43,8 +43,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .camera import Camera
-from .energy import (Chains, EnergyConfig, Fragment, Observations, WindowStack, is_integer,
-                     stack_energy, visual_minimum)
+from .energy import (Chains, EnergyConfig, Fragment, Observations, WindowStack, is_finite_positive,
+                     is_integer, stack_energy, visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
@@ -133,6 +133,11 @@ class SequenceObservations(Observations):
     """Observations of a whole sequence, taken at `fps` frames per second."""
 
     fps: float = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not is_finite_positive(self.fps):
+            raise ValueError(f"fps must be a finite positive number, got {self.fps!r}")
 
 
 @dataclass(frozen=True)

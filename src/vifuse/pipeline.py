@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import Camera
-from .energy import EnergyConfig, is_integer, visual_minimum
+from .energy import EnergyConfig, is_finite_positive, is_integer, visual_minimum
 from .fileio import (
     read_calibration,
     read_camera,
@@ -261,8 +261,8 @@ class RunConfig:
     per_second_metrics: bool = True
 
     def __post_init__(self):
-        if self.fps <= 0.0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not is_finite_positive(self.fps):
+            raise ConfigError(f"fps must be a finite positive number, got {self.fps!r}")
         _mode_requirements(
             self.mode, {name for name in _VISUAL + _INERTIAL if getattr(self, name) is not None},
             self.energy)
@@ -352,6 +352,10 @@ def write_results(result: RunResult, out_dir) -> list[str]:
 
 # -- synthetic dataset generation ---------------------------------------------
 
+# A dataset takes about 5 kB of memory and 2.7 kB of files per frame.
+MAX_SYNTH_FRAMES = 1_000_000
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synth command; noise accepts the NoiseSpec field names."""
@@ -371,14 +375,18 @@ class SynthConfig:
                 raise ConfigError(f"synth option {name} must be non-negative, got {value}")
         for name in ("duration", "fps"):
             value = getattr(self, name)
-            if not -math.inf < value < math.inf:  # refuses NaN too
-                raise ConfigError(f"{name} must be a finite number, got {value}")
+            if not is_finite_positive(value):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         joints = len(DEFAULT_JOINT_NAMES)
         for name in ("sigma_depth", "occlusion"):
             shape = np.shape(getattr(self.noise, name))
             if shape not in ((), (joints,)):
                 raise ConfigError(f"noise option {name} must be a number or a list of {joints} "
                                   f"numbers, one per joint, got a list of {shape[0]}")
+        if not self.duration * self.fps <= MAX_SYNTH_FRAMES:  # an infinite product too
+            raise ConfigError(
+                f"duration {self.duration} s at fps {self.fps} gives "
+                f"{self.duration * self.fps:.6g} frames; at most {MAX_SYNTH_FRAMES} can be built")
         # The written run_config.json names the truth, so its run needs enough
         # frames for the metric report.
         frames = int(round(self.duration * self.fps))

@@ -118,6 +118,20 @@ def test_mpjje_ignores_quadratic_in_time_offsets(rng):
     assert mpjae(drifted, gt, 25.0) != pytest.approx(mpjae(pred, gt, 25.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("per_second", [True, False])
+def test_rate_metrics_depend_only_on_the_error(rng, per_second):
+    # MPJAE and MPJJE are differences of the error pred - gt, bit for bit.
+    for shape in ((4, 1, 3), (37, 21, 3)):
+        pred, gt = rng.normal(0.0, 100.0, (2,) + shape)
+        pairs = [(pred, gt), (pred - gt, np.zeros(shape))]
+        for f in (mpjae, mpjje, per_joint_mpjae, per_joint_mpjje):
+            a, b = (np.asarray(f(p, g, 29.97, per_second)) for p, g in pairs)
+            assert a.tobytes() == b.tobytes()
+        a, b = (evaluate(p, g, 29.97, per_second).to_record() for p, g in pairs)
+        assert [a[k] for k in ("mpjae", "mpjje", "joint_mpjae", "joint_mpjje")] == [
+            b[k] for k in ("mpjae", "mpjje", "joint_mpjae", "joint_mpjje")]
+
+
 def test_identical_sequences_score_zero(rng):
     a = rng.standard_normal((8, 4, 3)) * 100.0
     r = evaluate(a, a.copy(), 25.0)

@@ -18,6 +18,7 @@ from vifuse import (
     RunConfig,
     SequenceObservations,
     SolverSettings,
+    StreamingRefiner,
     SynthConfig,
     apply_mode,
     calibrate_stream,
@@ -489,6 +490,29 @@ def test_cli_synth_infinite_duration_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"duration": 1e9, "fps": 1e9}, "duration 1000000000.0 s at fps 1000000000.0 gives 1e+18"),
+    ({"duration": 1e300, "fps": 1e300}, "duration 1e+300 s at fps 1e+300 gives inf frames"),
+    ({"duration": -60.0, "fps": -25.0}, "duration must be a finite positive number, got -60.0"),
+])
+def test_cli_synth_that_cannot_be_built_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("duration, fps", [(1e300, 1e300), (1e9, 1e9), (40000.1, 25.0)])
+def test_api_synth_refuses_more_frames_than_can_be_built(duration, fps):
+    message = (re.escape(f"duration {duration} s at fps {fps} gives ")
+               + rf"\S+ frames; at most {pipeline.MAX_SYNTH_FRAMES} can be built$")
+    with pytest.raises(ConfigError, match="^" + message):
+        SynthConfig(duration=duration, fps=fps)
+    assert SynthConfig(duration=40000.0, fps=25.0).fps == 25.0  # MAX_SYNTH_FRAMES frames
+
+
 def synth_small(tmp_path, capsys):
     data_dir = tmp_path / "data"
     synth_cfg = tmp_path / "synth.json"
@@ -816,6 +840,20 @@ def test_api_config_refuses_what_json_configs_refuse(cls, name, bad, good):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         cls(**{name: bad})
     assert getattr(cls(**{name: good}), name) == good
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), True, 0.0])
+@pytest.mark.parametrize("build", [
+    lambda fps: RunConfig(mode="baseline", skeleton="skeleton.txt", pose3d="pose3d.txt", fps=fps),
+    lambda fps: Fragment(np.zeros((4, 2, 3)), fps),
+    lambda fps: SequenceObservations(fps=fps),
+    lambda fps: StreamingRefiner(fps, EnergyConfig(), SolverSettings()),
+], ids=["RunConfig", "Fragment", "SequenceObservations", "StreamingRefiner"])
+def test_api_frame_rates_refuse_what_json_configs_refuse(build, fps):
+    # refine_batch and run_stream take the rate of their SequenceObservations.
+    with pytest.raises(ValueError, match=f"^fps must be a finite positive number, got {fps!r}$"):
+        build(fps)
+    build(30.0)
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])

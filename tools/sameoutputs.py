@@ -12,8 +12,10 @@ tests (tests/conftest.py), from sf2 as rtof starts, with and without the
 visual term, through refine_batch and run_stream, and the bytes of the four
 outputs are compared. The tool prints one line per comparison and exits 1,
 naming every file that differs or is missing on one side, or every command
-that failed; else it exits 0. Outputs go to a temporary directory that is
-removed at the end.
+that failed; else it exits 0. Under a comparison that differs, one line per
+file that both sides hold gives the largest absolute difference of its
+numbers, so a change in the last bits reads as one. Outputs go to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 MODES = ("baseline", "sf2", "rto", "rtof")
 RUN_FILES = ("refined_pose3d.txt", "metrics.txt", "metrics.json")
@@ -47,6 +51,45 @@ def differing_files(a: Path, b: Path, names=None) -> list[str]:
                     and (a / name).read_bytes() == (b / name).read_bytes())]
 
 
+def _json_numbers(value) -> list[float]:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _json_numbers(item)]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return [float(value)] if is_number else []
+
+
+def file_numbers(path: Path) -> np.ndarray:
+    """The numbers in a file, in order: a .bin file's float64 values, a .json
+    file's numbers, or every whitespace-separated field of a text file that
+    float() reads."""
+    if path.suffix == ".bin":
+        data = path.read_bytes()
+        return np.frombuffer(data, np.float64, len(data) // 8)
+    if path.suffix == ".json":
+        return np.array(_json_numbers(json.loads(path.read_text(encoding="utf-8"))), float)
+    numbers = []
+    for token in path.read_text(encoding="utf-8").split():
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return np.array(numbers, float)
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """The largest absolute difference between the numbers of two files, or
+    why it has none."""
+    x, y = file_numbers(a), file_numbers(b)
+    if x.shape != y.shape:
+        return f"{x.size} numbers against {y.size}"
+    if (np.isnan(x) != np.isnan(y)).any():
+        return "NaN at other places"
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return f"largest absolute difference {np.nanmax(np.abs(x - y), initial=0.0):.3g}"
+
+
 def python(checkout: Path, *args) -> subprocess.CompletedProcess:
     """Run Python with `checkout`'s src/ alone."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
@@ -63,7 +106,6 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
     on a default-noise capture of the 13-sensor rig, for each DENSE_WEIGHTS,
     as the tests' capture_problem builds it. Runs with whichever vifuse is
     importable."""
-    import numpy as np
     from conftest import dense_calibration
     from vifuse import (DEFAULT_NOISE, EnergyConfig, SequenceObservations, SolverSettings,
                         apply_mode, calibrate_stream, default_script, make_dataset, refine_batch,
@@ -107,8 +149,12 @@ def compare(parent: Path, change: Path, seeds: list[int], duration: float | None
         synth_args = ["--config", config]
     faults = []
 
-    def report(what: str, differ: list[str]) -> None:
+    def report(what: str, a: Path, b: Path, names=None) -> None:
+        differ = differing_files(a, b, names)
         print(f"{what}: {'differs: ' + ' '.join(differ) if differ else 'same'}", flush=True)
+        for name in differ:
+            if (a / name).is_file() and (b / name).is_file():
+                print(f"  {name}: {largest_difference(a / name, b / name)}", flush=True)
         faults.extend(f"{what} {name}" for name in differ)
 
     def ran(what: str, proc: subprocess.CompletedProcess) -> bool:
@@ -121,21 +167,20 @@ def compare(parent: Path, change: Path, seeds: list[int], duration: float | None
         dense = {side: work / side / f"seed{seed}" / "dense_rig" for side in sides}
         if all([ran(f"seed {seed} dense rig {side}", dense_rig(checkout, dense[side], seed))
                 for side, checkout in sides.items()]):
-            report(f"seed {seed} dense rig", differing_files(dense["parent"], dense["change"]))
+            report(f"seed {seed} dense rig", dense["parent"], dense["change"])
         data = {side: work / side / f"seed{seed}" / "data" for side in sides}
         if not all([ran(f"seed {seed} {side} synth",
                         vifuse(checkout, "synth", "--out", data[side], "--seed", seed, *synth_args))
                     for side, checkout in sides.items()]):
             continue
-        report(f"seed {seed} synth", differing_files(data["parent"], data["change"]))
+        report(f"seed {seed} synth", data["parent"], data["change"])
         for mode in MODES:
             out = {side: work / side / f"seed{seed}" / mode for side in sides}
             if all([ran(f"seed {seed} {mode} {side} run",
                         vifuse(checkout, "run", "--config", data["parent"] / "run_config.json",
                                "--out", out[side], "--mode", mode))
                     for side, checkout in sides.items()]):
-                report(f"seed {seed} {mode}",
-                       differing_files(out["parent"], out["change"], RUN_FILES))
+                report(f"seed {seed} {mode}", out["parent"], out["change"], RUN_FILES)
     return faults
 
 
