@@ -32,13 +32,15 @@ Observations at each evaluation, so the next evaluation sees a write into a
 stream. The camera keeps its matrices, one RigLayout (the sensor gather
 and scatter, the chain joints and the chains that the solve factors) is
 built once per rig and the difference operators once per window length. An
-evaluation computes the residuals of the active terms, each window's values,
-then one weighted gradient; stack_energy gives every window's total, and
-total_energy and the term functions are the stack of one. Every matrix
-product runs once per window, so a window's results do not depend on the
-stack it is in. The visual term alone needs no solver: visual_minimum gives
-its minimum in closed form. WindowStack.normal_parts gives the pieces of the
-Gauss-Newton normal matrix for the term weights of stack_energy's gradient.
+evaluation computes the residuals of the active terms, each window's values
+as a (W, 4) array, then one weighted gradient; stack_energy gives every
+window's total, behind-camera count and scales as arrays over the window
+axis, and total_energy and the term functions are the stack of one. Every
+matrix product and dot product runs once per window, so a window's results
+do not depend on the stack it is in. The visual term alone needs no solver:
+visual_minimum gives its minimum in closed form. WindowStack.normal_parts
+gives the pieces of the Gauss-Newton normal matrix for the term weights of
+stack_energy's gradient.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,21 +262,21 @@ class _Residuals(NamedTuple):
     visual is (W, 2, N*J) px, one row per pixel axis; accel, bone and smooth
     are (W, rows, 3K) with the sensors' xyz side by side. pixel (W, 2, N*J)
     and inv_depth (W, N*J), 1 / camera depth with 1 where skipped, serve the
-    visual gradient. behind_camera counts each window's skipped joints.
+    visual gradient. behind_camera (W,) counts each window's skipped joints.
     """
 
     visual: np.ndarray | None
     accel: np.ndarray | None
     bone: np.ndarray | None
     smooth: np.ndarray | None
-    behind_camera: list[int]
+    behind_camera: np.ndarray
     pixel: np.ndarray | None = None
     inv_depth: np.ndarray | None = None
 
-    def values(self) -> list[tuple[float, float, float, float]]:
-        """Each window's four term values, 0 for terms not evaluated."""
-        return [tuple(0.0 if r is None else float(np.vdot(r[i], r[i])) for r in self[:4])
-                for i in range(len(self.behind_camera))]
+    def values(self) -> np.ndarray:
+        """The (W, 4) term values, one dot product per window and term; 0 if not evaluated."""
+        return np.array([[0.0 if r is None else np.vdot(r[i], r[i]) for r in self[:4]]
+                         for i in range(len(self.behind_camera))])
 
 
 @functools.lru_cache(maxsize=16)
@@ -424,14 +426,14 @@ class WindowStack:
         self.require(active)
         visual, accel, bone, smooth = active
         rv = pixel = inv_depth = None
-        behind = [0] * len(x)
+        behind = np.zeros(len(x), int)
         if visual:
             h = self._project(x)
             w = h[:, 2]
             valid = self.observed
             if not (w > W_MIN).all():
                 valid = valid & (w > W_MIN)
-                behind = np.count_nonzero(self.observed & ~valid, axis=1).tolist()
+                behind = np.count_nonzero(self.observed & ~valid, axis=1)
                 w = np.where(valid, w, 1.0)
             inv_depth = 1.0 / w
             pixel = h[:, :2] * inv_depth[:, None]
@@ -523,7 +525,7 @@ def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     win = WindowStack.of_window(frag, obs)
     res = win.residuals(frag.positions[None], active)
     grad = win.gradient(res, np.array([active], dtype=float))
-    return TermValue(res.values()[0][index], grad[0], res.behind_camera[0])
+    return TermValue(float(res.values()[0, index]), grad[0], int(res.behind_camera[0]))
 
 
 def visual_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -605,8 +607,9 @@ def _active_terms(cfg: EnergyConfig) -> tuple[bool, bool, bool, bool]:
             inertial and cfg.k_bone > 0.0, inertial and cfg.k_smooth > 0.0)
 
 
-def _scales(values, active) -> TermScales:
-    return TermScales(*(max(v, SCALE_FLOOR) if on else 1.0 for v, on in zip(values, active)))
+def _scales(values: np.ndarray, active) -> np.ndarray:
+    """(W, 4) scales: each active term's value clamped below at SCALE_FLOOR, else 1."""
+    return np.where(active, np.maximum(values, SCALE_FLOOR), 1.0)
 
 
 def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermScales:
@@ -614,42 +617,37 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
     below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
     active = _active_terms(cfg)
     res = WindowStack.of_window(frag, obs).residuals(frag.positions[None], active)
-    return _scales(res.values()[0], active)
+    return TermScales(*_scales(res.values(), active)[0].tolist())
 
 
 class StackValue(NamedTuple):
-    """total_energy of each window of a stack: W values, gradients
-    (W, N, J, 3), W behind-camera counts, the W scales used and the (W, 4)
-    term weights k / scale of the gradient, 0 for an inactive term."""
+    """total_energy of each window of a stack: the values (W,), gradients
+    (W, N, J, 3), behind-camera counts (W,), the scales used (W, 4) and the
+    (W, 4) term weights k / scale of the gradient, 0 for an inactive term.
+    A scales row holds the terms in TermScales order."""
 
-    value: list[float]
+    value: np.ndarray
     grad: np.ndarray | None
-    behind_camera: list[int]
-    scales: Sequence[TermScales]
+    behind_camera: np.ndarray
+    scales: np.ndarray
     weights: np.ndarray
 
 
 def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
-                 scales: Sequence[TermScales] | None = None, gradient: bool = True) -> StackValue:
+                 scales: np.ndarray | None = None, gradient: bool = True) -> StackValue:
     """total_energy of every window of `stack` at positions x (W, N, J, 3),
-    from one residual pass. Each window is normalized by its own scales, or
-    by its term values at x when `scales` is None; cfg.scales is not read.
-    Without `gradient`, grad is None."""
+    from one residual pass. Each window is normalized by its own row of the
+    (W, 4) `scales`, or by its term values at x when `scales` is None;
+    cfg.scales is not read. A window's total is k * value / scale summed over
+    its active terms in term order. Without `gradient`, grad is None."""
     active = _active_terms(cfg)
     res = stack.residuals(x, active)
     values = res.values()
-    if scales is None:
-        scales = [_scales(v, active) for v in values]
-    term_weights = _term_weights(cfg)
-    totals, weights = [], []
-    for v, s in zip(values, scales):
-        total = 0.0
-        for on, k, vt, st in zip(active, term_weights, v, s):
-            if on:
-                total += k * vt / st
-        totals.append(total)
-        weights.append([k / st if on else 0.0 for on, k, st in zip(active, term_weights, s)])
-    weights = np.array(weights)
+    scales = _scales(values, active) if scales is None else np.asarray(scales, dtype=float)
+    # An inactive term has k = 0 and is divided by 1, whatever scale it was given.
+    k, s = np.array(_term_weights(cfg)), np.where(active, scales, 1.0)
+    totals = np.add.accumulate(k * values / s, axis=1)[:, -1]  # summed in term order
+    weights = k / s
     grad = stack.gradient(res, weights) if gradient else None
     return StackValue(totals, grad, res.behind_camera, scales, weights)
 
@@ -664,4 +662,5 @@ def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermVa
     """
     tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs), cfg,
                       None if cfg.scales is None else [cfg.scales])
-    return TermValue(tv.value[0], tv.grad[0], tv.behind_camera[0], tv.scales[0])
+    return TermValue(float(tv.value[0]), tv.grad[0], int(tv.behind_camera[0]),
+                     TermScales(*tv.scales[0].tolist()))

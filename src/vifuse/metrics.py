@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import is_finite_positive
 from .rotmath import _norm3
 
 
@@ -49,6 +50,8 @@ def _mean_norm(diff: np.ndarray) -> np.ndarray:
 
 def _rate_error(err: np.ndarray, order: int, fps: float, per_second: bool) -> np.ndarray:
     """Per-joint mean norm of err's order-th difference over frames, x fps^order if per_second."""
+    if not is_finite_positive(fps):
+        raise ValueError(f"fps must be a finite positive number, got {fps!r}")
     return _mean_norm(np.diff(err, order, axis=0) * (fps ** order if per_second else 1.0))
 
 

@@ -18,19 +18,22 @@ StreamingRefiner's first push and minimize_fragment.
 
 The solve runs over a stack of windows: one energy pass, one factorization
 and one step call serve them all, while each window keeps its own scales,
-damping and stopping rule. Batch and streaming share one gather path: it
-takes a range of windows' rows from the sequence arrays, or from the
-streaming rings, straight into one WindowStack and solves it. refine_batch
-calls it once per group of about _STACK_FRAMES frames, which shares numpy's
-per-call cost among the windows; StreamingRefiner calls it for the windows
-that are ready, one per push that completes a window and the trailing ones
-together in finish(). minimize_fragment solves a stack of one. Every matrix
-product and inverse runs once per window or chain, so a window's result is
-bitwise the same in any stack. Nothing is built twice that the solve does
-not change: each frame is projected onto its ray once, for both windows it
-lies in, and the chains, with their slots among the chain joints, come
-from the stack's one rig layout (energy.RigLayout), built once per rig. The
-projection is always an array: without the visual term it is the start.
+damping and stopping rule. Its state (values, scales, step counts, flags and
+behind-camera counts) is held in arrays over the window axis, and a window
+that stops keeps its point, value and gradient under a mask. Batch and
+streaming share one gather path: it takes a range of windows' rows from the
+sequence arrays, or from the streaming rings, straight into one WindowStack
+and solves it. refine_batch calls it once per group of about _STACK_FRAMES
+frames, which shares numpy's per-call cost among the windows;
+StreamingRefiner calls it for the windows that are ready, one per push that
+completes a window and the trailing ones together in finish().
+minimize_fragment solves a stack of one. Every matrix product and inverse
+runs once per window or chain, so a window's result is bitwise the same in
+any stack. Nothing is built twice that the solve does not change: each
+frame is projected onto its ray once, for both windows it lies in, and the
+chains, with their slots among the chain joints, come from the stack's one
+rig layout (energy.RigLayout), built once per rig. The projection is always
+an array: without the visual term it is the start.
 """
 
 from __future__ import annotations
@@ -95,6 +98,10 @@ class FragmentSchedule:
     fragment_len: int
 
     def __post_init__(self):
+        for name in ("frame_count", "fragment_len"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.frame_count < 1:
             raise ValueError("schedule needs at least one frame")
         n = self.fragment_len
@@ -311,7 +318,9 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
-    stack ends when every window has stopped.
+    stack ends when every window has stopped. Each window's state is an
+    array over the window axis: `going` marks the windows that have not
+    stopped and `stepping` those that take the next step.
     """
     fps = stack.key[2]
     # The start sets each window's scales; its gradient is needed only when
@@ -319,53 +328,41 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     # start evaluates there to its first values.
     project = not np.array_equal(projected, start)
     first = stack_energy(start, stack, cfg, gradient=not project)
-    scales = first.scales
-    behind = list(first.behind_camera)
     x, tv = start, first
     if project:
         x = projected
-        tv = stack_energy(x, stack, cfg, scales)
-        behind = list(map(max, behind, tv.behind_camera))
+        tv = stack_energy(x, stack, cfg, first.scales)
+    behind = np.maximum(first.behind_camera, tv.behind_camera)
     solver = _ChainSolver(x, stack, tv.weights)
     values, grad = tv.value, tv.grad
-    iterations = [0] * len(x)
-    converged = [False] * len(x)
-    going = list(range(len(x)))
+    iterations = np.zeros(len(x), int)
+    converged = np.zeros(len(x), bool)
+    going = np.ones(len(x), bool)
     while True:
         quad = solver.sweep(grad)
-        stepping = []
-        for i in going:
-            if 0.5 * quad[i] <= settings.grad_tol * values[i]:
-                converged[i] = True
-            elif iterations[i] < settings.max_iterations:
-                stepping.append(i)
-        if not stepping:
+        converged |= going & (0.5 * quad <= settings.grad_tol * values)
+        stepping = going & ~converged & (iterations < settings.max_iterations)
+        if not stepping.any():
             break
         step = solver.step()
-        held = [i for i in range(len(x)) if i not in stepping]
-        for i in held:
-            step[i] = 0.0
+        step[~stepping] = 0.0
         moved = x + step
-        trial = stack_energy(moved, stack, cfg, scales)
-        going = []
-        for i in stepping:
-            behind[i] = max(behind[i], trial.behind_camera[i])
-            if trial.value[i] < values[i]:
-                iterations[i] += 1
-                going.append(i)
-            else:
-                held.append(i)
-        for i in held:  # a window that has stopped keeps its point
-            moved[i], trial.value[i], trial.grad[i] = x[i], values[i], grad[i]
-        x, values, grad = moved, trial.value, trial.grad
-    results = []
-    for i, window_start in enumerate(starts):
-        point, value = x[i], values[i]
-        if value > first.value[i]:
-            point, value, converged[i] = start[i], first.value[i], False
-        results.append(FragmentResult(Fragment(point, fps, window_start), first.value[i], value,
-                                      iterations[i], converged[i], behind[i]))
-    return results
+        trial = stack_energy(moved, stack, cfg, first.scales)
+        behind = np.where(stepping, np.maximum(behind, trial.behind_camera), behind)
+        going = stepping & (trial.value < values)  # a step that fails to lower stops its window
+        iterations += going
+        x = np.where(going[:, None, None, None], moved, x)
+        values = np.where(going, trial.value, values)
+        grad = np.where(going[:, None, None, None], trial.grad, grad)
+    # Never above the start: a window that ended above it falls back to it.
+    above = values > first.value
+    x = np.where(above[:, None, None, None], start, x)
+    values = np.where(above, first.value, values)
+    converged &= ~above
+    return [FragmentResult(Fragment(point, fps, window_start), *record)
+            for point, window_start, *record in zip(
+                x, starts, first.value.tolist(), values.tolist(), iterations.tolist(),
+                converged.tolist(), behind.tolist())]
 
 
 def minimize_fragment(

@@ -42,7 +42,8 @@ from .imu import CalibrationSet, ImuStream, calibrate_stream
 from .metrics import REPORT_MIN_FRAMES, MetricReport, evaluate
 from .optimizer import RefineStats, SequenceObservations, SolverSettings, refine_batch
 from .skeleton import SkeletonDefinition, refine_sequence
-from .synth import DEFAULT_JOINT_NAMES, NoiseSpec, SyntheticDataset, default_script, make_dataset
+from .synth import (DEFAULT_JOINT_NAMES, MAX_SYNTH_FRAMES, NoiseSpec, SyntheticDataset,
+                    default_script, make_dataset)
 
 # The optional streams each mode reads; skeleton, pose3d and truth (when
 # given) are read in every mode. A run opens no other configured stream.
@@ -351,10 +352,6 @@ def write_results(result: RunResult, out_dir) -> list[str]:
 
 
 # -- synthetic dataset generation ---------------------------------------------
-
-# A dataset takes about 5 kB of memory and 2.7 kB of files per frame.
-MAX_SYNTH_FRAMES = 1_000_000
-
 
 @dataclass(frozen=True)
 class SynthConfig:

@@ -22,11 +22,15 @@ from typing import Mapping
 import numpy as np
 
 from .camera import Camera, look_at
+from .energy import is_finite_positive
 from .imu import CalibrationSet, ImuStream, SensorCalibration
 from .rotmath import IDENTITY, quat_apply, quat_from_axis_angle, quat_inverse, quat_mul, quat_normalize
 from .skeleton import MotionParams, SkeletonDefinition, global_rotations, positions_from_globals
 
 TWO_PI = 2.0 * math.pi
+
+# A dataset takes about 5 kB of memory and 2.7 kB of files per frame.
+MAX_SYNTH_FRAMES = 1_000_000
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -103,8 +107,14 @@ class MotionScript:
     root_waves: tuple[TranslationWave, ...] = ()
 
     def __post_init__(self):
-        if self.duration <= 0.0 or self.fps <= 0.0:
-            raise ValueError("duration and fps must be positive")
+        for name in ("duration", "fps"):
+            value = getattr(self, name)
+            if not is_finite_positive(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if not self.duration * self.fps <= MAX_SYNTH_FRAMES:  # an infinite product too
+            raise ValueError(
+                f"duration {self.duration} s at fps {self.fps} gives "
+                f"{self.duration * self.fps:.6g} frames; at most {MAX_SYNTH_FRAMES} can be built")
 
     @property
     def frame_count(self) -> int:

@@ -515,7 +515,7 @@ def test_stack_energy_matches_each_window_alone(rng):
     assert list(got.behind_camera) == [0, 1, 0]
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
-        assert (got.value[i], got.behind_camera[i], got.scales[i]) == (
+        assert (got.value[i], got.behind_camera[i], tuple(got.scales[i])) == (
             alone.value, alone.behind_camera, alone.scales)
         assert got.grad[i].tobytes() == alone.grad.tobytes()
         parts = energy.WindowStack.of_window(frag, obs).normal_parts(
@@ -556,7 +556,7 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
     visual, _, _ = stack.normal_parts(x, got.weights)
     np.testing.assert_array_equal(stack.rig.chain_joints, np.union1d(joints, parents))
     assert visual.shape == (3, 50, 12, 3, 3)
-    weights = np.array([2.0 * cfg.k_visual / s.visual for s in got.scales])
+    weights = 2.0 * cfg.k_visual / got.scales[:, 0]
     every = visual_blocks_of_every_joint(stack, x, weights)
     assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()

@@ -92,6 +92,16 @@ def test_too_short_errors(rng):
         evaluate(b, b, 25.0)
 
 
+@pytest.mark.parametrize("fps", [0.0, -25.0, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("metric", [mpjae, mpjje, per_joint_mpjae, per_joint_mpjje, evaluate])
+def test_rate_metrics_refuse_an_fps_that_is_not_a_finite_positive_number(rng, metric, fps):
+    a, b = rng.standard_normal((2, 6, 3, 3))
+    with pytest.raises(ValueError, match=f"^fps must be a finite positive number, got {fps!r}$"):
+        metric(a, b, fps)
+    with pytest.raises(ValueError, match="^fps must be a finite positive number"):
+        metric(a, b, fps, per_second=False)
+
+
 def test_metrics_are_symmetric(rng):
     pred = rng.standard_normal((12, 3, 3))
     gt = rng.standard_normal((12, 3, 3))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -426,6 +427,20 @@ def test_schedule_validation():
         s.window_frames(s.window_count)
     with pytest.raises(IndexError):
         s.covering_windows(10)
+
+
+@pytest.mark.parametrize("frame_count, fragment_len, name, value", [
+    (10.5, 50, "frame_count", "10.5"),
+    (10.0, 4, "frame_count", "10.0"),
+    (True, 4, "frame_count", "True"),
+    (10, 50.0, "fragment_len", "50.0"),
+    (10, np.float64(4.0), "fragment_len", repr(np.float64(4.0))),
+    (10, False, "fragment_len", "False"),
+])
+def test_schedule_refuses_a_non_integer_length(frame_count, fragment_len, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(value)}$"):
+        FragmentSchedule(frame_count, fragment_len)
+    assert FragmentSchedule(np.int64(10), np.int32(4)).window_count == 6
 
 
 @settings(max_examples=150, deadline=None)

@@ -123,9 +123,20 @@ def test_the_dense_rig_outputs_hold_batch_and_stream_with_and_without_the_visual
     monkeypatch.setattr(sameoutputs, "DENSE_DURATION", 2.0)
     sameoutputs.dense_rig_outputs(tmp_path / "out", 3)
     files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-    assert sorted(files) == sorted(f"{path}_{name}.bin" for path in ("refine_batch", "run_stream")
-                                   for name in sameoutputs.DENSE_WEIGHTS)
+    assert sorted(files) == sorted(
+        [f"{path}_{name}.bin" for path in ("refine_batch", "run_stream")
+         for name in sameoutputs.DENSE_WEIGHTS]
+        + [f"windows_{name}.json" for name in sameoutputs.DENSE_WEIGHTS])
     for name in sameoutputs.DENSE_WEIGHTS:
         assert files[f"refine_batch_{name}.bin"] == files[f"run_stream_{name}.bin"]
         assert len(files[f"refine_batch_{name}.bin"]) == 50 * 21 * 3 * 8
+        # One solve record per window of the 50-frame schedule at N = 50.
+        records = json.loads(files[f"windows_{name}.json"])
+        assert len(records) == 3
+        for record in records:
+            assert list(record) == list(sameoutputs.WINDOW_RECORD)
+            assert record["final_value"] <= record["initial_value"]
+            assert isinstance(record["converged"], bool)
+            assert isinstance(record["iterations"], int) and record["iterations"] > 0
     assert files["refine_batch_default.bin"] != files["refine_batch_no_visual.bin"]
+    assert files["windows_default.json"] != files["windows_no_visual.json"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from vifuse import (
     make_dataset,
     project_sequence,
 )
+from vifuse import pipeline, synth
 from vifuse.rotmath import quat_apply, quat_normalize
 
 from conftest import rot_angle, rot_angle_between, rot_distance
@@ -75,6 +77,32 @@ def test_script_frame_layout():
     np.testing.assert_allclose(s.times(), np.arange(20) / 10.0)
     with pytest.raises(ValueError):
         MotionScript(duration=0.0, fps=10.0)
+
+
+@pytest.mark.parametrize("duration, fps, message", [
+    (float("nan"), 25.0, "duration must be a finite positive number, got nan"),
+    (math.inf, 25.0, "duration must be a finite positive number, got inf"),
+    (-60.0, 25.0, "duration must be a finite positive number, got -60.0"),
+    (True, 25.0, "duration must be a finite positive number, got True"),
+    (60.0, float("nan"), "fps must be a finite positive number, got nan"),
+    (60.0, math.inf, "fps must be a finite positive number, got inf"),
+    (60.0, 0.0, "fps must be a finite positive number, got 0.0"),
+    (60.0, True, "fps must be a finite positive number, got True"),
+])
+def test_script_refuses_a_duration_or_fps_that_is_not_a_finite_positive_number(
+        duration, fps, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        default_script(duration, fps)
+
+
+@pytest.mark.parametrize("duration, fps", [(1e9, 1e9), (1e300, 1e300), (40000.1, 25.0)])
+def test_script_refuses_more_frames_than_can_be_built(duration, fps):
+    message = (re.escape(f"duration {duration} s at fps {fps} gives ")
+               + rf"\S+ frames; at most {synth.MAX_SYNTH_FRAMES} can be built$")
+    with pytest.raises(ValueError, match="^" + message):
+        MotionScript(duration=duration, fps=fps)
+    assert MotionScript(duration=40000.0, fps=25.0).frame_count == synth.MAX_SYNTH_FRAMES
+    assert pipeline.MAX_SYNTH_FRAMES == synth.MAX_SYNTH_FRAMES
 
 
 def test_generate_truth_rolls_out_params():

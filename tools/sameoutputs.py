@@ -10,12 +10,15 @@ have synth's default length. The CLI runs use the default eight-sensor rig,
 so each checkout also refines an 8 s capture of the 13-sensor rig of the
 tests (tests/conftest.py), from sf2 as rtof starts, with and without the
 visual term, through refine_batch and run_stream, and the bytes of the four
-outputs are compared. The tool prints one line per comparison and exits 1,
-naming every file that differs or is missing on one side, or every command
-that failed; else it exits 0. Under a comparison that differs, one line per
-file that both sides hold gives the largest absolute difference of its
-numbers, so a change in the last bits reads as one. Outputs go to a
-temporary directory that is removed at the end.
+outputs are compared, with a JSON file per weight set of each window's solve
+record from minimize_fragment, so that the comparison also covers the
+values, step counts and flags of a solve whose positions do not change. The
+tool prints one line per comparison and exits 1, naming every file that
+differs or is missing on one side, or every command that failed; else it
+exits 0. Under a comparison that differs, one line per file that both
+sides hold gives the largest absolute difference of its numbers, so a change
+in the last bits reads as one. Outputs go to a temporary directory that is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ MODES = ("baseline", "sf2", "rto", "rtof")
 RUN_FILES = ("refined_pose3d.txt", "metrics.txt", "metrics.json")
 DENSE_DURATION = 8.0  # seconds: nine windows, two batch stacks
 DENSE_WEIGHTS = {"default": {}, "no_visual": {"k_visual": 0.0}}
+WINDOW_RECORD = ("initial_value", "final_value", "iterations", "converged", "behind_camera")
 
 _spec = importlib.util.spec_from_file_location("abpairs", Path(__file__).with_name("abpairs.py"))
 abpairs = importlib.util.module_from_spec(_spec)
@@ -104,12 +108,13 @@ def vifuse(checkout: Path, *args) -> subprocess.CompletedProcess:
 def dense_rig_outputs(out: Path, seed: int) -> None:
     """Write into `out` the bytes of refine_batch's and run_stream's output
     on a default-noise capture of the 13-sensor rig, for each DENSE_WEIGHTS,
-    as the tests' capture_problem builds it. Runs with whichever vifuse is
-    importable."""
+    as the tests' capture_problem builds it, and the WINDOW_RECORD of
+    minimize_fragment over each window of the schedule, one JSON list per
+    weight set. Runs with whichever vifuse is importable."""
     from conftest import dense_calibration
-    from vifuse import (DEFAULT_NOISE, EnergyConfig, SequenceObservations, SolverSettings,
-                        apply_mode, calibrate_stream, default_script, make_dataset, refine_batch,
-                        run_stream)
+    from vifuse import (DEFAULT_NOISE, EnergyConfig, Fragment, FragmentSchedule, Observations,
+                        SequenceObservations, SolverSettings, apply_mode, calibrate_stream,
+                        default_script, make_dataset, minimize_fragment, refine_batch, run_stream)
 
     ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(DENSE_DURATION),
                       calib=dense_calibration())
@@ -127,6 +132,18 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
         streamed = np.stack([row for _, row in run_stream(start, seq, cfg, SolverSettings())])
         (out / f"refine_batch_{name}.bin").write_bytes(batch.tobytes())
         (out / f"run_stream_{name}.bin").write_bytes(streamed.tobytes())
+        schedule = FragmentSchedule(len(start), cfg.fragment_len)
+        records = []
+        for k in range(schedule.window_count):
+            rows = schedule.window_frames(k)
+            window = Observations(pixels=seq.pixels[rows], camera=seq.camera, accel=accel[rows],
+                                  bones=bones[rows], sensor_joints=seq.sensor_joints,
+                                  sensor_parents=seq.sensor_parents)
+            res = minimize_fragment(Fragment(start[rows], ds.fps, schedule.window_start(k)),
+                                    window, cfg, SolverSettings())
+            records.append({field: getattr(res, field) for field in WINDOW_RECORD})
+        (out / f"windows_{name}.json").write_text(json.dumps(records, indent=1) + "\n",
+                                                  encoding="utf-8")
 
 
 def dense_rig(checkout: Path, out: Path, seed: int) -> subprocess.CompletedProcess:
