@@ -7,6 +7,7 @@ Camera frame follows the usual vision convention: x right, y down, z forward
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,10 +34,17 @@ class Camera:
     center: np.ndarray
 
     def __post_init__(self):
+        for name, positive in (("fx", True), ("fy", True), ("cx", False), ("cy", False)):
+            value = getattr(self, name)
+            if not math.isfinite(value) or positive and value <= 0.0:
+                raise ValueError(f"camera {name} must be finite{' and positive' * positive}, "
+                                 f"got {value!r}")
         object.__setattr__(self, "rotation", check_unit_quat(self.rotation, "camera rotation"))
         c = np.array(self.center, dtype=float)
         if c.shape != (3,):
             raise ValueError(f"camera center must be a 3-vector, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError(f"camera center must be finite, got {c.tolist()}")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 

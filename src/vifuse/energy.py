@@ -39,8 +39,8 @@ axis, and total_energy and the term functions are the stack of one. Every
 matrix product and dot product runs once per window, so a window's results
 do not depend on the stack it is in. The visual term alone needs no solver:
 visual_minimum gives its minimum in closed form. WindowStack.normal_parts
-gives the pieces of the Gauss-Newton normal matrix for the term weights of
-stack_energy's gradient.
+builds the pieces of the Gauss-Newton normal matrix from the visual rows and
+the term weights that stack_energy returns, without projecting again.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ class EnergyConfig:
     k_visual/k_inertial balance the two families; k_accel/k_bone/k_smooth
     weight the inertial terms internally. theta_t (rad) gates the IMU override
     in the per-frame IK stage; fragment_len is the window size N (even, >= 4).
-    `scales` fixes total_energy's denominators, as with_scales freezes them at
-    a fragment's point; when None, total_energy computes scales at the point
-    it is given. The solver leaves it unset and hands each window's scales to
+    `scales` fixes total_energy's denominators, each a finite positive
+    number, as with_scales freezes them at a fragment's point; when None,
+    total_energy computes scales at the point it is given. The solver leaves it unset and hands each window's scales to
     stack_energy, which does not read it.
     """
 
@@ -245,6 +245,9 @@ class EnergyConfig:
         n = self.fragment_len
         if not is_integer(n) or n < 4 or n % 2 != 0:
             raise ValueError(f"fragment_len must be an even integer >= 4, got {n!r}")
+        for name, value in zip(TermScales._fields, () if self.scales is None else self.scales):
+            if not is_finite_positive(value):
+                raise ValueError(f"scales.{name} must be a finite positive number, got {value!r}")
 
     @property
     def inertial_active(self) -> bool:
@@ -255,14 +258,22 @@ class EnergyConfig:
         return replace(self, scales=term_scales(frag, obs, self))
 
 
+class VisualRows(NamedTuple):
+    """The visual term's pass over W windows: pixels (W, 2, N*J), 1 / camera depth
+    (W, N*J), 1 where skipped, and the kept residuals (W, N*J): observed, deeper than W_MIN."""
+
+    pixel: np.ndarray
+    inv_depth: np.ndarray
+    active: np.ndarray
+
+
 class _Residuals(NamedTuple):
     """One evaluation's residual arrays over a stack of W windows, None for
     terms not evaluated.
 
     visual is (W, 2, N*J) px, one row per pixel axis; accel, bone and smooth
-    are (W, rows, 3K) with the sensors' xyz side by side. pixel (W, 2, N*J)
-    and inv_depth (W, N*J), 1 / camera depth with 1 where skipped, serve the
-    visual gradient. behind_camera (W,) counts each window's skipped joints.
+    are (W, rows, 3K) with the sensors' xyz side by side. behind_camera (W,)
+    counts each window's skipped joints.
     """
 
     visual: np.ndarray | None
@@ -270,8 +281,7 @@ class _Residuals(NamedTuple):
     bone: np.ndarray | None
     smooth: np.ndarray | None
     behind_camera: np.ndarray
-    pixel: np.ndarray | None = None
-    inv_depth: np.ndarray | None = None
+    rows: VisualRows | None
 
     def values(self) -> np.ndarray:
         """The (W, 4) term values, one dot product per window and term; 0 if not evaluated."""
@@ -418,17 +428,13 @@ class WindowStack:
             if self.key[0] < 4:
                 raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """Rows u, v, w of every (frame, joint) of each window: (W, 3, N*J)."""
-        return self.proj @ x.reshape(len(x), -1, 3).swapaxes(1, 2) + self.offset
-
     def residuals(self, x: np.ndarray, active: tuple[bool, bool, bool, bool]) -> _Residuals:
         self.require(active)
         visual, accel, bone, smooth = active
-        rv = pixel = inv_depth = None
+        rv = rows = None
         behind = np.zeros(len(x), int)
         if visual:
-            h = self._project(x)
+            h = self.proj @ x.reshape(len(x), -1, 3).swapaxes(1, 2) + self.offset  # rows u, v, w
             w = h[:, 2]
             valid = self.observed
             if not (w > W_MIN).all():
@@ -436,8 +442,8 @@ class WindowStack:
                 behind = np.count_nonzero(self.observed & ~valid, axis=1)
                 w = np.where(valid, w, 1.0)
             inv_depth = 1.0 / w
-            pixel = h[:, :2] * inv_depth[:, None]
-            rv = np.where(valid[:, None], pixel - self.target, 0.0)
+            rows = VisualRows(h[:, :2] * inv_depth[:, None], inv_depth, valid)
+            rv = np.where(valid[:, None], rows.pixel - self.target, 0.0)
         ra = rb = rs = None
         if accel or bone or smooth:
             xs = x.reshape(*x.shape[:2], -1)[..., self.rig.gather]
@@ -450,7 +456,7 @@ class WindowStack:
                     ra = af - self.accel_target
                 if smooth:
                     rs = self.d1 @ af - self.smooth_target
-        return _Residuals(rv, ra, rb, rs, behind, pixel, inv_depth)
+        return _Residuals(rv, ra, rb, rs, behind, rows)
 
     def gradient(self, res: _Residuals, weights: np.ndarray) -> np.ndarray:
         """Gradient of sum(weight * |residual|^2) over the evaluated terms, with
@@ -461,10 +467,10 @@ class WindowStack:
         grad = np.zeros((w, n, 3 * j))
         if res.visual is not None:
             # d pixel / d(u, v, w) = [[1, 0, -pixel_u], [0, 1, -pixel_v]] / w
-            a = res.visual * (wv * res.inv_depth[:, None])
+            a = res.visual * (wv * res.rows.inv_depth[:, None])
             dh = np.empty((w, 3, a.shape[2]))
             dh[:, :2] = a
-            np.negative(np.einsum("wij,wij->wj", a, res.pixel), out=dh[:, 2])
+            np.negative(np.einsum("wij,wij->wj", a, res.rows.pixel), out=dh[:, 2])
             grad = (dh.swapaxes(1, 2) @ self.proj).reshape(w, n, 3 * j)
         if res.accel is None and res.bone is None and res.smooth is None:
             return grad.reshape(w, n, j, 3)
@@ -481,30 +487,27 @@ class WindowStack:
         grad += gx @ self.rig.scatter
         return grad.reshape(w, n, j, 3)
 
-    def normal_parts(self, x: np.ndarray, weights: np.ndarray
+    def normal_parts(self, rows: VisualRows | None, weights: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pieces of each window's Gauss-Newton normal matrix at x
-        (W, N, J, 3) that the chain solve reads, for the (W, 4) term weights
-        of stack_energy's gradient, each w below being a term's weight: the
-        visual block 2 w J^T J (W, N, C, 3, 3) of every frame and chain
-        joint, zero where the term skips the joint; the (W, N, N) matrix that
-        the accel and smooth terms put on each coordinate of each sensor's
-        joint; and the (W,) weight 2 w that the bone term puts on each
-        sensor's joint-minus-parent difference. The C chain joints are
-        rig.chain_joints."""
+        """The pieces of each window's Gauss-Newton normal matrix at the point
+        of stack_energy's pass that gave the visual `rows` (None without the
+        visual term) and the (W, 4) term weights of its gradient, each w below
+        being a term's weight: the visual block 2 w J^T J (W, N, C, 3, 3) of
+        every frame and chain joint, zero where the term skips the joint; the
+        (W, N, N) matrix that the accel and smooth terms put on each
+        coordinate of each sensor's joint; and the (W,) weight 2 w that the
+        bone term puts on each sensor's joint-minus-parent difference. The C
+        chain joints are rig.chain_joints."""
         wv, wa, wb, ws = 2.0 * weights.T
-        w = len(x)
+        w = len(weights)
         n, j, _ = self.key
         joints = self.rig.chain_joints
         visual = np.zeros((w, n * len(joints), 3, 3))
         if wv.any():
             cols = (np.arange(n)[:, None] * j + joints).ravel()
-            h = self._project(x)[..., cols]
-            valid = self.observed[:, cols] & (h[:, 2] > W_MIN)
-            inv_depth = np.where(valid, 1.0 / np.where(valid, h[:, 2], 1.0), 0.0)
+            inv_depth = np.where(rows.active[:, cols], rows.inv_depth[:, cols], 0.0)
             # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-            pixel = h[:, :2] * inv_depth[:, None]
-            u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
+            u, v = ((self.proj[:2, None, :] - rows.pixel[..., cols, None] * self.proj[2]) * (
                 np.sqrt(wv)[:, None] * inv_depth)[:, None, :, None]).swapaxes(0, 1)
             # J^T J written out per entry, faster than einsum here and equal
             # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
@@ -622,15 +625,16 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
 
 class StackValue(NamedTuple):
     """total_energy of each window of a stack: the values (W,), gradients
-    (W, N, J, 3), behind-camera counts (W,), the scales used (W, 4) and the
-    (W, 4) term weights k / scale of the gradient, 0 for an inactive term.
-    A scales row holds the terms in TermScales order."""
+    (W, N, J, 3), behind-camera counts (W,), the scales used (W, 4) in
+    TermScales order, the (W, 4) term weights k / scale of the gradient, 0
+    for an inactive term, and the pass's visual rows, None without the term."""
 
     value: np.ndarray
     grad: np.ndarray | None
     behind_camera: np.ndarray
     scales: np.ndarray
     weights: np.ndarray
+    rows: VisualRows | None
 
 
 def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
@@ -649,7 +653,7 @@ def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
     totals = np.add.accumulate(k * values / s, axis=1)[:, -1]  # summed in term order
     weights = k / s
     grad = stack.gradient(res, weights) if gradient else None
-    return StackValue(totals, grad, res.behind_camera, scales, weights)
+    return StackValue(totals, grad, res.behind_camera, scales, weights, res.rows)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:

@@ -6,8 +6,8 @@ significant digits, which round-trips exactly through the parser, so writing
 is idempotent and reruns are byte-identical. Parse errors carry the file path
 and 1-based line number; a schema or version mismatch is fatal. A writer
 raises ValueError, before it opens the file, on a value its reader refuses: a
-non-finite number (other than a `nan nan` pixel pair), a zero-norm quaternion
-or a focal length at or below zero.
+non-finite number (other than a `nan nan` pixel pair) or a zero-norm
+quaternion. A Camera refuses such values itself, so write_camera checks none.
 
 Fields: an integer is plain decimal (`str(int(token)) == token`); a number is
 any spelling float() accepts that uses only ASCII digits, `+ - . e E` and the
@@ -618,10 +618,7 @@ def read_calibration(path) -> CalibrationSet:
 # -- camera ------------------------------------------------------------------
 
 def write_camera(path, cam: Camera) -> None:
-    if not np.isfinite([cam.fx, cam.fy, cam.cx, cam.cy, *cam.center]).all():
-        raise ValueError("camera values must be finite")
-    if not (cam.fx > 0 and cam.fy > 0):
-        raise ValueError("fx and fy must be positive")
+    # A Camera holds no value that read_camera refuses.
     _write_text(path, ["camera 1\n"],
                 _number_lines(["fx", "fy", "cx", "cy"], [[cam.fx], [cam.fy], [cam.cx], [cam.cy]]),
                 _number_lines(["rotation"], [cam.rotation]), _number_lines(["center"], [cam.center]))

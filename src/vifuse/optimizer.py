@@ -10,7 +10,7 @@ Each window is solved directly. A joint that is neither a sensor's joint nor
 a sensor's parent enters only the visual term, so visual_minimum solves it.
 The other joints form chains, the connected components of the sensor-to-parent
 bones, which take Gauss-Newton steps on one damped normal matrix per window,
-built with the term weights that stack_energy returns with the gradient.
+built from the term weights and visual rows that stack_energy returns.
 
 The streams are an energy.Observations (SequenceObservations adds the frame
 rate), checked against the poses once where those enter: in refine_batch,
@@ -32,8 +32,9 @@ runs once per window or chain, so a window's result is bitwise the same in
 any stack. Nothing is built twice that the solve does not change: each
 frame is projected onto its ray once, for both windows it lies in, and the
 chains, with their slots among the chain joints, come from the stack's one
-rig layout (energy.RigLayout), built once per rig. The projection is always
-an array: without the visual term it is the start.
+rig layout (energy.RigLayout), built once per rig. A stack evaluates its
+start for the scales, then its projection (the start without the visual
+term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .camera import Camera
-from .energy import (Chains, EnergyConfig, Fragment, Observations, WindowStack, is_finite_positive,
-                     is_integer, stack_energy, visual_minimum)
+from .energy import (Chains, EnergyConfig, Fragment, Observations, StackValue, WindowStack,
+                     is_finite_positive, is_integer, stack_energy, visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
 # Levenberg-Marquardt damping, relative to the scale of a chain's normal
@@ -168,16 +169,16 @@ def _inv3(a: np.ndarray) -> np.ndarray:
 
 class _ChainSolver:
     """Gauss-Newton steps for every chain of a stack of windows from one
-    factorization of each window's damped normal matrix at positions x,
-    built with the (W, 4) term weights of stack_energy's gradient.
+    factorization of each window's damped normal matrix at the point that
+    stack_energy evaluated to `tv`, built from its visual rows and term weights.
 
     The chains of all windows are factored as one stack: the chain axis runs
     over window x chain, and every matrix product and inverse runs once per
     chain, so a window's steps are bitwise the same in any stack.
     """
 
-    def __init__(self, x: np.ndarray, stack: WindowStack, weights: np.ndarray):
-        visual, temporal, bone = stack.normal_parts(x, weights)
+    def __init__(self, stack: WindowStack, tv: StackValue):
+        visual, temporal, bone = stack.normal_parts(tv.rows, tv.weights)
         self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
         visual = visual.swapaxes(0, 1)
         self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in stack.rig.chains]
@@ -323,17 +324,12 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     stopped and `stepping` those that take the next step.
     """
     fps = stack.key[2]
-    # The start sets each window's scales; its gradient is needed only when
-    # no window moves to its projection. A window whose projection is its
-    # start evaluates there to its first values.
-    project = not np.array_equal(projected, start)
-    first = stack_energy(start, stack, cfg, gradient=not project)
-    x, tv = start, first
-    if project:
-        x = projected
-        tv = stack_energy(x, stack, cfg, first.scales)
+    # The start sets each window's scales and the value no result may end
+    # above; the first step starts from the projection.
+    first = stack_energy(start, stack, cfg, gradient=False)
+    x, tv = projected, stack_energy(projected, stack, cfg, first.scales)
     behind = np.maximum(first.behind_camera, tv.behind_camera)
-    solver = _ChainSolver(x, stack, tv.weights)
+    solver = _ChainSolver(stack, tv)
     values, grad = tv.value, tv.grad
     iterations = np.zeros(len(x), int)
     converged = np.zeros(len(x), bool)

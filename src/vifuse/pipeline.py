@@ -42,8 +42,9 @@ from .imu import CalibrationSet, ImuStream, calibrate_stream
 from .metrics import REPORT_MIN_FRAMES, MetricReport, evaluate
 from .optimizer import RefineStats, SequenceObservations, SolverSettings, refine_batch
 from .skeleton import SkeletonDefinition, refine_sequence
-from .synth import (DEFAULT_JOINT_NAMES, MAX_SYNTH_FRAMES, NoiseSpec, SyntheticDataset,
-                    default_script, make_dataset)
+from .synth import (DEFAULT_JOINT_NAMES, NoiseSpec, SyntheticDataset, check_length, default_script,
+                    make_dataset)
+from .synth import MAX_SYNTH_FRAMES  # noqa: F401 - read as pipeline.MAX_SYNTH_FRAMES
 
 # The optional streams each mode reads; skeleton, pose3d and truth (when
 # given) are read in every mode. A run opens no other configured stream.
@@ -370,20 +371,16 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ConfigError(f"synth option {name} must be non-negative, got {value}")
-        for name in ("duration", "fps"):
-            value = getattr(self, name)
-            if not is_finite_positive(value):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        try:
+            check_length(self.duration, self.fps)  # MotionScript's check
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         joints = len(DEFAULT_JOINT_NAMES)
         for name in ("sigma_depth", "occlusion"):
             shape = np.shape(getattr(self.noise, name))
             if shape not in ((), (joints,)):
                 raise ConfigError(f"noise option {name} must be a number or a list of {joints} "
                                   f"numbers, one per joint, got a list of {shape[0]}")
-        if not self.duration * self.fps <= MAX_SYNTH_FRAMES:  # an infinite product too
-            raise ConfigError(
-                f"duration {self.duration} s at fps {self.fps} gives "
-                f"{self.duration * self.fps:.6g} frames; at most {MAX_SYNTH_FRAMES} can be built")
         # The written run_config.json names the truth, so its run needs enough
         # frames for the metric report.
         frames = int(round(self.duration * self.fps))

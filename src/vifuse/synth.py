@@ -33,6 +33,17 @@ TWO_PI = 2.0 * math.pi
 MAX_SYNTH_FRAMES = 1_000_000
 
 
+def check_length(duration, fps) -> None:
+    """Raise ValueError unless `duration` (s) and `fps` are finite positive
+    numbers whose product is at most MAX_SYNTH_FRAMES frames."""
+    for name, value in (("duration", duration), ("fps", fps)):
+        if not is_finite_positive(value):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    if not duration * fps <= MAX_SYNTH_FRAMES:  # an infinite product too
+        raise ValueError(f"duration {duration} s at fps {fps} gives {duration * fps:.6g} frames; "
+                         f"at most {MAX_SYNTH_FRAMES} can be built")
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
@@ -107,14 +118,7 @@ class MotionScript:
     root_waves: tuple[TranslationWave, ...] = ()
 
     def __post_init__(self):
-        for name in ("duration", "fps"):
-            value = getattr(self, name)
-            if not is_finite_positive(value):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if not self.duration * self.fps <= MAX_SYNTH_FRAMES:  # an infinite product too
-            raise ValueError(
-                f"duration {self.duration} s at fps {self.fps} gives "
-                f"{self.duration * self.fps:.6g} frames; at most {MAX_SYNTH_FRAMES} can be built")
+        check_length(self.duration, self.fps)
 
     @property
     def frame_count(self) -> int:

@@ -71,6 +71,20 @@ def test_center_validation():
         Camera(1.0, 1.0, 0.0, 0.0, IDENTITY, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    *((f, v, rf"^camera {f} must be finite and positive, got ")
+      for f in ("fx", "fy") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+    *((f, v, rf"^camera {f} must be finite, got ") for f in ("cx", "cy") for v in (np.nan, np.inf)),
+    ("center", (0.0, np.nan, 0.0), r"^camera center must be finite, got "),
+    ("center", (np.inf, 0.0, 0.0), r"^camera center must be finite, got "),
+])
+def test_camera_refuses_what_read_camera_refuses(field, value, message):
+    # Such a camera's project gave NaN pixels, or pixels from a negative focal length.
+    with pytest.raises(ValueError, match=message):
+        replace(identity_camera(), **{field: value})
+    assert replace(identity_camera(), cx=-3.0, cy=7.5).cy == 7.5
+
+
 STORED_QUATERNION = {
     "camera": lambda q: Camera(1.0, 1.0, 0.0, 0.0, q, np.zeros(3)).rotation,
     "r_global": lambda q: SensorCalibration("s0", "j1", q, IDENTITY).r_global,

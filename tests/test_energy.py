@@ -278,6 +278,16 @@ def test_config_validation():
     EnergyConfig(k_visual=0.0, k_inertial=1.0)  # inertial-only is fine
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("term", TermScales._fields)
+def test_config_refuses_a_scale_that_is_not_a_finite_positive_number(term, value):
+    # Such a scale made total_energy NaN, negative or infinite.
+    with pytest.raises(ValueError, match=rf"^scales\.{term} must be a finite positive number"):
+        EnergyConfig(scales=TermScales(**{term: value}))
+    assert EnergyConfig(scales=TermScales(**{term: SCALE_FLOOR})).scales == TermScales(
+        **{term: SCALE_FLOOR})
+
+
 def test_term_scales_active_and_floor(rng):
     frag, obs = random_setup(rng)
     scales = term_scales(frag, obs, EnergyConfig())
@@ -511,15 +521,16 @@ def test_stack_energy_matches_each_window_alone(rng):
     stack = energy.WindowStack(source, rows, (18, 4, 3), 5.0)
     x = np.stack([f.positions for f in frags])
     got = energy.stack_energy(x, stack, cfg)
-    visual, temporal, bone = stack.normal_parts(x, got.weights)
+    visual, temporal, bone = stack.normal_parts(got.rows, got.weights)
     assert list(got.behind_camera) == [0, 1, 0]
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
         assert (got.value[i], got.behind_camera[i], tuple(got.scales[i])) == (
             alone.value, alone.behind_camera, alone.scales)
         assert got.grad[i].tobytes() == alone.grad.tobytes()
-        parts = energy.WindowStack.of_window(frag, obs).normal_parts(
-            frag.positions[None], got.weights[i:i + 1])
+        win = energy.WindowStack.of_window(frag, obs)
+        parts = win.normal_parts(energy.stack_energy(frag.positions[None], win, cfg).rows,
+                                 got.weights[i:i + 1])
         assert visual[i].tobytes() == parts[0][0].tobytes()
         assert temporal[i].tobytes() == parts[1][0].tobytes()
         assert bone[i] == parts[2][0]
@@ -548,15 +559,19 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
                        sensor_joints=joints, sensor_parents=parents)
     rows = np.arange(150).reshape(3, 50)
     stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
-    x = ds.inputs[rows].copy()
-    x[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
+    in_front = ds.inputs[rows]
+    behind = in_front.copy()
+    behind[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
     assert not np.isfinite(ds.pixels[:150][:, stack.rig.chain_joints]).all()  # and some are unseen
-    cfg = EnergyConfig()
-    got = energy.stack_energy(x, stack, cfg)
-    visual, _, _ = stack.normal_parts(x, got.weights)
     np.testing.assert_array_equal(stack.rig.chain_joints, np.union1d(joints, parents))
-    assert visual.shape == (3, 50, 12, 3, 3)
-    weights = 2.0 * cfg.k_visual / got.scales[:, 0]
-    every = visual_blocks_of_every_joint(stack, x, weights)
-    assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
+    cfg = EnergyConfig()
+    # Every joint in front takes the residual pass's fast path; one behind, its narrowed mask.
+    for x, skipped in ((in_front, [0, 0, 0]), (behind, [0, 1, 0])):
+        got = energy.stack_energy(x, stack, cfg)
+        assert list(got.behind_camera) == skipped
+        visual, _, _ = stack.normal_parts(got.rows, got.weights)
+        assert visual.shape == (3, 50, 12, 3, 3)
+        weights = 2.0 * cfg.k_visual / got.scales[:, 0]
+        every = visual_blocks_of_every_joint(stack, x, weights)
+        assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()

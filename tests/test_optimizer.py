@@ -460,6 +460,23 @@ def test_every_frame_covered_exactly_twice(t_n, n):
         assert holders[t] == set(s.covering_windows(t))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 3.0), st.floats(-6.0, 6.0))
+def test_inv3_inverts_batched_symmetric_positive_definite_matrices(shape, seed, log_cond, log_scale):
+    # Eigenvalues from 10**log_scale up to 10**log_cond times that, one at each end.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(*shape, 3, 3)))
+    eig = 10.0 ** (log_scale + log_cond * np.concatenate(
+        [np.zeros((*shape, 1)), rng.uniform(size=(*shape, 1)), np.ones((*shape, 1))], axis=-1))
+    a = (q * eig[..., None, :]) @ q.swapaxes(-1, -2)
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    got, want = optimizer._inv3(a), np.linalg.inv(a)
+    assert got.shape == a.shape == (*shape, 3, 3)
+    largest = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(got - want) <= 1e-10 * largest).all()
+
+
 def whole_window(seq):
     """The Observations of a whole SequenceObservations, as one window."""
     return Observations(seq.pixels, seq.camera, seq.accel, seq.bones, seq.sensor_joints,
@@ -497,15 +514,20 @@ def test_start_at_minimum_is_zero_iterations():
     np.testing.assert_array_equal(res.fragment.positions, frag.positions)
 
 
-def test_fragment_at_minimum_costs_one_evaluation(monkeypatch):
-    passes = []
+def test_fragment_at_minimum_evaluates_its_start_and_its_projection_once_each(monkeypatch):
+    # The start gives the scales and the value no result ends above, without
+    # a gradient; the projection, here the start itself, gives the stopping
+    # test, which takes no step, so no trial point is evaluated.
+    passes, gradients = [], []
     residuals = energy.WindowStack.residuals
     monkeypatch.setattr(energy.WindowStack, "residuals",
                         lambda self, *a: passes.append(1) or residuals(self, *a))
+    monkeypatch.setattr(optimizer, "stack_energy", lambda *a, **kw: gradients.append(
+        kw.get("gradient", True)) or energy.stack_energy(*a, **kw))
     res = minimize_fragment(*problem_at_minimum(), SolverSettings())
     assert res.converged and res.iterations == 0
     assert res.final_value == res.initial_value == 0.0
-    assert len(passes) == 1
+    assert len(passes) == 2 and gradients == [False, True]
 
 
 def test_merge_average_of_covering_windows():
