@@ -170,6 +170,11 @@ class Observations:
         """Whether there are pixels and a camera to evaluate the visual term on."""
         return self.pixels is not None and self.camera is not None
 
+    def require(self, cfg: EnergyConfig) -> None:
+        """Raise MissingObservationError if a term `cfg` makes active lacks its
+        observations, as the first evaluation would."""
+        _require(_active_terms(cfg), self.visual, self.accel is not None, self.bones is not None)
+
     def check(self, shape: tuple[int, ...]) -> None:
         """Check that every stream covers the T frames of positions of `shape`
         (T, J, 3), that the pixels have J joints, and that every sensor's
@@ -368,6 +373,19 @@ def _rig_layout(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...],
     return RigLayout(gather, scatter, chain_joints, chains)
 
 
+def _require(active: tuple[bool, bool, bool, bool], visual: bool, accel: bool, bones: bool) -> None:
+    """Raise MissingObservationError for the first `active` term whose
+    observations are missing: pixels and a camera, accelerations, bone vectors."""
+    if active[0] and not visual:
+        raise MissingObservationError("visual term requires 2D observations and a camera")
+    if active[1] and not accel:
+        raise MissingObservationError("acceleration term requires calibrated IMU accelerations")
+    if active[2] and not bones:
+        raise MissingObservationError("bone term requires sensor-predicted bone vectors")
+    if active[3] and not accel:
+        raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
+
+
 class WindowStack:
     """Everything the terms need that does not depend on the positions, for a
     stack of W windows of N frames that share a camera, a rig and the
@@ -415,18 +433,9 @@ class WindowStack:
         return cls(obs, np.arange(frag.frame_count)[None], frag.positions.shape, frag.fps)
 
     def require(self, active: tuple[bool, bool, bool, bool]) -> None:
-        visual, accel, bone, smooth = active
-        if visual and self.pixels is None:
-            raise MissingObservationError("visual term requires 2D observations and a camera")
-        if accel and not self.has_accel:
-            raise MissingObservationError("acceleration term requires calibrated IMU accelerations")
-        if bone and not self.has_bones:
-            raise MissingObservationError("bone term requires sensor-predicted bone vectors")
-        if smooth:
-            if not self.has_accel:
-                raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
-            if self.key[0] < 4:
-                raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
+        _require(active, self.pixels is not None, self.has_accel, self.has_bones)
+        if active[3] and self.key[0] < 4:
+            raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
 
     def residuals(self, x: np.ndarray, active: tuple[bool, bool, bool, bool]) -> _Residuals:
         self.require(active)

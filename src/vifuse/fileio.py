@@ -5,9 +5,9 @@ single-space-separated fields, one record per line. Floats are written with 9
 significant digits, which round-trips exactly through the parser, so writing
 is idempotent and reruns are byte-identical. Parse errors carry the file path
 and 1-based line number; a schema or version mismatch is fatal. A writer
-raises ValueError, before it opens the file, on a value its reader refuses: a
-non-finite number (other than a `nan nan` pixel pair) or a zero-norm
-quaternion. A Camera refuses such values itself, so write_camera checks none.
+raises ValueError, before it opens the file, on a value its reader refuses;
+a stream writer runs its reader's fault function, so each value rule is
+stated once. A Camera refuses such values itself, so write_camera checks none.
 
 Fields: an integer is plain decimal (`str(int(token)) == token`); a number is
 any spelling float() accepts that uses only ASCII digits, `+ - . e E` and the
@@ -140,6 +140,7 @@ def _write_text(path, *parts) -> None:
 _HIDDEN = b"\xff"
 _SLOT = 24
 _CHUNK_VALUES = 8192  # values formatted per chunk
+_CHECK_VALUES = 1 << 16  # values a writer checks per chunk
 _TIE_MARGIN = 1e-6  # the scaled product errs by at most 2**-24
 _POW10 = 10.0 ** np.arange(16)
 
@@ -273,8 +274,10 @@ def _check_quaternions(r: _Reader, line_no: int, q: np.ndarray) -> None:
 # and walked line by line by `_first_bad_record`, which names the first bad
 # record.
 #
-# `faults(rows)` gives, for value rows (n, F), a mask (n, C) of the C value
-# checks in the order a line applies them, and a function naming check c.
+# `faults(*blocks)` gives, for value rows (n, F) whole or as column blocks
+# (n, F_i) side by side, a mask (n, C) of the C value checks in the order a
+# line applies them, and a function naming check c. Readers run it on the
+# rows they parse, and writers, through `_refuse_faults`, on their values.
 
 
 def _stream_lines(path, schema: str) -> tuple[np.ndarray, list[bytes]] | None:
@@ -358,6 +361,16 @@ def _check_values(r: _Reader, line_no: int, tokens: list[str], what: str, faults
     return row
 
 
+def _refuse_faults(schema: str, faults, *columns: np.ndarray) -> None:
+    """Raise ValueError naming the fault a reader would name first in the file
+    of the rows of `columns` side by side, checked a bounded chunk at a time."""
+    rows = max(1, _CHECK_VALUES // max(sum(c.shape[1] for c in columns), 1))
+    for lo in range(0, len(columns[0]), rows):
+        mask, name = faults(*(c[lo:lo + rows] for c in columns))
+        if mask.any():
+            raise ValueError(f"{schema}: {name(int(np.argmax(mask)) % mask.shape[1])}")
+
+
 # -- pose3d / pose2d ---------------------------------------------------------
 
 def _coordinate_faults(rows):
@@ -374,8 +387,12 @@ def _pixel_faults(rows):
     return mask, lambda c: f"joint {c // 2}: {kinds[c % 2]}"
 
 
-def _write_pose(path, schema: str, values: np.ndarray) -> None:
+def _write_pose(path, schema: str, dim: int, values, faults) -> None:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[2] != dim:
+        raise ValueError(f"expected (T, J, {dim}), got {values.shape}")
     flat = values.reshape(len(values), -1)
+    _refuse_faults(schema, faults, flat)
     _write_text(path, [f"{schema} 1\n"], _number_lines(map(str, range(len(flat))), flat))
 
 
@@ -410,13 +427,7 @@ def _read_pose(path, schema: str, dim: int, what: str, faults) -> np.ndarray:
 
 
 def write_pose3d(path, poses: np.ndarray) -> None:
-    poses = np.asarray(poses, dtype=float)
-    if poses.ndim != 3 or poses.shape[2] != 3:
-        raise ValueError(f"expected (T, J, 3), got {poses.shape}")
-    # Two reductions, with no mask as large as the poses: NaN propagates.
-    if not np.isfinite([poses.min(initial=0.0), poses.max(initial=0.0)]).all():
-        raise ValueError("pose3d values must be finite")
-    _write_pose(path, "pose3d", poses)
+    _write_pose(path, "pose3d", 3, poses, _coordinate_faults)
 
 
 def read_pose3d(path) -> np.ndarray:
@@ -424,14 +435,7 @@ def read_pose3d(path) -> np.ndarray:
 
 
 def write_pose2d(path, pixels: np.ndarray) -> None:
-    pixels = np.asarray(pixels, dtype=float)
-    if pixels.ndim != 3 or pixels.shape[2] != 2:
-        raise ValueError(f"expected (T, J, 2), got {pixels.shape}")
-    if (np.isnan(pixels[..., 0]) != np.isnan(pixels[..., 1])).any():
-        raise ValueError("occlusion must blank both pixel components")
-    if np.isinf(pixels).any():
-        raise ValueError("pose2d pixels must be finite or `nan nan`")
-    _write_pose(path, "pose2d", pixels)
+    _write_pose(path, "pose2d", 2, pixels, _pixel_faults)
 
 
 def read_pose2d(path) -> np.ndarray:
@@ -440,8 +444,10 @@ def read_pose2d(path) -> np.ndarray:
 
 # -- imu ---------------------------------------------------------------------
 
-def _imu_faults(rows):
-    mask = np.stack([~np.isfinite(rows).all(axis=1), _zero_norm(rows[:, :4])], axis=1)
+def _imu_faults(*blocks):  # the first block starts with the quaternion
+    # Column by column: numpy reduces rows of a few values slowly.
+    finite = np.logical_and.reduce([np.isfinite(c) for b in blocks for c in b.T])
+    mask = np.stack([~finite, _zero_norm(blocks[0][:, :4])], axis=1)
     return mask, lambda c: ("non-finite value", "zero-norm quaternion")[c]
 
 
@@ -453,18 +459,12 @@ def write_imu(path, stream: ImuStream) -> None:
             raise ValueError(f"sensor id {sid!r} not serializable")
     if len(set(stream.sensor_ids)) != len(stream.sensor_ids):
         raise ValueError(f"duplicate sensor ids in {stream.sensor_ids}")
-    q = stream.orientations.reshape(-1, 4)
-    # Reductions and bounded row chunks, with no mask as large as the stream.
-    ends = [q.min(), q.max(), stream.accels.min(), stream.accels.max()]
-    if not np.isfinite(ends).all():  # NaN propagates
-        raise ValueError("imu values must be finite")
-    rows = _CHUNK_VALUES // 4
-    if any(_zero_norm(q[lo:lo + rows]).any() for lo in range(0, len(q), rows)):
-        raise ValueError("imu quaternions must have nonzero norm")
+    q, a = stream.orientations.reshape(-1, 4), stream.accels.reshape(-1, 3)
+    _refuse_faults("imu", _imu_faults, q, a)
     k = len(stream.sensor_ids)
     frames = itertools.chain.from_iterable(itertools.repeat(str(t), k) for t in range(stream.frame_count))
     prefixes = map(" ".join, zip(frames, itertools.cycle(stream.sensor_ids)))
-    _write_text(path, ["imu 1\n"], _number_lines(prefixes, q, stream.accels.reshape(-1, 3)))
+    _write_text(path, ["imu 1\n"], _number_lines(prefixes, q, a))
 
 
 def read_imu(path) -> ImuStream:

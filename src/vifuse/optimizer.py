@@ -14,7 +14,9 @@ built from the term weights and visual rows that stack_energy returns.
 
 The streams are an energy.Observations (SequenceObservations adds the frame
 rate), checked against the poses once where those enter: in refine_batch,
-StreamingRefiner's first push and minimize_fragment.
+StreamingRefiner's first push and minimize_fragment. The first push also
+raises, as refine_batch's first evaluation does, the MissingObservationError
+of an active term that lacks its observations.
 
 The solve runs over a stack of windows: one energy pass, one factorization
 and one step call serve them all, while each window keeps its own scales,
@@ -553,6 +555,7 @@ class StreamingRefiner:
                                  for r in rows]
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
             self._obs.check(self._pos.shape)
+            self._obs.require(self._cfg)
             projects = _projects(self._cfg, self._obs)
             self._projected = np.empty_like(self._pos) if projects else self._pos
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)

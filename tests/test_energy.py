@@ -191,6 +191,14 @@ def test_visual_requires_obs():
         )
 
 
+def test_check_with_a_camera_refuses_pixels_of_another_joint_count():
+    obs = Observations(pixels=np.zeros((4, 2, 2)), camera=identity_camera())
+    obs.check((4, 2, 3))
+    for joints in (1, 3):
+        with pytest.raises(ValueError, match="^2D observations disagree with fragment joint count$"):
+            obs.check((4, joints, 3))
+
+
 def test_accel_frozen_value_and_grad():
     frag = x_fragment([0.0, 0.0, 6.0])
     accel = np.zeros((3, 1, 3))

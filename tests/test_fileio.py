@@ -31,6 +31,7 @@ from vifuse import (
     write_skeleton,
 )
 
+from vifuse import fileio
 from vifuse.rotmath import IDENTITY
 
 from conftest import rot_distance
@@ -91,6 +92,8 @@ def _calibration_with(**fields):
 WRITES_A_READER_REFUSES = {
     "pose2d inf pixel": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, 2.0]]])),
     "pose2d inf pair": lambda p: write_pose2d(p, np.array([[[1.0, 2.0]], [[np.inf, -np.inf]]])),
+    "pose2d (T, J, 3) array": lambda p: write_pose2d(p, np.zeros((3, 5, 3))),
+    "pose2d (T, 2J) array": lambda p: write_pose2d(p, np.zeros((3, 10))),
     "imu zero quaternion": lambda p: write_imu(p, _imu_stream([0.0, 0.0, 0.0, 0.0])),
     "imu nan quaternion": lambda p: write_imu(p, _imu_stream([np.nan, 0.0, 0.0, 0.0])),
     "imu inf acceleration": lambda p: write_imu(p, _imu_stream([1.0, 0.0, 0.0, 0.0], (0.0, np.inf, 0.0))),
@@ -120,6 +123,88 @@ def test_writer_refuses_what_its_reader_refuses(tmp_path, case):
     with pytest.raises(ValueError):
         WRITES_A_READER_REFUSES[case](p)
     assert not p.exists()
+
+
+def _poses(frames, joints, dim, faults):
+    """Finite values (frames, joints, dim) with values[t, j, d] = x for each (t, j, d, x) of faults."""
+    values = np.arange(frames * joints * dim, dtype=float).reshape(frames, joints, dim) + 1.0
+    for t, j, d, x in faults:
+        values[t, j, d] = x
+    return values
+
+
+def _imu(frames, faults):
+    """Two sensors at identity over `frames` frames; each fault (t, k, column, x)
+    sets column 0-3 of the quaternion or 4-6 of the acceleration to x."""
+    rows = np.tile([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (frames, 2, 1))
+    for t, k, c, x in faults:
+        rows[t, k, c] = x
+    return ImuStream(("s0", "s1"), rows[..., :4], rows[..., 4:])
+
+
+# Each fault a stream's reader can name, as the first of the written values.
+# A writer checks this many pose3d frames of 21 joints in two chunks.
+TWO_CHUNKS = fileio._CHECK_VALUES // 63 + 2
+WRITER_FAULTS = {
+    "pose3d nan": ("pose3d", _poses(3, 2, 3, [(1, 1, 2, np.nan)]), "non-finite coordinate"),
+    "pose3d inf": ("pose3d", _poses(3, 2, 3, [(0, 0, 0, -np.inf)]), "non-finite coordinate"),
+    "pose3d second chunk": ("pose3d", _poses(TWO_CHUNKS, 21, 3, [(TWO_CHUNKS - 1, 20, 1, np.inf)]),
+                            "non-finite coordinate"),
+    "pose2d half nan u": ("pose2d", _poses(3, 5, 2, [(1, 3, 0, np.nan)]),
+                          "joint 3: half-missing observation"),
+    "pose2d half nan v": ("pose2d", _poses(3, 5, 2, [(2, 0, 1, np.nan)]),
+                          "joint 0: half-missing observation"),
+    "pose2d nan inf": ("pose2d", _poses(3, 5, 2, [(1, 2, 0, np.nan), (1, 2, 1, np.inf)]),
+                       "joint 2: half-missing observation"),
+    "pose2d inf u": ("pose2d", _poses(3, 5, 2, [(0, 4, 0, np.inf)]), "joint 4: non-finite pixel"),
+    "pose2d inf v": ("pose2d", _poses(3, 5, 2, [(2, 1, 1, -np.inf)]), "joint 1: non-finite pixel"),
+    "pose2d inf pair": ("pose2d", _poses(3, 5, 2, [(1, 1, 0, np.inf), (1, 1, 1, np.inf)]),
+                        "joint 1: non-finite pixel"),
+    "pose2d first joint of a line": ("pose2d", _poses(3, 5, 2, [(1, 4, 0, np.nan), (1, 2, 1, np.inf)]),
+                                     "joint 2: non-finite pixel"),
+    "pose2d first line": ("pose2d", _poses(3, 5, 2, [(2, 0, 0, np.inf), (1, 4, 1, np.nan)]),
+                          "joint 4: half-missing observation"),
+    "imu nan quaternion": ("imu", _imu(3, [(1, 0, 2, np.nan)]), "non-finite value"),
+    "imu inf acceleration": ("imu", _imu(3, [(2, 1, 6, np.inf)]), "non-finite value"),
+    "imu zero quaternion": ("imu", _imu(3, [(1, 1, 0, 0.0)]), "zero-norm quaternion"),
+    "imu inf before zero-norm": ("imu", _imu(3, [(1, 1, 0, 0.0), (1, 1, 5, np.inf)]),
+                                 "non-finite value"),
+    "imu zero-norm line first": ("imu", _imu(3, [(1, 0, 0, 0.0), (2, 0, 4, np.nan)]),
+                                 "zero-norm quaternion"),
+}
+WRITERS = {"pose3d": (write_pose3d, read_pose3d), "pose2d": (write_pose2d, read_pose2d),
+           "imu": (write_imu, read_imu)}
+
+
+@pytest.mark.parametrize("case", list(WRITER_FAULTS))
+def test_writer_names_the_fault_its_reader_names_first(tmp_path, monkeypatch, case):
+    schema, value, fault = WRITER_FAULTS[case]
+    write, read = WRITERS[schema]
+    p = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=rf"^{schema}: {fault}$"):
+        write(p, value)
+    assert not p.exists()
+    # Written without the check, the file's reader names the same fault.
+    monkeypatch.setattr(fileio, "_refuse_faults", lambda *args: None)
+    write(p, value)
+    with pytest.raises(FormatError, match=rf":\d+: {fault}$"):
+        read(p)
+
+
+def test_read_imu_refuses_a_sensor_id_that_is_not_utf8(tmp_path):
+    p = tmp_path / "imu.txt"
+    p.write_bytes(b"imu 1\n0 s\xff 1 0 0 0 0 0 0\n")
+    with pytest.raises(FormatError, match="utf-8") as e:
+        read_imu(p)
+    assert e.value.path == str(p) and e.value.line_no is None
+
+
+def test_read_imu_refuses_a_file_with_no_frames(tmp_path):
+    p = tmp_path / "imu.txt"
+    p.write_text("imu 1\n")
+    with pytest.raises(FormatError) as e:
+        read_imu(p)
+    assert str(e.value) == f"{p}: no frames"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from vifuse import (
     EnergyConfig,
     Fragment,
     FragmentSchedule,
+    MissingObservationError,
     Observations,
     SequenceObservations,
     SolverSettings,
@@ -761,13 +762,17 @@ def test_stream_emission_latency(rng):
     assert emitted == list(range(24))
 
 
+# A visual-only config, which needs no rows but the pixels.
+VISUAL_ONLY = EnergyConfig(fragment_len=4, k_inertial=0.0)
+
+
 def test_stream_requires_consistent_rows(rng):
     poses, obs = seq_problem(rng, t_n=10)
-    r = StreamingRefiner(obs.fps, EnergyConfig(fragment_len=4), SolverSettings(), camera=obs.camera)
+    r = StreamingRefiner(obs.fps, VISUAL_ONLY, SolverSettings(), camera=obs.camera)
     r.push(poses[0], pixels=obs.pixels[0])
     with pytest.raises(ValueError):
         r.push(poses[1])  # pixels vanished
-    r2 = StreamingRefiner(obs.fps, EnergyConfig(fragment_len=4), SolverSettings(), camera=obs.camera)
+    r2 = StreamingRefiner(obs.fps, VISUAL_ONLY, SolverSettings(), camera=obs.camera)
     r2.push(poses[0], pixels=obs.pixels[0])
     with pytest.raises(ValueError):
         r2.push(poses[1], pixels=obs.pixels[1], accel=obs.accel[1])  # accel appeared
@@ -775,7 +780,7 @@ def test_stream_requires_consistent_rows(rng):
 
 def test_stream_rejects_row_shape_change(rng):
     poses, obs = seq_problem(rng, t_n=6)
-    r = StreamingRefiner(obs.fps, EnergyConfig(fragment_len=4), SolverSettings(), camera=obs.camera)
+    r = StreamingRefiner(obs.fps, VISUAL_ONLY, SolverSettings(), camera=obs.camera)
     r.push(poses[0], pixels=obs.pixels[0])
     with pytest.raises(ValueError, match="positions row of frame 1"):
         r.push(poses[1][0], pixels=obs.pixels[1])  # a (3,) row would broadcast into (J, 3)
@@ -790,6 +795,28 @@ def test_stream_rejects_a_bad_positions_row_at_frame_0(rng):
                              camera=obs.camera)
         with pytest.raises(ValueError, match="positions row of frame 0"):
             r.push(bad, pixels=obs.pixels[0])
+
+
+@pytest.mark.parametrize("weights, dropped, missing", [
+    ({}, ("camera",), "visual term"),
+    ({}, ("pixels",), "visual term"),
+    ({}, ("accel",), "acceleration term"),
+    ({"k_accel": 0.0}, ("accel",), "smoothness term"),
+    ({}, ("bones",), "bone term"),
+])
+def test_stream_refuses_missing_observations_at_the_first_push(rng, weights, dropped, missing):
+    # The stream refuses before it buffers a frame, as refine_batch does
+    # before it solves anything.
+    poses, obs = seq_problem(rng, t_n=30)
+    obs = replace(obs, **dict.fromkeys(dropped))
+    cfg = EnergyConfig(**weights)
+    r = StreamingRefiner(obs.fps, cfg, SolverSettings(), camera=obs.camera,
+                         sensor_joints=obs.sensor_joints, sensor_parents=obs.sensor_parents)
+    rows = {name: getattr(obs, name) for name in ("pixels", "accel", "bones")}
+    with pytest.raises(MissingObservationError, match=f"^{missing} requires "):
+        r.push(poses[0], **{name: None if a is None else a[0] for name, a in rows.items()})
+    with pytest.raises(MissingObservationError, match=f"^{missing} requires "):
+        refine_batch(poses, obs, cfg, SolverSettings())
 
 
 def test_stream_finish_then_push_rejected(rng):

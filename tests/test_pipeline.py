@@ -97,8 +97,9 @@ def test_rtof_with_one_weight_zeroed_beats_the_input_or_is_refused(default_noise
     energy = dataclasses.replace(EnergyConfig(), **{weight: 0.0})
     kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu, energy=energy)
     if weight == "k_bone":  # the chains' depth along their rays is then free
-        with pytest.raises(ConfigError, match=r"k_bone > 0 .*k_inertial 0\.1, k_accel 0\.5, "
-                                              r"k_smooth 0\.3"):
+        d = EnergyConfig()
+        weights = f"k_inertial {d.k_inertial:g}, k_accel {d.k_accel:g}, k_smooth {d.k_smooth:g}"
+        with pytest.raises(ConfigError, match=r"k_bone > 0 .*" + re.escape(weights)):
             apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, **kw)
         return
     out, _ = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, **kw)
@@ -522,6 +523,15 @@ def synth_small(tmp_path, capsys):
     return data_dir
 
 
+def test_cli_fps_report_prints_throughput_only_where_a_solver_runs(tmp_path, capsys):
+    data_dir = synth_small(tmp_path, capsys)
+    for mode, lines in (("rtof", 1), ("rto", 0)):
+        assert main(["run", "--config", str(data_dir / "run_config.json"),
+                     "--out", str(tmp_path / mode), "--mode", mode, "--fps-report"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("throughput: ") for line in out) == lines, out
+
+
 def run_sf2(data_dir, out_dir):
     return main(["run", "--config", str(data_dir / "run_config.json"), "--out", str(out_dir),
                  "--mode", "sf2"])
@@ -631,7 +641,8 @@ def test_cli_rtof_with_k_bone_0_exits_2(tmp_path, capsys):
         assert main(["run", "--config", str(data_dir / "run_config.json"),
                      "--out", str(tmp_path / mode)]) == code
     err = capsys.readouterr().err
-    assert "config error: mode rtof needs k_bone > 0" in err and "k_inertial 0.1" in err
+    assert ("config error: mode rtof needs k_bone > 0" in err
+            and f"k_inertial {EnergyConfig().k_inertial:g}" in err)
     assert not (tmp_path / "rtof").exists()
     config["mode"] = "sf2"
     (data_dir / "run_config.json").write_text(json.dumps(config))

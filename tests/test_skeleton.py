@@ -201,6 +201,16 @@ def test_refine_sequence_no_imu_is_fixpoint(rng):
     np.testing.assert_allclose(again, out, atol=1e-9)
 
 
+def test_refine_sequence_refuses_an_array_that_is_not_t_j_3():
+    skel = chain_skeleton(3)
+    for shape in ((3, 3), (2, 2, 3, 3)):
+        with pytest.raises(TopologyError, match=r"^pose sequence must be \(T, J, 3\), got "):
+            refine_sequence(skel, np.zeros(shape), None, 0.1)
+    for shape in ((2, 3, 2), (2, 4, 3)):
+        with pytest.raises(TopologyError, match="does not match 3-joint skeleton"):
+            refine_sequence(skel, np.zeros(shape), None, 0.1)
+
+
 def test_refine_sequence_per_frame_maps(rng):
     skel = chain_skeleton(3)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])

@@ -1,0 +1,164 @@
+"""Time two checkouts' vifuse against each other in one process, calls interleaved.
+
+    python3 tools/inprocess_ab.py --parent ../parent --change . --what stream --rounds 16 \
+        [--seed 0 --duration 60]
+
+Both checkouts' src/vifuse are imported into this one process, as the
+packages vifuse_parent and vifuse_change, through a temporary directory of
+symlinks. The parent's synth writes a capture of --duration seconds with
+--seed into a temporary directory, and each side prepares its call from
+those files with its own readers:
+
+- rto, rtof: run_pipeline on the capture's run_config.json in that mode,
+  then write_results: `vifuse run` without a new process;
+- batch, stream: refine_batch, or run_stream frame by frame, over what rtof
+  solves: sf2's output as the start, with the calibrated IMU streams.
+
+One untimed call per side checks that the two outputs are bitwise equal; if
+they are not, the largest absolute difference is printed and the tool exits
+1 after the timing. Then each of --rounds rounds times one call per side,
+parent first in even rounds and change first in odd ones (ABBA). The tool
+prints each side's minimum and quartiles, the median over rounds of the
+change's time over the parent's, and how many rounds each side won.
+
+Only interleaved calls in one process compare: the same code may run at
+0.8x-1.3x speed in phases that last seconds, which separate runs take as a
+difference between the checkouts. One compute thread is used, as perfbench
+pins it, when this runs as a script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+if __name__ == "__main__":  # before numpy loads
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS"):
+        os.environ[_name] = "1"
+
+import numpy as np
+
+WHATS = ("batch", "stream", "rto", "rtof")
+SIDES = ("parent", "change")
+
+
+def import_sides(parent: Path, change: Path, links: Path) -> dict:
+    """Each checkout's vifuse, imported as vifuse_<side> from symlinks in
+    `links`, with no bytecode caches written into the checkouts."""
+    sys.path.insert(0, str(links))
+    packages, cache = {}, sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        for side, checkout in zip(SIDES, (parent, change)):
+            (links / f"vifuse_{side}").symlink_to(checkout.resolve() / "src" / "vifuse")
+            packages[side] = importlib.import_module(f"vifuse_{side}")
+    finally:
+        sys.dont_write_bytecode = cache
+    return packages
+
+
+def rtof_problem(vf, config):
+    """The start and observations that rtof hands refine_batch."""
+    skel = vf.read_skeleton(config.skeleton)
+    calib, imu = vf.read_calibration(config.calibration), vf.read_imu(config.imu)
+    start, _ = vf.apply_mode("sf2", skel, vf.read_pose3d(config.pose3d), config.fps,
+                             calib=calib, imu=imu)
+    _, accel, bones = vf.calibrate_stream(calib, imu, skel)
+    joints = calib.joint_indices(skel, imu.sensor_ids)
+    seq = vf.SequenceObservations(
+        fps=config.fps, pixels=vf.read_pose2d(config.pose2d), camera=vf.read_camera(config.camera),
+        accel=accel, bones=bones, sensor_joints=joints,
+        sensor_parents=np.array(skel.parents)[joints])
+    return start, seq
+
+
+def prepare(vf, what: str, run_config: Path, out: Path):
+    """A call that runs `what` with the package `vf` and returns its output array."""
+    if what in ("rto", "rtof"):
+        def call():
+            result = vf.run_pipeline(vf.RunConfig.from_file(run_config, mode=what))
+            vf.write_results(result, out)
+            return result.output
+        return call
+    start, seq = rtof_problem(vf, vf.RunConfig.from_file(run_config))
+    cfg, settings = vf.EnergyConfig(), vf.SolverSettings()
+    if what == "batch":
+        return lambda: vf.refine_batch(start, seq, cfg, settings)[0]
+    return lambda: np.stack([row for _, row in vf.run_stream(start, seq, cfg, settings)])
+
+
+def largest_difference(a: np.ndarray, b: np.ndarray) -> str:
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return f"largest absolute difference {np.nanmax(np.abs(a - b), initial=0.0):.3g}"
+
+
+def time_rounds(calls: dict, rounds: int) -> dict[str, list[float]]:
+    """Seconds per call of each side over `rounds` ABBA-ordered rounds."""
+    times = {side: [] for side in SIDES}
+    for r in range(rounds):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            t0 = time.perf_counter()
+            calls[side]()
+            times[side].append(time.perf_counter() - t0)
+    return times
+
+
+def summary(times: dict[str, list[float]]) -> list[str]:
+    lines = []
+    for side in SIDES:
+        t = times[side]
+        q1, median, q3 = statistics.quantiles(t, n=4, method="inclusive") if len(t) > 1 else t * 3
+        lines.append(f"{side}: min {min(t):.4f} s  q1 {q1:.4f}  median {median:.4f}  q3 {q3:.4f}")
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    losses = sum(c > p for p, c in zip(times["parent"], times["change"]))
+    lines.append(f"change/parent: paired median ratio {statistics.median(ratios):.3f} over "
+                 f"{len(ratios)} rounds; change faster in {wins}, parent faster in {losses}")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--what", choices=WHATS, required=True)
+    p.add_argument("--rounds", type=int, required=True, help="timed rounds, one call per side each")
+    p.add_argument("--seed", type=int, default=0, help="capture seed (default 0)")
+    p.add_argument("--duration", type=float, default=60.0, help="capture seconds (default 60)")
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="inprocess-ab-") as work:
+        work = Path(work)
+        (work / "links").mkdir()
+        try:
+            packages = import_sides(args.parent, args.change, work / "links")
+            synth = packages["parent"]
+            config = synth.SynthConfig(seed=args.seed, duration=args.duration)
+            synth.write_dataset(synth.generate_dataset(config), work / "data")
+            calls = {side: prepare(vf, args.what, work / "data" / "run_config.json", work / side)
+                     for side, vf in packages.items()}
+            outputs = {side: call() for side, call in calls.items()}
+            same = outputs["parent"].tobytes() == outputs["change"].tobytes()
+            print("outputs: " + ("same" if same else "differ, "
+                                 + largest_difference(outputs["parent"], outputs["change"])))
+            print("\n".join(summary(time_rounds(calls, args.rounds))))
+        finally:
+            sys.path.remove(str(work / "links"))
+            for side in SIDES:
+                for name in [m for m in sys.modules if m.split(".")[0] == f"vifuse_{side}"]:
+                    del sys.modules[name]
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
