@@ -22,8 +22,10 @@ fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
 comparable magnitudes.
 
 One Observations type holds the streams, frame t at row t, and the rig.
-Building it checks the rig and the stream shapes; check() checks them
-against the positions where those enter. One kernel evaluates every term,
+Building it checks the rig and the stream shapes; where the streams enter
+the solve, check() checks them against the positions and require() that
+each active term has its observations, once, and no evaluation checks
+them again. One kernel evaluates every term,
 over a stack of windows that share a camera and a rig (a WindowStack). The
 stack gathers its windows' rows straight from the stream arrays, and builds
 whatever does not depend on the positions (the observed mask and the
@@ -117,7 +119,8 @@ class Observations:
     index, or None for no sensors.
 
     The streams are kept as float arrays without a copy: every evaluation
-    reads the caller's arrays. check() checks them against the positions.
+    reads the caller's arrays. check() checks them against the positions,
+    require() that the active terms have theirs.
     """
 
     pixels: np.ndarray | None = None
@@ -137,12 +140,14 @@ class Observations:
             raise ValueError(f"sensor {min(len(sj), len(sp))} has no "
                              f"{'parent' if len(sj) > len(sp) else 'joint'}: "
                              f"{len(sj)} sensor_joints, {len(sp)} sensor_parents")
-        # An index must be a whole number; casting would truncate 1.7 to 1.
+        # An index must be a whole number and not a bool; casting would
+        # truncate 1.7 to 1 and read True as 1.
         fractional = np.zeros(len(sj), bool)
         for a in (sj, sp):
             if a.dtype.kind not in "iu":
                 f = a.astype(float)
-                fractional |= ~(np.abs(f) < 2.0 ** 53) | (f != np.trunc(f))
+                fractional |= (a.dtype.kind == "b") | ~(np.abs(f) < 2.0 ** 53)
+                fractional |= f != np.trunc(f)
         if fractional.any():
             k = np.flatnonzero(fractional)[0]
             raise ValueError(f"sensor {k} is bound to joint {sj[k]} with parent {sp[k]}; "
@@ -170,10 +175,21 @@ class Observations:
         """Whether there are pixels and a camera to evaluate the visual term on."""
         return self.pixels is not None and self.camera is not None
 
-    def require(self, cfg: EnergyConfig) -> None:
-        """Raise MissingObservationError if a term `cfg` makes active lacks its
-        observations, as the first evaluation would."""
-        _require(_active_terms(cfg), self.visual, self.accel is not None, self.bones is not None)
+    def require(self, active: tuple[bool, bool, bool, bool], frames: int) -> None:
+        """Raise MissingObservationError for the first `active` term (visual,
+        accel, bone, smooth) that lacks its observations, and ValueError for
+        the smoothness term on windows of fewer than 4 `frames`."""
+        visual, accel, bone, smooth = active
+        if visual and not self.visual:
+            raise MissingObservationError("visual term requires 2D observations and a camera")
+        if accel and self.accel is None:
+            raise MissingObservationError("acceleration term requires calibrated IMU accelerations")
+        if bone and self.bones is None:
+            raise MissingObservationError("bone term requires sensor-predicted bone vectors")
+        if smooth and self.accel is None:
+            raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
+        if smooth and frames < 4:
+            raise ValueError(f"smoothness term needs at least 4 frames, got {frames}")
 
     def check(self, shape: tuple[int, ...]) -> None:
         """Check that every stream covers the T frames of positions of `shape`
@@ -255,9 +271,16 @@ class EnergyConfig:
                 raise ValueError(f"scales.{name} must be a finite positive number, got {value!r}")
 
     @property
+    def active_terms(self) -> tuple[bool, bool, bool, bool]:
+        """Whether each term (visual, accel, bone, smooth) carries weight."""
+        inertial = self.k_inertial > 0.0
+        return (self.k_visual > 0.0, inertial and self.k_accel > 0.0,
+                inertial and self.k_bone > 0.0, inertial and self.k_smooth > 0.0)
+
+    @property
     def inertial_active(self) -> bool:
         """Whether any inertial term carries weight."""
-        return any(_active_terms(self)[1:])
+        return any(self.active_terms[1:])
 
     def with_scales(self, frag: Fragment, obs: Observations) -> "EnergyConfig":
         return replace(self, scales=term_scales(frag, obs, self))
@@ -373,19 +396,6 @@ def _rig_layout(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...],
     return RigLayout(gather, scatter, chain_joints, chains)
 
 
-def _require(active: tuple[bool, bool, bool, bool], visual: bool, accel: bool, bones: bool) -> None:
-    """Raise MissingObservationError for the first `active` term whose
-    observations are missing: pixels and a camera, accelerations, bone vectors."""
-    if active[0] and not visual:
-        raise MissingObservationError("visual term requires 2D observations and a camera")
-    if active[1] and not accel:
-        raise MissingObservationError("acceleration term requires calibrated IMU accelerations")
-    if active[2] and not bones:
-        raise MissingObservationError("bone term requires sensor-predicted bone vectors")
-    if active[3] and not accel:
-        raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
-
-
 class WindowStack:
     """Everything the terms need that does not depend on the positions, for a
     stack of W windows of N frames that share a camera, a rig and the
@@ -393,11 +403,12 @@ class WindowStack:
 
     It gathers the (W, N) frame `rows` of every stream of the Observations
     `source`, for positions of `shape` (T, J, 3) that the same rows index;
-    source.check(shape) must hold. `require` names a term whose observations
-    are missing. Positions enter as (W, N, J, 3) and the gradient leaves in
-    that shape; inside, the visual term works on (W, 3, N*J) rows u, v, w so
-    that each operation runs over one long axis. Every matrix product runs once per window, so
-    a window's values and gradient are bitwise the same in any stack.
+    source.check(shape) must hold, and source.require for the terms it is
+    evaluated on: it checks neither. Positions enter as (W, N, J, 3) and the
+    gradient leaves in that shape; inside, the visual term works on
+    (W, 3, N*J) rows u, v, w so that each operation runs over one long axis.
+    Every matrix product runs once per window, so a window's values and
+    gradient are bitwise the same in any stack.
     """
 
     def __init__(self, source: Observations, rows: np.ndarray, shape: tuple[int, ...], fps: float):
@@ -406,8 +417,6 @@ class WindowStack:
         self.camera = source.camera
         self.rig = _rig_layout(tuple(source.sensor_joints.tolist()),
                                tuple(source.sensor_parents.tolist()), j)
-        self.has_accel = source.accel is not None
-        self.has_bones = source.bones is not None
         self.cols = 3 * len(source.sensor_joints)
         self.pixels = None
         if source.visual:
@@ -418,27 +427,24 @@ class WindowStack:
             px = self.pixels.reshape(w, n * j, 2).swapaxes(1, 2)
             self.observed = np.isfinite(px).all(axis=1)
             self.target = np.where(self.observed[:, None], px, 0.0)
-        if self.has_accel:
+        if source.accel is not None:
             self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
             a = source.accel[rows].reshape(w, n, self.cols)
             self.accel_target = a[:, 1:-1]
             self.smooth_target = (a[:, 2:-1] - a[:, 1:-2]) * fps
-        if self.has_bones:
+        if source.bones is not None:
             self.bone_target = source.bones[rows].reshape(w, n, self.cols)
 
     @classmethod
-    def of_window(cls, frag: Fragment, obs: Observations) -> "WindowStack":
-        """The stack of one window, after checking `obs` against it."""
+    def of_window(cls, frag: Fragment, obs: Observations,
+                  active: tuple[bool, bool, bool, bool]) -> "WindowStack":
+        """The stack of one window, after checking `obs` against it and
+        requiring the observations of the `active` terms."""
         obs.check(frag.positions.shape)
+        obs.require(active, frag.frame_count)
         return cls(obs, np.arange(frag.frame_count)[None], frag.positions.shape, frag.fps)
 
-    def require(self, active: tuple[bool, bool, bool, bool]) -> None:
-        _require(active, self.pixels is not None, self.has_accel, self.has_bones)
-        if active[3] and self.key[0] < 4:
-            raise ValueError(f"smoothness term needs at least 4 frames, got {self.key[0]}")
-
     def residuals(self, x: np.ndarray, active: tuple[bool, bool, bool, bool]) -> _Residuals:
-        self.require(active)
         visual, accel, bone, smooth = active
         rv = rows = None
         behind = np.zeros(len(x), int)
@@ -534,7 +540,7 @@ class WindowStack:
 
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     active = tuple(i == index for i in range(4))
-    win = WindowStack.of_window(frag, obs)
+    win = WindowStack.of_window(frag, obs, active)
     res = win.residuals(frag.positions[None], active)
     grad = win.gradient(res, np.array([active], dtype=float))
     return TermValue(float(res.values()[0, index]), grad[0], int(res.behind_camera[0]))
@@ -613,12 +619,6 @@ def _term_weights(cfg: EnergyConfig) -> tuple[float, float, float, float]:
     return (cfg.k_visual, ki * cfg.k_accel, ki * cfg.k_bone, ki * cfg.k_smooth)
 
 
-def _active_terms(cfg: EnergyConfig) -> tuple[bool, bool, bool, bool]:
-    inertial = cfg.k_inertial > 0.0
-    return (cfg.k_visual > 0.0, inertial and cfg.k_accel > 0.0,
-            inertial and cfg.k_bone > 0.0, inertial and cfg.k_smooth > 0.0)
-
-
 def _scales(values: np.ndarray, active) -> np.ndarray:
     """(W, 4) scales: each active term's value clamped below at SCALE_FLOOR, else 1."""
     return np.where(active, np.maximum(values, SCALE_FLOOR), 1.0)
@@ -627,8 +627,8 @@ def _scales(values: np.ndarray, active) -> np.ndarray:
 def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermScales:
     """Normalization denominators: each active term's value at `frag`, clamped
     below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
-    active = _active_terms(cfg)
-    res = WindowStack.of_window(frag, obs).residuals(frag.positions[None], active)
+    active = cfg.active_terms
+    res = WindowStack.of_window(frag, obs, active).residuals(frag.positions[None], active)
     return TermScales(*_scales(res.values(), active)[0].tolist())
 
 
@@ -653,7 +653,7 @@ def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
     (W, 4) `scales`, or by its term values at x when `scales` is None;
     cfg.scales is not read. A window's total is k * value / scale summed over
     its active terms in term order. Without `gradient`, grad is None."""
-    active = _active_terms(cfg)
+    active = cfg.active_terms
     res = stack.residuals(x, active)
     values = res.values()
     scales = _scales(values, active) if scales is None else np.asarray(scales, dtype=float)
@@ -673,7 +673,7 @@ def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermVa
     k_visual + k_inertial * (k_accel + k_bone + k_smooth) = 1.0 whenever every
     active term is nonzero there. The returned `scales` are the ones used.
     """
-    tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs), cfg,
-                      None if cfg.scales is None else [cfg.scales])
+    tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs, cfg.active_terms),
+                      cfg, None if cfg.scales is None else [cfg.scales])
     return TermValue(float(tv.value[0]), tv.grad[0], int(tv.behind_camera[0]),
                      TermScales(*tv.scales[0].tolist()))

@@ -59,9 +59,13 @@ class _Reader:
     def __init__(self, path):
         self.path = Path(path)
         try:
-            text = self.path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as e:
+            data = self.path.read_bytes()
+            text = data.decode("utf-8")
+        except OSError as e:
             raise FormatError(path, None, str(e)) from None
+        except UnicodeDecodeError as e:  # the bytes before e.start decode
+            line_no = len((data[:e.start].decode("utf-8") + "x").splitlines())
+            raise FormatError(path, line_no, str(e)) from None
         self.lines = text.splitlines()
         self.pos = 0
 
@@ -569,8 +573,6 @@ def read_skeleton(path) -> SkeletonDefinition:
 # -- calibration -------------------------------------------------------------
 
 def write_calibration(path, calib: CalibrationSet) -> None:
-    if not np.isfinite(calib.gravity).all():
-        raise ValueError("gravity must be finite")
     for cal in calib.sensors:
         for token in (cal.sensor_id, cal.joint):
             if " " in token or token.splitlines() != [token]:  # empty, or holding a line break

@@ -46,6 +46,8 @@ class CalibrationSet:
         g = np.asarray(self.gravity, dtype=float)
         if g.shape != (3,):
             raise ValueError(f"gravity must be a 3-vector, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError(f"gravity must be finite, got {g.tolist()}")
         g.setflags(write=False)
         object.__setattr__(self, "gravity", g)
         ids = [s.sensor_id for s in self.sensors]

@@ -13,10 +13,10 @@ bones, which take Gauss-Newton steps on one damped normal matrix per window,
 built from the term weights and visual rows that stack_energy returns.
 
 The streams are an energy.Observations (SequenceObservations adds the frame
-rate), checked against the poses once where those enter: in refine_batch,
-StreamingRefiner's first push and minimize_fragment. The first push also
-raises, as refine_batch's first evaluation does, the MissingObservationError
-of an active term that lacks its observations.
+rate), checked once where they enter, before any work: in refine_batch,
+StreamingRefiner's first push and minimize_fragment, each checks them
+against the poses and raises the MissingObservationError of an active term
+that lacks its observations. Past that point nothing checks them again.
 
 The solve runs over a stack of windows: one energy pass, one factorization
 and one step call serve them all, while each window keeps its own scales,
@@ -305,19 +305,13 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), -1).sum(axis=1)
 
 
-def _projects(cfg: EnergyConfig, obs: Observations) -> bool:
-    """Whether the solve moves every joint to its ray projection first: the
-    visual term is active and `obs` has pixels and a camera."""
-    return cfg.k_visual > 0.0 and obs.visual
-
-
 def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  starts: Sequence[int], cfg: EnergyConfig,
                  settings: SolverSettings) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
     `start` (W, N, J, 3); `projected` holds their visual_minimum, or their
-    positions again when _projects is false. `starts` are the windows' first
-    frame indices.
+    positions again when the visual term is inactive. `starts` are the
+    windows' first frame indices.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
@@ -379,9 +373,9 @@ def minimize_fragment(
     the best point evaluated, so never above the initial one. This is the
     solve of a stack of one window.
     """
-    stack = WindowStack.of_window(frag, obs)
+    stack = WindowStack.of_window(frag, obs, cfg.active_terms)
     start = np.array([frag.positions])
-    projected = visual_minimum(start, stack.pixels, stack.camera) if _projects(cfg, obs) else start
+    projected = visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0 else start
     return _solve_stack(start, projected, stack, [frag.start], cfg, settings)[0]
 
 
@@ -390,10 +384,10 @@ def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray
                    cfg: EnergyConfig, settings: SolverSettings) -> list[FragmentResult]:
     """Gather the rows of `windows` into one WindowStack and solve them.
 
-    `poses`, their visual_minimum `projected` (`poses` itself when _projects
-    is false) and `seq_obs` hold either the whole sequence or a ring of its
-    last len(poses) frames, frame t at row t % len(poses); the ring must be
-    at least one window long.
+    `poses`, their visual_minimum `projected` (`poses` itself when the
+    visual term is inactive) and `seq_obs` hold either the whole sequence or
+    a ring of its last len(poses) frames, frame t at row t % len(poses); the
+    ring must be at least one window long.
     """
     rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
     stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
@@ -454,9 +448,10 @@ def refine_batch(
         raise ValueError(f"poses must have shape (T, J, 3), got {poses.shape}")
     seq_obs.check(poses.shape)
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
+    seq_obs.require(cfg.active_terms, cfg.fragment_len)
     t0 = time.perf_counter()
     projected = poses
-    if _projects(cfg, seq_obs):
+    if cfg.k_visual > 0.0:
         projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
     results = []
@@ -502,7 +497,7 @@ class StreamingRefiner:
         self._obs = SequenceObservations(
             fps=fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
-        self._projected: np.ndarray | None = None  # visual_minimum rows, or _pos if not _projects
+        self._projected: np.ndarray | None = None  # visual_minimum rows, or _pos without k_visual
         self._frames = 0
         self._prev: np.ndarray | None = None  # positions of the last solved window
         self._next_window = 0
@@ -555,9 +550,8 @@ class StreamingRefiner:
                                  for r in rows]
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
             self._obs.check(self._pos.shape)
-            self._obs.require(self._cfg)
-            projects = _projects(self._cfg, self._obs)
-            self._projected = np.empty_like(self._pos) if projects else self._pos
+            self._obs.require(self._cfg.active_terms, self._len)
+            self._projected = np.empty_like(self._pos) if self._cfg.k_visual > 0.0 else self._pos
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)
         for name, ring, row in zip(_ROWS, rings, rows):
             if (ring is None) != (row is None):

@@ -452,7 +452,7 @@ def test_stream_shapes_are_checked_where_the_observations_are_built():
 
 @pytest.mark.parametrize("joints, parents, sensor", [
     ([1.7], [0.2], 0), ([1, 2.5], [0, 1], 1), ([1, 2], [0, 0.5], 1), ([np.nan], [0], 0),
-    ([1e300], [0], 0)])
+    ([1e300], [0], 0), ([True], [False], 0)])
 def test_non_integer_sensor_indices_are_refused(joints, parents, sensor):
     with pytest.raises(ValueError, match=f"sensor {sensor} is bound to joint .*whole numbers"):
         Observations(sensor_joints=joints, sensor_parents=parents)
@@ -536,7 +536,7 @@ def test_stack_energy_matches_each_window_alone(rng):
         assert (got.value[i], got.behind_camera[i], tuple(got.scales[i])) == (
             alone.value, alone.behind_camera, alone.scales)
         assert got.grad[i].tobytes() == alone.grad.tobytes()
-        win = energy.WindowStack.of_window(frag, obs)
+        win = energy.WindowStack.of_window(frag, obs, cfg.active_terms)
         parts = win.normal_parts(energy.stack_energy(frag.positions[None], win, cfg).rows,
                                  got.weights[i:i + 1])
         assert visual[i].tobytes() == parts[0][0].tobytes()

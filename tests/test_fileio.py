@@ -196,7 +196,21 @@ def test_read_imu_refuses_a_sensor_id_that_is_not_utf8(tmp_path):
     p.write_bytes(b"imu 1\n0 s\xff 1 0 0 0 0 0 0\n")
     with pytest.raises(FormatError, match="utf-8") as e:
         read_imu(p)
-    assert e.value.path == str(p) and e.value.line_no is None
+    assert e.value.path == str(p) and e.value.line_no == 2
+
+
+@pytest.mark.parametrize("read, data, line_no", [
+    (read_pose3d, b"pose3d 1\n0 1 2 3\n1 4 5 6\xb3\n", 3),
+    (read_pose3d, b"pose3d 1\r\n0 1 2 3\r1 4 5 6\xb3\n", 3),  # lines end as str.splitlines ends them
+    (read_skeleton, b"skeleton 1\njoints 2\njoint 0 root -1 0 0 0\njoint 1 t\xe9te 0 0 1 0\n", 4),
+], ids=["pose3d", "pose3d carriage returns", "skeleton"])
+def test_a_byte_that_is_not_utf8_is_named_at_its_line(tmp_path, read, data, line_no):
+    p = tmp_path / "file.txt"
+    p.write_bytes(data)
+    with pytest.raises(FormatError) as e:
+        read(p)
+    assert e.value.line_no == line_no
+    assert str(e.value).startswith(f"{p}:{line_no}: 'utf-8' codec can't decode byte ")
 
 
 def test_read_imu_refuses_a_file_with_no_frames(tmp_path):

@@ -100,6 +100,13 @@ def test_calibration_set_validation(rng):
         CalibrationSet((a,), gravity=[0.0, -9810.0])
 
 
+@pytest.mark.parametrize("gravity", [(0.0, np.nan, 0.0), (0.0, -np.inf, 0.0)])
+def test_calibration_set_refuses_a_non_finite_gravity(rng, gravity):
+    # A NaN component would make every calibrated acceleration NaN.
+    with pytest.raises(ValueError, match=r"^gravity must be finite, got \[0\.0, (nan|-inf), 0\.0\]$"):
+        CalibrationSet((make_cal(rng),), gravity=gravity)
+
+
 def test_joint_indices_and_lookup(rng):
     skel = chain_skeleton(4)
     cs = CalibrationSet(

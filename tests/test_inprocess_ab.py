@@ -28,21 +28,27 @@ def test_the_repo_against_itself_gives_the_same_outputs(inprocess_ab, capsys, wh
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "outputs: same"
     assert [line.split(":")[0] for line in out[1:]] == ["parent", "change", "change/parent"]
-    assert re.fullmatch(r"change/parent: paired median ratio \d+\.\d{3} over 2 rounds; "
-                        r"change faster in \d, parent faster in \d", out[3]), out[3]
+    assert re.fullmatch(r"change/parent: paired ratio q1 \d+\.\d{3}  median \d+\.\d{3}  "
+                        r"q3 \d+\.\d{3} over 2 rounds; change faster in \d, parent faster in \d",
+                        out[3]), out[3]
     # Neither package, nor the directory it came from, is left behind.
     assert sys.path == path
     assert not any(name.startswith("vifuse_") for name in sys.modules)
 
 
 def test_the_summary_gives_quartiles_the_paired_ratio_and_the_wins(inprocess_ab):
+    # The paired ratios are 0.5, 1.0, 2.0, 0.5 and 1.1.
     times = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0], "change": [0.5, 2.0, 6.0, 2.0, 5.5]}
     assert inprocess_ab.summary(times) == [
         "parent: min 1.0000 s  q1 2.0000  median 3.0000  q3 4.0000",
         "change: min 0.5000 s  q1 2.0000  median 2.0000  q3 5.5000",
-        "change/parent: paired median ratio 1.000 over 5 rounds; change faster in 2, "
-        "parent faster in 2",
+        "change/parent: paired ratio q1 0.500  median 1.000  q3 1.100 over 5 rounds; "
+        "change faster in 2, parent faster in 2",
     ]
+    one = {"parent": [2.0], "change": [1.0]}
+    assert inprocess_ab.summary(one)[2] == (
+        "change/parent: paired ratio q1 0.500  median 0.500  q3 0.500 over 1 rounds; "
+        "change faster in 1, parent faster in 0")
 
 
 def test_rounds_alternate_which_side_goes_first(inprocess_ab):

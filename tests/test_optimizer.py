@@ -805,8 +805,8 @@ def test_stream_rejects_a_bad_positions_row_at_frame_0(rng):
     ({}, ("bones",), "bone term"),
 ])
 def test_stream_refuses_missing_observations_at_the_first_push(rng, weights, dropped, missing):
-    # The stream refuses before it buffers a frame, as refine_batch does
-    # before it solves anything.
+    # The stream refuses before it buffers a frame, as refine_batch and the
+    # one-window entries do before they project or solve anything.
     poses, obs = seq_problem(rng, t_n=30)
     obs = replace(obs, **dict.fromkeys(dropped))
     cfg = EnergyConfig(**weights)
@@ -817,6 +817,26 @@ def test_stream_refuses_missing_observations_at_the_first_push(rng, weights, dro
         r.push(poses[0], **{name: None if a is None else a[0] for name, a in rows.items()})
     with pytest.raises(MissingObservationError, match=f"^{missing} requires "):
         refine_batch(poses, obs, cfg, SolverSettings())
+    window = Fragment(poses, obs.fps)
+    with pytest.raises(MissingObservationError, match=f"^{missing} requires "):
+        minimize_fragment(window, obs, cfg, SolverSettings())
+    with pytest.raises(MissingObservationError, match=f"^{missing} requires "):
+        total_energy(window, obs, cfg)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda poses, obs, cfg: refine_batch(poses, obs, cfg, SolverSettings()),
+    lambda poses, obs, cfg: minimize_fragment(Fragment(poses, obs.fps), obs, cfg, SolverSettings()),
+], ids=["refine_batch", "minimize_fragment"])
+def test_missing_observations_are_refused_before_anything_is_projected(rng, monkeypatch, solve):
+    poses, obs = seq_problem(rng, t_n=30)
+
+    def fail(*args):
+        raise AssertionError("projected before the observations were checked")
+
+    monkeypatch.setattr(optimizer, "visual_minimum", fail)
+    with pytest.raises(MissingObservationError, match="^acceleration term requires "):
+        solve(poses, replace(obs, accel=None), EnergyConfig())
 
 
 def test_stream_finish_then_push_rejected(rng):

@@ -18,8 +18,9 @@ One untimed call per side checks that the two outputs are bitwise equal; if
 they are not, the largest absolute difference is printed and the tool exits
 1 after the timing. Then each of --rounds rounds times one call per side,
 parent first in even rounds and change first in odd ones (ABBA). The tool
-prints each side's minimum and quartiles, the median over rounds of the
-change's time over the parent's, and how many rounds each side won.
+prints each side's minimum and quartiles, the quartiles over rounds of the
+change's time over the parent's, whose spread tells a change from noise,
+and how many rounds each side won.
 
 Only interleaved calls in one process compare: the same code may run at
 0.8x-1.3x speed in phases that last seconds, which separate runs take as a
@@ -112,17 +113,22 @@ def time_rounds(calls: dict, rounds: int) -> dict[str, list[float]]:
     return times
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3 of `values`, each the one value when there is one."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def summary(times: dict[str, list[float]]) -> list[str]:
     lines = []
     for side in SIDES:
         t = times[side]
-        q1, median, q3 = statistics.quantiles(t, n=4, method="inclusive") if len(t) > 1 else t * 3
+        q1, median, q3 = quartiles(t)
         lines.append(f"{side}: min {min(t):.4f} s  q1 {q1:.4f}  median {median:.4f}  q3 {q3:.4f}")
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])])
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     losses = sum(c > p for p, c in zip(times["parent"], times["change"]))
-    lines.append(f"change/parent: paired median ratio {statistics.median(ratios):.3f} over "
-                 f"{len(ratios)} rounds; change faster in {wins}, parent faster in {losses}")
+    lines.append(f"change/parent: paired ratio q1 {q1:.3f}  median {median:.3f}  q3 {q3:.3f} over "
+                 f"{len(times['parent'])} rounds; change faster in {wins}, parent faster in {losses}")
     return lines
 
 
