@@ -131,8 +131,8 @@ class Observations:
     sensor_parents: np.ndarray | None = None
 
     def __post_init__(self):
-        sj, sp = (np.asarray([] if a is None else a)
-                  for a in (self.sensor_joints, self.sensor_parents))
+        given = [[] if a is None else a for a in (self.sensor_joints, self.sensor_parents)]
+        sj, sp = map(np.asarray, given)
         if sj.ndim != 1 or sp.ndim != 1:
             raise ValueError("sensor_joints and sensor_parents must hold one index per sensor, "
                              f"got shapes {sj.shape} and {sp.shape}")
@@ -141,17 +141,19 @@ class Observations:
                              f"{'parent' if len(sj) > len(sp) else 'joint'}: "
                              f"{len(sj)} sensor_joints, {len(sp)} sensor_parents")
         # An index must be a whole number and not a bool; casting would
-        # truncate 1.7 to 1 and read True as 1.
-        fractional = np.zeros(len(sj), bool)
+        # truncate 1.7 to 1 and read True as 1. Bools are looked for among
+        # the elements given, as np.asarray reads [2, True] as [2, 1].
+        items = [g.tolist() if isinstance(g, np.ndarray) else list(g) for g in given]
+        fractional = np.array([[isinstance(v, (bool, np.bool_)) for v in side] for side in items],
+                              bool).reshape(2, -1).any(axis=0)
         for a in (sj, sp):
             if a.dtype.kind not in "iu":
                 f = a.astype(float)
-                fractional |= (a.dtype.kind == "b") | ~(np.abs(f) < 2.0 ** 53)
-                fractional |= f != np.trunc(f)
+                fractional |= ~(np.abs(f) < 2.0 ** 53) | (f != np.trunc(f))
         if fractional.any():
             k = np.flatnonzero(fractional)[0]
-            raise ValueError(f"sensor {k} is bound to joint {sj[k]} with parent {sp[k]}; "
-                             "joint indices must be whole numbers")
+            raise ValueError(f"sensor {k} is bound to joint {items[0][k]} with parent "
+                             f"{items[1][k]}; joint indices must be whole numbers")
         sj, sp = sj.astype(int), sp.astype(int)
         negative = np.flatnonzero((sj < 0) | (sp < 0))
         if negative.size:

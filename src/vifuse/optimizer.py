@@ -29,14 +29,17 @@ and solves it. refine_batch calls it once per group of about _STACK_FRAMES
 frames, which shares numpy's per-call cost among the windows;
 StreamingRefiner calls it for the windows that are ready, one per push that
 completes a window and the trailing ones together in finish().
-minimize_fragment solves a stack of one. Every matrix product and inverse
-runs once per window or chain, so a window's result is bitwise the same in
-any stack. Nothing is built twice that the solve does not change: each
-frame is projected onto its ray once, for both windows it lies in, and the
-chains, with their slots among the chain joints, come from the stack's one
-rig layout (energy.RigLayout), built once per rig. A stack evaluates its
-start for the scales, then its projection (the start without the visual
-term) for the first step, then each trial point.
+minimize_fragment solves a stack of one. A refine_batch call, a
+StreamingRefiner and a minimize_fragment call each factor all their stacks
+in one _ChainSolver, which keeps the factorization's block storage from
+stack to stack instead of mapping it afresh for each. Every matrix product
+and inverse runs once per window or chain, so a window's result is bitwise
+the same in any stack. Nothing is built twice that the solve does not
+change: each frame is projected onto its ray once, for both windows it lies
+in, and the chains, with their slots among the chain joints, come from the
+stack's one rig layout (energy.RigLayout), built once per rig. A stack
+evaluates its start for the scales, then its projection (the start without
+the visual term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
@@ -62,13 +65,16 @@ _DAMPING = 1e-9
 _EYE3 = np.eye(3)
 
 # refine_batch solves consecutive windows as one stack of about this many
-# frames (6 windows at the default N = 50), which shares a cost of about 2 ms
-# per stack, numpy's per-call cost on the small arrays, among them. Of stacks
-# of 3, 4, 5, 6 and 8 windows, 6 ran the rtof benchmark fastest; 8 ran slower
-# than 5. The solve's memory grows with the stack and sets an rtof run's
-# peak: about 7 MB traced on the default 60 s dataset, against 4.7 MB at 3
-# windows, and 17 MB on a 13-sensor rig.
-_STACK_FRAMES = 300
+# frames (8 windows at the default N = 50), which shares a cost of about 2 ms
+# per stack, numpy's per-call cost on the small arrays, among them. Larger
+# stacks paid only once _ChainSolver kept its storage across stacks: against
+# 300 frames without it, the rtof benchmark ran 300, 350, 400 and 450 frames
+# with it 4.3%, 1.8%, 7.5% and 8.1% faster (4 pairs each), and its peak RSS
+# rose 1.9%, 2.4%, 4.7% and 6.3%: 400 is the fastest that stays within about
+# 5%. The solve's memory grows with the stack and sets an rtof run's peak:
+# about 9.3 MB traced on the default 60 s dataset and 25 MB on a 13-sensor
+# rig, against 7.6 and 17 MB at 300 frames.
+_STACK_FRAMES = 400
 
 
 @dataclass(frozen=True)
@@ -171,21 +177,49 @@ def _inv3(a: np.ndarray) -> np.ndarray:
 
 class _ChainSolver:
     """Gauss-Newton steps for every chain of a stack of windows from one
-    factorization of each window's damped normal matrix at the point that
-    stack_energy evaluated to `tv`, built from its visual rows and term weights.
+    factorization of each window's damped normal matrix, which factor()
+    builds at the point that stack_energy evaluated to `tv`, from its visual
+    rows and term weights.
 
     The chains of all windows are factored as one stack: the chain axis runs
     over window x chain, and every matrix product and inverse runs once per
     chain, so a window's steps are bitwise the same in any stack.
+
+    One solver serves every stack of a refine_batch call, a StreamingRefiner
+    or a minimize_fragment call. It owns each chain group's pivots and
+    multipliers, sized by the largest stack so far, and factor() zeroes and
+    refills them in place; a smaller stack works on a contiguous leading
+    part, so its bytes do not change. Fresh arrays per stack, about 1 MB
+    each at six windows, sat at glibc's mmap threshold and were faulted in
+    again for every stack: about 9,000 minor faults per refine_batch call on
+    the default 60 s capture, against 1,000-1,800 with the storage kept.
     """
 
-    def __init__(self, stack: WindowStack, tv: StackValue):
+    def __init__(self):
+        self._blocks: dict[int, np.ndarray] = {}  # flat block storage by chain group
+
+    def factor(self, stack: WindowStack, tv: StackValue) -> None:
+        """Factor every window of `stack` at the point stack_energy evaluated
+        to `tv`, in place of the last stack's factors."""
         visual, temporal, bone = stack.normal_parts(tv.rows, tv.weights)
         self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
         visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(ch, visual, temporal)) for ch in stack.rig.chains]
+        self._factors = [(ch, *self._factor(group, ch, visual, temporal))
+                         for group, ch in enumerate(stack.rig.chains)]
 
-    def _factor(self, ch: Chains, visual: np.ndarray, temporal: np.ndarray):
+    def _zeroed_blocks(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Chain group `group`'s block storage as a zeroed contiguous array of
+        `shape`: the leading part of one flat buffer, which grows only when a
+        stack needs more than any stack before it."""
+        size = math.prod(shape)
+        flat = self._blocks.get(group)
+        if flat is None or flat.size < size:
+            flat = self._blocks[group] = np.empty(size)
+        blocks = flat[:size].reshape(shape)
+        blocks.fill(0.0)
+        return blocks
+
+    def _factor(self, group: int, ch: Chains, visual: np.ndarray, temporal: np.ndarray):
         """Eliminate the parent-only joints, then factor what is left.
 
         Arrays run over frames first, then over the windows and the stacked
@@ -219,16 +253,15 @@ class _ChainSolver:
         t[:, :n, :n] = temporal
         t = t.reshape(w, nb, 3, nb, 3)
 
-        def coupling(lag: int) -> np.ndarray:
-            """Block b + lag against block b: (nb - lag, W*C, 3 size, 3 size)."""
-            out = np.zeros((nb - lag, w * c, 3 * size, 3 * size))
+        # The pivots, block b against block b, then the couplings, block b + 1
+        # against block b: (nb, W*C, 3 size, 3 size) and (nb - 1, ...).
+        blocks = self._zeroed_blocks(group, (2 * nb - 1, w * c, 3 * size, 3 * size))
+        diag, sub = blocks[:nb], blocks[nb:]
+        for lag, out in enumerate((diag, sub)):
             # (block, window, chain, frame, frame, coordinate): writes go through to `out`
             diagonals = np.einsum("bwcfigi->bwcfgi", out.reshape(nb - lag, w, c, 3, size, 3, size))
             diagonals[...] = (np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
                               * ch.sensors[:, None, None])
-            return out
-
-        diag, sub = coupling(0), coupling(1)
         # From here one axis runs over every chain of every window.
         c *= w
         frames = np.empty((3 * nb, c, size, size))
@@ -306,12 +339,13 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
-                 starts: Sequence[int], cfg: EnergyConfig,
-                 settings: SolverSettings) -> list[FragmentResult]:
+                 starts: Sequence[int], cfg: EnergyConfig, settings: SolverSettings,
+                 solver: _ChainSolver) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
     `start` (W, N, J, 3); `projected` holds their visual_minimum, or their
     positions again when the visual term is inactive. `starts` are the
-    windows' first frame indices.
+    windows' first frame indices. `solver` factors the stack in place of the
+    stack it factored before.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
@@ -325,7 +359,7 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     first = stack_energy(start, stack, cfg, gradient=False)
     x, tv = projected, stack_energy(projected, stack, cfg, first.scales)
     behind = np.maximum(first.behind_camera, tv.behind_camera)
-    solver = _ChainSolver(stack, tv)
+    solver.factor(stack, tv)
     values, grad = tv.value, tv.grad
     iterations = np.zeros(len(x), int)
     converged = np.zeros(len(x), bool)
@@ -376,13 +410,14 @@ def minimize_fragment(
     stack = WindowStack.of_window(frag, obs, cfg.active_terms)
     start = np.array([frag.positions])
     projected = visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0 else start
-    return _solve_stack(start, projected, stack, [frag.start], cfg, settings)[0]
+    return _solve_stack(start, projected, stack, [frag.start], cfg, settings, _ChainSolver())[0]
 
 
 def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray,
                    projected: np.ndarray, seq_obs: SequenceObservations,
-                   cfg: EnergyConfig, settings: SolverSettings) -> list[FragmentResult]:
-    """Gather the rows of `windows` into one WindowStack and solve them.
+                   cfg: EnergyConfig, settings: SolverSettings,
+                   solver: _ChainSolver) -> list[FragmentResult]:
+    """Gather the rows of `windows` into one WindowStack and solve them with `solver`.
 
     `poses`, their visual_minimum `projected` (`poses` itself when the
     visual term is inactive) and `seq_obs` hold either the whole sequence or
@@ -392,7 +427,7 @@ def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray
     rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
     stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
     return _solve_stack(poses[rows], projected[rows], stack,
-                        [schedule.window_start(k) for k in windows], cfg, settings)
+                        [schedule.window_start(k) for k in windows], cfg, settings, solver)
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -454,10 +489,11 @@ def refine_batch(
     if cfg.k_visual > 0.0:
         projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
-    results = []
+    solver, results = _ChainSolver(), []
     for first in range(0, schedule.window_count, per_stack):
         windows = range(first, min(first + per_stack, schedule.window_count))
-        results += _solve_windows(schedule, windows, poses, projected, seq_obs, cfg, settings)
+        results += _solve_windows(schedule, windows, poses, projected, seq_obs, cfg, settings,
+                                  solver)
     elapsed = time.perf_counter() - t0
     merged = merge_fragments(schedule, [r.fragment for r in results])
     return merged, RefineStats.collect(results, poses.shape[0], elapsed)
@@ -492,6 +528,7 @@ class StreamingRefiner:
     ):
         self._cfg = cfg
         self._settings = settings
+        self._solver = _ChainSolver()
         self._len = cfg.fragment_len
         # Observation rings; their arrays are allocated on the first push.
         self._obs = SequenceObservations(
@@ -516,7 +553,8 @@ class StreamingRefiner:
         self._next_window = stop
         out = []
         for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._projected,
-                                                  self._obs, self._cfg, self._settings)):
+                                                  self._obs, self._cfg, self._settings,
+                                                  self._solver)):
             cur = res.fragment.positions
             if k > 0:
                 start = schedule.window_start(k)

@@ -452,7 +452,7 @@ def test_stream_shapes_are_checked_where_the_observations_are_built():
 
 @pytest.mark.parametrize("joints, parents, sensor", [
     ([1.7], [0.2], 0), ([1, 2.5], [0, 1], 1), ([1, 2], [0, 0.5], 1), ([np.nan], [0], 0),
-    ([1e300], [0], 0), ([True], [False], 0)])
+    ([1e300], [0], 0), ([True], [False], 0), ([2, True], [1, 0], 1)])
 def test_non_integer_sensor_indices_are_refused(joints, parents, sensor):
     with pytest.raises(ValueError, match=f"sensor {sensor} is bound to joint .*whole numbers"):
         Observations(sensor_joints=joints, sensor_parents=parents)

@@ -198,7 +198,8 @@ DEEP = SolverSettings(max_iterations=100, grad_tol=1e-12)
 def solve_windows(schedule, windows, start, seq, cfg, settings):
     """optimizer._solve_windows on the whole sequence, projected as refine_batch projects it."""
     projected = visual_minimum(start, seq.pixels, seq.camera)
-    return optimizer._solve_windows(schedule, windows, start, projected, seq, cfg, settings)
+    return optimizer._solve_windows(schedule, windows, start, projected, seq, cfg, settings,
+                                    optimizer._ChainSolver())
 
 
 def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
@@ -214,6 +215,32 @@ def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
     assert_sweeps_give_the_steps_decrease(sweeps)
+
+
+@pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
+def test_batch_factors_every_stack_in_one_storage(monkeypatch, calib):
+    # Nine windows in stacks of four, four and one: every stack's pivots, the
+    # short trailing one's too, lie in the storage the first stack filled.
+    start, seq = capture_problem(3, 8.0, calib)
+    factors = []
+
+    class Spy(optimizer._ChainSolver):
+        def sweep(self, grad):
+            if not factors or factors[-1] is not self._factors:
+                factors.append(self._factors)
+            return super().sweep(grad)
+
+    monkeypatch.setattr(optimizer, "_ChainSolver", Spy)
+    monkeypatch.setattr(optimizer, "_STACK_FRAMES", 4 * EnergyConfig().fragment_len)
+    refine_batch(start, seq, EnergyConfig(), SolverSettings())
+    # Each stack's (chain group, d_inv, pivots, multipliers) per group; the
+    # pivots run over blocks, then over windows x chains.
+    assert [len(pivots[0]) // len(ch.joints) for ch, _, pivots, _ in
+            (groups[0] for groups in factors)] == [4, 4, 1]
+    for before, after in zip(factors, factors[1:]):
+        assert len(before) == len(after)
+        for (_, _, pivots, _), (_, _, later, _) in zip(before, after):
+            assert np.shares_memory(pivots, later)
 
 
 def test_batch_output_does_not_depend_on_the_stack_size(monkeypatch, sweeps):
@@ -255,7 +282,7 @@ def solve_as_one_stack(frags, observations, cfg, settings):
     stack = energy.WindowStack(source, rows, positions.shape, frags[0].fps)
     projected = visual_minimum(positions[rows], stack.pixels, stack.camera)
     return optimizer._solve_stack(positions[rows], projected, stack, [f.start for f in frags],
-                                  cfg, settings)
+                                  cfg, settings, optimizer._ChainSolver())
 
 
 def test_each_window_of_a_stack_is_solved_as_if_alone(rng, sweeps):

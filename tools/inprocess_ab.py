@@ -26,6 +26,15 @@ Only interleaved calls in one process compare: the same code may run at
 0.8x-1.3x speed in phases that last seconds, which separate runs take as a
 difference between the checkouts. One compute thread is used, as perfbench
 pins it, when this runs as a script.
+
+The two sides share one heap, so this cannot measure a change to
+allocation patterns: whether an array comes from memory that is already
+mapped, or is mapped and faulted in afresh, depends on what the other side
+freed before it. Time such a change in separate processes with
+tools/abpairs.py. Keeping the chain factor's block storage across a run's
+stacks gave a time ratio of 1.017 here at 300-frame stacks (the change
+faster in only 18 of 40 rounds), but ran 3.5% faster in separate perfbench
+processes (4 of 4 pairs).
 """
 
 from __future__ import annotations
