@@ -67,14 +67,19 @@ DEFAULT_THETA_T = math.radians(15.0)
 DEFAULT_FRAGMENT_LEN = 50
 
 
+def is_bool(value) -> bool:
+    """Whether `value` is a Python or numpy bool, which numbers' checks refuse."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def is_integer(value) -> bool:
     """Whether `value` is a Python or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not is_bool(value)
 
 
 def is_finite_positive(value) -> bool:
     """Whether `value` is a finite number above 0, and not a bool."""
-    return not isinstance(value, (bool, np.bool_)) and 0.0 < value < math.inf
+    return not is_bool(value) and 0.0 < value < math.inf
 
 
 class MissingObservationError(ValueError):
@@ -259,11 +264,11 @@ class EnergyConfig:
     def __post_init__(self):
         for name in ("k_visual", "k_inertial", "k_accel", "k_bone", "k_smooth"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # refuses NaN too
+            if is_bool(value) or not 0.0 <= value < math.inf:  # refuses NaN too
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.k_visual == 0.0 and self.k_inertial == 0.0:
             raise ValueError("at least one of k_visual, k_inertial must be positive")
-        if not 0.0 <= self.theta_t <= math.pi:
+        if is_bool(self.theta_t) or not 0.0 <= self.theta_t <= math.pi:
             raise ValueError(f"theta_t must lie in [0, pi], got {self.theta_t}")
         n = self.fragment_len
         if not is_integer(n) or n < 4 or n % 2 != 0:

@@ -486,7 +486,9 @@ def read_imu(path) -> ImuStream:
             sensor_ids = None
         if (sensor_ids and len(set(sensor_ids)) == k and len(lines) % k == 0
                 and all(sid.splitlines() == [sid] for sid in sensor_ids)):
-            prefixes = [b"%d %s " % (t, sid) for t in range(len(lines) // k) for sid in ids]
+            tails = [sid + b" " for sid in ids]
+            heads = [b"%d " % t for t in range(len(lines) // k)]
+            prefixes = [head + tail for head in heads for tail in tails]
             values = _records(body, lines, prefixes, 7, _imu_faults)
     if values is None:
         r = _Reader(path)

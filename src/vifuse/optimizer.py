@@ -95,7 +95,7 @@ class SolverSettings:
         n = self.max_iterations
         if not is_integer(n) or n < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
-        if not 0.0 < self.grad_tol < math.inf:  # refuses NaN too
+        if not is_finite_positive(self.grad_tol):  # refuses NaN too
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
 

@@ -164,36 +164,66 @@ def positions_from_globals(skel: SkeletonDefinition, rotations: np.ndarray,
                            root_translation: np.ndarray) -> np.ndarray:
     """forward_kinematics from the global rotations (..., J, 4) that
     global_rotations returns and the root translation (..., 3)."""
-    offsets = quat_apply(rotations, skel.bones)
-    pos = np.empty_like(offsets)
+    return _chain(skel, root_translation, quat_apply(rotations[..., 1:, :], skel.bones[1:]))
+
+
+def _chain(skel: SkeletonDefinition, root_translation: np.ndarray,
+           offsets: np.ndarray) -> np.ndarray:
+    """Joint positions (..., J, 3) from the root's and each bone's offset
+    (..., J - 1, 3) from its parent, summed in topological order."""
+    pos = np.empty(offsets.shape[:-2] + (skel.joint_count, 3))
     pos[..., 0, :] = root_translation
     for j in range(1, skel.joint_count):
-        pos[..., j, :] = pos[..., skel.parents[j], :] + offsets[..., j, :]
+        pos[..., j, :] = pos[..., skel.parents[j], :] + offsets[..., j - 1, :]
     return pos
 
 
-def _gated_globals(skel: SkeletonDefinition, pose: np.ndarray,
-                   imu_rotations: Mapping[int, np.ndarray], theta_t: float) -> np.ndarray:
-    """igik's global rotations (..., J, 4) of a float (J, 3) or (T, J, 3) pose."""
+def _observed_bones(skel: SkeletonDefinition, pose: np.ndarray,
+                    imu_rotations: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The observed bones (..., J - 1, 3) of a float (J, 3) or (T, J, 3) pose
+    and their lengths, once the pose's shape and the sensors' joints are
+    checked."""
     j_n = skel.joint_count
     if pose.ndim not in (2, 3) or pose.shape[-2:] != (j_n, 3):
         raise TopologyError(f"pose shape {pose.shape} does not match {j_n}-joint skeleton")
     for j in imu_rotations:
         if not 1 <= j < j_n:
             raise UnboundJointError(f"sensor bound to invalid joint index {j}")
-    b_obs = pose[..., 1:, :] - pose[..., list(skel.parents[1:]), :]
-    bad = _norm3(b_obs) <= _BONE_EPS
+    # take, not fancy indexing, which hands back a slow transposed layout
+    b_obs = pose[..., 1:, :] - np.take(pose, skel.parents[1:], axis=-2)
+    norms = _norm3(b_obs)
+    bad = norms <= _BONE_EPS
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
         j = int(at[-1]) + 1
         frame = int(at[0]) if pose.ndim == 3 else None
-        raise DegenerateBoneError(j, skel.names[j], float(_norm3(b_obs[at])), frame)
+        raise DegenerateBoneError(j, skel.names[j], float(norms[at]), frame)
+    return b_obs, norms
+
+
+def _gate(skel: SkeletonDefinition, b_obs: np.ndarray, imu_rotations: Mapping[int, np.ndarray],
+          theta_t: float) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The sensor joints js, their rotations (..., S, 4) and sensor-predicted
+    bones (..., S, 3), and where the gate fires, (..., S, 1): where the
+    predicted bone is more than theta_t from the observed one."""
+    js = list(imu_rotations)
+    rotations = np.stack(np.broadcast_arrays(
+        *(np.asarray(imu_rotations[j], dtype=float) for j in js)), axis=-2)
+    predicted = quat_apply(rotations, skel.bones[js])
+    fire = angle_between(predicted, np.take(b_obs, [j - 1 for j in js], axis=-2)) > theta_t
+    return js, rotations, predicted, np.asarray(fire)[..., None]
+
+
+def _gated_globals(skel: SkeletonDefinition, pose: np.ndarray,
+                   imu_rotations: Mapping[int, np.ndarray], theta_t: float) -> np.ndarray:
+    """igik's global rotations (..., J, 4) of a float (J, 3) or (T, J, 3) pose."""
+    b_obs, _ = _observed_bones(skel, pose, imu_rotations)
     glob = np.empty(pose.shape[:-1] + (4,))
     glob[..., 0, :] = IDENTITY
     glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs)
-    for j, imu_rot in imu_rotations.items():
-        fire = angle_between(quat_apply(imu_rot, skel.bones[j]), b_obs[..., j - 1, :]) > theta_t
-        glob[..., j, :] = np.where(np.asarray(fire)[..., None], imu_rot, glob[..., j, :])
+    if imu_rotations:
+        js, rotations, _, fire = _gate(skel, b_obs, imu_rotations, theta_t)
+        glob[..., js, :] = np.where(fire, rotations, glob[..., js, :])
     return glob
 
 
@@ -240,15 +270,25 @@ def refine_sequence(
     imu_rotations: Mapping[int, np.ndarray] | None,
     theta_t: float,
 ) -> np.ndarray:
-    """sf2: igik + forward_kinematics over all frames of a (T, J, 3) array.
+    """sf2: forward_kinematics(igik(...)) over all frames of a (T, J, 3) array,
+    built from the bones without igik's rotations.
 
-    The positions are taken straight from igik's global rotations, without
-    the local rotations between. imu_rotations maps a joint index to its
-    calibrated sensor rotations, (T, 4) quaternions. A degenerate observed
-    bone raises DegenerateBoneError carrying its frame index.
+    The minimal rotation taking a T-pose bone to an observed one maps it to
+    the T-pose length along the observed direction, so each bone where the
+    gate stays shut is that. Where it fires, the bone is the sensor-predicted
+    one, quat_apply(imu rotation, T-pose bone). The bones are then summed from
+    the observed root in topological order. imu_rotations maps a joint index
+    to its calibrated sensor rotations, (T, 4) quaternions. A degenerate
+    observed bone raises DegenerateBoneError carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
-    glob = _gated_globals(skel, poses, imu_rotations or {}, theta_t)
-    return positions_from_globals(skel, glob, poses[:, 0])
+    imu_rotations = imu_rotations or {}
+    b_obs, norms = _observed_bones(skel, poses, imu_rotations)
+    offsets = b_obs * (skel.bone_lengths[1:] / norms)[..., None]
+    if imu_rotations:
+        js, _, predicted, fire = _gate(skel, b_obs, imu_rotations, theta_t)
+        bones = [j - 1 for j in js]
+        offsets[:, bones] = np.where(fire, predicted, offsets[:, bones])
+    return _chain(skel, poses[:, 0], offsets)

@@ -286,6 +286,21 @@ def test_config_validation():
     EnergyConfig(k_visual=0.0, k_inertial=1.0)  # inertial-only is fine
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("field, message", [
+    ("k_visual", "k_visual must be finite and non-negative"),
+    ("k_inertial", "k_inertial must be finite and non-negative"),
+    ("k_accel", "k_accel must be finite and non-negative"),
+    ("k_bone", "k_bone must be finite and non-negative"),
+    ("k_smooth", "k_smooth must be finite and non-negative"),
+    ("theta_t", r"theta_t must lie in \[0, pi\]"),
+])
+def test_config_refuses_a_bool_for_a_number(field, message, value):
+    # A bool is an int to Python, so True read as a weight of 1.
+    with pytest.raises(ValueError, match=rf"^{message}, got {value}$"):
+        EnergyConfig(**{field: value})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 @pytest.mark.parametrize("term", TermScales._fields)
 def test_config_refuses_a_scale_that_is_not_a_finite_positive_number(term, value):

@@ -494,16 +494,52 @@ def test_loadtxt_reads_only_numbers_float_reads_alike(field):
         assert got == want or (math.isnan(got) and math.isnan(want)), field
 
 
+def edit_imu_frame(frame: int, change):
+    """Apply `change` to the lines (sensor `a`'s, then `l_knee`'s) of one frame."""
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith(f"{frame} "))
+        lines[i:i + 2] = change(lines[i:i + 2])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def rename(old: str, new: str):
+    return lambda pair: [l.replace(f" {old} ", f" {new} ", 1) for l in pair]
+
+
+# Edits of the sensor layout, which the imu fast path checks by its record
+# prefixes: each must be refused, as the walker refuses it.
+IMU_EDITS = {
+    "sensors swapped in a frame": edit_imu_frame(3, lambda pair: pair[::-1]),
+    "sensor renamed after frame 0": edit_imu_frame(5, rename("l_knee", "b")),
+    "id extending another": edit_imu_frame(4, rename("a", "ab")),
+    "frame one sensor short": edit_imu_frame(6, lambda pair: pair[:1]),
+}
+
+
+def assert_fast_path_agrees_with_the_line_walker(monkeypatch, fmt, path):
+    got = check_against_reference(fmt, path)
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_stream_lines", lambda path, schema: None)
+        walked = outcome(READERS[fmt][0], path)
+    assert same_outcome(got, walked), (got, walked)
+    return got
+
+
 @pytest.mark.parametrize("fmt", ["pose3d", "pose2d", "imu"])
 @pytest.mark.parametrize("edit", list(SINGLE_EDITS))
 def test_fast_path_agrees_with_the_line_walker(tmp_path, monkeypatch, fmt, edit):
     p = tmp_path / "s.txt"
     p.write_bytes(SINGLE_EDITS[edit](valid_lines(p, fmt)).encode("utf-8"))
-    got = check_against_reference(fmt, p)
-    with monkeypatch.context() as m:
-        m.setattr(fileio, "_stream_lines", lambda path, schema: None)
-        walked = outcome(READERS[fmt][0], p)
-    assert same_outcome(got, walked), (got, walked)
+    assert_fast_path_agrees_with_the_line_walker(monkeypatch, fmt, p)
+
+
+@pytest.mark.parametrize("edit", list(IMU_EDITS))
+def test_imu_layout_edits_agree_with_the_line_walker(tmp_path, monkeypatch, edit):
+    p = tmp_path / "s.txt"
+    p.write_bytes(IMU_EDITS[edit](valid_lines(p, "imu")).encode("utf-8"))
+    got = assert_fast_path_agrees_with_the_line_walker(monkeypatch, "imu", p)
+    assert isinstance(got, FormatError), got
 
 
 def no_walk(*args):

@@ -19,7 +19,7 @@ def inprocess_ab():
     return module
 
 
-@pytest.mark.parametrize("what", ["batch", "stream", "rto", "rtof"])
+@pytest.mark.parametrize("what", ["batch", "stream", "sf2", "rto", "rtof"])
 def test_the_repo_against_itself_gives_the_same_outputs(inprocess_ab, capsys, what):
     argv = ["--parent", str(ROOT), "--change", str(ROOT), "--what", what, "--rounds", "2",
             "--duration", "4"]

@@ -62,6 +62,14 @@ def test_settings_validation():
             SolverSettings(**bad)
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_settings_refuse_a_bool_for_a_number(value):
+    with pytest.raises(ValueError, match=rf"^grad_tol must be finite and positive, got {value}$"):
+        SolverSettings(grad_tol=value)
+    with pytest.raises(ValueError, match=rf"^max_iterations must be an integer >= 1, got {value!r}$"):
+        SolverSettings(max_iterations=value)
+
+
 def window_problem(rng, n=8, j_n=4, fps=25.0, sensors=(1, 2), parents=(0, 1)):
     """One window whose observations agree, up to noise, with joints moving at
     constant acceleration 3 m in front of the camera; the start is the truth

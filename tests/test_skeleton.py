@@ -240,7 +240,14 @@ def _sf2_frame_loop(skel, pose, imu_rotations, theta_t):
     return forward_kinematics(skel, MotionParams(pose[0], tuple(locals_)))
 
 
-def test_refine_sequence_batch_equals_frame_loop(rng):
+SF2_SENSORS = (6, 7, 14, 15)
+
+
+def _gated_frames(rng):
+    """Twelve noisy frames of the default skeleton with sensors on
+    SF2_SENSORS, whose gate is shut on some (frame, sensor) and fires on the
+    others, and the mask of where it fires. In frame 5 joint 1's bone is
+    exactly antiparallel to its T-pose bone."""
     skel = default_skeleton()
     t_n, theta_t = 12, math.radians(15)
     truth = [random_params(skel, rng) for _ in range(t_n)]
@@ -249,7 +256,6 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
     # frame 5: root at the origin and joint 1's bone exactly antiparallel to its T-pose bone
     poses[5] -= poses[5, 0]
     poses[5, 1] = -2.0 * skel.bones[1]
-    sensors = (6, 7, 14, 15)
     # even frames: the sensor reads the true global rotation (gate stays shut);
     # odd frames: a random rotation (gate fires)
     imu = {
@@ -257,28 +263,52 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
             global_rotations(skel, truth[i])[j] if i % 2 == 0 else random_rotation(rng)
             for i in range(t_n)
         ])
-        for j in sensors
+        for j in SF2_SENSORS
     }
     fired = np.array([
         [angle_between(quat_apply(imu[j][i], skel.bones[j]), poses[i, j] - poses[i, skel.parents[j]]) > theta_t
-         for j in sensors]
+         for j in SF2_SENSORS]
         for i in range(t_n)
     ])
     assert fired.any() and not fired.all()
     assert np.linalg.norm(np.cross(poses[5, 1], skel.bones[1])) == 0.0
+    return skel, poses, imu, theta_t, fired
 
+
+def test_refine_sequence_batch_equals_frame_loop(rng):
+    skel, poses, imu, theta_t, _ = _gated_frames(rng)
     batch = refine_sequence(skel, poses, imu, theta_t)
     loop = np.stack([
         _sf2_frame_loop(skel, poses[i], {j: r[i] for j, r in imu.items()}, theta_t)
-        for i in range(t_n)
+        for i in range(len(poses))
     ])
     assert float(np.abs(batch - loop).max()) <= 1e-12
-    # the positions come straight from the gated globals, not through the locals
+    # the positions are built from the bones, not through igik's rotations
     via_locals = forward_kinematics(skel, igik(skel, poses, imu, theta_t))
     assert float(np.abs(batch - via_locals).max()) <= 1e-9
     np.testing.assert_allclose(
         batch[5, 1], skel.bones[1] * -1.0, atol=1e-9
     )
+
+
+def test_refine_sequence_bones_are_tpose_lengths_along_observed_or_sensor_bones(rng):
+    skel, poses, imu, theta_t, fired = _gated_frames(rng)
+    out = refine_sequence(skel, poses, imu, theta_t)
+    parents = list(skel.parents[1:])
+    bones = out[:, 1:] - out[:, parents]
+    observed = poses[:, 1:] - poses[:, parents]
+    lengths = skel.bone_lengths[1:]
+    gated = np.zeros(bones.shape[:2], dtype=bool)
+    for k, j in enumerate(SF2_SENSORS):
+        gated[:, j - 1] = fired[:, k]
+        want = quat_apply(imu[j][fired[:, k]], skel.bones[j])
+        assert np.abs(bones[fired[:, k], j - 1] - want).max() <= 1e-9
+    # every bone the gate leaves is the T-pose length along the observed direction
+    want = observed / np.linalg.norm(observed, axis=-1, keepdims=True) * lengths[:, None]
+    assert np.abs(bones[~gated] - want[~gated]).max() <= 1e-9
+    assert np.abs(np.linalg.norm(bones[~gated], axis=-1)
+                  - np.broadcast_to(lengths, gated.shape)[~gated]).max() <= 1e-9
+    np.testing.assert_array_equal(out[:, 0], poses[:, 0])
 
 
 def test_refine_sequence_names_earliest_degenerate_frame():

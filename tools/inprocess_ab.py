@@ -9,8 +9,8 @@ symlinks. The parent's synth writes a capture of --duration seconds with
 --seed into a temporary directory, and each side prepares its call from
 those files with its own readers:
 
-- rto, rtof: run_pipeline on the capture's run_config.json in that mode,
-  then write_results: `vifuse run` without a new process;
+- sf2, rto, rtof: run_pipeline on the capture's run_config.json in that
+  mode, then write_results: `vifuse run` without a new process;
 - batch, stream: refine_batch, or run_stream frame by frame, over what rtof
   solves: sf2's output as the start, with the calibrated IMU streams.
 
@@ -55,7 +55,7 @@ if __name__ == "__main__":  # before numpy loads
 
 import numpy as np
 
-WHATS = ("batch", "stream", "rto", "rtof")
+WHATS = ("batch", "stream", "sf2", "rto", "rtof")
 SIDES = ("parent", "change")
 
 
@@ -91,7 +91,7 @@ def rtof_problem(vf, config):
 
 def prepare(vf, what: str, run_config: Path, out: Path):
     """A call that runs `what` with the package `vf` and returns its output array."""
-    if what in ("rto", "rtof"):
+    if what in ("sf2", "rto", "rtof"):
         def call():
             result = vf.run_pipeline(vf.RunConfig.from_file(run_config, mode=what))
             vf.write_results(result, out)
