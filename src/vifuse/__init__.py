@@ -99,7 +99,6 @@ from .skeleton import (
     UnboundJointError,
     forward_kinematics,
     global_rotations,
-    igik,
     inverse_kinematics,
     refine_sequence,
 )

@@ -36,7 +36,9 @@ class Camera:
     def __post_init__(self):
         for name, positive in (("fx", True), ("fy", True), ("cx", False), ("cy", False)):
             value = getattr(self, name)
-            if not math.isfinite(value) or positive and value <= 0.0:
+            # a bool is refused as EnergyConfig refuses one (energy imports this module)
+            if (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+                    or positive and value <= 0.0):
                 raise ValueError(f"camera {name} must be finite{' and positive' * positive}, "
                                  f"got {value!r}")
         object.__setattr__(self, "rotation", check_unit_quat(self.rotation, "camera rotation"))

@@ -1,5 +1,5 @@
-"""Kinematic tree: forward kinematics, inverse kinematics, and the IMU-gated
-variant that swaps in calibrated sensor rotations when the visual bone deviates.
+"""Kinematic tree: forward kinematics, inverse kinematics, and sf2, which
+swaps in the sensor-predicted bone where the visual bone deviates from it.
 
 Joint j's rotation owns the bone from parent(j) to j. Positions are mm. The
 tree is stored in topological order (parent index < joint index, joint 0 is
@@ -178,17 +178,12 @@ def _chain(skel: SkeletonDefinition, root_translation: np.ndarray,
     return pos
 
 
-def _observed_bones(skel: SkeletonDefinition, pose: np.ndarray,
-                    imu_rotations: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _observed_bones(skel: SkeletonDefinition, pose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The observed bones (..., J - 1, 3) of a float (J, 3) or (T, J, 3) pose
-    and their lengths, once the pose's shape and the sensors' joints are
-    checked."""
+    and their lengths, once the pose's shape is checked."""
     j_n = skel.joint_count
     if pose.ndim not in (2, 3) or pose.shape[-2:] != (j_n, 3):
         raise TopologyError(f"pose shape {pose.shape} does not match {j_n}-joint skeleton")
-    for j in imu_rotations:
-        if not 1 <= j < j_n:
-            raise UnboundJointError(f"sensor bound to invalid joint index {j}")
     # take, not fancy indexing, which hands back a slow transposed layout
     b_obs = pose[..., 1:, :] - np.take(pose, skel.parents[1:], axis=-2)
     norms = _norm3(b_obs)
@@ -201,67 +196,26 @@ def _observed_bones(skel: SkeletonDefinition, pose: np.ndarray,
     return b_obs, norms
 
 
-def _gate(skel: SkeletonDefinition, b_obs: np.ndarray, imu_rotations: Mapping[int, np.ndarray],
-          theta_t: float) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The sensor joints js, their rotations (..., S, 4) and sensor-predicted
-    bones (..., S, 3), and where the gate fires, (..., S, 1): where the
-    predicted bone is more than theta_t from the observed one."""
-    js = list(imu_rotations)
-    rotations = np.stack(np.broadcast_arrays(
-        *(np.asarray(imu_rotations[j], dtype=float) for j in js)), axis=-2)
-    predicted = quat_apply(rotations, skel.bones[js])
-    fire = angle_between(predicted, np.take(b_obs, [j - 1 for j in js], axis=-2)) > theta_t
-    return js, rotations, predicted, np.asarray(fire)[..., None]
+def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionParams:
+    """Plain visual inverse kinematics over one (J, 3) pose or a (T, J, 3)
+    batch of frames.
 
-
-def _gated_globals(skel: SkeletonDefinition, pose: np.ndarray,
-                   imu_rotations: Mapping[int, np.ndarray], theta_t: float) -> np.ndarray:
-    """igik's global rotations (..., J, 4) of a float (J, 3) or (T, J, 3) pose."""
-    b_obs, _ = _observed_bones(skel, pose, imu_rotations)
+    Each joint's global rotation is the minimal (zero-twist) rotation taking
+    its T-pose bone to the observed bone, and its local rotation is taken
+    against its parent's global. forward_kinematics on the result restores
+    T-pose lengths along the observed directions. A near-zero observed bone
+    raises DegenerateBoneError for the first bad (frame, joint) in
+    frame-major order; its frame is None for a single pose.
+    """
+    pose = np.asarray(pose, dtype=float)
+    b_obs, _ = _observed_bones(skel, pose)
     glob = np.empty(pose.shape[:-1] + (4,))
     glob[..., 0, :] = IDENTITY
     glob[..., 1:, :] = solve_rotation(skel.bones[1:], b_obs)
-    if imu_rotations:
-        js, rotations, _, fire = _gate(skel, b_obs, imu_rotations, theta_t)
-        glob[..., js, :] = np.where(fire, rotations, glob[..., js, :])
-    return glob
-
-
-def igik(
-    skel: SkeletonDefinition,
-    pose: np.ndarray,
-    imu_rotations: Mapping[int, np.ndarray],
-    theta_t: float,
-) -> MotionParams:
-    """Inverse kinematics with an IMU override gate, over one (J, 3) pose or a
-    (T, J, 3) batch of frames.
-
-    Each joint's global rotation is first solved as the minimal (zero-twist)
-    rotation taking its T-pose bone to the observed bone. If the joint carries
-    a calibrated sensor rotation and the angle between the sensor-predicted
-    bone and the observed bone exceeds theta_t, the sensor rotation replaces
-    the visual one. Sensor rotations are (..., 4) quaternions that broadcast
-    against the frame axes: one (4,) rotation, or (T, 4) with one per frame.
-    Local rotations are extracted against the parent's global, so
-    replacements shift every descendant's position.
-
-    Observed bone lengths are not trusted: running forward_kinematics on the
-    result restores T-pose lengths while reproducing observed directions.
-    A near-zero observed bone raises DegenerateBoneError for the first bad
-    (frame, joint) in frame-major order; its frame is None for a single pose.
-    """
-    pose = np.asarray(pose, dtype=float)
-    glob = _gated_globals(skel, pose, imu_rotations, theta_t)
-    relative = quat_mul(quat_inverse(glob[..., list(skel.parents[1:]), :]), glob[..., 1:, :])
     local = np.empty_like(glob)
     local[..., 0, :] = IDENTITY
-    local[..., 1:, :] = relative
+    local[..., 1:, :] = quat_mul(quat_inverse(glob[..., list(skel.parents[1:]), :]), glob[..., 1:, :])
     return MotionParams(pose[..., 0, :].copy(), local)
-
-
-def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionParams:
-    """Plain visual inverse kinematics (igik with no sensors bound)."""
-    return igik(skel, pose, {}, 0.0)
 
 
 def refine_sequence(
@@ -270,25 +224,36 @@ def refine_sequence(
     imu_rotations: Mapping[int, np.ndarray] | None,
     theta_t: float,
 ) -> np.ndarray:
-    """sf2: forward_kinematics(igik(...)) over all frames of a (T, J, 3) array,
-    built from the bones without igik's rotations.
+    """sf2: IMU-gated bones summed into positions, over all frames of a
+    (T, J, 3) array.
 
     The minimal rotation taking a T-pose bone to an observed one maps it to
-    the T-pose length along the observed direction, so each bone where the
-    gate stays shut is that. Where it fires, the bone is the sensor-predicted
-    one, quat_apply(imu rotation, T-pose bone). The bones are then summed from
-    the observed root in topological order. imu_rotations maps a joint index
-    to its calibrated sensor rotations, (T, 4) quaternions. A degenerate
-    observed bone raises DegenerateBoneError carrying its frame index.
+    the T-pose length along the observed direction, so each bone is that
+    unless the joint carries a sensor and the angle between the
+    sensor-predicted bone, quat_apply(imu rotation, T-pose bone), and the
+    observed bone exceeds theta_t; then it is the sensor-predicted bone. The
+    bones are summed from the observed root in topological order, so a
+    replaced bone shifts every descendant. imu_rotations maps a joint index
+    (an integer from 1 to J - 1; any other key raises UnboundJointError) to
+    its calibrated sensor rotations, (T, 4) quaternions or one (4,) rotation
+    for every frame. A degenerate observed bone raises DegenerateBoneError
+    carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
-    imu_rotations = imu_rotations or {}
-    b_obs, norms = _observed_bones(skel, poses, imu_rotations)
+    js = list(imu_rotations or {})
+    for j in js:
+        whole = isinstance(j, (int, np.integer)) and not isinstance(j, (bool, np.bool_))
+        if not whole or not 1 <= j < skel.joint_count:
+            raise UnboundJointError(f"sensor bound to invalid joint index {j}")
+    b_obs, norms = _observed_bones(skel, poses)
     offsets = b_obs * (skel.bone_lengths[1:] / norms)[..., None]
-    if imu_rotations:
-        js, _, predicted, fire = _gate(skel, b_obs, imu_rotations, theta_t)
+    if js:
+        rotations = np.stack(np.broadcast_arrays(
+            *(np.asarray(imu_rotations[j], dtype=float) for j in js)), axis=-2)
+        predicted = quat_apply(rotations, skel.bones[js])
         bones = [j - 1 for j in js]
-        offsets[:, bones] = np.where(fire, predicted, offsets[:, bones])
+        fire = angle_between(predicted, np.take(b_obs, bones, axis=-2)) > theta_t
+        offsets[:, bones] = np.where(fire[..., None], predicted, offsets[:, bones])
     return _chain(skel, poses[:, 0], offsets)

@@ -75,6 +75,11 @@ def test_center_validation():
     *((f, v, rf"^camera {f} must be finite and positive, got ")
       for f in ("fx", "fy") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
     *((f, v, rf"^camera {f} must be finite, got ") for f in ("cx", "cy") for v in (np.nan, np.inf)),
+    # a bool is refused as EnergyConfig and SolverSettings refuse one
+    *((f, v, rf"^camera {f} must be finite and positive, got ")
+      for f in ("fx", "fy") for v in (True, np.True_)),
+    *((f, v, rf"^camera {f} must be finite, got ")
+      for f in ("cx", "cy") for v in (True, False, np.True_, np.False_)),
     ("center", (0.0, np.nan, 0.0), r"^camera center must be finite, got "),
     ("center", (np.inf, 0.0, 0.0), r"^camera center must be finite, got "),
 ])

@@ -116,7 +116,7 @@ def test_a_differing_run_output_prints_its_difference_and_still_exits_1(
                           "  metrics.json: largest absolute difference 0.25"]
 
 
-def test_the_dense_rig_outputs_hold_batch_and_stream_with_and_without_the_visual_term(
+def test_the_dense_rig_outputs_hold_sf2_and_batch_and_stream_with_and_without_the_visual_term(
         sameoutputs, tmp_path, monkeypatch):
     # The capture the tool compares is the one the tests solve: it refines to
     # the same bytes on the batch and the streaming path, under both weights.
@@ -126,7 +126,8 @@ def test_the_dense_rig_outputs_hold_batch_and_stream_with_and_without_the_visual
     assert sorted(files) == sorted(
         [f"{path}_{name}.bin" for path in ("refine_batch", "run_stream")
          for name in sameoutputs.DENSE_WEIGHTS]
-        + [f"windows_{name}.json" for name in sameoutputs.DENSE_WEIGHTS])
+        + [f"windows_{name}.json" for name in sameoutputs.DENSE_WEIGHTS] + ["sf2.bin"])
+    assert len(files["sf2.bin"]) == 50 * 21 * 3 * 8
     for name in sameoutputs.DENSE_WEIGHTS:
         assert files[f"refine_batch_{name}.bin"] == files[f"run_stream_{name}.bin"]
         assert len(files[f"refine_batch_{name}.bin"]) == 50 * 21 * 3 * 8

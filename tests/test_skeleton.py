@@ -13,7 +13,6 @@ from vifuse import (
     default_skeleton,
     forward_kinematics,
     global_rotations,
-    igik,
     inverse_kinematics,
     refine_sequence,
     solve_rotation,
@@ -132,49 +131,73 @@ def test_ik_shape_check():
         inverse_kinematics(skel, np.zeros((2, 3)))
 
 
-def test_igik_rejects_bad_sensor_index():
+def test_ik_batch_equals_single_poses(rng):
+    skel = chain_skeleton(5)
+    poses = np.stack([forward_kinematics(skel, random_params(skel, rng)) for _ in range(4)])
+    poses += rng.normal(0.0, 5.0, poses.shape)
+    batch = inverse_kinematics(skel, poses)
+    single = [inverse_kinematics(skel, pose) for pose in poses]
+    assert batch.rotations.tobytes() == np.stack([p.rotations for p in single]).tobytes()
+    assert batch.root_translation.tobytes() == np.stack(
+        [p.root_translation for p in single]).tobytes()
+    poses[2, 3] = poses[2, 2]
+    with pytest.raises(DegenerateBoneError, match="frame 2: bone of joint 3") as info:
+        inverse_kinematics(skel, poses)
+    assert (info.value.frame, info.value.joint) == (2, 3)
+
+
+def _refine_one(skel, pose, imu_rotations, theta_t):
+    """refine_sequence on a (1, J, 3) batch of `pose`, as one (J, 3) pose."""
+    return refine_sequence(skel, pose[None], imu_rotations, theta_t)[0]
+
+
+def test_refine_sequence_rejects_bad_sensor_index():
     skel = chain_skeleton(3)
-    pose = forward_kinematics(skel, MotionParams(np.zeros(3), (IDENTITY,) * 3))
-    for bad in (0, 3, -1):
-        with pytest.raises(UnboundJointError):
-            igik(skel, pose, {bad: IDENTITY}, 0.1)
+    pose = skel.tpose.copy()
+    # a bool or a float names no joint, even where it equals a valid index
+    for bad in (0, 3, -1, True, np.True_, 1.0, 6.5):
+        with pytest.raises(UnboundJointError, match=f"sensor bound to invalid joint index {bad}"):
+            _refine_one(skel, pose, {bad: IDENTITY}, 0.1)
+    imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)
+    want = _refine_one(skel, pose, {1: imu}, 0.1)
+    assert _refine_one(skel, pose, {np.int64(1): imu}, 0.1).tobytes() == want.tobytes()
 
 
-def test_igik_gate_triggers_above_threshold():
+def test_refine_sequence_gate_triggers_above_threshold():
     skel = chain_skeleton(3)
     # visual pose: straight up; sensor says joint 1's bone points along +x
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])
     imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)  # +y bone -> +x
-    out = forward_kinematics(skel, igik(skel, pose, {1: imu}, math.radians(15)))
+    out = _refine_one(skel, pose, {1: imu}, math.radians(15))
     np.testing.assert_allclose(out[1], [100, 0, 0], atol=1e-12)
     # joint 2 had no sensor: its observed direction (+y) is kept
     np.testing.assert_allclose(out[2], [100, 100, 0], atol=1e-12)
 
 
-def test_igik_gate_keeps_visual_below_threshold():
+def test_refine_sequence_gate_keeps_visual_below_threshold():
     skel = chain_skeleton(3)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 200.0, 0.0]])
     # sensor disagrees by ~5 degrees; gate at 15 degrees leaves the pose alone
     imu = quat_from_axis_angle([0, 0, 1], math.radians(5))
-    out = forward_kinematics(skel, igik(skel, pose, {1: imu}, math.radians(15)))
+    out = _refine_one(skel, pose, {1: imu}, math.radians(15))
     np.testing.assert_allclose(out, pose, atol=1e-9)
 
 
-def test_igik_gate_boundary_is_strict():
+def test_refine_sequence_gate_boundary_is_strict():
     skel = chain_skeleton(2)
     pose = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
     imu = quat_from_axis_angle([0, 0, 1], math.radians(10))
     # gate fires only on strict excess: set theta_t to the exact float the
     # implementation will compare against, so equality keeps the visual pose
     theta = angle_between(quat_apply(imu, skel.bones[1]), pose[1] - pose[0])
-    out = forward_kinematics(skel, igik(skel, pose, {1: imu}, theta))
+    out = _refine_one(skel, pose, {1: imu}, theta)
     np.testing.assert_allclose(out, pose, atol=1e-9)
     # an infinitesimally smaller gate lets the sensor through
-    out2 = forward_kinematics(skel, igik(skel, pose, {1: imu}, theta * (1 - 1e-12)))
+    out2 = _refine_one(skel, pose, {1: imu}, theta * (1 - 1e-12))
     assert angle_between(out2[1], pose[1]) > math.radians(9.9)
 
 
-def test_igik_replacement_shifts_descendants():
+def test_refine_sequence_replacement_shifts_descendants():
     # branch: root -> a -> b, with c also under a
     names = ("root", "a", "b", "c")
     parents = (-1, 0, 1, 1)
@@ -182,10 +205,10 @@ def test_igik_replacement_shifts_descendants():
     skel = SkeletonDefinition(names, parents, tpose)
     pose = tpose.copy()
     imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)
-    out = forward_kinematics(skel, igik(skel, pose, {1: imu}, 0.1))
+    out = _refine_one(skel, pose, {1: imu}, 0.1)
     np.testing.assert_allclose(out[1], [100, 0, 0], atol=1e-12)
-    # locals are extracted against the replaced parent global, so siblings
-    # keep their observed world directions but ride on the shifted parent
+    # the children keep their observed world directions but ride on the
+    # replaced bone
     np.testing.assert_allclose(out[2], out[1] + [0, 100, 0], atol=1e-12)
     np.testing.assert_allclose(out[3], out[1] + [100, 0, 0], atol=1e-12)
 
@@ -225,7 +248,7 @@ def test_refine_sequence_per_frame_maps(rng):
 
 def _sf2_frame_loop(skel, pose, imu_rotations, theta_t):
     """One frame of sf2 as a per-joint loop over single rotations: the
-    reference the batched igik must reproduce."""
+    reference the batched refine_sequence must reproduce."""
     globals_ = [IDENTITY]
     for j in range(1, skel.joint_count):
         b_obs = pose[j] - pose[skel.parents[j]]
@@ -283,9 +306,6 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
         for i in range(len(poses))
     ])
     assert float(np.abs(batch - loop).max()) <= 1e-12
-    # the positions are built from the bones, not through igik's rotations
-    via_locals = forward_kinematics(skel, igik(skel, poses, imu, theta_t))
-    assert float(np.abs(batch - via_locals).max()) <= 1e-9
     np.testing.assert_allclose(
         batch[5, 1], skel.bones[1] * -1.0, atol=1e-9
     )

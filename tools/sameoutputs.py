@@ -9,16 +9,16 @@ metrics.txt and metrics.json are compared. Without --duration the datasets
 have synth's default length. The CLI runs use the default eight-sensor rig,
 so each checkout also refines an 8 s capture of the 13-sensor rig of the
 tests (tests/conftest.py), from sf2 as rtof starts, with and without the
-visual term, through refine_batch and run_stream, and the bytes of the four
-outputs are compared, with a JSON file per weight set of each window's solve
-record from minimize_fragment, so that the comparison also covers the
-values, step counts and flags of a solve whose positions do not change. The
-tool prints one line per comparison and exits 1, naming every file that
-differs or is missing on one side, or every command that failed; else it
-exits 0. Under a comparison that differs, one line per file that both
-sides hold gives the largest absolute difference of its numbers, so a change
-in the last bits reads as one. Outputs go to a temporary directory that is
-removed at the end.
+visual term, through refine_batch and run_stream, and the bytes of the sf2
+start and of the four outputs are compared, with a JSON file per weight set
+of each window's solve record from minimize_fragment, so that the
+comparison also covers the values, step counts and flags of a solve whose
+positions do not change. The tool prints one line per comparison and exits
+1, naming every file that differs or is missing on one side, or every
+command that failed; else it exits 0. Under a comparison that differs, one
+line per file that both sides hold gives the largest absolute difference of
+its numbers, so a change in the last bits reads as one. Outputs go to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ def vifuse(checkout: Path, *args) -> subprocess.CompletedProcess:
 
 
 def dense_rig_outputs(out: Path, seed: int) -> None:
-    """Write into `out` the bytes of refine_batch's and run_stream's output
-    on a default-noise capture of the 13-sensor rig, for each DENSE_WEIGHTS,
-    as the tests' capture_problem builds it, and the WINDOW_RECORD of
-    minimize_fragment over each window of the schedule, one JSON list per
-    weight set. Runs with whichever vifuse is importable."""
+    """Write into `out` the bytes of the sf2 start and of refine_batch's and
+    run_stream's output on a default-noise capture of the 13-sensor rig, for
+    each DENSE_WEIGHTS, as the tests' capture_problem builds it, and the
+    WINDOW_RECORD of minimize_fragment over each window of the schedule, one
+    JSON list per weight set. Runs with whichever vifuse is importable."""
     from conftest import dense_calibration
     from vifuse import (DEFAULT_NOISE, EnergyConfig, Fragment, FragmentSchedule, Observations,
                         SequenceObservations, SolverSettings, apply_mode, calibrate_stream,
@@ -126,6 +126,7 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
                                sensor_parents=np.array(ds.skeleton.parents)[joints])
     out = Path(out)
     out.mkdir(parents=True)
+    (out / "sf2.bin").write_bytes(start.tobytes())
     for name, weights in DENSE_WEIGHTS.items():
         cfg = EnergyConfig(**weights)
         batch, _ = refine_batch(start, seq, cfg, SolverSettings())
