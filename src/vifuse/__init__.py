@@ -7,13 +7,8 @@ optimization of a hybrid reprojection/inertial/smoothness energy.
 
 from .camera import W_MIN, BehindCameraError, Camera, look_at
 from .energy import (
-    DEFAULT_ACCEL_WEIGHT,
-    DEFAULT_BONE_WEIGHT,
     DEFAULT_FRAGMENT_LEN,
-    DEFAULT_INERTIAL_WEIGHT,
-    DEFAULT_SMOOTH_WEIGHT,
     DEFAULT_THETA_T,
-    DEFAULT_VISUAL_WEIGHT,
     SCALE_FLOOR,
     EnergyConfig,
     Fragment,

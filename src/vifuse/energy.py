@@ -17,9 +17,10 @@ p_k, pixels q, IMU accelerations a and sensor-predicted bones b:
 Observed joints at or behind the camera plane are skipped and counted in
 behind_camera instead of producing an unbounded residual. Every term returns
 its value and the analytic gradient with respect to every fragment
-coordinate. The total normalizes each active term by its value at the
-fragment's initial point (clamped below at SCALE_FLOOR) so the weights act on
-comparable magnitudes.
+coordinate. The total divides each term by a variance in its stream's
+squared units and sums them weighted by k: by cfg.scales when set, else by
+the fixed stream variances below at the window's frame rate. So every window
+minimizes the same objective, whatever its start.
 
 One Observations type holds the streams, frame t at row t, and the rig.
 Building it checks the rig and the stream shapes; where the streams enter
@@ -36,10 +37,10 @@ and scatter, the chain joints and the chains that the solve factors) is
 built once per rig and the difference operators once per window length. An
 evaluation computes the residuals of the active terms, each window's values
 as a (W, 4) array, then one weighted gradient; stack_energy gives every
-window's total, behind-camera count and scales as arrays over the window
-axis, and total_energy and the term functions are the stack of one. Every
-matrix product and dot product runs once per window, so a window's results
-do not depend on the stack it is in. The visual term alone needs no solver:
+window's total and behind-camera count as arrays over the window axis, and
+total_energy and the term functions are the stack of one. Every matrix
+product and dot product runs once per window, so a window's results do not
+depend on the stack it is in. The visual term alone needs no solver:
 visual_minimum gives its minimum in closed form. WindowStack.normal_parts
 builds the pieces of the Gauss-Newton normal matrix from the visual rows and
 the term weights that stack_energy returns, without projecting again.
@@ -58,11 +59,24 @@ from .camera import W_MIN, Camera
 
 SCALE_FLOOR = 1e-9
 
-DEFAULT_VISUAL_WEIGHT = 0.9
-DEFAULT_INERTIAL_WEIGHT = 0.1
-DEFAULT_ACCEL_WEIGHT = 0.5
-DEFAULT_BONE_WEIGHT = 0.2
-DEFAULT_SMOOTH_WEIGHT = 0.3
+# The default denominators: each term's residual variance, in its stream's
+# squared units (TermScales order).
+# px^2: the 2D detector's pixel noise, 1 px.
+VISUAL_VARIANCE = 1.0
+# (mm/s^2)^2: 25 times the accelerometer's own noise (40 mm/s^2), because a
+# calibrated acceleration also carries the orientation noise times gravity,
+# 0.008 rad x 9810 mm/s^2 = about 78 mm/s^2 at rest and more in motion. At
+# 40 mm/s^2 the chains lost accuracy on faster motion and under a 0.1 g bias.
+ACCEL_VARIANCE = 1000.0 ** 2
+# mm^2: the orientation noise, 0.008 rad, times the default rig's mean
+# sensor bone, 350 mm.
+BONE_VARIANCE = 2.8 ** 2
+# (mm/s^2)^2: the smooth residual is fps times the difference of two
+# consecutive accel residuals, so its variance is 2 fps^2 times this. A bias
+# or a slowly turning orientation error cancels in the difference, which
+# leaves the accelerometer's own noise, 40 mm/s^2.
+SMOOTH_ACCEL_VARIANCE = 40.0 ** 2
+
 DEFAULT_THETA_T = math.radians(15.0)
 DEFAULT_FRAGMENT_LEN = 50
 
@@ -221,7 +235,7 @@ class TermValue(NamedTuple):
     of observed joints skipped because they projected behind the camera.
 
     `scales` is set by total_energy to the denominators it normalized by:
-    cfg.scales, or the ones it computed at the evaluation point.
+    cfg.scales, or the stream variances at the fragment's frame rate.
     """
 
     value: float
@@ -231,7 +245,7 @@ class TermValue(NamedTuple):
 
 
 class TermScales(NamedTuple):
-    """Per-term normalization denominators, frozen at a fragment's initial point."""
+    """Per-term normalization denominators, each a variance in its stream's squared units."""
 
     visual: float = 1.0
     accel: float = 1.0
@@ -244,19 +258,19 @@ class EnergyConfig:
     """Weights and knobs of the total objective.
 
     k_visual/k_inertial balance the two families; k_accel/k_bone/k_smooth
-    weight the inertial terms internally. theta_t (rad) gates the IMU override
-    in the per-frame IK stage; fragment_len is the window size N (even, >= 4).
-    `scales` fixes total_energy's denominators, each a finite positive
-    number, as with_scales freezes them at a fragment's point; when None,
-    total_energy computes scales at the point it is given. The solver leaves it unset and hands each window's scales to
-    stack_energy, which does not read it.
+    weight the inertial terms internally; each defaults to 1. theta_t (rad)
+    gates the IMU override in sf2; fragment_len is the window size N (even,
+    >= 4). Every evaluation, the solver's included, divides each term by
+    `scales`, each a finite positive number, or when it is None by the
+    stream variances (VISUAL_VARIANCE and the others) at the window's frame
+    rate. with_scales sets it to the term values at a fragment's point.
     """
 
-    k_visual: float = DEFAULT_VISUAL_WEIGHT
-    k_inertial: float = DEFAULT_INERTIAL_WEIGHT
-    k_accel: float = DEFAULT_ACCEL_WEIGHT
-    k_bone: float = DEFAULT_BONE_WEIGHT
-    k_smooth: float = DEFAULT_SMOOTH_WEIGHT
+    k_visual: float = 1.0
+    k_inertial: float = 1.0
+    k_accel: float = 1.0
+    k_bone: float = 1.0
+    k_smooth: float = 1.0
     theta_t: float = DEFAULT_THETA_T
     fragment_len: int = DEFAULT_FRAGMENT_LEN
     scales: TermScales | None = None
@@ -626,61 +640,56 @@ def _term_weights(cfg: EnergyConfig) -> tuple[float, float, float, float]:
     return (cfg.k_visual, ki * cfg.k_accel, ki * cfg.k_bone, ki * cfg.k_smooth)
 
 
-def _scales(values: np.ndarray, active) -> np.ndarray:
-    """(W, 4) scales: each active term's value clamped below at SCALE_FLOOR, else 1."""
-    return np.where(active, np.maximum(values, SCALE_FLOOR), 1.0)
+def _scales(cfg: EnergyConfig, fps: float) -> TermScales:
+    """The denominators of every evaluation: cfg.scales, or the stream variances at `fps`."""
+    if cfg.scales is not None:
+        return cfg.scales
+    return TermScales(VISUAL_VARIANCE, ACCEL_VARIANCE, BONE_VARIANCE,
+                      2.0 * fps * fps * SMOOTH_ACCEL_VARIANCE)
 
 
 def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermScales:
-    """Normalization denominators: each active term's value at `frag`, clamped
-    below at SCALE_FLOOR. Inactive terms keep a scale of 1."""
+    """Each active term's value at `frag`, clamped below at SCALE_FLOOR;
+    inactive terms keep a scale of 1."""
     active = cfg.active_terms
     res = WindowStack.of_window(frag, obs, active).residuals(frag.positions[None], active)
-    return TermScales(*_scales(res.values(), active)[0].tolist())
+    return TermScales(*np.where(active, np.maximum(res.values()[0], SCALE_FLOOR), 1.0).tolist())
 
 
 class StackValue(NamedTuple):
     """total_energy of each window of a stack: the values (W,), gradients
-    (W, N, J, 3), behind-camera counts (W,), the scales used (W, 4) in
-    TermScales order, the (W, 4) term weights k / scale of the gradient, 0
-    for an inactive term, and the pass's visual rows, None without the term."""
+    (W, N, J, 3), behind-camera counts (W,), the (W, 4) term weights
+    k / scale of the gradient, 0 for an inactive term, and the pass's visual
+    rows, None without the term."""
 
     value: np.ndarray
     grad: np.ndarray | None
     behind_camera: np.ndarray
-    scales: np.ndarray
     weights: np.ndarray
     rows: VisualRows | None
 
 
 def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
-                 scales: np.ndarray | None = None, gradient: bool = True) -> StackValue:
+                 gradient: bool = True) -> StackValue:
     """total_energy of every window of `stack` at positions x (W, N, J, 3),
-    from one residual pass. Each window is normalized by its own row of the
-    (W, 4) `scales`, or by its term values at x when `scales` is None;
-    cfg.scales is not read. A window's total is k * value / scale summed over
-    its active terms in term order. Without `gradient`, grad is None."""
+    from one residual pass. A window's total is k * value / scale summed over
+    the active terms in term order, with the scales of cfg, or the stream
+    variances at the stack's frame rate. Without `gradient`, grad is None."""
     active = cfg.active_terms
     res = stack.residuals(x, active)
     values = res.values()
-    scales = _scales(values, active) if scales is None else np.asarray(scales, dtype=float)
-    # An inactive term has k = 0 and is divided by 1, whatever scale it was given.
-    k, s = np.array(_term_weights(cfg)), np.where(active, scales, 1.0)
+    k, s = np.array(_term_weights(cfg)), np.array(_scales(cfg, stack.key[2]))
     totals = np.add.accumulate(k * values / s, axis=1)[:, -1]  # summed in term order
-    weights = k / s
+    weights = np.broadcast_to(k / s, values.shape)  # an inactive term has k = 0
     grad = stack.gradient(res, weights) if gradient else None
-    return StackValue(totals, grad, res.behind_camera, scales, weights, res.rows)
+    return StackValue(totals, grad, res.behind_camera, weights, res.rows)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:
-    """Weighted, normalized sum of the active terms, from one residual pass.
-
-    With cfg.scales unset, scales are computed at `frag` itself, so the value
-    at a fragment's initial point with the default weights is exactly
-    k_visual + k_inertial * (k_accel + k_bone + k_smooth) = 1.0 whenever every
-    active term is nonzero there. The returned `scales` are the ones used.
-    """
-    tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs, cfg.active_terms),
-                      cfg, None if cfg.scales is None else [cfg.scales])
+    """Weighted, normalized sum of the active terms, from one residual pass:
+    k * value / scale summed over them, with the scales of cfg or, when it is
+    unset, the stream variances at the fragment's frame rate. The returned
+    `scales` are the ones used."""
+    tv = stack_energy(frag.positions[None], WindowStack.of_window(frag, obs, cfg.active_terms), cfg)
     return TermValue(float(tv.value[0]), tv.grad[0], int(tv.behind_camera[0]),
-                     TermScales(*tv.scales[0].tolist()))
+                     _scales(cfg, frag.fps))

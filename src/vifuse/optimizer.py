@@ -19,8 +19,10 @@ against the poses and raises the MissingObservationError of an active term
 that lacks its observations. Past that point nothing checks them again.
 
 The solve runs over a stack of windows: one energy pass, one factorization
-and one step call serve them all, while each window keeps its own scales,
-damping and stopping rule. Its state (values, scales, step counts, flags and
+and one step call serve them all, while each window keeps its own damping
+and stopping rule. Every window minimizes the same objective, each term
+divided by its stream variance (energy.EnergyConfig), so its result does
+not depend on where it starts. Its state (values, step counts, flags and
 behind-camera counts) is held in arrays over the window axis, and a window
 that stops keeps its point, value and gradient under a mask. Batch and
 streaming share one gather path: it takes a range of windows' rows from the
@@ -38,8 +40,9 @@ the same in any stack. Nothing is built twice that the solve does not
 change: each frame is projected onto its ray once, for both windows it lies
 in, and the chains, with their slots among the chain joints, come from the
 stack's one rig layout (energy.RigLayout), built once per rig. A stack
-evaluates its start for the scales, then its projection (the start without
-the visual term) for the first step, then each trial point.
+evaluates its start for the value no result may end above, then its
+projection (the start without the visual term) for the first step, then
+each trial point.
 """
 
 from __future__ import annotations
@@ -354,10 +357,10 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     stopped and `stepping` those that take the next step.
     """
     fps = stack.key[2]
-    # The start sets each window's scales and the value no result may end
-    # above; the first step starts from the projection.
+    # The start sets the value no result may end above; the first step
+    # starts from the projection.
     first = stack_energy(start, stack, cfg, gradient=False)
-    x, tv = projected, stack_energy(projected, stack, cfg, first.scales)
+    x, tv = projected, stack_energy(projected, stack, cfg)
     behind = np.maximum(first.behind_camera, tv.behind_camera)
     solver.factor(stack, tv)
     values, grad = tv.value, tv.grad
@@ -373,7 +376,7 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
         step = solver.step()
         step[~stepping] = 0.0
         moved = x + step
-        trial = stack_energy(moved, stack, cfg, first.scales)
+        trial = stack_energy(moved, stack, cfg)
         behind = np.where(stepping, np.maximum(behind, trial.behind_camera), behind)
         going = stepping & (trial.value < values)  # a step that fails to lower stops its window
         iterations += going
@@ -399,13 +402,12 @@ def minimize_fragment(
 ) -> FragmentResult:
     """Minimize the total energy over one fragment's coordinates.
 
-    Normalization scales are frozen at the initial point, so the initial total
-    is k_visual + k_inertial*(k_accel + k_bone + k_smooth) when every active
-    term is nonzero. With the visual term active, every joint first moves to
-    its ray projection, the free joints' minimum; the chains then take
-    Gauss-Newton steps from there, one energy evaluation each. The result is
-    the best point evaluated, so never above the initial one. This is the
-    solve of a stack of one window.
+    Each term is divided by cfg.scales or its stream variance, as in
+    total_energy, whatever the start. With the visual term active, every
+    joint first moves to its ray projection, the free joints' minimum; the
+    chains then take Gauss-Newton steps from there, one energy evaluation
+    each. The result is the best point evaluated, so never above the initial
+    one. This is the solve of a stack of one window.
     """
     stack = WindowStack.of_window(frag, obs, cfg.active_terms)
     start = np.array([frag.positions])

@@ -5,8 +5,9 @@ Modes:
   sf2       per-frame IMU-gated inverse kinematics only
   rto       the visual term's exact minimum (k_inertial = 0): each joint
             projected onto its pixel's camera ray, with no fragments
-  rtof      sf2 followed by fragment optimization of the full energy, or by
-            rto's projection when no inertial term is active
+  rtof      fragment optimization of the full energy from the input poses,
+            or rto's projection when no inertial term is active; theta_t
+            serves sf2 alone
 
 Runs are deterministic: identical inputs and config produce byte-identical
 output files (no timing or environment data is written to results).
@@ -118,9 +119,9 @@ def apply_mode(
     """In-memory form of the run command; returns (refined poses, solver stats).
 
     With no active inertial term (always in rto), each joint is independent
-    and the start (the input poses in rto, sf2's in rtof) goes through
-    visual_minimum, or comes back unchanged if k_visual is 0 too. Stats are
-    None whenever the optimizer does not run.
+    and the input poses go through visual_minimum, or come back unchanged if
+    k_visual is 0 too. rtof's solve starts from the input poses too. Stats
+    are None whenever the optimizer does not run.
     """
     energy = energy if energy is not None else EnergyConfig()
     solver = solver if solver is not None else SolverSettings()
@@ -149,20 +150,15 @@ def apply_mode(
         rotations, accel, bones = calibrate_stream(calib, imu, skel)
         sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
         sensor_parents = np.array(skel.parents)[sensor_joints]
-        imu_rotations = {j: rotations[:, k] for k, j in enumerate(sensor_joints.tolist())}
 
     if mode == "sf2":
+        imu_rotations = {j: rotations[:, k] for k, j in enumerate(sensor_joints.tolist())}
         return refine_sequence(skel, poses, imu_rotations, energy.theta_t), None
 
-    if mode == "rto":
-        start, inertial = poses, False  # the visual-only ablation: k_inertial = 0
-    else:
-        start = refine_sequence(skel, poses, imu_rotations, energy.theta_t)
-        inertial = energy.inertial_active
-    if not inertial:
+    if mode == "rto" or not energy.inertial_active:  # rto is the visual-only ablation
         if energy.k_visual == 0.0:
-            return start.copy(), None
-        return visual_minimum(start, pixels, camera), None
+            return poses.copy(), None
+        return visual_minimum(poses, pixels, camera), None
 
     seq_obs = SequenceObservations(
         fps=fps,
@@ -173,7 +169,7 @@ def apply_mode(
         sensor_joints=sensor_joints,
         sensor_parents=sensor_parents,
     )
-    return refine_batch(start, seq_obs, energy, solver)
+    return refine_batch(poses, seq_obs, energy, solver)
 
 
 # The JSON values each option annotation takes, and how a message names them.
@@ -277,7 +273,8 @@ class RunConfig:
             if isinstance(data.get(key), str):  # other values are refused below
                 data[key] = str(base / data[key])
         if "energy" in data:
-            # scales fixes total_energy's denominators; the solver never reads it
+            # scales replaces the stream variances of every evaluation, the
+            # solver's included; it is set through the API, not the file
             data["energy"] = _build_from_dict(EnergyConfig, data["energy"], "energy", ("scales",))
         if "solver" in data:
             data["solver"] = _build_from_dict(SolverSettings, data["solver"], "solver")

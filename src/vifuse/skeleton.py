@@ -236,22 +236,26 @@ def refine_sequence(
     replaced bone shifts every descendant. imu_rotations maps a joint index
     (an integer from 1 to J - 1; any other key raises UnboundJointError) to
     its calibrated sensor rotations, (T, 4) quaternions or one (4,) rotation
-    for every frame. A degenerate observed bone raises DegenerateBoneError
-    carrying its frame index.
+    for every frame; any other shape raises ValueError. A degenerate observed
+    bone raises DegenerateBoneError carrying its frame index.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
     js = list(imu_rotations or {})
+    given = []
     for j in js:
         whole = isinstance(j, (int, np.integer)) and not isinstance(j, (bool, np.bool_))
         if not whole or not 1 <= j < skel.joint_count:
             raise UnboundJointError(f"sensor bound to invalid joint index {j}")
+        given.append(np.asarray(imu_rotations[j], dtype=float))
+        if given[-1].shape not in ((len(poses), 4), (4,)):
+            raise ValueError(f"sensor rotations of joint {j} have shape {given[-1].shape}, "
+                             f"expected ({len(poses)}, 4) or (4,)")
     b_obs, norms = _observed_bones(skel, poses)
     offsets = b_obs * (skel.bone_lengths[1:] / norms)[..., None]
     if js:
-        rotations = np.stack(np.broadcast_arrays(
-            *(np.asarray(imu_rotations[j], dtype=float) for j in js)), axis=-2)
+        rotations = np.stack(np.broadcast_arrays(*given), axis=-2)
         predicted = quat_apply(rotations, skel.bones[js])
         bones = [j - 1 for j in js]
         fire = angle_between(predicted, np.take(b_obs, bones, axis=-2)) > theta_t

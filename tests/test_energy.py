@@ -328,10 +328,20 @@ def test_term_scales_active_and_floor(rng):
     assert sz.smooth == SCALE_FLOOR
 
 
-def test_total_is_one_at_initial_point(rng):
-    frag, obs = random_setup(rng)
+def stream_variances(fps):
+    """The default denominators as the energy module states them: 1 px^2,
+    (1000 mm/s^2)^2, (2.8 mm)^2 and 2 (fps 40 mm/s^2)^2."""
+    return TermScales(1.0, 1000.0 ** 2, 2.8 ** 2, 2.0 * (fps * 40.0) ** 2)
+
+
+@pytest.mark.parametrize("fps", [5.0, 25.0])
+def test_total_divides_each_term_by_its_stream_variance(rng, fps):
+    frag, obs = random_setup(rng, fps=fps)
     tv = total_energy(frag, obs, EnergyConfig())
-    assert tv.value == pytest.approx(1.0, rel=1e-12)
+    variances = stream_variances(fps)
+    want = sum(v / s for v, s in zip(reference_values(frag, obs), variances))
+    assert tv.value == pytest.approx(want, rel=1e-12)
+    assert tv.scales == pytest.approx(variances, rel=1e-15)
 
 
 def test_total_matches_weighted_sum(rng):
@@ -426,15 +436,18 @@ def test_total_matches_reference(rng, case):
     assert max_rel_err(tv.grad, numeric.reshape(tv.grad.shape)) < 1e-6
 
 
-def test_total_without_frozen_scales_renormalizes(rng):
-    # scales computed at the evaluation point make the default total constant;
-    # freezing them at the initial fragment is what makes it a real objective
+def test_total_without_scales_keeps_the_stream_variances_at_every_point(rng):
+    # Without cfg.scales every point is divided by the same variances, so the
+    # total is one objective; with_scales divides by the values at a point,
+    # where each of the four unit-weight terms then reads 1.
     frag, obs = random_setup(rng)
     cfg = EnergyConfig()
     moved = Fragment(frag.positions + rng.uniform(-3, 3, frag.positions.shape), frag.fps)
-    assert total_energy(moved, obs, cfg).value == pytest.approx(1.0, rel=1e-12)
+    want = sum(v / s for v, s in zip(reference_values(moved, obs), stream_variances(frag.fps)))
+    assert total_energy(moved, obs, cfg).value == pytest.approx(want, rel=1e-12)
     frozen = cfg.with_scales(frag, obs)
-    assert total_energy(moved, obs, frozen).value != pytest.approx(1.0, rel=1e-6)
+    assert total_energy(frag, obs, frozen).value == pytest.approx(4.0, rel=1e-12)
+    assert total_energy(moved, obs, frozen).value != pytest.approx(4.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("name", ["pixels", "accel", "bones"])
@@ -451,8 +464,9 @@ def test_each_evaluation_reads_the_callers_streams(rng, name):
     second = total_energy(frag, obs, EnergyConfig())
     fresh = total_energy(frag, Observations(**{n: a.copy() for n, a in streams.items()}, **rig),
                          EnergyConfig())
-    assert second.scales != first.scales
-    assert second.scales == fresh.scales and second.grad.tobytes() == fresh.grad.tobytes()
+    assert second.value != first.value
+    assert second.grad.tobytes() != first.grad.tobytes()
+    assert second.value == fresh.value and second.grad.tobytes() == fresh.grad.tobytes()
 
 
 def test_stream_shapes_are_checked_where_the_observations_are_built():
@@ -483,7 +497,8 @@ def test_visual_only_config_ignores_missing_imu(rng):
     frag, obs = random_setup(rng)
     bare = Observations(pixels=obs.pixels, camera=obs.camera)
     tv = total_energy(frag, bare, EnergyConfig(k_inertial=0.0, k_visual=1.0))
-    assert tv.value == pytest.approx(1.0, rel=1e-12)
+    want = reference_values(frag, bare).visual / stream_variances(frag.fps).visual
+    assert tv.value == pytest.approx(want, rel=1e-12)
 
 
 def test_total_propagates_behind_camera(rng):
@@ -548,8 +563,8 @@ def test_stack_energy_matches_each_window_alone(rng):
     assert list(got.behind_camera) == [0, 1, 0]
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
-        assert (got.value[i], got.behind_camera[i], tuple(got.scales[i])) == (
-            alone.value, alone.behind_camera, alone.scales)
+        assert (got.value[i], got.behind_camera[i]) == (alone.value, alone.behind_camera)
+        assert got.weights[i].tolist() == [1.0 / s for s in alone.scales]
         assert got.grad[i].tobytes() == alone.grad.tobytes()
         win = energy.WindowStack.of_window(frag, obs, cfg.active_terms)
         parts = win.normal_parts(energy.stack_energy(frag.positions[None], win, cfg).rows,
@@ -594,7 +609,7 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
         assert list(got.behind_camera) == skipped
         visual, _, _ = stack.normal_parts(got.rows, got.weights)
         assert visual.shape == (3, 50, 12, 3, 3)
-        weights = 2.0 * cfg.k_visual / got.scales[:, 0]
+        weights = 2.0 * got.weights[:, 0]
         every = visual_blocks_of_every_joint(stack, x, weights)
         assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()

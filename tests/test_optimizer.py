@@ -33,6 +33,7 @@ from vifuse import energy, optimizer
 from vifuse.rotmath import IDENTITY, quat_matrix
 
 from conftest import dense_calibration
+from test_energy import reference_values, stream_variances
 
 
 def seq_problem(rng, t_n=30, j_n=3, fps=10.0, sensors=(1, 2), parents=(0, 1)):
@@ -91,10 +92,9 @@ def window_problem(rng, n=8, j_n=4, fps=25.0, sensors=(1, 2), parents=(0, 1)):
     return Fragment(truth + rng.normal(0.0, 20.0, truth.shape), fps), obs
 
 
-def frozen_energy(frag, obs, cfg):
-    """total_energy under the scales of `frag`'s start, as minimize_fragment uses it."""
-    scales = total_energy(frag, obs, cfg).scales
-    return lambda x: total_energy(Fragment(x, frag.fps, frag.start), obs, replace(cfg, scales=scales))
+def objective(frag, obs, cfg):
+    """total_energy over positions in `frag`'s place: the objective minimize_fragment minimizes."""
+    return lambda x: total_energy(Fragment(x, frag.fps, frag.start), obs, cfg)
 
 
 @pytest.fixture
@@ -130,8 +130,8 @@ def test_quadratic_converges_fast(rng):
     cfg = EnergyConfig(k_visual=0.0, k_inertial=1.0, fragment_len=8)
     res = minimize_fragment(frag, obs, cfg, SolverSettings())
     assert res.converged and res.iterations == 1
-    grad = frozen_energy(frag, obs, cfg)(res.fragment.positions).grad
-    start_grad = frozen_energy(frag, obs, cfg)(frag.positions).grad
+    grad = objective(frag, obs, cfg)(res.fragment.positions).grad
+    start_grad = objective(frag, obs, cfg)(frag.positions).grad
     assert np.max(np.abs(grad)) <= 1e-6 * np.max(np.abs(start_grad))
     np.testing.assert_array_equal(res.fragment.positions[:, 3], frag.positions[:, 3])
 
@@ -185,11 +185,12 @@ def test_failed_step_keeps_the_best_iterate(rng, monkeypatch):
     assert not res.converged and res.iterations == 0
     projected = visual_minimum(frag.positions, obs.pixels, obs.camera)
     np.testing.assert_array_equal(res.fragment.positions, projected)
-    assert res.final_value == frozen_energy(frag, obs, cfg)(projected).value < res.initial_value
+    assert res.final_value == objective(frag, obs, cfg)(projected).value < res.initial_value
 
 
 def capture_problem(seed, duration, calib=None):
-    """The sf2 start poses and the observations of a default-noise capture, as rtof solves them."""
+    """The sf2 poses, a start away from the input, and the observations of a
+    default-noise capture."""
     ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(duration), calib=calib)
     start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
@@ -211,7 +212,7 @@ def solve_windows(schedule, windows, start, seq, cfg, settings):
 
 
 def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
-    # Every window of a short default-noise capture, started from sf2 as in rtof.
+    # Every window of a short default-noise capture, started from sf2.
     start, seq = capture_problem(3, 4.0)
     cfg = EnergyConfig()
     schedule = FragmentSchedule(len(start), cfg.fragment_len)
@@ -223,6 +224,20 @@ def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
         assert default.iterations <= 3
         assert best.final_value <= default.final_value <= best.final_value * (1.0 + 1e-6)
     assert_sweeps_give_the_steps_decrease(sweeps)
+
+
+def test_chain_joints_do_not_depend_on_the_start():
+    # Every window divides its terms by the same stream variances, so the
+    # chains reach one minimum from the input poses, rtof's start, and from
+    # sf2's output alike.
+    sf2, seq = capture_problem(0, 8.0)
+    inputs = make_dataset(DEFAULT_NOISE, seed=0, script=default_script(8.0)).inputs
+    assert np.abs(inputs - sf2).max() > 10.0  # two starts that differ
+    chains = np.union1d(seq.sensor_joints, seq.sensor_parents)
+    from_input, _ = refine_batch(inputs, seq, EnergyConfig(), SolverSettings())
+    from_sf2, _ = refine_batch(sf2, seq, EnergyConfig(), SolverSettings())
+    apart = np.linalg.norm(from_input[:, chains] - from_sf2[:, chains], axis=-1)
+    assert apart.max() < 0.5
 
 
 @pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
@@ -329,8 +344,8 @@ def test_revert_to_the_start_is_per_window(rng, monkeypatch):
     # Every step goes uphill, as in test_failed_step_keeps_the_best_iterate,
     # so each window ends at the better of its start and its ray projection.
     # The projection lowers the energy of the first window. The second starts
-    # where its inertial terms vanish, so their scales sit at the floor and
-    # the projection raises its energy: it falls back to its start.
+    # where its inertial terms vanish, and the projection raises them more
+    # than it lowers the visual term: it falls back to its start.
     frag, obs = window_problem(rng)
     x = frag.positions
     accel = np.zeros_like(obs.accel)
@@ -403,7 +418,7 @@ def test_degenerate_chains_stay_solvable_and_monotone(rng, sweeps, case):
 def dense_minimum(frag, obs, cfg, chain):
     """Reference: Newton's method on the chain joints with a dense central-difference
     Hessian of the analytic gradient, from the ray projection of every joint."""
-    energy_at = frozen_energy(frag, obs, cfg)
+    energy_at = objective(frag, obs, cfg)
     x = visual_minimum(frag.positions, obs.pixels, obs.camera)
     mask = np.zeros(x.shape, dtype=bool)
     mask[:, chain] = True
@@ -523,7 +538,9 @@ def test_minimize_fragment_normalized_start(rng):
     poses, obs = seq_problem(rng, t_n=8)
     frag = Fragment(poses, obs.fps, 0)
     res = minimize_fragment(frag, whole_window(obs), EnergyConfig(fragment_len=8), SolverSettings())
-    assert res.initial_value == pytest.approx(1.0, rel=1e-9)
+    want = sum(v / s for v, s in zip(reference_values(frag, whole_window(obs)),
+                                     stream_variances(obs.fps)))
+    assert res.initial_value == pytest.approx(want, rel=1e-9)
     assert res.final_value <= res.initial_value
     assert res.fragment.positions.shape == frag.positions.shape
     assert res.fragment.start == frag.start
@@ -551,9 +568,9 @@ def test_start_at_minimum_is_zero_iterations():
 
 
 def test_fragment_at_minimum_evaluates_its_start_and_its_projection_once_each(monkeypatch):
-    # The start gives the scales and the value no result ends above, without
-    # a gradient; the projection, here the start itself, gives the stopping
-    # test, which takes no step, so no trial point is evaluated.
+    # The start gives the value no result ends above, without a gradient;
+    # the projection, here the start itself, gives the stopping test, which
+    # takes no step, so no trial point is evaluated.
     passes, gradients = [], []
     residuals = energy.WindowStack.residuals
     monkeypatch.setattr(energy.WindowStack, "residuals",
@@ -592,11 +609,11 @@ def test_refine_batch_reduces_energy(rng):
     assert stats.fragment_count == FragmentSchedule(poses.shape[0], 8).window_count
     assert stats.optimize_seconds > 0
     assert stats.fragments_per_second > 0
-    # the merged output scores below the input on full-sequence energy
+    # the merged output scores below the input on full-sequence energy, under
+    # the objective every window minimizes
     whole = whole_window(obs)
-    frozen = cfg.with_scales(Fragment(poses, obs.fps), whole)
-    before = total_energy(Fragment(poses, obs.fps), whole, frozen)
-    after = total_energy(Fragment(merged, obs.fps), whole, frozen)
+    before = total_energy(Fragment(poses, obs.fps), whole, cfg)
+    after = total_energy(Fragment(merged, obs.fps), whole, cfg)
     assert after.value < before.value
 
 

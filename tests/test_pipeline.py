@@ -178,20 +178,19 @@ def test_rto_is_the_visual_minimum_nearest_the_start(ds):
     assert np.all(moved <= np.linalg.norm(on_rays - ds.inputs, axis=-1) + 1e-9)
 
 
-def test_rtof_without_inertial_terms_projects_the_sf2_start(ds):
+def test_rtof_without_inertial_terms_projects_the_input(ds):
     kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu)
-    sf2_out, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, **kw)
     visual_only = EnergyConfig(k_visual=1.0, k_inertial=0.0)
     no_subterms = EnergyConfig(k_accel=0.0, k_bone=0.0, k_smooth=0.0)
     for energy in (visual_only, no_subterms):
         out, stats = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=energy, **kw)
         assert stats is None
-        assert out.tobytes() == visual_minimum(sf2_out, ds.pixels, ds.camera).tobytes()
-    # Nothing active at all: the start comes back unchanged.
+        assert out.tobytes() == visual_minimum(ds.inputs, ds.pixels, ds.camera).tobytes()
+    # Nothing active at all: the input comes back unchanged.
     nothing = EnergyConfig(k_visual=0.0, k_inertial=1.0, k_accel=0.0, k_bone=0.0, k_smooth=0.0)
     out, stats = apply_mode("rtof", ds.skeleton, ds.inputs, ds.fps, energy=nothing, **kw)
     assert stats is None
-    assert out.tobytes() == sf2_out.tobytes()
+    assert out.tobytes() == ds.inputs.tobytes() and out is not ds.inputs
     out, _ = apply_mode("rto", ds.skeleton, ds.inputs, ds.fps, energy=nothing, **kw)
     assert out.tobytes() == ds.inputs.tobytes() and out is not ds.inputs
 
@@ -615,7 +614,7 @@ def test_truth_stream_is_checked_before_the_solve(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("section, option, value", [
-    ("energy", "scales", [1e9, 1e9, 1e9, 1e9]),  # set by the solver at each fragment's start
+    ("energy", "scales", [1e9, 1e9, 1e9, 1e9]),  # set through the API alone
     ("solver", "wolfe_c1", 1e-4),  # nor are the constants of the deleted line search
     ("solver", "wolfe_c2", 0.9),
     ("solver", "history", 10),  # or the deleted quasi-Newton memory

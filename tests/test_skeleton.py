@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,16 @@ def test_refine_sequence_no_imu_is_fixpoint(rng):
     np.testing.assert_allclose(out, poses, atol=1e-9)
     again = refine_sequence(skel, out, None, 0.1)
     np.testing.assert_allclose(again, out, atol=1e-9)
+
+
+def test_refine_sequence_refuses_rotations_of_another_shape():
+    # Numpy's broadcast error named neither the joint nor the shape it wants.
+    skel = chain_skeleton(3)
+    poses = np.repeat(skel.tpose[None], 5, axis=0)
+    for bad in (np.tile(IDENTITY, (4, 1)), np.zeros(3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sensor rotations of joint 2 have shape {bad.shape}, expected (5, 4) or (4,)")):
+            refine_sequence(skel, poses, {1: IDENTITY, 2: bad}, 0.1)
 
 
 def test_refine_sequence_refuses_an_array_that_is_not_t_j_3():

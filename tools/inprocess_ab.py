@@ -12,7 +12,7 @@ those files with its own readers:
 - sf2, rto, rtof: run_pipeline on the capture's run_config.json in that
   mode, then write_results: `vifuse run` without a new process;
 - batch, stream: refine_batch, or run_stream frame by frame, over what rtof
-  solves: sf2's output as the start, with the calibrated IMU streams.
+  solves: the input poses as the start, with the calibrated IMU streams.
 
 One untimed call per side checks that the two outputs are bitwise equal; if
 they are not, the largest absolute difference is printed and the tool exits
@@ -78,8 +78,7 @@ def rtof_problem(vf, config):
     """The start and observations that rtof hands refine_batch."""
     skel = vf.read_skeleton(config.skeleton)
     calib, imu = vf.read_calibration(config.calibration), vf.read_imu(config.imu)
-    start, _ = vf.apply_mode("sf2", skel, vf.read_pose3d(config.pose3d), config.fps,
-                             calib=calib, imu=imu)
+    start = vf.read_pose3d(config.pose3d)
     _, accel, bones = vf.calibrate_stream(calib, imu, skel)
     joints = calib.joint_indices(skel, imu.sensor_ids)
     seq = vf.SequenceObservations(

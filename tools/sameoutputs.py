@@ -8,7 +8,7 @@ with each checkout on the parent's dataset, and refined_pose3d.txt,
 metrics.txt and metrics.json are compared. Without --duration the datasets
 have synth's default length. The CLI runs use the default eight-sensor rig,
 so each checkout also refines an 8 s capture of the 13-sensor rig of the
-tests (tests/conftest.py), from sf2 as rtof starts, with and without the
+tests (tests/conftest.py), from sf2's poses, with and without the
 visual term, through refine_batch and run_stream, and the bytes of the sf2
 start and of the four outputs are compared, with a JSON file per weight set
 of each window's solve record from minimize_fragment, so that the
