@@ -1,8 +1,11 @@
 """vifuse: visual-inertial refinement of lifted 3D human pose sequences.
 
-Lifted per-frame 3D poses are fused with sparse IMU readings in two stages:
-a per-frame IMU-gated inverse kinematics pass, then overlapping-window
-optimization of a hybrid reprojection/inertial/smoothness energy.
+Lifted per-frame 3D poses are fused with sparse IMU readings and their 2D
+detections in one of two ways, each from the input poses: sf2, a per-frame
+pass that swaps in the sensor-predicted bone where the observed bone strays
+past a gate angle, or rtof, overlapping-window optimization of a hybrid
+reprojection/inertial/smoothness energy. Both read the one Observations of
+the calibrated IMU stream.
 """
 
 from .camera import W_MIN, BehindCameraError, Camera, look_at

@@ -96,6 +96,12 @@ def is_finite_positive(value) -> bool:
     return not is_bool(value) and 0.0 < value < math.inf
 
 
+def check_theta_t(theta_t) -> None:
+    """Refuse an sf2 gate angle (rad) outside [0, pi], NaN or a bool with ValueError."""
+    if is_bool(theta_t) or not 0.0 <= theta_t <= math.pi:
+        raise ValueError(f"theta_t must lie in [0, pi], got {theta_t}")
+
+
 class MissingObservationError(ValueError):
     """An energy term was evaluated without the observations it needs."""
 
@@ -135,7 +141,10 @@ class Observations:
     pixels: (T, J, 2) px with NaN rows for missing joints, or None.
     accel/bones: (T, K, 3) calibrated IMU accelerations / bone vectors, or None.
     sensor_joints/sensor_parents: (K,) bound joint index and its parent
-    index, or None for no sensors.
+    index, or None for no sensors. Each index must be an integer as given
+    (is_integer), so a bool or a float such as 1.0 is refused; this is the
+    one joint-index rule, and sf2 (skeleton.refine_sequence) gates on bones
+    at these sensor_joints.
 
     The streams are kept as float arrays without a copy: every evaluation
     reads the caller's arrays. check() checks them against the positions,
@@ -159,20 +168,13 @@ class Observations:
             raise ValueError(f"sensor {min(len(sj), len(sp))} has no "
                              f"{'parent' if len(sj) > len(sp) else 'joint'}: "
                              f"{len(sj)} sensor_joints, {len(sp)} sensor_parents")
-        # An index must be a whole number and not a bool; casting would
-        # truncate 1.7 to 1 and read True as 1. Bools are looked for among
-        # the elements given, as np.asarray reads [2, True] as [2, 1].
+        # Each index must pass is_integer as given: casting would truncate
+        # 1.7 to 1 and read True as 1, and np.asarray reads [2, True] as [2, 1].
         items = [g.tolist() if isinstance(g, np.ndarray) else list(g) for g in given]
-        fractional = np.array([[isinstance(v, (bool, np.bool_)) for v in side] for side in items],
-                              bool).reshape(2, -1).any(axis=0)
-        for a in (sj, sp):
-            if a.dtype.kind not in "iu":
-                f = a.astype(float)
-                fractional |= ~(np.abs(f) < 2.0 ** 53) | (f != np.trunc(f))
-        if fractional.any():
-            k = np.flatnonzero(fractional)[0]
-            raise ValueError(f"sensor {k} is bound to joint {items[0][k]} with parent "
-                             f"{items[1][k]}; joint indices must be whole numbers")
+        for k, pair in enumerate(zip(*items)):
+            if not all(is_integer(v) and abs(v) < 2 ** 63 for v in pair):
+                raise ValueError(f"sensor {k} is bound to joint {pair[0]} with parent "
+                                 f"{pair[1]}; joint indices must be integers")
         sj, sp = sj.astype(int), sp.astype(int)
         negative = np.flatnonzero((sj < 0) | (sp < 0))
         if negative.size:
@@ -282,8 +284,7 @@ class EnergyConfig:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.k_visual == 0.0 and self.k_inertial == 0.0:
             raise ValueError("at least one of k_visual, k_inertial must be positive")
-        if is_bool(self.theta_t) or not 0.0 <= self.theta_t <= math.pi:
-            raise ValueError(f"theta_t must lie in [0, pi], got {self.theta_t}")
+        check_theta_t(self.theta_t)
         n = self.fragment_len
         if not is_integer(n) or n < 4 or n % 2 != 0:
             raise ValueError(f"fragment_len must be an even integer >= 4, got {n!r}")

@@ -118,10 +118,12 @@ def apply_mode(
 ) -> tuple[np.ndarray, RefineStats | None]:
     """In-memory form of the run command; returns (refined poses, solver stats).
 
-    With no active inertial term (always in rto), each joint is independent
-    and the input poses go through visual_minimum, or come back unchanged if
-    k_visual is 0 too. rtof's solve starts from the input poses too. Stats
-    are None whenever the optimizer does not run.
+    sf2 and rtof read one SequenceObservations of the calibrated IMU stream:
+    sf2 gates on its sensor-predicted bones, and rtof's bone term reads the
+    same bones. With no active inertial term (always in rto), each joint is
+    independent and the input poses go through visual_minimum, or come back
+    unchanged if k_visual is 0 too. rtof's solve starts from the input poses
+    too. Stats are None whenever the optimizer does not run.
     """
     energy = energy if energy is not None else EnergyConfig()
     solver = solver if solver is not None else SolverSettings()
@@ -144,31 +146,25 @@ def apply_mode(
                 f"2D stream has {pixels.shape[1]} joints, skeleton {skel.joint_count}")
 
     if mode in ("sf2", "rtof"):
+        if mode == "sf2":  # the observations carry no stream sf2 does not read
+            pixels = camera = None
         if imu.frame_count != poses.shape[0]:
             raise DataError(
                 f"IMU stream has {imu.frame_count} frames, pose stream {poses.shape[0]}")
-        rotations, accel, bones = calibrate_stream(calib, imu, skel)
+        _, accel, bones = calibrate_stream(calib, imu, skel)
         sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
-        sensor_parents = np.array(skel.parents)[sensor_joints]
+        seq_obs = SequenceObservations(
+            fps=fps, pixels=pixels, camera=camera, accel=accel, bones=bones,
+            sensor_joints=sensor_joints, sensor_parents=np.array(skel.parents)[sensor_joints])
 
     if mode == "sf2":
-        imu_rotations = {j: rotations[:, k] for k, j in enumerate(sensor_joints.tolist())}
-        return refine_sequence(skel, poses, imu_rotations, energy.theta_t), None
+        return refine_sequence(skel, poses, seq_obs, energy.theta_t), None
 
     if mode == "rto" or not energy.inertial_active:  # rto is the visual-only ablation
         if energy.k_visual == 0.0:
             return poses.copy(), None
         return visual_minimum(poses, pixels, camera), None
 
-    seq_obs = SequenceObservations(
-        fps=fps,
-        pixels=pixels,
-        camera=camera,
-        accel=accel,
-        bones=bones,
-        sensor_joints=sensor_joints,
-        sensor_parents=sensor_parents,
-    )
     return refine_batch(poses, seq_obs, energy, solver)
 
 

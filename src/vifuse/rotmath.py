@@ -74,17 +74,9 @@ def _normalize(q: np.ndarray) -> np.ndarray:
     return _canonicalize(q)
 
 
-def quat_canonical(q) -> np.ndarray:
-    """Flip each quaternion so its first nonzero component is positive.
-
-    That is w >= 0, with w == 0 exactly broken by the first nonzero vector
-    component, so serialization of 180-degree rotations is stable.
-    """
-    return _canonicalize(np.array(q, dtype=float))
-
-
 def quat_normalize(q) -> np.ndarray:
-    """Unit-length, sign-canonical copy of (..., 4) quaternions.
+    """Unit-length, sign-canonical copy of (..., 4) quaternions: w >= 0,
+    with w == 0 exactly broken by the first nonzero vector component.
 
     A finite quaternion too large for its squared norm (a component above
     1e150) is first scaled by a power of two, which leaves its direction exact.

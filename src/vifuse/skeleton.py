@@ -9,10 +9,10 @@ the single root), so one forward pass resolves every global rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
+from .energy import Observations, check_theta_t
 from .rotmath import (IDENTITY, _norm3, angle_between, quat_apply, quat_inverse, quat_mul,
                       solve_rotation)
 
@@ -221,7 +221,7 @@ def inverse_kinematics(skel: SkeletonDefinition, pose: np.ndarray) -> MotionPara
 def refine_sequence(
     skel: SkeletonDefinition,
     poses: np.ndarray,
-    imu_rotations: Mapping[int, np.ndarray] | None,
+    obs: Observations,
     theta_t: float,
 ) -> np.ndarray:
     """sf2: IMU-gated bones summed into positions, over all frames of a
@@ -229,35 +229,33 @@ def refine_sequence(
 
     The minimal rotation taking a T-pose bone to an observed one maps it to
     the T-pose length along the observed direction, so each bone is that
-    unless the joint carries a sensor and the angle between the
-    sensor-predicted bone, quat_apply(imu rotation, T-pose bone), and the
-    observed bone exceeds theta_t; then it is the sensor-predicted bone. The
-    bones are summed from the observed root in topological order, so a
-    replaced bone shifts every descendant. imu_rotations maps a joint index
-    (an integer from 1 to J - 1; any other key raises UnboundJointError) to
-    its calibrated sensor rotations, (T, 4) quaternions or one (4,) rotation
-    for every frame; any other shape raises ValueError. A degenerate observed
-    bone raises DegenerateBoneError carrying its frame index.
+    unless its joint carries a sensor and the angle between the
+    sensor-predicted bone, obs.bones (T, K, 3) at obs.sensor_joints, and the
+    observed bone exceeds theta_t; then it is the sensor-predicted bone. These
+    are the observations the window solve's bone term reads. The bones are
+    summed from the observed root in topological order, so a replaced bone
+    shifts every descendant. obs.check refuses streams and indices that do
+    not fit the poses, and a sensor without bones raises
+    MissingObservationError; a sensor at the root or a second sensor on one
+    joint raises UnboundJointError, and a theta_t outside [0, pi], NaN or a
+    bool ValueError. A degenerate observed bone raises DegenerateBoneError
+    carrying its frame index.
     """
+    check_theta_t(theta_t)
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
-    js = list(imu_rotations or {})
-    given = []
-    for j in js:
-        whole = isinstance(j, (int, np.integer)) and not isinstance(j, (bool, np.bool_))
-        if not whole or not 1 <= j < skel.joint_count:
+    obs.check(poses.shape)
+    js = obs.sensor_joints.tolist()
+    for k, j in enumerate(js):
+        if j == 0 or j in js[:k]:
             raise UnboundJointError(f"sensor bound to invalid joint index {j}")
-        given.append(np.asarray(imu_rotations[j], dtype=float))
-        if given[-1].shape not in ((len(poses), 4), (4,)):
-            raise ValueError(f"sensor rotations of joint {j} have shape {given[-1].shape}, "
-                             f"expected ({len(poses)}, 4) or (4,)")
+    if js:
+        obs.require((False, False, True, False), len(poses))
     b_obs, norms = _observed_bones(skel, poses)
     offsets = b_obs * (skel.bone_lengths[1:] / norms)[..., None]
     if js:
-        rotations = np.stack(np.broadcast_arrays(*given), axis=-2)
-        predicted = quat_apply(rotations, skel.bones[js])
         bones = [j - 1 for j in js]
-        fire = angle_between(predicted, np.take(b_obs, bones, axis=-2)) > theta_t
-        offsets[:, bones] = np.where(fire[..., None], predicted, offsets[:, bones])
+        fire = angle_between(obs.bones, np.take(b_obs, bones, axis=-2)) > theta_t
+        offsets[:, bones] = np.where(fire[..., None], obs.bones, offsets[:, bones])
     return _chain(skel, poses[:, 0], offsets)

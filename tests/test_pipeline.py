@@ -131,16 +131,23 @@ def test_shape_mismatches(ds):
         )
 
 
-def test_sf2_matches_direct_ik(ds):
+@pytest.mark.parametrize("rig", ["default", "dense"])
+def test_sf2_gates_on_the_bones_the_window_solve_reads(default_noise_captures, rig):
+    # sf2 swaps in calibrate_stream's bones, the ones rtof's bone term reads
+    ds = default_noise_captures[rig]
     out, stats = apply_mode(
         "sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu
     )
     assert stats is None
-    rotations, _, _ = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
-    joints = ds.calibration.joint_indices(ds.skeleton)
-    imu_rotations = {j: rotations[:, k] for k, j in enumerate(joints.tolist())}
-    want = refine_sequence(ds.skeleton, ds.inputs, imu_rotations, EnergyConfig().theta_t)
-    np.testing.assert_array_equal(out, want)
+    _, _, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
+    joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
+    obs = Observations(bones=bones, sensor_joints=joints,
+                       sensor_parents=np.array(ds.skeleton.parents)[joints])
+    want = refine_sequence(ds.skeleton, ds.inputs, obs, EnergyConfig().theta_t)
+    assert out.tobytes() == want.tobytes()
+    # the gate fires on some sensor bones and stays shut on others
+    fired = np.isclose(out[:, joints] - out[:, obs.sensor_parents], bones, atol=1e-9).all(-1)
+    assert fired.any() and not fired.all()
 
 
 def test_rto_forces_visual_only(ds):

@@ -6,7 +6,10 @@ import pytest
 
 from vifuse import (
     DegenerateBoneError,
+    EnergyConfig,
+    MissingObservationError,
     MotionParams,
+    Observations,
     SkeletonDefinition,
     TopologyError,
     UnboundJointError,
@@ -147,21 +150,54 @@ def test_ik_batch_equals_single_poses(rng):
     assert (info.value.frame, info.value.joint) == (2, 3)
 
 
+def sensor_obs(skel, imu_rotations, frames=1):
+    """Observations of the bones that calibrated sensor rotations predict,
+    as calibrate_stream predicts them: imu_rotations maps a joint to its
+    (frames, 4) rotations, or to one (4,) rotation held for every frame."""
+    joints = list(imu_rotations)
+    rotations = np.stack(
+        [np.broadcast_to(imu_rotations[j], (frames, 4)) for j in joints], axis=1)
+    return Observations(bones=quat_apply(rotations, skel.bones[joints]), sensor_joints=joints,
+                        sensor_parents=[skel.parents[j] for j in joints])
+
+
 def _refine_one(skel, pose, imu_rotations, theta_t):
     """refine_sequence on a (1, J, 3) batch of `pose`, as one (J, 3) pose."""
-    return refine_sequence(skel, pose[None], imu_rotations, theta_t)[0]
+    return refine_sequence(skel, pose[None], sensor_obs(skel, imu_rotations), theta_t)[0]
 
 
 def test_refine_sequence_rejects_bad_sensor_index():
     skel = chain_skeleton(3)
     pose = skel.tpose.copy()
-    # a bool or a float names no joint, even where it equals a valid index
-    for bad in (0, 3, -1, True, np.True_, 1.0, 6.5):
-        with pytest.raises(UnboundJointError, match=f"sensor bound to invalid joint index {bad}"):
-            _refine_one(skel, pose, {bad: IDENTITY}, 0.1)
+
+    def bound(joints, parents):
+        return Observations(bones=np.tile(skel.bones[1], (1, len(joints), 1)),
+                            sensor_joints=joints, sensor_parents=parents)
+
+    # the root has no bone to swap, and a joint has one
+    for joints, parents in (([0], [0]), ([1, 2, 1], [0, 1, 0])):
+        with pytest.raises(UnboundJointError,
+                           match=f"^'sensor bound to invalid joint index {joints[-1]}'$"):
+            refine_sequence(skel, pose[None], bound(joints, parents), 0.1)
+    # the joint range and the index rule are the Observations' own
+    with pytest.raises(ValueError, match="^sensor 0 is bound to joint 3 with parent 2, the "
+                       "positions have 3 joints$"):
+        refine_sequence(skel, pose[None], bound([3], [2]), 0.1)
+    for bad in (True, np.True_, 1.0, 6.5, -1):
+        with pytest.raises(ValueError, match=f"^sensor 0 is bound to joint {bad} with parent 0"):
+            bound([bad], [0])
     imu = quat_from_axis_angle([0, 0, 1], -math.pi / 2)
     want = _refine_one(skel, pose, {1: imu}, 0.1)
     assert _refine_one(skel, pose, {np.int64(1): imu}, 0.1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta_t", [math.nan, True, 4.0, -1.0])
+def test_refine_sequence_refuses_a_gate_angle_that_energy_config_refuses(theta_t):
+    skel = chain_skeleton(3)
+    with pytest.raises(ValueError, match=re.escape(f"theta_t must lie in [0, pi], got {theta_t}")):
+        EnergyConfig(theta_t=theta_t)
+    with pytest.raises(ValueError, match=re.escape(f"theta_t must lie in [0, pi], got {theta_t}")):
+        _refine_one(skel, skel.tpose.copy(), {1: IDENTITY}, theta_t)
 
 
 def test_refine_sequence_gate_triggers_above_threshold():
@@ -219,30 +255,31 @@ def test_refine_sequence_no_imu_is_fixpoint(rng):
     poses = np.stack(
         [forward_kinematics(skel, random_params(skel, rng)) for _ in range(6)]
     )
-    out = refine_sequence(skel, poses, None, 0.1)
+    out = refine_sequence(skel, poses, Observations(), 0.1)
     np.testing.assert_allclose(out, poses, atol=1e-9)
-    again = refine_sequence(skel, out, None, 0.1)
+    again = refine_sequence(skel, out, Observations(), 0.1)
     np.testing.assert_allclose(again, out, atol=1e-9)
 
 
-def test_refine_sequence_refuses_rotations_of_another_shape():
-    # Numpy's broadcast error named neither the joint nor the shape it wants.
+def test_refine_sequence_refuses_bones_of_another_frame_count():
     skel = chain_skeleton(3)
     poses = np.repeat(skel.tpose[None], 5, axis=0)
-    for bad in (np.tile(IDENTITY, (4, 1)), np.zeros(3)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"sensor rotations of joint 2 have shape {bad.shape}, expected (5, 4) or (4,)")):
-            refine_sequence(skel, poses, {1: IDENTITY, 2: bad}, 0.1)
+    for frames in (4, 6):
+        obs = sensor_obs(skel, {1: IDENTITY, 2: IDENTITY}, frames)
+        with pytest.raises(ValueError, match=f"^bones has {frames} frames, the positions have 5$"):
+            refine_sequence(skel, poses, obs, 0.1)
+    with pytest.raises(MissingObservationError, match="bone term requires"):
+        refine_sequence(skel, poses, Observations(sensor_joints=[1], sensor_parents=[0]), 0.1)
 
 
 def test_refine_sequence_refuses_an_array_that_is_not_t_j_3():
     skel = chain_skeleton(3)
     for shape in ((3, 3), (2, 2, 3, 3)):
         with pytest.raises(TopologyError, match=r"^pose sequence must be \(T, J, 3\), got "):
-            refine_sequence(skel, np.zeros(shape), None, 0.1)
+            refine_sequence(skel, np.zeros(shape), Observations(), 0.1)
     for shape in ((2, 3, 2), (2, 4, 3)):
         with pytest.raises(TopologyError, match="does not match 3-joint skeleton"):
-            refine_sequence(skel, np.zeros(shape), None, 0.1)
+            refine_sequence(skel, np.zeros(shape), Observations(), 0.1)
 
 
 def test_refine_sequence_per_frame_maps(rng):
@@ -252,7 +289,7 @@ def test_refine_sequence_per_frame_maps(rng):
     # one sensor rotation per frame: frame 0 agrees with the visual bone, frame
     # 1 points it along +x and so passes the gate
     imu = np.stack([IDENTITY, quat_from_axis_angle([0, 0, 1], -math.pi / 2)])
-    out = refine_sequence(skel, poses, {1: imu}, math.radians(15))
+    out = refine_sequence(skel, poses, sensor_obs(skel, {1: imu}, 2), math.radians(15))
     np.testing.assert_allclose(out[0], pose, atol=1e-9)
     np.testing.assert_allclose(out[1][1], [100, 0, 0], atol=1e-12)
 
@@ -311,7 +348,7 @@ def _gated_frames(rng):
 
 def test_refine_sequence_batch_equals_frame_loop(rng):
     skel, poses, imu, theta_t, _ = _gated_frames(rng)
-    batch = refine_sequence(skel, poses, imu, theta_t)
+    batch = refine_sequence(skel, poses, sensor_obs(skel, imu, len(poses)), theta_t)
     loop = np.stack([
         _sf2_frame_loop(skel, poses[i], {j: r[i] for j, r in imu.items()}, theta_t)
         for i in range(len(poses))
@@ -324,7 +361,7 @@ def test_refine_sequence_batch_equals_frame_loop(rng):
 
 def test_refine_sequence_bones_are_tpose_lengths_along_observed_or_sensor_bones(rng):
     skel, poses, imu, theta_t, fired = _gated_frames(rng)
-    out = refine_sequence(skel, poses, imu, theta_t)
+    out = refine_sequence(skel, poses, sensor_obs(skel, imu, len(poses)), theta_t)
     parents = list(skel.parents[1:])
     bones = out[:, 1:] - out[:, parents]
     observed = poses[:, 1:] - poses[:, parents]
@@ -345,6 +382,6 @@ def test_refine_sequence_names_earliest_degenerate_frame():
     poses[4, 1] = poses[4, 0]  # later frame, lower joint index
     poses[2, 3] = poses[2, 2] + [3e-10, -4e-10, 1e-10]  # earlier frame, higher joint index
     with pytest.raises(DegenerateBoneError, match="frame 2: bone of joint 3") as info:
-        refine_sequence(skel, poses, None, 0.1)
+        refine_sequence(skel, poses, Observations(), 0.1)
     assert (info.value.frame, info.value.joint) == (2, 3)
     assert info.value.norm == np.linalg.norm(poses[2, 3] - poses[2, 2])

@@ -7,11 +7,12 @@ file of the two datasets is compared. Then `vifuse run` runs in every mode
 with each checkout on the parent's dataset, and refined_pose3d.txt,
 metrics.txt and metrics.json are compared. Without --duration the datasets
 have synth's default length. The CLI runs use the default eight-sensor rig,
-so each checkout also refines an 8 s capture of the 13-sensor rig of the
-tests (tests/conftest.py), from sf2's poses, with and without the
-visual term, through refine_batch and run_stream, and the bytes of the sf2
-start and of the four outputs are compared, with a JSON file per weight set
-of each window's solve record from minimize_fragment, so that the
+so each checkout also runs sf2 on an 8 s capture of the 13-sensor rig of
+the tests (tests/conftest.py) and refines it from its input poses, as rtof
+does, with and without the visual term, through refine_batch and run_stream.
+The bytes of the sf2 output and of the four refined outputs are compared,
+with a JSON file per weight set of each window's solve record from
+minimize_fragment, started from the input poses too, so that the
 comparison also covers the values, step counts and flags of a solve whose
 positions do not change. The tool prints one line per comparison and exits
 1, naming every file that differs or is missing on one side, or every
@@ -106,11 +107,12 @@ def vifuse(checkout: Path, *args) -> subprocess.CompletedProcess:
 
 
 def dense_rig_outputs(out: Path, seed: int) -> None:
-    """Write into `out` the bytes of the sf2 start and of refine_batch's and
-    run_stream's output on a default-noise capture of the 13-sensor rig, for
-    each DENSE_WEIGHTS, as the tests' capture_problem builds it, and the
-    WINDOW_RECORD of minimize_fragment over each window of the schedule, one
-    JSON list per weight set. Runs with whichever vifuse is importable."""
+    """Write into `out` the bytes of sf2's output and of refine_batch's and
+    run_stream's output from the input poses on a default-noise capture of
+    the 13-sensor rig, for each DENSE_WEIGHTS, as the tests' capture_problem
+    builds it, and the WINDOW_RECORD of minimize_fragment over each window
+    of the schedule from the input poses, one JSON list per weight set. Runs
+    with whichever vifuse is importable."""
     from conftest import dense_calibration
     from vifuse import (DEFAULT_NOISE, EnergyConfig, Fragment, FragmentSchedule, Observations,
                         SequenceObservations, SolverSettings, apply_mode, calibrate_stream,
@@ -118,7 +120,7 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
 
     ds = make_dataset(DEFAULT_NOISE, seed=seed, script=default_script(DENSE_DURATION),
                       calib=dense_calibration())
-    start, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
+    sf2, _ = apply_mode("sf2", ds.skeleton, ds.inputs, ds.fps, calib=ds.calibration, imu=ds.imu)
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
     seq = SequenceObservations(fps=ds.fps, pixels=ds.pixels, camera=ds.camera, accel=accel,
@@ -126,21 +128,21 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
                                sensor_parents=np.array(ds.skeleton.parents)[joints])
     out = Path(out)
     out.mkdir(parents=True)
-    (out / "sf2.bin").write_bytes(start.tobytes())
+    (out / "sf2.bin").write_bytes(sf2.tobytes())
     for name, weights in DENSE_WEIGHTS.items():
         cfg = EnergyConfig(**weights)
-        batch, _ = refine_batch(start, seq, cfg, SolverSettings())
-        streamed = np.stack([row for _, row in run_stream(start, seq, cfg, SolverSettings())])
+        batch, _ = refine_batch(ds.inputs, seq, cfg, SolverSettings())
+        streamed = np.stack([row for _, row in run_stream(ds.inputs, seq, cfg, SolverSettings())])
         (out / f"refine_batch_{name}.bin").write_bytes(batch.tobytes())
         (out / f"run_stream_{name}.bin").write_bytes(streamed.tobytes())
-        schedule = FragmentSchedule(len(start), cfg.fragment_len)
+        schedule = FragmentSchedule(len(ds.inputs), cfg.fragment_len)
         records = []
         for k in range(schedule.window_count):
             rows = schedule.window_frames(k)
             window = Observations(pixels=seq.pixels[rows], camera=seq.camera, accel=accel[rows],
                                   bones=bones[rows], sensor_joints=seq.sensor_joints,
                                   sensor_parents=seq.sensor_parents)
-            res = minimize_fragment(Fragment(start[rows], ds.fps, schedule.window_start(k)),
+            res = minimize_fragment(Fragment(ds.inputs[rows], ds.fps, schedule.window_start(k)),
                                     window, cfg, SolverSettings())
             records.append({field: getattr(res, field) for field in WINDOW_RECORD})
         (out / f"windows_{name}.json").write_text(json.dumps(records, indent=1) + "\n",
