@@ -141,10 +141,10 @@ class Observations:
     pixels: (T, J, 2) px with NaN rows for missing joints, or None.
     accel/bones: (T, K, 3) calibrated IMU accelerations / bone vectors, or None.
     sensor_joints/sensor_parents: (K,) bound joint index and its parent
-    index, or None for no sensors. Each index must be an integer as given
-    (is_integer), so a bool or a float such as 1.0 is refused; this is the
-    one joint-index rule, and sf2 (skeleton.refine_sequence) gates on bones
-    at these sensor_joints.
+    index, or None for no sensors. Each index must be a non-negative integer
+    as given (is_integer), so a bool or 1.0 is refused, and no joint may be
+    bound to two sensors: the binding rule that needs no skeleton. sf2
+    (skeleton.refine_sequence) gates on bones at these sensor_joints.
 
     The streams are kept as float arrays without a copy: every evaluation
     reads the caller's arrays. check() checks them against the positions,
@@ -171,18 +171,19 @@ class Observations:
         # Each index must pass is_integer as given: casting would truncate
         # 1.7 to 1 and read True as 1, and np.asarray reads [2, True] as [2, 1].
         items = [g.tolist() if isinstance(g, np.ndarray) else list(g) for g in given]
-        for k, pair in enumerate(zip(*items)):
-            if not all(is_integer(v) and abs(v) < 2 ** 63 for v in pair):
-                raise ValueError(f"sensor {k} is bound to joint {pair[0]} with parent "
-                                 f"{pair[1]}; joint indices must be integers")
-        sj, sp = sj.astype(int), sp.astype(int)
-        negative = np.flatnonzero((sj < 0) | (sp < 0))
-        if negative.size:
-            k = negative[0]
-            raise ValueError(f"sensor {k} is bound to joint {sj[k]} with parent {sp[k]}; "
-                             "joint indices must be non-negative")
-        object.__setattr__(self, "sensor_joints", sj)
-        object.__setattr__(self, "sensor_parents", sp)
+        bound: dict[int, int] = {}  # joint -> its sensor
+        for k, (j, p) in enumerate(zip(*items)):
+            if not all(is_integer(v) and abs(v) < 2 ** 63 for v in (j, p)):
+                rule = "joint indices must be integers"
+            elif min(j, p) < 0:
+                rule = "joint indices must be non-negative"
+            elif bound.setdefault(j, k) != k:
+                rule = f"joint {j} is bound to sensor {bound[j]} too"
+            else:
+                continue
+            raise ValueError(f"sensor {k} is bound to joint {j} with parent {p}; {rule}")
+        object.__setattr__(self, "sensor_joints", sj.astype(int))
+        object.__setattr__(self, "sensor_parents", sp.astype(int))
         k = len(sj)
         for name, tail, form in (("pixels", (2,), "(T, J, 2)"), ("accel", (k, 3), f"(T, {k}, 3)"),
                                  ("bones", (k, 3), f"(T, {k}, 3)")):
@@ -355,8 +356,9 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
 class Chains(NamedTuple):
     """C chains of one shape, stacked: m sensor joints and p parent-only joints
     each, in increasing joint order, and their slots among the rig's chain
-    joints. L is a chain's bone Laplacian, the sum of e e^T over its sensors
-    with e = joint - parent; the bone term's normal matrix is 2 w (L kron I3)."""
+    joints, one sensor each. L is a chain's bone Laplacian, the sum of e e^T
+    over its sensors with e = e_joint - e_parent (0 for a sensor bound to its
+    own joint); the bone term's normal matrix is 2 w (L kron I3)."""
 
     joints: np.ndarray  # (C, m)
     parents: np.ndarray  # (C, p)
@@ -365,9 +367,7 @@ class Chains(NamedTuple):
     joint_bones: np.ndarray  # (C, 3m, 3m): L kron I3 among the sensor joints
     cross_bones: np.ndarray  # (C, m, p): L between sensor and parent-only joints
     parent_bones: np.ndarray  # (C, p): L's diagonal on the parent-only joints, which share no bone
-    sensors: np.ndarray  # (C, 3m): sensors bound to the joint of each coordinate
     pairs: np.ndarray  # (C, m*m, p): products of cross_bones rows, for the Schur complement
-    most_sensors: np.ndarray  # (C,): the largest entry of sensors
 
 
 class RigLayout(NamedTuple):
@@ -398,20 +398,19 @@ def _rig_layout(sensor_joints: tuple[int, ...], sensor_parents: tuple[int, ...],
     for comp in sorted(components, key=min):
         sensor = sorted(comp & set(sensor_joints))
         order = sensor + sorted(comp - set(sensor))
-        lap = np.zeros((len(order), len(order)))
+        eye = np.eye(len(order))
+        lap = np.zeros_like(eye)
         for j, p in zip(sensor_joints, sensor_parents):
             if j in comp:
-                e = np.zeros(len(order))
-                e[order.index(j)], e[order.index(p)] = 1.0, -1.0
+                e = eye[order.index(j)] - eye[order.index(p)]
                 lap += np.outer(e, e)
         m = len(sensor)
         slots = np.searchsorted(chain_joints, order)
         cross = lap[:m, m:]
-        sensors = np.repeat([sensor_joints.count(j) for j in sensor], 3).astype(float)
         groups.setdefault((m, len(order) - m), []).append(Chains(
             np.array(sensor), np.array(order[m:], dtype=int), slots[:m], slots[m:],
-            np.kron(lap[:m, :m], np.eye(3)), cross, np.diagonal(lap[m:, m:]), sensors,
-            (cross[:, None] * cross).reshape(m * m, -1), sensors.max()))
+            np.kron(lap[:m, :m], np.eye(3)), cross, np.diagonal(lap[m:, m:]),
+            (cross[:, None] * cross).reshape(m * m, -1)))
     chains = tuple(Chains(*map(np.stack, zip(*group))) for group in groups.values())
     for array in (gather, scatter, chain_joints, *(a for ch in chains for a in ch)):
         array.setflags(write=False)

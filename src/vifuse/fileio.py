@@ -461,8 +461,6 @@ def write_imu(path, stream: ImuStream) -> None:
     for sid in stream.sensor_ids:
         if " " in sid or sid.splitlines() != [sid]:  # empty, or holding a line break
             raise ValueError(f"sensor id {sid!r} not serializable")
-    if len(set(stream.sensor_ids)) != len(stream.sensor_ids):
-        raise ValueError(f"duplicate sensor ids in {stream.sensor_ids}")
     q, a = stream.orientations.reshape(-1, 4), stream.accels.reshape(-1, 3)
     _refuse_faults("imu", _imu_faults, q, a)
     k = len(stream.sensor_ids)

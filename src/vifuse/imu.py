@@ -92,7 +92,7 @@ class ImuStream:
     """Per-frame, per-sensor raw samples stored as arrays.
 
     orientations: (T, K, 4) quaternions (w, x, y, z); accels: (T, K, 3) mm/s^2.
-    Sensor order matches `sensor_ids`.
+    Sensor order matches `sensor_ids`, which must be unique.
     """
 
     sensor_ids: tuple[str, ...]
@@ -103,6 +103,8 @@ class ImuStream:
         q = np.asarray(self.orientations, dtype=float)
         a = np.asarray(self.accels, dtype=float)
         k = len(self.sensor_ids)
+        if len(set(self.sensor_ids)) != k:
+            raise ValueError(f"duplicate sensor ids in {self.sensor_ids}")
         if q.ndim != 3 or q.shape[1:] != (k, 4):
             raise ValueError(f"orientations must have shape (T, {k}, 4), got {q.shape}")
         if a.shape != (q.shape[0], k, 3):

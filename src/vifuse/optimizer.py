@@ -238,8 +238,7 @@ class _ChainSolver:
         for i, joints in enumerate(ch.joint_slots.T):
             a[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
-        largest = (np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3))
-                   + temporal.max(axis=(1, 2))[:, None] * ch.most_sensors)
+        largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + temporal.max(axis=(1, 2))[:, None]
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * np.eye(size)
         # Eliminate each parent-only joint through its own 3x3 block.
@@ -263,8 +262,7 @@ class _ChainSolver:
         for lag, out in enumerate((diag, sub)):
             # (block, window, chain, frame, frame, coordinate): writes go through to `out`
             diagonals = np.einsum("bwcfigi->bwcfgi", out.reshape(nb - lag, w, c, 3, size, 3, size))
-            diagonals[...] = (np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
-                              * ch.sensors[:, None, None])
+            diagonals[...] = np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
         # From here one axis runs over every chain of every window.
         c *= w
         frames = np.empty((3 * nb, c, size, size))

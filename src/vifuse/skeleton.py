@@ -36,7 +36,7 @@ class DegenerateBoneError(ValueError):
 
 
 class UnboundJointError(KeyError):
-    """A sensor rotation was supplied for a joint the skeleton cannot bind."""
+    """A sensor is bound to a joint, or with a parent, that the skeleton cannot bind."""
 
 
 @dataclass(frozen=True)
@@ -236,26 +236,27 @@ def refine_sequence(
     summed from the observed root in topological order, so a replaced bone
     shifts every descendant. obs.check refuses streams and indices that do
     not fit the poses, and a sensor without bones raises
-    MissingObservationError; a sensor at the root or a second sensor on one
-    joint raises UnboundJointError, and a theta_t outside [0, pi], NaN or a
-    bool ValueError. A degenerate observed bone raises DegenerateBoneError
-    carrying its frame index.
+    MissingObservationError; a sensor whose parent is not the skeleton's
+    (at the root, -1) raises UnboundJointError, so sf2 gates the bone term's
+    bone, and a theta_t outside [0, pi], NaN or a bool ValueError. A
+    degenerate observed bone raises DegenerateBoneError with its frame index.
     """
     check_theta_t(theta_t)
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3:
         raise TopologyError(f"pose sequence must be (T, J, 3), got {poses.shape}")
     obs.check(poses.shape)
-    js = obs.sensor_joints.tolist()
-    for k, j in enumerate(js):
-        if j == 0 or j in js[:k]:
-            raise UnboundJointError(f"sensor bound to invalid joint index {j}")
-    if js:
-        obs.require((False, False, True, False), len(poses))
     b_obs, norms = _observed_bones(skel, poses)
+    js, ps, parents = obs.sensor_joints, obs.sensor_parents, np.take(skel.parents, obs.sensor_joints)
+    wrong = np.flatnonzero(ps != parents)
+    if wrong.size:
+        k = wrong[0]
+        raise UnboundJointError(f"sensor {k} is bound to joint {js[k]} with parent {ps[k]}; "
+                                f"the skeleton gives joint {js[k]} parent {parents[k]}")
     offsets = b_obs * (skel.bone_lengths[1:] / norms)[..., None]
-    if js:
-        bones = [j - 1 for j in js]
+    if js.size:
+        obs.require((False, False, True, False), len(poses))
+        bones = js - 1
         fire = angle_between(obs.bones, np.take(b_obs, bones, axis=-2)) > theta_t
         offsets[:, bones] = np.where(fire[..., None], obs.bones, offsets[:, bones])
     return _chain(skel, poses[:, 0], offsets)

@@ -129,6 +129,9 @@ def test_imu_stream_validation(rng):
         ImuStream(("s0",), np.zeros((5, 2, 4)), np.zeros((5, 1, 3)))
     with pytest.raises(ValueError):
         ImuStream(("s0",), np.zeros((5, 1, 4)), np.zeros((4, 1, 3)))
+    # as CalibrationSet does, so no stream binds one joint to two sensors
+    with pytest.raises(ValueError, match=r"^duplicate sensor ids in \('s0', 's1', 's0'\)$"):
+        ImuStream(("s0", "s1", "s0"), np.zeros((5, 3, 4)), np.zeros((5, 3, 3)))
     q = np.zeros((3, 1, 4))
     q[..., 0] = 1.0
     stream = ImuStream(("s0",), q, np.arange(9, dtype=float).reshape(3, 1, 3))

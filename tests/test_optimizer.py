@@ -635,6 +635,7 @@ BAD_RIGS = {
     "joint missing": ([1], [0, 1], True, "sensor 1 has no joint"),
     "negative parent": ([1, 2], [0, -1], True, "sensor 1 .* parent -1; .* non-negative"),
     "negative joint": ([-1, 2], [0, 1], True, "sensor 0 .* joint -1 .* non-negative"),
+    "joint bound twice": ([2, 2], [1, 1], True, "sensor 1 .* joint 2 .* bound to sensor 0"),
     "not 1-D": ([[1], [2]], [[0], [1]], True, r"one index per sensor, got shapes \(2, 1\)"),
     "joint outside": ([1, 3], [0, 1], False, "sensor 1 .* joint 3 .* 3 joints"),
     "parent outside": ([1, 2], [0, 5], False, "sensor 1 .* parent 5, .* 3 joints"),

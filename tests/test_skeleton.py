@@ -174,12 +174,17 @@ def test_refine_sequence_rejects_bad_sensor_index():
         return Observations(bones=np.tile(skel.bones[1], (1, len(joints), 1)),
                             sensor_joints=joints, sensor_parents=parents)
 
-    # the root has no bone to swap, and a joint has one
-    for joints, parents in (([0], [0]), ([1, 2, 1], [0, 1, 0])):
-        with pytest.raises(UnboundJointError,
-                           match=f"^'sensor bound to invalid joint index {joints[-1]}'$"):
+    # each parent must be the skeleton's, so sf2 gates the bone term's bone:
+    # the root's is -1, so it has no bone to swap
+    for joints, parents, want in (([0], [0], -1), ([1, 2], [0, 0], 1), ([2], [0], 1)):
+        j, p = joints[-1], parents[-1]
+        with pytest.raises(UnboundJointError, match=f"^'sensor {len(joints) - 1} is bound to joint "
+                           f"{j} with parent {p}; the skeleton gives joint {j} parent {want}'$"):
             refine_sequence(skel, pose[None], bound(joints, parents), 0.1)
-    # the joint range and the index rule are the Observations' own
+    # a joint bound twice, the joint range and the index rule are the Observations' own
+    with pytest.raises(ValueError, match="^sensor 2 is bound to joint 1 with parent 0; "
+                       "joint 1 is bound to sensor 0 too$"):
+        bound([1, 2, 1], [0, 1, 0])
     with pytest.raises(ValueError, match="^sensor 0 is bound to joint 3 with parent 2, the "
                        "positions have 3 joints$"):
         refine_sequence(skel, pose[None], bound([3], [2]), 0.1)
