@@ -142,8 +142,9 @@ class Observations:
     accel/bones: (T, K, 3) calibrated IMU accelerations / bone vectors, or None.
     sensor_joints/sensor_parents: (K,) bound joint index and its parent
     index, or None for no sensors. Each index must be a non-negative integer
-    as given (is_integer), so a bool or 1.0 is refused, and no joint may be
-    bound to two sensors: the binding rule that needs no skeleton. sf2
+    as given (is_integer), so a bool or 1.0 is refused, no joint may be its
+    own sensor's parent and no joint may be bound to two sensors: the
+    binding rule that needs no skeleton. sf2
     (skeleton.refine_sequence) gates on bones at these sensor_joints.
 
     The streams are kept as float arrays without a copy: every evaluation
@@ -177,6 +178,8 @@ class Observations:
                 rule = "joint indices must be integers"
             elif min(j, p) < 0:
                 rule = "joint indices must be non-negative"
+            elif j == p:
+                rule = "a joint is not its own parent"
             elif bound.setdefault(j, k) != k:
                 rule = f"joint {j} is bound to sensor {bound[j]} too"
             else:
@@ -357,8 +360,8 @@ class Chains(NamedTuple):
     """C chains of one shape, stacked: m sensor joints and p parent-only joints
     each, in increasing joint order, and their slots among the rig's chain
     joints, one sensor each. L is a chain's bone Laplacian, the sum of e e^T
-    over its sensors with e = e_joint - e_parent (0 for a sensor bound to its
-    own joint); the bone term's normal matrix is 2 w (L kron I3)."""
+    over its sensors with e = e_joint - e_parent; the bone term's normal
+    matrix is 2 w (L kron I3)."""
 
     joints: np.ndarray  # (C, m)
     parents: np.ndarray  # (C, p)

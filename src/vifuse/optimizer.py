@@ -34,15 +34,18 @@ completes a window and the trailing ones together in finish().
 minimize_fragment solves a stack of one. A refine_batch call, a
 StreamingRefiner and a minimize_fragment call each factor all their stacks
 in one _ChainSolver, which keeps the factorization's block storage from
-stack to stack instead of mapping it afresh for each. Every matrix product
-and inverse runs once per window or chain, so a window's result is bitwise
-the same in any stack. Nothing is built twice that the solve does not
-change: each frame is projected onto its ray once, for both windows it lies
-in, and the chains, with their slots among the chain joints, come from the
-stack's one rig layout (energy.RigLayout), built once per rig. A stack
-evaluates its start for the value no result may end above, then its
-projection (the start without the visual term) for the first step, then
-each trial point.
+stack to stack instead of mapping it afresh for each, and builds each
+stack's blocks in that storage and in place. refine_batch averages each
+window into its output as the window's stack is solved, by the rule
+StreamingRefiner emits by, so from one stack to the next it keeps only the
+last window's positions. Every matrix product and inverse runs once per
+window or chain, so a window's result is bitwise the same in any stack.
+Nothing is built twice that the solve does not change: each frame is
+projected onto its ray once, for both windows it lies in, and the chains,
+with their slots among the chain joints, come from the stack's one rig
+layout (energy.RigLayout), built once per rig. A stack evaluates its start
+for the value no result may end above, then its projection (the start
+without the visual term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ _EYE3 = np.eye(3)
 # with it 4.3%, 1.8%, 7.5% and 8.1% faster (4 pairs each), and its peak RSS
 # rose 1.9%, 2.4%, 4.7% and 6.3%: 400 is the fastest that stays within about
 # 5%. The solve's memory grows with the stack and sets an rtof run's peak:
-# about 9.3 MB traced on the default 60 s dataset and 25 MB on a 13-sensor
-# rig, against 7.6 and 17 MB at 300 frames.
+# about 8 MB traced on the default 60 s dataset and 20 MB on a 13-sensor
+# rig, 11 MB of it the pivot storage of its torso chain of eight sensors.
 _STACK_FRAMES = 400
 
 
@@ -233,11 +236,13 @@ class _ChainSolver:
         bone = self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
-        # Each frame's block of the sensor joints from the visual and bone terms.
-        a = np.zeros((n, w, c, m, 3, m, 3))
+        # Each frame's block of the sensor joints from the visual and bone
+        # terms, built in place: `by_joint` is `a` by joint and coordinate.
+        by_joint = np.zeros((n, w, c, m, 3, m, 3))
         for i, joints in enumerate(ch.joint_slots.T):
-            a[:, :, :, i, :, i, :] = visual[:, :, joints]
-        a = a.reshape(n, w, c, size, size) + bone * ch.joint_bones
+            by_joint[:, :, :, i, :, i, :] = visual[:, :, joints]
+        a = by_joint.reshape(n, w, c, size, size)
+        a += bone * ch.joint_bones
         largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + temporal.max(axis=(1, 2))[:, None]
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * np.eye(size)
@@ -245,7 +250,9 @@ class _ChainSolver:
         d_inv = _inv3(visual[:, :, ch.parent_slots]
                       + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
         schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
-        a -= bone * bone * schur.transpose(0, 1, 2, 3, 5, 4, 6).reshape(a.shape)
+        schur *= (bone * bone)[..., None, None]
+        by_joint -= schur.transpose(0, 1, 2, 3, 5, 4, 6)
+        del schur
         # Blocks of three frames, padded with decoupled identity frames. The
         # accel and smooth terms couple frames at most three apart, so they
         # couple neighbouring blocks only, and each coordinate of a sensor
@@ -263,13 +270,16 @@ class _ChainSolver:
             # (block, window, chain, frame, frame, coordinate): writes go through to `out`
             diagonals = np.einsum("bwcfigi->bwcfgi", out.reshape(nb - lag, w, c, 3, size, 3, size))
             diagonals[...] = np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
-        # From here one axis runs over every chain of every window.
+        # From here one axis runs over every chain of every window. Frame f
+        # of a block is frame 3 b + f of `a`, or an identity past its last.
         c *= w
-        frames = np.empty((3 * nb, c, size, size))
-        frames[:n] = a.reshape(n, c, size, size)
-        frames[n:] = np.eye(size)
+        a = a.reshape(n, c, size, size)
         for f in range(3):
-            diag[:, :, f * size:(f + 1) * size, f * size:(f + 1) * size] += frames[f::3]
+            real = len(range(f, n, 3))
+            block = diag[:, :, f * size:(f + 1) * size, f * size:(f + 1) * size]
+            block[:real] += a[f::3]
+            block[real:] += np.eye(size)
+        del a, by_joint  # the pivots hold them now; the factorization needs only its storage
         # Block LDL^T in place: diag becomes the inverse pivots and sub the
         # multipliers sub @ pivot^-1.
         diag[0] = np.linalg.inv(diag[0])
@@ -356,12 +366,15 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     """
     fps = stack.key[2]
     # The start sets the value no result may end above; the first step
-    # starts from the projection.
+    # starts from the projection. Neither pass's visual rows are kept.
     first = stack_energy(start, stack, cfg, gradient=False)
+    start_values, behind = first.value, first.behind_camera
+    del first
     x, tv = projected, stack_energy(projected, stack, cfg)
-    behind = np.maximum(first.behind_camera, tv.behind_camera)
+    behind = np.maximum(behind, tv.behind_camera)
     solver.factor(stack, tv)
     values, grad = tv.value, tv.grad
+    del tv
     iterations = np.zeros(len(x), int)
     converged = np.zeros(len(x), bool)
     going = np.ones(len(x), bool)
@@ -381,14 +394,15 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
         x = np.where(going[:, None, None, None], moved, x)
         values = np.where(going, trial.value, values)
         grad = np.where(going[:, None, None, None], trial.grad, grad)
+        del step, moved, trial  # not held through the next step's sweep and pass
     # Never above the start: a window that ended above it falls back to it.
-    above = values > first.value
+    above = values > start_values
     x = np.where(above[:, None, None, None], start, x)
-    values = np.where(above, first.value, values)
+    values = np.where(above, start_values, values)
     converged &= ~above
     return [FragmentResult(Fragment(point, fps, window_start), *record)
             for point, window_start, *record in zip(
-                x, starts, first.value.tolist(), values.tolist(), iterations.tolist(),
+                x, starts, start_values.tolist(), values.tolist(), iterations.tolist(),
                 converged.tolist(), behind.tolist())]
 
 
@@ -436,6 +450,16 @@ def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.nd
     return (first[..., stride:, :, :] + second[..., :stride, :, :]) * 0.5
 
 
+def _completed_rows(schedule: FragmentSchedule, k: int, prev: np.ndarray,
+                    cur: np.ndarray) -> tuple[int, np.ndarray]:
+    """The first frame and the merged rows of the frames that window k > 0
+    completes, averaged from window k-1's positions `prev` and its own
+    `cur` as merge_fragments averages them: they start at window k's start
+    and stop at the stride or the sequence's end."""
+    start = schedule.window_start(k)
+    return start, _average_halves(prev, cur, schedule.stride)[:schedule.frame_count - start]
+
+
 def merge_fragments(schedule: FragmentSchedule, fragments: list[Fragment]) -> np.ndarray:
     """Average the two overlapping copies of every original frame; padding slots
     (clamped replicas) are discarded."""
@@ -454,17 +478,6 @@ class RefineStats:
     output_frames_per_second: float
     behind_camera_skips: int
 
-    @classmethod
-    def collect(cls, results: list[FragmentResult], frames: int, seconds: float) -> "RefineStats":
-        seconds = max(seconds, 1e-9)
-        return cls(
-            fragment_count=len(results),
-            optimize_seconds=seconds,
-            fragments_per_second=len(results) / seconds,
-            output_frames_per_second=frames / seconds,
-            behind_camera_skips=sum(r.behind_camera for r in results),
-        )
-
 
 def refine_batch(
     poses: np.ndarray,
@@ -476,7 +489,10 @@ def refine_batch(
 
     Every frame is projected onto its ray once, for both windows it lies
     in. Consecutive windows are solved as one stack of about _STACK_FRAMES
-    frames; each window's result is bitwise the one it gets alone.
+    frames; each window's result is bitwise the one it gets alone. Each
+    window is averaged into the output as its stack is solved, as
+    merge_fragments averages it, so only the last window's positions are
+    kept from one stack to the next.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
@@ -489,14 +505,18 @@ def refine_batch(
     if cfg.k_visual > 0.0:
         projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
-    solver, results = _ChainSolver(), []
+    solver, merged, prev, behind = _ChainSolver(), np.empty(poses.shape), None, 0
     for first in range(0, schedule.window_count, per_stack):
         windows = range(first, min(first + per_stack, schedule.window_count))
-        results += _solve_windows(schedule, windows, poses, projected, seq_obs, cfg, settings,
-                                  solver)
-    elapsed = time.perf_counter() - t0
-    merged = merge_fragments(schedule, [r.fragment for r in results])
-    return merged, RefineStats.collect(results, poses.shape[0], elapsed)
+        for k, res in zip(windows, _solve_windows(schedule, windows, poses, projected, seq_obs,
+                                                  cfg, settings, solver)):
+            cur = res.fragment.positions
+            if k > 0:
+                start, rows = _completed_rows(schedule, k, prev, cur)
+                merged[start:start + len(rows)] = rows
+            prev, behind = cur, behind + res.behind_camera
+    seconds, count = max(time.perf_counter() - t0, 1e-9), schedule.window_count
+    return merged, RefineStats(count, seconds, count / seconds, len(poses) / seconds, behind)
 
 
 _ROWS = ("positions", "pixels", "accel", "bones")  # the rows of a push, in argument order
@@ -557,10 +577,8 @@ class StreamingRefiner:
                                                   self._solver)):
             cur = res.fragment.positions
             if k > 0:
-                start = schedule.window_start(k)
-                rows = _average_halves(self._prev, cur, schedule.stride)
-                end = min(start + schedule.stride, schedule.frame_count)
-                out += [(t, rows[t - start]) for t in range(start, end)]
+                start, rows = _completed_rows(schedule, k, self._prev, cur)
+                out += [(start + i, row) for i, row in enumerate(rows)]
             self._prev = cur
         return out
 

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -186,3 +187,64 @@ def test_checkouts_with_the_same_benchmark_run(abpairs, tmp_path, monkeypatch):
     assert abpairs.main(["--parent", str(parent), "--change", str(change), "--workload", "batch_rto",
                          "--seeds", "1-2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["end_to_end"]["batch_rto"]["pairs"] == 2
+
+
+def bench_output(tmp_path, name, timings):
+    """perfbench/run.py's stdout for a correct run whose record, written under
+    tmp_path, holds the repeat timings `timings` of (wall_s, slowdown)."""
+    record = tmp_path / f"{name}.json"
+    record.write_text(json.dumps({"repeat_timings": [
+        {"wall_s": w, "probe_s": 0.01, "slowdown": s, "corrected_s": w / s} for w, s in timings]}))
+    result = {"correct": True, "attempted": len(timings), "failed": 0,
+              "metrics": {"frames_per_s": {"value": 100.0, "unit": "frames/s"}}}
+    return f"fail_ratio 0/{len(timings)}\nrecord: {record}\n{json.dumps(result)}\n"
+
+
+def test_a_run_keeps_its_repeats_median_raw_wall_and_slowdown(abpairs, tmp_path, monkeypatch):
+    stdout = bench_output(tmp_path, "r", [(0.20, 1.10), (0.30, 1.30), (0.25, 1.15)])
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda cmd, cwd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=stdout, stderr=""))
+    run = abpairs.run_once(tmp_path, "batch_rto", 41, 1.0)
+    assert (run["wall_s"], run["slowdown"], run["frames_per_s"]) == (0.25, 1.15, 100.0)
+
+
+# Parent slowdowns: median 1.14, quartile spread 0.02.
+SLOW = [1.12, 1.13, 1.14, 1.15, 1.16]
+
+
+@pytest.mark.parametrize("change, moved", [
+    ([1.13, 1.14, 1.15, 1.15, 1.17], False),  # median 1.15: within the spread
+    ([1.72, 1.80, 1.85, 1.88, 1.91], True),  # a program thread contends with the probe
+    ([1.02, 1.05, 1.11, 1.11, 1.12], True),  # median 1.11: lower by more than the spread
+])
+def test_the_probe_moves_when_the_slowdown_medians_differ_beyond_the_spread(abpairs, change, moved):
+    parent = [{"wall_s": 0.2 + 0.01 * i, "slowdown": s} for i, s in enumerate(SLOW)]
+    changed = [{"wall_s": 0.1 + 0.01 * i, "slowdown": s} for i, s in enumerate(change)]
+    got = abpairs.probe_summary(parent, changed)
+    assert got["probe_moved"] is moved
+    assert got["wall_s"]["parent_median"] == pytest.approx(0.22)
+    assert got["wall_s"]["change_median"] == pytest.approx(0.12)
+    assert got["slowdown"]["parent_median"] == 1.14
+    assert got["slowdown"]["change_median"] == statistics.median(change)
+    assert got["slowdown"]["parent_quartile_spread"] == pytest.approx(0.02)
+
+
+def test_the_summary_holds_the_probe_of_every_pair(abpairs, tmp_path, monkeypatch, capsys):
+    outputs = {"p": bench_output(tmp_path, "p", [(0.30, 1.14)]),
+               "c": bench_output(tmp_path, "c", [(0.25, 1.80)])}
+    checkouts = {side: checkout(tmp_path / side, BENCH) for side in outputs}
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda cmd, cwd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=outputs[Path(cwd).name], stderr=""))
+    out = tmp_path / "BENCH_x.json"
+    assert abpairs.main(["--parent", str(checkouts["p"]), "--change", str(checkouts["c"]),
+                         "--workload", "batch_rto", "--seeds", "1-2", "--out", str(out)]) == 0
+    probe = json.loads(out.read_text())["end_to_end"]["batch_rto"]["summary"]["probe"]
+    assert probe["wall_s"] == {"parent_median": 0.30, "change_median": 0.25,
+                               "parent_quartile_spread": 0.0}
+    assert probe["slowdown"]["change_median"] == 1.80 and probe["probe_moved"] is True
+    assert "slowdown 1.140 -> 1.800 (probe moved)" in capsys.readouterr().out
+
+
+def test_a_run_without_a_record_keeps_no_probe(abpairs):
+    assert abpairs.probe_readings(Path("."), ["fail_ratio 0/3", "{}"]) == {}
+    assert abpairs.probe_summary([{"m": 1.0}], [{"m": 2.0}]) == {}

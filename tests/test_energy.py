@@ -46,10 +46,9 @@ def test_rig_maps_are_shared_and_read_only(rng):
     assert c.rig.scatter.shape == (6, 12)
 
 
-@pytest.mark.parametrize("joints, parents", [((1, 3), (0, 3)), ((2, 3), (1, 1)), ((1, 2, 4), (0, 1, 2))])
+@pytest.mark.parametrize("joints, parents", [((3, 1), (4, 0)), ((2, 3), (1, 1)), ((1, 2, 4), (0, 1, 2))])
 def test_chain_laplacians_are_the_sum_of_each_sensors_bone(joints, parents):
-    # L = sum of e e^T with e = e_joint - e_parent over a chain's sensors, so
-    # a sensor bound to its own joint (e = 0) adds no bone curvature.
+    # L = sum of e e^T with e = e_joint - e_parent over a chain's sensors.
     for ch in energy._rig_layout(joints, parents, 5).chains:
         for sensor, parent_only, joint_bones, cross, parent_bones in zip(
                 ch.joints, ch.parents, ch.joint_bones, ch.cross_bones, ch.parent_bones):
@@ -66,14 +65,15 @@ def test_chain_laplacians_are_the_sum_of_each_sensors_bone(joints, parents):
 
 
 def x_fragment(coords, fps=1.0):
-    """Single-joint fragment whose x coordinates are `coords`."""
-    pos = np.zeros((len(coords), 1, 3))
-    pos[:, 0, 0] = coords
+    """Two-joint fragment: joint 0 at the origin, joint 1 with x coordinates `coords`."""
+    pos = np.zeros((len(coords), 2, 3))
+    pos[:, 1, 0] = coords
     return Fragment(pos, fps)
 
 
 def single_sensor_obs(**kw):
-    kw.setdefault("sensor_joints", np.array([0]))
+    """Observations of one sensor, on joint 1 of an x_fragment with parent 0."""
+    kw.setdefault("sensor_joints", np.array([1]))
     kw.setdefault("sensor_parents", np.array([0]))
     return Observations(**kw)
 
@@ -206,7 +206,7 @@ def test_visual_requires_obs():
         visual_energy(frag, Observations())
     with pytest.raises(ValueError):
         visual_energy(
-            frag, Observations(pixels=np.zeros((2, 1, 2)), camera=identity_camera())
+            frag, Observations(pixels=np.zeros((2, 2, 2)), camera=identity_camera())
         )
 
 
@@ -224,8 +224,9 @@ def test_accel_frozen_value_and_grad():
     accel[1, 0, 0] = 2.0
     ta = accel_energy(frag, single_sensor_obs(accel=accel))
     assert ta.value == pytest.approx(16.0, abs=1e-12)
-    np.testing.assert_allclose(ta.grad[:, 0, 0], [8.0, -16.0, 8.0], atol=1e-12)
-    np.testing.assert_array_equal(ta.grad[:, 0, 1:], 0.0)
+    np.testing.assert_allclose(ta.grad[:, 1, 0], [8.0, -16.0, 8.0], atol=1e-12)
+    np.testing.assert_array_equal(ta.grad[:, 1, 1:], 0.0)
+    np.testing.assert_array_equal(ta.grad[:, 0], 0.0)  # the parent has no accelerometer
 
 
 def test_accel_scales_with_fps():
@@ -256,12 +257,13 @@ def test_smooth_frozen_value_and_grad():
     frag = x_fragment([0.0, 0.0, 0.0, 6.0])
     ts = smooth_energy(frag, single_sensor_obs(accel=np.zeros((4, 1, 3))))
     assert ts.value == pytest.approx(36.0, abs=1e-12)
-    np.testing.assert_allclose(ts.grad[:, 0, 0], [-12.0, 36.0, -36.0, 12.0], atol=1e-12)
+    np.testing.assert_allclose(ts.grad[:, 1, 0], [-12.0, 36.0, -36.0, 12.0], atol=1e-12)
+    np.testing.assert_array_equal(ts.grad[:, 0], 0.0)
 
 
 def test_smooth_needs_four_frames():
     frag = x_fragment([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^smoothness term needs at least 4 frames, got 3$"):
         smooth_energy(frag, single_sensor_obs(accel=np.zeros((3, 1, 3))))
 
 
@@ -331,7 +333,7 @@ def test_term_scales_active_and_floor(rng):
     sv = term_scales(frag, obs, EnergyConfig(k_inertial=0.0))
     assert (sv.accel, sv.bone, sv.smooth) == (1.0, 1.0, 1.0)
     # a term that is exactly zero at the initial point clamps to the floor
-    still = Fragment(np.zeros((4, 1, 3)) + 7.0, 2.0)
+    still = Fragment(np.zeros((4, 2, 3)) + 7.0, 2.0)
     quiet = single_sensor_obs(accel=np.zeros((4, 1, 3)), bones=np.zeros((4, 1, 3)))
     sz = term_scales(still, quiet, EnergyConfig(k_visual=0.0))
     assert sz.accel == SCALE_FLOOR

@@ -373,17 +373,41 @@ def test_revert_to_the_start_is_per_window(rng, monkeypatch):
     np.testing.assert_array_equal(stacked[1].fragment.positions, x)
 
 
-def test_batch_memory_stays_bounded():
-    # Stacking every window of the default 60 s capture at once peaks near
-    # 53 MB; stacks of 300 frames peak near 7 MB.
-    start, seq = capture_problem(0, 60.0)
+def traced_peak(start, seq):
+    """The tracemalloc peak of one refine_batch call, in bytes."""
     tracemalloc.start()
     try:
         refine_batch(start, seq, EnergyConfig(), SolverSettings())
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_batch_memory_stays_bounded():
+    # Stacking every window of the default 60 s capture at once peaks near
+    # 50 MB; stacks of 400 frames peak near 8 MB.
+    assert traced_peak(*capture_problem(0, 60.0)) < 12e6
+
+
+def test_batch_memory_stays_bounded_on_the_dense_rig():
+    # The torso chain's pivot storage alone is 11 MB; the peak is near 20 MB,
+    # and 24.5 MB if every window is kept for one merge and the factor builds
+    # its pivots through full-size copies.
+    assert traced_peak(*capture_problem(0, 60.0, dense_calibration())) < 23e6
+
+
+@pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
+def test_batch_merges_as_merge_fragments_does(calib):
+    # Nine windows: refine_batch merges a stack of eight and then one, each
+    # window as its stack is solved.
+    start, seq = capture_problem(3, 8.0, calib)
+    cfg, settings = EnergyConfig(), SolverSettings()
+    schedule = FragmentSchedule(len(start), cfg.fragment_len)
+    results = solve_windows(schedule, range(schedule.window_count), start, seq, cfg, settings)
+    merged, stats = refine_batch(start, seq, cfg, settings)
+    assert merged.tobytes() == merge_fragments(schedule, [r.fragment for r in results]).tobytes()
+    assert stats.fragment_count == schedule.window_count == 9
+    assert stats.behind_camera_skips == sum(r.behind_camera for r in results)
 
 
 def pin_pixels(obs, joints):
@@ -636,6 +660,7 @@ BAD_RIGS = {
     "negative parent": ([1, 2], [0, -1], True, "sensor 1 .* parent -1; .* non-negative"),
     "negative joint": ([-1, 2], [0, 1], True, "sensor 0 .* joint -1 .* non-negative"),
     "joint bound twice": ([2, 2], [1, 1], True, "sensor 1 .* joint 2 .* bound to sensor 0"),
+    "joint its own parent": ([1, 2], [0, 2], True, "sensor 1 .* joint 2 with parent 2; .* own parent"),
     "not 1-D": ([[1], [2]], [[0], [1]], True, r"one index per sensor, got shapes \(2, 1\)"),
     "joint outside": ([1, 3], [0, 1], False, "sensor 1 .* joint 3 .* 3 joints"),
     "parent outside": ([1, 2], [0, 5], False, "sensor 1 .* parent 5, .* 3 joints"),

@@ -176,15 +176,19 @@ def test_refine_sequence_rejects_bad_sensor_index():
 
     # each parent must be the skeleton's, so sf2 gates the bone term's bone:
     # the root's is -1, so it has no bone to swap
-    for joints, parents, want in (([0], [0], -1), ([1, 2], [0, 0], 1), ([2], [0], 1)):
+    for joints, parents, want in (([0], [1], -1), ([1, 2], [0, 0], 1), ([2], [0], 1)):
         j, p = joints[-1], parents[-1]
         with pytest.raises(UnboundJointError, match=f"^'sensor {len(joints) - 1} is bound to joint "
                            f"{j} with parent {p}; the skeleton gives joint {j} parent {want}'$"):
             refine_sequence(skel, pose[None], bound(joints, parents), 0.1)
-    # a joint bound twice, the joint range and the index rule are the Observations' own
+    # a joint bound twice or to itself, the joint range and the index rule are
+    # the Observations' own
     with pytest.raises(ValueError, match="^sensor 2 is bound to joint 1 with parent 0; "
                        "joint 1 is bound to sensor 0 too$"):
         bound([1, 2, 1], [0, 1, 0])
+    with pytest.raises(ValueError, match="^sensor 0 is bound to joint 2 with parent 2; "
+                       "a joint is not its own parent$"):
+        refine_sequence(skel, pose[None], bound([2], [2]), 0.1)
     with pytest.raises(ValueError, match="^sensor 0 is bound to joint 3 with parent 2, the "
                        "positions have 3 joints$"):
         refine_sequence(skel, pose[None], bound([3], [2]), 0.1)

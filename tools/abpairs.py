@@ -19,6 +19,15 @@ for neither side) and two verdicts:
   bound, unless every change run beats every parent run; else "worse" when
   the change's median is worse by more than the bound; else "within bound".
 
+The end-to-end times are corrected by perfbench's probe, which reads the
+host's slowdown. Each run's record (the `record:` path that perfbench/run.py
+prints) also gives its repeats' raw `wall_s` and probe `slowdown`; a run
+keeps their medians, and the summary's `probe` entry holds both sides'
+medians of them with `probe_moved`: whether the two sides' slowdown medians
+differ by more than the parent's quartile spread. A change that moves the
+probe itself, say by contending for the interpreter the probe runs in,
+moves the corrected times by as much, which the raw walls show.
+
 A later call with another workload adds it to the same file. The checkouts
 are only read and run; nothing under perfbench/ is changed. Each side runs
 its own perfbench/, so the tool refuses to start, naming the first file that
@@ -39,6 +48,7 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+PROBE = ("wall_s", "slowdown")  # read from each run's record, per repeat
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -99,7 +109,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     run = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
            "failed": result["failed"]}
     run.update({name: m["value"] for name, m in result["metrics"].items()})
+    run.update(probe_readings(checkout, lines))
     return run
+
+
+def probe_readings(checkout: Path, lines: list[str]) -> dict[str, float]:
+    """The median raw wall_s and probe slowdown of the repeats in the run
+    record whose path, in `checkout`, perfbench printed in `lines`; empty
+    without one."""
+    paths = [line.partition(" ")[2] for line in lines if line.startswith("record: ")]
+    if not paths:
+        return {}
+    timings = json.loads((checkout / paths[-1]).read_text())["repeat_timings"]
+    return {name: statistics.median(t[name] for t in timings)
+            for name in PROBE if timings and all(name in t for t in timings)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -141,6 +164,24 @@ def summarize(parent: list[dict], change: list[dict], metrics: dict[str, dict]) 
             "gain_rule_met": 10 * won >= 9 * len(p) and sign * (c_med - p_med) > spread,
             "verdict": verdict(p, c, sign, spread, metric["bound"]),
         }
+    return out
+
+
+def probe_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Both sides' medians of their runs' raw wall_s and probe slowdown, the
+    parent's quartile spread of each, and probe_moved (module docstring)."""
+    out = {}
+    for name in PROBE:
+        if not all(name in r for r in parent + change):
+            continue
+        p = [r[name] for r in parent]
+        q1, q3 = quartiles(p)
+        out[name] = {"parent_median": statistics.median(p),
+                     "change_median": statistics.median(r[name] for r in change),
+                     "parent_quartile_spread": q3 - q1}
+    if "slowdown" in out:
+        sd = out["slowdown"]
+        out["probe_moved"] = abs(sd["change_median"] - sd["parent_median"]) > sd["parent_quartile_spread"]
     return out
 
 
@@ -187,13 +228,19 @@ def main(argv=None) -> int:
             run["first"] = side == ("parent" if i % 2 == 0 else "change")
             entry[side]["runs"].append(run)
         entry["pairs"] = i + 1
-        entry["summary"] = summarize(entry["parent"]["runs"], entry["change"]["runs"], metrics)
+        summary = entry["summary"] = summarize(entry["parent"]["runs"], entry["change"]["runs"],
+                                               metrics)
+        summary["probe"] = probe_summary(entry["parent"]["runs"], entry["change"]["runs"])
         args.out.write_text(json.dumps(record, indent=1) + "\n")
-        fps = entry["summary"].get("frames_per_s")
+        fps, slowdown = summary.get("frames_per_s"), summary["probe"].get("slowdown")
         if fps:
+            probe = "" if slowdown is None else (
+                f", slowdown {slowdown['parent_median']:.3f} -> {slowdown['change_median']:.3f}"
+                + " (probe moved)" * summary["probe"]["probe_moved"])
             print(f"{args.workload} pair {i + 1}/{len(args.seeds)} seed {seed}: frames_per_s "
                   f"{fps['parent_median']:.0f} -> {fps['change_median']:.0f}, change won "
-                  f"{fps['pairs_change_better']}/{fps['pairs']}, {fps['verdict']}", flush=True)
+                  f"{fps['pairs_change_better']}/{fps['pairs']}, {fps['verdict']}{probe}",
+                  flush=True)
     return 0
 
 
