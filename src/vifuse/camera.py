@@ -70,6 +70,15 @@ class Camera:
         p.setflags(write=False)
         return p
 
+    @cached_property
+    def projection_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """`matrix` as proj @ x + offset: its left 3x3 block and its last
+        column (3, 1), each a contiguous read-only copy."""
+        parts = self.matrix[:, :3].copy(), self.matrix[:, 3:].copy()
+        for a in parts:
+            a.setflags(write=False)
+        return parts
+
     def project(self, points: np.ndarray) -> np.ndarray:
         """Project (..., 3) world points to (..., 2) pixels.
 

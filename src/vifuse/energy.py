@@ -42,8 +42,11 @@ total_energy and the term functions are the stack of one. Every matrix
 product and dot product runs once per window, so a window's results do not
 depend on the stack it is in. The visual term alone needs no solver:
 visual_minimum gives its minimum in closed form. WindowStack.normal_parts
-builds the pieces of the Gauss-Newton normal matrix from the visual rows and
-the term weights that stack_energy returns, without projecting again.
+builds the pieces of the Gauss-Newton normal matrix from the visual rows
+that stack_energy returns, without projecting again. What every window of
+a solve shares has no window axis and is built once per configuration,
+frame rate and window length: the (4,) term weights, the (N, N) normal
+matrix of the accel and smooth terms and the bone term's weight.
 """
 
 from __future__ import annotations
@@ -149,7 +152,8 @@ class Observations:
 
     The streams are kept as float arrays without a copy: every evaluation
     reads the caller's arrays. check() checks them against the positions,
-    require() that the active terms have theirs.
+    require() that the active terms have theirs. rig_key holds the rig as
+    tuples, the key of its cached layout.
     """
 
     pixels: np.ndarray | None = None
@@ -187,6 +191,8 @@ class Observations:
             raise ValueError(f"sensor {k} is bound to joint {j} with parent {p}; {rule}")
         object.__setattr__(self, "sensor_joints", sj.astype(int))
         object.__setattr__(self, "sensor_parents", sp.astype(int))
+        object.__setattr__(self, "rig_key", (tuple(self.sensor_joints.tolist()),
+                                             tuple(self.sensor_parents.tolist())))
         k = len(sj)
         for name, tail, form in (("pixels", (2,), "(T, J, 2)"), ("accel", (k, 3), f"(T, {k}, 3)"),
                                  ("bones", (k, 3), f"(T, {k}, 3)")):
@@ -356,6 +362,23 @@ def _differences(n: int, fps: float) -> tuple[np.ndarray, ...]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _temporal(n: int, fps: float, wa: float, ws: float) -> np.ndarray:
+    """The (N, N) matrix wa D2^T D2 + ws (D1 D2)^T (D1 D2) that the accel
+    and smooth terms, weighted wa and ws, put on each coordinate of each
+    sensor's joint. Read-only, since the cache hands it to every stack of a
+    solve."""
+    temporal = np.zeros((n, n))
+    if wa or ws:
+        _, _, accel_gram, smooth_gram = _differences(n, fps)
+        if wa:
+            temporal += wa * accel_gram
+        if ws:
+            temporal += ws * smooth_gram
+    temporal.setflags(write=False)
+    return temporal
+
+
 class Chains(NamedTuple):
     """C chains of one shape, stacked: m sensor joints and p parent-only joints
     each, in increasing joint order, and their slots among the rig's chain
@@ -438,21 +461,19 @@ class WindowStack:
     def __init__(self, source: Observations, rows: np.ndarray, shape: tuple[int, ...], fps: float):
         (w, n), j = rows.shape, shape[1]
         self.key = (n, j, fps)
+        self.windows = w
         self.camera = source.camera
-        self.rig = _rig_layout(tuple(source.sensor_joints.tolist()),
-                               tuple(source.sensor_parents.tolist()), j)
+        self.rig = _rig_layout(*source.rig_key, j)
         self.cols = 3 * len(source.sensor_joints)
         self.pixels = None
         if source.visual:
             self.pixels = source.pixels[rows]
-            p = self.camera.matrix
-            self.proj = p[:, :3].copy()  # rows u, v, w = proj @ x + offset
-            self.offset = p[:, 3:].copy()
+            self.proj, self.offset = self.camera.projection_parts  # u, v, w = proj @ x + offset
             px = self.pixels.reshape(w, n * j, 2).swapaxes(1, 2)
             self.observed = np.isfinite(px).all(axis=1)
             self.target = np.where(self.observed[:, None], px, 0.0)
         if source.accel is not None:
-            self.d2, self.d1, self.accel_gram, self.smooth_gram = _differences(n, fps)
+            self.d2, self.d1 = _differences(n, fps)[:2]
             a = source.accel[rows].reshape(w, n, self.cols)
             self.accel_target = a[:, 1:-1]
             self.smooth_target = (a[:, 2:-1] - a[:, 1:-2]) * fps
@@ -498,10 +519,10 @@ class WindowStack:
         return _Residuals(rv, ra, rb, rs, behind, rows)
 
     def gradient(self, res: _Residuals, weights: np.ndarray) -> np.ndarray:
-        """Gradient of sum(weight * |residual|^2) over the evaluated terms, with
-        one row of four term weights per window in `weights` (W, 4)."""
-        wv, wa, wb, ws = (2.0 * weights.T)[:, :, None, None]
-        w = len(weights)
+        """Gradient of sum(weight * |residual|^2) over the evaluated terms,
+        with the four term `weights` (4,) that every window shares."""
+        wv, wa, wb, ws = 2.0 * weights
+        w = len(res.behind_camera)
         n, j, _ = self.key
         grad = np.zeros((w, n, 3 * j))
         if res.visual is not None:
@@ -530,43 +551,42 @@ class WindowStack:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces of each window's Gauss-Newton normal matrix at the point
         of stack_energy's pass that gave the visual `rows` (None without the
-        visual term) and the (W, 4) term weights of its gradient, each w below
+        visual term), with the (4,) term weights of its gradient, each w below
         being a term's weight: the visual block 2 w J^T J (W, N, C, 3, 3) of
         every frame and chain joint, zero where the term skips the joint; the
-        (W, N, N) matrix that the accel and smooth terms put on each
-        coordinate of each sensor's joint; and the (W,) weight 2 w that the
-        bone term puts on each sensor's joint-minus-parent difference. The C
-        chain joints are rig.chain_joints."""
-        wv, wa, wb, ws = 2.0 * weights.T
-        w = len(weights)
-        n, j, _ = self.key
+        (N, N) matrix that the accel and smooth terms put on each coordinate
+        of each sensor's joint; and the weight 2 w that the bone term puts on
+        each sensor's joint-minus-parent difference. The C chain joints are
+        rig.chain_joints. The last two are the same for every window: the
+        matrix is cached read-only per window length, frame rate and weights,
+        so every stack of a solve gets the same array."""
+        wv, wa, wb, ws = (2.0 * weights).tolist()
+        w, (n, j, fps) = self.windows, self.key
         joints = self.rig.chain_joints
         visual = np.zeros((w, n * len(joints), 3, 3))
-        if wv.any():
-            cols = (np.arange(n)[:, None] * j + joints).ravel()
-            inv_depth = np.where(rows.active[:, cols], rows.inv_depth[:, cols], 0.0)
+        if wv:
+            # Each row's columns of the chain joints, frame by frame.
+            active, inv_depth = (a.reshape(w, n, j)[..., joints].reshape(w, -1)
+                                 for a in (rows.active, rows.inv_depth))
+            pixel = rows.pixel.reshape(w, 2, n, j)[..., joints].reshape(w, 2, -1)
+            inv_depth = np.where(active, inv_depth, 0.0)
             # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-            u, v = ((self.proj[:2, None, :] - rows.pixel[..., cols, None] * self.proj[2]) * (
-                np.sqrt(wv)[:, None] * inv_depth)[:, None, :, None]).swapaxes(0, 1)
+            u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
+                np.sqrt(wv) * inv_depth)[:, None, :, None]).swapaxes(0, 1)
             # J^T J written out per entry, faster than einsum here and equal
             # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
             for a in range(3):
                 for b in range(a, 3):
                     visual[..., a, b] = visual[..., b, a] = (
                         0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
-        temporal = np.zeros((w, n, n))
-        if wa.any():
-            temporal += wa[:, None, None] * self.accel_gram
-        if ws.any():
-            temporal += ws[:, None, None] * self.smooth_gram
-        return visual.reshape(w, n, len(joints), 3, 3), temporal, wb
+        return visual.reshape(w, n, len(joints), 3, 3), _temporal(n, fps, wa, ws), wb
 
 
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     active = tuple(i == index for i in range(4))
     win = WindowStack.of_window(frag, obs, active)
     res = win.residuals(frag.positions[None], active)
-    grad = win.gradient(res, np.array([active], dtype=float))
+    grad = win.gradient(res, np.array(active, dtype=float))
     return TermValue(float(res.values()[0, index]), grad[0], int(res.behind_camera[0]))
 
 
@@ -638,17 +658,26 @@ def smooth_energy(frag: Fragment, obs: Observations) -> TermValue:
     return _term(frag, obs, 3)
 
 
-def _term_weights(cfg: EnergyConfig) -> tuple[float, float, float, float]:
-    ki = cfg.k_inertial
-    return (cfg.k_visual, ki * cfg.k_accel, ki * cfg.k_bone, ki * cfg.k_smooth)
-
-
 def _scales(cfg: EnergyConfig, fps: float) -> TermScales:
     """The denominators of every evaluation: cfg.scales, or the stream variances at `fps`."""
     if cfg.scales is not None:
         return cfg.scales
     return TermScales(VISUAL_VARIANCE, ACCEL_VARIANCE, BONE_VARIANCE,
                       2.0 * fps * fps * SMOOTH_ACCEL_VARIANCE)
+
+
+@functools.lru_cache(maxsize=16)
+def _objective(cfg: EnergyConfig, fps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (4,) term factors k, denominators s and weights k / s of every
+    evaluation at `fps`; an inactive term has k = 0. Read-only, since the
+    cache hands them to every evaluation of a solve."""
+    ki = cfg.k_inertial
+    k = np.array([cfg.k_visual, ki * cfg.k_accel, ki * cfg.k_bone, ki * cfg.k_smooth])
+    s = np.array(_scales(cfg, fps))
+    out = (k, s, k / s)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermScales:
@@ -661,9 +690,9 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
 
 class StackValue(NamedTuple):
     """total_energy of each window of a stack: the values (W,), gradients
-    (W, N, J, 3), behind-camera counts (W,), the (W, 4) term weights
-    k / scale of the gradient, 0 for an inactive term, and the pass's visual
-    rows, None without the term."""
+    (W, N, J, 3), behind-camera counts (W,), the (4,) term weights
+    k / scale of the gradient that every window shares, 0 for an inactive
+    term, and the pass's visual rows, None without the term."""
 
     value: np.ndarray
     grad: np.ndarray | None
@@ -680,10 +709,8 @@ def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
     variances at the stack's frame rate. Without `gradient`, grad is None."""
     active = cfg.active_terms
     res = stack.residuals(x, active)
-    values = res.values()
-    k, s = np.array(_term_weights(cfg)), np.array(_scales(cfg, stack.key[2]))
-    totals = np.add.accumulate(k * values / s, axis=1)[:, -1]  # summed in term order
-    weights = np.broadcast_to(k / s, values.shape)  # an inactive term has k = 0
+    k, s, weights = _objective(cfg, stack.key[2])
+    totals = np.add.accumulate(k * res.values() / s, axis=1)[:, -1]  # summed in term order
     grad = stack.gradient(res, weights) if gradient else None
     return StackValue(totals, grad, res.behind_camera, weights, res.rows)
 

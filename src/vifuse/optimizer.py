@@ -41,15 +41,18 @@ StreamingRefiner emits by, so from one stack to the next it keeps only the
 last window's positions. Every matrix product and inverse runs once per
 window or chain, so a window's result is bitwise the same in any stack.
 Nothing is built twice that the solve does not change: each frame is
-projected onto its ray once, for both windows it lies in, and the chains,
-with their slots among the chain joints, come from the stack's one rig
-layout (energy.RigLayout), built once per rig. A stack evaluates its start
+projected onto its ray once, for both windows it lies in, the chains, with
+their slots among the chain joints, come from the stack's one rig layout
+(energy.RigLayout), built once per rig, and the temporal part of every
+window's normal matrix is one array per solve, whose pivot and coupling
+blocks _ChainSolver builds once per chain size. A stack evaluates its start
 for the value no result may end above, then its projection (the start
 without the visual term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -68,7 +71,15 @@ from .energy import total_energy  # noqa: F401 - not called here; perfbench/span
 # linear trajectory without the visual term) and is far below the curvature
 # elsewhere.
 _DAMPING = 1e-9
-_EYE3 = np.eye(3)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(size: int) -> np.ndarray:
+    """np.eye(size), read-only, since the cache hands it to every factor."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
 
 # refine_batch solves consecutive windows as one stack of about this many
 # frames (8 windows at the default N = 50), which shares a cost of about 2 ms
@@ -181,11 +192,41 @@ def _inv3(a: np.ndarray) -> np.ndarray:
     return adj / (a00 * c00 + a01 * c01 + a02 * c02)[..., None, None]
 
 
+def _temporal_blocks(temporal: np.ndarray, m: int) -> np.ndarray:
+    """The pivot and coupling blocks that the (N, N) `temporal` matrix puts
+    on a chain of m sensor joints, read-only: (2 nb - 1, 9m, 9m), the nb
+    pivots (block b against block b) then the couplings (block b + 1 against
+    block b), over blocks of three frames padded with decoupled identity
+    frames.
+
+    The accel and smooth terms couple frames at most three apart, so they
+    couple neighbouring blocks only, and each coordinate of a sensor joint
+    only with itself: they fill the diagonals of the 3m x 3m (frame, frame)
+    parts of a block. A padded frame's part of its pivot is the identity.
+    """
+    n, size = len(temporal), 3 * m
+    nb = -(-n // 3)
+    t = np.zeros((3 * nb, 3 * nb))
+    t[:n, :n] = temporal
+    t = t.reshape(nb, 3, nb, 3)
+    blocks = np.zeros((2 * nb - 1, 3 * size, 3 * size))
+    for lag, out in enumerate((blocks[:nb], blocks[nb:])):
+        # (block, frame, frame, coordinate): writes go through to `out`
+        diagonals = np.einsum("bfigi->bfgi", out.reshape(nb - lag, 3, size, 3, size))
+        diagonals[...] = np.diagonal(t, -lag, 0, 2).transpose(2, 0, 1)[..., None]
+    pivots = blocks[:nb].reshape(nb, 3, size, 3, size)
+    for frame in range(n, 3 * nb):
+        b, f = divmod(frame, 3)
+        pivots[b, f, :, f] = _identity(size)
+    blocks.setflags(write=False)
+    return blocks
+
+
 class _ChainSolver:
     """Gauss-Newton steps for every chain of a stack of windows from one
     factorization of each window's damped normal matrix, which factor()
     builds at the point that stack_energy evaluated to `tv`, from its visual
-    rows and term weights.
+    rows and the solve's term weights.
 
     The chains of all windows are factored as one stack: the chain axis runs
     over window x chain, and every matrix product and inverse runs once per
@@ -193,49 +234,57 @@ class _ChainSolver:
 
     One solver serves every stack of a refine_batch call, a StreamingRefiner
     or a minimize_fragment call. It owns each chain group's pivots and
-    multipliers, sized by the largest stack so far, and factor() zeroes and
-    refills them in place; a smaller stack works on a contiguous leading
-    part, so its bytes do not change. Fresh arrays per stack, about 1 MB
-    each at six windows, sat at glibc's mmap threshold and were faulted in
-    again for every stack: about 9,000 minor faults per refine_batch call on
-    the default 60 s capture, against 1,000-1,800 with the storage kept.
+    multipliers, sized by the largest stack so far, and factor() overwrites
+    them in place; a smaller stack works on a contiguous leading part, so
+    its bytes do not change. Fresh arrays per stack, about 1 MB each at six
+    windows, sat at glibc's mmap threshold and were faulted in again for
+    every stack: about 9,000 minor faults per refine_batch call on the
+    default 60 s capture, against 1,000-1,800 with the storage kept. Every
+    window of a solve shares the temporal part of its normal matrix, so the
+    solver builds its pivot and coupling blocks once per chain size
+    (_temporal_blocks), starts each stack's pivots from one broadcast copy
+    of them and multiplies by the shared couplings.
     """
 
     def __init__(self):
         self._blocks: dict[int, np.ndarray] = {}  # flat block storage by chain group
+        self._temporal: np.ndarray | None = None  # the (N, N) matrix of the blocks below
+        self._temporal_blocks: dict[int, np.ndarray] = {}  # by a chain's sensor-joint count
 
     def factor(self, stack: WindowStack, tv: StackValue) -> None:
         """Factor every window of `stack` at the point stack_energy evaluated
         to `tv`, in place of the last stack's factors."""
-        visual, temporal, bone = stack.normal_parts(tv.rows, tv.weights)
-        self._bone = bone[:, None, None, None]  # per window, broadcast over its chains
+        visual, temporal, self._bone = stack.normal_parts(tv.rows, tv.weights)
+        if temporal is not self._temporal:  # normal_parts hands one array to a whole solve
+            self._temporal, self._temporal_max, self._temporal_blocks = temporal, temporal.max(), {}
         visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(group, ch, visual, temporal))
+        self._factors = [(ch, *self._factor(group, ch, visual))
                          for group, ch in enumerate(stack.rig.chains)]
 
-    def _zeroed_blocks(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Chain group `group`'s block storage as a zeroed contiguous array of
-        `shape`: the leading part of one flat buffer, which grows only when a
-        stack needs more than any stack before it."""
+    def _storage(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Chain group `group`'s block storage as a contiguous array of
+        `shape`, its contents left as they are: the leading part of one flat
+        buffer, which grows only when a stack needs more than any stack
+        before it."""
         size = math.prod(shape)
         flat = self._blocks.get(group)
         if flat is None or flat.size < size:
             flat = self._blocks[group] = np.empty(size)
-        blocks = flat[:size].reshape(shape)
-        blocks.fill(0.0)
-        return blocks
+        return flat[:size].reshape(shape)
 
-    def _factor(self, group: int, ch: Chains, visual: np.ndarray, temporal: np.ndarray):
+    def _factor(self, group: int, ch: Chains, visual: np.ndarray):
         """Eliminate the parent-only joints, then factor what is left.
 
         Arrays run over frames first, then over the windows and the stacked
-        chains; `visual` is (N, W, C, 3, 3) over the rig's C chain joints and
-        `temporal` (W, N, N).
+        chains; `visual` is (N, W, C, 3, 3) over the rig's C chain joints.
         """
         n, w = visual.shape[:2]
         bone = self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
+        shared = self._temporal_blocks.get(m)
+        if shared is None:
+            shared = self._temporal_blocks[m] = _temporal_blocks(self._temporal, m)
         # Each frame's block of the sensor joints from the visual and bone
         # terms, built in place: `by_joint` is `a` by joint and coordinate.
         by_joint = np.zeros((n, w, c, m, 3, m, 3))
@@ -243,49 +292,37 @@ class _ChainSolver:
             by_joint[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = by_joint.reshape(n, w, c, size, size)
         a += bone * ch.joint_bones
-        largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + temporal.max(axis=(1, 2))[:, None]
+        largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + self._temporal_max
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
-        a += mu[..., None, None] * np.eye(size)
+        a += mu[..., None, None] * _identity(size)
         # Eliminate each parent-only joint through its own 3x3 block.
         d_inv = _inv3(visual[:, :, ch.parent_slots]
-                      + (bone[..., 0] * ch.parent_bones + mu[..., None])[..., None, None] * _EYE3)
+                      + (bone * ch.parent_bones + mu[..., None])[..., None, None] * _identity(3))
         schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
-        schur *= (bone * bone)[..., None, None]
+        schur *= bone * bone
         by_joint -= schur.transpose(0, 1, 2, 3, 5, 4, 6)
         del schur
-        # Blocks of three frames, padded with decoupled identity frames. The
-        # accel and smooth terms couple frames at most three apart, so they
-        # couple neighbouring blocks only, and each coordinate of a sensor
-        # joint only with itself: they fill the diagonals of the size x size
-        # (frame, frame) parts of a block.
-        t = np.zeros((w, 3 * nb, 3 * nb))
-        t[:, :n, :n] = temporal
-        t = t.reshape(w, nb, 3, nb, 3)
 
-        # The pivots, block b against block b, then the couplings, block b + 1
-        # against block b: (nb, W*C, 3 size, 3 size) and (nb - 1, ...).
-        blocks = self._zeroed_blocks(group, (2 * nb - 1, w * c, 3 * size, 3 * size))
+        # The pivots, (nb, W*C, 3 size, 3 size), start from the temporal
+        # blocks; the multipliers, (nb - 1, ...), are written by the LDL loop.
+        blocks = self._storage(group, (2 * nb - 1, w * c, 3 * size, 3 * size))
         diag, sub = blocks[:nb], blocks[nb:]
-        for lag, out in enumerate((diag, sub)):
-            # (block, window, chain, frame, frame, coordinate): writes go through to `out`
-            diagonals = np.einsum("bwcfigi->bwcfgi", out.reshape(nb - lag, w, c, 3, size, 3, size))
-            diagonals[...] = np.diagonal(t, -lag, 1, 3).transpose(3, 0, 1, 2)[:, :, None, :, :, None]
+        diag[...] = shared[:nb, None]
+        couplings = shared[nb:]
         # From here one axis runs over every chain of every window. Frame f
-        # of a block is frame 3 b + f of `a`, or an identity past its last.
+        # of a block is frame 3 b + f of `a`.
         c *= w
         a = a.reshape(n, c, size, size)
         for f in range(3):
-            real = len(range(f, n, 3))
-            block = diag[:, :, f * size:(f + 1) * size, f * size:(f + 1) * size]
-            block[:real] += a[f::3]
-            block[real:] += np.eye(size)
+            frame = slice(f * size, (f + 1) * size)
+            diag[:len(range(f, n, 3)), :, frame, frame] += a[f::3]
         del a, by_joint  # the pivots hold them now; the factorization needs only its storage
         # Block LDL^T in place: diag becomes the inverse pivots and sub the
-        # multipliers sub @ pivot^-1.
+        # multipliers coupling @ pivot^-1.
         diag[0] = np.linalg.inv(diag[0])
         for b in range(1, nb):
-            mult = sub[b - 1] @ diag[b - 1]
-            diag[b] = np.linalg.inv(diag[b] - mult @ sub[b - 1].swapaxes(1, 2))
+            mult = couplings[b - 1] @ diag[b - 1]
+            diag[b] = np.linalg.inv(diag[b] - mult @ couplings[b - 1].T)
             sub[b - 1] = mult
         return d_inv, diag, sub
 

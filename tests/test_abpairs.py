@@ -248,3 +248,29 @@ def test_the_summary_holds_the_probe_of_every_pair(abpairs, tmp_path, monkeypatc
 def test_a_run_without_a_record_keeps_no_probe(abpairs):
     assert abpairs.probe_readings(Path("."), ["fail_ratio 0/3", "{}"]) == {}
     assert abpairs.probe_summary([{"m": 1.0}], [{"m": 2.0}]) == {}
+
+
+def test_the_last_pair_prints_one_line_per_end_to_end_metric(abpairs, tmp_path, monkeypatch, capsys):
+    # A lower emit latency in both pairs, the same MPJPE: each metric's line
+    # reads the medians, the pairs won, the gain rule and the verdict.
+    def result(emit):
+        metrics = {"frames_per_s": 100.0, "stream_emit_ms_p50": emit, "mpjpe_mm": 12.5}
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {name: {"value": v, "unit": ""} for name, v in metrics.items()}}
+
+    emits = {"p": iter([3.0, 3.1]), "c": iter([2.8, 2.9])}
+    checkouts = {side: checkout(tmp_path / side, BENCH) for side in emits}
+    monkeypatch.setattr(abpairs.subprocess, "run", lambda cmd, cwd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=json.dumps(result(next(emits[Path(cwd).name]))) + "\n", stderr=""))
+    assert abpairs.main(["--parent", str(checkouts["p"]), "--change", str(checkouts["c"]),
+                         "--workload", "stream_rtof", "--seeds", "1-2",
+                         "--out", str(tmp_path / "BENCH_x.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if " pair " in line] == [
+        "stream_rtof pair 1/2 seed 1: frames_per_s 100 -> 100, change won 0/1, within bound",
+        "stream_rtof pair 2/2 seed 2: frames_per_s 100 -> 100, change won 0/2, within bound"]
+    assert lines[-3:] == [
+        "stream_rtof frames_per_s: 100 -> 100, change won 0/2, gain_rule_met false, within bound",
+        "stream_rtof stream_emit_ms_p50: 3.05 -> 2.85, change won 2/2, gain_rule_met true, "
+        "within bound",
+        "stream_rtof mpjpe_mm: 12.5 -> 12.5, change won 0/2, gain_rule_met false, within bound"]

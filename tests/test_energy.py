@@ -568,30 +568,34 @@ def test_stack_energy_matches_each_window_alone(rng):
     got = energy.stack_energy(x, stack, cfg)
     visual, temporal, bone = stack.normal_parts(got.rows, got.weights)
     assert list(got.behind_camera) == [0, 1, 0]
+    # Every window shares the solve's term weights, temporal matrix and bone weight.
+    assert got.weights.shape == (4,) and temporal.shape == (6, 6)
+    assert bone == 2.0 * got.weights[2]
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
         assert (got.value[i], got.behind_camera[i]) == (alone.value, alone.behind_camera)
-        assert got.weights[i].tolist() == [1.0 / s for s in alone.scales]
+        assert got.weights.tolist() == [1.0 / s for s in alone.scales]
         assert got.grad[i].tobytes() == alone.grad.tobytes()
         win = energy.WindowStack.of_window(frag, obs, cfg.active_terms)
-        parts = win.normal_parts(energy.stack_energy(frag.positions[None], win, cfg).rows,
-                                 got.weights[i:i + 1])
+        tv = energy.stack_energy(frag.positions[None], win, cfg)
+        assert tv.weights is got.weights
+        parts = win.normal_parts(tv.rows, tv.weights)
         assert visual[i].tobytes() == parts[0][0].tobytes()
-        assert temporal[i].tobytes() == parts[1][0].tobytes()
-        assert bone[i] == parts[2][0]
+        assert parts[1] is temporal and not temporal.flags.writeable
+        assert parts[2] == bone
 
 
 
-def visual_blocks_of_every_joint(stack, x, weights):
+def visual_blocks_of_every_joint(stack, x, weight):
     """Reference: the visual block 2 w J^T J (W, N, J, 3, 3) of every frame
-    and joint, with 2 w per window in `weights`."""
+    and joint, with 2 w the visual term's `weight`."""
     w, (n, j, _) = len(x), stack.key
     h = stack.proj @ x.reshape(w, -1, 3).swapaxes(1, 2) + stack.offset
     valid = stack.observed & (h[:, 2] > W_MIN)
     inv_depth = np.where(valid, 1.0 / np.where(valid, h[:, 2], 1.0), 0.0)
     pixel = h[:, :2] * inv_depth[:, None]
     jac = (stack.proj[:2, None, :] - pixel[..., None] * stack.proj[2]) * (
-        np.sqrt(weights)[:, None] * inv_depth)[:, None, :, None]
+        np.sqrt(weight) * inv_depth)[:, None, :, None]
     return np.einsum("wapi,wapj->wpij", jac, jac).reshape(w, n, j, 3, 3)
 
 
@@ -616,7 +620,6 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
         assert list(got.behind_camera) == skipped
         visual, _, _ = stack.normal_parts(got.rows, got.weights)
         assert visual.shape == (3, 50, 12, 3, 3)
-        weights = 2.0 * got.weights[:, 0]
-        every = visual_blocks_of_every_joint(stack, x, weights)
+        every = visual_blocks_of_every_joint(stack, x, 2.0 * got.weights[0])
         assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()

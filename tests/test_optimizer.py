@@ -33,7 +33,7 @@ from vifuse import energy, optimizer
 from vifuse.rotmath import IDENTITY, quat_matrix
 
 from conftest import dense_calibration
-from test_energy import reference_values, stream_variances
+from test_energy import reference_values, stream_variances, visual_blocks_of_every_joint
 
 
 def seq_problem(rng, t_n=30, j_n=3, fps=10.0, sensors=(1, 2), parents=(0, 1)):
@@ -770,6 +770,132 @@ def test_batch_and_stream_stacks_share_one_read_only_rig_layout(monkeypatch, cal
         np.testing.assert_array_equal(ch.joint_slots, np.searchsorted(rig.chain_joints, ch.joints))
         np.testing.assert_array_equal(ch.parent_slots,
                                       np.searchsorted(rig.chain_joints, ch.parents))
+
+
+@pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
+def test_batch_and_stream_factor_every_stack_from_one_read_only_set_of_temporal_blocks(
+        monkeypatch, calib):
+    # Every window of a solve shares the accel and smooth terms' normal
+    # matrix, so each chain size's temporal pivots and couplings are built
+    # once per refine_batch call and once per StreamingRefiner.
+    start, seq = capture_problem(3, 8.0, calib)
+    built, factored = [], []
+    temporal_blocks = optimizer._temporal_blocks
+
+    def recording(temporal, m):
+        built.append((temporal, m, temporal_blocks(temporal, m)))
+        return built[-1][2]
+
+    monkeypatch.setattr(optimizer, "_temporal_blocks", recording)
+
+    class Spy(optimizer._ChainSolver):
+        def factor(self, stack, tv):
+            super().factor(stack, tv)
+            factored.append((self, stack.rig, dict(self._temporal_blocks)))
+
+    monkeypatch.setattr(optimizer, "_ChainSolver", Spy)
+    cfg, settings = EnergyConfig(), SolverSettings(max_iterations=1)
+    for solve in (lambda: refine_batch(start, seq, cfg, settings),
+                  lambda: list(run_stream(start, seq, cfg, settings))):
+        built.clear()
+        factored.clear()
+        solve()
+        solver, rig, blocks = factored[0]
+        sizes = {ch.joints.shape[1] for ch in rig.chains}
+        assert len(factored) > 1 and len(built) == len(sizes) == len(blocks)
+        assert {m: b for _, m, b in built} == blocks
+        for later, _, later_blocks in factored[1:]:
+            assert later is solver
+            assert all(later_blocks[m] is blocks[m] for m in sizes)
+        for temporal, m, b in built:
+            assert not b.flags.writeable and not temporal.flags.writeable
+            # The blocks are the band of the padded temporal matrix on each
+            # of a chain's 3m sensor coordinates, the identity on padded frames.
+            n, size = len(temporal), 3 * m
+            nb = len(b) // 2 + 1
+            padded = np.eye(3 * nb)
+            padded[:n, :n] = temporal
+            whole = np.kron(padded, np.eye(size))
+            for i in range(nb):
+                rows = slice(3 * size * i, 3 * size * (i + 1))
+                np.testing.assert_array_equal(b[i], whole[rows, rows])
+                if i:
+                    np.testing.assert_array_equal(
+                        b[nb + i - 1], whole[rows, rows.start - 3 * size:rows.start])
+            assert not np.triu(whole, 6 * size).any()  # nothing beyond the couplings
+
+
+def chain_normal_matrices(stack, obs, x, weights):
+    """Reference: each window's damped Gauss-Newton normal matrix on each
+    chain of the rig of `obs`, assembled term by term over the chain's
+    (frame, joint, coordinate) triples, its sensor joints first. Yields the
+    chain's joints and the (W, 3 N c, 3 N c) matrices of its c joints."""
+    n, j, fps = stack.key
+    wv, wa, wb, ws = 2.0 * weights
+    d2 = (np.eye(n - 2, n) - 2.0 * np.eye(n - 2, n, 1) + np.eye(n - 2, n, 2)) * fps ** 2
+    d1 = (np.eye(n - 3, n - 2, 1) - np.eye(n - 3, n - 2)) * fps
+    temporal = wa * d2.T @ d2 + ws * (d1 @ d2).T @ (d1 @ d2)
+    visual = np.zeros((len(x), n, j, 3, 3))
+    if wv:
+        visual = visual_blocks_of_every_joint(stack, x, wv)
+    for ch in stack.rig.chains:
+        for sensor_joints, parent_only in zip(ch.joints.tolist(), ch.parents.tolist()):
+            joints = sensor_joints + parent_only
+            m, c = len(sensor_joints), len(joints)
+            bones = np.zeros((c, c))
+            for s, p in zip(obs.sensor_joints, obs.sensor_parents):
+                if s in sensor_joints:
+                    e = np.zeros(c)
+                    e[joints.index(s)], e[joints.index(p)] = 1.0, -1.0
+                    bones += np.outer(e, e)
+            h = np.zeros((len(x), n, c, 3, n, c, 3))
+            for f in range(n):
+                for i, joint in enumerate(joints):
+                    h[:, f, i, :, f, i, :] = visual[:, f, joint]
+            h = h.reshape(len(x), 3 * n * c, 3 * n * c)
+            h += wb * np.kron(np.eye(n), np.kron(bones, np.eye(3)))
+            # The damping: 1e-9 of the largest visual and bone diagonal entry
+            # of a sensor joint plus the largest temporal entry.
+            largest = np.diagonal(h, axis1=1, axis2=2).reshape(len(x), n, c, 3)[:, :, :m].max(
+                axis=(1, 2, 3)) + temporal.max()
+            mu = 1e-9 * np.where(largest > 0.0, largest, 1.0)
+            h += np.kron(temporal, np.kron(np.diag([1.0] * m + [0.0] * (c - m)), np.eye(3)))
+            yield joints, h + mu[:, None, None] * np.eye(3 * n * c)
+
+
+@pytest.mark.parametrize("calib, k_visual", [(None, 1.0), (dense_calibration(), 1.0), (None, 0.0)],
+                         ids=["default_rig", "dense_rig", "no_visual"])
+def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k_visual):
+    # Four windows of 20 frames, each padded with one identity frame to
+    # seven blocks. Without the visual term the window count comes from the
+    # stack alone, since the pass has no visual rows. The steps are compared
+    # through the normal matrix: H step against H want = -g. Their own
+    # difference is not, since the block inverses and LAPACK's LU reach it
+    # by other roundings and the matrix is ill-conditioned (about 6e7, and
+    # 3e9 without the visual term, where only the damping pins a chain's
+    # linear trajectory): the steps differ by up to 3e-6 relative.
+    start, seq = capture_problem(3, 4.0, calib)
+    cfg = EnergyConfig(k_visual=k_visual, fragment_len=20)
+    schedule = FragmentSchedule(len(start), cfg.fragment_len)
+    rows = np.stack([schedule.window_frames(k) for k in range(2, 6)])
+    stack = energy.WindowStack(seq, rows, start.shape, seq.fps)
+    x = start[rows]
+    tv = energy.stack_energy(x, stack, cfg)
+    assert (tv.rows is None) == (k_visual == 0.0)
+    solver = optimizer._ChainSolver()
+    solver.factor(stack, tv)
+    quad, step = solver.sweep(tv.grad), solver.step()
+    want_quad = np.zeros(len(x))
+    for joints, h in chain_normal_matrices(stack, seq, x, tv.weights):
+        g = tv.grad[:, :, joints].reshape(len(x), -1)
+        want = np.linalg.solve(h, -g[..., None])[..., 0]
+        got = step[:, :, joints].reshape(len(x), -1)
+        apart = np.linalg.norm(np.einsum("wij,wj->wi", h, got - want), axis=1)
+        assert (apart <= 1e-10 * np.linalg.norm(g, axis=1)).all()
+        want_quad -= np.einsum("wi,wi->w", g, want)
+    np.testing.assert_allclose(quad, want_quad, rtol=1e-10, atol=0.0)
+    free = np.setdiff1d(np.arange(start.shape[1]), stack.rig.chain_joints)
+    assert free.size and not step[:, :, free].any()
 
 
 @pytest.mark.parametrize("t_n", [3, 8, 37, 100])

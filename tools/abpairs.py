@@ -28,6 +28,11 @@ differ by more than the parent's quartile spread. A change that moves the
 probe itself, say by contending for the interpreter the probe runs in,
 moves the corrected times by as much, which the raw walls show.
 
+After each pair the tool prints a progress line on frames_per_s; after the
+last, one line per end-to-end metric with both medians, the pairs the
+change won, `gain_rule_met` and `verdict`, so a claim on any metric reads
+off the terminal.
+
 A later call with another workload adds it to the same file. The checkouts
 are only read and run; nothing under perfbench/ is changed. Each side runs
 its own perfbench/, so the tool refuses to start, naming the first file that
@@ -185,6 +190,15 @@ def probe_summary(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def metric_lines(workload: str, summary: dict) -> list[str]:
+    """One line per end-to-end metric of a workload's `summary`: both
+    medians, the pairs the change won, gain_rule_met and the verdict."""
+    return [f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g}, change "
+            f"won {m['pairs_change_better']}/{m['pairs']}, gain_rule_met "
+            f"{json.dumps(m['gain_rule_met'])}, {m['verdict']}"
+            for name, m in summary.items() if name != "probe"]
+
+
 def machine() -> dict:
     model = "unknown"
     try:
@@ -241,6 +255,7 @@ def main(argv=None) -> int:
                   f"{fps['parent_median']:.0f} -> {fps['change_median']:.0f}, change won "
                   f"{fps['pairs_change_better']}/{fps['pairs']}, {fps['verdict']}{probe}",
                   flush=True)
+    print("\n".join(metric_lines(args.workload, entry["summary"])), flush=True)
     return 0
 
 
