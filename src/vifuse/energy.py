@@ -548,38 +548,41 @@ class WindowStack:
         return grad.reshape(w, n, j, 3)
 
     def normal_parts(self, rows: VisualRows | None, weights: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """The pieces of each window's Gauss-Newton normal matrix at the point
         of stack_energy's pass that gave the visual `rows` (None without the
         visual term), with the (4,) term weights of its gradient, each w below
         being a term's weight: the visual block 2 w J^T J (W, N, C, 3, 3) of
-        every frame and chain joint, zero where the term skips the joint; the
-        (N, N) matrix that the accel and smooth terms put on each coordinate
-        of each sensor's joint; and the weight 2 w that the bone term puts on
-        each sensor's joint-minus-parent difference. The C chain joints are
-        rig.chain_joints. The last two are the same for every window: the
-        matrix is cached read-only per window length, frame rate and weights,
-        so every stack of a solve gets the same array."""
+        every frame and chain joint, zero where the term skips the joint, or
+        None when that weight is zero; the (N, N) matrix that the accel and
+        smooth terms put on each coordinate of each sensor's joint; and the
+        weight 2 w that the bone term puts on each sensor's joint-minus-parent
+        difference. The C chain joints are rig.chain_joints. The last two are
+        the same for every window: the matrix is cached read-only per window
+        length, frame rate and weights, so every stack of a solve gets the
+        same array."""
         wv, wa, wb, ws = (2.0 * weights).tolist()
         w, (n, j, fps) = self.windows, self.key
+        temporal = _temporal(n, fps, wa, ws)
+        if not wv:
+            return None, temporal, wb
         joints = self.rig.chain_joints
-        visual = np.zeros((w, n * len(joints), 3, 3))
-        if wv:
-            # Each row's columns of the chain joints, frame by frame.
-            active, inv_depth = (a.reshape(w, n, j)[..., joints].reshape(w, -1)
-                                 for a in (rows.active, rows.inv_depth))
-            pixel = rows.pixel.reshape(w, 2, n, j)[..., joints].reshape(w, 2, -1)
-            inv_depth = np.where(active, inv_depth, 0.0)
-            # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-            u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
-                np.sqrt(wv) * inv_depth)[:, None, :, None]).swapaxes(0, 1)
-            # J^T J written out per entry, faster than einsum here and equal
-            # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
-            for a in range(3):
-                for b in range(a, 3):
-                    visual[..., a, b] = visual[..., b, a] = (
-                        0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
-        return visual.reshape(w, n, len(joints), 3, 3), _temporal(n, fps, wa, ws), wb
+        visual = np.empty((w, n * len(joints), 3, 3))  # every entry is written below
+        # Each row's columns of the chain joints, frame by frame.
+        active, inv_depth = (a.reshape(w, n, j)[..., joints].reshape(w, -1)
+                             for a in (rows.active, rows.inv_depth))
+        pixel = rows.pixel.reshape(w, 2, n, j)[..., joints].reshape(w, 2, -1)
+        inv_depth = np.where(active, inv_depth, 0.0)
+        # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
+        u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
+            np.sqrt(wv) * inv_depth)[:, None, :, None]).swapaxes(0, 1)
+        # J^T J written out per entry, faster than einsum here and equal
+        # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
+        for a in range(3):
+            for b in range(a, 3):
+                visual[..., a, b] = visual[..., b, a] = (
+                    0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
+        return visual.reshape(w, n, len(joints), 3, 3), temporal, wb
 
 
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:

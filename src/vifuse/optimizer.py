@@ -35,19 +35,24 @@ minimize_fragment solves a stack of one. A refine_batch call, a
 StreamingRefiner and a minimize_fragment call each factor all their stacks
 in one _ChainSolver, which keeps the factorization's block storage from
 stack to stack instead of mapping it afresh for each, and builds each
-stack's blocks in that storage and in place. refine_batch averages each
-window into its output as the window's stack is solved, by the rule
-StreamingRefiner emits by, so from one stack to the next it keeps only the
-last window's positions. Every matrix product and inverse runs once per
-window or chain, so a window's result is bitwise the same in any stack.
-Nothing is built twice that the solve does not change: each frame is
-projected onto its ray once, for both windows it lies in, the chains, with
-their slots among the chain joints, come from the stack's one rig layout
-(energy.RigLayout), built once per rig, and the temporal part of every
-window's normal matrix is one array per solve, whose pivot and coupling
-blocks _ChainSolver builds once per chain size. A stack evaluates its start
-for the value no result may end above, then its projection (the start
-without the visual term) for the first step, then each trial point.
+stack's blocks in that storage and in place, each LDL multiplier written
+straight into it. refine_batch averages each window into its output as the
+window's stack is solved, by the rule StreamingRefiner emits by, so from
+one stack to the next it keeps only the last window's positions, and it
+projects each stack's frames when it reaches the stack, into one ring that
+carries the stride two stacks share. A stack forms each trial point in its
+step's buffer and updates its point and gradient in place. Every matrix
+product and inverse runs once per window or chain, so a window's result is
+bitwise the same in any stack. Nothing is built twice that the solve does
+not change: each frame is projected onto its ray once, for both windows it
+lies in, in batch and streaming alike; the chains, with their slots among
+the chain joints, come from the stack's one rig layout (energy.RigLayout),
+built once per rig; and the temporal part of every window's normal matrix
+is one array per solve, whose pivot and coupling blocks _ChainSolver builds
+once per chain size. Without the visual term no visual block is built. A
+stack evaluates its start for the value no result may end above, then its
+projection (the start without the visual term) for the first step, then
+each trial point.
 """
 
 from __future__ import annotations
@@ -257,8 +262,9 @@ class _ChainSolver:
         visual, temporal, self._bone = stack.normal_parts(tv.rows, tv.weights)
         if temporal is not self._temporal:  # normal_parts hands one array to a whole solve
             self._temporal, self._temporal_max, self._temporal_blocks = temporal, temporal.max(), {}
-        visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(group, ch, visual))
+        if visual is not None:
+            visual = visual.swapaxes(0, 1)
+        self._factors = [(ch, *self._factor(group, ch, visual, stack.windows))
                          for group, ch in enumerate(stack.rig.chains)]
 
     def _storage(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -272,14 +278,14 @@ class _ChainSolver:
             flat = self._blocks[group] = np.empty(size)
         return flat[:size].reshape(shape)
 
-    def _factor(self, group: int, ch: Chains, visual: np.ndarray):
+    def _factor(self, group: int, ch: Chains, visual: np.ndarray | None, w: int):
         """Eliminate the parent-only joints, then factor what is left.
 
-        Arrays run over frames first, then over the windows and the stacked
-        chains; `visual` is (N, W, C, 3, 3) over the rig's C chain joints.
+        Arrays run over frames first, then over the W windows and the
+        stacked chains; `visual` is (N, W, C, 3, 3) over the rig's C chain
+        joints, or None without the visual term.
         """
-        n, w = visual.shape[:2]
-        bone = self._bone
+        n, bone = len(self._temporal), self._bone
         c, m = ch.joints.shape
         size, nb = 3 * m, -(-n // 3)
         shared = self._temporal_blocks.get(m)
@@ -288,16 +294,21 @@ class _ChainSolver:
         # Each frame's block of the sensor joints from the visual and bone
         # terms, built in place: `by_joint` is `a` by joint and coordinate.
         by_joint = np.zeros((n, w, c, m, 3, m, 3))
-        for i, joints in enumerate(ch.joint_slots.T):
-            by_joint[:, :, :, i, :, i, :] = visual[:, :, joints]
+        if visual is not None:
+            for i, joints in enumerate(ch.joint_slots.T):
+                by_joint[:, :, :, i, :, i, :] = visual[:, :, joints]
         a = by_joint.reshape(n, w, c, size, size)
         a += bone * ch.joint_bones
         largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + self._temporal_max
         mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
         a += mu[..., None, None] * _identity(size)
         # Eliminate each parent-only joint through its own 3x3 block.
-        d_inv = _inv3(visual[:, :, ch.parent_slots]
-                      + (bone * ch.parent_bones + mu[..., None])[..., None, None] * _identity(3))
+        parent = (bone * ch.parent_bones + mu[..., None])[..., None, None] * _identity(3)
+        if visual is None:
+            parent = np.broadcast_to(parent, (n, *parent.shape))
+        else:
+            parent = visual[:, :, ch.parent_slots] + parent
+        d_inv = _inv3(parent)
         schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
         schur *= bone * bone
         by_joint -= schur.transpose(0, 1, 2, 3, 5, 4, 6)
@@ -318,12 +329,13 @@ class _ChainSolver:
             diag[:len(range(f, n, 3)), :, frame, frame] += a[f::3]
         del a, by_joint  # the pivots hold them now; the factorization needs only its storage
         # Block LDL^T in place: diag becomes the inverse pivots and sub the
-        # multipliers coupling @ pivot^-1.
+        # multipliers coupling @ pivot^-1, each written straight into its
+        # storage, and each pivot takes its Schur term in place.
         diag[0] = np.linalg.inv(diag[0])
         for b in range(1, nb):
-            mult = couplings[b - 1] @ diag[b - 1]
-            diag[b] = np.linalg.inv(diag[b] - mult @ couplings[b - 1].T)
-            sub[b - 1] = mult
+            np.matmul(couplings[b - 1], diag[b - 1], out=sub[b - 1])
+            diag[b] -= sub[b - 1] @ couplings[b - 1].T
+            diag[b] = np.linalg.inv(diag[b])
         return d_inv, diag, sub
 
     def sweep(self, grad: np.ndarray) -> np.ndarray:
@@ -391,9 +403,10 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  solver: _ChainSolver) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
     `start` (W, N, J, 3); `projected` holds their visual_minimum, or their
-    positions again when the visual term is inactive. `starts` are the
-    windows' first frame indices. `solver` factors the stack in place of the
-    stack it factored before.
+    positions again when the visual term is inactive, and becomes the
+    windows' point, updated in place, unless it shares memory with `start`.
+    `starts` are the windows' first frame indices. `solver` factors the
+    stack in place of the stack it factored before.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
@@ -407,7 +420,9 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     first = stack_energy(start, stack, cfg, gradient=False)
     start_values, behind = first.value, first.behind_camera
     del first
-    x, tv = projected, stack_energy(projected, stack, cfg)
+    # minimize_fragment passes the start itself when the visual term is off.
+    x = projected.copy() if np.may_share_memory(projected, start) else projected
+    tv = stack_energy(x, stack, cfg)
     behind = np.maximum(behind, tv.behind_camera)
     solver.factor(stack, tv)
     values, grad = tv.value, tv.grad
@@ -421,21 +436,22 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
         stepping = going & ~converged & (iterations < settings.max_iterations)
         if not stepping.any():
             break
-        step = solver.step()
-        step[~stepping] = 0.0
-        moved = x + step
+        moved = solver.step()
+        moved[~stepping] = 0.0
+        np.add(x, moved, out=moved)  # the trial point, in the step's buffer
         trial = stack_energy(moved, stack, cfg)
         behind = np.where(stepping, np.maximum(behind, trial.behind_camera), behind)
         going = stepping & (trial.value < values)  # a step that fails to lower stops its window
         iterations += going
-        x = np.where(going[:, None, None, None], moved, x)
-        values = np.where(going, trial.value, values)
-        grad = np.where(going[:, None, None, None], trial.grad, grad)
-        del step, moved, trial  # not held through the next step's sweep and pass
+        kept = going[:, None, None, None]
+        np.copyto(x, moved, where=kept)
+        np.copyto(values, trial.value, where=going)
+        np.copyto(grad, trial.grad, where=kept)
+        del moved, trial  # not held through the next step's sweep and pass
     # Never above the start: a window that ended above it falls back to it.
     above = values > start_values
-    x = np.where(above[:, None, None, None], start, x)
-    values = np.where(above, start_values, values)
+    np.copyto(x, start, where=above[:, None, None, None])
+    np.copyto(values, start_values, where=above)
     converged &= ~above
     return [FragmentResult(Fragment(point, fps, window_start), *record)
             for point, window_start, *record in zip(
@@ -470,14 +486,16 @@ def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray
                    solver: _ChainSolver) -> list[FragmentResult]:
     """Gather the rows of `windows` into one WindowStack and solve them with `solver`.
 
-    `poses`, their visual_minimum `projected` (`poses` itself when the
-    visual term is inactive) and `seq_obs` hold either the whole sequence or
-    a ring of its last len(poses) frames, frame t at row t % len(poses); the
-    ring must be at least one window long.
+    `poses` and `seq_obs` hold either the whole sequence or a ring of its
+    last len(poses) frames, frame t at row t % len(poses), and the poses'
+    visual_minimum `projected` (`poses` itself when the visual term is
+    inactive) either the whole sequence or a ring of len(projected) frames
+    in the same way; each ring must hold every frame of `windows`.
     """
-    rows = np.stack([schedule.window_frames(k) for k in windows]) % len(poses)
+    frames = np.stack([schedule.window_frames(k) for k in windows])
+    rows = frames % len(poses)
     stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
-    return _solve_stack(poses[rows], projected[rows], stack,
+    return _solve_stack(poses[rows], projected[frames % len(projected)], stack,
                         [schedule.window_start(k) for k in windows], cfg, settings, solver)
 
 
@@ -524,12 +542,15 @@ def refine_batch(
 ) -> tuple[np.ndarray, RefineStats]:
     """Optimize every window of a (T, J, 3) sequence and merge.
 
-    Every frame is projected onto its ray once, for both windows it lies
-    in. Consecutive windows are solved as one stack of about _STACK_FRAMES
+    Consecutive windows are solved as one stack of about _STACK_FRAMES
     frames; each window's result is bitwise the one it gets alone. Each
-    window is averaged into the output as its stack is solved, as
-    merge_fragments averages it, so only the last window's positions are
-    kept from one stack to the next.
+    stack's frames are projected onto their rays when the stack is reached,
+    into one ring reused from stack to stack, as StreamingRefiner's ring
+    holds them: the stride of frames that a stack shares with the next is
+    carried over, so every frame is projected once, for both windows it
+    lies in. Each window is averaged into the output as its stack is
+    solved, as merge_fragments averages it, so only the last window's
+    positions are kept from one stack to the next.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
@@ -538,13 +559,18 @@ def refine_batch(
     schedule = FragmentSchedule(poses.shape[0], cfg.fragment_len)
     seq_obs.require(cfg.active_terms, cfg.fragment_len)
     t0 = time.perf_counter()
-    projected = poses
-    if cfg.k_visual > 0.0:
-        projected = visual_minimum(poses, seq_obs.pixels, seq_obs.camera)
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
+    stride, projected, done = schedule.stride, poses, 0
+    if cfg.k_visual > 0.0:  # a stack of windows [first, stop) reads (stop - first + 1) strides
+        projected = np.empty((min(len(poses), (per_stack + 1) * stride), *poses.shape[1:]))
     solver, merged, prev, behind = _ChainSolver(), np.empty(poses.shape), None, 0
     for first in range(0, schedule.window_count, per_stack):
         windows = range(first, min(first + per_stack, schedule.window_count))
+        end = min(len(poses), windows.stop * stride)  # past the stack's last frame
+        if projected is not poses and done < end:
+            projected[np.arange(done, end) % len(projected)] = visual_minimum(
+                poses[done:end], seq_obs.pixels[done:end], seq_obs.camera)
+            done = end
         for k, res in zip(windows, _solve_windows(schedule, windows, poses, projected, seq_obs,
                                                   cfg, settings, solver)):
             cur = res.fragment.positions

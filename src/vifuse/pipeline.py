@@ -124,19 +124,31 @@ def apply_mode(
     independent and the input poses go through visual_minimum, or come back
     unchanged if k_visual is 0 too. rtof's solve starts from the input poses
     too. Stats are None whenever the optimizer does not run.
+
+    The raw IMU stream and the calibrated rotations, which nothing after the
+    calibration reads, are released before sf2 or the solve starts, as far
+    as this function holds them; run_pipeline holds no other reference.
     """
     energy = energy if energy is not None else EnergyConfig()
     solver = solver if solver is not None else SolverSettings()
     poses = np.asarray(poses, dtype=float)
-    streams = {"pose2d": pixels, "camera": camera, "calibration": calib, "imu": imu}
-    _mode_requirements(mode, {name for name, value in streams.items() if value is not None},
+    seq_obs = _observations(mode, skel, poses, fps, pixels, camera, calib, imu, energy)
+    del imu
+    return _refine(mode, skel, poses, pixels, camera, seq_obs, energy, solver)
+
+
+def _observations(mode: str, skel: SkeletonDefinition, poses: np.ndarray, fps: float,
+                  pixels: np.ndarray | None, camera: Camera | None, calib: CalibrationSet | None,
+                  imu: ImuStream | None, energy: EnergyConfig) -> SequenceObservations | None:
+    """Check the streams `mode` reads against the poses, then calibrate the
+    IMU stream into the observations sf2 and rtof read (None in the other
+    modes), keeping none of the raw stream and none of the rotations."""
+    given = {"pose2d": pixels, "camera": camera, "calibration": calib, "imu": imu}
+    _mode_requirements(mode, {name for name, value in given.items() if value is not None},
                        energy)
     if poses.ndim != 3 or poses.shape[1] != skel.joint_count:
         raise DataError(
             f"pose stream shape {poses.shape} does not match {skel.joint_count}-joint skeleton")
-
-    if mode == "baseline":
-        return poses.copy(), None
     if mode in ("rto", "rtof"):
         if pixels.shape[0] != poses.shape[0]:
             raise DataError(
@@ -144,27 +156,33 @@ def apply_mode(
         if pixels.shape[1] != skel.joint_count:
             raise DataError(
                 f"2D stream has {pixels.shape[1]} joints, skeleton {skel.joint_count}")
+    if mode not in ("sf2", "rtof"):
+        return None
+    if mode == "sf2":  # the observations carry no stream sf2 does not read
+        pixels = camera = None
+    if imu.frame_count != poses.shape[0]:
+        raise DataError(
+            f"IMU stream has {imu.frame_count} frames, pose stream {poses.shape[0]}")
+    accel, bones = calibrate_stream(calib, imu, skel)[1:]
+    sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
+    return SequenceObservations(
+        fps=fps, pixels=pixels, camera=camera, accel=accel, bones=bones,
+        sensor_joints=sensor_joints, sensor_parents=np.array(skel.parents)[sensor_joints])
 
-    if mode in ("sf2", "rtof"):
-        if mode == "sf2":  # the observations carry no stream sf2 does not read
-            pixels = camera = None
-        if imu.frame_count != poses.shape[0]:
-            raise DataError(
-                f"IMU stream has {imu.frame_count} frames, pose stream {poses.shape[0]}")
-        _, accel, bones = calibrate_stream(calib, imu, skel)
-        sensor_joints = calib.joint_indices(skel, imu.sensor_ids)
-        seq_obs = SequenceObservations(
-            fps=fps, pixels=pixels, camera=camera, accel=accel, bones=bones,
-            sensor_joints=sensor_joints, sensor_parents=np.array(skel.parents)[sensor_joints])
 
+def _refine(mode: str, skel: SkeletonDefinition, poses: np.ndarray, pixels: np.ndarray | None,
+            camera: Camera | None, seq_obs: SequenceObservations | None, energy: EnergyConfig,
+            solver: SolverSettings) -> tuple[np.ndarray, RefineStats | None]:
+    """apply_mode's work once _observations has checked the streams and
+    built `seq_obs`."""
+    if mode == "baseline":
+        return poses.copy(), None
     if mode == "sf2":
         return refine_sequence(skel, poses, seq_obs, energy.theta_t), None
-
     if mode == "rto" or not energy.inertial_active:  # rto is the visual-only ablation
         if energy.k_visual == 0.0:
             return poses.copy(), None
         return visual_minimum(poses, pixels, camera), None
-
     return refine_batch(poses, seq_obs, energy, solver)
 
 
@@ -318,11 +336,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
                 f"truth stream has {truth.shape[0]} frame(s); the metric report needs "
                 f"at least {REPORT_MIN_FRAMES}")
 
-    output, stats = apply_mode(
-        config.mode, skel, poses, config.fps,
-        pixels=pixels, camera=camera, calib=calib, imu=imu,
-        energy=config.energy, solver=config.solver,
-    )
+    # apply_mode's two steps, so that this frame's reference to the raw IMU
+    # stream goes before the solve starts.
+    seq_obs = _observations(config.mode, skel, poses, config.fps, pixels, camera, calib, imu,
+                            config.energy)
+    del imu
+    output, stats = _refine(config.mode, skel, poses, pixels, camera, seq_obs, config.energy,
+                            config.solver)
 
     report = None
     if truth is not None:

@@ -230,6 +230,8 @@ def test_the_probe_moves_when_the_slowdown_medians_differ_beyond_the_spread(abpa
 
 
 def test_the_summary_holds_the_probe_of_every_pair(abpairs, tmp_path, monkeypatch, capsys):
+    # The probe moves from the third pair on; before it, no progress line
+    # raises the flag.
     outputs = {"p": bench_output(tmp_path, "p", [(0.30, 1.14)]),
                "c": bench_output(tmp_path, "c", [(0.25, 1.80)])}
     checkouts = {side: checkout(tmp_path / side, BENCH) for side in outputs}
@@ -237,12 +239,26 @@ def test_the_summary_holds_the_probe_of_every_pair(abpairs, tmp_path, monkeypatc
         cmd, 0, stdout=outputs[Path(cwd).name], stderr=""))
     out = tmp_path / "BENCH_x.json"
     assert abpairs.main(["--parent", str(checkouts["p"]), "--change", str(checkouts["c"]),
-                         "--workload", "batch_rto", "--seeds", "1-2", "--out", str(out)]) == 0
+                         "--workload", "batch_rto", "--seeds", "1-3", "--out", str(out)]) == 0
     probe = json.loads(out.read_text())["end_to_end"]["batch_rto"]["summary"]["probe"]
     assert probe["wall_s"] == {"parent_median": 0.30, "change_median": 0.25,
                                "parent_quartile_spread": 0.0}
     assert probe["slowdown"]["change_median"] == 1.80 and probe["probe_moved"] is True
-    assert "slowdown 1.140 -> 1.800 (probe moved)" in capsys.readouterr().out
+    pairs = [line for line in capsys.readouterr().out.splitlines() if " pair " in line]
+    assert [line.endswith("slowdown 1.140 -> 1.800 (probe moved)") for line in pairs] == [
+        False, False, True]
+
+
+@pytest.mark.parametrize("pairs, moved", [(1, False), (2, False), (3, True)])
+def test_the_probe_does_not_move_before_the_third_pair(abpairs, pairs, moved):
+    # One or two parent runs have a quartile spread of 0 or half their
+    # difference, which almost any difference in slowdown exceeds.
+    parent = [{"slowdown": s} for s in SLOW[:pairs]]
+    changed = [{"slowdown": s + 0.5} for s in SLOW[:pairs]]
+    got = abpairs.probe_summary(parent, changed)
+    assert got["slowdown"]["change_median"] - got["slowdown"]["parent_median"] == pytest.approx(0.5)
+    assert got["slowdown"]["parent_quartile_spread"] < 0.5
+    assert got["probe_moved"] is moved
 
 
 def test_a_run_without_a_record_keeps_no_probe(abpairs):

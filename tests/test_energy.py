@@ -623,3 +623,24 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
         every = visual_blocks_of_every_joint(stack, x, 2.0 * got.weights[0])
         assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
     assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()
+
+
+def test_normal_parts_has_no_visual_blocks_without_the_visual_term():
+    # With k_visual = 0 the pass has no visual rows and the blocks would all
+    # be zero: normal_parts gives None for them, and the temporal matrix and
+    # bone weight it gives with them are those of the same weights with rows.
+    ds = make_dataset(DEFAULT_NOISE, seed=4, script=default_script(4.0))
+    _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
+    joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
+    obs = Observations(pixels=ds.pixels, camera=ds.camera, accel=accel, bones=bones,
+                       sensor_joints=joints, sensor_parents=np.array(ds.skeleton.parents)[joints])
+    rows = np.arange(100).reshape(2, 50)
+    stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
+    got = energy.stack_energy(ds.inputs[rows], stack, EnergyConfig(k_visual=0.0))
+    assert got.rows is None and got.weights[0] == 0.0
+    visual, temporal, bone = stack.normal_parts(got.rows, got.weights)
+    assert visual is None
+    seen = energy.stack_energy(ds.inputs[rows], stack, EnergyConfig())
+    assert seen.weights[1:].tolist() == got.weights[1:].tolist()
+    _, want_temporal, want_bone = stack.normal_parts(seen.rows, seen.weights)
+    assert temporal is want_temporal and bone == want_bone

@@ -396,6 +396,16 @@ def test_batch_memory_stays_bounded_on_the_dense_rig():
     assert traced_peak(*capture_problem(0, 60.0, dense_calibration())) < 23e6
 
 
+def test_batch_memory_grows_with_the_frames_by_the_output_alone():
+    # Each stack's frames are projected when the stack is reached, into one
+    # ring reused from stack to stack, so twice the frames add only the
+    # (T, J, 3) output's 1500 more frames: 0.756 MB, plus 64 KiB of slack.
+    # Projecting the whole sequence before the first stack adds as much again.
+    peaks = {duration: traced_peak(*capture_problem(0, duration)) for duration in (60.0, 120.0)}
+    output = 1500 * 21 * 3 * 8
+    assert peaks[120.0] <= peaks[60.0] + output + 64 * 1024, peaks
+
+
 @pytest.mark.parametrize("calib", [None, dense_calibration()], ids=["default_rig", "dense_rig"])
 def test_batch_merges_as_merge_fragments_does(calib):
     # Nine windows: refine_batch merges a stack of eight and then one, each

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -612,9 +613,9 @@ def test_truth_stream_is_checked_before_the_solve(tmp_path, capsys, monkeypatch)
     drop_last_frame(data_dir / "truth_pose3d.txt")
 
     def no_solve(*args, **kwargs):
-        pytest.fail("apply_mode ran before the truth stream was checked")
+        pytest.fail("the mode's streams were checked before the truth stream")
 
-    monkeypatch.setattr(pipeline, "apply_mode", no_solve)
+    monkeypatch.setattr(pipeline, "_observations", no_solve)
     with pytest.raises(DataError, match=re.escape(
             "truth shape (9, 21, 3) does not match output (10, 21, 3)")):
         run_pipeline(RunConfig.from_file(data_dir / "run_config.json"))
@@ -786,6 +787,30 @@ def test_run_opens_only_the_streams_its_mode_reads(tmp_path, capsys, monkeypatch
     config = dataclasses.replace(RunConfig.from_file(data_dir / "run_config.json"), mode=mode)
     assert run_pipeline(config).report is not None
     assert seen == opened
+
+
+@pytest.mark.parametrize("mode, solve", [("rtof", "refine_batch"), ("sf2", "refine_sequence")])
+def test_run_releases_the_raw_imu_stream_before_the_solve(tmp_path, capsys, monkeypatch, mode,
+                                                          solve):
+    # Nothing after the calibration reads the raw stream, so no local, dict
+    # or caller reference keeps it alive into sf2 or the window solve.
+    data_dir = synth_small(tmp_path, capsys)
+    streams, released = [], []
+
+    def reading(path, read=pipeline.read_imu):
+        stream = read(path)
+        streams.append(weakref.ref(stream))
+        return stream
+
+    def solving(*args, solve=getattr(pipeline, solve), **kwargs):
+        released.append(streams[0]() is None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_imu", reading)
+    monkeypatch.setattr(pipeline, solve, solving)
+    config = dataclasses.replace(RunConfig.from_file(data_dir / "run_config.json"), mode=mode)
+    assert run_pipeline(config).report is not None
+    assert len(streams) == 1 and released == [True]
 
 
 def test_cli_rto_does_not_read_the_imu_stream(tmp_path, capsys):

@@ -23,8 +23,10 @@ The end-to-end times are corrected by perfbench's probe, which reads the
 host's slowdown. Each run's record (the `record:` path that perfbench/run.py
 prints) also gives its repeats' raw `wall_s` and probe `slowdown`; a run
 keeps their medians, and the summary's `probe` entry holds both sides'
-medians of them with `probe_moved`: whether the two sides' slowdown medians
-differ by more than the parent's quartile spread. A change that moves the
+medians of them with `probe_moved`: whether, once at least PROBE_MIN_PAIRS
+pairs have run, the two sides' slowdown medians differ by more than the
+parent's quartile spread. Before that it is false: one parent run has a
+spread of 0, which any difference exceeds. A change that moves the
 probe itself, say by contending for the interpreter the probe runs in,
 moves the corrected times by as much, which the raw walls show.
 
@@ -54,6 +56,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = ("wall_s", "slowdown")  # read from each run's record, per repeat
+PROBE_MIN_PAIRS = 3  # pairs before probe_moved can be raised
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -186,7 +189,8 @@ def probe_summary(parent: list[dict], change: list[dict]) -> dict:
                      "parent_quartile_spread": q3 - q1}
     if "slowdown" in out:
         sd = out["slowdown"]
-        out["probe_moved"] = abs(sd["change_median"] - sd["parent_median"]) > sd["parent_quartile_spread"]
+        out["probe_moved"] = len(parent) >= PROBE_MIN_PAIRS and (
+            abs(sd["change_median"] - sd["parent_median"]) > sd["parent_quartile_spread"])
     return out
 
 
