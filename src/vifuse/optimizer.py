@@ -25,34 +25,31 @@ divided by its stream variance (energy.EnergyConfig), so its result does
 not depend on where it starts. Its state (values, step counts, flags and
 behind-camera counts) is held in arrays over the window axis, and a window
 that stops keeps its point, value and gradient under a mask. Batch and
-streaming share one gather path: it takes a range of windows' rows from the
-sequence arrays, or from the streaming rings, straight into one WindowStack
-and solves it. refine_batch calls it once per group of about _STACK_FRAMES
-frames, which shares numpy's per-call cost among the windows;
-StreamingRefiner calls it for the windows that are ready, one per push that
-completes a window and the trailing ones together in finish().
-minimize_fragment solves a stack of one. A refine_batch call, a
-StreamingRefiner and a minimize_fragment call each factor all their stacks
-in one _ChainSolver, which keeps the factorization's block storage from
-stack to stack instead of mapping it afresh for each, and builds each
-stack's blocks in that storage and in place, each LDL multiplier written
-straight into it. refine_batch averages each window into its output as the
-window's stack is solved, by the rule StreamingRefiner emits by, so from
-one stack to the next it keeps only the last window's positions, and it
-projects each stack's frames when it reaches the stack, into one ring that
-carries the stride two stacks share. A stack forms each trial point in its
-step's buffer and updates its point and gradient in place. Every matrix
-product and inverse runs once per window or chain, so a window's result is
-bitwise the same in any stack. Nothing is built twice that the solve does
-not change: each frame is projected onto its ray once, for both windows it
-lies in, in batch and streaming alike; the chains, with their slots among
-the chain joints, come from the stack's one rig layout (energy.RigLayout),
-built once per rig; and the temporal part of every window's normal matrix
-is one array per solve, whose pivot and coupling blocks _ChainSolver builds
-once per chain size. Without the visual term no visual block is built. A
-stack evaluates its start for the value no result may end above, then its
-projection (the start without the visual term) for the first step, then
-each trial point.
+streaming reach the solve through one driver, _WindowRun, which holds a
+run's _ChainSolver, projection ring, next window, last solved window and
+behind-camera count. Each call projects the frames no solve has projected,
+gathers a range of windows' rows from the sequence arrays or the streaming
+rings straight into one WindowStack, solves it, and averages each window
+with the one before. refine_batch calls it once per group of about
+_STACK_FRAMES frames, which shares numpy's per-call cost among the windows,
+and writes each merged block into its output; StreamingRefiner builds it at
+the first push and calls it once per push that completes a window and once
+for the trailing ones in finish(). minimize_fragment solves a stack of one.
+The _ChainSolver keeps the factorization's block storage from stack to
+stack instead of mapping it afresh for each, and builds each stack's blocks
+in that storage and in place, each LDL multiplier written straight into it.
+A stack forms each trial point in its step's buffer and updates its point
+and gradient in place. Every matrix product and inverse runs once per
+window or chain, so a window's result is bitwise the same in any stack.
+Nothing is built twice that the solve does not change: each frame is
+projected onto its ray once, for both windows it lies in, in batch and
+streaming alike; the chains, with their slots among the chain joints, come
+from the stack's one rig layout (energy.RigLayout), built once per rig; and
+the temporal part of every window's normal matrix is one array per solve,
+whose pivot and coupling blocks _ChainSolver builds once per chain size.
+Without the visual term no visual block is built. A stack evaluates its
+start for the value no result may end above, then its projection (the
+start without the visual term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
@@ -402,10 +399,9 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  starts: Sequence[int], cfg: EnergyConfig, settings: SolverSettings,
                  solver: _ChainSolver) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
-    `start` (W, N, J, 3); `projected` holds their visual_minimum, or their
-    positions again when the visual term is inactive, and becomes the
-    windows' point, updated in place, unless it shares memory with `start`.
-    `starts` are the windows' first frame indices. `solver` factors the
+    `start` (W, N, J, 3); `projected`, an array of its own, holds their
+    visual_minimum, or their positions again when the visual term is
+    inactive, and becomes the windows' point, updated in place. `starts` are the windows' first frame indices. `solver` factors the
     stack in place of the stack it factored before.
 
     Each window follows its own stopping rule: once it stops, it keeps its
@@ -420,8 +416,7 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     first = stack_energy(start, stack, cfg, gradient=False)
     start_values, behind = first.value, first.behind_camera
     del first
-    # minimize_fragment passes the start itself when the visual term is off.
-    x = projected.copy() if np.may_share_memory(projected, start) else projected
+    x = projected
     tv = stack_energy(x, stack, cfg)
     behind = np.maximum(behind, tv.behind_camera)
     solver.factor(stack, tv)
@@ -476,27 +471,9 @@ def minimize_fragment(
     """
     stack = WindowStack.of_window(frag, obs, cfg.active_terms)
     start = np.array([frag.positions])
-    projected = visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0 else start
+    projected = (visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0
+                 else start.copy())
     return _solve_stack(start, projected, stack, [frag.start], cfg, settings, _ChainSolver())[0]
-
-
-def _solve_windows(schedule: FragmentSchedule, windows: range, poses: np.ndarray,
-                   projected: np.ndarray, seq_obs: SequenceObservations,
-                   cfg: EnergyConfig, settings: SolverSettings,
-                   solver: _ChainSolver) -> list[FragmentResult]:
-    """Gather the rows of `windows` into one WindowStack and solve them with `solver`.
-
-    `poses` and `seq_obs` hold either the whole sequence or a ring of its
-    last len(poses) frames, frame t at row t % len(poses), and the poses'
-    visual_minimum `projected` (`poses` itself when the visual term is
-    inactive) either the whole sequence or a ring of len(projected) frames
-    in the same way; each ring must hold every frame of `windows`.
-    """
-    frames = np.stack([schedule.window_frames(k) for k in windows])
-    rows = frames % len(poses)
-    stack = WindowStack(seq_obs, rows, poses.shape, seq_obs.fps)
-    return _solve_stack(poses[rows], projected[frames % len(projected)], stack,
-                        [schedule.window_start(k) for k in windows], cfg, settings, solver)
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -505,14 +482,53 @@ def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.nd
     return (first[..., stride:, :, :] + second[..., :stride, :, :]) * 0.5
 
 
-def _completed_rows(schedule: FragmentSchedule, k: int, prev: np.ndarray,
-                    cur: np.ndarray) -> tuple[int, np.ndarray]:
-    """The first frame and the merged rows of the frames that window k > 0
-    completes, averaged from window k-1's positions `prev` and its own
-    `cur` as merge_fragments averages them: they start at window k's start
-    and stop at the stride or the sequence's end."""
-    start = schedule.window_start(k)
-    return start, _average_halves(prev, cur, schedule.stride)[:schedule.frame_count - start]
+class _WindowRun:
+    """The solve of one sequence's windows in order, batch or as frames
+    arrive: the run's _ChainSolver, its ring of projected frames (the poses
+    themselves without the visual term), the next window to solve, the last
+    solved window's positions and the run's behind-camera count.
+
+    `poses` and `obs` hold either the whole sequence or a ring of its last
+    len(poses) frames, frame t at row t % len(poses); the projection ring
+    holds `ring` frames in the same way. A solve reads every frame of its
+    windows from the rings, so they must still hold them.
+    """
+
+    def __init__(self, poses: np.ndarray, obs: SequenceObservations, cfg: EnergyConfig,
+                 settings: SolverSettings, ring: int):
+        self.poses, self.obs, self.cfg, self.settings = poses, obs, cfg, settings
+        self.projected = np.empty((ring, *poses.shape[1:])) if cfg.k_visual > 0.0 else poses
+        self.solver = _ChainSolver()
+        self.next, self.prev, self.behind = 0, None, 0
+
+    def solve(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Solve windows [next, stop) of `schedule` as one stack. Returns,
+        for each of them past window 0, the first frame and the merged rows
+        of the frames it completes, averaged with the window before as
+        merge_fragments averages them: they start at the window's start
+        and stop at the stride or the sequence's end."""
+        stride, windows = schedule.stride, range(self.next, stop)
+        if self.projected is not self.poses:
+            # The last solve projected every frame before next * stride.
+            fresh = np.arange(self.next * stride, min(schedule.frame_count, stop * stride))
+            rows = fresh % len(self.poses)
+            self.projected[fresh % len(self.projected)] = visual_minimum(
+                self.poses[rows], self.obs.pixels[rows], self.obs.camera)
+        frames = np.stack([schedule.window_frames(k) for k in windows])
+        rows = frames % len(self.poses)
+        stack = WindowStack(self.obs, rows, self.poses.shape, self.obs.fps)
+        results = _solve_stack(self.poses[rows], self.projected[frames % len(self.projected)],
+                               stack, [schedule.window_start(k) for k in windows], self.cfg,
+                               self.settings, self.solver)
+        self.next, blocks = stop, []
+        for k, res in zip(windows, results):
+            cur = res.fragment.positions
+            if k > 0:
+                start = schedule.window_start(k)
+                blocks.append((start, _average_halves(self.prev, cur, stride)
+                               [:schedule.frame_count - start]))
+            self.prev, self.behind = cur, self.behind + res.behind_camera
+        return blocks
 
 
 def merge_fragments(schedule: FragmentSchedule, fragments: list[Fragment]) -> np.ndarray:
@@ -543,14 +559,11 @@ def refine_batch(
     """Optimize every window of a (T, J, 3) sequence and merge.
 
     Consecutive windows are solved as one stack of about _STACK_FRAMES
-    frames; each window's result is bitwise the one it gets alone. Each
-    stack's frames are projected onto their rays when the stack is reached,
-    into one ring reused from stack to stack, as StreamingRefiner's ring
-    holds them: the stride of frames that a stack shares with the next is
-    carried over, so every frame is projected once, for both windows it
-    lies in. Each window is averaged into the output as its stack is
-    solved, as merge_fragments averages it, so only the last window's
-    positions are kept from one stack to the next.
+    frames by the driver StreamingRefiner solves through; each window's
+    result is bitwise the one it gets alone. The driver projects each
+    stack's frames into a ring that carries the stride a stack shares with
+    the next, so every frame is projected once, and each merged block is
+    written into the output as its stack is solved.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
@@ -560,26 +573,15 @@ def refine_batch(
     seq_obs.require(cfg.active_terms, cfg.fragment_len)
     t0 = time.perf_counter()
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
-    stride, projected, done = schedule.stride, poses, 0
-    if cfg.k_visual > 0.0:  # a stack of windows [first, stop) reads (stop - first + 1) strides
-        projected = np.empty((min(len(poses), (per_stack + 1) * stride), *poses.shape[1:]))
-    solver, merged, prev, behind = _ChainSolver(), np.empty(poses.shape), None, 0
-    for first in range(0, schedule.window_count, per_stack):
-        windows = range(first, min(first + per_stack, schedule.window_count))
-        end = min(len(poses), windows.stop * stride)  # past the stack's last frame
-        if projected is not poses and done < end:
-            projected[np.arange(done, end) % len(projected)] = visual_minimum(
-                poses[done:end], seq_obs.pixels[done:end], seq_obs.camera)
-            done = end
-        for k, res in zip(windows, _solve_windows(schedule, windows, poses, projected, seq_obs,
-                                                  cfg, settings, solver)):
-            cur = res.fragment.positions
-            if k > 0:
-                start, rows = _completed_rows(schedule, k, prev, cur)
-                merged[start:start + len(rows)] = rows
-            prev, behind = cur, behind + res.behind_camera
+    # a stack of windows [first, stop) reads (stop - first + 1) strides
+    run = _WindowRun(poses, seq_obs, cfg, settings,
+                     min(len(poses), (per_stack + 1) * schedule.stride))
+    merged = np.empty(poses.shape)
+    while run.next < schedule.window_count:
+        for start, rows in run.solve(schedule, min(run.next + per_stack, schedule.window_count)):
+            merged[start:start + len(rows)] = rows
     seconds, count = max(time.perf_counter() - t0, 1e-9), schedule.window_count
-    return merged, RefineStats(count, seconds, count / seconds, len(poses) / seconds, behind)
+    return merged, RefineStats(count, seconds, count / seconds, len(poses) / seconds, run.behind)
 
 
 _ROWS = ("positions", "pixels", "accel", "bones")  # the rows of a push, in argument order
@@ -591,9 +593,10 @@ class StreamingRefiner:
     Poses and their observation rows are pushed together, one frame per call,
     into ring buffers of N rows (frame t at row t % N). A window is optimized
     as soon as its last real frame arrives, when all N of its frames are still
-    in the ring; the frames that arrived since the last solve are projected
-    onto their rays into a ring of their own first, so each frame is
-    projected once. Only the previous window's solution is kept: solving window k
+    in the ring. The rings are solved through the driver refine_batch uses,
+    built at the first push: it projects the frames that arrived since the
+    last solve onto their rays into a ring of their own first, so each frame
+    is projected once, and keeps only the previous window's solution: solving window k
     emits the N/2 frames it shares with window k-1, averaged as merge_fragments
     averages them (at most N frames plus one solve behind the input). finish()
     flushes the trailing replica-padded windows. Output is bitwise-identical to
@@ -611,39 +614,19 @@ class StreamingRefiner:
     ):
         self._cfg = cfg
         self._settings = settings
-        self._solver = _ChainSolver()
         self._len = cfg.fragment_len
         # Observation rings; their arrays are allocated on the first push.
         self._obs = SequenceObservations(
             fps=fps, camera=camera, sensor_joints=sensor_joints, sensor_parents=sensor_parents)
         self._pos: np.ndarray | None = None
-        self._projected: np.ndarray | None = None  # visual_minimum rows, or _pos without k_visual
+        self._run: _WindowRun | None = None  # the solve over the rings, built on the first push
         self._frames = 0
-        self._prev: np.ndarray | None = None  # positions of the last solved window
-        self._next_window = 0
         self._finished = False
 
-    def _run_windows(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Project the frames that arrived since the last solve, then solve
-        the windows up to `stop` as one stack; each emits the frames it
-        shares with the one before."""
-        windows = range(self._next_window, stop)
-        if self._projected is not self._pos:
-            # The last solve came once _next_window * stride frames had arrived.
-            fresh = np.arange(self._next_window * schedule.stride, self._frames) % self._len
-            self._projected[fresh] = visual_minimum(self._pos[fresh], self._obs.pixels[fresh],
-                                                    self._obs.camera)
-        self._next_window = stop
-        out = []
-        for k, res in zip(windows, _solve_windows(schedule, windows, self._pos, self._projected,
-                                                  self._obs, self._cfg, self._settings,
-                                                  self._solver)):
-            cur = res.fragment.positions
-            if k > 0:
-                start, rows = _completed_rows(schedule, k, self._prev, cur)
-                out += [(start + i, row) for i, row in enumerate(rows)]
-            self._prev = cur
-        return out
+    def _solve(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Solve the windows up to `stop`; each emits the frames it shares with the one before."""
+        return [(start + i, row) for start, rows in self._run.solve(schedule, stop)
+                for i, row in enumerate(rows)]
 
     def push(
         self,
@@ -670,7 +653,7 @@ class StreamingRefiner:
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
             self._obs.check(self._pos.shape)
             self._obs.require(self._cfg.active_terms, self._len)
-            self._projected = np.empty_like(self._pos) if self._cfg.k_visual > 0.0 else self._pos
+            self._run = _WindowRun(self._pos, self._obs, self._cfg, self._settings, self._len)
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)
         for name, ring, row in zip(_ROWS, rings, rows):
             if (ring is None) != (row is None):
@@ -687,7 +670,7 @@ class StreamingRefiner:
         stride = self._len // 2
         if self._frames % stride:
             return []
-        return self._run_windows(FragmentSchedule(self._frames, self._len), self._frames // stride)
+        return self._solve(FragmentSchedule(self._frames, self._len), self._frames // stride)
 
     def finish(self) -> list[tuple[int, np.ndarray]]:
         """Flush trailing windows; returns the remaining frames in order."""
@@ -697,7 +680,7 @@ class StreamingRefiner:
         if self._frames == 0:
             return []
         schedule = FragmentSchedule(self._frames, self._len)
-        return self._run_windows(schedule, schedule.window_count)
+        return self._solve(schedule, schedule.window_count)
 
 
 def run_stream(

@@ -81,8 +81,8 @@ class MissingInputError(ConfigError):
 
 class DataError(ValueError):
     """Input streams that parse but cannot be used together, such as streams
-    whose frame counts differ or a stream whose joint count differs from the
-    skeleton's."""
+    whose frame counts differ, a stream whose joint count differs from the
+    skeleton's, or poses or pixels without three or two coordinates."""
 
 
 def _mode_requirements(mode: str, given: set[str], energy: EnergyConfig) -> None:
@@ -146,10 +146,12 @@ def _observations(mode: str, skel: SkeletonDefinition, poses: np.ndarray, fps: f
     given = {"pose2d": pixels, "camera": camera, "calibration": calib, "imu": imu}
     _mode_requirements(mode, {name for name, value in given.items() if value is not None},
                        energy)
-    if poses.ndim != 3 or poses.shape[1] != skel.joint_count:
-        raise DataError(
-            f"pose stream shape {poses.shape} does not match {skel.joint_count}-joint skeleton")
+    if poses.ndim != 3 or poses.shape[1:] != (skel.joint_count, 3):
+        raise DataError(f"pose stream shape {poses.shape} does not match "
+                        f"(T, {skel.joint_count}, 3) of the {skel.joint_count}-joint skeleton")
     if mode in ("rto", "rtof"):
+        if pixels.ndim != 3 or pixels.shape[2] != 2:
+            raise DataError(f"2D stream shape {pixels.shape} is not (T, J, 2)")
         if pixels.shape[0] != poses.shape[0]:
             raise DataError(
                 f"2D stream has {pixels.shape[0]} frames, pose stream {poses.shape[0]}")

@@ -205,10 +205,14 @@ DEEP = SolverSettings(max_iterations=100, grad_tol=1e-12)
 
 
 def solve_windows(schedule, windows, start, seq, cfg, settings):
-    """optimizer._solve_windows on the whole sequence, projected as refine_batch projects it."""
+    """optimizer._solve_stack on windows of the whole sequence, projected as refine_batch
+    projects it."""
+    frames = np.stack([schedule.window_frames(k) for k in windows])
+    stack = energy.WindowStack(seq, frames, start.shape, seq.fps)
     projected = visual_minimum(start, seq.pixels, seq.camera)
-    return optimizer._solve_windows(schedule, windows, start, projected, seq, cfg, settings,
-                                    optimizer._ChainSolver())
+    return optimizer._solve_stack(start[frames], projected[frames], stack,
+                                  [schedule.window_start(k) for k in windows], cfg, settings,
+                                  optimizer._ChainSolver())
 
 
 def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
@@ -730,7 +734,7 @@ def test_stream_matches_batch_without_projection(rng, drop):
         pixels = None if obs.pixels is None else obs.pixels[t]
         got += r.push(poses[t], pixels=pixels, accel=obs.accel[t], bones=obs.bones[t])
     got += r.finish()
-    assert r._projected is r._pos
+    assert r._run.projected is r._pos
     assert [t for t, _ in got] == list(range(len(poses)))
     assert np.stack([row for _, row in got]).tobytes() == batch.tobytes()
     assert not np.array_equal(batch, poses)
@@ -908,10 +912,16 @@ def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k
     assert free.size and not step[:, :, free].any()
 
 
-@pytest.mark.parametrize("t_n", [3, 8, 37, 100])
-def test_each_frame_is_projected_once(rng, monkeypatch, t_n):
+@pytest.mark.parametrize("t_n, per_stack", [
+    pytest.param(t_n, per_stack, id=str(t_n) if per_stack is None else f"{t_n}-stack{per_stack}")
+    for per_stack in (None, 1, 3) for t_n in (3, 8, 37, 100)])
+def test_each_frame_is_projected_once(rng, monkeypatch, t_n, per_stack):
+    # Batch stacks of one or three windows carry a stride from one stack to
+    # the next; the default stack holds every window of these sequences.
     poses, obs = seq_problem(rng, t_n=t_n)
     cfg = EnergyConfig(fragment_len=8)
+    if per_stack is not None:
+        monkeypatch.setattr(optimizer, "_STACK_FRAMES", per_stack * cfg.fragment_len)
     frames = []
 
     def counting(positions, pixels, camera):
@@ -942,7 +952,7 @@ def test_stream_buffers_stay_bounded(rng):
         if t == 0:
             rings = (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)
         # the only solved window held is the last one, to average with the next
-        assert r._prev is None or r._prev.shape == (n, *poses.shape[1:])
+        assert r._run.prev is None or r._run.prev.shape == (n, *poses.shape[1:])
     for i, row in r.finish():
         streamed[i] = row
     # the rings allocated by the first push are the only ones, at N rows each

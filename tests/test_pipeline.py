@@ -132,6 +132,21 @@ def test_shape_mismatches(ds):
         )
 
 
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_streams_without_their_coordinates_are_refused(ds, mode):
+    # Poses of (T, J, 2) and, where the mode reads them, pixels of (T, J, 3).
+    kw = dict(pixels=ds.pixels, camera=ds.camera, calib=ds.calibration, imu=ds.imu)
+    with pytest.raises(DataError, match=r"pose stream shape \(30, 21, 2\)"):
+        apply_mode(mode, ds.skeleton, ds.inputs[..., :2], ds.fps, **kw)
+    kw["pixels"] = np.concatenate([ds.pixels, ds.pixels[..., :1]], axis=-1)
+    if mode in ("rto", "rtof"):
+        with pytest.raises(DataError, match=r"2D stream shape \(30, 21, 3\)"):
+            apply_mode(mode, ds.skeleton, ds.inputs, ds.fps, **kw)
+    else:  # a stream the mode does not read is not checked
+        out, _ = apply_mode(mode, ds.skeleton, ds.inputs, ds.fps, **kw)
+        assert out.shape == ds.inputs.shape
+
+
 @pytest.mark.parametrize("rig", ["default", "dense"])
 def test_sf2_gates_on_the_bones_the_window_solve_reads(default_noise_captures, rig):
     # sf2 swaps in calibrate_stream's bones, the ones rtof's bone term reads
