@@ -41,12 +41,13 @@ window's total and behind-camera count as arrays over the window axis, and
 total_energy and the term functions are the stack of one. Every matrix
 product and dot product runs once per window, so a window's results do not
 depend on the stack it is in. The visual term alone needs no solver:
-visual_minimum gives its minimum in closed form. WindowStack.normal_parts
-builds the pieces of the Gauss-Newton normal matrix from the visual rows
-that stack_energy returns, without projecting again. What every window of
-a solve shares has no window axis and is built once per configuration,
-frame rate and window length: the (4,) term weights, the (N, N) normal
-matrix of the accel and smooth terms and the bone term's weight.
+visual_minimum gives its minimum in closed form. The Gauss-Newton normal
+matrix comes in two pieces: visual_blocks builds the visual term's blocks
+frame by frame, each from its own frame alone, and normal_parts gives what
+every window of a solve shares, with no window axis, built once per
+configuration, frame rate and window length: the (4,) term weights, the
+(N, N) normal matrix of the accel and smooth terms and the bone term's
+weight.
 """
 
 from __future__ import annotations
@@ -223,6 +224,10 @@ class Observations:
             raise MissingObservationError("smoothness term requires calibrated IMU accelerations")
         if smooth and frames < 4:
             raise ValueError(f"smoothness term needs at least 4 frames, got {frames}")
+
+    def rig_layout(self, joints: int) -> "RigLayout":
+        """The layout of the rig for positions of `joints` joints, built once per rig."""
+        return _rig_layout(*self.rig_key, joints)
 
     def check(self, shape: tuple[int, ...]) -> None:
         """Check that every stream covers the T frames of positions of `shape`
@@ -463,7 +468,7 @@ class WindowStack:
         self.key = (n, j, fps)
         self.windows = w
         self.camera = source.camera
-        self.rig = _rig_layout(*source.rig_key, j)
+        self.rig = source.rig_layout(j)
         self.cols = 3 * len(source.sensor_joints)
         self.pixels = None
         if source.visual:
@@ -547,43 +552,6 @@ class WindowStack:
         grad += gx @ self.rig.scatter
         return grad.reshape(w, n, j, 3)
 
-    def normal_parts(self, rows: VisualRows | None, weights: np.ndarray
-                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """The pieces of each window's Gauss-Newton normal matrix at the point
-        of stack_energy's pass that gave the visual `rows` (None without the
-        visual term), with the (4,) term weights of its gradient, each w below
-        being a term's weight: the visual block 2 w J^T J (W, N, C, 3, 3) of
-        every frame and chain joint, zero where the term skips the joint, or
-        None when that weight is zero; the (N, N) matrix that the accel and
-        smooth terms put on each coordinate of each sensor's joint; and the
-        weight 2 w that the bone term puts on each sensor's joint-minus-parent
-        difference. The C chain joints are rig.chain_joints. The last two are
-        the same for every window: the matrix is cached read-only per window
-        length, frame rate and weights, so every stack of a solve gets the
-        same array."""
-        wv, wa, wb, ws = (2.0 * weights).tolist()
-        w, (n, j, fps) = self.windows, self.key
-        temporal = _temporal(n, fps, wa, ws)
-        if not wv:
-            return None, temporal, wb
-        joints = self.rig.chain_joints
-        visual = np.empty((w, n * len(joints), 3, 3))  # every entry is written below
-        # Each row's columns of the chain joints, frame by frame.
-        active, inv_depth = (a.reshape(w, n, j)[..., joints].reshape(w, -1)
-                             for a in (rows.active, rows.inv_depth))
-        pixel = rows.pixel.reshape(w, 2, n, j)[..., joints].reshape(w, 2, -1)
-        inv_depth = np.where(active, inv_depth, 0.0)
-        # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-        u, v = ((self.proj[:2, None, :] - pixel[..., None] * self.proj[2]) * (
-            np.sqrt(wv) * inv_depth)[:, None, :, None]).swapaxes(0, 1)
-        # J^T J written out per entry, faster than einsum here and equal
-        # to it bit for bit: its sums start at 0.0, which turns -0.0 into 0.0.
-        for a in range(3):
-            for b in range(a, 3):
-                visual[..., a, b] = visual[..., b, a] = (
-                    0.0 + u[..., a] * u[..., b] + v[..., a] * v[..., b])
-        return visual.reshape(w, n, len(joints), 3, 3), temporal, wb
-
 
 def _term(frag: Fragment, obs: Observations, index: int) -> TermValue:
     active = tuple(i == index for i in range(4))
@@ -637,6 +605,38 @@ def visual_minimum(positions: np.ndarray, pixels: np.ndarray, camera: Camera) ->
     stay = ~move
     ray[stay] = x[stay]
     return ray
+
+
+def visual_blocks(positions: np.ndarray, pixels: np.ndarray, camera: Camera,
+                  weight: float) -> np.ndarray:
+    """The visual term's Gauss-Newton blocks 2 w J^T J (F, C, 3, 3) of C
+    joints in each of F frames, at positions (F, C, 3) with pixels (F, C, 2),
+    2 w being the term's `weight`: each joint's own 3x3 block, zero where
+    the term skips the joint (no pixel, or depth at or below W_MIN). Every
+    entry is its own sum of products, so a frame's blocks do not depend on
+    the frames built with it."""
+    proj, offset = camera.projection_parts
+    h = np.einsum("ab,fcb->fac", proj, positions) + offset  # rows u, v, w of each frame
+    active = np.isfinite(pixels[..., 0]) & np.isfinite(pixels[..., 1]) & (h[:, 2] > W_MIN)
+    inv_depth = np.where(active, 1.0 / np.where(active, h[:, 2], 1.0), 0.0)
+    pixel = h[:, :2] * inv_depth[:, None]
+    # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
+    jac = (proj[:2] - pixel.swapaxes(1, 2)[..., None] * proj[2]) * (
+        math.sqrt(weight) * inv_depth)[..., None, None]
+    return np.einsum("fcka,fckb->fcab", jac, jac)
+
+
+def normal_parts(cfg: EnergyConfig, fps: float, n: int) -> tuple[float, np.ndarray, float]:
+    """The pieces of the Gauss-Newton normal matrix that every window of n
+    frames at `fps` shares under `cfg`, each w below being a term's weight
+    in stack_energy: the visual term's 2 w, which visual_blocks takes, 0
+    without the term; the (N, N) matrix that the accel and smooth terms put
+    on each coordinate of each sensor's joint, cached read-only per window
+    length, frame rate and weights, so every stack of a solve gets the same
+    array; and the weight 2 w that the bone term puts on each sensor's
+    joint-minus-parent difference."""
+    wv, wa, wb, ws = (2.0 * _objective(cfg, fps)[2]).tolist()
+    return wv, _temporal(n, fps, wa, ws), wb
 
 
 def accel_energy(frag: Fragment, obs: Observations) -> TermValue:
@@ -693,15 +693,14 @@ def term_scales(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermSca
 
 class StackValue(NamedTuple):
     """total_energy of each window of a stack: the values (W,), gradients
-    (W, N, J, 3), behind-camera counts (W,), the (4,) term weights
+    (W, N, J, 3), behind-camera counts (W,) and the (4,) term weights
     k / scale of the gradient that every window shares, 0 for an inactive
-    term, and the pass's visual rows, None without the term."""
+    term."""
 
     value: np.ndarray
     grad: np.ndarray | None
     behind_camera: np.ndarray
     weights: np.ndarray
-    rows: VisualRows | None
 
 
 def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
@@ -715,7 +714,7 @@ def stack_energy(x: np.ndarray, stack: WindowStack, cfg: EnergyConfig,
     k, s, weights = _objective(cfg, stack.key[2])
     totals = np.add.accumulate(k * res.values() / s, axis=1)[:, -1]  # summed in term order
     grad = stack.gradient(res, weights) if gradient else None
-    return StackValue(totals, grad, res.behind_camera, weights, res.rows)
+    return StackValue(totals, grad, res.behind_camera, weights)
 
 
 def total_energy(frag: Fragment, obs: Observations, cfg: EnergyConfig) -> TermValue:

@@ -9,8 +9,14 @@ produce bitwise-identical output to the batch path.
 Each window is solved directly. A joint that is neither a sensor's joint nor
 a sensor's parent enters only the visual term, so visual_minimum solves it.
 The other joints form chains, the connected components of the sensor-to-parent
-bones, which take Gauss-Newton steps on one damped normal matrix per window,
-built from the term weights and visual rows that stack_energy returns.
+bones, which take Gauss-Newton steps on one damped normal matrix per window.
+The solve factors it in two steps (_ChainSolver). First each frame's block of
+each chain: its visual blocks at the frame's projection, the bone term and
+the frame's own damping, with the parent-only joints eliminated; it reads
+that frame alone, so it is built once, when the frame is projected, and the
+two windows that cover the frame share it. Then a block LDL^T over blocks of
+three frames (_Factor), each pivot the temporal blocks that every window
+shares plus its frames' blocks, eliminated in order.
 
 The streams are an energy.Observations (SequenceObservations adds the frame
 rate), checked once where they enter, before any work: in refine_batch,
@@ -18,42 +24,44 @@ StreamingRefiner's first push and minimize_fragment, each checks them
 against the poses and raises the MissingObservationError of an active term
 that lacks its observations. Past that point nothing checks them again.
 
-The solve runs over a stack of windows: one energy pass, one factorization
-and one step call serve them all, while each window keeps its own damping
-and stopping rule. Every window minimizes the same objective, each term
-divided by its stream variance (energy.EnergyConfig), so its result does
-not depend on where it starts. Its state (values, step counts, flags and
-behind-camera counts) is held in arrays over the window axis, and a window
-that stops keeps its point, value and gradient under a mask. Batch and
-streaming reach the solve through one driver, _WindowRun, which holds a
-run's _ChainSolver, projection ring, next window, last solved window and
-behind-camera count. Each call projects the frames no solve has projected,
-gathers a range of windows' rows from the sequence arrays or the streaming
-rings straight into one WindowStack, solves it, and averages each window
-with the one before. refine_batch calls it once per group of about
-_STACK_FRAMES frames, which shares numpy's per-call cost among the windows,
-and writes each merged block into its output; StreamingRefiner builds it at
-the first push and calls it once per push that completes a window and once
-for the trailing ones in finish(). minimize_fragment solves a stack of one.
-The _ChainSolver keeps the factorization's block storage from stack to
-stack instead of mapping it afresh for each, and builds each stack's blocks
-in that storage and in place, each LDL multiplier written straight into it.
-A stack forms each trial point in its step's buffer and updates its point
-and gradient in place. Every matrix product and inverse runs once per
-window or chain, so a window's result is bitwise the same in any stack.
-Nothing is built twice that the solve does not change: each frame is
-projected onto its ray once, for both windows it lies in, in batch and
-streaming alike; the chains, with their slots among the chain joints, come
-from the stack's one rig layout (energy.RigLayout), built once per rig; and
-the temporal part of every window's normal matrix is one array per solve,
-whose pivot and coupling blocks _ChainSolver builds once per chain size.
-Without the visual term no visual block is built. A stack evaluates its
+The solve runs over a stack of windows: one energy pass, one elimination
+and one step call serve them all, while each window keeps its own stopping
+rule. Every window minimizes the same objective, each term divided by its
+stream variance (energy.EnergyConfig), so its result does not depend on
+where it starts. Its state (values, step counts, flags and behind-camera
+counts) is held in arrays over the window axis, and a window that stops
+keeps its point, value and gradient under a mask. Batch and streaming reach
+the solve through one driver, _WindowRun, which holds a run's _ChainSolver,
+projection ring, next window, last solved window and behind-camera count.
+Its build() projects frames and builds their blocks, each frame once;
+solve() builds what its windows still lack, eliminates what is left of
+their factorization, gathers their rows from the sequence arrays or the
+streaming rings straight into one WindowStack, solves it, and averages each
+window with the one before. refine_batch calls solve() once per group of
+about _STACK_FRAMES frames, which shares numpy's per-call cost among the
+windows, and eliminates every block of a group at once. StreamingRefiner
+factors the next window as its frames arrive, one block per push
+(_WindowRun.advance), so the push that completes the window eliminates its
+last block and runs the Gauss-Newton steps; finish() solves the trailing
+windows. minimize_fragment solves a stack of one. The _ChainSolver keeps
+the pivot storage from stack to stack instead of mapping it afresh, and an
+elimination builds each pivot in that storage, each LDL multiplier written
+straight into it. A stack forms each trial point in its step's buffer and
+updates its point and gradient in place. Every matrix product and inverse
+runs once per window or chain, so a window's result is bitwise the same in
+any stack and whichever pushes eliminated its blocks. The chains, with
+their slots among the chain joints, come from the rig's one layout
+(energy.RigLayout), built once per rig; the temporal part of every window's
+normal matrix is one array per solve, whose pivot and coupling blocks
+_ChainSolver builds once per chain size. Without the visual term every
+frame's block is the same one, built once per solver. A stack evaluates its
 start for the value no result may end above, then its projection (the
 start without the visual term) for the first step, then each trial point.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -63,15 +71,19 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .camera import Camera
-from .energy import (Chains, EnergyConfig, Fragment, Observations, StackValue, WindowStack,
-                     is_finite_positive, is_integer, stack_energy, visual_minimum)
+from .energy import (Chains, EnergyConfig, Fragment, Observations, RigLayout, WindowStack,
+                     is_finite_positive, is_integer, normal_parts, stack_energy, visual_blocks,
+                     visual_minimum)
 from .energy import total_energy  # noqa: F401 - not called here; perfbench/spans.py wraps this name
 
-# Levenberg-Marquardt damping, relative to the scale of a chain's normal
-# matrix (a bound on its largest diagonal entry): it keeps a chain solvable
-# where no term pins a direction (a joint without pixels or bone rows, a
-# linear trajectory without the visual term) and is far below the curvature
-# elsewhere.
+# Levenberg-Marquardt damping of each frame of a chain, relative to the
+# scale of the chain's normal matrix in that frame: its largest visual or
+# bone diagonal entry there plus the largest temporal entry. It keeps a chain
+# solvable where no term pins a direction (a joint without pixels or bone
+# rows, a linear trajectory without the visual term) and is far below the
+# curvature elsewhere. Each frame's own scale, not the window's, makes a
+# frame's block a function of that frame alone, so it can be built as the
+# frame arrives; without the visual term every frame has the same scale.
 _DAMPING = 1e-9
 
 
@@ -185,13 +197,22 @@ class FragmentResult:
     behind_camera: int
 
 
+# The cofactors c00, c01, c02, c11, c12 and c22 of a symmetric 3x3 matrix
+# a, each a[i] a[j] - a[k] a[l] over its flat entries, as rows i, j, k, l;
+# then where each adjugate entry finds its cofactor.
+_COFACTORS = np.array([[4, 2, 1, 0, 1, 0], [8, 5, 5, 8, 2, 4], [5, 1, 2, 2, 0, 1],
+                       [5, 8, 4, 2, 5, 1]])
+_ADJUGATE = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+
+
 def _inv3(a: np.ndarray) -> np.ndarray:
     """Inverses of symmetric (..., 3, 3) matrices, by their adjugate."""
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.moveaxis(a, (-2, -1), (0, 1))
-    c00, c01, c02 = a11 * a22 - a12 * a12, a02 * a12 - a01 * a22, a01 * a12 - a02 * a11
-    c11, c12, c22 = a00 * a22 - a02 * a02, a01 * a02 - a00 * a12, a00 * a11 - a01 * a01
-    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1).reshape(a.shape)
-    return adj / (a00 * c00 + a01 * c01 + a02 * c02)[..., None, None]
+    flat = a.reshape(*a.shape[:-2], 9)
+    f = flat[..., _COFACTORS]
+    cof = f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
+    det = flat[..., :3] * cof[..., :3]
+    det = det[..., 0] + det[..., 1] + det[..., 2]
+    return cof[..., _ADJUGATE].reshape(a.shape) / det[..., None, None]
 
 
 def _temporal_blocks(temporal: np.ndarray, m: int) -> np.ndarray:
@@ -225,115 +246,168 @@ def _temporal_blocks(temporal: np.ndarray, m: int) -> np.ndarray:
 
 
 class _ChainSolver:
-    """Gauss-Newton steps for every chain of a stack of windows from one
-    factorization of each window's damped normal matrix, which factor()
-    builds at the point that stack_energy evaluated to `tv`, from its visual
-    rows and the solve's term weights.
+    """The chain solve of a run's windows in two steps: build() turns frames
+    into their blocks of the chains' damped normal matrices, and a _Factor
+    of a stack of windows eliminates, block by block, the blocks whose
+    frames are built.
 
-    The chains of all windows are factored as one stack: the chain axis runs
-    over window x chain, and every matrix product and inverse runs once per
-    chain, so a window's steps are bitwise the same in any stack.
+    A frame's block of a chain is a function of that frame alone: its visual
+    blocks at its projected point (energy.visual_blocks), the bone term and
+    its own damping, with the parent-only joints eliminated through their
+    3x3 blocks. So the two windows that cover a frame share its blocks,
+    which build() writes into a ring of `rows` rows, frame t at row
+    t % rows. Without the visual term every frame's block is the same one,
+    built here. Every window of a run shares the temporal part of its normal
+    matrix, so the solver builds its pivot and coupling blocks once per
+    chain size (_temporal_blocks), and a stack's pivots start from them.
 
-    One solver serves every stack of a refine_batch call, a StreamingRefiner
-    or a minimize_fragment call. It owns each chain group's pivots and
-    multipliers, sized by the largest stack so far, and factor() overwrites
-    them in place; a smaller stack works on a contiguous leading part, so
-    its bytes do not change. Fresh arrays per stack, about 1 MB each at six
-    windows, sat at glibc's mmap threshold and were faulted in again for
-    every stack: about 9,000 minor faults per refine_batch call on the
-    default 60 s capture, against 1,000-1,800 with the storage kept. Every
-    window of a solve shares the temporal part of its normal matrix, so the
-    solver builds its pivot and coupling blocks once per chain size
-    (_temporal_blocks), starts each stack's pivots from one broadcast copy
-    of them and multiplies by the shared couplings.
+    The solver also keeps each chain group's pivot and multiplier storage,
+    sized by the largest stack so far, for one factorization at a time: the
+    next stack of a refine_batch call, or the next window of a stream,
+    works in the same bytes, a smaller stack in a contiguous leading part.
+    Fresh arrays per stack, about 1 MB each at six windows, sat at glibc's
+    mmap threshold and were faulted in again for every stack: about 9,000
+    minor faults per refine_batch call on the default 60 s capture, against
+    1,000-1,800 with the storage kept.
     """
 
-    def __init__(self):
-        self._blocks: dict[int, np.ndarray] = {}  # flat block storage by chain group
-        self._temporal: np.ndarray | None = None  # the (N, N) matrix of the blocks below
-        self._temporal_blocks: dict[int, np.ndarray] = {}  # by a chain's sensor-joint count
+    def __init__(self, rig: RigLayout, cfg: EnergyConfig, fps: float, n: int,
+                 camera: Camera | None, rows: int):
+        self.camera, self.n, self.nb, self.rows = camera, n, -(-n // 3), rows
+        self.visual, temporal, self.bone = normal_parts(cfg, fps, n)
+        self.chain_joints = rig.chain_joints
+        self._temporal_max = temporal.max()
+        shared = {m: _temporal_blocks(temporal, m) for m in sorted(
+            {ch.joints.shape[1] for ch in rig.chains})}
+        # Per chain group: the chains, their temporal blocks, and the blocks
+        # of the frames and inverse parent-only blocks, by ring row or alike.
+        self.groups = []
+        for ch in rig.chains:
+            c, m = ch.joints.shape
+            if self.visual:
+                blocks = (np.empty((rows, c, 3 * m, 3 * m)),
+                          np.empty((rows, *ch.parents.shape, 3, 3)))
+            else:
+                blocks = self._frame_blocks(ch, None)
+            self.groups.append((ch, shared[m], *blocks))
+        self._storage: dict[int, np.ndarray] = {}  # flat pivot storage by chain group
 
-    def factor(self, stack: WindowStack, tv: StackValue) -> None:
-        """Factor every window of `stack` at the point stack_energy evaluated
-        to `tv`, in place of the last stack's factors."""
-        visual, temporal, self._bone = stack.normal_parts(tv.rows, tv.weights)
-        if temporal is not self._temporal:  # normal_parts hands one array to a whole solve
-            self._temporal, self._temporal_max, self._temporal_blocks = temporal, temporal.max(), {}
+    def build(self, rows: np.ndarray, positions: np.ndarray, pixels: np.ndarray) -> None:
+        """Build the blocks of frames at their projected `positions` (F, J, 3)
+        with their `pixels` (F, J, 2) into ring `rows` (F,)."""
+        if self.groups:
+            joints = self.chain_joints
+            visual = visual_blocks(positions[:, joints], pixels[:, joints], self.camera,
+                                   self.visual)
+            for ch, _, a, d_inv in self.groups:
+                a[rows], d_inv[rows] = self._frame_blocks(ch, visual)
+
+    def _frame_blocks(self, ch: Chains, visual: np.ndarray | None):
+        """The blocks of chain group `ch` in F frames whose visual blocks over
+        the rig's chain joints are `visual` (F, C, 3, 3), or in every frame
+        alike without the visual term (None): the (..., c, 3m, 3m) block of
+        each chain's sensor joints once its parent-only joints are
+        eliminated, and those joints' inverse blocks (..., c, p, 3, 3)."""
+        bone = self.bone
+        c, m = ch.joints.shape
+        size = 3 * m
+        lead = () if visual is None else visual.shape[:1]
+        # Each frame's block of the sensor joints from the visual and bone
+        # terms, built in place: `by_joint` is `a` by joint and coordinate.
+        by_joint = np.zeros((*lead, c, m, 3, m, 3))
         if visual is not None:
-            visual = visual.swapaxes(0, 1)
-        self._factors = [(ch, *self._factor(group, ch, visual, stack.windows))
-                         for group, ch in enumerate(stack.rig.chains)]
+            np.einsum("...ixiy->...ixy", by_joint)[...] = visual[:, ch.joint_slots]
+        a = by_joint.reshape(*lead, c, size, size)
+        a += bone * ch.joint_bones
+        diagonal = np.einsum("...ii->...i", a)  # writes go through to `a`
+        largest = diagonal.max(axis=-1) + self._temporal_max
+        mu = (_DAMPING * np.where(largest > 0.0, largest, 1.0))[..., None]
+        diagonal += mu
+        # Eliminate each parent-only joint through its own 3x3 block.
+        parent = (bone * ch.parent_bones + mu)[..., None, None] * _identity(3)
+        if visual is not None:
+            parent = visual[:, ch.parent_slots] + parent
+        d_inv = _inv3(parent)
+        schur = np.einsum("cxp,...cpy->...cxy", ch.pairs, d_inv.reshape(*lead, c, -1, 9)).reshape(
+            *lead, c, m, m, 3, 3)
+        schur *= bone * bone
+        by_joint -= schur.swapaxes(-3, -2)
+        return a, d_inv
 
-    def _storage(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Chain group `group`'s block storage as a contiguous array of
+    def storage(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Chain group `group`'s pivot storage as a contiguous array of
         `shape`, its contents left as they are: the leading part of one flat
         buffer, which grows only when a stack needs more than any stack
         before it."""
         size = math.prod(shape)
-        flat = self._blocks.get(group)
+        flat = self._storage.get(group)
         if flat is None or flat.size < size:
-            flat = self._blocks[group] = np.empty(size)
+            flat = self._storage[group] = np.empty(size)
         return flat[:size].reshape(shape)
 
-    def _factor(self, group: int, ch: Chains, visual: np.ndarray | None, w: int):
-        """Eliminate the parent-only joints, then factor what is left.
 
-        Arrays run over frames first, then over the W windows and the
-        stacked chains; `visual` is (N, W, C, 3, 3) over the rig's C chain
-        joints, or None without the visual term.
-        """
-        n, bone = len(self._temporal), self._bone
-        c, m = ch.joints.shape
-        size, nb = 3 * m, -(-n // 3)
-        shared = self._temporal_blocks.get(m)
-        if shared is None:
-            shared = self._temporal_blocks[m] = _temporal_blocks(self._temporal, m)
-        # Each frame's block of the sensor joints from the visual and bone
-        # terms, built in place: `by_joint` is `a` by joint and coordinate.
-        by_joint = np.zeros((n, w, c, m, 3, m, 3))
-        if visual is not None:
-            for i, joints in enumerate(ch.joint_slots.T):
-                by_joint[:, :, :, i, :, i, :] = visual[:, :, joints]
-        a = by_joint.reshape(n, w, c, size, size)
-        a += bone * ch.joint_bones
-        largest = np.diagonal(a, axis1=3, axis2=4).max(axis=(0, 3)) + self._temporal_max
-        mu = _DAMPING * np.where(largest > 0.0, largest, 1.0)
-        a += mu[..., None, None] * _identity(size)
-        # Eliminate each parent-only joint through its own 3x3 block.
-        parent = (bone * ch.parent_bones + mu[..., None])[..., None, None] * _identity(3)
-        if visual is None:
-            parent = np.broadcast_to(parent, (n, *parent.shape))
-        else:
-            parent = visual[:, :, ch.parent_slots] + parent
-        d_inv = _inv3(parent)
-        schur = (ch.pairs @ d_inv.reshape(n, w, c, -1, 9)).reshape(n, w, c, m, m, 3, 3)
-        schur *= bone * bone
-        by_joint -= schur.transpose(0, 1, 2, 3, 5, 4, 6)
-        del schur
+class _Factor:
+    """The block LDL^T of the chain normal matrices of a stack of windows,
+    whose slots are the run's `frames` (W, N), over blocks of three frames
+    padded with decoupled identity frames. seed() starts each block's pivot
+    once its frames' blocks are built, and advance() eliminates the blocks
+    in order; once every block is eliminated, sweep() and step() solve for
+    Gauss-Newton steps.
 
-        # The pivots, (nb, W*C, 3 size, 3 size), start from the temporal
-        # blocks; the multipliers, (nb - 1, ...), are written by the LDL loop.
-        blocks = self._storage(group, (2 * nb - 1, w * c, 3 * size, 3 * size))
-        diag, sub = blocks[:nb], blocks[nb:]
-        diag[...] = shared[:nb, None]
-        couplings = shared[nb:]
-        # From here one axis runs over every chain of every window. Frame f
-        # of a block is frame 3 b + f of `a`.
-        c *= w
-        a = a.reshape(n, c, size, size)
-        for f in range(3):
-            frame = slice(f * size, (f + 1) * size)
-            diag[:len(range(f, n, 3)), :, frame, frame] += a[f::3]
-        del a, by_joint  # the pivots hold them now; the factorization needs only its storage
-        # Block LDL^T in place: diag becomes the inverse pivots and sub the
-        # multipliers coupling @ pivot^-1, each written straight into its
-        # storage, and each pivot takes its Schur term in place.
-        diag[0] = np.linalg.inv(diag[0])
-        for b in range(1, nb):
-            np.matmul(couplings[b - 1], diag[b - 1], out=sub[b - 1])
-            diag[b] -= sub[b - 1] @ couplings[b - 1].T
-            diag[b] = np.linalg.inv(diag[b])
-        return d_inv, diag, sub
+    The chains of all windows are factored as one stack: the chain axis runs
+    over window x chain, and every matrix product and inverse runs once per
+    chain, so a window's steps are bitwise the same in any stack and
+    whichever calls seeded and eliminated its blocks.
+    """
+
+    def __init__(self, solver: _ChainSolver, frames: np.ndarray):
+        self.solver, self.frames = solver, frames
+        self.seeded = self.done = 0
+        w, nb = len(frames), solver.nb
+        self._pivots, self._d_inv = [], None
+        for group, (ch, *_) in enumerate(solver.groups):
+            c, m = ch.joints.shape
+            blocks = solver.storage(group, (2 * nb - 1, w * c, 9 * m, 9 * m))
+            self._pivots.append((blocks[:nb], blocks[nb:]))
+
+    def seed(self, stop: int) -> None:
+        """Start the pivots of blocks [seeded, stop) from their temporal
+        blocks and their frames' blocks, which must be built."""
+        solver, start, w = self.solver, self.seeded, len(self.frames)
+        if stop <= start:
+            return
+        lo, hi = 3 * start, min(3 * stop, solver.n)
+        full, rest = divmod(hi - lo, 3)
+        rows = self.frames[:, lo:hi].T % solver.rows if solver.visual else None
+        for (ch, shared, a, _), (diag, _) in zip(solver.groups, self._pivots):
+            c, m = ch.joints.shape
+            size = 3 * m
+            diag[start:stop] = shared[start:stop, None]
+            # (block, frame, window, chain, size, size): writes go through to `diag`
+            parts = np.einsum("bwcfifj->bfwcij",
+                              diag[start:stop].reshape(stop - start, w, c, 3, size, 3, size))
+            if rows is not None:
+                a = a[rows]  # (frame, window, chain, size, size)
+            if full:
+                parts[:full] += a if rows is None else a[:3 * full].reshape(full, 3, *a.shape[1:])
+            if rest:
+                parts[full, :rest] += a if rows is None else a[3 * full:]
+        self.seeded = stop
+
+    def advance(self, stop: int) -> None:
+        """Eliminate blocks [done, stop), seeding those not yet seeded: each
+        pivot takes its Schur term in place and becomes its inverse, and the
+        multiplier coupling @ pivot^-1 of the block before is written, each
+        straight into its storage."""
+        self.seed(stop)
+        for (_, shared, *_), (diag, sub) in zip(self.solver.groups, self._pivots):
+            couplings = shared[self.solver.nb:]
+            for b in range(self.done, stop):
+                if b:
+                    np.matmul(couplings[b - 1], diag[b - 1], out=sub[b - 1])
+                    diag[b] -= sub[b - 1] @ couplings[b - 1].T
+                diag[b] = np.linalg.inv(diag[b])
+        self.done = max(self.done, stop)
 
     def sweep(self, grad: np.ndarray) -> np.ndarray:
         """Start the solve H d = -grad of every window (W, N, J, 3) with the
@@ -346,12 +420,16 @@ class _ChainSolver:
         pivots. Each part is summed over one contiguous row per window, so a
         window's value is bitwise the same in any stack.
         """
+        solver = self.solver
+        if self._d_inv is None:  # each slot's inverse parent-only blocks, frames first
+            rows = self.frames.T % solver.rows if solver.visual else None
+            self._d_inv = [d_inv if rows is None else d_inv[rows] for *_, d_inv in solver.groups]
         w, n = grad.shape[:2]
-        bone = self._bone
+        bone = solver.bone
         g = grad.swapaxes(0, 1)  # frames first
         quad = np.zeros(w)
         self._swept = []
-        for ch, d_inv, inv, mult in self._factors:
+        for (ch, *_), d_inv, (inv, mult) in zip(solver.groups, self._d_inv, self._pivots):
             c, m = ch.joints.shape
             nb, size = len(inv), 3 * m
             g_p = g[:, :, ch.parents]
@@ -373,10 +451,11 @@ class _ChainSolver:
         joints, zero on the free joints, by back-substitution from the last
         sweep."""
         w, n = self._shape[:2]
-        bone = self._bone
+        bone = self.solver.bone
         step = np.zeros(self._shape)
         out = step.swapaxes(0, 1)  # frames first
-        for (ch, d_inv, inv, mult), (g_p, x) in zip(self._factors, self._swept):
+        for (ch, *_), d_inv, (inv, mult), (g_p, x) in zip(
+                self.solver.groups, self._d_inv, self._pivots, self._swept):
             c, m = ch.joints.shape
             nb = len(inv)
             for b in range(nb - 2, -1, -1):
@@ -397,12 +476,13 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
 
 def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  starts: Sequence[int], cfg: EnergyConfig, settings: SolverSettings,
-                 solver: _ChainSolver) -> list[FragmentResult]:
+                 factor: _Factor) -> list[FragmentResult]:
     """minimize_fragment for every window of `stack` from its positions in
     `start` (W, N, J, 3); `projected`, an array of its own, holds their
     visual_minimum, or their positions again when the visual term is
-    inactive, and becomes the windows' point, updated in place. `starts` are the windows' first frame indices. `solver` factors the
-    stack in place of the stack it factored before.
+    inactive, and becomes the windows' point, updated in place. `starts`
+    are the windows' first frame indices, and `factor` the windows'
+    factorization at `projected`, every block eliminated.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
@@ -419,19 +499,18 @@ def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
     x = projected
     tv = stack_energy(x, stack, cfg)
     behind = np.maximum(behind, tv.behind_camera)
-    solver.factor(stack, tv)
     values, grad = tv.value, tv.grad
     del tv
     iterations = np.zeros(len(x), int)
     converged = np.zeros(len(x), bool)
     going = np.ones(len(x), bool)
     while True:
-        quad = solver.sweep(grad)
+        quad = factor.sweep(grad)
         converged |= going & (0.5 * quad <= settings.grad_tol * values)
         stepping = going & ~converged & (iterations < settings.max_iterations)
         if not stepping.any():
             break
-        moved = solver.step()
+        moved = factor.step()
         moved[~stepping] = 0.0
         np.add(x, moved, out=moved)  # the trial point, in the step's buffer
         trial = stack_energy(moved, stack, cfg)
@@ -473,7 +552,22 @@ def minimize_fragment(
     start = np.array([frag.positions])
     projected = (visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0
                  else start.copy())
-    return _solve_stack(start, projected, stack, [frag.start], cfg, settings, _ChainSolver())[0]
+    return _solve_stack(start, projected, stack, [frag.start], cfg, settings,
+                        _factored(stack, cfg, projected))[0]
+
+
+def _factored(stack: WindowStack, cfg: EnergyConfig, x: np.ndarray) -> _Factor:
+    """The factorization of every window of `stack` at its projected
+    positions x (W, N, J, 3), each window slot a frame of its own: the
+    factor of a window solved outside a run."""
+    w, n = x.shape[:2]
+    solver = _ChainSolver(stack.rig, cfg, stack.key[2], n, stack.camera, w * n)
+    if solver.visual:
+        solver.build(np.arange(w * n), x.reshape(w * n, *x.shape[2:]),
+                     stack.pixels.reshape(w * n, *stack.pixels.shape[2:]))
+    factor = _Factor(solver, np.arange(w * n).reshape(w, n))
+    factor.advance(solver.nb)
+    return factor
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -485,41 +579,89 @@ def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.nd
 class _WindowRun:
     """The solve of one sequence's windows in order, batch or as frames
     arrive: the run's _ChainSolver, its ring of projected frames (the poses
-    themselves without the visual term), the next window to solve, the last
+    themselves without the visual term), the number of frames projected and
+    built, the factorization a stream has begun of the next window with
+    each of its blocks' last frame, the next window to solve, the last
     solved window's positions and the run's behind-camera count.
 
     `poses` and `obs` hold either the whole sequence or a ring of its last
     len(poses) frames, frame t at row t % len(poses); the projection ring
-    holds `ring` frames in the same way. A solve reads every frame of its
-    windows from the rings, so they must still hold them.
+    and the solver's ring of frame blocks hold `ring` frames in the same
+    way. A solve reads every frame of its windows from the rings, so they
+    must still hold them.
     """
 
     def __init__(self, poses: np.ndarray, obs: SequenceObservations, cfg: EnergyConfig,
                  settings: SolverSettings, ring: int):
         self.poses, self.obs, self.cfg, self.settings = poses, obs, cfg, settings
-        self.projected = np.empty((ring, *poses.shape[1:])) if cfg.k_visual > 0.0 else poses
-        self.solver = _ChainSolver()
+        visual = cfg.k_visual > 0.0
+        self.projected = np.empty((ring, *poses.shape[1:])) if visual else poses
+        self.solver = _ChainSolver(obs.rig_layout(poses.shape[1]), cfg, obs.fps,
+                                   cfg.fragment_len, obs.camera, ring if visual else 0)
+        self.built, self.factor, self.ends = 0, None, []
         self.next, self.prev, self.behind = 0, None, 0
 
+    def build(self, stop: int) -> None:
+        """Project frames [built, stop) onto their rays and build their blocks."""
+        if stop > self.built and self.projected is not self.poses:
+            fresh = np.arange(self.built, stop)
+            rows, ring = fresh % len(self.poses), fresh % len(self.projected)
+            pixels = self.obs.pixels[rows]
+            self.projected[ring] = x = visual_minimum(self.poses[rows], pixels, self.obs.camera)
+            self.solver.build(ring, x, pixels)
+        self.built = max(self.built, stop)
+
+    def advance(self, arrived: int) -> None:
+        """Factor the next window of a stream of `arrived` frames as its
+        frames arrive, one block per call: the next block, once its frames
+        have arrived and are built. A block waits for its frames to be built
+        unless the window has no more calls left before the one that solves
+        it than blocks before its last; then this call builds every frame
+        that has arrived. So a stride's frames are built in a few groups, and
+        the push that solves the window finds only its last block left."""
+        n, nb = self.solver.n, self.solver.nb
+        stride = n // 2
+        solve_at = (self.next + 1) * stride  # the frame count at which the window is solved
+        factor = self.factor
+        if factor is None:  # the frames to come are taken as real until the stream ends
+            first = (self.next - 1) * stride
+            frames = np.maximum(np.arange(first, first + n), 0)
+            factor = self.factor = _Factor(self.solver, frames[None])
+            self.ends = frames[np.minimum(np.arange(2, 3 * nb, 3), n - 1)].tolist()
+        b, ends = factor.done, self.ends  # ends: each block's last frame
+        if b == nb - 1 or ends[b] >= arrived:
+            return
+        if b == factor.seeded:
+            if ends[b] >= self.built:  # its frames are not built yet
+                if nb - 1 - b < solve_at - arrived:
+                    return
+                self.build(arrived)
+            factor.seed(bisect.bisect_left(ends, self.built))
+        factor.advance(b + 1)
+
     def solve(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Solve windows [next, stop) of `schedule` as one stack. Returns,
-        for each of them past window 0, the first frame and the merged rows
-        of the frames it completes, averaged with the window before as
-        merge_fragments averages them: they start at the window's start
-        and stop at the stride or the sequence's end."""
+        """Solve windows [next, stop) of `schedule` as one stack, after
+        building their frames and eliminating what is left of their
+        factorization: all of it in a batch, the last block of a window a
+        stream has factored as it filled. Returns, for each of them past
+        window 0, the first frame and the merged rows of the frames it
+        completes, averaged with the window before as merge_fragments
+        averages them: they start at the window's start and stop at the
+        stride or the sequence's end."""
         stride, windows = schedule.stride, range(self.next, stop)
-        if self.projected is not self.poses:
-            # The last solve projected every frame before next * stride.
-            fresh = np.arange(self.next * stride, min(schedule.frame_count, stop * stride))
-            rows = fresh % len(self.poses)
-            self.projected[fresh % len(self.projected)] = visual_minimum(
-                self.poses[rows], self.obs.pixels[rows], self.obs.camera)
+        self.build(min(schedule.frame_count, stop * stride))
         frames = np.stack([schedule.window_frames(k) for k in windows])
+        factor, self.factor = self.factor, None
+        if factor is None:
+            factor = _Factor(self.solver, frames)
+        else:
+            factor.frames = frames  # the stream's end turns its last slots into replicas
+        factor.advance(self.solver.nb)
         rows = frames % len(self.poses)
         stack = WindowStack(self.obs, rows, self.poses.shape, self.obs.fps)
         results = _solve_stack(self.poses[rows], self.projected[frames % len(self.projected)],
                                stack, [schedule.window_start(k) for k in windows], self.cfg,
-                               self.settings, self.solver)
+                               self.settings, factor)
         self.next, blocks = stop, []
         for k, res in zip(windows, results):
             cur = res.fragment.positions
@@ -561,9 +703,11 @@ def refine_batch(
     Consecutive windows are solved as one stack of about _STACK_FRAMES
     frames by the driver StreamingRefiner solves through; each window's
     result is bitwise the one it gets alone. The driver projects each
-    stack's frames into a ring that carries the stride a stack shares with
-    the next, so every frame is projected once, and each merged block is
-    written into the output as its stack is solved.
+    stack's new frames and builds their blocks into rings that carry the
+    stride a stack shares with the next, so every frame is projected and
+    built once, then eliminates every block of the stack in one call of
+    the elimination a stream advances push by push, and each merged block
+    is written into the output as its stack is solved.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[2] != 3:
@@ -594,13 +738,18 @@ class StreamingRefiner:
     into ring buffers of N rows (frame t at row t % N). A window is optimized
     as soon as its last real frame arrives, when all N of its frames are still
     in the ring. The rings are solved through the driver refine_batch uses,
-    built at the first push: it projects the frames that arrived since the
-    last solve onto their rays into a ring of their own first, so each frame
-    is projected once, and keeps only the previous window's solution: solving window k
-    emits the N/2 frames it shares with window k-1, averaged as merge_fragments
-    averages them (at most N frames plus one solve behind the input). finish()
-    flushes the trailing replica-padded windows. Output is bitwise-identical to
-    refine_batch on the same data.
+    built at the first push, which factors the next window as its frames
+    arrive: a push that completes no window eliminates at most one block of
+    it, one whose frames have arrived, and projects and builds the frames
+    that have arrived only when the window would otherwise fall behind, a
+    few times per stride, into rings of their own, so each frame is built
+    once. The push that completes the window builds its newest frames,
+    eliminates its last block and runs the Gauss-Newton steps; it keeps only
+    the previous window's solution: solving window k emits the N/2 frames it
+    shares with window k-1, averaged as merge_fragments averages them (at
+    most N frames plus one solve behind the input). finish() factors and
+    solves the trailing replica-padded windows. Output is bitwise-identical
+    to refine_batch on the same data.
     """
 
     def __init__(
@@ -669,6 +818,7 @@ class StreamingRefiner:
         # window k ends at frame (k + 1) * stride - 1, so it is whole once that arrives
         stride = self._len // 2
         if self._frames % stride:
+            self._run.advance(self._frames)
             return []
         return self._solve(FragmentSchedule(self._frames, self._len), self._frames // stride)
 
@@ -679,8 +829,10 @@ class StreamingRefiner:
         self._finished = True
         if self._frames == 0:
             return []
+        # one window at a time, each from the factorization its frames began
         schedule = FragmentSchedule(self._frames, self._len)
-        return self._solve(schedule, schedule.window_count)
+        return [row for stop in range(self._run.next + 1, schedule.window_count + 1)
+                for row in self._solve(schedule, stop)]
 
 
 def run_stream(

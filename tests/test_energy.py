@@ -566,11 +566,12 @@ def test_stack_energy_matches_each_window_alone(rng):
     stack = energy.WindowStack(source, rows, (18, 4, 3), 5.0)
     x = np.stack([f.positions for f in frags])
     got = energy.stack_energy(x, stack, cfg)
-    visual, temporal, bone = stack.normal_parts(got.rows, got.weights)
+    weight, temporal, bone = energy.normal_parts(cfg, 5.0, 6)
     assert list(got.behind_camera) == [0, 1, 0]
     # Every window shares the solve's term weights, temporal matrix and bone weight.
     assert got.weights.shape == (4,) and temporal.shape == (6, 6)
-    assert bone == 2.0 * got.weights[2]
+    assert (weight, bone) == (2.0 * got.weights[0], 2.0 * got.weights[2])
+    assert not temporal.flags.writeable
     for i, (frag, obs) in enumerate(zip(frags, observations)):
         alone = total_energy(frag, obs, cfg)
         assert (got.value[i], got.behind_camera[i]) == (alone.value, alone.behind_camera)
@@ -579,10 +580,7 @@ def test_stack_energy_matches_each_window_alone(rng):
         win = energy.WindowStack.of_window(frag, obs, cfg.active_terms)
         tv = energy.stack_energy(frag.positions[None], win, cfg)
         assert tv.weights is got.weights
-        parts = win.normal_parts(tv.rows, tv.weights)
-        assert visual[i].tobytes() == parts[0][0].tobytes()
-        assert parts[1] is temporal and not temporal.flags.writeable
-        assert parts[2] == bone
+        assert energy.normal_parts(cfg, frag.fps, frag.frame_count)[1] is temporal
 
 
 
@@ -599,7 +597,7 @@ def visual_blocks_of_every_joint(stack, x, weight):
     return np.einsum("wapi,wapj->wpij", jac, jac).reshape(w, n, j, 3, 3)
 
 
-def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
+def test_visual_blocks_are_each_frames_own():
     ds = make_dataset(DEFAULT_NOISE, seed=4, script=default_script(6.0))
     _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
     joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
@@ -608,39 +606,34 @@ def test_normal_parts_builds_the_visual_blocks_of_the_chain_joints_only():
                        sensor_joints=joints, sensor_parents=parents)
     rows = np.arange(150).reshape(3, 50)
     stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
+    chain = stack.rig.chain_joints
     in_front = ds.inputs[rows]
     behind = in_front.copy()
     behind[1, 7, joints[2]] = ds.camera.center  # a chain joint at the camera: the term skips it
-    assert not np.isfinite(ds.pixels[:150][:, stack.rig.chain_joints]).all()  # and some are unseen
-    np.testing.assert_array_equal(stack.rig.chain_joints, np.union1d(joints, parents))
-    cfg = EnergyConfig()
-    # Every joint in front takes the residual pass's fast path; one behind, its narrowed mask.
-    for x, skipped in ((in_front, [0, 0, 0]), (behind, [0, 1, 0])):
-        got = energy.stack_energy(x, stack, cfg)
-        assert list(got.behind_camera) == skipped
-        visual, _, _ = stack.normal_parts(got.rows, got.weights)
-        assert visual.shape == (3, 50, 12, 3, 3)
-        every = visual_blocks_of_every_joint(stack, x, 2.0 * got.weights[0])
-        assert visual.tobytes() == every[:, :, stack.rig.chain_joints].tobytes()
-    assert not visual[1, 7, np.searchsorted(stack.rig.chain_joints, joints[2])].any()
+    assert not np.isfinite(ds.pixels[:150][:, chain]).all()  # and some are unseen
+    np.testing.assert_array_equal(chain, np.union1d(joints, parents))
+    weight = energy.normal_parts(EnergyConfig(), ds.fps, 50)[0]
+    pixels = ds.pixels[:150, chain]
+    for full in (in_front, behind):
+        x = full.reshape(150, -1, 3)[:, chain]
+        got = energy.visual_blocks(x, pixels, ds.camera, weight)
+        assert got.shape == (150, 12, 3, 3)
+        want = visual_blocks_of_every_joint(stack, full, weight)[:, :, chain].reshape(got.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got, got.swapaxes(2, 3))
+        # A frame's blocks are bitwise the same whatever frames are built with it.
+        for lo, hi in ((0, 1), (7, 10), (100, 150)):
+            alone = energy.visual_blocks(x[lo:hi], pixels[lo:hi], ds.camera, weight)
+            assert alone.tobytes() == got[lo:hi].tobytes()
+    assert not got[57, np.searchsorted(chain, joints[2])].any()
+    assert not got[~np.isfinite(pixels).all(axis=2)].any()
 
 
-def test_normal_parts_has_no_visual_blocks_without_the_visual_term():
-    # With k_visual = 0 the pass has no visual rows and the blocks would all
-    # be zero: normal_parts gives None for them, and the temporal matrix and
-    # bone weight it gives with them are those of the same weights with rows.
-    ds = make_dataset(DEFAULT_NOISE, seed=4, script=default_script(4.0))
-    _, accel, bones = calibrate_stream(ds.calibration, ds.imu, ds.skeleton)
-    joints = ds.calibration.joint_indices(ds.skeleton, ds.imu.sensor_ids)
-    obs = Observations(pixels=ds.pixels, camera=ds.camera, accel=accel, bones=bones,
-                       sensor_joints=joints, sensor_parents=np.array(ds.skeleton.parents)[joints])
-    rows = np.arange(100).reshape(2, 50)
-    stack = energy.WindowStack(obs, rows, ds.inputs.shape, ds.fps)
-    got = energy.stack_energy(ds.inputs[rows], stack, EnergyConfig(k_visual=0.0))
-    assert got.rows is None and got.weights[0] == 0.0
-    visual, temporal, bone = stack.normal_parts(got.rows, got.weights)
-    assert visual is None
-    seen = energy.stack_energy(ds.inputs[rows], stack, EnergyConfig())
-    assert seen.weights[1:].tolist() == got.weights[1:].tolist()
-    _, want_temporal, want_bone = stack.normal_parts(seen.rows, seen.weights)
-    assert temporal is want_temporal and bone == want_bone
+def test_normal_parts_are_shared_by_every_window():
+    # With k_visual = 0 the visual weight is 0, and the temporal matrix and
+    # bone weight are those of the same weights with the visual term.
+    got = energy.normal_parts(EnergyConfig(k_visual=0.0), 25.0, 50)
+    seen = energy.normal_parts(EnergyConfig(), 25.0, 50)
+    assert got[0] == 0.0 < seen[0]
+    assert got[1] is seen[1] and not got[1].flags.writeable and got[1].shape == (50, 50)
+    assert got[2] == seen[2] > 0.0

@@ -103,7 +103,7 @@ def sweeps(monkeypatch):
     next to -grad . step of the step that sweep starts, per window."""
     pairs = []
 
-    class Checked(optimizer._ChainSolver):
+    class Checked(optimizer._Factor):
         def sweep(self, grad):
             quad = super().sweep(grad)
             step = self.step()
@@ -112,7 +112,7 @@ def sweeps(monkeypatch):
             pairs.append((quad, [-float(np.vdot(g, d)) for g, d in zip(grad, step)]))
             return again
 
-    monkeypatch.setattr(optimizer, "_ChainSolver", Checked)
+    monkeypatch.setattr(optimizer, "_Factor", Checked)
     return pairs
 
 
@@ -150,8 +150,8 @@ def test_fragment_solve_spends_few_evaluations_beyond_its_iterations(rng, monkey
     calls, steps = [], []
     monkeypatch.setattr(optimizer, "stack_energy",
                         lambda *a, **kw: calls.append(1) or energy.stack_energy(*a, **kw))
-    step = optimizer._ChainSolver.step
-    monkeypatch.setattr(optimizer._ChainSolver, "step", lambda self: steps.append(1) or step(self))
+    step = optimizer._Factor.step
+    monkeypatch.setattr(optimizer._Factor, "step", lambda self: steps.append(1) or step(self))
     res = minimize_fragment(frag, window, EnergyConfig(fragment_len=50), SolverSettings())
     assert res.converged and res.iterations > 0
     assert len(calls) == res.iterations + 2  # the start, the projected start, then one per step
@@ -212,7 +212,7 @@ def solve_windows(schedule, windows, start, seq, cfg, settings):
     projected = visual_minimum(start, seq.pixels, seq.camera)
     return optimizer._solve_stack(start[frames], projected[frames], stack,
                                   [schedule.window_start(k) for k in windows], cfg, settings,
-                                  optimizer._ChainSolver())
+                                  optimizer._factored(stack, cfg, projected[frames]))
 
 
 def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
@@ -251,22 +251,22 @@ def test_batch_factors_every_stack_in_one_storage(monkeypatch, calib):
     start, seq = capture_problem(3, 8.0, calib)
     factors = []
 
-    class Spy(optimizer._ChainSolver):
+    class Spy(optimizer._Factor):
         def sweep(self, grad):
-            if not factors or factors[-1] is not self._factors:
-                factors.append(self._factors)
+            if not factors or factors[-1] is not self:
+                factors.append(self)
             return super().sweep(grad)
 
-    monkeypatch.setattr(optimizer, "_ChainSolver", Spy)
+    monkeypatch.setattr(optimizer, "_Factor", Spy)
     monkeypatch.setattr(optimizer, "_STACK_FRAMES", 4 * EnergyConfig().fragment_len)
     refine_batch(start, seq, EnergyConfig(), SolverSettings())
-    # Each stack's (chain group, d_inv, pivots, multipliers) per group; the
-    # pivots run over blocks, then over windows x chains.
-    assert [len(pivots[0]) // len(ch.joints) for ch, _, pivots, _ in
-            (groups[0] for groups in factors)] == [4, 4, 1]
+    # Each stack's (pivots, multipliers) per chain group; the pivots run
+    # over blocks, then over windows x chains.
+    assert [len(f._pivots[0][0][0]) // len(f.solver.groups[0][0].joints)
+            for f in factors] == [4, 4, 1]
     for before, after in zip(factors, factors[1:]):
-        assert len(before) == len(after)
-        for (_, _, pivots, _), (_, _, later, _) in zip(before, after):
+        assert len(before._pivots) == len(after._pivots)
+        for (pivots, _), (later, _) in zip(before._pivots, after._pivots):
             assert np.shares_memory(pivots, later)
 
 
@@ -309,7 +309,7 @@ def solve_as_one_stack(frags, observations, cfg, settings):
     stack = energy.WindowStack(source, rows, positions.shape, frags[0].fps)
     projected = visual_minimum(positions[rows], stack.pixels, stack.camera)
     return optimizer._solve_stack(positions[rows], projected, stack, [f.start for f in frags],
-                                  cfg, settings, optimizer._ChainSolver())
+                                  cfg, settings, optimizer._factored(stack, cfg, projected))
 
 
 def test_each_window_of_a_stack_is_solved_as_if_alone(rng, sweeps):
@@ -708,7 +708,8 @@ def test_refine_batch_rejects_poses_of_another_shape(rng):
 @pytest.mark.parametrize("t_n", [3, 8, 37])
 def test_stream_matches_batch(rng, t_n):
     # At N = 8, finish() solves every window from a partial ring (3), one
-    # window (8) or two windows as one stack (37).
+    # window (8) or two windows, each from the factorization its pushes
+    # began (37).
     poses, obs = seq_problem(rng, t_n=t_n)
     cfg = EnergyConfig(fragment_len=8)
     st_ = SolverSettings()
@@ -802,23 +803,24 @@ def test_batch_and_stream_factor_every_stack_from_one_read_only_set_of_temporal_
 
     monkeypatch.setattr(optimizer, "_temporal_blocks", recording)
 
-    class Spy(optimizer._ChainSolver):
-        def factor(self, stack, tv):
-            super().factor(stack, tv)
-            factored.append((self, stack.rig, dict(self._temporal_blocks)))
+    class Spy(optimizer._Factor):
+        def advance(self, stop):
+            super().advance(stop)
+            factored.append((self.solver, {ch.joints.shape[1]: shared
+                                           for ch, shared, *_ in self.solver.groups}))
 
-    monkeypatch.setattr(optimizer, "_ChainSolver", Spy)
+    monkeypatch.setattr(optimizer, "_Factor", Spy)
     cfg, settings = EnergyConfig(), SolverSettings(max_iterations=1)
     for solve in (lambda: refine_batch(start, seq, cfg, settings),
                   lambda: list(run_stream(start, seq, cfg, settings))):
         built.clear()
         factored.clear()
         solve()
-        solver, rig, blocks = factored[0]
-        sizes = {ch.joints.shape[1] for ch in rig.chains}
+        solver, blocks = factored[0]
+        sizes = {ch.joints.shape[1] for ch, *_ in solver.groups}
         assert len(factored) > 1 and len(built) == len(sizes) == len(blocks)
         assert {m: b for _, m, b in built} == blocks
-        for later, _, later_blocks in factored[1:]:
+        for later, later_blocks in factored[1:]:
             assert later is solver
             assert all(later_blocks[m] is blocks[m] for m in sizes)
         for temporal, m, b in built:
@@ -868,21 +870,22 @@ def chain_normal_matrices(stack, obs, x, weights):
                     h[:, f, i, :, f, i, :] = visual[:, f, joint]
             h = h.reshape(len(x), 3 * n * c, 3 * n * c)
             h += wb * np.kron(np.eye(n), np.kron(bones, np.eye(3)))
-            # The damping: 1e-9 of the largest visual and bone diagonal entry
-            # of a sensor joint plus the largest temporal entry.
+            # The damping of each frame: 1e-9 of the largest visual and bone
+            # diagonal entry of a sensor joint in that frame plus the largest
+            # temporal entry, on every joint of the chain in that frame.
             largest = np.diagonal(h, axis1=1, axis2=2).reshape(len(x), n, c, 3)[:, :, :m].max(
-                axis=(1, 2, 3)) + temporal.max()
+                axis=(2, 3)) + temporal.max()
             mu = 1e-9 * np.where(largest > 0.0, largest, 1.0)
             h += np.kron(temporal, np.kron(np.diag([1.0] * m + [0.0] * (c - m)), np.eye(3)))
-            yield joints, h + mu[:, None, None] * np.eye(3 * n * c)
+            yield joints, h + np.repeat(mu, 3 * c, axis=1)[:, :, None] * np.eye(3 * n * c)
 
 
 @pytest.mark.parametrize("calib, k_visual", [(None, 1.0), (dense_calibration(), 1.0), (None, 0.0)],
                          ids=["default_rig", "dense_rig", "no_visual"])
 def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k_visual):
     # Four windows of 20 frames, each padded with one identity frame to
-    # seven blocks. Without the visual term the window count comes from the
-    # stack alone, since the pass has no visual rows. The steps are compared
+    # seven blocks, each window slot factored as a frame of its own, as
+    # minimize_fragment factors its window. The steps are compared
     # through the normal matrix: H step against H want = -g. Their own
     # difference is not, since the block inverses and LAPACK's LU reach it
     # by other roundings and the matrix is ill-conditioned (about 6e7, and
@@ -895,10 +898,9 @@ def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k
     stack = energy.WindowStack(seq, rows, start.shape, seq.fps)
     x = start[rows]
     tv = energy.stack_energy(x, stack, cfg)
-    assert (tv.rows is None) == (k_visual == 0.0)
-    solver = optimizer._ChainSolver()
-    solver.factor(stack, tv)
-    quad, step = solver.sweep(tv.grad), solver.step()
+    factor = optimizer._factored(stack, cfg, x)
+    assert (factor.solver.visual == 0.0) == (k_visual == 0.0)
+    quad, step = factor.sweep(tv.grad), factor.step()
     want_quad = np.zeros(len(x))
     for joints, h in chain_normal_matrices(stack, seq, x, tv.weights):
         g = tv.grad[:, :, joints].reshape(len(x), -1)
@@ -935,6 +937,116 @@ def test_each_frame_is_projected_once(rng, monkeypatch, t_n, per_stack):
     streamed = [row for _, row in run_stream(poses, obs, cfg, SolverSettings())]
     assert sum(frames) == t_n
     assert np.stack(streamed).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("t_n, per_stack", [
+    pytest.param(t_n, per_stack, id=str(t_n) if per_stack is None else f"{t_n}-stack{per_stack}")
+    for per_stack in (None, 1, 3) for t_n in (3, 8, 37, 100)])
+def test_each_frames_blocks_are_built_once(rng, monkeypatch, t_n, per_stack):
+    # The two windows that cover a frame share its blocks, in batch stacks
+    # of one, three or every window and in a stream.
+    poses, obs = seq_problem(rng, t_n=t_n)
+    cfg = EnergyConfig(fragment_len=8)
+    if per_stack is not None:
+        monkeypatch.setattr(optimizer, "_STACK_FRAMES", per_stack * cfg.fragment_len)
+    built = []
+    build = optimizer._ChainSolver.build
+
+    def counting(self, rows, positions, pixels):
+        built.extend(rows.tolist())
+        return build(self, rows, positions, pixels)
+
+    monkeypatch.setattr(optimizer._ChainSolver, "build", counting)
+    batch, _ = refine_batch(poses, obs, cfg, SolverSettings())
+    assert len(built) == t_n
+    built.clear()
+    streamed = [row for _, row in run_stream(poses, obs, cfg, SolverSettings())]
+    assert built == [t % cfg.fragment_len for t in range(t_n)]  # each into its ring row, in order
+    assert np.stack(streamed).tobytes() == batch.tobytes()
+
+
+def test_a_frames_blocks_read_that_frame_alone(rng):
+    # Each frame's damping comes from its own blocks, so new pixels in frame
+    # 5 change its blocks and no other frame's.
+    poses, obs = seq_problem(rng, t_n=12, j_n=4, sensors=(1, 2, 3), parents=(0, 1, 0))
+    cfg = EnergyConfig(fragment_len=8)
+    solver = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12)
+    projected = visual_minimum(poses, obs.pixels, obs.camera)
+    solver.build(np.arange(12), projected, obs.pixels)
+    before = [(a.copy(), d_inv.copy()) for _, _, a, d_inv in solver.groups]
+    pixels = obs.pixels.copy()
+    pixels[5] += 40.0
+    solver.build(np.arange(12), visual_minimum(poses, pixels, obs.camera), pixels)
+    others = np.arange(12) != 5
+    for (a, d_inv), (_, _, a_now, d_inv_now) in zip(before, solver.groups):
+        assert a[others].tobytes() == a_now[others].tobytes()
+        assert d_inv[others].tobytes() == d_inv_now[others].tobytes()
+        assert not np.array_equal(a[5], a_now[5])
+    # Frames built one by one, in any order, give the same bytes.
+    alone = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12)
+    projected = visual_minimum(poses, pixels, obs.camera)
+    for t in (7, 0, 11, 3, 1, 2, 4, 5, 6, 8, 9, 10):
+        alone.build(np.array([t]), projected[t:t + 1], pixels[t:t + 1])
+    for (_, _, a, d_inv), (_, _, a_alone, d_inv_alone) in zip(solver.groups, alone.groups):
+        assert a.tobytes() == a_alone.tobytes() and d_inv.tobytes() == d_inv_alone.tobytes()
+
+
+@pytest.mark.parametrize("n, t_n, calib", [(8, 37, None), (6, 23, None), (50, 160, None),
+                                           (50, 160, dense_calibration())],
+                         ids=["N8", "N6", "N50", "N50-dense_rig"])
+def test_a_stream_eliminates_each_block_as_its_frames_arrive(rng, monkeypatch, n, t_n, calib):
+    # An ordinary push eliminates at most one block of each window being
+    # factored, and only a block whose frames have arrived; the push that
+    # solves a window eliminates at most its last block; finish() eliminates
+    # what is left, the blocks of trailing replicas among it. No time is
+    # read: the pivot inverses are counted, one per chain group and block.
+    if calib is None:
+        poses, obs = seq_problem(rng, t_n=t_n)
+    else:
+        poses, obs = capture_problem(3, t_n / 25.0, calib)
+    cfg = EnergyConfig(fragment_len=n)
+    nb, groups = -(-n // 3), len(obs.rig_layout(poses.shape[1]).chains)
+    eliminated, inverses = [], []
+    advance = optimizer._Factor.advance
+
+    def recording(self, stop):
+        if stop > self.done:
+            eliminated.append((self, self.done, stop, self.frames.copy()))
+        return advance(self, stop)
+
+    inv = np.linalg.inv
+    monkeypatch.setattr(optimizer._Factor, "advance", recording)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or inv(a))
+    r = StreamingRefiner(obs.fps, cfg, SolverSettings(), camera=obs.camera,
+                         sensor_joints=obs.sensor_joints, sensor_parents=obs.sensor_parents)
+    blocks = {}  # each factorization's blocks, in the order eliminated
+    streamed = []
+    for t in range(t_n):
+        eliminated.clear()
+        inverses.clear()
+        got = r.push(poses[t], pixels=obs.pixels[t], accel=obs.accel[t], bones=obs.bones[t])
+        streamed += got
+        assert len(inverses) == groups * sum(stop - b for _, b, stop, _ in eliminated)
+        for factor, b, stop, frames in eliminated:
+            assert (frames[:, 3 * b:3 * stop] <= t).all()  # every frame has arrived
+            blocks.setdefault(factor, []).extend(range(b, stop))
+        if got:  # the solved window's last block alone
+            assert [(b, stop) for _, b, stop, _ in eliminated] == [(nb - 1, nb)]
+        else:
+            assert all(stop == b + 1 for _, b, stop, _ in eliminated)
+            assert len({factor for factor, *_ in eliminated}) == len(eliminated)
+    eliminated.clear()
+    streamed += r.finish()
+    for factor, b, stop, frames in eliminated:
+        blocks.setdefault(factor, []).extend(range(b, stop))
+    # finish() took the blocks whose slots repeat the last frame
+    assert any((frames[:, 3 * i:3 * i + 3] == t_n - 1).sum() > 1
+               for _, b, stop, frames in eliminated for i in range(b, stop))
+    assert len(blocks) == FragmentSchedule(t_n, n).window_count
+    assert all(order == list(range(nb)) for order in blocks.values())
+    batch, _ = refine_batch(poses, obs, cfg, SolverSettings())
+    assert [t for t, _ in streamed] == list(range(t_n))
+    assert np.stack([row for _, row in streamed]).tobytes() == batch.tobytes()
 
 
 def test_stream_buffers_stay_bounded(rng):

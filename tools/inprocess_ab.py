@@ -12,7 +12,9 @@ those files with its own readers:
 - sf2, rto, rtof: run_pipeline on the capture's run_config.json in that
   mode, then write_results: `vifuse run` without a new process;
 - batch, stream: refine_batch, or run_stream frame by frame, over what rtof
-  solves: the input poses as the start, with the calibrated IMU streams.
+  solves: the input poses as the start, with the calibrated IMU streams;
+- emit: the stream pass of `stream`, timed push by push: a round's time is
+  the median time of the pushes that emit frames, printed in ms.
 
 One untimed call per side checks that the two outputs are bitwise equal; if
 they are not, the largest absolute difference is printed and the tool exits
@@ -55,7 +57,7 @@ if __name__ == "__main__":  # before numpy loads
 
 import numpy as np
 
-WHATS = ("batch", "stream", "sf2", "rto", "rtof")
+WHATS = ("batch", "stream", "emit", "sf2", "rto", "rtof")
 SIDES = ("parent", "change")
 
 
@@ -88,19 +90,53 @@ def rtof_problem(vf, config):
     return start, seq
 
 
+def timed(run):
+    """A call of `run` that returns its output and its time in seconds."""
+    def call():
+        t0 = time.perf_counter()
+        output = run()
+        return output, time.perf_counter() - t0
+    return call
+
+
+def emit_call(vf, start: np.ndarray, seq, cfg, settings):
+    """A stream pass that returns its output and the median seconds of the
+    pushes that emitted frames."""
+    def call():
+        refiner = vf.StreamingRefiner(seq.fps, cfg, settings, camera=seq.camera,
+                                      sensor_joints=seq.sensor_joints,
+                                      sensor_parents=seq.sensor_parents)
+        rows, emits = [], []
+        for t in range(len(start)):
+            t0 = time.perf_counter()
+            got = refiner.push(start[t], pixels=seq.pixels[t], accel=seq.accel[t],
+                               bones=seq.bones[t])
+            if got:
+                emits.append(time.perf_counter() - t0)
+            rows += got
+        rows += refiner.finish()
+        if not emits:
+            raise ValueError(f"no push emitted frames: {len(start)} frames are too few")
+        return np.stack([row for _, row in rows]), statistics.median(emits)
+    return call
+
+
 def prepare(vf, what: str, run_config: Path, out: Path):
-    """A call that runs `what` with the package `vf` and returns its output array."""
+    """A call that runs `what` with the package `vf` and returns its output
+    array and its time in seconds."""
     if what in ("sf2", "rto", "rtof"):
-        def call():
+        def run():
             result = vf.run_pipeline(vf.RunConfig.from_file(run_config, mode=what))
             vf.write_results(result, out)
             return result.output
-        return call
+        return timed(run)
     start, seq = rtof_problem(vf, vf.RunConfig.from_file(run_config))
     cfg, settings = vf.EnergyConfig(), vf.SolverSettings()
     if what == "batch":
-        return lambda: vf.refine_batch(start, seq, cfg, settings)[0]
-    return lambda: np.stack([row for _, row in vf.run_stream(start, seq, cfg, settings)])
+        return timed(lambda: vf.refine_batch(start, seq, cfg, settings)[0])
+    if what == "emit":
+        return emit_call(vf, start, seq, cfg, settings)
+    return timed(lambda: np.stack([row for _, row in vf.run_stream(start, seq, cfg, settings)]))
 
 
 def largest_difference(a: np.ndarray, b: np.ndarray) -> str:
@@ -111,13 +147,11 @@ def largest_difference(a: np.ndarray, b: np.ndarray) -> str:
 
 
 def time_rounds(calls: dict, rounds: int) -> dict[str, list[float]]:
-    """Seconds per call of each side over `rounds` ABBA-ordered rounds."""
+    """The time each side's call reports over `rounds` ABBA-ordered rounds."""
     times = {side: [] for side in SIDES}
     for r in range(rounds):
         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            t0 = time.perf_counter()
-            calls[side]()
-            times[side].append(time.perf_counter() - t0)
+            times[side].append(calls[side]()[1])
     return times
 
 
@@ -126,12 +160,13 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def summary(times: dict[str, list[float]]) -> list[str]:
+def summary(times: dict[str, list[float]], unit: str = "s") -> list[str]:
     lines = []
     for side in SIDES:
         t = times[side]
         q1, median, q3 = quartiles(t)
-        lines.append(f"{side}: min {min(t):.4f} s  q1 {q1:.4f}  median {median:.4f}  q3 {q3:.4f}")
+        lines.append(f"{side}: min {min(t):.4f} {unit}  q1 {q1:.4f}  median {median:.4f}  "
+                     f"q3 {q3:.4f}")
     q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])])
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     losses = sum(c > p for p, c in zip(times["parent"], times["change"]))
@@ -161,11 +196,14 @@ def main(argv=None) -> int:
             synth.write_dataset(synth.generate_dataset(config), work / "data")
             calls = {side: prepare(vf, args.what, work / "data" / "run_config.json", work / side)
                      for side, vf in packages.items()}
-            outputs = {side: call() for side, call in calls.items()}
+            outputs = {side: call()[0] for side, call in calls.items()}
             same = outputs["parent"].tobytes() == outputs["change"].tobytes()
             print("outputs: " + ("same" if same else "differ, "
                                  + largest_difference(outputs["parent"], outputs["change"])))
-            print("\n".join(summary(time_rounds(calls, args.rounds))))
+            times = time_rounds(calls, args.rounds)
+            if args.what == "emit":
+                times = {side: [1e3 * t for t in times[side]] for side in SIDES}
+            print("\n".join(summary(times, "ms" if args.what == "emit" else "s")))
         finally:
             sys.path.remove(str(work / "links"))
             for side in SIDES:
