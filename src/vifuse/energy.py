@@ -43,11 +43,11 @@ product and dot product runs once per window, so a window's results do not
 depend on the stack it is in. The visual term alone needs no solver:
 visual_minimum gives its minimum in closed form. The Gauss-Newton normal
 matrix comes in two pieces: visual_blocks builds the visual term's blocks
-frame by frame, each from its own frame alone, and normal_parts gives what
-every window of a solve shares, with no window axis, built once per
-configuration, frame rate and window length: the (4,) term weights, the
-(N, N) normal matrix of the accel and smooth terms and the bone term's
-weight.
+frame by frame, each from its own frame alone, through the projection the
+residuals take (_projection), and normal_parts gives what every window of a
+solve shares, with no window axis, built once per configuration, frame rate
+and window length: the (4,) term weights, the (N, N) normal matrix of the
+accel and smooth terms and the bone term's weight.
 """
 
 from __future__ import annotations
@@ -324,12 +324,28 @@ class EnergyConfig:
 
 
 class VisualRows(NamedTuple):
-    """The visual term's pass over W windows: pixels (W, 2, N*J), 1 / camera depth
-    (W, N*J), 1 where skipped, and the kept residuals (W, N*J): observed, deeper than W_MIN."""
+    """The projection of B rows of K points each: pixels (B, 2, K), 1 / camera
+    depth (B, K), 1 where skipped, and the points the visual term keeps
+    (B, K): observed, deeper than W_MIN."""
 
     pixel: np.ndarray
     inv_depth: np.ndarray
     active: np.ndarray
+
+
+def _projection(proj: np.ndarray, offset: np.ndarray, x: np.ndarray,
+                observed: np.ndarray) -> VisualRows:
+    """The projection u, v, w = proj @ x + offset of points x (B, K, 3), one
+    matrix product per row, with their `observed` mask (B, K). Every point
+    is deeper than W_MIN in the common case, which skips the masking."""
+    h = proj @ x.swapaxes(1, 2) + offset  # rows u, v, w
+    w = h[:, 2]
+    active = observed
+    if not (w > W_MIN).all():
+        active = observed & (w > W_MIN)
+        w = np.where(active, w, 1.0)
+    inv_depth = 1.0 / w
+    return VisualRows(h[:, :2] * inv_depth[:, None], inv_depth, active)
 
 
 class _Residuals(NamedTuple):
@@ -499,16 +515,10 @@ class WindowStack:
         rv = rows = None
         behind = np.zeros(len(x), int)
         if visual:
-            h = self.proj @ x.reshape(len(x), -1, 3).swapaxes(1, 2) + self.offset  # rows u, v, w
-            w = h[:, 2]
-            valid = self.observed
-            if not (w > W_MIN).all():
-                valid = valid & (w > W_MIN)
-                behind = np.count_nonzero(self.observed & ~valid, axis=1)
-                w = np.where(valid, w, 1.0)
-            inv_depth = 1.0 / w
-            rows = VisualRows(h[:, :2] * inv_depth[:, None], inv_depth, valid)
-            rv = np.where(valid[:, None], rows.pixel - self.target, 0.0)
+            rows = _projection(self.proj, self.offset, x.reshape(len(x), -1, 3), self.observed)
+            if rows.active is not self.observed:
+                behind = np.count_nonzero(self.observed & ~rows.active, axis=1)
+            rv = np.where(rows.active[:, None], rows.pixel - self.target, 0.0)
         ra = rb = rs = None
         if accel or bone or smooth:
             xs = x.reshape(*x.shape[:2], -1)[..., self.rig.gather]
@@ -612,18 +622,18 @@ def visual_blocks(positions: np.ndarray, pixels: np.ndarray, camera: Camera,
     """The visual term's Gauss-Newton blocks 2 w J^T J (F, C, 3, 3) of C
     joints in each of F frames, at positions (F, C, 3) with pixels (F, C, 2),
     2 w being the term's `weight`: each joint's own 3x3 block, zero where
-    the term skips the joint (no pixel, or depth at or below W_MIN). Every
-    entry is its own sum of products, so a frame's blocks do not depend on
-    the frames built with it."""
+    the term skips the joint (no pixel, or depth at or below W_MIN). Each
+    frame is projected by its own matrix product, so its blocks do not
+    depend on the frames built with it."""
     proj, offset = camera.projection_parts
-    h = np.einsum("ab,fcb->fac", proj, positions) + offset  # rows u, v, w of each frame
-    active = np.isfinite(pixels[..., 0]) & np.isfinite(pixels[..., 1]) & (h[:, 2] > W_MIN)
-    inv_depth = np.where(active, 1.0 / np.where(active, h[:, 2], 1.0), 0.0)
-    pixel = h[:, :2] * inv_depth[:, None]
-    # The rows of the Jacobian of (u / w, v / w): (proj[a] - pixel_a proj[2]) / w.
-    jac = (proj[:2] - pixel.swapaxes(1, 2)[..., None] * proj[2]) * (
-        math.sqrt(weight) * inv_depth)[..., None, None]
-    return np.einsum("fcka,fckb->fcab", jac, jac)
+    observed = np.isfinite(pixels[..., 0]) & np.isfinite(pixels[..., 1])
+    rows = _projection(proj, offset, positions, observed)
+    # The rows of the Jacobian of (u / w, v / w), (proj[a] - pixel_a proj[2]) / w,
+    # by row and coordinate: (2, 3, F, C), the frames and joints innermost.
+    scale = np.where(rows.active, math.sqrt(weight) * rows.inv_depth, 0.0)
+    jac = (proj[:2, :, None, None] - rows.pixel.swapaxes(0, 1)[:, None] * proj[2, :, None, None]
+           ) * scale
+    return np.einsum("akfc,alfc->fckl", jac, jac)
 
 
 def normal_parts(cfg: EnergyConfig, fps: float, n: int) -> tuple[float, np.ndarray, float]:
