@@ -482,7 +482,6 @@ class WindowStack:
     def __init__(self, source: Observations, rows: np.ndarray, shape: tuple[int, ...], fps: float):
         (w, n), j = rows.shape, shape[1]
         self.key = (n, j, fps)
-        self.windows = w
         self.camera = source.camera
         self.rig = source.rig_layout(j)
         self.cols = 3 * len(source.sensor_joints)

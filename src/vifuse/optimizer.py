@@ -54,9 +54,10 @@ their slots among the chain joints, come from the rig's one layout
 (energy.RigLayout), built once per rig; the temporal part of every window's
 normal matrix is one array per solve, whose pivot and coupling blocks
 _ChainSolver builds once per chain size. Without the visual term every
-frame's block is the same one, built once per solver. A stack evaluates its
-start for the value no result may end above, then its projection (the
-start without the visual term) for the first step, then each trial point.
+frame's block is the same one, the solver's one ring row, built once per
+solver. A stack evaluates its start for the value no result may end above,
+then its projection (the start without the visual term) for the first
+step, then each trial point.
 """
 
 from __future__ import annotations
@@ -255,10 +256,11 @@ class _ChainSolver:
     its own damping, with the parent-only joints eliminated through their
     3x3 blocks. So the two windows that cover a frame share its blocks,
     which build() writes into a ring of `rows` rows, frame t at row
-    t % rows. Without the visual term every frame's block is the same one,
-    built here. Every window of a run shares the temporal part of its normal
-    matrix, so the solver builds its pivot and coupling blocks once per
-    chain size (_temporal_blocks), and a stack's pivots start from them.
+    t % rows. Without the visual term every frame's block is the same one:
+    the ring is that one row, built here, and build() is not called. Every
+    window of a run shares the temporal part of its normal matrix, so the
+    solver builds its pivot and coupling blocks once per chain size
+    (_temporal_blocks), and a stack's pivots start from them.
 
     The solver also keeps each chain group's pivot and multiplier storage,
     sized by the largest stack so far, for one factorization at a time: the
@@ -272,14 +274,15 @@ class _ChainSolver:
 
     def __init__(self, rig: RigLayout, cfg: EnergyConfig, fps: float, n: int,
                  camera: Camera | None, rows: int):
-        self.camera, self.n, self.nb, self.rows = camera, n, -(-n // 3), rows
         self.visual, temporal, self.bone = normal_parts(cfg, fps, n)
+        self.camera, self.n, self.nb = camera, n, -(-n // 3)
+        self.rows = rows if self.visual else 1
         self.chain_joints = rig.chain_joints
         self._temporal_max = temporal.max()
         shared = {m: _temporal_blocks(temporal, m) for m in sorted(
             {ch.joints.shape[1] for ch in rig.chains})}
         # Per chain group: the chains, their temporal blocks, and the blocks
-        # of the frames and inverse parent-only blocks, by ring row or alike.
+        # of the frames and inverse parent-only blocks, by ring row.
         self.groups = []
         for ch in rig.chains:
             c, m = ch.joints.shape
@@ -287,7 +290,7 @@ class _ChainSolver:
                 blocks = (np.empty((rows, c, 3 * m, 3 * m)),
                           np.empty((rows, *ch.parents.shape, 3, 3)))
             else:
-                blocks = self._frame_blocks(ch, None)
+                blocks = self._frame_blocks(ch, np.zeros((1, len(self.chain_joints), 3, 3)))
             self.groups.append((ch, shared[m], *blocks))
         self._storage: dict[int, np.ndarray] = {}  # flat pivot storage by chain group
 
@@ -301,22 +304,20 @@ class _ChainSolver:
             for ch, _, a, d_inv in self.groups:
                 a[rows], d_inv[rows] = self._frame_blocks(ch, visual)
 
-    def _frame_blocks(self, ch: Chains, visual: np.ndarray | None):
+    def _frame_blocks(self, ch: Chains, visual: np.ndarray):
         """The blocks of chain group `ch` in F frames whose visual blocks over
-        the rig's chain joints are `visual` (F, C, 3, 3), or in every frame
-        alike without the visual term (None): the (..., c, 3m, 3m) block of
-        each chain's sensor joints once its parent-only joints are
-        eliminated, and those joints' inverse blocks (..., c, p, 3, 3)."""
+        the rig's chain joints are `visual` (F, C, 3, 3), zero without the
+        visual term: the (F, c, 3m, 3m) block of each chain's sensor joints
+        once its parent-only joints are eliminated, and those joints' inverse
+        blocks (F, c, p, 3, 3)."""
         bone = self.bone
-        c, m = ch.joints.shape
+        f, (c, m) = len(visual), ch.joints.shape
         size = 3 * m
-        lead = () if visual is None else visual.shape[:1]
         # Each frame's block of the sensor joints from the visual and bone
         # terms, built in place: `by_joint` is `a` by joint and coordinate.
-        by_joint = np.zeros((*lead, c, m, 3, m, 3))
-        if visual is not None:
-            np.einsum("...ixiy->...ixy", by_joint)[...] = visual[:, ch.joint_slots]
-        a = by_joint.reshape(*lead, c, size, size)
+        by_joint = np.zeros((f, c, m, 3, m, 3))
+        np.einsum("...ixiy->...ixy", by_joint)[...] = visual[:, ch.joint_slots]
+        a = by_joint.reshape(f, c, size, size)
         a += bone * ch.joint_bones
         diagonal = np.einsum("...ii->...i", a)  # writes go through to `a`
         largest = diagonal.max(axis=-1) + self._temporal_max
@@ -324,10 +325,8 @@ class _ChainSolver:
         diagonal += mu
         # Eliminate each parent-only joint through its own 3x3 block.
         parent = (bone * ch.parent_bones + mu)[..., None, None] * _identity(3)
-        if visual is not None:
-            parent = visual[:, ch.parent_slots] + parent
-        d_inv = _inv3(parent)
-        schur = (ch.pairs @ d_inv.reshape(*lead, c, -1, 9)).reshape(*lead, c, m, m, 3, 3)
+        d_inv = _inv3(visual[:, ch.parent_slots] + parent)
+        schur = (ch.pairs @ d_inv.reshape(f, c, -1, 9)).reshape(f, c, m, m, 3, 3)
         schur *= bone * bone
         by_joint -= schur.swapaxes(-3, -2)
         return a, d_inv
@@ -376,7 +375,7 @@ class _Factor:
             return
         lo, hi = 3 * start, min(3 * stop, solver.n)
         full, rest = divmod(hi - lo, 3)
-        rows = self.frames[:, lo:hi].T % solver.rows if solver.visual else None
+        rows = self.frames[:, lo:hi].T % solver.rows
         for (ch, shared, a, _), (diag, _) in zip(solver.groups, self._pivots):
             c, m = ch.joints.shape
             size = 3 * m
@@ -384,12 +383,11 @@ class _Factor:
             # (block, frame, window, chain, size, size): writes go through to `diag`
             parts = np.einsum("bwcfifj->bfwcij",
                               diag[start:stop].reshape(stop - start, w, c, 3, size, 3, size))
-            if rows is not None:
-                a = a[rows]  # (frame, window, chain, size, size)
+            a = a[rows]  # (frame, window, chain, size, size)
             if full:
-                parts[:full] += a if rows is None else a[:3 * full].reshape(full, 3, *a.shape[1:])
+                parts[:full] += a[:3 * full].reshape(full, 3, *a.shape[1:])
             if rest:
-                parts[full, :rest] += a if rows is None else a[3 * full:]
+                parts[full, :rest] += a[3 * full:]
         self.seeded = stop
 
     def advance(self, stop: int) -> None:
@@ -420,8 +418,8 @@ class _Factor:
         """
         solver = self.solver
         if self._d_inv is None:  # each slot's inverse parent-only blocks, frames first
-            rows = self.frames.T % solver.rows if solver.visual else None
-            self._d_inv = [d_inv if rows is None else d_inv[rows] for *_, d_inv in solver.groups]
+            rows = self.frames.T % solver.rows
+            self._d_inv = [d_inv[rows] for *_, d_inv in solver.groups]
         w, n = grad.shape[:2]
         bone = solver.bone
         g = grad.swapaxes(0, 1)  # frames first
@@ -583,19 +581,18 @@ class _WindowRun:
     solved window's positions and the run's behind-camera count.
 
     `poses` and `obs` hold either the whole sequence or a ring of its last
-    len(poses) frames, frame t at row t % len(poses); the projection ring
-    and the solver's ring of frame blocks hold `ring` frames in the same
-    way. A solve reads every frame of its windows from the rings, so they
-    must still hold them.
+    len(poses) frames, frame t at row t % len(poses); with the visual term,
+    the projection ring and the solver's ring of frame blocks hold `ring`
+    frames in the same way. A solve reads every frame of its windows from
+    the rings, so they must still hold them.
     """
 
     def __init__(self, poses: np.ndarray, obs: SequenceObservations, cfg: EnergyConfig,
                  settings: SolverSettings, ring: int):
         self.poses, self.obs, self.cfg, self.settings = poses, obs, cfg, settings
-        visual = cfg.k_visual > 0.0
-        self.projected = np.empty((ring, *poses.shape[1:])) if visual else poses
+        self.projected = np.empty((ring, *poses.shape[1:])) if cfg.k_visual > 0.0 else poses
         self.solver = _ChainSolver(obs.rig_layout(poses.shape[1]), cfg, obs.fps,
-                                   cfg.fragment_len, obs.camera, ring if visual else 0)
+                                   cfg.fragment_len, obs.camera, ring)
         self.built, self.factor, self.ends = 0, None, []
         self.next, self.prev, self.behind = 0, None, 0
 

@@ -939,14 +939,18 @@ def test_each_frame_is_projected_once(rng, monkeypatch, t_n, per_stack):
     assert np.stack(streamed).tobytes() == batch.tobytes()
 
 
-@pytest.mark.parametrize("t_n, per_stack", [
-    pytest.param(t_n, per_stack, id=str(t_n) if per_stack is None else f"{t_n}-stack{per_stack}")
-    for per_stack in (None, 1, 3) for t_n in (3, 8, 37, 100)])
-def test_each_frames_blocks_are_built_once(rng, monkeypatch, t_n, per_stack):
+@pytest.mark.parametrize("t_n, per_stack, k_visual", [
+    pytest.param(t_n, per_stack, k_visual,
+                 id=(str(t_n) if per_stack is None else f"{t_n}-stack{per_stack}")
+                 + ("" if k_visual else "-no_visual"))
+    for per_stack in (None, 1, 3)
+    for t_n, k_visual in ((3, 1.0), (8, 1.0), (37, 1.0), (100, 1.0), (37, 0.0))])
+def test_each_frames_blocks_are_built_once(rng, monkeypatch, t_n, per_stack, k_visual):
     # The two windows that cover a frame share its blocks, in batch stacks
-    # of one, three or every window and in a stream.
+    # of one, three or every window and in a stream. Without the visual term
+    # every frame reads the one block the solver built when it was made.
     poses, obs = seq_problem(rng, t_n=t_n)
-    cfg = EnergyConfig(fragment_len=8)
+    cfg = EnergyConfig(k_visual=k_visual, fragment_len=8)
     if per_stack is not None:
         monkeypatch.setattr(optimizer, "_STACK_FRAMES", per_stack * cfg.fragment_len)
     built = []
@@ -958,10 +962,11 @@ def test_each_frames_blocks_are_built_once(rng, monkeypatch, t_n, per_stack):
 
     monkeypatch.setattr(optimizer._ChainSolver, "build", counting)
     batch, _ = refine_batch(poses, obs, cfg, SolverSettings())
-    assert len(built) == t_n
+    assert len(built) == (t_n if k_visual else 0)
     built.clear()
     streamed = [row for _, row in run_stream(poses, obs, cfg, SolverSettings())]
-    assert built == [t % cfg.fragment_len for t in range(t_n)]  # each into its ring row, in order
+    # each into its ring row, in order
+    assert built == ([t % cfg.fragment_len for t in range(t_n)] if k_visual else [])
     assert np.stack(streamed).tobytes() == batch.tobytes()
 
 
@@ -991,20 +996,26 @@ def test_a_frames_blocks_read_that_frame_alone(rng):
         assert a.tobytes() == a_alone.tobytes() and d_inv.tobytes() == d_inv_alone.tobytes()
 
 
-@pytest.mark.parametrize("n, t_n, calib", [(8, 37, None), (6, 23, None), (50, 160, None),
-                                           (50, 160, dense_calibration())],
-                         ids=["N8", "N6", "N50", "N50-dense_rig"])
-def test_a_stream_eliminates_each_block_as_its_frames_arrive(rng, monkeypatch, n, t_n, calib):
+@pytest.mark.parametrize("n, t_n, calib, k_visual", [
+    (8, 37, None, 1.0), (6, 23, None, 1.0), (50, 160, None, 1.0),
+    (50, 160, dense_calibration(), 1.0),
+    (8, 37, None, 0.0), (50, 160, None, 0.0), (50, 160, dense_calibration(), 0.0)],
+    ids=["N8", "N6", "N50", "N50-dense_rig", "N8-no_visual", "N50-no_visual",
+         "N50-dense_rig-no_visual"])
+def test_a_stream_eliminates_each_block_as_its_frames_arrive(rng, monkeypatch, n, t_n, calib,
+                                                             k_visual):
     # An ordinary push eliminates at most one block of each window being
     # factored, and only a block whose frames have arrived; the push that
     # solves a window eliminates at most its last block; finish() eliminates
     # what is left, the blocks of trailing replicas among it. No time is
     # read: the pivot inverses are counted, one per chain group and block.
+    # Without the visual term every frame's block is built before the first
+    # push, and the blocks are eliminated in the same order.
     if calib is None:
         poses, obs = seq_problem(rng, t_n=t_n)
     else:
         poses, obs = capture_problem(3, t_n / 25.0, calib)
-    cfg = EnergyConfig(fragment_len=n)
+    cfg = EnergyConfig(k_visual=k_visual, fragment_len=n)
     nb, groups = -(-n // 3), len(obs.rig_layout(poses.shape[1]).chains)
     eliminated, inverses = [], []
     advance = optimizer._Factor.advance

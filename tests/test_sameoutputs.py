@@ -24,7 +24,7 @@ def test_the_repo_against_itself_gives_the_same_outputs(sameoutputs, capsys):
     assert sameoutputs.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == (
         ["seed 0 dense rig: same", "seed 0 synth: same"]
-        + [f"seed 0 {mode}: same" for mode in sameoutputs.MODES])
+        + [f"seed 0 {mode}: same" for mode in sameoutputs.MODES] + ["seed 0 rtof no_visual: same"])
 
 
 def test_a_file_that_differs_by_one_byte_is_named(sameoutputs, tmp_path):
@@ -46,7 +46,8 @@ def test_a_differing_run_output_exits_1_naming_it(sameoutputs, tmp_path, monkeyp
         names = ("run_config.json", "imu.txt") if command == "synth" else sameoutputs.RUN_FILES
         for name in names:
             differ = checkout.name == "change" and out.name == "rtof" and name == "metrics.txt"
-            (out / name).write_text("2\n" if differ else "1\n")
+            (out / name).write_text("{}\n" if name == "run_config.json" else
+                                    "2\n" if differ else "1\n")
         return subprocess.CompletedProcess([command], 0, stdout="", stderr="")
 
     def fake_dense_rig(checkout, out, seed):
@@ -62,6 +63,7 @@ def test_a_differing_run_output_exits_1_naming_it(sameoutputs, tmp_path, monkeyp
     out, err = capsys.readouterr()
     assert "seed 4 rtof: differs: metrics.txt" in out.splitlines()
     assert "seed 4 rto: same" in out.splitlines()
+    assert "seed 4 rtof no_visual: same" in out.splitlines()
     assert "seed 4 dense rig: same" in out.splitlines()
     assert err == "sameoutputs: seed 4 rtof metrics.txt\n"
 

@@ -4,7 +4,8 @@
 
 For each seed, `vifuse synth` runs once with each checkout's src/ and every
 file of the two datasets is compared. Then `vifuse run` runs in every mode
-with each checkout on the parent's dataset, and refined_pose3d.txt,
+with each checkout on the parent's dataset, and once more in rtof mode
+without the visual term ("energy": {"k_visual": 0}), and refined_pose3d.txt,
 metrics.txt and metrics.json are compared. Without --duration the datasets
 have synth's default length. The CLI runs use the default eight-sensor rig,
 so each checkout also runs sf2 on an 8 s capture of the 13-sensor rig of
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 MODES = ("baseline", "sf2", "rto", "rtof")
+NO_VISUAL = {"k_visual": 0}  # the energy of the extra rtof run
 RUN_FILES = ("refined_pose3d.txt", "metrics.txt", "metrics.json")
 DENSE_DURATION = 8.0  # seconds: nine windows, two batch stacks
 DENSE_WEIGHTS = {"default": {}, "no_visual": {"k_visual": 0.0}}
@@ -157,6 +159,16 @@ def dense_rig(checkout: Path, out: Path, seed: int) -> subprocess.CompletedProce
                   f"sameoutputs.dense_rig_outputs({str(out)!r}, {int(seed)})")
 
 
+def no_visual_config(data: Path, out: Path) -> Path:
+    """Write to `out` the run config of the dataset in `data` with the
+    NO_VISUAL energy and its stream paths made absolute, and return `out`."""
+    config = json.loads((data / "run_config.json").read_text(encoding="utf-8"))
+    config.update({key: str((data / value).resolve()) for key, value in config.items()
+                   if isinstance(value, str) and key != "mode"})
+    out.write_text(json.dumps({**config, "energy": NO_VISUAL}) + "\n", encoding="utf-8")
+    return out
+
+
 def compare(parent: Path, change: Path, seeds: list[int], duration: float | None,
             work: Path) -> list[str]:
     """Run every comparison under `work`, print one line each, and return
@@ -194,13 +206,17 @@ def compare(parent: Path, change: Path, seeds: list[int], duration: float | None
                     for side, checkout in sides.items()]):
             continue
         report(f"seed {seed} synth", data["parent"], data["change"])
-        for mode in MODES:
-            out = {side: work / side / f"seed{seed}" / mode for side in sides}
-            if all([ran(f"seed {seed} {mode} {side} run",
-                        vifuse(checkout, "run", "--config", data["parent"] / "run_config.json",
-                               "--out", out[side], "--mode", mode))
+        config = data["parent"] / "run_config.json"
+        runs = [(mode, mode, config) for mode in MODES] + [
+            ("rtof no_visual", "rtof",
+             no_visual_config(data["parent"], work / f"seed{seed}_no_visual.json"))]
+        for what, mode, path in runs:
+            out = {side: work / side / f"seed{seed}" / what.replace(" ", "_") for side in sides}
+            if all([ran(f"seed {seed} {what} {side} run",
+                        vifuse(checkout, "run", "--config", path, "--out", out[side],
+                               "--mode", mode))
                     for side, checkout in sides.items()]):
-                report(f"seed {seed} {mode}", out["parent"], out["change"], RUN_FILES)
+                report(f"seed {seed} {what}", out["parent"], out["change"], RUN_FILES)
     return faults
 
 
