@@ -30,34 +30,38 @@ rule. Every window minimizes the same objective, each term divided by its
 stream variance (energy.EnergyConfig), so its result does not depend on
 where it starts. Its state (values, step counts, flags and behind-camera
 counts) is held in arrays over the window axis, and a window that stops
-keeps its point, value and gradient under a mask. Batch and streaming reach
-the solve through one driver, _WindowRun, which holds a run's _ChainSolver,
-projection ring, next window, last solved window and behind-camera count.
-Its build() projects frames and builds their blocks, each frame once;
-solve() builds what its windows still lack, eliminates what is left of
-their factorization, gathers their rows from the sequence arrays or the
-streaming rings straight into one WindowStack, solves it, and averages each
-window with the one before. refine_batch calls solve() once per group of
-about _STACK_FRAMES frames, which shares numpy's per-call cost among the
-windows, and eliminates every block of a group at once. StreamingRefiner
-factors the next window as its frames arrive, one block per push
-(_WindowRun.advance), so the push that completes the window eliminates its
-last block and runs the Gauss-Newton steps; finish() solves the trailing
-windows. minimize_fragment solves a stack of one. The _ChainSolver keeps
-the pivot storage from stack to stack instead of mapping it afresh, and an
-elimination builds each pivot in that storage, each LDL multiplier written
-straight into it. A stack forms each trial point in its step's buffer and
-updates its point and gradient in place. Every matrix product and inverse
-runs once per window or chain, so a window's result is bitwise the same in
-any stack and whichever pushes eliminated its blocks. The chains, with
-their slots among the chain joints, come from the rig's one layout
-(energy.RigLayout), built once per rig; the temporal part of every window's
-normal matrix is one array per solve, whose pivot and coupling blocks
-_ChainSolver builds once per chain size. Without the visual term every
-frame's block is the same one, the solver's one ring row, built once per
-solver. A stack evaluates its start for the value no result may end above,
-then its projection (the start without the visual term) for the first
-step, then each trial point.
+keeps its point, value and gradient under a mask. Batch, streaming and
+minimize_fragment reach the solve through one driver, _WindowRun, which
+holds a run's _ChainSolver, projection ring, next window, last solved window
+and behind-camera count. Its build() projects frames and builds their
+blocks, each frame once; solve_stack() builds what the windows of given run
+frames still lack, eliminates what is left of their factorization, gathers
+their rows from the sequence arrays or the streaming rings straight into
+one WindowStack and solves it; solve() solves a schedule's next windows so
+and averages each with the one before. refine_batch calls solve() once per
+group of about _STACK_FRAMES frames, which shares numpy's per-call cost
+among the windows, and eliminates every block of a group at once.
+StreamingRefiner factors the next window as its frames arrive, one block
+per push (_WindowRun.advance), so the push that completes the window
+eliminates its last block and runs the Gauss-Newton steps; finish() solves
+the trailing windows. minimize_fragment checks its observations and solves
+its fragment as a run of one window, as long as the fragment. The
+_ChainSolver allocates each chain group's pivot storage once, sized for the
+run's largest stack (one window in a stream and in minimize_fragment), and
+every stack reuses it instead of mapping it afresh; an elimination builds
+each pivot in that storage, each LDL multiplier written straight into it.
+A stack forms each trial point in its step's buffer and updates its point
+and gradient in place. Every matrix product and inverse runs once per
+window or chain, so a window's result is bitwise the same in any stack and
+whichever pushes eliminated its blocks. The chains, with their slots
+among the chain joints, come from the rig's one layout (energy.RigLayout),
+built once per rig; the temporal part of every window's normal matrix is
+one array per solve, whose pivot and coupling blocks _ChainSolver builds
+once per chain size. Without the visual term every frame's block is the
+same one, the solver's one ring row, built once per solver. A stack
+evaluates its start for the value no result may end above, then its
+projection (the start without the visual term) for the first step, then
+each trial point.
 """
 
 from __future__ import annotations
@@ -262,18 +266,18 @@ class _ChainSolver:
     solver builds its pivot and coupling blocks once per chain size
     (_temporal_blocks), and a stack's pivots start from them.
 
-    The solver also keeps each chain group's pivot and multiplier storage,
-    sized by the largest stack so far, for one factorization at a time: the
-    next stack of a refine_batch call, or the next window of a stream,
-    works in the same bytes, a smaller stack in a contiguous leading part.
-    Fresh arrays per stack, about 1 MB each at six windows, sat at glibc's
-    mmap threshold and were faulted in again for every stack: about 9,000
-    minor faults per refine_batch call on the default 60 s capture, against
-    1,000-1,800 with the storage kept.
+    The solver also allocates each chain group's flat pivot and multiplier
+    storage once, for one factorization at a time of at most `windows`
+    windows, the run's largest stack: every stack of a refine_batch call,
+    or every window of a stream, works in the same bytes, a smaller stack
+    in a contiguous leading part. Fresh arrays per stack, about 1 MB each
+    at six windows, sat at glibc's mmap threshold and were faulted in again
+    for every stack: about 9,000 minor faults per refine_batch call on the
+    default 60 s capture, against 1,000-1,800 with the storage kept.
     """
 
     def __init__(self, rig: RigLayout, cfg: EnergyConfig, fps: float, n: int,
-                 camera: Camera | None, rows: int):
+                 camera: Camera | None, rows: int, windows: int):
         self.visual, temporal, self.bone = normal_parts(cfg, fps, n)
         self.camera, self.n, self.nb = camera, n, -(-n // 3)
         self.rows = rows if self.visual else 1
@@ -282,8 +286,9 @@ class _ChainSolver:
         shared = {m: _temporal_blocks(temporal, m) for m in sorted(
             {ch.joints.shape[1] for ch in rig.chains})}
         # Per chain group: the chains, their temporal blocks, and the blocks
-        # of the frames and inverse parent-only blocks, by ring row.
-        self.groups = []
+        # of the frames and inverse parent-only blocks, by ring row; and its
+        # pivot storage, which holds a stack of `windows` windows.
+        self.groups, self.storage = [], []
         for ch in rig.chains:
             c, m = ch.joints.shape
             if self.visual:
@@ -292,7 +297,7 @@ class _ChainSolver:
             else:
                 blocks = self._frame_blocks(ch, np.zeros((1, len(self.chain_joints), 3, 3)))
             self.groups.append((ch, shared[m], *blocks))
-        self._storage: dict[int, np.ndarray] = {}  # flat pivot storage by chain group
+            self.storage.append(np.empty((2 * self.nb - 1) * windows * c * (9 * m) ** 2))
 
     def build(self, rows: np.ndarray, positions: np.ndarray, pixels: np.ndarray) -> None:
         """Build the blocks of frames at their projected `positions` (F, J, 3)
@@ -331,17 +336,6 @@ class _ChainSolver:
         by_joint -= schur.swapaxes(-3, -2)
         return a, d_inv
 
-    def storage(self, group: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Chain group `group`'s pivot storage as a contiguous array of
-        `shape`, its contents left as they are: the leading part of one flat
-        buffer, which grows only when a stack needs more than any stack
-        before it."""
-        size = math.prod(shape)
-        flat = self._storage.get(group)
-        if flat is None or flat.size < size:
-            flat = self._storage[group] = np.empty(size)
-        return flat[:size].reshape(shape)
-
 
 class _Factor:
     """The block LDL^T of the chain normal matrices of a stack of windows,
@@ -362,9 +356,10 @@ class _Factor:
         self.seeded = self.done = 0
         w, nb = len(frames), solver.nb
         self._pivots, self._d_inv = [], None
-        for group, (ch, *_) in enumerate(solver.groups):
+        for (ch, *_), flat in zip(solver.groups, solver.storage):
             c, m = ch.joints.shape
-            blocks = solver.storage(group, (2 * nb - 1, w * c, 9 * m, 9 * m))
+            shape = (2 * nb - 1, w * c, 9 * m, 9 * m)
+            blocks = flat[:math.prod(shape)].reshape(shape)  # a smaller stack: a leading part
             self._pivots.append((blocks[:nb], blocks[nb:]))
 
     def seed(self, stop: int) -> None:
@@ -473,12 +468,14 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
 def _solve_stack(start: np.ndarray, projected: np.ndarray, stack: WindowStack,
                  starts: Sequence[int], cfg: EnergyConfig, settings: SolverSettings,
                  factor: _Factor) -> list[FragmentResult]:
-    """minimize_fragment for every window of `stack` from its positions in
-    `start` (W, N, J, 3); `projected`, an array of its own, holds their
+    """The Gauss-Newton solve of every window of `stack` from its positions
+    in `start` (W, N, J, 3); `projected`, an array of its own, holds their
     visual_minimum, or their positions again when the visual term is
     inactive, and becomes the windows' point, updated in place. `starts`
     are the windows' first frame indices, and `factor` the windows'
-    factorization at `projected`, every block eliminated.
+    factorization at `projected`, every block eliminated. Batch, the stream
+    and minimize_fragment all reach it through _WindowRun.solve_stack,
+    which builds these arguments from a run's rings.
 
     Each window follows its own stopping rule: once it stops, it keeps its
     point, step count and best value while the others step on, and the
@@ -542,28 +539,16 @@ def minimize_fragment(
     joint first moves to its ray projection, the free joints' minimum; the
     chains then take Gauss-Newton steps from there, one energy evaluation
     each. The result is the best point evaluated, so never above the initial
-    one. This is the solve of a stack of one window.
+    one. After checking `obs` against the fragment, it solves the fragment
+    through the driver refine_batch and StreamingRefiner solve through, as
+    a run of one window whose length is the fragment's, whatever
+    cfg.fragment_len: a stack of one.
     """
-    stack = WindowStack.of_window(frag, obs, cfg.active_terms)
-    start = np.array([frag.positions])
-    projected = (visual_minimum(start, stack.pixels, stack.camera) if cfg.k_visual > 0.0
-                 else start.copy())
-    return _solve_stack(start, projected, stack, [frag.start], cfg, settings,
-                        _factored(stack, cfg, projected))[0]
-
-
-def _factored(stack: WindowStack, cfg: EnergyConfig, x: np.ndarray) -> _Factor:
-    """The factorization of every window of `stack` at its projected
-    positions x (W, N, J, 3), each window slot a frame of its own: the
-    factor of a window solved outside a run."""
-    w, n = x.shape[:2]
-    solver = _ChainSolver(stack.rig, cfg, stack.key[2], n, stack.camera, w * n)
-    if solver.visual:
-        solver.build(np.arange(w * n), x.reshape(w * n, *x.shape[2:]),
-                     stack.pixels.reshape(w * n, *stack.pixels.shape[2:]))
-    factor = _Factor(solver, np.arange(w * n).reshape(w, n))
-    factor.advance(solver.nb)
-    return factor
+    obs.check(frag.positions.shape)
+    obs.require(cfg.active_terms, frag.frame_count)
+    n = frag.frame_count
+    run = _WindowRun(frag.positions, obs, frag.fps, cfg, settings, n=n, ring=n, windows=1)
+    return run.solve_stack(np.arange(n)[None], [frag.start])[0]
 
 
 def _average_halves(first: np.ndarray, second: np.ndarray, stride: int) -> np.ndarray:
@@ -584,15 +569,17 @@ class _WindowRun:
     len(poses) frames, frame t at row t % len(poses); with the visual term,
     the projection ring and the solver's ring of frame blocks hold `ring`
     frames in the same way. A solve reads every frame of its windows from
-    the rings, so they must still hold them.
+    the rings, so they must still hold them. `fps` is the streams' frame
+    rate, `n` the window length and `windows` the most windows a stack of
+    the run holds, for which the solver sizes its pivot storage.
     """
 
-    def __init__(self, poses: np.ndarray, obs: SequenceObservations, cfg: EnergyConfig,
-                 settings: SolverSettings, ring: int):
-        self.poses, self.obs, self.cfg, self.settings = poses, obs, cfg, settings
+    def __init__(self, poses: np.ndarray, obs: Observations, fps: float, cfg: EnergyConfig,
+                 settings: SolverSettings, n: int, ring: int, windows: int):
+        self.poses, self.obs, self.fps, self.cfg, self.settings = poses, obs, fps, cfg, settings
         self.projected = np.empty((ring, *poses.shape[1:])) if cfg.k_visual > 0.0 else poses
-        self.solver = _ChainSolver(obs.rig_layout(poses.shape[1]), cfg, obs.fps,
-                                   cfg.fragment_len, obs.camera, ring)
+        self.solver = _ChainSolver(obs.rig_layout(poses.shape[1]), cfg, fps, n, obs.camera, ring,
+                                   windows)
         self.built, self.factor, self.ends = 0, None, []
         self.next, self.prev, self.behind = 0, None, 0
 
@@ -634,18 +621,13 @@ class _WindowRun:
             factor.seed(bisect.bisect_left(ends, self.built))
         factor.advance(b + 1)
 
-    def solve(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Solve windows [next, stop) of `schedule` as one stack, after
-        building their frames and eliminating what is left of their
-        factorization: all of it in a batch, the last block of a window a
-        stream has factored as it filled. Returns, for each of them past
-        window 0, the first frame and the merged rows of the frames it
-        completes, averaged with the window before as merge_fragments
-        averages them: they start at the window's start and stop at the
-        stride or the sequence's end."""
-        stride, windows = schedule.stride, range(self.next, stop)
-        self.build(min(schedule.frame_count, stop * stride))
-        frames = np.stack([schedule.window_frames(k) for k in windows])
+    def solve_stack(self, frames: np.ndarray, starts: Sequence[int]) -> list[FragmentResult]:
+        """Solve the windows whose slots are the run's `frames` (W, N), with
+        first frame indices `starts`, as one stack, after building their
+        frames and eliminating what is left of their factorization: all of
+        it in a batch, the last block of a window a stream has factored as
+        it filled."""
+        self.build(int(frames.max()) + 1)
         factor, self.factor = self.factor, None
         if factor is None:
             factor = _Factor(self.solver, frames)
@@ -653,10 +635,19 @@ class _WindowRun:
             factor.frames = frames  # the stream's end turns its last slots into replicas
         factor.advance(self.solver.nb)
         rows = frames % len(self.poses)
-        stack = WindowStack(self.obs, rows, self.poses.shape, self.obs.fps)
-        results = _solve_stack(self.poses[rows], self.projected[frames % len(self.projected)],
-                               stack, [schedule.window_start(k) for k in windows], self.cfg,
-                               self.settings, factor)
+        stack = WindowStack(self.obs, rows, self.poses.shape, self.fps)
+        return _solve_stack(self.poses[rows], self.projected[frames % len(self.projected)],
+                            stack, starts, self.cfg, self.settings, factor)
+
+    def solve(self, schedule: FragmentSchedule, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Solve windows [next, stop) of `schedule` as one stack. Returns, for
+        each of them past window 0, the first frame and the merged rows of
+        the frames it completes, averaged with the window before as
+        merge_fragments averages them: they start at the window's start and
+        stop at the stride or the sequence's end."""
+        stride, windows = schedule.stride, range(self.next, stop)
+        results = self.solve_stack(np.stack([schedule.window_frames(k) for k in windows]),
+                                   [schedule.window_start(k) for k in windows])
         self.next, blocks = stop, []
         for k, res in zip(windows, results):
             cur = res.fragment.positions
@@ -712,10 +703,14 @@ def refine_batch(
     seq_obs.require(cfg.active_terms, cfg.fragment_len)
     t0 = time.perf_counter()
     per_stack = max(1, _STACK_FRAMES // schedule.fragment_len)
-    # a stack of windows [first, stop) reads (stop - first + 1) strides
-    run = _WindowRun(poses, seq_obs, cfg, settings,
-                     min(len(poses), (per_stack + 1) * schedule.stride))
+    # The output is allocated before the run's pivot storage, which is freed
+    # on return: allocated after it, higher in the heap, the output kept the
+    # process's resident size 1.5 MB higher once the call had returned.
     merged = np.empty(poses.shape)
+    # a stack of windows [first, stop) reads (stop - first + 1) strides
+    run = _WindowRun(poses, seq_obs, seq_obs.fps, cfg, settings, n=schedule.fragment_len,
+                     ring=min(len(poses), (per_stack + 1) * schedule.stride),
+                     windows=min(per_stack, schedule.window_count))
     while run.next < schedule.window_count:
         for start, rows in run.solve(schedule, min(run.next + per_stack, schedule.window_count)):
             merged[start:start + len(rows)] = rows
@@ -797,7 +792,8 @@ class StreamingRefiner:
             self._obs = replace(self._obs, **dict(zip(_ROWS[1:], rings)))
             self._obs.check(self._pos.shape)
             self._obs.require(self._cfg.active_terms, self._len)
-            self._run = _WindowRun(self._pos, self._obs, self._cfg, self._settings, self._len)
+            self._run = _WindowRun(self._pos, self._obs, self._obs.fps, self._cfg, self._settings,
+                                   n=self._len, ring=self._len, windows=1)
         rings = (self._pos, self._obs.pixels, self._obs.accel, self._obs.bones)
         for name, ring, row in zip(_ROWS, rings, rows):
             if (ring is None) != (row is None):

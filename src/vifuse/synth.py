@@ -63,10 +63,6 @@ class Sinusoid:
     def value(self, t):
         return self.amplitude * np.sin(TWO_PI * self.frequency * t + self.phase)
 
-    def rate(self, t):
-        w = TWO_PI * self.frequency
-        return self.amplitude * w * np.cos(w * t + self.phase)
-
     def accel(self, t):
         w = TWO_PI * self.frequency
         return -self.amplitude * w * w * np.sin(w * t + self.phase)

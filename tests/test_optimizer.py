@@ -205,14 +205,11 @@ DEEP = SolverSettings(max_iterations=100, grad_tol=1e-12)
 
 
 def solve_windows(schedule, windows, start, seq, cfg, settings):
-    """optimizer._solve_stack on windows of the whole sequence, projected as refine_batch
-    projects it."""
-    frames = np.stack([schedule.window_frames(k) for k in windows])
-    stack = energy.WindowStack(seq, frames, start.shape, seq.fps)
-    projected = visual_minimum(start, seq.pixels, seq.camera)
-    return optimizer._solve_stack(start[frames], projected[frames], stack,
-                                  [schedule.window_start(k) for k in windows], cfg, settings,
-                                  optimizer._factored(stack, cfg, projected[frames]))
+    """The driver's stack solve of windows of the whole sequence as one stack."""
+    run = optimizer._WindowRun(start, seq, seq.fps, cfg, settings, n=schedule.fragment_len,
+                               ring=len(start), windows=len(windows))
+    return run.solve_stack(np.stack([schedule.window_frames(k) for k in windows]),
+                           [schedule.window_start(k) for k in windows])
 
 
 def test_default_solve_is_within_tolerance_of_deep_solve(sweeps):
@@ -305,11 +302,10 @@ def solve_as_one_stack(frags, observations, cfg, settings):
         name: np.concatenate([getattr(o, name) for o in observations])
         for name in ("pixels", "accel", "bones")})
     positions = np.concatenate([f.positions for f in frags])
-    rows = np.arange(len(positions)).reshape(len(frags), n)
-    stack = energy.WindowStack(source, rows, positions.shape, frags[0].fps)
-    projected = visual_minimum(positions[rows], stack.pixels, stack.camera)
-    return optimizer._solve_stack(positions[rows], projected, stack, [f.start for f in frags],
-                                  cfg, settings, optimizer._factored(stack, cfg, projected))
+    run = optimizer._WindowRun(positions, source, frags[0].fps, cfg, settings, n=n,
+                               ring=len(positions), windows=len(frags))
+    return run.solve_stack(np.arange(len(positions)).reshape(len(frags), n),
+                           [f.start for f in frags])
 
 
 def test_each_window_of_a_stack_is_solved_as_if_alone(rng, sweeps):
@@ -375,6 +371,31 @@ def test_revert_to_the_start_is_per_window(rng, monkeypatch):
                                   visual_minimum(x, obs.pixels, obs.camera))
     assert stacked[1].final_value == stacked[1].initial_value
     np.testing.assert_array_equal(stacked[1].fragment.positions, x)
+
+
+@pytest.mark.parametrize("n, k_visual", [(20, 1.0), (64, 0.0), (7, 1.0)],
+                         ids=["20", "64-no_visual", "7"])
+def test_a_fragment_is_solved_at_its_own_length(n, k_visual):
+    # minimize_fragment takes its window length from the fragment, not from
+    # cfg.fragment_len (N = 50 by default): a fragment of n frames gets the
+    # bytes it gets under N = n, and one of an odd length, which no N has,
+    # converges.
+    start, seq = capture_problem(3, 4.0)
+    rows = np.arange(10, 10 + n)
+    frag = Fragment(start[rows], seq.fps, 10)
+    obs = Observations(pixels=seq.pixels[rows], camera=seq.camera, accel=seq.accel[rows],
+                       bones=seq.bones[rows], sensor_joints=seq.sensor_joints,
+                       sensor_parents=seq.sensor_parents)
+    res = minimize_fragment(frag, obs, EnergyConfig(k_visual=k_visual), SolverSettings())
+    assert res.converged and res.final_value < res.initial_value
+    assert res.fragment.start == 10 and res.fragment.positions.shape == frag.positions.shape
+    if n % 2 == 0:
+        at_n = minimize_fragment(frag, obs, EnergyConfig(k_visual=k_visual, fragment_len=n),
+                                 SolverSettings())
+        assert res.fragment.positions.tobytes() == at_n.fragment.positions.tobytes()
+        assert (res.initial_value, res.final_value, res.iterations, res.converged,
+                res.behind_camera) == (at_n.initial_value, at_n.final_value, at_n.iterations,
+                                       at_n.converged, at_n.behind_camera)
 
 
 def traced_peak(start, seq):
@@ -884,8 +905,8 @@ def chain_normal_matrices(stack, obs, x, weights):
                          ids=["default_rig", "dense_rig", "no_visual"])
 def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k_visual):
     # Four windows of 20 frames, each padded with one identity frame to
-    # seven blocks, each window slot factored as a frame of its own, as
-    # minimize_fragment factors its window. The steps are compared
+    # seven blocks, factored at the start with each window slot a frame of
+    # its own, so no block is shared between windows. The steps are compared
     # through the normal matrix: H step against H want = -g. Their own
     # difference is not, since the block inverses and LAPACK's LU reach it
     # by other roundings and the matrix is ill-conditioned (about 6e7, and
@@ -898,7 +919,13 @@ def test_chain_solve_equals_a_dense_solve_of_each_windows_normal_matrix(calib, k
     stack = energy.WindowStack(seq, rows, start.shape, seq.fps)
     x = start[rows]
     tv = energy.stack_energy(x, stack, cfg)
-    factor = optimizer._factored(stack, cfg, x)
+    w, n = rows.shape
+    solver = optimizer._ChainSolver(stack.rig, cfg, seq.fps, n, seq.camera, w * n, w)
+    if solver.visual:
+        solver.build(np.arange(w * n), x.reshape(w * n, *x.shape[2:]),
+                     stack.pixels.reshape(w * n, *stack.pixels.shape[2:]))
+    factor = optimizer._Factor(solver, np.arange(w * n).reshape(w, n))
+    factor.advance(solver.nb)
     assert (factor.solver.visual == 0.0) == (k_visual == 0.0)
     quad, step = factor.sweep(tv.grad), factor.step()
     want_quad = np.zeros(len(x))
@@ -975,7 +1002,7 @@ def test_a_frames_blocks_read_that_frame_alone(rng):
     # 5 change its blocks and no other frame's.
     poses, obs = seq_problem(rng, t_n=12, j_n=4, sensors=(1, 2, 3), parents=(0, 1, 0))
     cfg = EnergyConfig(fragment_len=8)
-    solver = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12)
+    solver = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12, 1)
     projected = visual_minimum(poses, obs.pixels, obs.camera)
     solver.build(np.arange(12), projected, obs.pixels)
     before = [(a.copy(), d_inv.copy()) for _, _, a, d_inv in solver.groups]
@@ -988,7 +1015,7 @@ def test_a_frames_blocks_read_that_frame_alone(rng):
         assert d_inv[others].tobytes() == d_inv_now[others].tobytes()
         assert not np.array_equal(a[5], a_now[5])
     # Frames built one by one, in any order, give the same bytes.
-    alone = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12)
+    alone = optimizer._ChainSolver(obs.rig_layout(4), cfg, obs.fps, 8, obs.camera, 12, 1)
     projected = visual_minimum(poses, pixels, obs.camera)
     for t in (7, 0, 11, 3, 1, 2, 4, 5, 6, 8, 9, 10):
         alone.build(np.array([t]), projected[t:t + 1], pixels[t:t + 1])
@@ -1074,6 +1101,7 @@ def test_stream_buffers_stay_bounded(rng):
             streamed[i] = row
         if t == 0:
             rings = (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)
+            storage = list(r._run.solver.storage)
         # the only solved window held is the last one, to average with the next
         assert r._run.prev is None or r._run.prev.shape == (n, *poses.shape[1:])
     for i, row in r.finish():
@@ -1081,6 +1109,8 @@ def test_stream_buffers_stay_bounded(rng):
     # the rings allocated by the first push are the only ones, at N rows each
     assert all(a is b for a, b in zip(rings, (r._pos, r._obs.pixels, r._obs.accel, r._obs.bones)))
     assert [a.shape[0] for a in rings] == [n] * 4
+    # each chain group's pivot storage, allocated for one window, is the only one
+    assert storage and all(a is b for a, b in zip(storage, r._run.solver.storage))
     assert streamed.tobytes() == batch.tobytes()
 
 

@@ -133,9 +133,10 @@ def test_the_dense_rig_outputs_hold_sf2_and_batch_and_stream_with_and_without_th
     for name in sameoutputs.DENSE_WEIGHTS:
         assert files[f"refine_batch_{name}.bin"] == files[f"run_stream_{name}.bin"]
         assert len(files[f"refine_batch_{name}.bin"]) == 50 * 21 * 3 * 8
-        # One solve record per window of the 50-frame schedule at N = 50.
+        # One solve record per window of the 50-frame schedule at N = 50,
+        # then one of the first SHORT_WINDOW frames.
         records = json.loads(files[f"windows_{name}.json"])
-        assert len(records) == 3
+        assert len(records) == 3 + 1
         for record in records:
             assert list(record) == list(sameoutputs.WINDOW_RECORD)
             assert record["final_value"] <= record["initial_value"]

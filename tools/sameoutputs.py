@@ -15,12 +15,15 @@ The bytes of the sf2 output and of the four refined outputs are compared,
 with a JSON file per weight set of each window's solve record from
 minimize_fragment, started from the input poses too, so that the
 comparison also covers the values, step counts and flags of a solve whose
-positions do not change. The tool prints one line per comparison and exits
-1, naming every file that differs or is missing on one side, or every
-command that failed; else it exits 0. Under a comparison that differs, one
-line per file that both sides hold gives the largest absolute difference of
-its numbers, so a change in the last bits reads as one. Outputs go to a
-temporary directory that is removed at the end.
+positions do not change. Each file ends with the record of one more
+window, the capture's first SHORT_WINDOW frames, whose length is not N:
+minimize_fragment takes its window length from the fragment. The tool
+prints one line per comparison and exits 1, naming every file that
+differs or is missing on one side, or every command that failed; else it
+exits 0. Under a comparison that differs, one line per file that both
+sides hold gives the largest absolute difference of its numbers, so a
+change in the last bits reads as one. Outputs go to a temporary directory
+that is removed at the end.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ RUN_FILES = ("refined_pose3d.txt", "metrics.txt", "metrics.json")
 DENSE_DURATION = 8.0  # seconds: nine windows, two batch stacks
 DENSE_WEIGHTS = {"default": {}, "no_visual": {"k_visual": 0.0}}
 WINDOW_RECORD = ("initial_value", "final_value", "iterations", "converged", "behind_camera")
+SHORT_WINDOW = 20  # frames of the last solve record's window, shorter than the default N = 50
 
 _spec = importlib.util.spec_from_file_location("abpairs", Path(__file__).with_name("abpairs.py"))
 abpairs = importlib.util.module_from_spec(_spec)
@@ -113,8 +117,9 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
     run_stream's output from the input poses on a default-noise capture of
     the 13-sensor rig, for each DENSE_WEIGHTS, as the tests' capture_problem
     builds it, and the WINDOW_RECORD of minimize_fragment over each window
-    of the schedule from the input poses, one JSON list per weight set. Runs
-    with whichever vifuse is importable."""
+    of the schedule and then over the first SHORT_WINDOW frames, from the
+    input poses, one JSON list per weight set. Runs with whichever vifuse is
+    importable."""
     from conftest import dense_calibration
     from vifuse import (DEFAULT_NOISE, EnergyConfig, Fragment, FragmentSchedule, Observations,
                         SequenceObservations, SolverSettings, apply_mode, calibrate_stream,
@@ -138,14 +143,16 @@ def dense_rig_outputs(out: Path, seed: int) -> None:
         (out / f"refine_batch_{name}.bin").write_bytes(batch.tobytes())
         (out / f"run_stream_{name}.bin").write_bytes(streamed.tobytes())
         schedule = FragmentSchedule(len(ds.inputs), cfg.fragment_len)
+        windows = [(schedule.window_frames(k), schedule.window_start(k))
+                   for k in range(schedule.window_count)]
+        windows.append((np.arange(SHORT_WINDOW), 0))
         records = []
-        for k in range(schedule.window_count):
-            rows = schedule.window_frames(k)
+        for rows, start in windows:
             window = Observations(pixels=seq.pixels[rows], camera=seq.camera, accel=accel[rows],
                                   bones=bones[rows], sensor_joints=seq.sensor_joints,
                                   sensor_parents=seq.sensor_parents)
-            res = minimize_fragment(Fragment(ds.inputs[rows], ds.fps, schedule.window_start(k)),
-                                    window, cfg, SolverSettings())
+            res = minimize_fragment(Fragment(ds.inputs[rows], ds.fps, start), window, cfg,
+                                    SolverSettings())
             records.append({field: getattr(res, field) for field in WINDOW_RECORD})
         (out / f"windows_{name}.json").write_text(json.dumps(records, indent=1) + "\n",
                                                   encoding="utf-8")
